@@ -5,7 +5,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race lint vet analyze fmt tidy vuln bench benchguard metrics crash partition-soak tenant-soak scale-smoke fuzz ci clean
+.PHONY: all build test race lint vet analyze fmt tidy vuln bench bench-check benchguard metrics crash partition-soak tenant-soak scale-smoke fuzz ci clean
 
 all: build test lint
 
@@ -100,6 +100,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip' -fuzztime 10s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/journal/
 
+# bench-check vets and unit-tests the frozen benchmark module (bench/, its own
+# go.mod with `replace repro => ../`) against the working tree, so an API
+# break against it fails here instead of first in the pipeline's driver
+# build. It writes nothing under bench/.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
 # benchguard re-runs the hot-path benchmarks and fails on allocs/op
 # regressions against the recorded baselines in BENCH_fanout.json.
 benchguard:
@@ -111,7 +118,7 @@ benchguard:
 metrics:
 	$(GO) run ./cmd/livesim -snapshot
 
-ci: build race lint analyze vuln crash partition-soak tenant-soak scale-smoke fuzz benchguard metrics
+ci: build bench-check race lint analyze vuln crash partition-soak tenant-soak scale-smoke fuzz benchguard metrics
 
 clean:
 	rm -rf $(BIN)

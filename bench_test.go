@@ -16,7 +16,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -462,8 +461,8 @@ func BenchmarkEdgePoll(b *testing.B) {
 
 // --- Scale engine benchmarks (BENCH_scale.json) ------------------------------
 //
-// These measure the million-viewer event engine (DESIGN.md §10): the sharded
-// timer wheel against the Virtual clock's binary heap under a million pending
+// These measure the million-viewer event engine (DESIGN.md §10): the timer
+// wheel against the Virtual clock's binary heap under a million pending
 // timers, and internal/viewersim end to end at growing fleet sizes. Work per
 // sub-benchmark is fixed (a full drain / a full simulated broadcast), so the
 // guarded metrics are the per-event ones reported via ReportMetric:
@@ -479,7 +478,7 @@ type timerChurn struct {
 	schedule func(owner uint64, d time.Duration, fn func(time.Time))
 	cbs      []func(time.Time)
 	left     []int32
-	fired    atomic.Int64
+	fired    int64
 }
 
 func cadenceOf(i int) time.Duration {
@@ -492,9 +491,7 @@ func newTimerChurn(pending, rounds int, schedule func(uint64, time.Duration, fun
 		i := i
 		c.left[i] = int32(rounds)
 		c.cbs[i] = func(time.Time) {
-			c.fired.Add(1)
-			// left[i] is only touched by owner i's callbacks, which every
-			// engine runs serially per owner.
+			c.fired++
 			if c.left[i] > 0 {
 				c.left[i]--
 				c.schedule(uint64(i), cadenceOf(i), c.cbs[i])
@@ -522,7 +519,7 @@ func reportPerEvent(b *testing.B, events int64, wall time.Duration, mallocs uint
 	b.ReportMetric(float64(events)/wall.Seconds(), "events/sec")
 }
 
-// BenchmarkWheel races the sharded timer wheel against the Virtual clock's
+// BenchmarkWheel races the timer wheel against the Virtual clock's
 // heap at one million pending self-rescheduling timers. BENCH_scale.json pins
 // the wheel's minimum speedup (ns/event ratio) and both engines' allocs/event.
 func BenchmarkWheel(b *testing.B) {
@@ -543,8 +540,7 @@ func BenchmarkWheel(b *testing.B) {
 			wh.Run()
 			wall := time.Since(t0)
 			runtime.ReadMemStats(&ms1)
-			wh.Close()
-			reportPerEvent(b, churn.fired.Load(), wall, ms1.Mallocs-ms0.Mallocs)
+			reportPerEvent(b, churn.fired, wall, ms1.Mallocs-ms0.Mallocs)
 		}
 	})
 
@@ -561,7 +557,7 @@ func BenchmarkWheel(b *testing.B) {
 			clk.Run()
 			wall := time.Since(t0)
 			runtime.ReadMemStats(&ms1)
-			reportPerEvent(b, churn.fired.Load(), wall, ms1.Mallocs-ms0.Mallocs)
+			reportPerEvent(b, churn.fired, wall, ms1.Mallocs-ms0.Mallocs)
 		}
 	})
 }

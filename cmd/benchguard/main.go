@@ -11,7 +11,7 @@
 //
 // It also runs the scale-engine benchmarks (BenchmarkWheel,
 // BenchmarkViewerEngine) against BENCH_scale.json: per-event allocation
-// budgets with a percentage tolerance, plus the sharded timer wheel's
+// budgets with a percentage tolerance, plus the timer wheel's
 // minimum ns/event speedup over the Virtual clock's heap at one million
 // pending timers — the PR-8 invariant that the event engine stays O(1).
 //

@@ -16,7 +16,6 @@ var (
 	simdayScale    = flag.Float64("simday-scale", 100, "workload scale divisor (1 = full paper scale)")
 	simdayFraction = flag.Float64("simday-fraction", 1, "fraction of the day to simulate (0,1]")
 	simdayEngine   = flag.String("engine", "wheel", "event engine: wheel or goroutine")
-	simdayShards   = flag.Int("shards", 0, "timer-wheel shards (0 = one per CPU)")
 	simdayCap      = flag.Int("viewer-cap", 0, "max simulated viewers per broadcast (0 = uncapped)")
 	realHLS        = flag.Int("real-hls", 0, "real-socket HLS viewers watching a concurrent loopback broadcast")
 	realRTMP       = flag.Int("real-rtmp", 0, "real-socket RTMP viewers watching a concurrent loopback broadcast")
@@ -28,7 +27,6 @@ func runSimday(seed uint64, chunk time.Duration, rtmpCap int) error {
 		Scale:         *simdayScale,
 		DayFraction:   *simdayFraction,
 		Engine:        *simdayEngine,
-		Shards:        *simdayShards,
 		ViewerCap:     *simdayCap,
 		ChunkDuration: chunk,
 		RTMPCap:       rtmpCap,

@@ -246,9 +246,10 @@ func (v *Virtual) Pending() int {
 // under a test harness that advances time from another goroutine.
 func (v *Virtual) Sleep(ctx context.Context, d time.Duration) error {
 	done := make(chan struct{})
-	v.Schedule(d, func(time.Time) { close(done) })
+	wake := v.Schedule(d, func(time.Time) { close(done) })
 	select {
 	case <-ctx.Done():
+		wake.Stop()
 		return ctx.Err()
 	case <-done:
 		return nil

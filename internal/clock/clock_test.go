@@ -160,6 +160,13 @@ func TestVirtualSleepCancellation(t *testing.T) {
 	if err := v.Sleep(ctx, time.Hour); err != context.Canceled {
 		t.Fatalf("Sleep = %v, want context.Canceled", err)
 	}
+	// The cancelled sleeper must take its wake-up timer with it.
+	if got := v.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after a cancelled Sleep, want 0", got)
+	}
+	if end := v.Run(); !end.Equal(Epoch) {
+		t.Fatalf("Run ended at %v, want the pre-sleep time %v", end, Epoch)
+	}
 }
 
 func TestVirtualAfter(t *testing.T) {

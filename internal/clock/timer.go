@@ -6,9 +6,8 @@ import "time"
 // event heap and the Wheel's slot buckets / overflow heaps. Nodes are
 // intrusive: they carry their own doubly-linked bucket links and their heap
 // index, so moving a timer between a bucket, a heap and the freelist never
-// allocates. A node is owned by exactly one scheduler (a Virtual or one
-// wheel shard) for its whole life; the owning scheduler's mutex guards every
-// field.
+// allocates. A node is owned by exactly one scheduler (a Virtual or a Wheel)
+// for its whole life; the owning scheduler's mutex guards every field.
 type timerNode struct {
 	next, prev *timerNode // bucket list links; next doubles as the freelist link
 	heapIx     int        // index in the owning heap, -1 when not heaped
@@ -16,7 +15,6 @@ type timerNode struct {
 	tick       int64      // wheel deadline in resolution ticks (wheel only)
 	seq        uint64     // schedule order, tie-break for equal deadlines
 	gen        uint64     // generation; bumped whenever the node is detached
-	owner      uint64     // shard-affinity key (wheel only)
 	fn         func(now time.Time)
 }
 

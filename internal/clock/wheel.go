@@ -4,56 +4,49 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// WheelConfig parameterizes a sharded timer wheel.
+// WheelConfig parameterizes a timer wheel.
 type WheelConfig struct {
 	// Epoch is the wheel's start time; zero means clock.Epoch.
 	Epoch time.Time
-	// Shards is the number of independent timer shards, one worker
-	// goroutine each. Zero means min(GOMAXPROCS, 8). Timers are
-	// FNV-hashed onto shards by owner key, so all timers of one owner
-	// fire on one shard and the owner's state needs no locking.
-	Shards int
 	// Resolution is the tick width: every deadline is rounded up to the
 	// next tick boundary. Zero means 10 ms — coarse enough that a full
 	// simulated day is ~8.6M ticks, fine enough that a 2.8 s poll
 	// interval quantizes below 0.4% error.
 	Resolution time.Duration
-	// Slots is the number of wheel slots per shard (rounded up to a
-	// power of two; zero means 512). Deadlines within Slots×Resolution
-	// of now go to an O(1) slot bucket; farther deadlines wait in a
-	// per-shard overflow heap.
+	// Slots is the number of wheel slots (rounded up to a power of two;
+	// zero means 512). Deadlines within Slots×Resolution of now go to an
+	// O(1) slot bucket; farther deadlines wait in the overflow heap.
 	Slots int
 }
 
-// Wheel is a sharded hashed timer wheel: the scheduler behind the
+// Wheel is a single-driver hashed timer wheel: the scheduler behind the
 // million-viewer event engine (internal/viewersim). Like Virtual it is a
 // discrete-event virtual clock — time advances only through Advance /
-// RunUntil / Run — but it is built for volume where Virtual is built for
-// strict global ordering:
+// RunUntil / Run — but it is built for volume:
 //
 //   - Schedule/Stop/Reset are O(1) for near deadlines (a doubly-linked slot
-//     bucket) and O(log overflow) for far ones, against a per-shard mutex
-//     instead of one global lock.
-//   - Timer nodes are pooled per shard; steady-state scheduling allocates
-//     nothing.
+//     bucket) and O(log overflow) for far ones.
+//   - Timer nodes are pooled; steady-state scheduling allocates nothing.
 //   - Now is lock-free: a single atomic tick counter, readable from any
 //     callback or foreign goroutine.
-//   - Ticks with work on several shards fire those shards' batches in
-//     parallel on persistent per-shard workers.
+//   - One mutex guards the ring, heap and pool, so Schedule/Stop/Reset/Sleep/
+//     After stay safe from foreign goroutines; the driver takes it once per
+//     tick, not once per timer.
 //
-// The determinism contract is correspondingly weaker than Virtual's: within
-// one (shard, tick) batch, callbacks run in a reproducible order (overflow
-// arrivals by schedule order, then bucket FIFO), but callbacks of different
-// shards due at the same tick run concurrently. Engines that need
-// reproducible results must pin each mutable object to one owner key and
-// make all cross-owner effects commutative (atomic counters, histogram
-// adds) — the discipline internal/viewersim follows.
+// Callbacks fire one at a time on the goroutine driving the wheel, in one
+// total, reproducible order: by tick; within a tick, overflow-heap arrivals
+// in schedule order, then the slot bucket in FIFO order. A timer reaches the
+// heap only when scheduled at an earlier clock time than any bucket entry of
+// the same tick, so that is plain schedule order — Virtual's (time, seq) for
+// deadlines on tick boundaries. A tick's timers are detached together before
+// the first of them runs, so a callback cannot Stop or Reset a timer due in
+// its own tick — that timer is already committed. Multi-core engines run one
+// wheel per worker rather than sharing one.
 //
 // Callbacks must not block on the wheel's own time (Sleep/After inside a
 // callback deadlocks the driving goroutine, exactly as with Virtual).
@@ -62,53 +55,36 @@ type Wheel struct {
 	res     time.Duration
 	slots   int
 	mask    int64
-	nowTick atomic.Int64
+	nowTick atomic.Int64 // written only under mu
 	fired   atomic.Int64
-	shards  []*wheelShard
 
-	fireWG sync.WaitGroup // open fire dispatches during one tick
+	runMu sync.Mutex // serializes Advance/RunUntil/Run drivers
 
-	runMu  sync.Mutex // serializes Advance/RunUntil/Run drivers
-	busy   []*wheelShard
-	closed bool
-
-	workerWG sync.WaitGroup
-}
-
-// wheelShard is one independently locked timer domain. The padding keeps
-// neighbouring shards' mutexes off one cache line.
-type wheelShard struct {
-	w        *Wheel
-	mu       sync.Mutex
+	mu       sync.Mutex // guards everything below
 	buckets  []wheelBucket
 	occ      []uint64 // occupancy bitmap over buckets
 	overflow nodeHeap
 	free     *timerNode
-	batch    []*timerNode // reusable detach buffer for fire
+	batch    []func(now time.Time) // the driver's reusable per-tick callback buffer
 	seq      uint64
 	pending  int
-	work     chan int64
-	_        [64]byte
 }
 
 type wheelBucket struct {
 	head, tail *timerNode
 }
 
-// NewWheel builds the wheel and starts its per-shard workers. Callers own a
-// Close when done; an un-Closed wheel leaks its worker goroutines.
+// noLimit is Run's limit tick: fire until nothing is pending and leave the
+// clock at the last fired tick.
+const noLimit = math.MaxInt64
+
+// NewWheel builds a wheel standing at its epoch.
 func NewWheel(cfg WheelConfig) *Wheel {
 	if cfg.Epoch.IsZero() {
 		cfg.Epoch = Epoch
 	}
 	if cfg.Resolution <= 0 {
 		cfg.Resolution = 10 * time.Millisecond
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-		if cfg.Shards > 8 {
-			cfg.Shards = 8
-		}
 	}
 	if cfg.Slots <= 0 {
 		cfg.Slots = 512
@@ -117,65 +93,37 @@ func NewWheel(cfg WheelConfig) *Wheel {
 	for slots < cfg.Slots {
 		slots <<= 1
 	}
-	w := &Wheel{
-		epoch:  cfg.Epoch,
-		res:    cfg.Resolution,
-		slots:  slots,
-		mask:   int64(slots - 1),
-		shards: make([]*wheelShard, cfg.Shards),
-		busy:   make([]*wheelShard, 0, cfg.Shards),
+	return &Wheel{
+		epoch:   cfg.Epoch,
+		res:     cfg.Resolution,
+		slots:   slots,
+		mask:    int64(slots - 1),
+		buckets: make([]wheelBucket, slots),
+		occ:     make([]uint64, slots/64),
 	}
-	for i := range w.shards {
-		s := &wheelShard{
-			w:       w,
-			buckets: make([]wheelBucket, slots),
-			occ:     make([]uint64, slots/64),
-			work:    make(chan int64),
-		}
-		w.shards[i] = s
-		w.workerWG.Add(1)
-		go func() {
-			defer w.workerWG.Done()
-			for tick := range s.work {
-				s.fire(tick, w.timeOf(tick))
-				w.fireWG.Done()
-			}
-		}()
-	}
-	return w
 }
 
-// Close stops the worker goroutines. The wheel must not be driven or
-// scheduled against afterwards.
-func (w *Wheel) Close() {
-	w.runMu.Lock()
-	defer w.runMu.Unlock()
-	if w.closed {
-		return
-	}
-	w.closed = true
-	for _, s := range w.shards {
-		close(s.work)
-	}
-	w.workerWG.Wait()
-}
+// Close is a no-op: the wheel owns no goroutines or other resources. It
+// remains only because the frozen benchmark module (bench/) calls it.
+func (w *Wheel) Close() {}
 
 // Now implements Clock. It is lock-free — one atomic load — so the hottest
 // callbacks and foreign goroutines (the real-socket fidelity slice's
 // metrics, cdn stamps) can read time without contending with scheduling.
-func (w *Wheel) Now() time.Time {
-	return w.epoch.Add(time.Duration(w.nowTick.Load()) * w.res)
-}
-
-// Shards returns the shard count (the engine sizes its worker-local state
-// from it).
-func (w *Wheel) Shards() int { return len(w.shards) }
+func (w *Wheel) Now() time.Time { return w.timeOf(w.nowTick.Load()) }
 
 // Resolution returns the tick width.
 func (w *Wheel) Resolution() time.Duration { return w.res }
 
 // Fired returns the total number of callbacks dispatched so far.
 func (w *Wheel) Fired() int64 { return w.fired.Load() }
+
+// Pending returns the number of scheduled, unfired timers.
+func (w *Wheel) Pending() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.pending
+}
 
 // timeOf converts a tick index to clock time.
 func (w *Wheel) timeOf(tick int64) time.Time {
@@ -191,105 +139,83 @@ func (w *Wheel) tickOf(t time.Time) int64 {
 	return int64(d / w.res)
 }
 
-// shardOf hashes an owner key onto a shard with FNV-1a over its 8 bytes.
-func (w *Wheel) shardOf(owner uint64) *wheelShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= owner & 0xff
-		h *= prime64
-		owner >>= 8
-	}
-	return w.shards[h%uint64(len(w.shards))]
-}
-
-// Schedule registers fn to run d after the wheel's current time, on the
-// shard owning the given key, and returns a cancellable handle. The
-// deadline is rounded up to the next tick boundary. Zero and negative
-// delays fire at the current tick — during a drive, that means later in the
-// same tick's drain.
-//
-//livesim:hotpath — one mutex, pooled node, no allocation in steady state.
-func (w *Wheel) Schedule(owner uint64, d time.Duration, fn func(now time.Time)) Timer {
+// deadlineLocked returns the tick d from now, rounded up to a tick boundary.
+// nowTick only moves under mu, so the result cannot fall behind the clock
+// before the caller links the node.
+func (w *Wheel) deadlineLocked(d time.Duration) int64 {
 	if d < 0 {
 		d = 0
 	}
-	now := w.nowTick.Load()
-	tick := now + int64((d+w.res-1)/w.res)
-	return w.shardOf(owner).schedule(owner, tick, fn)
+	return w.nowTick.Load() + int64((d+w.res-1)/w.res)
 }
 
-// ScheduleAt registers fn at an absolute time, rounded up to a tick.
-func (w *Wheel) ScheduleAt(owner uint64, at time.Time, fn func(now time.Time)) Timer {
-	d := at.Sub(w.Now())
-	return w.Schedule(owner, d, fn)
-}
-
-// schedule inserts a node due at tick (already clamped ≥ the current tick
-// at computation time) into a slot bucket or the overflow heap.
+// Schedule registers fn to run d after the wheel's current time and returns
+// a cancellable handle. The deadline is rounded up to the next tick boundary.
+// Zero and negative delays fire at the current tick — from a callback, that
+// means on the driver's next pass, before time moves on. The wheel does not
+// interpret owner; the parameter remains only because the frozen benchmark
+// module (bench/) passes one.
 //
-//livesim:hotpath
-func (s *wheelShard) schedule(owner uint64, tick int64, fn func(now time.Time)) Timer {
-	s.mu.Lock()
-	n := s.free
+//livesim:hotpath — one mutex, pooled node, no allocation in steady state.
+func (w *Wheel) Schedule(owner uint64, d time.Duration, fn func(now time.Time)) Timer {
+	w.mu.Lock()
+	n := w.free
 	if n != nil {
-		s.free = n.next
+		w.free = n.next
 		n.next = nil
 	} else {
-		//lint:allow hotpathescape free-list miss only; fired and stopped nodes recycle through s.free
+		//lint:allow hotpathescape free-list miss only; fired and stopped nodes recycle through w.free
 		n = &timerNode{heapIx: -1}
 	}
-	s.seq++
-	n.at = s.w.timeOf(tick)
-	n.tick = tick
-	n.seq = s.seq
-	n.owner = owner
 	n.fn = fn
-	s.insertLocked(n)
-	s.pending++
-	t := Timer{n: n, gen: n.gen, s: s}
-	s.mu.Unlock()
+	w.insertLocked(n, w.deadlineLocked(d))
+	w.pending++
+	t := Timer{n: n, gen: n.gen, s: w}
+	w.mu.Unlock()
 	return t
 }
 
+// ScheduleAt registers fn at an absolute time, rounded up to a tick. As with
+// Schedule, owner is not interpreted.
+func (w *Wheel) ScheduleAt(owner uint64, at time.Time, fn func(now time.Time)) Timer {
+	return w.Schedule(owner, at.Sub(w.Now()), fn)
+}
+
+// insertLocked stamps n with its deadline and schedule order and links it
+// into a slot bucket or, beyond the ring's window, the overflow heap.
+//
 //livesim:hotpath
-func (s *wheelShard) insertLocked(n *timerNode) {
-	now := s.w.nowTick.Load()
-	if n.tick < now {
-		// The driver advanced past the deadline between the caller's
-		// tick computation and this insert; fire at the current tick.
-		n.tick = now
-		n.at = s.w.timeOf(now)
-	}
-	if n.tick-now < int64(s.w.slots) {
-		slot := n.tick & s.w.mask
-		b := &s.buckets[slot]
-		n.prev = b.tail
-		n.next = nil
-		if b.tail != nil {
-			b.tail.next = n
-		} else {
-			b.head = n
-		}
-		b.tail = n
-		s.occ[slot>>6] |= 1 << uint(slot&63)
+func (w *Wheel) insertLocked(n *timerNode, tick int64) {
+	w.seq++
+	n.seq = w.seq
+	n.tick = tick
+	n.at = w.timeOf(tick)
+	if tick-w.nowTick.Load() >= int64(w.slots) {
+		w.overflow.push(n)
 		return
 	}
-	s.overflow.push(n)
+	slot := tick & w.mask
+	b := &w.buckets[slot]
+	n.prev = b.tail
+	n.next = nil
+	if b.tail != nil {
+		b.tail.next = n
+	} else {
+		b.head = n
+	}
+	b.tail = n
+	w.occ[slot>>6] |= 1 << uint(slot&63)
 }
 
 // unlinkLocked removes a pending node from wherever it sits (bucket or
-// overflow heap). The caller must hold s.mu and own a valid generation.
-func (s *wheelShard) unlinkLocked(n *timerNode) {
+// overflow heap). The caller must own a valid generation.
+func (w *Wheel) unlinkLocked(n *timerNode) {
 	if n.heapIx >= 0 {
-		s.overflow.remove(n.heapIx)
+		w.overflow.remove(n.heapIx)
 		return
 	}
-	slot := n.tick & s.w.mask
-	b := &s.buckets[slot]
+	slot := n.tick & w.mask
+	b := &w.buckets[slot]
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
@@ -302,61 +228,52 @@ func (s *wheelShard) unlinkLocked(n *timerNode) {
 	}
 	n.next, n.prev = nil, nil
 	if b.head == nil {
-		s.occ[slot>>6] &^= 1 << uint(slot&63)
+		w.occ[slot>>6] &^= 1 << uint(slot&63)
 	}
 }
 
-func (s *wheelShard) releaseLocked(n *timerNode) {
+// releaseLocked retires an unlinked node, fired or stopped: every outstanding
+// handle to it dies and it returns to the freelist.
+//
+//livesim:hotpath
+func (w *Wheel) releaseLocked(n *timerNode) {
 	n.gen++
 	n.fn = nil
 	n.prev = nil
-	n.next = s.free
-	s.free = n
+	n.next = w.free
+	w.free = n
+	w.pending--
 }
 
 // stopTimer implements timerSched.
-func (s *wheelShard) stopTimer(n *timerNode, gen uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (w *Wheel) stopTimer(n *timerNode, gen uint64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if n.gen != gen {
 		return false
 	}
-	s.unlinkLocked(n)
-	s.pending--
-	s.releaseLocked(n)
+	w.unlinkLocked(n)
+	w.releaseLocked(n)
 	return true
 }
 
 // resetTimer implements timerSched.
-func (s *wheelShard) resetTimer(n *timerNode, gen uint64, d time.Duration) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (w *Wheel) resetTimer(n *timerNode, gen uint64, d time.Duration) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if n.gen != gen {
 		return false
 	}
-	if d < 0 {
-		d = 0
-	}
-	s.unlinkLocked(n)
-	now := s.w.nowTick.Load()
-	n.tick = now + int64((d+s.w.res-1)/s.w.res)
-	n.at = s.w.timeOf(n.tick)
-	s.seq++
-	n.seq = s.seq
-	s.insertLocked(n)
+	w.unlinkLocked(n)
+	w.insertLocked(n, w.deadlineLocked(d))
 	return true
 }
 
-// due returns the earliest tick this shard has work for, or math.MaxInt64.
-func (s *wheelShard) due(now int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	best := int64(math.MaxInt64)
-	if len(s.overflow) > 0 {
-		best = s.overflow[0].tick
-	}
-	if t := s.nextBucketTickLocked(now); t < best {
-		best = t
+// nextDueLocked returns the earliest tick with work, or math.MaxInt64.
+func (w *Wheel) nextDueLocked() int64 {
+	best := w.nextBucketTickLocked(w.nowTick.Load())
+	if len(w.overflow) > 0 && w.overflow[0].tick < best {
+		best = w.overflow[0].tick
 	}
 	return best
 }
@@ -365,19 +282,18 @@ func (s *wheelShard) due(now int64) int64 {
 // slot at or after now, wrapping once around the wheel.
 //
 //livesim:hotpath
-func (s *wheelShard) nextBucketTickLocked(now int64) int64 {
-	slots := s.w.slots
-	slot0 := int(now & s.w.mask)
+func (w *Wheel) nextBucketTickLocked(now int64) int64 {
+	slot0 := int(now & w.mask)
 	w0 := slot0 >> 6
 	off := uint(slot0 & 63)
-	words := slots >> 6
+	words := w.slots >> 6
 	// First word: bits at or above slot0 cover [now, next word boundary).
-	if x := s.occ[w0] >> off; x != 0 {
+	if x := w.occ[w0] >> off; x != 0 {
 		return now + int64(bits.TrailingZeros64(x))
 	}
 	for i := 1; i <= words; i++ {
 		wi := (w0 + i) % words
-		x := s.occ[wi]
+		x := w.occ[wi]
 		if i == words {
 			// Back at the first word after a full wrap: only the
 			// bits strictly below slot0 remain unseen.
@@ -387,7 +303,7 @@ func (s *wheelShard) nextBucketTickLocked(now int64) int64 {
 			slot := wi<<6 + bits.TrailingZeros64(x)
 			delta := slot - slot0
 			if delta <= 0 {
-				delta += slots
+				delta += w.slots
 			}
 			return now + int64(delta)
 		}
@@ -395,77 +311,79 @@ func (s *wheelShard) nextBucketTickLocked(now int64) int64 {
 	return math.MaxInt64
 }
 
-// fire runs every callback due at tick on this shard: overflow arrivals
-// first (schedule order), then the slot bucket FIFO. Nodes are detached and
-// generation-bumped under the lock, callbacks run outside it, and the nodes
-// return to the freelist in one batch.
+// detachLocked moves the callback of every timer due at tick into the
+// reusable batch — overflow arrivals first (schedule order), then the slot
+// bucket FIFO — and releases the nodes at once, so timers the callbacks
+// schedule reuse them.
 //
 //livesim:hotpath
-func (s *wheelShard) fire(tick int64, now time.Time) {
-	s.mu.Lock()
-	batch := s.batch[:0]
-	for len(s.overflow) > 0 && s.overflow[0].tick <= tick {
-		n := s.overflow.pop()
-		n.gen++
-		batch = append(batch, n)
+func (w *Wheel) detachLocked(tick int64) []func(now time.Time) {
+	batch := w.batch[:0]
+	for len(w.overflow) > 0 && w.overflow[0].tick <= tick {
+		n := w.overflow.pop()
+		batch = append(batch, n.fn)
+		w.releaseLocked(n)
 	}
-	slot := tick & s.w.mask
-	b := &s.buckets[slot]
-	for n := b.head; n != nil; n = n.next {
-		n.gen++
-		batch = append(batch, n)
+	slot := tick & w.mask
+	b := &w.buckets[slot]
+	for n := b.head; n != nil; {
+		next := n.next
+		batch = append(batch, n.fn)
+		w.releaseLocked(n)
+		n = next
 	}
 	b.head, b.tail = nil, nil
-	s.occ[slot>>6] &^= 1 << uint(slot&63)
-	s.pending -= len(batch)
-	s.mu.Unlock()
-
-	for _, n := range batch {
-		n.fn(now)
-	}
-	s.w.fired.Add(int64(len(batch)))
-
-	s.mu.Lock()
-	for i, n := range batch {
-		n.fn = nil
-		n.prev = nil
-		n.next = s.free
-		s.free = n
-		batch[i] = nil
-	}
-	s.batch = batch[:0]
-	s.mu.Unlock()
+	w.occ[slot>>6] &^= 1 << uint(slot&63)
+	w.batch = batch // keep the grown backing array
+	return batch
 }
 
-// Pending returns the number of scheduled, unfired timers.
-func (w *Wheel) Pending() int {
-	total := 0
-	for _, s := range w.shards {
-		s.mu.Lock()
-		total += s.pending
-		s.mu.Unlock()
+// runLocked fires every timer due at or before the limit tick, on the calling
+// goroutine, then (unless limit is noLimit) moves the clock up to limit. It
+// takes mu once per tick: find the next due tick, move the clock there and
+// detach its timers, then run the callbacks with mu released so they can
+// schedule. The caller holds runMu, which also makes w.batch its own.
+//
+//livesim:hotpath
+func (w *Wheel) runLocked(limit int64) {
+	w.mu.Lock()
+	for {
+		tick := w.nextDueLocked()
+		if tick == math.MaxInt64 || tick > limit {
+			break
+		}
+		w.nowTick.Store(tick)
+		batch := w.detachLocked(tick)
+		w.mu.Unlock()
+
+		now := w.timeOf(tick)
+		for _, fn := range batch {
+			fn(now)
+		}
+		w.fired.Add(int64(len(batch)))
+		clear(batch) // drop the closures; the buffer outlives the tick
+
+		w.mu.Lock()
 	}
-	return total
+	if limit != noLimit && w.nowTick.Load() < limit {
+		w.nowTick.Store(limit)
+	}
+	w.mu.Unlock()
 }
 
 // RunUntil executes every timer with a deadline ≤ t, then sets the clock to
-// t. Ticks where only one shard has work fire inline on the calling
-// goroutine; ticks with work on several shards fan out to the per-shard
-// workers and barrier before the clock moves again.
+// t (rounded down to a tick).
 func (w *Wheel) RunUntil(t time.Time) {
 	w.runMu.Lock()
 	defer w.runMu.Unlock()
 	w.runLocked(w.tickOf(t))
-	if limit := w.tickOf(t); w.nowTick.Load() < limit {
-		w.nowTick.Store(limit)
-	}
 }
 
 // Run executes timers until none remain, returning the final clock time.
 func (w *Wheel) Run() time.Time {
 	w.runMu.Lock()
 	defer w.runMu.Unlock()
-	w.runLocked(math.MaxInt64)
+	w.runLocked(noLimit)
 	return w.Now()
 }
 
@@ -476,51 +394,14 @@ func (w *Wheel) Advance(d time.Duration) time.Time {
 	return w.Now()
 }
 
-func (w *Wheel) runLocked(limit int64) {
-	for {
-		next := int64(math.MaxInt64)
-		busy := w.busy[:0]
-		now := w.nowTick.Load()
-		for _, s := range w.shards {
-			d := s.due(now)
-			if d < next {
-				next = d
-				busy = busy[:0]
-			}
-			if d == next && d != math.MaxInt64 {
-				busy = append(busy, s)
-			}
-		}
-		w.busy = busy // retain the grown backing array for the next pass
-		if next == math.MaxInt64 || next > limit {
-			return
-		}
-		if next < now {
-			// A racing external Schedule targeted an already-passed
-			// tick; fire it at the current tick.
-			next = now
-		}
-		w.nowTick.Store(next)
-		at := w.timeOf(next)
-		if len(busy) == 1 {
-			busy[0].fire(next, at)
-			continue
-		}
-		w.fireWG.Add(len(busy))
-		for _, s := range busy {
-			s.work <- next
-		}
-		w.fireWG.Wait()
-	}
-}
-
 // Sleep implements Clock, for components written against the interface. As
 // with Virtual, someone else must drive the wheel forward.
 func (w *Wheel) Sleep(ctx context.Context, d time.Duration) error {
 	done := make(chan struct{})
-	w.Schedule(0, d, func(time.Time) { close(done) })
+	wake := w.Schedule(0, d, func(time.Time) { close(done) })
 	select {
 	case <-ctx.Done():
+		wake.Stop()
 		return ctx.Err()
 	case <-done:
 		return nil

@@ -1,29 +1,24 @@
 package clock
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func newTestWheel(t *testing.T, cfg WheelConfig) *Wheel {
-	t.Helper()
-	w := NewWheel(cfg)
-	t.Cleanup(w.Close)
-	return w
-}
-
 func TestWheelStartsAtEpoch(t *testing.T) {
-	w := newTestWheel(t, WheelConfig{})
+	w := NewWheel(WheelConfig{})
 	if !w.Now().Equal(Epoch) {
 		t.Fatalf("Now() = %v, want %v", w.Now(), Epoch)
 	}
 }
 
 func TestWheelFiresInTickOrder(t *testing.T) {
-	w := newTestWheel(t, WheelConfig{Shards: 1, Resolution: 10 * time.Millisecond})
+	w := NewWheel(WheelConfig{Resolution: 10 * time.Millisecond})
 	var got []time.Duration
 	for _, d := range []time.Duration{50 * time.Millisecond, 10 * time.Millisecond, 30 * time.Millisecond} {
 		d := d
@@ -42,7 +37,7 @@ func TestWheelFiresInTickOrder(t *testing.T) {
 }
 
 func TestWheelRoundsUpToResolution(t *testing.T) {
-	w := newTestWheel(t, WheelConfig{Shards: 1, Resolution: 10 * time.Millisecond})
+	w := NewWheel(WheelConfig{Resolution: 10 * time.Millisecond})
 	var at time.Time
 	w.Schedule(1, 14*time.Millisecond, func(now time.Time) { at = now })
 	w.Run()
@@ -54,7 +49,7 @@ func TestWheelRoundsUpToResolution(t *testing.T) {
 func TestWheelOverflowBeyondWindow(t *testing.T) {
 	// 64 slots × 10 ms = 640 ms window: far timers must take the
 	// overflow heap and still fire at the right time.
-	w := newTestWheel(t, WheelConfig{Shards: 1, Resolution: 10 * time.Millisecond, Slots: 64})
+	w := NewWheel(WheelConfig{Resolution: 10 * time.Millisecond, Slots: 64})
 	var order []string
 	w.Schedule(1, 5*time.Second, func(time.Time) { order = append(order, "far") })
 	w.Schedule(1, 100*time.Millisecond, func(time.Time) { order = append(order, "near") })
@@ -70,29 +65,38 @@ func TestWheelOverflowBeyondWindow(t *testing.T) {
 	}
 }
 
-func TestWheelSameTickFIFOAndOwnerAffinity(t *testing.T) {
-	w := newTestWheel(t, WheelConfig{Shards: 4, Resolution: time.Millisecond})
-	const owner = 7
+func TestWheelSameTickFIFOAcrossOwners(t *testing.T) {
+	// 64 slots × 1 ms: the 5 ms timers sit in a bucket, the 200 ms ones in
+	// the overflow heap. Every timer has its own owner key; the wheel must
+	// ignore it and fire each tick in schedule order.
+	w := NewWheel(WheelConfig{Resolution: time.Millisecond, Slots: 64})
 	var got []int
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 200; i++ {
 		i := i
-		w.Schedule(owner, 5*time.Millisecond, func(time.Time) { got = append(got, i) })
+		d := 5 * time.Millisecond
+		if i%2 == 1 {
+			d = 200 * time.Millisecond
+		}
+		w.Schedule(uint64(i)*0x9e3779b97f4a7c15, d, func(time.Time) { got = append(got, i) })
 	}
 	w.Run()
-	// One owner → one shard → strict FIFO within the tick, and no data
-	// race on got even with four shards configured.
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-tick fire order broken at %d: %v", i, got[:i+1])
-		}
+	if len(got) != 200 {
+		t.Fatalf("fired %d, want 200", len(got))
 	}
-	if len(got) != 100 {
-		t.Fatalf("fired %d, want 100", len(got))
+	for k, v := range got {
+		// Evens (tick 5) in schedule order, then odds (tick 200) likewise.
+		want := 2 * k
+		if k >= 100 {
+			want = 2*(k-100) + 1
+		}
+		if v != want {
+			t.Fatalf("fire %d was timer %d, want %d (schedule order across owners)", k, v, want)
+		}
 	}
 }
 
 func TestWheelStop(t *testing.T) {
-	w := newTestWheel(t, WheelConfig{Shards: 1, Resolution: 10 * time.Millisecond, Slots: 64})
+	w := NewWheel(WheelConfig{Resolution: 10 * time.Millisecond, Slots: 64})
 	fired := 0
 	near := w.Schedule(1, 50*time.Millisecond, func(time.Time) { fired++ })
 	far := w.Schedule(1, time.Minute, func(time.Time) { fired++ })
@@ -113,7 +117,7 @@ func TestWheelStop(t *testing.T) {
 }
 
 func TestWheelReset(t *testing.T) {
-	w := newTestWheel(t, WheelConfig{Shards: 1, Resolution: 10 * time.Millisecond})
+	w := NewWheel(WheelConfig{Resolution: 10 * time.Millisecond})
 	var at time.Time
 	tm := w.Schedule(1, 20*time.Millisecond, func(now time.Time) { at = now })
 	if !tm.Reset(200 * time.Millisecond) {
@@ -136,7 +140,7 @@ func TestWheelZeroTimerHandle(t *testing.T) {
 }
 
 func TestWheelNodePoolingReuses(t *testing.T) {
-	w := newTestWheel(t, WheelConfig{Shards: 1, Resolution: time.Millisecond})
+	w := NewWheel(WheelConfig{Resolution: time.Millisecond})
 	// Warm one node, then measure steady-state schedule+fire cycles.
 	w.Schedule(1, time.Millisecond, func(time.Time) {})
 	w.Run()
@@ -150,7 +154,7 @@ func TestWheelNodePoolingReuses(t *testing.T) {
 }
 
 func TestWheelRescheduleFromCallback(t *testing.T) {
-	w := newTestWheel(t, WheelConfig{Shards: 2, Resolution: 10 * time.Millisecond})
+	w := NewWheel(WheelConfig{Resolution: 10 * time.Millisecond})
 	var ticks []time.Duration
 	var loop func(now time.Time)
 	loop = func(now time.Time) {
@@ -172,7 +176,7 @@ func TestWheelRescheduleFromCallback(t *testing.T) {
 }
 
 func TestWheelRunUntilSetsNow(t *testing.T) {
-	w := newTestWheel(t, WheelConfig{Shards: 1})
+	w := NewWheel(WheelConfig{})
 	fired := false
 	w.Schedule(1, time.Hour, func(time.Time) { fired = true })
 	w.RunUntil(Epoch.Add(30 * time.Minute))
@@ -191,7 +195,7 @@ func TestWheelRunUntilSetsNow(t *testing.T) {
 func TestWheelNowLockFreeDuringRun(t *testing.T) {
 	// Foreign goroutines may read Now while callbacks fire; under -race
 	// this checks the atomic-epoch claim.
-	w := newTestWheel(t, WheelConfig{Shards: 4, Resolution: time.Millisecond})
+	w := NewWheel(WheelConfig{Resolution: time.Millisecond})
 	for owner := uint64(0); owner < 64; owner++ {
 		for i := 0; i < 50; i++ {
 			w.Schedule(owner, time.Duration(i)*time.Millisecond, func(time.Time) {})
@@ -225,12 +229,78 @@ func TestWheelNowLockFreeDuringRun(t *testing.T) {
 }
 
 func TestWheelSleepAndAfter(t *testing.T) {
-	w := newTestWheel(t, WheelConfig{Shards: 1, Resolution: 10 * time.Millisecond})
+	w := NewWheel(WheelConfig{Resolution: 10 * time.Millisecond})
 	ch := w.After(50 * time.Millisecond)
 	go w.Advance(time.Second)
 	at := <-ch
 	if want := Epoch.Add(50 * time.Millisecond); !at.Equal(want) {
 		t.Fatalf("After delivered %v, want %v", at, want)
+	}
+}
+
+func TestWheelSleepCancellation(t *testing.T) {
+	w := NewWheel(WheelConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := w.Sleep(ctx, time.Hour); err != context.Canceled {
+		t.Fatalf("Sleep = %v, want context.Canceled", err)
+	}
+	// The cancelled sleeper must take its wake-up timer with it.
+	if got := w.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after a cancelled Sleep, want 0", got)
+	}
+	if end := w.Run(); !end.Equal(Epoch) {
+		t.Fatalf("Run ended at %v, want the pre-sleep time %v", end, Epoch)
+	}
+}
+
+// TestWheelForeignScheduleStopDuringRun hammers Schedule, Stop and Reset from
+// foreign goroutines while another goroutine drives the wheel; under -race it
+// checks that the one mutex covers every path. Each timer must end up exactly
+// one of fired or stopped.
+func TestWheelForeignScheduleStopDuringRun(t *testing.T) {
+	w := NewWheel(WheelConfig{Resolution: time.Millisecond, Slots: 64})
+	const workers, perWorker = 4, 2000
+	var fired, stopped atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				// Delays straddle the 64 ms bucket window, so both the
+				// ring and the overflow heap see foreign traffic.
+				d := time.Duration((g*31+i)%150) * time.Millisecond
+				tm := w.Schedule(uint64(g), d, func(time.Time) { fired.Add(1) })
+				switch i % 3 {
+				case 0:
+					if tm.Stop() {
+						stopped.Add(1)
+					}
+				case 1:
+					tm.Reset(d / 2)
+				}
+			}
+		}(g)
+	}
+	driven := make(chan struct{})
+	go func() {
+		defer close(driven)
+		for i := 0; i < 200; i++ {
+			w.Advance(5 * time.Millisecond)
+		}
+	}()
+	wg.Wait()
+	<-driven
+	w.Run() // drain whatever the bounded drive left behind
+	if got := fired.Load() + stopped.Load(); got != workers*perWorker {
+		t.Fatalf("fired %d + stopped %d = %d, want %d", fired.Load(), stopped.Load(), got, workers*perWorker)
+	}
+	if w.Pending() != 0 {
+		t.Fatalf("Pending = %d after the drain, want 0", w.Pending())
+	}
+	if w.Fired() != fired.Load() {
+		t.Fatalf("Fired() = %d, callbacks ran %d", w.Fired(), fired.Load())
 	}
 }
 
@@ -241,25 +311,22 @@ type firing struct {
 	at    time.Duration
 }
 
-// wheelHarness adapts Wheel and Virtual to one scheduling surface so the
+// schedHarness adapts Wheel and Virtual to one scheduling surface so the
 // same randomized workload can drive both.
 type schedHarness struct {
 	schedule func(owner uint64, d time.Duration, fn func(time.Time)) Timer
 	run      func()
-	now      func() time.Time
 }
 
 // TestWheelVirtualEquivalence drives an identical randomized timer workload
 // — schedules from callbacks, stops, resets, near and far deadlines, all at
-// resolution multiples — through the Virtual heap and through wheels with 1
-// and 4 shards, and requires every owner's observed firing sequence
-// (id + timestamp) to be identical. This is the contract that lets
-// internal/viewersim treat the two schedulers as interchangeable.
+// resolution multiples — through the Virtual heap and through the wheel, and
+// requires the two global firing sequences (owner, id, timestamp) to be
+// identical: the wheel's (tick, schedule order) is Virtual's (time, seq).
+// This is the contract that lets internal/viewersim treat the two schedulers
+// as interchangeable.
 func TestWheelVirtualEquivalence(t *testing.T) {
 	const res = 10 * time.Millisecond
-	// lcg steps a deterministic pseudo-random state; each owner carries
-	// its own so callback-driven draws stay identical no matter how the
-	// wheel interleaves owners across shards.
 	lcg := func(state *uint64, n int) int {
 		*state = *state*6364136223846793005 + 1442695040888963407
 		return int((*state >> 33) % uint64(n))
@@ -267,27 +334,24 @@ func TestWheelVirtualEquivalence(t *testing.T) {
 	type ownerState struct {
 		state  uint64
 		nextID int
-		fired  []firing
 	}
-	workload := func(h schedHarness) map[uint64][]firing {
+	workload := func(h schedHarness) []firing {
 		const owners = 16
-		states := make([]*ownerState, owners)
+		var fired []firing
 		var tick func(o *ownerState, idx uint64) func(time.Time)
 		tick = func(o *ownerState, idx uint64) func(time.Time) {
 			id := o.nextID
 			o.nextID++
 			return func(now time.Time) {
-				o.fired = append(o.fired, firing{idx, id, now.Sub(Epoch)})
+				fired = append(fired, firing{idx, id, now.Sub(Epoch)})
 				if lcg(&o.state, 100) < 40 {
 					h.schedule(idx, time.Duration(1+lcg(&o.state, 200))*res, tick(o, idx))
 				}
 			}
 		}
-		// Setup runs single-threaded and identically for both engines.
 		setup := uint64(0x9e3779b97f4a7c15)
 		for owner := uint64(0); owner < owners; owner++ {
 			o := &ownerState{state: owner*0x9e3779b9 + 1}
-			states[owner] = o
 			var cancels []Timer
 			for i := 0; i < 30; i++ {
 				d := time.Duration(1+lcg(&setup, 1000)) * res // spans bucket window and overflow
@@ -303,57 +367,32 @@ func TestWheelVirtualEquivalence(t *testing.T) {
 			}
 		}
 		h.run()
-		got := map[uint64][]firing{}
-		for owner, o := range states {
-			got[uint64(owner)] = o.fired
-		}
-		return got
+		return fired
 	}
 
-	virtual := func() map[uint64][]firing {
-		v := NewVirtual(time.Time{})
-		return workload(schedHarness{
-			schedule: func(owner uint64, d time.Duration, fn func(time.Time)) Timer {
-				return v.Schedule(d, fn)
-			},
-			run: func() { v.Run() },
-			now: v.Now,
-		})
-	}
-	wheel := func(shards int) map[uint64][]firing {
-		w := NewWheel(WheelConfig{Shards: shards, Resolution: res, Slots: 128})
-		defer w.Close()
-		return workload(schedHarness{
-			schedule: w.Schedule,
-			run:      func() { w.Run() },
-			now:      w.Now,
-		})
-	}
+	v := NewVirtual(time.Time{})
+	want := workload(schedHarness{
+		schedule: func(owner uint64, d time.Duration, fn func(time.Time)) Timer {
+			return v.Schedule(d, fn)
+		},
+		run: func() { v.Run() },
+	})
+	w := NewWheel(WheelConfig{Resolution: res, Slots: 128})
+	got := workload(schedHarness{schedule: w.Schedule, run: func() { w.Run() }})
 
-	ref := virtual()
-	for _, shards := range []int{1, 4} {
-		got := wheel(shards)
-		if len(got) != len(ref) {
-			t.Fatalf("shards=%d: %d owners fired, want %d", shards, len(got), len(ref))
-		}
-		for owner, want := range ref {
-			have := got[owner]
-			if len(have) != len(want) {
-				t.Fatalf("shards=%d owner=%d: %d firings, want %d", shards, owner, len(have), len(want))
-			}
-			for i := range want {
-				if have[i] != want[i] {
-					t.Fatalf("shards=%d owner=%d firing %d: got %+v, want %+v",
-						shards, owner, i, have[i], want[i])
-				}
-			}
+	if len(got) != len(want) {
+		t.Fatalf("%d firings, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestWheelEquivalenceFuzzSeeds runs a smaller version of the equivalence
 // workload across several seeds, comparing the multiset of (owner, time)
-// firings between Virtual and a 4-shard wheel.
+// firings between Virtual and the wheel.
 func TestWheelEquivalenceFuzzSeeds(t *testing.T) {
 	const res = 10 * time.Millisecond
 	run := func(seed uint64, h schedHarness) []string {
@@ -385,7 +424,7 @@ func TestWheelEquivalenceFuzzSeeds(t *testing.T) {
 			schedule: func(o uint64, d time.Duration, fn func(time.Time)) Timer { return v.Schedule(d, fn) },
 			run:      func() { v.Run() },
 		})
-		w := NewWheel(WheelConfig{Shards: 4, Resolution: res, Slots: 64})
+		w := NewWheel(WheelConfig{Resolution: res, Slots: 64})
 		got := run(seed, schedHarness{schedule: w.Schedule, run: func() { w.Run() }})
 		w.Close()
 		if len(got) != len(ref) {

@@ -12,7 +12,7 @@ func init() {
 }
 
 // runSimday replays one simulated day of the paper's workload through
-// internal/viewersim's sharded-timer-wheel engine: every broadcast the
+// internal/viewersim's timer-wheel engine: every broadcast the
 // workload model draws, every viewer session, every chunk delivery. It is the
 // scale counterpart to fig11 — the same Fig. 11 decomposition, but measured
 // over the whole day's population instead of a fixed trace count, and cheap

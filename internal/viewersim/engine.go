@@ -4,8 +4,6 @@ import (
 	"context"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cdn"
@@ -17,11 +15,10 @@ import (
 )
 
 // sim carries the run state both engines share: the CDN under test, the
-// delay histograms, the atomic counters, and the entity pools. Everything an
-// event handler touches is either entity-private (viewer/broadcast state,
-// serialized per owner), lock-protected inside the cdn package, or a
-// commutative atomic — so wheel shards may fire one tick's events in
-// parallel without perturbing the deterministic outcome.
+// delay histograms, the counters, and the entity free lists. Both engines
+// run event handlers strictly one at a time (the wheel on its driving
+// goroutine, the reference under its coordinator), so none of it needs
+// synchronization; a multi-core day is N independent sims merged at the end.
 type sim struct {
 	cfg Config
 	w   *world
@@ -36,8 +33,9 @@ type sim struct {
 	rh, hh *delay.ComponentHists
 	ctr    counters
 
-	bpool sync.Pool
-	vpool sync.Pool
+	// Free lists of finished broadcasts and sessions, reused for later ones.
+	bfree []*bcastRun
+	vfree []*viewer
 
 	payload []byte
 
@@ -46,12 +44,12 @@ type sim struct {
 }
 
 type counters struct {
-	views      atomic.Int64
-	rtmpViews  atomic.Int64
-	hlsViews   atomic.Int64
-	chunks     atomic.Int64
-	polls      atomic.Int64
-	deliveries atomic.Int64
+	views      int64
+	rtmpViews  int64
+	hlsViews   int64
+	chunks     int64
+	polls      int64
+	deliveries int64
 }
 
 func newSim(cfg Config, w *world) *sim {
@@ -67,12 +65,6 @@ func newSim(cfg Config, w *world) *sim {
 		rh:      delay.NewComponentHists(reg, "rtmp"),
 		hh:      delay.NewComponentHists(reg, "hls"),
 		payload: make([]byte, 32),
-	}
-	s.bpool.New = func() interface{} { return &bcastRun{s: s} }
-	s.vpool.New = func() interface{} {
-		v := &viewer{}
-		v.fireFn = func(time.Time) { s.wheelViewer(v) }
-		return v
 	}
 	return s
 }
@@ -100,10 +92,7 @@ func (s *sim) buildCDN(clk clock.Clock) {
 	s.origin.RegisterEdge(s.edge)
 }
 
-// bcastRun is one live broadcast's mutable state. All of it is touched only
-// from the broadcast's own owner key (one wheel shard / one reference
-// goroutine at a time) except remaining, which viewers decrement from their
-// own shards.
+// bcastRun is one live broadcast's mutable state.
 type bcastRun struct {
 	s         *sim
 	sp        bcastSpec
@@ -113,7 +102,7 @@ type bcastRun struct {
 	joins     []time.Duration
 	nextJoin  int
 	nextChunk int
-	remaining atomic.Int64
+	remaining int // live participants: viewers yet to finish + the broadcaster
 
 	fireIngest func(time.Time)
 	fireJoin   func(time.Time)
@@ -124,7 +113,12 @@ func (b *bcastRun) abs(off time.Duration) time.Time { return b.start.Add(off) }
 // setupBroadcast materializes a spec at its start time: trace, join
 // schedule, liveness count (viewers + the broadcaster's ingest chain).
 func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
-	b := s.bpool.Get().(*bcastRun)
+	var b *bcastRun
+	if n := len(s.bfree); n > 0 {
+		b, s.bfree = s.bfree[n-1], s.bfree[:n-1]
+	} else {
+		b = &bcastRun{s: s}
+	}
 	b.sp = sp
 	b.id = "b" + strconv.Itoa(sp.idx)
 	b.start = s.w.start.Add(sp.start)
@@ -140,7 +134,7 @@ func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
 	sort.Slice(b.joins, func(i, j int) bool { return b.joins[i] < b.joins[j] })
 	b.nextJoin = 0
 	b.nextChunk = 0
-	b.remaining.Store(int64(sp.views) + 1)
+	b.remaining = sp.views + 1
 	return b
 }
 
@@ -157,13 +151,19 @@ func (s *sim) ingestChunk(b *bcastRun) {
 		Keyframe:   true,
 		Payload:    s.payload,
 	}, s.clk.Now())
-	s.ctr.chunks.Add(1)
+	s.ctr.chunks++
 }
 
 // newViewer builds the session for join index idx, or counts an empty view
 // and returns nil when the viewer joined too late to see any content.
 func (s *sim) newViewer(b *bcastRun, idx int) *viewer {
-	v := s.vpool.Get().(*viewer)
+	var v *viewer
+	if n := len(s.vfree); n > 0 {
+		v, s.vfree = s.vfree[n-1], s.vfree[:n-1]
+	} else {
+		v = &viewer{}
+		v.fireFn = func(time.Time) { s.wheelViewer(v) }
+	}
 	v.reset(s, b, idx)
 	if v.init() {
 		return v
@@ -176,11 +176,11 @@ func (s *sim) newViewer(b *bcastRun, idx int) *viewer {
 
 func (s *sim) countView(isRTMP bool) {
 	if isRTMP {
-		s.ctr.rtmpViews.Add(1)
+		s.ctr.rtmpViews++
 	} else {
-		s.ctr.hlsViews.Add(1)
+		s.ctr.hlsViews++
 	}
-	s.ctr.views.Add(1)
+	s.ctr.views++
 }
 
 // deliver runs one viewer event: HLS sessions touch the real edge chunklist
@@ -190,10 +190,10 @@ func (s *sim) countView(isRTMP bool) {
 //livesim:hotpath
 func (s *sim) deliver(v *viewer) (next time.Duration, done bool) {
 	if !v.isRTMP {
-		s.ctr.polls.Add(1)
+		s.ctr.polls++
 		_, _ = s.edge.ChunkListRaw(s.ctx, v.b.id)
 	}
-	s.ctr.deliveries.Add(1)
+	s.ctr.deliveries++
 	next, done = v.advance()
 	if done {
 		s.finishViewer(v)
@@ -221,28 +221,29 @@ func (s *sim) releaseViewer(v *viewer) {
 	v.s = nil
 	v.b = nil
 	v.model = nil
-	s.vpool.Put(v)
+	s.vfree = append(s.vfree, v)
 }
 
 // userDone retires one participant (viewer or broadcaster); the last one out
 // removes the broadcast from the CDN and recycles its state.
 func (s *sim) userDone(b *bcastRun) {
-	if b.remaining.Add(-1) == 0 {
+	b.remaining--
+	if b.remaining == 0 {
 		s.origin.Remove(b.id)
 		s.edge.Evict(b.id)
-		s.bpool.Put(b)
+		s.bfree = append(s.bfree, b)
 	}
 }
 
 func (s *sim) summary() *Summary {
 	return &Summary{
 		Broadcasts: len(s.w.specs),
-		Views:      s.ctr.views.Load(),
-		RTMPViews:  s.ctr.rtmpViews.Load(),
-		HLSViews:   s.ctr.hlsViews.Load(),
-		Chunks:     s.ctr.chunks.Load(),
-		Polls:      s.ctr.polls.Load(),
-		Deliveries: s.ctr.deliveries.Load(),
+		Views:      s.ctr.views,
+		RTMPViews:  s.ctr.rtmpViews,
+		HLSViews:   s.ctr.hlsViews,
+		Chunks:     s.ctr.chunks,
+		Polls:      s.ctr.polls,
+		Deliveries: s.ctr.deliveries,
 		Events:     s.events,
 		RTMP:       s.rh.Means(),
 		HLS:        s.hh.Means(),
@@ -251,29 +252,27 @@ func (s *sim) summary() *Summary {
 	}
 }
 
-// runWheel drives the day on the sharded timer wheel: every broadcast start
-// is scheduled up front on the broadcast's owner key, and all subsequent
-// events (ingest chain, join chain, per-viewer delivery chains) are
-// rescheduled from callbacks on their owners' shards.
+// runWheel drives the day on the timer wheel: every broadcast start is
+// scheduled up front, and all subsequent events (ingest chain, join chain,
+// per-viewer delivery chains) are rescheduled from callbacks.
 func (s *sim) runWheel() {
-	wh := clock.NewWheel(clock.WheelConfig{
-		Epoch:      s.w.start,
-		Shards:     s.cfg.Shards,
-		Resolution: s.cfg.Resolution,
-		Slots:      s.cfg.Slots,
-	})
-	s.wheel = wh
-	s.buildCDN(wh)
+	s.wheel = clock.NewWheel(clock.WheelConfig{Epoch: s.w.start})
+	s.buildCDN(s.wheel)
 	for i := range s.w.specs {
 		sp := s.w.specs[i]
-		wh.ScheduleAt(bcastKey(sp.idx), s.w.start.Add(sp.start), func(time.Time) {
-			s.wheelStart(sp)
-		})
+		s.schedule(s.w.start.Add(sp.start), func(time.Time) { s.wheelStart(sp) })
 	}
-	s.end = wh.Run()
-	s.events = wh.Fired()
-	wh.Close()
+	s.end = s.wheel.Run()
+	s.events = s.wheel.Fired()
 	_ = s.origin.Close()
+}
+
+// schedule arms fn on the wheel at an absolute time. The wheel ignores its
+// owner argument, so every timer passes zero.
+//
+//livesim:hotpath
+func (s *sim) schedule(at time.Time, fn func(time.Time)) {
+	s.wheel.ScheduleAt(0, at, fn)
 }
 
 func (s *sim) wheelStart(sp bcastSpec) {
@@ -284,9 +283,9 @@ func (s *sim) wheelStart(sp bcastSpec) {
 		b.fireIngest = func(time.Time) { s.wheelIngest(b) }
 		b.fireJoin = func(time.Time) { s.wheelJoin(b) }
 	}
-	s.wheel.ScheduleAt(bcastKey(sp.idx), b.abs(b.tr.readyAt[0]), b.fireIngest)
+	s.schedule(b.abs(b.tr.readyAt[0]), b.fireIngest)
 	if len(b.joins) > 0 {
-		s.wheel.ScheduleAt(bcastKey(sp.idx), b.abs(b.joins[0]), b.fireJoin)
+		s.schedule(b.abs(b.joins[0]), b.fireJoin)
 	}
 }
 
@@ -294,7 +293,7 @@ func (s *sim) wheelStart(sp bcastSpec) {
 func (s *sim) wheelIngest(b *bcastRun) {
 	s.ingestChunk(b)
 	if b.nextChunk < b.tr.chunks() {
-		s.wheel.ScheduleAt(bcastKey(b.sp.idx), b.abs(b.tr.readyAt[b.nextChunk]), b.fireIngest)
+		s.schedule(b.abs(b.tr.readyAt[b.nextChunk]), b.fireIngest)
 		return
 	}
 	s.userDone(b) // broadcaster leaves
@@ -305,10 +304,10 @@ func (s *sim) wheelJoin(b *bcastRun) {
 	idx := b.nextJoin
 	b.nextJoin++
 	if b.nextJoin < len(b.joins) {
-		s.wheel.ScheduleAt(bcastKey(b.sp.idx), b.abs(b.joins[b.nextJoin]), b.fireJoin)
+		s.schedule(b.abs(b.joins[b.nextJoin]), b.fireJoin)
 	}
 	if v := s.newViewer(b, idx); v != nil {
-		s.wheel.ScheduleAt(v.key, b.abs(v.nextAt), v.fireFn)
+		s.schedule(b.abs(v.nextAt), v.fireFn)
 	}
 }
 
@@ -318,5 +317,5 @@ func (s *sim) wheelViewer(v *viewer) {
 	if done {
 		return
 	}
-	s.wheel.ScheduleAt(v.key, v.b.abs(next), v.fireFn)
+	s.schedule(v.b.abs(next), v.fireFn)
 }

@@ -60,8 +60,7 @@ func (s *sim) refViewer(co *coord, b *bcastRun, idx int) {
 // instant at most one simulation goroutine is runnable, and the driver only
 // pops the next timer event once everyone is parked. That makes the
 // goroutine engine's execution order exactly the Virtual clock's (time, seq)
-// order — the property the wheel's per-owner serialization is tested
-// against.
+// order — the property the wheel's firing order is tested against.
 type coord struct {
 	clk     *clock.Virtual
 	mu      sync.Mutex

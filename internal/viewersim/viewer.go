@@ -26,7 +26,6 @@ import (
 type viewer struct {
 	s      *sim
 	b      *bcastRun
-	key    uint64
 	model  *netsim.Model
 	isRTMP bool
 	join   time.Duration
@@ -50,8 +49,7 @@ type viewer struct {
 func (v *viewer) reset(s *sim, b *bcastRun, idx int) {
 	v.s = s
 	v.b = b
-	v.key = viewerKey(b.sp.idx, idx)
-	v.model = netsim.NewModel(netsim.Params{}, rng.NewStream(s.cfg.Seed, v.key))
+	v.model = netsim.NewModel(netsim.Params{}, rng.NewStream(s.cfg.Seed, viewerKey(b.sp.idx, idx)))
 	v.isRTMP = idx < b.sp.rtmp
 	v.join = b.joins[idx]
 	v.cur = 0

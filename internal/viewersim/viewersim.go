@@ -7,7 +7,7 @@
 // Two engines share one simulation model:
 //
 //   - Engine "wheel" (the default) multiplexes every broadcast and viewer
-//     onto the sharded timer wheel (clock.Wheel): per-viewer state machines
+//     onto the timer wheel (clock.Wheel): per-viewer state machines
 //     (join → poll/download → buffer → leave for HLS, join → frame-drain →
 //     leave for RTMP) advance by timer callbacks, so a million concurrent
 //     viewers cost a million pooled timer nodes instead of a million
@@ -49,7 +49,7 @@ import (
 // Config parameterizes one simulated day.
 type Config struct {
 	// Seed drives all randomness; a (Seed, Config) pair fully determines
-	// the run's delay observations regardless of engine or shard count.
+	// the run's delay observations regardless of engine.
 	Seed uint64
 	// Scale divides the paper's workload volume (1 = full paper scale,
 	// default 100 — the repo-wide convention).
@@ -73,11 +73,6 @@ type Config struct {
 	ViewerCap int
 	// Engine selects the scheduler: "wheel" (default) or "goroutine".
 	Engine string
-	// Shards / Resolution / Slots configure the wheel (zero = clock.Wheel
-	// defaults). Ignored by the goroutine engine.
-	Shards     int
-	Resolution time.Duration
-	Slots      int
 	// ChunkDuration (default 3 s) and PollInterval (default 2.8 s) are the
 	// paper's HLS parameters; RTMPCap is the 100-viewer RTMP limit (§2.1).
 	ChunkDuration time.Duration
@@ -317,8 +312,8 @@ func buildWorld(cfg Config) *world {
 }
 
 // mix64 is the SplitMix64 finalizer — a bijection on uint64, so the disjoint
-// raw key spaces below stay disjoint after mixing while spreading adjacent
-// indices across wheel shards and rng streams.
+// raw key spaces below stay disjoint after mixing while decorrelating the
+// rng streams of adjacent indices.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -328,8 +323,7 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// bcastKey and viewerKey are both the wheel owner key (shard affinity: all
-// of one entity's callbacks serialize) and the rng stream selector (draw
+// bcastKey and viewerKey select each entity's private rng stream (draw
 // independence). Raw inputs are disjoint by the low bit and mix64 is a
 // bijection, so keys never collide across entities.
 func bcastKey(idx int) uint64 { return mix64(uint64(idx) << 1) }
