@@ -93,12 +93,17 @@ tenant-soak:
 scale-smoke:
 	$(GO) test -race -count=1 -run 'TestScaleSmoke' -v ./internal/viewersim/
 
-# fuzz smoke: a short bounded run of each journal fuzz target (round-trip
-# encode/decode and replay over corrupted logs). `go test -fuzz` accepts one
-# target per invocation, hence the two runs.
+# fuzz smoke: a short bounded run of the decoders that read bytes from outside
+# the process — the journal (round-trip encode/decode and replay over
+# corrupted logs), the chunk codec every HLS body goes through (zero-copy
+# decode: the sealed form is the consumed input, frames alias it, re-encoding
+# reproduces it) and the RTMP message reader. `go test -fuzz` accepts one
+# target per invocation, hence one run each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip' -fuzztime 10s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/journal/
+	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalChunk' -fuzztime 10s ./internal/media/
+	$(GO) test -run '^$$' -fuzz 'FuzzReadMessage' -fuzztime 10s ./internal/wire/
 
 # bench-check vets and unit-tests the frozen benchmark module (bench/, its own
 # go.mod with `replace repro => ../`) against the working tree, so an API

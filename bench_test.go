@@ -428,30 +428,14 @@ func BenchmarkEdgePoll(b *testing.B) {
 				for pb.Next() {
 					id := tc.ids[i%len(tc.ids)]
 					i++
-					if _, err := edge.ChunkList(ctx, id); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-		// The raw variant serves the cached marshalled bytes (what the HTTP
-		// handler uses via hls.RawLister) instead of cloning the list.
-		b.Run(tc.name+"/raw", func(b *testing.B) {
-			edge := benchEdge(b, tc.ids)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					id := tc.ids[i%len(tc.ids)]
-					i++
-					raw, err := edge.ChunkListRaw(ctx, id)
+					// What the HTTP handler does per poll: the cached list by
+					// reference, and its bytes, rendered once per version.
+					cl, err := edge.ChunkList(ctx, id)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if len(raw.Data) == 0 {
-						b.Fatal("empty raw chunklist")
+					if len(cl.Marshal()) == 0 {
+						b.Fatal("empty chunklist")
 					}
 				}
 			})

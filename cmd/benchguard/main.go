@@ -2,7 +2,7 @@
 // BenchmarkEdgePoll, BenchmarkIngest, BenchmarkControlRecovery) and fails
 // when allocations per operation regress past the recorded baselines in
 // BENCH_fanout.json. It guards the PR-3 hot-path work (encode-once fan-out,
-// raw-bytes edge serving), the metrics layer's zero-alloc promise, the PR-6
+// by-reference edge serving), the metrics layer's zero-alloc promise, the PR-6
 // journaling budget (origin ingest with the write-ahead journal enabled must
 // stay within 2 allocs/frame, so a journal append that encodes or syncs on
 // the caller's path shows up here as an ingest regression), and the PR-7
@@ -54,11 +54,6 @@ type fanoutEntry struct {
 	After measurement `json:"after"`
 }
 
-type edgePollEntry struct {
-	AfterClonePath measurement `json:"after_clone_path"`
-	AfterRawPath   measurement `json:"after_raw_path"`
-}
-
 // benchLine matches one `go test -bench` result line, e.g.
 //
 //	BenchmarkFanout/viewers=10-8  20000  31096 ns/op  25.68 MB/s  581 B/op  2 allocs/op
@@ -100,12 +95,11 @@ func run() error {
 		if !strings.HasPrefix(sub, "broadcasts=") {
 			continue
 		}
-		var e edgePollEntry
+		var e fanoutEntry
 		if err := json.Unmarshal(rawEntry, &e); err != nil {
 			return fmt.Errorf("edge_poll %q: %w", sub, err)
 		}
-		budgets["BenchmarkEdgePoll/"+sub] = e.AfterClonePath.AllocsPerOp
-		budgets["BenchmarkEdgePoll/"+sub+"/raw"] = e.AfterRawPath.AllocsPerOp
+		budgets["BenchmarkEdgePoll/"+sub] = e.After.AllocsPerOp
 	}
 	for sub, rawEntry := range base.Ingest {
 		if !strings.HasPrefix(sub, "journal=") {

@@ -179,17 +179,14 @@ const (
 var ErrEdgeDown = errors.New("cdn: edge down")
 
 type edgeEntry struct {
+	// list is the upstream's published list, shared with every poll answered
+	// from it; an update replaces the pointer.
 	list  *media.ChunkList
 	stale bool
-	// listRaw is the marshalled form of list, built once when the pull
-	// stores it so every poll between updates reuses the same bytes. It is
-	// shared with in-flight responses and must never be mutated in place —
-	// updates replace the slice.
-	listRaw []byte
-	// chunkArrivedAt records when each chunk was copied to this edge
-	// (timestamp ⑪), for measurement.
-	chunkArrivedAt map[uint64]time.Time
-	chunks         map[uint64]*media.Chunk
+	// chunks holds the cached chunks inside the retention window
+	// (retainedChunks behind newest, the highest sequence cached so far).
+	chunks map[uint64]storedChunk
+	newest uint64
 	// Tenant attribution handles, resolved outside the shard lock on pull
 	// paths and cached here so the chunk-serve path is atomic adds on cached
 	// pointers — zero allocations per serve. All nil for untenanted
@@ -198,6 +195,24 @@ type edgeEntry struct {
 	tChunks *metrics.Counter
 	tBytes  *metrics.Counter
 	usage   ChunkUsage
+}
+
+// entryLocked returns the broadcast's cache entry, creating it on first use.
+func (sh *edgeShard) entryLocked(id string) *edgeEntry {
+	ent, ok := sh.cache[id]
+	if !ok {
+		ent = &edgeEntry{chunks: make(map[uint64]storedChunk)}
+		sh.cache[id] = ent
+	}
+	return ent
+}
+
+// storeChunkLocked caches a pulled chunk and expires what left the retention
+// window.
+func (ent *edgeEntry) storeChunkLocked(seq uint64, c *media.Chunk, at time.Time) {
+	ent.chunks[seq] = storedChunk{chunk: c, at: at}
+	ent.newest = max(ent.newest, seq)
+	dropExpired(ent.chunks, ent.newest)
 }
 
 // tenantTaps carries one broadcast's resolved attribution handles between
@@ -485,24 +500,24 @@ func (e *Edge) admit(ctx context.Context) (func(), error) {
 }
 
 // ChunkList implements hls.Store for viewers. A fresh cached list is served
-// directly; a stale or missing one triggers the upstream pull. When the
-// upstream is unreachable the last cached list is served stale rather than
-// surfacing the error to the player.
+// directly — the cached pointer itself, immutable and shared, so the steady
+// stream of polls between two updates costs no allocation and (through the
+// list's cached Marshal) one serialization. A stale or missing list triggers
+// the upstream pull. When the upstream is unreachable the last cached list is
+// served stale rather than surfacing the error to the player.
+//
+//livesim:hotpath
 func (e *Edge) ChunkList(ctx context.Context, id string) (*media.ChunkList, error) {
 	rel, err := e.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer rel()
-	return e.chunkList(ctx, id)
-}
 
-func (e *Edge) chunkList(ctx context.Context, id string) (*media.ChunkList, error) {
 	sh := e.shard(id)
 	sh.mu.Lock()
-	ent, ok := sh.cache[id]
-	if ok && ent.list != nil && !ent.stale {
-		cl := ent.list.Clone()
+	if ent, ok := sh.cache[id]; ok && ent.list != nil && !ent.stale {
+		cl := ent.list
 		sh.mu.Unlock()
 		e.m.listHits.Inc()
 		return cl, nil
@@ -511,60 +526,13 @@ func (e *Edge) chunkList(ctx context.Context, id string) (*media.ChunkList, erro
 	return e.refresh(ctx, id)
 }
 
-// ChunkListRaw implements hls.RawLister: steady-state polls are answered
-// with the marshalled bytes cached at pull time, so the serving path neither
-// clones the list nor re-serializes it per request. The returned bytes are
-// shared and must be treated as immutable.
-//
-//livesim:hotpath
-func (e *Edge) ChunkListRaw(ctx context.Context, id string) (hls.RawChunkList, error) {
-	rel, err := e.admit(ctx)
-	if err != nil {
-		return hls.RawChunkList{}, err
-	}
-	defer rel()
-
-	sh := e.shard(id)
-	sh.mu.Lock()
-	if ent, ok := sh.cache[id]; ok && ent.list != nil && !ent.stale && ent.listRaw != nil {
-		raw := hls.RawChunkList{Version: ent.list.Version, Data: ent.listRaw}
-		sh.mu.Unlock()
-		e.m.listHits.Inc()
-		return raw, nil
-	}
-	sh.mu.Unlock()
-
-	cl, err := e.refresh(ctx, id)
-	if err != nil {
-		return hls.RawChunkList{}, err
-	}
-	// Serve the bytes the pull cached when they match the list we got;
-	// otherwise marshal once (e.g. a stale serve whose entry was evicted
-	// meanwhile).
-	sh.mu.Lock()
-	if ent, ok := sh.cache[id]; ok && ent.list != nil && ent.list.Version == cl.Version && ent.listRaw != nil {
-		raw := hls.RawChunkList{Version: cl.Version, Data: ent.listRaw}
-		sh.mu.Unlock()
-		return raw, nil
-	}
-	sh.mu.Unlock()
-	return hls.RawChunkList{Version: cl.Version, Data: cl.Marshal()}, nil
-}
-
 // refresh is the shared miss path: concurrent polls that all find the list
-// expired share one upstream pull (single-flight). Waiters inherit the
-// pulling caller's outcome; each gets its own clone.
+// expired share one upstream pull (single-flight) and its outcome.
 func (e *Edge) refresh(ctx context.Context, id string) (*media.ChunkList, error) {
-	cl, err, shared := e.flight.Do(id, func() (*media.ChunkList, error) {
+	cl, err, _ := e.flight.Do(id, func() (*media.ChunkList, error) {
 		return e.pull(ctx, id)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if shared {
-		cl = cl.Clone()
-	}
-	return cl, nil
+	return cl, err
 }
 
 // pull refreshes the cached list with retries and the circuit breaker,
@@ -602,7 +570,7 @@ func (e *Edge) pull(ctx context.Context, id string) (*media.ChunkList, error) {
 	sh := e.shard(id)
 	sh.mu.Lock()
 	if ent, ok := sh.cache[id]; ok && ent.list != nil {
-		cl := ent.list.Clone()
+		cl := ent.list
 		sh.mu.Unlock()
 		e.m.staleServes.Inc()
 		return cl, nil
@@ -634,14 +602,7 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 	taps := e.resolveTenant(id)
 	sh := e.shard(id)
 	sh.mu.Lock()
-	ent, ok := sh.cache[id]
-	if !ok {
-		ent = &edgeEntry{
-			chunks:         make(map[uint64]*media.Chunk),
-			chunkArrivedAt: make(map[uint64]time.Time),
-		}
-		sh.cache[id] = ent
-	}
+	ent := sh.entryLocked(id)
 	ent.setTapsLocked(taps)
 	var missing []media.ChunkRef
 	for _, ref := range list.Chunks {
@@ -676,10 +637,9 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 			continue
 		}
 		e.m.chunkPulls.Inc()
-		sh.mu.Lock()
-		ent.chunks[ref.Seq] = c
 		arrived := e.cfg.Clock.Now()
-		ent.chunkArrivedAt[ref.Seq] = arrived
+		sh.mu.Lock()
+		ent.storeChunkLocked(ref.Seq, c, arrived)
 		sh.mu.Unlock()
 		e.m.originEdge.Observe(arrived.Sub(copyStart))
 		if taps.delay != nil {
@@ -688,28 +648,24 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 	}
 
 	sh.mu.Lock()
-	ent.list = list.Clone()
-	// Marshal once per update; every poll until the next invalidation
-	// serves these same bytes.
-	ent.listRaw = ent.list.Marshal()
+	ent.list = list
 	ent.stale = failed > 0
-	cl := ent.list.Clone()
 	sh.mu.Unlock()
-	return cl, nil
+	return list, nil
 }
 
-// Chunk implements hls.Store for viewers, pulling through on miss with
-// retries under the broadcast's circuit breaker.
+// Chunk implements hls.Store for viewers: a cached chunk is returned by
+// reference (the one *media.Chunk every viewer of it shares), a miss pulls
+// through with retries under the broadcast's circuit breaker.
+//
+//livesim:hotpath
 func (e *Edge) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, error) {
 	rel, err := e.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer rel()
-	return e.chunk(ctx, id, seq)
-}
 
-func (e *Edge) chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, error) {
 	sh := e.shard(id)
 	sh.mu.Lock()
 	if ent, ok := sh.cache[id]; ok {
@@ -719,12 +675,16 @@ func (e *Edge) chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, 
 			tChunks, tBytes, usage := ent.tChunks, ent.tBytes, ent.usage
 			sh.mu.Unlock()
 			e.m.chunkHits.Inc()
-			meterChunkServe(tChunks, tBytes, usage, c)
-			return c, nil
+			meterChunkServe(tChunks, tBytes, usage, c.chunk)
+			return c.chunk, nil
 		}
 	}
 	sh.mu.Unlock()
+	return e.pullChunk(ctx, id, seq)
+}
 
+// pullChunk is Chunk's miss path.
+func (e *Edge) pullChunk(ctx context.Context, id string, seq uint64) (*media.Chunk, error) {
 	taps := e.resolveTenant(id)
 	br := e.breaker(id)
 	c, err := resilience.RetryValue(ctx, e.cfg.Retry, func(ctx context.Context) (*media.Chunk, error) {
@@ -751,18 +711,12 @@ func (e *Edge) chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, 
 		return nil, err
 	}
 	e.m.chunkPulls.Inc()
+	arrived := e.cfg.Clock.Now()
+	sh := e.shard(id)
 	sh.mu.Lock()
-	ent, ok := sh.cache[id]
-	if !ok {
-		ent = &edgeEntry{
-			chunks:         make(map[uint64]*media.Chunk),
-			chunkArrivedAt: make(map[uint64]time.Time),
-		}
-		sh.cache[id] = ent
-	}
+	ent := sh.entryLocked(id)
 	ent.setTapsLocked(taps)
-	ent.chunks[seq] = c
-	ent.chunkArrivedAt[seq] = e.cfg.Clock.Now()
+	ent.storeChunkLocked(seq, c, arrived)
 	sh.mu.Unlock()
 	meterChunkServe(taps.chunks, taps.bytes, taps.usage, c)
 	return c, nil
@@ -805,8 +759,8 @@ func (e *Edge) ChunkArrivedAt(id string, seq uint64) (time.Time, bool) {
 	if !ok {
 		return time.Time{}, false
 	}
-	t, ok := ent.chunkArrivedAt[seq]
-	return t, ok
+	c, ok := ent.chunks[seq]
+	return c.at, ok
 }
 
 // Evict drops a broadcast from the cache.

@@ -9,7 +9,7 @@ package cdn
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,21 +115,104 @@ type Origin struct {
 
 type originStream struct {
 	chunker *media.Chunker
-	list    *media.ChunkList
-	chunks  map[uint64]*media.Chunk
-	// chunkReadyAt records when each chunk became available at the origin
-	// (timestamp ⑦), consumed by measurement taps.
-	chunkReadyAt map[uint64]time.Time
-	// listRaw caches the marshalled list at listRawVersion, built lazily on
-	// the first raw request after each update so repeated polls between
-	// chunk appends share one serialization.
-	listRaw        []byte
-	listRawVersion uint64
+	// list is the current published chunklist. Published lists are
+	// immutable (readers hold the pointer without the lock), so an update
+	// replaces it with a successor instead of editing it.
+	list *media.ChunkList
+	// chunks holds the chunks inside the retention window (retainedChunks).
+	chunks map[uint64]storedChunk
 	// resumeFloor is the first frame sequence not covered by replayed
 	// chunks — set only by journal recovery. A reconnecting publisher is
 	// asked to resume here, and any frame below it is already inside a
 	// sealed chunk, so ingest drops it rather than re-chunk it.
 	resumeFloor uint64
+}
+
+// storedChunk is one chunk held by an origin or an edge and when it became
+// available there — timestamp ⑦ at the origin, ⑪ at an edge — which
+// measurement taps consume.
+type storedChunk struct {
+	chunk *media.Chunk
+	at    time.Time
+}
+
+// retainedChunks is how many trailing chunks of a broadcast the origin and
+// every edge keep: the ones a playlist can still name plus one more window of
+// grace for a viewer acting on a list it fetched a moment ago. Older chunks
+// answer hls.ErrNotFound, as a rolled-out segment does on a real CDN (§4.3).
+const retainedChunks = 2 * media.WindowSize
+
+// dropExpired deletes the chunks that fell out of the retention window now
+// that newest is the broadcast's latest chunk.
+func dropExpired(chunks map[uint64]storedChunk, newest uint64) {
+	if newest < retainedChunks {
+		return
+	}
+	for seq := range chunks {
+		if seq <= newest-retainedChunks {
+			delete(chunks, seq)
+		}
+	}
+}
+
+// addChunkLocked makes a chunk servable: store it with its ready stamp, expire
+// what left the retention window, and publish the successor list naming it.
+// Ingest, end-of-broadcast flush and journal replay all go through here.
+func (st *originStream) addChunkLocked(c *media.Chunk, at time.Time) {
+	st.chunks[c.Seq] = storedChunk{chunk: c, at: at}
+	dropExpired(st.chunks, c.Seq)
+	next := st.successorLocked()
+	// A fresh backing array: readers share the published list's.
+	keep := next.Chunks[max(0, len(next.Chunks)-(media.WindowSize-1)):]
+	next.Chunks = append(append(make([]media.ChunkRef, 0, len(keep)+1), keep...), media.ChunkRef{
+		Seq:      c.Seq,
+		Duration: c.Duration(),
+		URI:      chunkURI(next.BroadcastID, c.Seq),
+	})
+	st.list = next
+}
+
+// chunkURI is "/hls/{id}/chunk/{seq}", assembled on the stack so the string
+// is the only allocation.
+func chunkURI(id string, seq uint64) string {
+	var buf [96]byte
+	b := append(buf[:0], "/hls/"...)
+	b = append(b, id...)
+	b = append(b, "/chunk/"...)
+	return string(strconv.AppendUint(b, seq, 10))
+}
+
+// endLocked publishes the successor list carrying the end marker.
+func (st *originStream) endLocked() {
+	next := st.successorLocked()
+	next.Ended = true
+	st.list = next
+}
+
+// successorLocked starts the list one version after the published one; the
+// caller finishes it before assigning it to st.list. The old list's Chunks
+// backing array is shared, never written.
+func (st *originStream) successorLocked() *media.ChunkList {
+	return &media.ChunkList{
+		BroadcastID: st.list.BroadcastID,
+		Version:     st.list.Version + 1,
+		Ended:       st.list.Ended,
+		Chunks:      st.list.Chunks,
+	}
+}
+
+// sealed returns c in byte-backed form: the wire bytes are built (the one
+// marshal the journal record and every later HTTP serve share) and the frames
+// become views into them, so the frame-owning original can be collected.
+// Called before c is published, while the ingest goroutine still owns it.
+func sealed(c *media.Chunk) *media.Chunk {
+	s, err := media.SealedChunk(c.Wire())
+	if err != nil {
+		// Only a frame above media.MaxFramePayload fails to decode; c is
+		// sealed all the same and merely keeps its own frames.
+		return c
+	}
+	return s
 }
 
 // NewOrigin builds an Origin and its embedded RTMP server. When the config
@@ -254,20 +337,16 @@ func (o *Origin) applyRecordLocked(r journal.Record) error {
 			o.streams[id] = st
 			o.pending[id] = true
 		}
-		chunk, err := media.UnmarshalChunk(r.Payload)
+		// The record's payload is its own copy (journal.DecodeRecord), so
+		// the decoded chunk keeps it as its sealed form.
+		chunk, err := media.SealedChunk(r.Payload)
 		if err != nil {
 			// A CRC-valid record with an undecodable payload is a writer
 			// bug, not tail damage; skip it rather than abort recovery.
 			o.cfg.Logf("origin %s: journal chunk %s: %v", o.cfg.Site.ID, id, err)
 			return nil
 		}
-		st.chunks[chunk.Seq] = chunk
-		st.chunkReadyAt[chunk.Seq] = o.cfg.Clock.Now()
-		st.list.Append(media.ChunkRef{
-			Seq:      chunk.Seq,
-			Duration: chunk.Duration(),
-			URI:      fmt.Sprintf("/hls/%s/chunk/%d", id, chunk.Seq),
-		})
+		st.addChunkLocked(chunk, o.cfg.Clock.Now())
 		st.chunker.SkipTo(chunk.Seq + 1)
 		if n := len(chunk.Frames); n > 0 {
 			st.resumeFloor = chunk.Frames[n-1].Seq + 1
@@ -277,8 +356,7 @@ func (o *Origin) applyRecordLocked(r journal.Record) error {
 		if !ok {
 			return nil
 		}
-		st.list.Ended = true
-		st.list.Version++
+		st.endLocked()
 		o.endedAt[id] = o.cfg.Clock.Now()
 		delete(o.pending, id)
 	}
@@ -287,10 +365,9 @@ func (o *Origin) applyRecordLocked(r journal.Record) error {
 
 func (o *Origin) newStreamLocked(id string) *originStream {
 	return &originStream{
-		chunker:      media.NewChunker(o.cfg.ChunkDuration),
-		list:         &media.ChunkList{BroadcastID: id},
-		chunks:       make(map[uint64]*media.Chunk),
-		chunkReadyAt: make(map[uint64]time.Time),
+		chunker: media.NewChunker(o.cfg.ChunkDuration),
+		list:    &media.ChunkList{BroadcastID: id},
+		chunks:  make(map[uint64]storedChunk),
 	}
 }
 
@@ -400,10 +477,13 @@ func (o *Origin) RegisterEdge(e Invalidator) {
 // production traffic arrives through the RTMP tap, which calls it too.
 func (o *Origin) Ingest(id string, f media.Frame, at time.Time) { o.ingest(id, f, at) }
 
-// ingest feeds one accepted RTMP frame into the HLS chunker. Journal
-// appends happen after the lock is released — they only enqueue onto the
-// group-commit writer, and per-broadcast ordering holds because one handler
-// goroutine serves each broadcast.
+// ingest feeds one accepted RTMP frame into the HLS chunker. With a journal,
+// a completed chunk is sealed here — the journal needs its bytes anyway, and
+// that marshal is the only one the chunk ever gets; without one, nothing on
+// this path builds bytes (the first HTTP serve does, if there ever is one).
+// Journal appends happen after the lock is released — they only enqueue onto
+// the group-commit writer, and per-broadcast ordering holds because one
+// handler goroutine serves each broadcast.
 func (o *Origin) ingest(id string, f media.Frame, at time.Time) {
 	o.mu.Lock()
 	st, ok := o.streams[id]
@@ -420,25 +500,22 @@ func (o *Origin) ingest(id string, f media.Frame, at time.Time) {
 		return
 	}
 	chunk := st.chunker.Add(f)
+	jw := o.jw
 	var version uint64
 	if chunk != nil {
-		st.chunks[chunk.Seq] = chunk
-		st.chunkReadyAt[chunk.Seq] = at
-		st.list.Append(media.ChunkRef{
-			Seq:      chunk.Seq,
-			Duration: chunk.Duration(),
-			URI:      fmt.Sprintf("/hls/%s/chunk/%d", id, chunk.Seq),
-		})
+		if jw != nil {
+			chunk = sealed(chunk)
+		}
+		st.addChunkLocked(chunk, at)
 		version = st.list.Version
 	}
-	jw := o.jw
 	o.mu.Unlock()
 	if jw != nil {
 		if created {
 			o.journalAppend(jw, journal.Record{Type: journal.RecordCreate, BroadcastID: id})
 		}
 		if chunk != nil {
-			o.journalAppend(jw, journal.Record{Type: journal.RecordSeal, BroadcastID: id, Payload: media.MarshalChunk(chunk)})
+			o.journalAppend(jw, journal.Record{Type: journal.RecordSeal, BroadcastID: id, Payload: chunk.Wire()})
 		}
 	}
 	if chunk != nil {
@@ -461,25 +538,21 @@ func (o *Origin) endBroadcast(id string) {
 		o.mu.Unlock()
 		return
 	}
+	jw := o.jw
 	flushedChunk := st.chunker.Flush()
 	if flushedChunk != nil {
-		st.chunks[flushedChunk.Seq] = flushedChunk
-		st.chunkReadyAt[flushedChunk.Seq] = o.cfg.Clock.Now()
-		st.list.Append(media.ChunkRef{
-			Seq:      flushedChunk.Seq,
-			Duration: flushedChunk.Duration(),
-			URI:      fmt.Sprintf("/hls/%s/chunk/%d", id, flushedChunk.Seq),
-		})
+		if jw != nil {
+			flushedChunk = sealed(flushedChunk)
+		}
+		st.addChunkLocked(flushedChunk, o.cfg.Clock.Now())
 	}
-	st.list.Ended = true
-	st.list.Version++
+	st.endLocked()
 	version := st.list.Version
 	o.endedAt[id] = o.cfg.Clock.Now()
-	jw := o.jw
 	o.mu.Unlock()
 	if jw != nil {
 		if flushedChunk != nil {
-			o.journalAppend(jw, journal.Record{Type: journal.RecordSeal, BroadcastID: id, Payload: media.MarshalChunk(flushedChunk)})
+			o.journalAppend(jw, journal.Record{Type: journal.RecordSeal, BroadcastID: id, Payload: flushedChunk.Wire()})
 		}
 		o.journalAppend(jw, journal.Record{Type: journal.RecordEnd, BroadcastID: id})
 	}
@@ -499,9 +572,9 @@ func (o *Origin) notify(id string, version uint64) {
 	}
 }
 
-// ChunkList implements hls.Store. A cancelled context is honored before the
-// lock is taken, so callers abandoning a pull never queue on a contended
-// origin.
+// ChunkList implements hls.Store. The returned list is the published one,
+// shared and immutable. A cancelled context is honored before the lock is
+// taken, so callers abandoning a pull never queue on a contended origin.
 func (o *Origin) ChunkList(ctx context.Context, id string) (*media.ChunkList, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -515,33 +588,7 @@ func (o *Origin) ChunkList(ctx context.Context, id string) (*media.ChunkList, er
 	if !ok {
 		return nil, hls.ErrNotFound
 	}
-	return st.list.Clone(), nil
-}
-
-// ChunkListRaw implements hls.RawLister. The marshalled bytes are cached per
-// list version, so the steady stream of polls between chunk appends reuses
-// one serialization. The returned bytes are shared; callers must not modify
-// them.
-//
-//livesim:hotpath
-func (o *Origin) ChunkListRaw(ctx context.Context, id string) (hls.RawChunkList, error) {
-	if err := ctx.Err(); err != nil {
-		return hls.RawChunkList{}, err
-	}
-	if o.crashed.Load() {
-		return hls.RawChunkList{}, ErrOriginDown
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	st, ok := o.streams[id]
-	if !ok {
-		return hls.RawChunkList{}, hls.ErrNotFound
-	}
-	if st.listRaw == nil || st.listRawVersion != st.list.Version {
-		st.listRaw = st.list.Marshal()
-		st.listRawVersion = st.list.Version
-	}
-	return hls.RawChunkList{Version: st.list.Version, Data: st.listRaw}, nil
+	return st.list, nil
 }
 
 // Chunk implements hls.Store. Like ChunkList, it honors cancellation before
@@ -563,7 +610,7 @@ func (o *Origin) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk
 	if !ok {
 		return nil, hls.ErrNotFound
 	}
-	return c, nil
+	return c.chunk, nil
 }
 
 // ChunkReadyAt returns when chunk seq became available at the origin
@@ -575,8 +622,8 @@ func (o *Origin) ChunkReadyAt(id string, seq uint64) (time.Time, bool) {
 	if !ok {
 		return time.Time{}, false
 	}
-	t, ok := st.chunkReadyAt[seq]
-	return t, ok
+	c, ok := st.chunks[seq]
+	return c.at, ok
 }
 
 // Remove drops all state for a broadcast.
@@ -585,6 +632,7 @@ func (o *Origin) Remove(id string) {
 	defer o.mu.Unlock()
 	delete(o.streams, id)
 	delete(o.endedAt, id)
+	delete(o.pending, id)
 }
 
 // Sweep removes broadcasts that ended more than the retention period ago.

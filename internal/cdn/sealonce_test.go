@@ -1,0 +1,195 @@
+package cdn
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+	"time"
+
+	"repro/internal/hls"
+	"repro/internal/journal"
+	"repro/internal/media"
+)
+
+// framesPerTestChunk is one 1 s chunk's worth of frames.
+const framesPerTestChunk = 25
+
+func originAndEdge(cfg OriginConfig) (*Origin, *Edge) {
+	cfg.Site, cfg.ChunkDuration = site("o1", "X"), time.Second
+	o := NewOrigin(cfg)
+	e := NewEdge(EdgeConfig{
+		Site:    site("e1", "Y"),
+		Resolve: func(string) (Upstream, error) { return Upstream{Store: o}, nil },
+	})
+	o.RegisterEdge(e)
+	return o, e
+}
+
+// A warm edge answers from the upstream's own immutable values: the list and
+// chunk pointers the origin published, no copies, no allocations.
+func TestEdgeWarmHitServesByReference(t *testing.T) {
+	o, e := originAndEdge(OriginConfig{})
+	feedFrames(o, "b1", framesPerTestChunk)
+	ctx := context.Background()
+
+	published, err := o.ChunkList(ctx, "b1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulled, err := e.ChunkList(ctx, "b1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := e.ChunkList(ctx, "b1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pulled != published || hit != published {
+		t.Fatal("the edge copied the chunklist instead of caching the origin's pointer")
+	}
+	stored, _ := o.Chunk(ctx, "b1", 0)
+	if got, err := e.Chunk(ctx, "b1", 0); err != nil || got != stored {
+		t.Fatalf("the edge copied the chunk instead of caching the origin's pointer (err %v)", err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { e.ChunkList(ctx, "b1") }); allocs != 0 {
+		t.Fatalf("warm ChunkList allocates %v times", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { e.Chunk(ctx, "b1", 0) }); allocs != 0 {
+		t.Fatalf("warm Chunk allocates %v times", allocs)
+	}
+
+	// Copy-on-write: the next update publishes a new list and leaves the one
+	// readers may still hold exactly as it was.
+	feedFrames(o, "b1", framesPerTestChunk)
+	if published.Version != 1 || len(published.Chunks) != 1 {
+		t.Fatalf("a published list was edited in place: %+v", published)
+	}
+	if next, _ := e.ChunkList(ctx, "b1"); next == published || next.Version != 2 || len(next.Chunks) != 2 {
+		t.Fatalf("after an update the edge serves %+v", next)
+	}
+}
+
+// With a journal the origin seals a chunk at the journal append: the stored
+// chunk's frames are views into the very bytes that were journaled.
+func TestOriginJournalAppendIsTheSeal(t *testing.T) {
+	backend := journal.NewMem()
+	o, _ := originAndEdge(OriginConfig{Journal: backend})
+	feedFrames(o, "b1", framesPerTestChunk)
+	c, err := o.Chunk(context.Background(), "b1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := c.Wire()
+	const firstPayload = 12 + 21 // chunk header + first frame header
+	if &c.Frames[0].Payload[0] != &wire[firstPayload] {
+		t.Fatal("a journaled chunk still owns its frames beside its bytes")
+	}
+	o.Close() // drains the group-commit writer
+	data, _ := backend.Load()
+	var sealedPayload []byte
+	journal.Replay(data, func(r journal.Record) error {
+		if r.Type == journal.RecordSeal {
+			sealedPayload = r.Payload
+		}
+		return nil
+	})
+	if string(sealedPayload) != string(wire) {
+		t.Fatal("the journaled payload differs from the served bytes")
+	}
+}
+
+// Origin, edge and a recovered origin keep exactly the retention window —
+// the playlist's chunks plus one window of grace — and answer not-found below
+// it, on every path a chunk can arrive by (ingest, end flush, journal replay).
+func TestRetentionWindow(t *testing.T) {
+	o, e := originAndEdge(OriginConfig{Journal: journal.NewMem()})
+	srv := httptest.NewServer(hls.Handler("/hls", e))
+	defer srv.Close()
+	ctx := context.Background()
+
+	const sealed = 20
+	for i := 0; i < sealed; i++ {
+		feedFrames(o, "b1", framesPerTestChunk)
+		if _, err := e.ChunkList(ctx, "b1"); err != nil { // the edge copies each new chunk
+			t.Fatal(err)
+		}
+	}
+	check := func(name string, store hls.Store, held int, newest uint64) {
+		t.Helper()
+		if held != retainedChunks {
+			t.Fatalf("%s holds %d chunks, want %d", name, held, retainedChunks)
+		}
+		floor := newest + 1 - retainedChunks
+		if _, err := store.Chunk(ctx, "b1", floor); err != nil {
+			t.Fatalf("%s: oldest retained chunk %d: %v", name, floor, err)
+		}
+		if _, err := store.Chunk(ctx, "b1", floor-1); !errors.Is(err, hls.ErrNotFound) {
+			t.Fatalf("%s: chunk %d below the window: err %v, want ErrNotFound", name, floor-1, err)
+		}
+	}
+	originHeld := func() int {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		return len(o.streams["b1"].chunks)
+	}
+	edgeHeld := func() int {
+		sh := e.shard("b1")
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return len(sh.cache["b1"].chunks)
+	}
+	check("origin", o, originHeld(), sealed-1)
+	check("edge", e, edgeHeld(), sealed-1)
+	for seq, want := range map[int]int{sealed - retainedChunks: http.StatusOK, sealed - retainedChunks - 1: http.StatusNotFound} {
+		resp, err := http.Get(srv.URL + "/hls/b1/chunk/" + strconv.Itoa(seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("GET chunk %d = %d, want %d", seq, resp.StatusCode, want)
+		}
+	}
+
+	// The end-of-broadcast flush goes through the same window.
+	feedFrames(o, "b1", 10)
+	o.endBroadcast("b1")
+	check("origin after end flush", o, originHeld(), sealed)
+
+	// So does replay: the journal holds every chunk, the recovered origin
+	// only the window.
+	o.Crash()
+	o.Recover()
+	defer o.Close()
+	check("recovered origin", o, originHeld(), sealed)
+	cl, err := o.ChunkList(ctx, "b1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cl.Ended || len(cl.Chunks) != media.WindowSize || cl.Chunks[0].Seq != sealed+1-media.WindowSize {
+		t.Fatalf("recovered list: ended=%v chunks=%+v", cl.Ended, cl.Chunks)
+	}
+	if want := "/hls/b1/chunk/" + strconv.Itoa(sealed); cl.Chunks[media.WindowSize-1].URI != want {
+		t.Fatalf("chunk URI = %q, want %q", cl.Chunks[media.WindowSize-1].URI, want)
+	}
+}
+
+// Remove forgets a rehydrated broadcast entirely, pending flag included, as
+// Sweep and Crash do.
+func TestOriginRemoveClearsPending(t *testing.T) {
+	o, _ := originAndEdge(OriginConfig{Journal: journal.NewMem()})
+	defer o.Close()
+	feedFrames(o, "b1", framesPerTestChunk)
+	o.Crash()
+	o.Recover()
+	if !o.pendingBroadcast("b1") {
+		t.Fatal("a replayed live broadcast is not pending")
+	}
+	o.Remove("b1")
+	if o.pendingBroadcast("b1") {
+		t.Fatal("Remove left the broadcast pending")
+	}
+}

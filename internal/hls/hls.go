@@ -71,17 +71,17 @@ type Store interface {
 	Chunk(ctx context.Context, broadcastID string, seq uint64) (*media.Chunk, error)
 }
 
-// RawChunkList is a pre-marshalled chunklist: the m3u8 bytes plus the
-// version the HTTP surface needs without parsing them back. Data is shared
-// with the store's cache and must not be modified.
+// RawChunkList and RawLister were the second, pre-marshalled list path. A
+// *media.ChunkList now caches its own bytes (Marshal renders once), so Store
+// is the only path and nothing in this module implements or calls RawLister;
+// the declarations stay only because the frozen bench/ module names them, and
+// go with its next revision.
 type RawChunkList struct {
 	Version uint64
 	Data    []byte
 }
 
-// RawLister is an optional Store extension. Stores that cache the marshalled
-// chunklist implement it so the handler answers polls without re-serializing
-// the playlist on every request.
+// RawLister: see RawChunkList.
 type RawLister interface {
 	ChunkListRaw(ctx context.Context, broadcastID string) (RawChunkList, error)
 }
@@ -90,10 +90,13 @@ type RawLister interface {
 // detect staleness without parsing.
 const VersionHeader = "X-Chunklist-Version"
 
-// contentTypeM3U8 is the chunklist Content-Type as a ready-made header
-// value: assigning it directly (the key is already canonical) spares
-// serveChunkList the []string http.Header.Set builds on every poll.
-var contentTypeM3U8 = []string{"application/vnd.apple.mpegurl"}
+// Content-Type values as ready-made header values: assigning one directly
+// (the key is already canonical) spares the serve paths the []string
+// http.Header.Set builds on every response.
+var (
+	contentTypeM3U8  = []string{"application/vnd.apple.mpegurl"}
+	contentTypeChunk = []string{"application/octet-stream"}
+)
 
 // Handler serves the HLS HTTP surface over a Store:
 //
@@ -102,34 +105,55 @@ var contentTypeM3U8 = []string{"application/vnd.apple.mpegurl"}
 //
 // The prefix must not end in '/'.
 func Handler(prefix string, store Store) http.Handler {
+	root := prefix + "/"
+	drainer, _ := store.(Drainer)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		if d, ok := store.(Drainer); ok && d.Draining() {
+		if drainer != nil && drainer.Draining() {
 			w.Header().Set(DrainingHeader, "1")
 		}
-		rest, ok := strings.CutPrefix(r.URL.Path, prefix+"/")
+		// Routing cuts substrings of the path; it allocates nothing.
+		rest, ok := strings.CutPrefix(r.URL.Path, root)
 		if !ok {
 			http.NotFound(w, r)
 			return
 		}
-		parts := strings.Split(rest, "/")
-		switch {
-		case len(parts) == 2 && parts[1] == "chunklist.m3u8":
-			serveChunkList(w, r, store, parts[0])
-		case len(parts) == 3 && parts[1] == "chunk":
-			seq, err := strconv.ParseUint(parts[2], 10, 64)
-			if err != nil {
-				http.Error(w, "bad chunk seq", http.StatusBadRequest)
-				return
-			}
-			serveChunk(w, r, store, parts[0], seq)
-		default:
-			http.NotFound(w, r)
+		id, tail, _ := strings.Cut(rest, "/")
+		if tail == "chunklist.m3u8" {
+			serveChunkList(w, r, store, id)
+			return
 		}
+		seqStr, ok := strings.CutPrefix(tail, "chunk/")
+		if !ok || strings.Contains(seqStr, "/") {
+			http.NotFound(w, r)
+			return
+		}
+		seq, err := strconv.ParseUint(seqStr, 10, 64)
+		if err != nil {
+			http.Error(w, "bad chunk seq", http.StatusBadRequest)
+			return
+		}
+		serveChunk(w, r, store, id, seq)
 	})
+}
+
+// haveVersion reads the have_version query parameter straight out of the raw
+// query — r.URL.Query() would build a map and a slice per poll to find it.
+// The value is a decimal number, so no unescaping applies; anything else is
+// treated as absent, which only costs the poller a full 200.
+func haveVersion(rawQuery string) (uint64, bool) {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if v, ok := strings.CutPrefix(pair, "have_version="); ok {
+			have, err := strconv.ParseUint(v, 10, 64)
+			return have, err == nil
+		}
+	}
+	return 0, false
 }
 
 // writeStoreError maps store errors onto the HTTP surface: not-found → 404,
@@ -160,52 +184,46 @@ func writeStoreError(w http.ResponseWriter, err error) {
 //
 //livesim:hotpath
 func serveChunkList(w http.ResponseWriter, r *http.Request, store Store, id string) {
-	var version uint64
-	var marshal func() []byte
-	if rl, ok := store.(RawLister); ok {
-		// Fast path: the store already holds the marshalled bytes.
-		//lint:allow hotpathescape inlined r.Context() fallback is the zero-size context.backgroundCtx; zero bytes allocated
-		raw, err := rl.ChunkListRaw(r.Context(), id)
-		if err != nil {
-			writeStoreError(w, err)
-			return
-		}
-		version = raw.Version
-		marshal = func() []byte { return raw.Data }
-	} else {
-		//lint:allow hotpathescape inlined r.Context() fallback is the zero-size context.backgroundCtx; zero bytes allocated
-		cl, err := store.ChunkList(r.Context(), id)
-		if err != nil {
-			writeStoreError(w, err)
-			return
-		}
-		version = cl.Version
-		marshal = cl.Marshal
+	//lint:allow hotpathescape inlined r.Context() fallback is the zero-size context.backgroundCtx; zero bytes allocated
+	cl, err := store.ChunkList(r.Context(), id)
+	if err != nil {
+		writeStoreError(w, err)
+		return
 	}
 	// Conditional fetch: a poller or edge that already has this version
 	// gets an empty 304, the paper's "chunklist not yet expired" case.
-	if v := r.URL.Query().Get("have_version"); v != "" {
-		if have, err := strconv.ParseUint(v, 10, 64); err == nil && have == version {
-			//lint:allow hotpathescape http.Header stores each value as a fresh []string; one slice per response is inherent to net/http
-			w.Header().Set(VersionHeader, strconv.FormatUint(version, 10))
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+	if have, ok := haveVersion(r.URL.RawQuery); ok && have == cl.Version {
+		//lint:allow hotpathescape http.Header stores each value as a fresh []string; one slice per response is inherent to net/http
+		w.Header().Set(VersionHeader, strconv.FormatUint(cl.Version, 10))
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
 	w.Header()["Content-Type"] = contentTypeM3U8
 	//lint:allow hotpathescape http.Header stores each value as a fresh []string; one slice per response is inherent to net/http
-	w.Header().Set(VersionHeader, strconv.FormatUint(version, 10))
-	w.Write(marshal())
+	w.Header().Set(VersionHeader, strconv.FormatUint(cl.Version, 10))
+	// The list renders once; every poll of this version writes those bytes.
+	w.Write(cl.Marshal())
 }
 
+// serveChunk answers a chunk download with the chunk's sealed bytes — shared
+// with every other viewer of the chunk, never re-marshalled. The explicit
+// Content-Length lets net/http send the body as is instead of re-framing
+// ~40 KB as chunked transfer.
+//
+//livesim:hotpath
 func serveChunk(w http.ResponseWriter, r *http.Request, store Store, id string, seq uint64) {
+	//lint:allow hotpathescape inlined r.Context() fallback is the zero-size context.backgroundCtx; zero bytes allocated
 	c, err := store.Chunk(r.Context(), id, seq)
 	if err != nil {
 		writeStoreError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(media.MarshalChunk(c))
+	wire := c.Wire()
+	h := w.Header()
+	h["Content-Type"] = contentTypeChunk
+	//lint:allow hotpathescape http.Header stores each value as a fresh []string; one slice per response is inherent to net/http
+	h.Set("Content-Length", strconv.Itoa(len(wire)))
+	w.Write(wire)
 }
 
 // Client fetches chunklists and chunks from an HLS server.
@@ -429,8 +447,24 @@ func (c *Client) FetchChunk(ctx context.Context, broadcastID string, seq uint64)
 		if err != nil {
 			return nil, fmt.Errorf("hls: chunk body: %w", err)
 		}
-		return media.UnmarshalChunk(data)
+		return media.SealedChunk(data)
 	})
+}
+
+// maxChunkBody caps a chunk download.
+const maxChunkBody = 64 << 20
+
+// readBody reads a response body of at most limit bytes. A declared
+// Content-Length within the limit gets one exact-size buffer; io.ReadAll's
+// doubling would allocate several times a chunk's size to the same end. An
+// undeclared (chunked) or over-limit length falls back to the capped ReadAll.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= limit {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, limit))
 }
 
 // ChunkEvent describes one newly observed chunk, with the timestamps the

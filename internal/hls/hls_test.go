@@ -1,11 +1,14 @@
 package hls
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -285,5 +288,139 @@ func TestPollListOnlySkipsDownloads(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// discardWriter is the cheapest possible http.ResponseWriter, so what a
+// handler call allocates is the handler's own doing.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// A chunk is marshalled once and every GET is answered from those bytes:
+// identical bodies with an explicit Content-Length (identity, not chunked
+// transfer), and a serve that allocates nothing the size of a chunk.
+func TestServeChunkSharesSealedBytes(t *testing.T) {
+	store, client := startHLS(t)
+	chunk := makeChunks(1)[0]
+	want := media.MarshalChunk(chunk)
+	store.add("b1", chunk)
+
+	var bodies [2][]byte
+	for i := range bodies {
+		resp, err := http.Get(client.BaseURL + "/b1/chunk/0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i], err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != int64(len(want)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("GET %d: Content-Length %d (want %d), Transfer-Encoding %v",
+				i, resp.ContentLength, len(want), resp.TransferEncoding)
+		}
+		if !bytes.Equal(bodies[i], want) {
+			t.Fatalf("GET %d: body differs from media.MarshalChunk", i)
+		}
+	}
+	sealed := chunk.Wire()
+	if again := chunk.Wire(); &again[0] != &sealed[0] {
+		t.Fatal("the served chunk was marshalled more than once")
+	}
+
+	h := Handler("/hls", store)
+	req := httptest.NewRequest(http.MethodGet, "/hls/b1/chunk/0", nil)
+	w := &discardWriter{h: make(http.Header)}
+	serve := func() {
+		w.n = 0
+		h.ServeHTTP(w, req)
+		if w.n != len(want) {
+			t.Fatalf("served %d bytes, want %d", w.n, len(want))
+		}
+	}
+	// The Content-Length value and its header slice; nothing else.
+	if allocs := testing.AllocsPerRun(200, serve); allocs > 2 {
+		t.Fatalf("chunk serve allocates %v times per request, want ≤ 2", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if perServe := (after.TotalAlloc - before.TotalAlloc) / runs; perServe > 256 {
+		t.Fatalf("chunk serve allocates %d B per request; a %d B chunk must be served by reference", perServe, len(want))
+	}
+}
+
+// Routing and the conditional check read the URL in place.
+func TestServeChunkListAllocFreeRouting(t *testing.T) {
+	store := newMemStore()
+	store.add("b1", makeChunks(1)[0])
+	h := Handler("/hls", store)
+	cases := []struct {
+		query string
+		want  int
+	}{
+		{"", http.StatusOK},
+		{"have_version=1", http.StatusNotModified},
+		{"x=1&have_version=1", http.StatusNotModified},
+		{"have_version=2", http.StatusOK},
+		{"have_version=one", http.StatusOK},
+		{"not_have_version=1", http.StatusOK},
+	}
+	for _, tc := range cases {
+		req := httptest.NewRequest(http.MethodGet, "/hls/b1/chunklist.m3u8?"+tc.query, nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("?%s = %d, want %d", tc.query, rec.Code, tc.want)
+		}
+	}
+	for _, rawQuery := range []string{"have_version=1", "a=b&c=d&have_version=18446744073709551615", ""} {
+		if allocs := testing.AllocsPerRun(100, func() { haveVersion(rawQuery) }); allocs != 0 {
+			t.Errorf("haveVersion(%q) allocates %v times", rawQuery, allocs)
+		}
+	}
+}
+
+// FetchChunk reads a declared-length body into one exact-size buffer, which
+// the decoded chunk then keeps as its sealed form; without a usable
+// Content-Length it still decodes, through the capped ReadAll.
+func TestFetchChunkReadsExactSizeBuffer(t *testing.T) {
+	chunk := makeChunks(1)[0]
+	want := media.MarshalChunk(chunk)
+	exact, err := readBody(&http.Response{ContentLength: int64(len(want)), Body: io.NopCloser(bytes.NewReader(want))}, maxChunkBody)
+	if err != nil || !bytes.Equal(exact, want) || cap(exact) != len(want) {
+		t.Fatalf("declared length: err %v, len %d cap %d, want exactly %d", err, len(exact), cap(exact), len(want))
+	}
+	if _, err := readBody(&http.Response{ContentLength: int64(len(want)), Body: io.NopCloser(bytes.NewReader(want[:10]))}, maxChunkBody); err == nil {
+		t.Fatal("a body shorter than its Content-Length was accepted")
+	}
+	for _, declared := range []int64{-1, maxChunkBody + 1} {
+		got, err := readBody(&http.Response{ContentLength: declared, Body: io.NopCloser(bytes.NewReader(want))}, maxChunkBody)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Content-Length %d: err %v, %d bytes", declared, err, len(got))
+		}
+	}
+
+	// End to end against a server that streams the chunk without a length.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.(http.Flusher).Flush()
+		w.Write(want)
+	}))
+	defer srv.Close()
+	got, err := (&Client{BaseURL: srv.URL}).FetchChunk(context.Background(), "b1", 0)
+	if err != nil || !bytes.Equal(got.Wire(), want) {
+		t.Fatalf("chunked-transfer fetch: %v", err)
 	}
 }

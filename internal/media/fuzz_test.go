@@ -40,20 +40,59 @@ func FuzzUnmarshalChunk(f *testing.F) {
 	f.Add(MarshalChunk(c))
 	f.Add([]byte{})
 	f.Add(make([]byte, 12))
+	// A bare header claiming 2²⁰ frames: the count must be bounded by what
+	// the input can hold before anything is sized from it.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0x10, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		chunk, err := UnmarshalChunk(data)
+		orig := append([]byte(nil), data...)
+		chunk, err := SealedChunk(data)
+		if _, copyErr := UnmarshalChunk(orig); (err == nil) != (copyErr == nil) {
+			t.Fatalf("SealedChunk err %v, UnmarshalChunk err %v", err, copyErr)
+		}
 		if err != nil {
 			return
 		}
-		// Re-marshal must be accepted again with identical structure.
-		again, err := UnmarshalChunk(MarshalChunk(chunk))
-		if err != nil {
-			t.Fatalf("re-marshal rejected: %v", err)
+		// The sealed form is the consumed input itself, and decoding it
+		// changed none of it.
+		wire := chunk.Wire()
+		if len(wire) > len(data) || (len(wire) > 0 && &wire[0] != &data[0]) {
+			t.Fatal("Wire() is not the consumed prefix of the input")
 		}
-		if again.Seq != chunk.Seq || len(again.Frames) != len(chunk.Frames) {
-			t.Fatal("re-marshal structure mismatch")
+		if !bytes.Equal(data, orig) {
+			t.Fatal("decoding modified the input")
+		}
+		// The wire format is canonical: re-encoding the frames gives the
+		// same bytes, so serving Wire() equals serving MarshalChunk.
+		if !bytes.Equal(MarshalChunk(chunk), wire) {
+			t.Fatal("MarshalChunk from Frames differs from Wire()")
+		}
+		// Zero-copy: every payload and signature is a view into the input.
+		for i := range chunk.Frames {
+			for _, view := range [][]byte{chunk.Frames[i].Payload, chunk.Frames[i].Sig} {
+				if len(view) > 0 && !within(view, data) {
+					t.Fatalf("frame %d does not alias the input", i)
+				}
+			}
+		}
+		// UnmarshalChunk decodes the same chunk but shares nothing.
+		cp, err := UnmarshalChunk(data)
+		if err != nil || !bytes.Equal(cp.Wire(), wire) {
+			t.Fatalf("UnmarshalChunk disagrees with SealedChunk: %v", err)
+		}
+		if len(wire) > 0 && within(cp.Wire(), data) {
+			t.Fatal("UnmarshalChunk aliases its input")
 		}
 	})
+}
+
+// within reports whether view's backing bytes lie inside buf's.
+func within(view, buf []byte) bool {
+	for i := range buf {
+		if &buf[i] == &view[0] {
+			return len(view) <= len(buf)-i
+		}
+	}
+	return false
 }
 
 func FuzzParseChunkList(f *testing.F) {

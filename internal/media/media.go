@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/rng"
@@ -61,12 +62,31 @@ func (f *Frame) UnsignedBytes() []byte {
 	return MarshalFrame(nil, &cp)
 }
 
-// Chunk is a group of consecutive frames — the HLS data unit.
+// Chunk is a group of consecutive frames — the HLS data unit. Once a chunk
+// is reachable from a store it is immutable: stores, caches and handlers
+// share the one *Chunk, and its wire form (Wire) is built at most once.
 type Chunk struct {
 	// Seq is the chunk sequence number within its broadcast, from 0.
 	Seq uint64
-	// Frames are the member frames in order.
+	// Frames are the member frames in order. In a decoded chunk their
+	// payloads and signatures are views into wire.
 	Frames []Frame
+
+	seal sync.Once
+	wire []byte
+}
+
+// Wire returns the chunk's sealed wire form — MarshalChunk's bytes, produced
+// by the first caller that needs them (the origin's journal append, else the
+// first HTTP serve) and shared by every later one. A decoded chunk
+// (SealedChunk, UnmarshalChunk) is born sealed over the bytes it came from. The
+// bytes are shared and must not be modified; neither may Seq or Frames be,
+// once Wire can have been called.
+//
+//livesim:hotpath
+func (c *Chunk) Wire() []byte {
+	c.seal.Do(func() { c.wire = MarshalChunk(c) })
+	return c.wire
 }
 
 // Duration returns the play time covered by the chunk.
@@ -303,20 +323,34 @@ func SniffFrame(data []byte) (int, error) {
 // number of bytes consumed. The returned frame owns its payload and
 // signature (they are copied out of data).
 func UnmarshalFrame(data []byte) (Frame, int, error) {
+	f, total, err := viewFrame(data)
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	f.Payload = append([]byte(nil), f.Payload...)
+	if f.Sig != nil {
+		f.Sig = append([]byte(nil), f.Sig...)
+	}
+	return f, total, nil
+}
+
+// viewFrame is UnmarshalFrame without the copies: the returned frame's
+// payload and signature alias data, capped so an append cannot reach the
+// bytes that follow.
+func viewFrame(data []byte) (Frame, int, error) {
 	total, err := SniffFrame(data)
 	if err != nil {
 		return Frame{}, 0, err
 	}
-	plen := binary.BigEndian.Uint32(data[17:21])
-	signed := data[16]&2 != 0
+	end := frameHeaderSize + int(binary.BigEndian.Uint32(data[17:21]))
 	f := Frame{
 		Seq:        binary.BigEndian.Uint64(data[0:8]),
 		CapturedAt: time.Unix(0, int64(binary.BigEndian.Uint64(data[8:16]))).UTC(),
 		Keyframe:   data[16]&1 != 0,
-		Payload:    append([]byte(nil), data[frameHeaderSize:frameHeaderSize+int(plen)]...),
+		Payload:    data[frameHeaderSize:end:end],
 	}
-	if signed {
-		f.Sig = append([]byte(nil), data[frameHeaderSize+int(plen):total]...)
+	if data[16]&2 != 0 {
+		f.Sig = data[end:total:total]
 	}
 	return f, total, nil
 }
@@ -360,9 +394,22 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, nil
 }
 
-// MarshalChunk encodes a chunk: seq, frame count, then each frame.
+// chunkHeaderSize is the chunk wire header: seq uint64, frame count uint32.
+const chunkHeaderSize = 8 + 4
+
+// MarshalChunk encodes a chunk from its Frames: seq, frame count, then each
+// frame. It always re-encodes — serving paths use c.Wire(), which does this at
+// most once; a caller that edited the frames of its own decoded copy (the §7
+// interceptor) needs exactly this.
 func MarshalChunk(c *Chunk) []byte {
-	buf := make([]byte, 12, 12+c.Size()+len(c.Frames)*frameHeaderSize)
+	size := chunkHeaderSize + len(c.Frames)*frameHeaderSize
+	for i := range c.Frames {
+		size += len(c.Frames[i].Payload)
+		if len(c.Frames[i].Sig) == FrameSigSize {
+			size += FrameSigSize
+		}
+	}
+	buf := make([]byte, chunkHeaderSize, size)
 	binary.BigEndian.PutUint64(buf[0:8], c.Seq)
 	binary.BigEndian.PutUint32(buf[8:12], uint32(len(c.Frames)))
 	for i := range c.Frames {
@@ -371,24 +418,44 @@ func MarshalChunk(c *Chunk) []byte {
 	return buf
 }
 
-// UnmarshalChunk decodes a chunk produced by MarshalChunk.
+// UnmarshalChunk decodes a chunk produced by MarshalChunk into a chunk that
+// shares nothing with data: the consumed bytes are copied once, and the result
+// is SealedChunk over that copy. For a buffer the caller owns and will not
+// touch again, SealedChunk skips the copy.
 func UnmarshalChunk(data []byte) (*Chunk, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("media: short chunk header: %d bytes", len(data))
+	return SealedChunk(append([]byte(nil), data...))
+}
+
+// SealedChunk decodes a chunk's wire form without copying: the frames'
+// payloads and signatures are views into wire, and the chunk keeps the
+// consumed prefix of wire as its sealed form (Wire returns it). The caller
+// hands wire over — nothing may modify it afterwards. This is how one buffer
+// serves a chunk's whole life: the bytes an origin journals, an edge receives
+// or a replay reads are the bytes every viewer is sent.
+func SealedChunk(wire []byte) (*Chunk, error) {
+	if len(wire) < chunkHeaderSize {
+		return nil, fmt.Errorf("media: short chunk header: %d bytes", len(wire))
 	}
-	c := &Chunk{Seq: binary.BigEndian.Uint64(data[0:8])}
-	n := binary.BigEndian.Uint32(data[8:12])
+	c := &Chunk{Seq: binary.BigEndian.Uint64(wire[0:8])}
+	n := int(binary.BigEndian.Uint32(wire[8:12]))
 	if n > 1<<20 {
 		return nil, fmt.Errorf("media: implausible frame count %d", n)
 	}
-	off := 12
-	for i := uint32(0); i < n; i++ {
-		f, used, err := UnmarshalFrame(data[off:])
+	// Every frame occupies at least its header, so the input bounds the
+	// count before Frames is sized from it.
+	if n > (len(wire)-chunkHeaderSize)/frameHeaderSize {
+		return nil, fmt.Errorf("media: frame count %d exceeds what %d bytes can hold", n, len(wire))
+	}
+	c.Frames = make([]Frame, 0, n)
+	off := chunkHeaderSize
+	for i := 0; i < n; i++ {
+		f, used, err := viewFrame(wire[off:])
 		if err != nil {
 			return nil, fmt.Errorf("media: frame %d: %w", i, err)
 		}
 		c.Frames = append(c.Frames, f)
 		off += used
 	}
+	c.seal.Do(func() { c.wire = wire[:off:off] })
 	return c, nil
 }

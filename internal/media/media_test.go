@@ -2,6 +2,8 @@ package media
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -198,6 +200,102 @@ func TestUnmarshalChunkErrors(t *testing.T) {
 	bad[8], bad[9], bad[10], bad[11] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, err := UnmarshalChunk(bad); err == nil {
 		t.Fatal("implausible frame count accepted")
+	}
+	// A plausible count the input cannot hold must be refused before Frames
+	// is sized from it: 2²⁰ frames claimed by a bare header would otherwise
+	// cost ~90 MB.
+	bad[8], bad[9], bad[10], bad[11] = 0x00, 0x10, 0x00, 0x00
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := SealedChunk(bad); err == nil {
+		t.Fatal("frame count beyond the input accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("rejecting an oversized frame count allocated %d bytes", got)
+	}
+}
+
+// testChunks are the three shapes the codec distinguishes.
+func testChunks() map[string]*Chunk {
+	sig := bytes.Repeat([]byte{0xA5}, FrameSigSize)
+	return map[string]*Chunk{
+		"empty":    {Seq: 9},
+		"unsigned": {Seq: 1, Frames: []Frame{{Seq: 0, Keyframe: true, Payload: []byte{1, 2, 3}}, {Seq: 1, Payload: []byte{4}}}},
+		"signed":   {Seq: 2, Frames: []Frame{{Seq: 7, Payload: []byte{5, 6}, Sig: sig}, {Seq: 8, Payload: []byte{7}, Sig: sig}}},
+	}
+}
+
+// Many goroutines racing to seal one chunk must all get the same buffer (one
+// marshal, not one each), byte-equal to MarshalChunk. Run under -race.
+func TestWireSealsOnce(t *testing.T) {
+	for name, c := range testChunks() {
+		t.Run(name, func(t *testing.T) {
+			const racers = 16
+			wires := make([][]byte, racers)
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for i := range wires {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					wires[i] = c.Wire()
+				}(i)
+			}
+			close(start)
+			wg.Wait()
+			want := MarshalChunk(c)
+			for i, w := range wires {
+				if !bytes.Equal(w, want) {
+					t.Fatalf("racer %d: Wire() differs from MarshalChunk", i)
+				}
+				if &w[0] != &wires[0][0] {
+					t.Fatalf("racer %d got its own buffer: the chunk was marshalled more than once", i)
+				}
+			}
+			if cap(want) != len(want) {
+				t.Fatalf("MarshalChunk over-allocated: len %d cap %d", len(want), cap(want))
+			}
+			if allocs := testing.AllocsPerRun(100, func() { c.Wire() }); allocs != 0 {
+				t.Fatalf("Wire() on a sealed chunk allocates %v times", allocs)
+			}
+		})
+	}
+}
+
+// SealedChunk is zero-copy and born sealed; UnmarshalChunk gives a chunk the
+// caller may edit without touching the input (the §7 interceptor relies on
+// MarshalChunk re-encoding such edits rather than returning the sealed bytes).
+func TestSealedChunkSharesUnmarshalChunkCopies(t *testing.T) {
+	for name, c := range testChunks() {
+		t.Run(name, func(t *testing.T) {
+			data := MarshalChunk(c)
+			sealed, err := SealedChunk(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := sealed.Wire(); &w[0] != &data[0] || len(w) != len(data) {
+				t.Fatal("SealedChunk did not keep its input as the sealed form")
+			}
+			cp, err := UnmarshalChunk(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cp.Wire(), data) {
+				t.Fatal("UnmarshalChunk's sealed form differs from its input")
+			}
+			if len(cp.Frames) == 0 {
+				return
+			}
+			cp.Frames[0].Payload[0] ^= 0xFF
+			if !bytes.Equal(sealed.Wire(), MarshalChunk(c)) {
+				t.Fatal("editing an UnmarshalChunk copy reached the input")
+			}
+			if bytes.Equal(MarshalChunk(cp), data) {
+				t.Fatal("MarshalChunk returned sealed bytes instead of re-encoding the edited frames")
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -18,12 +19,19 @@ type ChunkRef struct {
 // ChunkList is the HLS playlist analog: the rolling window of recent chunks
 // a viewer polls for (§4.1). Version increments on every update so edges can
 // detect staleness.
+//
+// A list handed out by a store is immutable: the origin publishes a fresh
+// *ChunkList per update, and edges, handlers and pollers share that pointer.
+// Only the goroutine still building a list may set its fields or Append.
 type ChunkList struct {
 	BroadcastID string
 	Version     uint64
 	// Ended marks the broadcast as finished (HLS endlist).
 	Ended  bool
 	Chunks []ChunkRef
+
+	marshal sync.Once
+	raw     []byte
 }
 
 // WindowSize is how many trailing chunks a list advertises, as live HLS
@@ -31,12 +39,15 @@ type ChunkList struct {
 const WindowSize = 6
 
 // Append adds a chunk reference, trimming to WindowSize, and bumps Version.
+// It is a builder's method (see the immutability note on ChunkList) and
+// drops any bytes an earlier Marshal cached.
 func (cl *ChunkList) Append(ref ChunkRef) {
 	cl.Chunks = append(cl.Chunks, ref)
 	if len(cl.Chunks) > WindowSize {
 		cl.Chunks = cl.Chunks[len(cl.Chunks)-WindowSize:]
 	}
 	cl.Version++
+	cl.marshal, cl.raw = sync.Once{}, nil
 }
 
 // Latest returns the newest chunk reference and whether one exists.
@@ -58,11 +69,14 @@ func (cl *ChunkList) NewerThan(seq uint64) []ChunkRef {
 	return out
 }
 
-// Clone returns a deep copy safe to hand across goroutines.
+// Clone returns a deep copy the caller may keep building on.
 func (cl *ChunkList) Clone() *ChunkList {
-	cp := *cl
-	cp.Chunks = append([]ChunkRef(nil), cl.Chunks...)
-	return &cp
+	return &ChunkList{
+		BroadcastID: cl.BroadcastID,
+		Version:     cl.Version,
+		Ended:       cl.Ended,
+		Chunks:      append([]ChunkRef(nil), cl.Chunks...),
+	}
 }
 
 // Marshal renders the list in an m3u8-like text format:
@@ -74,7 +88,16 @@ func (cl *ChunkList) Clone() *ChunkList {
 //	<uri>
 //	...
 //	#EXT-X-ENDLIST          (only when ended)
+//
+// The rendering happens once per list and every caller gets the same bytes,
+// which must not be modified — that is what lets an edge answer every poll
+// between two updates from one buffer.
 func (cl *ChunkList) Marshal() []byte {
+	cl.marshal.Do(func() { cl.raw = cl.render() })
+	return cl.raw
+}
+
+func (cl *ChunkList) render() []byte {
 	var b strings.Builder
 	b.WriteString("#EXTM3U\n")
 	fmt.Fprintf(&b, "#X-BROADCAST:%s\n", cl.BroadcastID)

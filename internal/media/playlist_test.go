@@ -59,6 +59,29 @@ func TestChunkListCloneIsDeep(t *testing.T) {
 	}
 }
 
+// Marshal renders a list once: every poll of one version is answered from the
+// same bytes, a builder's Append starts a new rendering, and a Clone shares
+// neither.
+func TestChunkListMarshalRendersOnce(t *testing.T) {
+	cl := &ChunkList{BroadcastID: "b"}
+	cl.Append(ChunkRef{Seq: 1, URI: "/hls/b/chunk/1"})
+	first := cl.Marshal()
+	if again := cl.Marshal(); &again[0] != &first[0] {
+		t.Fatal("second Marshal rendered again")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { cl.Marshal() }); allocs != 0 {
+		t.Fatalf("Marshal of a rendered list allocates %v times", allocs)
+	}
+	cp := cl.Clone()
+	cl.Append(ChunkRef{Seq: 2, URI: "/hls/b/chunk/2"})
+	if got, err := ParseChunkList(cl.Marshal()); err != nil || got.Version != 2 || len(got.Chunks) != 2 {
+		t.Fatalf("Marshal after Append served stale bytes: %+v, %v", got, err)
+	}
+	if got, err := ParseChunkList(cp.Marshal()); err != nil || got.Version != 1 || len(got.Chunks) != 1 {
+		t.Fatalf("clone's Marshal: %+v, %v", got, err)
+	}
+}
+
 func TestChunkListMarshalRoundtrip(t *testing.T) {
 	cl := &ChunkList{BroadcastID: "bcast-123", Version: 42, Ended: true}
 	cl.Chunks = []ChunkRef{

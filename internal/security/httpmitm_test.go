@@ -1,6 +1,7 @@
 package security
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
 	"testing"
@@ -152,6 +153,25 @@ func TestHLSSignedChunkDetectsTampering(t *testing.T) {
 	if verified != 0 || tampered != len(chunk.Frames) {
 		t.Fatalf("tampered chunk: verified=%d tampered=%d of %d",
 			verified, tampered, len(chunk.Frames))
+	}
+	// The victim's chunk is zero-copy over the interceptor's response, and
+	// that response was re-marshalled from the edited frames — not the
+	// sealed bytes the interceptor received.
+	if !bytes.Equal(chunk.Wire(), media.MarshalChunk(chunk)) {
+		t.Fatal("tampered chunk's sealed bytes disagree with its frames")
+	}
+
+	// The interceptor edited its own decoded copy: the sealed buffer the
+	// edge shares with every other viewer is untouched and still verifies.
+	after, err := clean.FetchChunk(ctx, "b1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verified, tampered, _ := VerifyChunk(pub, after); tampered != 0 || verified != len(after.Frames) {
+		t.Fatalf("clean chunk after the attack: verified=%d tampered=%d", verified, tampered)
+	}
+	if bytes.Equal(after.Wire(), chunk.Wire()) {
+		t.Fatal("the attack changed nothing on the wire")
 	}
 }
 

@@ -191,7 +191,7 @@ func (s *sim) countView(isRTMP bool) {
 func (s *sim) deliver(v *viewer) (next time.Duration, done bool) {
 	if !v.isRTMP {
 		s.ctr.polls++
-		_, _ = s.edge.ChunkListRaw(s.ctx, v.b.id)
+		_, _ = s.edge.ChunkList(s.ctx, v.b.id)
 	}
 	s.ctr.deliveries++
 	next, done = v.advance()
