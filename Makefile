@@ -97,13 +97,17 @@ scale-smoke:
 # the process — the journal (round-trip encode/decode and replay over
 # corrupted logs), the chunk codec every HLS body goes through (zero-copy
 # decode: the sealed form is the consumed input, frames alias it, re-encoding
-# reproduces it) and the RTMP message reader. `go test -fuzz` accepts one
-# target per invocation, hence one run each.
+# reproduces it), the RTMP message reader, and the control plane's two
+# outside inputs: its journal (replay over byte soup, then extend it) and its
+# HTTP handler (arbitrary method/path/query/body/key against the route table).
+# `go test -fuzz` accepts one target per invocation, hence one run each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip' -fuzztime 10s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalChunk' -fuzztime 10s ./internal/media/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadMessage' -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz 'FuzzControlJournalRecovery' -fuzztime 10s ./internal/control/
+	$(GO) test -run '^$$' -fuzz 'FuzzControlHandler' -fuzztime 10s ./internal/control/
 
 # bench-check vets and unit-tests the frozen benchmark module (bench/, its own
 # go.mod with `replace repro => ../`) against the working tree, so an API

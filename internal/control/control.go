@@ -95,18 +95,19 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 }
 
-// BroadcastGrant is what a broadcaster gets back from StartBroadcast.
+// BroadcastGrant is what a broadcaster gets back from StartBroadcast; the
+// struct is also the HTTP response body.
 type BroadcastGrant struct {
-	BroadcastID string
-	Token       string
-	OriginID    string
-	RTMPAddr    string
-	MessageURL  string
+	BroadcastID string `json:"broadcast_id"`
+	Token       string `json:"token"`
+	OriginID    string `json:"origin_id"`
+	RTMPAddr    string `json:"rtmp_addr,omitempty"`
+	MessageURL  string `json:"message_url"`
 	// Private broadcasts upload over RTMPS instead (§7.2); RTMPSAddr and
 	// CAPEM are only set for them.
-	Private   bool
-	RTMPSAddr string
-	CAPEM     []byte
+	Private   bool   `json:"private,omitempty"`
+	RTMPSAddr string `json:"rtmps_addr,omitempty"`
+	CAPEM     []byte `json:"ca_pem,omitempty"`
 }
 
 // Protocol selects a viewer's delivery path.
@@ -121,16 +122,17 @@ const (
 // ViewerGrant is what a viewer gets back from Join. Mirroring Periscope,
 // RTMP joins also receive the HLS URL (the paper's crawler exploited this to
 // obtain both, §4.3). Private-broadcast grants instead carry an RTMPS
-// address, a per-viewer token, and the platform CA.
+// address, a per-viewer token, and the platform CA. The struct is also the
+// HTTP response body.
 type ViewerGrant struct {
-	Protocol    Protocol
-	RTMPAddr    string
-	HLSBaseURL  string
-	MessageURL  string
-	Private     bool
-	RTMPSAddr   string
-	ViewerToken string
-	CAPEM       []byte
+	Protocol    Protocol `json:"protocol"`
+	RTMPAddr    string   `json:"rtmp_addr,omitempty"`
+	HLSBaseURL  string   `json:"hls_base_url,omitempty"`
+	MessageURL  string   `json:"message_url"`
+	Private     bool     `json:"private,omitempty"`
+	RTMPSAddr   string   `json:"rtmps_addr,omitempty"`
+	ViewerToken string   `json:"viewer_token,omitempty"`
+	CAPEM       []byte   `json:"ca_pem,omitempty"`
 }
 
 // ProtoRTMPS is the private-broadcast delivery path.
@@ -290,6 +292,21 @@ func (s *Service) messageURL() string {
 	return s.cfg.Routes.MessageURL
 }
 
+// lockLive takes s.mu for a call that must not run against a crashed control
+// plane; on ErrUnavailable the lock is not held. The flag is read under the
+// lock because Crash raises it before taking the lock to detach the journal
+// writer: a caller that holds the lock and sees the flag down commits to a
+// writer Crash has yet to drain, so what it acknowledges is journaled, and a
+// caller that comes later never reads the wiped maps as "no such broadcast".
+func (s *Service) lockLive() error {
+	s.mu.Lock()
+	if s.crashed.Load() {
+		s.mu.Unlock()
+		return ErrUnavailable
+	}
+	return nil
+}
+
 // Register creates a user with the next sequential ID. It is the legacy
 // always-succeeds surface; callers that must observe a control outage use
 // RegisterUser.
@@ -301,19 +318,13 @@ func (s *Service) Register(name string) User {
 // RegisterUser creates a user with the next sequential ID, failing with
 // ErrUnavailable while the control plane is down.
 func (s *Service) RegisterUser(name string) (User, error) {
-	if s.crashed.Load() {
-		return User{}, ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return User{}, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextUser++
-	u := User{ID: s.nextUser, Name: name}
-	s.users[u.ID] = u
-	s.appendLocked(journal.Record{
-		Type:    journal.RecordCtrlRegister,
-		Payload: encodeCtrl(ctrlRegisterRec{ID: u.ID, Name: name}),
-	})
-	return u, nil
+	id := s.nextUser + 1
+	s.commitLocked(journal.RecordCtrlRegister, "", &ctrlRegisterRec{ID: id, Name: name})
+	return s.users[id], nil
 }
 
 // UserCount returns the total registered users (the paper's §3.1 estimate
@@ -335,7 +346,7 @@ func newToken() (string, error) {
 
 // StartBroadcast creates a live public broadcast for userID at loc.
 func (s *Service) StartBroadcast(userID uint64, loc geo.Location) (BroadcastGrant, error) {
-	return s.startBroadcast(userID, loc, nil)
+	return s.startBroadcast(userID, loc, false, nil, "")
 }
 
 // StartPrivateBroadcast creates a broadcast only the allowed users may
@@ -345,140 +356,97 @@ func (s *Service) StartPrivateBroadcast(userID uint64, loc geo.Location, allowed
 	if s.cfg.Routes.RTMPSAddr == nil {
 		return BroadcastGrant{}, errors.New("control: private broadcasts not enabled")
 	}
-	set := make(map[uint64]bool, len(allowed))
-	for _, u := range allowed {
-		set[u] = true
-	}
-	return s.startBroadcast(userID, loc, set)
+	return s.startBroadcast(userID, loc, true, allowed, "")
 }
 
-func (s *Service) startBroadcast(userID uint64, loc geo.Location, allowed map[uint64]bool) (BroadcastGrant, error) {
-	return s.startBroadcastAs(userID, loc, allowed, "")
-}
-
-// startBroadcastAs is the shared start path; tenantID is empty for the
-// legacy anonymous surface and set for key-authenticated starts, in which
-// case plan admission (max concurrent broadcasts) runs inside the same
-// critical section that creates the broadcast.
-func (s *Service) startBroadcastAs(userID uint64, loc geo.Location, allowed map[uint64]bool, tenantID string) (BroadcastGrant, error) {
-	if s.crashed.Load() {
-		return BroadcastGrant{}, ErrUnavailable
-	}
+// startBroadcast is the shared start path; tenantID is empty for the legacy
+// anonymous surface and set for key-authenticated starts, in which case plan
+// admission (max concurrent broadcasts) runs inside the same critical section
+// that creates the broadcast. The caller's allowed slice goes into the record
+// as given, so equal inputs journal equal bytes.
+func (s *Service) startBroadcast(userID uint64, loc geo.Location, private bool, allowed []uint64, tenantID string) (BroadcastGrant, error) {
 	token, err := newToken()
 	if err != nil {
 		return BroadcastGrant{}, err
 	}
-	originID, rtmpAddr := "", ""
-	if s.cfg.Routes.AssignOrigin != nil {
-		originID, rtmpAddr = s.cfg.Routes.AssignOrigin(loc)
-	}
-	private := allowed != nil
-	rtmpsAddr := ""
-	if private {
-		rtmpsAddr = s.cfg.Routes.RTMPSAddr(originID)
-	}
-	s.mu.Lock()
-	var tenant *tenantState
-	if tenantID != "" {
-		ts, ok := s.tenants[tenantID]
-		if !ok {
-			s.mu.Unlock()
-			return BroadcastGrant{}, ErrNoTenant
-		}
-		// Re-check under the lock: the key resolution ran outside it.
-		if ts.t.Suspended {
-			s.mu.Unlock()
-			return BroadcastGrant{}, ErrTenantSuspended
-		}
-		if max := ts.t.Plan.MaxConcurrentBroadcasts; max > 0 && ts.live >= max {
-			s.mu.Unlock()
-			return BroadcastGrant{}, &QuotaError{
-				Reason:     "concurrent broadcasts at plan limit",
-				RetryAfter: time.Second,
-			}
-		}
-		tenant = ts
-	}
-	s.nextBcast++
-	id := fmt.Sprintf("bcast-%d", s.nextBcast)
-	st := &broadcastState{
-		id:          id,
-		token:       token,
-		broadcaster: userID,
-		originID:    originID,
-		rtmpAddr:    rtmpAddr,
-		rtmpsAddr:   rtmpsAddr,
-		startedAt:   s.clock.Now(),
-		loc:         loc,
-		private:     private,
-		allowed:     allowed,
-		tenantID:    tenantID,
-		started:     make(chan struct{}),
-	}
-	if private {
-		st.viewerTokens = make(map[string]bool)
-	}
-	if tenant != nil {
-		tenant.live++
-	}
-	s.broadcasts[id] = st
-	if !private {
-		// Private broadcasts never appear on the public global list.
-		s.livePos[id] = len(s.liveIDs)
-		s.liveIDs = append(s.liveIDs, id)
-	}
 	rec := ctrlStartRec{
 		Token:       token,
 		Broadcaster: userID,
-		OriginID:    originID,
-		RTMPAddr:    rtmpAddr,
-		RTMPSAddr:   rtmpsAddr,
-		StartedAt:   st.startedAt.UnixNano(),
 		City:        loc.City,
 		Lat:         loc.Lat,
 		Lon:         loc.Lon,
 		Private:     private,
+		Allowed:     allowed,
 		TenantID:    tenantID,
 	}
-	for u := range allowed {
-		rec.Allowed = append(rec.Allowed, u)
+	if s.cfg.Routes.AssignOrigin != nil {
+		rec.OriginID, rec.RTMPAddr = s.cfg.Routes.AssignOrigin(loc)
 	}
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlStart,
-		BroadcastID: id,
-		Payload:     encodeCtrl(rec),
-	})
+	if private {
+		rec.RTMPSAddr = s.cfg.Routes.RTMPSAddr(rec.OriginID)
+	}
+	if err := s.lockLive(); err != nil {
+		return BroadcastGrant{}, err
+	}
+	if tenantID != "" {
+		if err := s.admitStartLocked(tenantID); err != nil {
+			s.mu.Unlock()
+			return BroadcastGrant{}, err
+		}
+	}
+	rec.StartedAt = s.clock.Now().UnixNano()
+	id := fmt.Sprintf("bcast-%d", s.nextBcast+1)
+	s.commitLocked(journal.RecordCtrlStart, id, &rec)
+	// Apply installs replay's pre-closed gate; a live start holds it open
+	// until its OnStart callbacks have run.
+	started := make(chan struct{})
+	s.broadcasts[id].started = started
 	callbacks := make([]func(broadcastID, originID string), len(s.onStart))
 	copy(callbacks, s.onStart)
 	s.mu.Unlock()
 	for _, fn := range callbacks {
-		fn(id, originID)
+		fn(id, rec.OriginID)
 	}
 	// End paths block on this: OnEnd never runs before OnStart finished.
-	close(st.started)
+	close(started)
 	g := BroadcastGrant{
 		BroadcastID: id,
 		Token:       token,
-		OriginID:    originID,
-		RTMPAddr:    rtmpAddr,
+		OriginID:    rec.OriginID,
+		RTMPAddr:    rec.RTMPAddr,
 		MessageURL:  s.messageURL(),
 		Private:     private,
 	}
 	if private {
-		g.RTMPSAddr = rtmpsAddr
+		g.RTMPSAddr = rec.RTMPSAddr
 		g.CAPEM = s.cfg.Routes.TLSCertPEM
 		g.RTMPAddr = "" // private uploads must not use plaintext RTMP
 	}
 	return g, nil
 }
 
+// admitStartLocked is plan admission for a key-authenticated start. The key
+// resolution ran outside the lock, so suspension is re-checked here.
+func (s *Service) admitStartLocked(tenantID string) error {
+	ts, ok := s.tenants[tenantID]
+	if !ok {
+		return ErrNoTenant
+	}
+	if ts.t.Suspended {
+		return ErrTenantSuspended
+	}
+	if max := ts.t.Plan.MaxConcurrentBroadcasts; max > 0 && ts.live >= max {
+		return &QuotaError{Reason: "concurrent broadcasts at plan limit", RetryAfter: time.Second}
+	}
+	return nil
+}
+
 // RegisterPublicKey stores a broadcaster's signing key, authenticated by the
 // broadcast token. This is the §7.2 key exchange over the secure channel.
 func (s *Service) RegisterPublicKey(broadcastID, token string, pub ed25519.PublicKey) error {
-	if s.crashed.Load() {
-		return ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.broadcasts[broadcastID]
 	if !ok {
@@ -487,12 +455,7 @@ func (s *Service) RegisterPublicKey(broadcastID, token string, pub ed25519.Publi
 	if st.token != token {
 		return ErrBadToken
 	}
-	st.pubKey = append(ed25519.PublicKey(nil), pub...)
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlKey,
-		BroadcastID: broadcastID,
-		Payload:     encodeCtrl(ctrlKeyRec{PubKey: st.pubKey}),
-	})
+	s.commitLocked(journal.RecordCtrlKey, broadcastID, &ctrlKeyRec{PubKey: pub})
 	return nil
 }
 
@@ -510,10 +473,9 @@ func (s *Service) PublicKey(broadcastID string) ed25519.PublicKey {
 
 // EndBroadcast finishes a broadcast; requires the broadcast token.
 func (s *Service) EndBroadcast(broadcastID, token string) error {
-	if s.crashed.Load() {
-		return ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return err
 	}
-	s.mu.Lock()
 	st, ok := s.broadcasts[broadcastID]
 	if !ok {
 		s.mu.Unlock()
@@ -533,10 +495,9 @@ func (s *Service) EndBroadcast(broadcastID, token string) error {
 // recorded — the caller must retry after recovery or the broadcast would
 // replay as falsely live.
 func (s *Service) ForceEnd(broadcastID string) error {
-	if s.crashed.Load() {
-		return ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return err
 	}
-	s.mu.Lock()
 	st, ok := s.broadcasts[broadcastID]
 	if !ok {
 		s.mu.Unlock()
@@ -546,60 +507,32 @@ func (s *Service) ForceEnd(broadcastID string) error {
 	return nil
 }
 
-// endLocked marks st ended, journals the end, and fires the OnEnd callbacks.
-// Called with s.mu held; returns with it released. A no-op (beyond the
-// unlock) when the broadcast already ended. It waits for the start side
-// effects to finish before firing OnEnd — see broadcastState.started — so a
-// data-plane end racing StartBroadcast cannot close the pubsub channel
-// before it opened or journal the end record ahead of the start record.
+// endLocked commits st's end and fires the OnEnd callbacks. Called with
+// s.mu held; returns with it released. A no-op (beyond the unlock) when the
+// broadcast already ended. It waits for the start side effects to finish
+// before firing OnEnd — see broadcastState.started — so a data-plane end
+// racing StartBroadcast cannot close the pubsub channel before it opened.
 func (s *Service) endLocked(st *broadcastState) {
 	if st.ended {
 		s.mu.Unlock()
 		return
 	}
-	st.ended = true
-	st.endedAt = s.clock.Now()
-	if st.tenantID != "" {
-		if ts, ok := s.tenants[st.tenantID]; ok && ts.live > 0 {
-			ts.live--
-		}
-	}
-	s.removeLiveLocked(st.id)
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlEnd,
-		BroadcastID: st.id,
-		Payload:     encodeCtrl(ctrlEndRec{EndedAt: st.endedAt.UnixNano()}),
-	})
+	s.commitLocked(journal.RecordCtrlEnd, st.id, &ctrlEndRec{EndedAt: s.clock.Now().UnixNano()})
 	callbacks := make([]func(broadcastID string), len(s.onEnd))
 	copy(callbacks, s.onEnd)
-	started := st.started
-	id := st.id
 	s.mu.Unlock()
-	<-started
+	<-st.started
 	for _, fn := range callbacks {
-		fn(id)
+		fn(st.id)
 	}
-}
-
-func (s *Service) removeLiveLocked(id string) {
-	pos, ok := s.livePos[id]
-	if !ok {
-		return
-	}
-	last := len(s.liveIDs) - 1
-	s.liveIDs[pos] = s.liveIDs[last]
-	s.livePos[s.liveIDs[pos]] = pos
-	s.liveIDs = s.liveIDs[:last]
-	delete(s.livePos, id)
 }
 
 // Join records a viewer joining and routes them: joins below the RTMP limit
 // get the RTMP path, later ones HLS (§4.1).
 func (s *Service) Join(userID uint64, broadcastID string, loc geo.Location) (ViewerGrant, error) {
-	if s.crashed.Load() {
-		return ViewerGrant{}, ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return ViewerGrant{}, err
 	}
-	s.mu.Lock()
 	st, ok := s.broadcasts[broadcastID]
 	if !ok {
 		s.mu.Unlock()
@@ -609,53 +542,41 @@ func (s *Service) Join(userID uint64, broadcastID string, loc geo.Location) (Vie
 		s.mu.Unlock()
 		return ViewerGrant{}, ErrEnded
 	}
+	rec := ctrlJoinRec{UserID: userID}
 	if st.private {
 		if !st.allowed[userID] && st.broadcaster != userID {
 			s.mu.Unlock()
 			return ViewerGrant{}, ErrNotInvited
 		}
+		// The per-viewer token the origin validates at RTMPS handshake.
 		vt, err := newToken()
 		if err != nil {
 			s.mu.Unlock()
 			return ViewerGrant{}, err
 		}
-		st.viewerTokens[vt] = true
-		join := ViewerJoin{UserID: userID, At: s.clock.Now()}
-		st.joins = append(st.joins, join)
-		s.appendLocked(journal.Record{
-			Type:        journal.RecordCtrlJoin,
-			BroadcastID: broadcastID,
-			Payload:     encodeCtrl(ctrlJoinRec{UserID: userID, At: join.At.UnixNano(), ViewerToken: vt}),
-		})
-		rtmpsAddr := st.rtmpsAddr
-		s.mu.Unlock()
-		return ViewerGrant{
-			Protocol:    ProtoRTMPS,
-			Private:     true,
-			RTMPSAddr:   rtmpsAddr,
-			ViewerToken: vt,
-			CAPEM:       s.cfg.Routes.TLSCertPEM,
-			MessageURL:  s.messageURL(),
-		}, nil
+		rec.ViewerToken = vt
 	}
-	join := ViewerJoin{UserID: userID, At: s.clock.Now()}
-	st.joins = append(st.joins, join)
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlJoin,
-		BroadcastID: broadcastID,
-		Payload:     encodeCtrl(ctrlJoinRec{UserID: userID, At: join.At.UnixNano()}),
-	})
+	rec.At = s.clock.Now().UnixNano()
+	s.commitLocked(journal.RecordCtrlJoin, broadcastID, &rec)
 	idx := len(st.joins)
-	rtmpAddr := st.rtmpAddr
 	s.mu.Unlock()
 
+	// id, private and the addresses never change after the start.
 	grant := ViewerGrant{MessageURL: s.messageURL()}
+	if st.private {
+		grant.Protocol = ProtoRTMPS
+		grant.Private = true
+		grant.RTMPSAddr = st.rtmpsAddr
+		grant.ViewerToken = rec.ViewerToken
+		grant.CAPEM = s.cfg.Routes.TLSCertPEM
+		return grant, nil
+	}
 	if s.cfg.Routes.AssignEdge != nil {
 		grant.HLSBaseURL = s.cfg.Routes.AssignEdge(broadcastID, loc)
 	}
 	if idx <= s.cfg.RTMPViewerLimit {
 		grant.Protocol = ProtoRTMP
-		grant.RTMPAddr = rtmpAddr
+		grant.RTMPAddr = st.rtmpAddr
 	} else {
 		grant.Protocol = ProtoHLS
 	}
@@ -669,10 +590,9 @@ func (s *Service) Join(userID uint64, broadcastID string, loc geo.Location) (Vie
 // currently healthy and nearest. It works for ended-but-retained broadcasts
 // too — a viewer mid-replay must still be able to migrate.
 func (s *Service) ResolveEdge(broadcastID string, loc geo.Location) (string, error) {
-	if s.crashed.Load() {
-		return "", ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return "", err
 	}
-	s.mu.Lock()
 	st, ok := s.broadcasts[broadcastID]
 	var quotaErr *QuotaError
 	if ok && st.tenantID != "" {
@@ -724,10 +644,9 @@ func (s *Service) GlobalList() []Summary {
 
 // Info returns the summary of one broadcast.
 func (s *Service) Info(broadcastID string) (Summary, error) {
-	if s.crashed.Load() {
-		return Summary{}, ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return Summary{}, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.broadcasts[broadcastID]
 	if !ok {
@@ -775,10 +694,9 @@ type Auth struct{ S *Service }
 // live lookup fails closed; wrap with NewAuthCache for the degraded-mode
 // grant cache that keeps previously authorized sessions reconnecting.
 func (a Auth) Authorize(broadcastID, token, role string) bool {
-	if a.S.crashed.Load() {
+	if a.S.lockLive() != nil {
 		return false
 	}
-	a.S.mu.Lock()
 	defer a.S.mu.Unlock()
 	st, ok := a.S.broadcasts[broadcastID]
 	if !ok || st.ended {

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/geo"
@@ -40,17 +39,6 @@ type startReq struct {
 	Allowed []uint64 `json:"allowed,omitempty"`
 }
 
-type grantResp struct {
-	BroadcastID string `json:"broadcast_id"`
-	Token       string `json:"token"`
-	OriginID    string `json:"origin_id"`
-	RTMPAddr    string `json:"rtmp_addr,omitempty"`
-	MessageURL  string `json:"message_url"`
-	Private     bool   `json:"private,omitempty"`
-	RTMPSAddr   string `json:"rtmps_addr,omitempty"`
-	CAPEM       []byte `json:"ca_pem,omitempty"`
-}
-
 type endReq struct {
 	Token string `json:"token"`
 }
@@ -71,45 +59,15 @@ type joinReq struct {
 	Lon    float64 `json:"lon"`
 }
 
-type joinResp struct {
-	Protocol    string `json:"protocol"`
-	RTMPAddr    string `json:"rtmp_addr,omitempty"`
-	HLSBaseURL  string `json:"hls_base_url,omitempty"`
-	MessageURL  string `json:"message_url"`
-	Private     bool   `json:"private,omitempty"`
-	RTMPSAddr   string `json:"rtmps_addr,omitempty"`
-	ViewerToken string `json:"viewer_token,omitempty"`
-	CAPEM       []byte `json:"ca_pem,omitempty"`
-}
-
 type resolveEdgeResp struct {
 	HLSBaseURL string `json:"hls_base_url"`
 }
 
-// Tenancy API payloads. Plans travel as planRec (the same codec the journal
-// uses), so the wire shape and the durable shape cannot drift apart.
+// Tenancy API payloads. Tenant, Plan and UsageDay are their own bodies.
 
 type tenantCreateReq struct {
-	Name string  `json:"name"`
-	Plan planRec `json:"plan"`
-}
-
-type tenantJSON struct {
-	ID        string    `json:"id"`
-	Name      string    `json:"name,omitempty"`
-	Plan      planRec   `json:"plan"`
-	Suspended bool      `json:"suspended,omitempty"`
-	CreatedAt time.Time `json:"created_at"`
-}
-
-func toTenantJSON(t Tenant) tenantJSON {
-	return tenantJSON{
-		ID:        t.ID,
-		Name:      t.Name,
-		Plan:      planRecOf(t.Plan),
-		Suspended: t.Suspended,
-		CreatedAt: t.CreatedAt,
-	}
+	Name string `json:"name"`
+	Plan Plan   `json:"plan"`
 }
 
 type keyIssueResp struct {
@@ -134,6 +92,8 @@ const apiKeyHeader = "X-API-Key"
 // invited" and "bad API key". The body stays human-readable.
 const errCodeHeader = "X-Control-Error"
 
+// summaryJSON is the one body that is not its domain type: it deliberately
+// flattens Location to the city, keeping coordinates off the public list.
 type summaryJSON struct {
 	BroadcastID string    `json:"broadcast_id"`
 	Broadcaster uint64    `json:"broadcaster"`
@@ -156,261 +116,244 @@ func toSummaryJSON(s Summary) summaryJSON {
 	}
 }
 
-// Handler exposes the service over HTTP under prefix (e.g. "/api").
+func (b summaryJSON) summary() Summary {
+	return Summary{
+		BroadcastID: b.BroadcastID,
+		Broadcaster: b.Broadcaster,
+		StartedAt:   b.StartedAt,
+		EndedAt:     b.EndedAt,
+		Live:        b.Live,
+		Viewers:     b.Viewers,
+		Location:    geo.Location{City: b.City},
+	}
+}
+
+// routes is the whole HTTP surface, one row per endpoint; paths are relative
+// to the Handler prefix and {id} is the broadcast or tenant ID.
+var routes = []struct {
+	method, path string
+	handle       func(*Service, http.ResponseWriter, *http.Request)
+}{
+	{"POST", "/users", handleRegister},
+	{"GET", "/global", handleGlobal},
+	{"POST", "/broadcasts", handleStart},
+	{"GET", "/broadcasts/{id}", handleInfo},
+	{"POST", "/broadcasts/{id}/end", handleEnd},
+	{"POST", "/broadcasts/{id}/join", handleJoin},
+	{"POST", "/broadcasts/{id}/pubkey", handleRegisterKey},
+	{"GET", "/broadcasts/{id}/pubkey", handlePublicKey},
+	{"GET", "/broadcasts/{id}/edge", handleResolveEdge},
+	{"POST", "/tenants", handleCreateTenant},
+	{"GET", "/tenants", handleTenants},
+	{"GET", "/tenants/{id}", handleTenantInfo},
+	{"POST", "/tenants/{id}/plan", handleSetPlan},
+	{"POST", "/tenants/{id}/keys", handleIssueKey},
+	{"POST", "/tenants/{id}/suspend", handleSuspend},
+	{"POST", "/tenants/{id}/resume", handleResume},
+	{"POST", "/keys/revoke", handleRevokeKey},
+	{"GET", "/usage", handleUsage},
+}
+
+// Handler exposes the service over HTTP under prefix (e.g. "/api"). The mux
+// answers 404 for a path no row matches and 405 for a known path's other
+// methods.
 func Handler(prefix string, s *Service) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(prefix+"/users", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var req registerReq
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		u, err := s.RegisterUser(req.Name)
-		if respondErr(w, err) {
-			return
-		}
-		writeJSON(w, registerResp{ID: u.ID})
-	})
-	mux.HandleFunc(prefix+"/global", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		if s.Down() {
-			respondErr(w, ErrUnavailable)
-			return
-		}
-		list := s.GlobalList()
-		out := make([]summaryJSON, 0, len(list))
-		for _, b := range list {
-			out = append(out, toSummaryJSON(b))
-		}
-		writeJSON(w, struct {
-			Broadcasts []summaryJSON `json:"broadcasts"`
-		}{out})
-	})
-	mux.HandleFunc(prefix+"/broadcasts", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var req startReq
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		loc := geo.Location{City: req.City, Lat: req.Lat, Lon: req.Lon}
-		var grant BroadcastGrant
-		var err error
-		switch key := r.Header.Get(apiKeyHeader); {
-		case key != "" && req.Private:
-			// Private broadcasts are invite-keyed per user; tenant-owned
-			// private starts are not a thing yet.
-			http.Error(w, "private broadcasts cannot be key-authenticated", http.StatusBadRequest)
-			return
-		case key != "":
-			grant, err = s.StartBroadcastKey(key, req.UserID, loc)
-		case req.Private:
-			grant, err = s.StartPrivateBroadcast(req.UserID, loc, req.Allowed)
-		default:
-			grant, err = s.StartBroadcast(req.UserID, loc)
-		}
-		if respondErr(w, err) {
-			return
-		}
-		writeJSON(w, grantResp{
-			BroadcastID: grant.BroadcastID,
-			Token:       grant.Token,
-			OriginID:    grant.OriginID,
-			RTMPAddr:    grant.RTMPAddr,
-			MessageURL:  grant.MessageURL,
-			Private:     grant.Private,
-			RTMPSAddr:   grant.RTMPSAddr,
-			CAPEM:       grant.CAPEM,
+	for _, rt := range routes {
+		mux.HandleFunc(rt.method+" "+prefix+rt.path, func(w http.ResponseWriter, r *http.Request) {
+			rt.handle(s, w, r)
 		})
-	})
-	mux.HandleFunc(prefix+"/broadcasts/", func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, prefix+"/broadcasts/")
-		parts := strings.Split(rest, "/")
-		id := parts[0]
-		switch {
-		case len(parts) == 1 && r.Method == http.MethodGet:
-			info, err := s.Info(id)
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, toSummaryJSON(info))
-		case len(parts) == 2 && parts[1] == "end" && r.Method == http.MethodPost:
-			var req endReq
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			if respondErr(w, s.EndBroadcast(id, req.Token)) {
-				return
-			}
-			writeJSON(w, struct{}{})
-		case len(parts) == 2 && parts[1] == "join" && r.Method == http.MethodPost:
-			var req joinReq
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			loc := geo.Location{City: req.City, Lat: req.Lat, Lon: req.Lon}
-			var grant ViewerGrant
-			var err error
-			if key := r.Header.Get(apiKeyHeader); key != "" {
-				grant, err = s.JoinKey(key, req.UserID, id, loc)
-			} else {
-				grant, err = s.Join(req.UserID, id, loc)
-			}
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, joinResp{
-				Protocol:    string(grant.Protocol),
-				RTMPAddr:    grant.RTMPAddr,
-				HLSBaseURL:  grant.HLSBaseURL,
-				MessageURL:  grant.MessageURL,
-				Private:     grant.Private,
-				RTMPSAddr:   grant.RTMPSAddr,
-				ViewerToken: grant.ViewerToken,
-				CAPEM:       grant.CAPEM,
-			})
-		case len(parts) == 2 && parts[1] == "pubkey" && r.Method == http.MethodPost:
-			var req pubKeyReq
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			key, err := hex.DecodeString(req.PubKeyHex)
-			if err != nil || len(key) != ed25519.PublicKeySize {
-				http.Error(w, "bad public key", http.StatusBadRequest)
-				return
-			}
-			if respondErr(w, s.RegisterPublicKey(id, req.Token, key)) {
-				return
-			}
-			writeJSON(w, struct{}{})
-		case len(parts) == 2 && parts[1] == "pubkey" && r.Method == http.MethodGet:
-			key := s.PublicKey(id)
-			writeJSON(w, pubKeyResp{PubKeyHex: hex.EncodeToString(key)})
-		case len(parts) == 2 && parts[1] == "edge" && r.Method == http.MethodGet:
-			q := r.URL.Query()
-			loc := geo.Location{City: q.Get("city")}
-			fmt.Sscanf(q.Get("lat"), "%f", &loc.Lat)
-			fmt.Sscanf(q.Get("lon"), "%f", &loc.Lon)
-			url, err := s.ResolveEdge(id, loc)
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, resolveEdgeResp{HLSBaseURL: url})
-		default:
-			http.NotFound(w, r)
-		}
-	})
-	mux.HandleFunc(prefix+"/tenants", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			var req tenantCreateReq
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			t, err := s.CreateTenant(req.Name, req.Plan.plan())
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, toTenantJSON(t))
-		case http.MethodGet:
-			if s.Down() {
-				respondErr(w, ErrUnavailable)
-				return
-			}
-			list := s.Tenants()
-			out := make([]tenantJSON, 0, len(list))
-			for _, t := range list {
-				out = append(out, toTenantJSON(t))
-			}
-			writeJSON(w, struct {
-				Tenants []tenantJSON `json:"tenants"`
-			}{out})
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		}
-	})
-	mux.HandleFunc(prefix+"/tenants/", func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, prefix+"/tenants/")
-		parts := strings.Split(rest, "/")
-		id := parts[0]
-		switch {
-		case len(parts) == 1 && r.Method == http.MethodGet:
-			t, err := s.TenantInfo(id)
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, toTenantJSON(t))
-		case len(parts) == 2 && parts[1] == "plan" && r.Method == http.MethodPost:
-			var req planRec
-			if !decodeJSON(w, r, &req) {
-				return
-			}
-			if respondErr(w, s.SetTenantPlan(id, req.plan())) {
-				return
-			}
-			writeJSON(w, struct{}{})
-		case len(parts) == 2 && parts[1] == "keys" && r.Method == http.MethodPost:
-			k, err := s.IssueAPIKey(id)
-			if respondErr(w, err) {
-				return
-			}
-			writeJSON(w, keyIssueResp{Key: k.Key})
-		case len(parts) == 2 && parts[1] == "suspend" && r.Method == http.MethodPost:
-			if respondErr(w, s.SuspendTenant(id)) {
-				return
-			}
-			writeJSON(w, struct{}{})
-		case len(parts) == 2 && parts[1] == "resume" && r.Method == http.MethodPost:
-			if respondErr(w, s.ResumeTenant(id)) {
-				return
-			}
-			writeJSON(w, struct{}{})
-		default:
-			http.NotFound(w, r)
-		}
-	})
-	mux.HandleFunc(prefix+"/keys/revoke", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		var req keyRevokeReq
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		if respondErr(w, s.RevokeAPIKey(req.Key)) {
-			return
-		}
-		writeJSON(w, struct{}{})
-	})
-	mux.HandleFunc(prefix+"/usage", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		tenantID := r.URL.Query().Get("tenant")
-		if tenantID == "" {
-			http.Error(w, "missing tenant parameter", http.StatusBadRequest)
-			return
-		}
-		days, err := s.Usage(tenantID)
-		if respondErr(w, err) {
-			return
-		}
-		if days == nil {
-			days = []UsageDay{}
-		}
-		writeJSON(w, usageResp{TenantID: tenantID, Days: days})
-	})
+	}
 	return mux
+}
+
+// refuseDown answers 503 for the lookups whose Service methods have no error
+// to report an outage with (global list, tenant list, public key). A wiped
+// service must not answer them from empty state — an empty key in particular
+// means "unsigned" to the client — so they fail closed like every other
+// endpoint.
+func refuseDown(s *Service, w http.ResponseWriter) bool {
+	return s.Down() && respondErr(w, ErrUnavailable)
+}
+
+func handleRegister(s *Service, w http.ResponseWriter, r *http.Request) {
+	var req registerReq
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	u, err := s.RegisterUser(req.Name)
+	reply(w, registerResp{ID: u.ID}, err)
+}
+
+func handleGlobal(s *Service, w http.ResponseWriter, r *http.Request) {
+	if refuseDown(s, w) {
+		return
+	}
+	list := s.GlobalList()
+	out := make([]summaryJSON, 0, len(list))
+	for _, b := range list {
+		out = append(out, toSummaryJSON(b))
+	}
+	writeJSON(w, struct {
+		Broadcasts []summaryJSON `json:"broadcasts"`
+	}{out})
+}
+
+func handleStart(s *Service, w http.ResponseWriter, r *http.Request) {
+	var req startReq
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	loc := geo.Location{City: req.City, Lat: req.Lat, Lon: req.Lon}
+	var grant BroadcastGrant
+	var err error
+	switch key := r.Header.Get(apiKeyHeader); {
+	case key != "" && req.Private:
+		// Private broadcasts are invite-keyed per user; tenant-owned
+		// private starts are not a thing yet.
+		http.Error(w, "private broadcasts cannot be key-authenticated", http.StatusBadRequest)
+		return
+	case key != "":
+		grant, err = s.StartBroadcastKey(key, req.UserID, loc)
+	case req.Private:
+		grant, err = s.StartPrivateBroadcast(req.UserID, loc, req.Allowed)
+	default:
+		grant, err = s.StartBroadcast(req.UserID, loc)
+	}
+	reply(w, grant, err)
+}
+
+func handleInfo(s *Service, w http.ResponseWriter, r *http.Request) {
+	info, err := s.Info(r.PathValue("id"))
+	reply(w, toSummaryJSON(info), err)
+}
+
+func handleEnd(s *Service, w http.ResponseWriter, r *http.Request) {
+	var req endReq
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	reply(w, struct{}{}, s.EndBroadcast(r.PathValue("id"), req.Token))
+}
+
+func handleJoin(s *Service, w http.ResponseWriter, r *http.Request) {
+	var req joinReq
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	loc := geo.Location{City: req.City, Lat: req.Lat, Lon: req.Lon}
+	var grant ViewerGrant
+	var err error
+	if key := r.Header.Get(apiKeyHeader); key != "" {
+		grant, err = s.JoinKey(key, req.UserID, r.PathValue("id"), loc)
+	} else {
+		grant, err = s.Join(req.UserID, r.PathValue("id"), loc)
+	}
+	reply(w, grant, err)
+}
+
+func handleRegisterKey(s *Service, w http.ResponseWriter, r *http.Request) {
+	var req pubKeyReq
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	key, err := hex.DecodeString(req.PubKeyHex)
+	if err != nil || len(key) != ed25519.PublicKeySize {
+		http.Error(w, "bad public key", http.StatusBadRequest)
+		return
+	}
+	reply(w, struct{}{}, s.RegisterPublicKey(r.PathValue("id"), req.Token, key))
+}
+
+func handlePublicKey(s *Service, w http.ResponseWriter, r *http.Request) {
+	if refuseDown(s, w) {
+		return
+	}
+	writeJSON(w, pubKeyResp{PubKeyHex: hex.EncodeToString(s.PublicKey(r.PathValue("id")))})
+}
+
+func handleResolveEdge(s *Service, w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	lat, errLat := queryFloat(q, "lat")
+	lon, errLon := queryFloat(q, "lon")
+	if errLat != nil || errLon != nil {
+		http.Error(w, "bad lat/lon parameter", http.StatusBadRequest)
+		return
+	}
+	edge, err := s.ResolveEdge(r.PathValue("id"), geo.Location{City: q.Get("city"), Lat: lat, Lon: lon})
+	reply(w, resolveEdgeResp{HLSBaseURL: edge}, err)
+}
+
+// queryFloat parses an optional coordinate: absent means 0, malformed is an
+// error (a typo must not silently resolve from (0,0)).
+func queryFloat(q url.Values, name string) (float64, error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	return strconv.ParseFloat(v, 64)
+}
+
+func handleCreateTenant(s *Service, w http.ResponseWriter, r *http.Request) {
+	var req tenantCreateReq
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	t, err := s.CreateTenant(req.Name, req.Plan)
+	reply(w, t, err)
+}
+
+func handleTenants(s *Service, w http.ResponseWriter, r *http.Request) {
+	if refuseDown(s, w) {
+		return
+	}
+	writeJSON(w, struct {
+		Tenants []Tenant `json:"tenants"`
+	}{s.Tenants()})
+}
+
+func handleTenantInfo(s *Service, w http.ResponseWriter, r *http.Request) {
+	t, err := s.TenantInfo(r.PathValue("id"))
+	reply(w, t, err)
+}
+
+func handleSetPlan(s *Service, w http.ResponseWriter, r *http.Request) {
+	var plan Plan
+	if !decodeJSON(w, r, &plan) {
+		return
+	}
+	reply(w, struct{}{}, s.SetTenantPlan(r.PathValue("id"), plan))
+}
+
+func handleIssueKey(s *Service, w http.ResponseWriter, r *http.Request) {
+	k, err := s.IssueAPIKey(r.PathValue("id"))
+	reply(w, keyIssueResp{Key: k.Key}, err)
+}
+
+func handleSuspend(s *Service, w http.ResponseWriter, r *http.Request) {
+	reply(w, struct{}{}, s.SuspendTenant(r.PathValue("id")))
+}
+
+func handleResume(s *Service, w http.ResponseWriter, r *http.Request) {
+	reply(w, struct{}{}, s.ResumeTenant(r.PathValue("id")))
+}
+
+func handleRevokeKey(s *Service, w http.ResponseWriter, r *http.Request) {
+	var req keyRevokeReq
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	reply(w, struct{}{}, s.RevokeAPIKey(req.Key))
+}
+
+func handleUsage(s *Service, w http.ResponseWriter, r *http.Request) {
+	tenantID := r.URL.Query().Get("tenant")
+	if tenantID == "" {
+		http.Error(w, "missing tenant parameter", http.StatusBadRequest)
+		return
+	}
+	days, err := s.Usage(tenantID)
+	reply(w, usageResp{TenantID: tenantID, Days: days}, err)
 }
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
@@ -422,55 +365,72 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return true
 }
 
-// errCode is the X-Control-Error value for each sentinel; do is the inverse.
+// reply answers a service call: err's row of errTable, or v as the 200 body.
+func reply(w http.ResponseWriter, v interface{}, err error) {
+	if !respondErr(w, err) {
+		writeJSON(w, v)
+	}
+}
+
+// errTable is the wire form of every service sentinel, read by the server
+// (respondErr: error → status + X-Control-Error code) and by the client
+// (errFromResponse: code → error).
+var errTable = []struct {
+	err    error
+	status int
+	code   string
+}{
+	{ErrNoBroadcast, http.StatusNotFound, "no_broadcast"},
+	{ErrNoTenant, http.StatusNotFound, "no_tenant"},
+	{ErrBadToken, http.StatusForbidden, "bad_token"},
+	{ErrKeyRevoked, http.StatusForbidden, "key_revoked"},
+	{ErrTenantSuspended, http.StatusForbidden, "tenant_suspended"},
+	{ErrBadAPIKey, http.StatusUnauthorized, "bad_api_key"},
+	{ErrNotInvited, http.StatusUnauthorized, "not_invited"},
+	// Quota and plan-rate rejections carry the server-computed wait in
+	// Retry-After; FailoverPoller rides it via the RetryAfterHint on the
+	// client's reconstructed QuotaError.
+	{ErrQuotaExceeded, http.StatusTooManyRequests, "quota"},
+	{ErrEnded, http.StatusGone, "ended"},
+	// The crashed control plane's 503 is the degraded-mode trigger: clients
+	// fall back to cached grants and retry with backoff. Auth fails closed
+	// here: key-authenticated calls get the same 503, never a tenancy answer
+	// derived from wiped state.
+	{ErrUnavailable, http.StatusServiceUnavailable, "unavailable"},
+}
+
+// legacyStatusErr maps a bare status, from a server that predates
+// X-Control-Error, to the one meaning the status had then.
+var legacyStatusErr = map[int]error{
+	http.StatusNotFound:           ErrNoBroadcast,
+	http.StatusForbidden:          ErrBadToken,
+	http.StatusUnauthorized:       ErrNotInvited,
+	http.StatusGone:               ErrEnded,
+	http.StatusServiceUnavailable: ErrUnavailable,
+}
+
+// respondErr writes err's errTable row (500 for an error outside the table)
+// and reports whether there was an error to write.
 func respondErr(w http.ResponseWriter, err error) bool {
 	if err == nil {
 		return false
 	}
-	var qe *QuotaError
-	switch {
-	case errors.Is(err, ErrNoBroadcast):
-		w.Header().Set(errCodeHeader, "no_broadcast")
-		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, ErrNoTenant):
-		w.Header().Set(errCodeHeader, "no_tenant")
-		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, ErrBadToken):
-		w.Header().Set(errCodeHeader, "bad_token")
-		http.Error(w, err.Error(), http.StatusForbidden)
-	case errors.Is(err, ErrKeyRevoked):
-		w.Header().Set(errCodeHeader, "key_revoked")
-		http.Error(w, err.Error(), http.StatusForbidden)
-	case errors.Is(err, ErrTenantSuspended):
-		w.Header().Set(errCodeHeader, "tenant_suspended")
-		http.Error(w, err.Error(), http.StatusForbidden)
-	case errors.Is(err, ErrBadAPIKey):
-		w.Header().Set(errCodeHeader, "bad_api_key")
-		http.Error(w, err.Error(), http.StatusUnauthorized)
-	case errors.Is(err, ErrNotInvited):
-		w.Header().Set(errCodeHeader, "not_invited")
-		http.Error(w, err.Error(), http.StatusUnauthorized)
-	case errors.As(err, &qe):
-		// Quota and plan-rate rejections: 429 with the server-computed wait.
-		// FailoverPoller rides this via the RetryAfterHint on the client's
-		// reconstructed QuotaError.
-		w.Header().Set(errCodeHeader, "quota")
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(qe.RetryAfter)))
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, ErrEnded):
-		w.Header().Set(errCodeHeader, "ended")
-		http.Error(w, err.Error(), http.StatusGone)
-	case errors.Is(err, ErrUnavailable):
-		// The crashed control plane's 503 is the degraded-mode trigger:
-		// clients fall back to cached grants and retry with backoff. Auth
-		// fails closed here: key-authenticated calls get the same 503, never
-		// a tenancy answer derived from wiped state.
-		w.Header().Set(errCodeHeader, "unavailable")
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	status := http.StatusInternalServerError
+	for _, e := range errTable {
+		if !errors.Is(err, e.err) {
+			continue
+		}
+		status = e.status
+		w.Header().Set(errCodeHeader, e.code)
+		var qe *QuotaError
+		if errors.As(err, &qe) {
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(qe.RetryAfter)))
+		} else if e.err == ErrUnavailable {
+			w.Header().Set("Retry-After", "1")
+		}
+		break
 	}
+	http.Error(w, err.Error(), status)
 	return true
 }
 
@@ -557,45 +517,21 @@ func (c *Client) do(req *http.Request, out interface{}) error {
 // the X-Control-Error code when present (it disambiguates statuses that
 // carry two meanings), the historical status mapping otherwise.
 func errFromResponse(resp *http.Response) error {
-	switch resp.Header.Get(errCodeHeader) {
-	case "no_broadcast":
-		return ErrNoBroadcast
-	case "no_tenant":
-		return ErrNoTenant
-	case "bad_token":
-		return ErrBadToken
-	case "key_revoked":
-		return ErrKeyRevoked
-	case "tenant_suspended":
-		return ErrTenantSuspended
-	case "bad_api_key":
-		return ErrBadAPIKey
-	case "not_invited":
-		return ErrNotInvited
-	case "ended":
-		return ErrEnded
-	case "unavailable":
-		return ErrUnavailable
-	case "quota":
+	code := resp.Header.Get(errCodeHeader)
+	for _, e := range errTable {
+		if e.code != code {
+			continue
+		}
+		if e.err != ErrQuotaExceeded {
+			return e.err
+		}
 		retry := time.Second
 		if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
 			retry = time.Duration(s) * time.Second
 		}
 		return &QuotaError{Reason: "server quota rejection", RetryAfter: retry}
 	}
-	switch resp.StatusCode {
-	case http.StatusNotFound:
-		return ErrNoBroadcast
-	case http.StatusForbidden:
-		return ErrBadToken
-	case http.StatusUnauthorized:
-		return ErrNotInvited
-	case http.StatusGone:
-		return ErrEnded
-	case http.StatusServiceUnavailable:
-		return ErrUnavailable
-	}
-	return nil
+	return legacyStatusErr[resp.StatusCode]
 }
 
 // Register creates a user.
@@ -621,20 +557,9 @@ func (c *Client) StartPrivateBroadcast(ctx context.Context, userID uint64, loc g
 }
 
 func (c *Client) startBroadcast(ctx context.Context, req startReq) (BroadcastGrant, error) {
-	var resp grantResp
-	if err := c.post(ctx, "/broadcasts", req, &resp); err != nil {
-		return BroadcastGrant{}, err
-	}
-	return BroadcastGrant{
-		BroadcastID: resp.BroadcastID,
-		Token:       resp.Token,
-		OriginID:    resp.OriginID,
-		RTMPAddr:    resp.RTMPAddr,
-		MessageURL:  resp.MessageURL,
-		Private:     resp.Private,
-		RTMPSAddr:   resp.RTMPSAddr,
-		CAPEM:       resp.CAPEM,
-	}, nil
+	var grant BroadcastGrant
+	err := c.post(ctx, "/broadcasts", req, &grant)
+	return grant, err
 }
 
 // EndBroadcast finishes a broadcast.
@@ -666,22 +591,10 @@ func (c *Client) PublicKey(ctx context.Context, broadcastID string) (ed25519.Pub
 
 // Join requests viewer access to a broadcast.
 func (c *Client) Join(ctx context.Context, userID uint64, broadcastID string, loc geo.Location) (ViewerGrant, error) {
-	var resp joinResp
+	var grant ViewerGrant
 	err := c.post(ctx, "/broadcasts/"+broadcastID+"/join",
-		joinReq{UserID: userID, City: loc.City, Lat: loc.Lat, Lon: loc.Lon}, &resp)
-	if err != nil {
-		return ViewerGrant{}, err
-	}
-	return ViewerGrant{
-		Protocol:    Protocol(resp.Protocol),
-		RTMPAddr:    resp.RTMPAddr,
-		HLSBaseURL:  resp.HLSBaseURL,
-		MessageURL:  resp.MessageURL,
-		Private:     resp.Private,
-		RTMPSAddr:   resp.RTMPSAddr,
-		ViewerToken: resp.ViewerToken,
-		CAPEM:       resp.CAPEM,
-	}, nil
+		joinReq{UserID: userID, City: loc.City, Lat: loc.Lat, Lon: loc.Lon}, &grant)
+	return grant, err
 }
 
 // ResolveEdge re-resolves the healthy HLS edge for a broadcast without
@@ -706,32 +619,16 @@ func (c *Client) GlobalList(ctx context.Context) ([]Summary, error) {
 	}
 	out := make([]Summary, 0, len(resp.Broadcasts))
 	for _, b := range resp.Broadcasts {
-		out = append(out, Summary{
-			BroadcastID: b.BroadcastID,
-			Broadcaster: b.Broadcaster,
-			StartedAt:   b.StartedAt,
-			EndedAt:     b.EndedAt,
-			Live:        b.Live,
-			Viewers:     b.Viewers,
-			Location:    geo.Location{City: b.City},
-		})
+		out = append(out, b.summary())
 	}
 	return out, nil
 }
 
 // CreateTenant registers a tenant (admin surface).
 func (c *Client) CreateTenant(ctx context.Context, name string, plan Plan) (Tenant, error) {
-	var resp tenantJSON
-	if err := c.post(ctx, "/tenants", tenantCreateReq{Name: name, Plan: planRecOf(plan)}, &resp); err != nil {
-		return Tenant{}, err
-	}
-	return Tenant{
-		ID:        resp.ID,
-		Name:      resp.Name,
-		Plan:      resp.Plan.plan(),
-		Suspended: resp.Suspended,
-		CreatedAt: resp.CreatedAt,
-	}, nil
+	var t Tenant
+	err := c.post(ctx, "/tenants", tenantCreateReq{Name: name, Plan: plan}, &t)
+	return t, err
 }
 
 // IssueAPIKey mints a key for the tenant (admin surface).
@@ -773,13 +670,5 @@ func (c *Client) Info(ctx context.Context, broadcastID string) (Summary, error) 
 	if err := c.get(ctx, "/broadcasts/"+broadcastID, &b); err != nil {
 		return Summary{}, err
 	}
-	return Summary{
-		BroadcastID: b.BroadcastID,
-		Broadcaster: b.Broadcaster,
-		StartedAt:   b.StartedAt,
-		EndedAt:     b.EndedAt,
-		Live:        b.Live,
-		Viewers:     b.Viewers,
-		Location:    geo.Location{City: b.City},
-	}, nil
+	return b.summary(), nil
 }

@@ -3,8 +3,12 @@ package control
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	pathpkg "path"
 	"strconv"
 	"strings"
 	"testing"
@@ -253,4 +257,273 @@ func TestHTTPKeyAuthUnavailable(t *testing.T) {
 	if _, err := c.Join(context.Background(), 5, grant.BroadcastID, geo.Location{}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("crashed join via client: err = %v", err)
 	}
+	// The key lookup fails closed too: an empty 200 would read as "this
+	// broadcast is unsigned" and switch a viewer's verification off.
+	rec := call(Handler("/api", s), "GET", "/api/broadcasts/"+grant.BroadcastID+"/pubkey", "", "")
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get(errCodeHeader) != "unavailable" {
+		t.Fatalf("crashed pubkey lookup: status %d, code %q, body %s", rec.Code, rec.Header().Get(errCodeHeader), rec.Body)
+	}
+	if _, err := c.PublicKey(context.Background(), grant.BroadcastID); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("crashed pubkey lookup via client: err = %v", err)
+	}
+}
+
+// call drives one request through the handler without a socket.
+func call(h http.Handler, method, target, key, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, target, strings.NewReader(body))
+	if key != "" {
+		req.Header.Set(apiKeyHeader, key)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestHTTPGoldenBodies pins the response bytes of the endpoints whose bodies
+// are the domain types themselves: tags, field order and omitted zero values
+// are the wire contract. Secrets are crypto/rand, so they are read back out
+// of the response and replaced before comparing.
+func TestHTTPGoldenBodies(t *testing.T) {
+	clk := clock.NewVirtual(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
+	s := NewService(Config{
+		Routes: Routes{
+			AssignOrigin: func(geo.Location) (string, string) { return "origin-1", "127.0.0.1:1935" },
+			RTMPSAddr:    func(string) string { return "127.0.0.1:19350" },
+			AssignEdge:   func(string, geo.Location) string { return "http://edge-1/hls" },
+			MessageURL:   "http://msg/channel",
+			TLSCertPEM:   []byte("CA"),
+		},
+		RTMPViewerLimit: 1,
+		Clock:           clk,
+	})
+	h := Handler("/api", s)
+	// Timestamps print in the process's zone; everything else is literal.
+	at := time.Unix(0, clk.Now().UnixNano()).Format(time.RFC3339Nano)
+	secret := func(body, field string) string {
+		t.Helper()
+		_, rest, ok := strings.Cut(body, `"`+field+`":"`)
+		value, _, ok2 := strings.Cut(rest, `"`)
+		if !ok || !ok2 {
+			t.Fatalf("no %s in %s", field, body)
+		}
+		return value
+	}
+	expect := func(name string, rec *httptest.ResponseRecorder, want string) string {
+		t.Helper()
+		got := rec.Body.String()
+		for _, field := range []string{"token", "viewer_token", "key"} {
+			if strings.Contains(got, `"`+field+`":"`) {
+				got = strings.Replace(got, secret(got, field), "SECRET", 1)
+			}
+		}
+		if rec.Code != http.StatusOK || got != want+"\n" {
+			t.Errorf("%s: status %d\n got %swant %s", name, rec.Code, got, want)
+		}
+		return rec.Body.String()
+	}
+
+	expect("register", call(h, "POST", "/api/users", "", `{"name":"alice"}`), `{"id":1}`)
+	expect("start", call(h, "POST", "/api/broadcasts", "", `{"user_id":1,"city":"NYC","lat":40.7,"lon":-74}`),
+		`{"broadcast_id":"bcast-1","token":"SECRET","origin_id":"origin-1","rtmp_addr":"127.0.0.1:1935","message_url":"http://msg/channel"}`)
+	expect("private start", call(h, "POST", "/api/broadcasts", "", `{"user_id":1,"private":true,"allowed":[2]}`),
+		`{"broadcast_id":"bcast-2","token":"SECRET","origin_id":"origin-1","message_url":"http://msg/channel","private":true,"rtmps_addr":"127.0.0.1:19350","ca_pem":"Q0E="}`)
+	expect("rtmp join", call(h, "POST", "/api/broadcasts/bcast-1/join", "", `{"user_id":2}`),
+		`{"protocol":"rtmp","rtmp_addr":"127.0.0.1:1935","hls_base_url":"http://edge-1/hls","message_url":"http://msg/channel"}`)
+	expect("hls join", call(h, "POST", "/api/broadcasts/bcast-1/join", "", `{"user_id":3}`),
+		`{"protocol":"hls","hls_base_url":"http://edge-1/hls","message_url":"http://msg/channel"}`)
+	expect("private join", call(h, "POST", "/api/broadcasts/bcast-2/join", "", `{"user_id":2}`),
+		`{"protocol":"rtmps","message_url":"http://msg/channel","private":true,"rtmps_addr":"127.0.0.1:19350","viewer_token":"SECRET","ca_pem":"Q0E="}`)
+	expect("info", call(h, "GET", "/api/broadcasts/bcast-1", "", ""),
+		`{"broadcast_id":"bcast-1","broadcaster":1,"started_at":"`+at+`","ended_at":"0001-01-01T00:00:00Z","live":true,"viewers":2,"city":"NYC"}`)
+
+	tenant := `{"id":"tnt-1","name":"acme","plan":{"name":"pro","max_broadcasts":2,"max_join_rps":50,"join_burst":5,"daily_bytes":1073741824},"created_at":"` + at + `"}`
+	expect("tenant create", call(h, "POST", "/api/tenants", "",
+		`{"name":"acme","plan":{"name":"pro","max_broadcasts":2,"max_join_rps":50,"join_burst":5,"daily_bytes":1073741824}}`), tenant)
+	expect("tenant info", call(h, "GET", "/api/tenants/tnt-1", "", ""), tenant)
+	expect("bare tenant create", call(h, "POST", "/api/tenants", "", `{}`), `{"id":"tnt-2","plan":{},"created_at":"`+at+`"}`)
+	expect("suspend", call(h, "POST", "/api/tenants/tnt-2/suspend", "", ``), `{}`)
+	expect("tenant list", call(h, "GET", "/api/tenants", "", ""),
+		`{"tenants":[`+tenant+`,{"id":"tnt-2","plan":{},"suspended":true,"created_at":"`+at+`"}]}`)
+	expect("set plan", call(h, "POST", "/api/tenants/tnt-1/plan", "", `{"daily_bytes":4000}`), `{}`)
+	key := secret(expect("key issue", call(h, "POST", "/api/tenants/tnt-1/keys", "", `{}`), `{"key":"SECRET"}`), "key")
+	expect("keyed start", call(h, "POST", "/api/broadcasts", key, `{"user_id":1}`),
+		`{"broadcast_id":"bcast-3","token":"SECRET","origin_id":"origin-1","rtmp_addr":"127.0.0.1:1935","message_url":"http://msg/channel"}`)
+	expect("empty usage", call(h, "GET", "/api/usage?tenant=tnt-1", "", ""), `{"tenant_id":"tnt-1","days":[]}`)
+	s.Meter("bcast-3").MeterFrames(3, 333)
+	s.FlushUsage()
+	expect("usage", call(h, "GET", "/api/usage?tenant=tnt-1", "", ""),
+		`{"tenant_id":"tnt-1","days":[{"day":"2026-03-01","frames":3,"chunks":0,"bytes":333}]}`)
+	expect("edge", call(h, "GET", "/api/broadcasts/bcast-1/edge?city=SF&lat=37.77&lon=-122.4", "", ""),
+		`{"hls_base_url":"http://edge-1/hls"}`)
+	expect("pubkey", call(h, "GET", "/api/broadcasts/bcast-1/pubkey", "", ""), `{"pubkey_hex":""}`)
+	expect("end", call(h, "POST", "/api/broadcasts/bcast-3/end", "", `{"token":"`+s.broadcasts["bcast-3"].token+`"}`), `{}`)
+	expect("global", call(h, "GET", "/api/global", "", ""),
+		`{"broadcasts":[{"broadcast_id":"bcast-1","broadcaster":1,"started_at":"`+at+`","ended_at":"0001-01-01T00:00:00Z","live":true,"viewers":2,"city":"NYC"}]}`)
+}
+
+// TestErrorTableRoundTrip: every sentinel, bare or wrapped, survives
+// respondErr → errFromResponse as an errors.Is-equal error, on the status the
+// table gives it; the two Retry-After carriers keep their headers.
+func TestErrorTableRoundTrip(t *testing.T) {
+	roundTrip := func(err error) (*http.Response, error) {
+		rec := httptest.NewRecorder()
+		if !respondErr(rec, err) {
+			t.Fatalf("respondErr(%v) = false", err)
+		}
+		resp := rec.Result()
+		return resp, errFromResponse(resp)
+	}
+	codes := map[string]bool{}
+	for _, e := range errTable {
+		if codes[e.code] {
+			t.Errorf("code %q appears twice in errTable", e.code)
+		}
+		codes[e.code] = true
+		for _, err := range []error{e.err, fmt.Errorf("wrapped: %w", e.err)} {
+			resp, got := roundTrip(err)
+			if resp.StatusCode != e.status || resp.Header.Get(errCodeHeader) != e.code || !errors.Is(got, e.err) {
+				t.Errorf("%v: status %d code %q, client error %v", err, resp.StatusCode, resp.Header.Get(errCodeHeader), got)
+			}
+		}
+	}
+	resp, got := roundTrip(&QuotaError{Reason: "test", RetryAfter: 90 * time.Second})
+	var qe *QuotaError
+	if !errors.As(got, &qe) || qe.RetryAfter != 90*time.Second || resp.Header.Get("Retry-After") != "90" {
+		t.Errorf("quota: Retry-After %q, client error %v", resp.Header.Get("Retry-After"), got)
+	}
+	if resp, _ := roundTrip(ErrUnavailable); resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("unavailable: Retry-After %q, want 1", resp.Header.Get("Retry-After"))
+	}
+	// Outside the table: 500, no code, and the client reports the bare status.
+	if resp, got := roundTrip(errors.New("boom")); resp.StatusCode != http.StatusInternalServerError || got != nil {
+		t.Errorf("unknown error: status %d, client error %v", resp.StatusCode, got)
+	}
+	// A server without X-Control-Error still maps by status alone.
+	for status, want := range legacyStatusErr {
+		if got := errFromResponse(&http.Response{StatusCode: status, Header: http.Header{}}); got != want {
+			t.Errorf("bare status %d → %v, want %v", status, got, want)
+		}
+	}
+}
+
+// TestHTTPRouting: the route table is the whole surface — other paths are
+// 404, other methods on a known path 405.
+func TestHTTPRouting(t *testing.T) {
+	h := Handler("/api", newTestService())
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{"GET", "/api/users", http.StatusMethodNotAllowed},
+		{"DELETE", "/api/broadcasts/bcast-1", http.StatusMethodNotAllowed},
+		{"GET", "/api/broadcasts/bcast-1/join", http.StatusMethodNotAllowed},
+		{"POST", "/api/usage", http.StatusMethodNotAllowed},
+		{"GET", "/api/broadcasts/bcast-1/nope", http.StatusNotFound},
+		{"GET", "/api/broadcasts/bcast-1/join/extra", http.StatusNotFound},
+		{"GET", "/api/broadcasts/", http.StatusNotFound},
+		{"GET", "/api/tenants/tnt-1/keys/x", http.StatusNotFound},
+		{"GET", "/api", http.StatusNotFound},
+		{"GET", "/other/users", http.StatusNotFound},
+	} {
+		if got := call(h, tc.method, tc.path, "", "{}").Code; got != tc.want {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, got, tc.want)
+		}
+	}
+}
+
+// fuzzService is the small seeded service FuzzControlHandler runs against:
+// every route configured, one user, one public and one private broadcast, one
+// tenant with a key.
+func fuzzService() *Service {
+	s := NewService(Config{
+		Routes: Routes{
+			AssignOrigin: func(geo.Location) (string, string) { return "origin-1", "127.0.0.1:1935" },
+			RTMPSAddr:    func(string) string { return "127.0.0.1:19350" },
+			AssignEdge:   func(string, geo.Location) string { return "http://edge-1/hls" },
+		},
+		Seed: 1,
+	})
+	u := s.Register("alice")
+	s.StartBroadcast(u.ID, geo.Location{City: "NYC"})
+	s.StartPrivateBroadcast(u.ID, geo.Location{}, []uint64{2})
+	tn, _ := s.CreateTenant("acme", Plan{MaxConcurrentBroadcasts: 2, MaxJoinRPS: 1})
+	s.IssueAPIKey(tn.ID)
+	return s
+}
+
+// routePath reports whether path is one the route table serves under /api,
+// and which methods it serves there.
+func routePath(path string) (methods []string) {
+	rest, ok := strings.CutPrefix(path, "/api")
+	if !ok {
+		return nil
+	}
+	segs := strings.Split(rest, "/")
+	for _, rt := range routes {
+		pat := strings.Split(rt.path, "/")
+		match := len(pat) == len(segs)
+		for i := 0; match && i < len(pat); i++ {
+			match = pat[i] == segs[i] || (pat[i] == "{id}" && segs[i] != "")
+		}
+		if match {
+			methods = append(methods, rt.method)
+		}
+	}
+	return methods
+}
+
+// FuzzControlHandler throws arbitrary requests at the handler: it must never
+// panic, never answer 5xx except 503 while the service is down, and answer
+// only 404 (or the mux's path-cleaning redirect) off the route table and 405
+// for a table path's other methods.
+func FuzzControlHandler(f *testing.F) {
+	for _, rt := range routes {
+		path := strings.Replace(rt.path, "{id}", "bcast-1", 1)
+		f.Add(rt.method, "/api"+path, "lat=1.5&lon=abc&tenant=tnt-1", `{"user_id":1,"token":"t","name":"n"}`, "", false)
+		f.Add(rt.method, "/api"+strings.Replace(rt.path, "{id}", "tnt-1", 1), "", `{"plan":{"max_broadcasts":1},"private":true}`, "key-x", true)
+	}
+	f.Add("PATCH", "/api/users", "", "", "", false)
+	f.Add("GET", "/api/broadcasts//join", "", "not json", "", false)
+	f.Add("GET", "/api/../etc", "%zz", "", "", false)
+	f.Fuzz(func(t *testing.T, method, path, query, body, key string, down bool) {
+		s := fuzzService()
+		if down {
+			s.Crash()
+		}
+		if key == "live" {
+			for k := range s.keys {
+				key = k
+			}
+		}
+		req := &http.Request{
+			Method: method,
+			URL:    &url.URL{Path: path, RawQuery: query},
+			Header: http.Header{apiKeyHeader: {key}},
+			Body:   io.NopCloser(strings.NewReader(body)),
+		}
+		rec := httptest.NewRecorder()
+		Handler("/api", s).ServeHTTP(rec, req)
+
+		if rec.Code >= 500 && !(down && rec.Code == http.StatusServiceUnavailable) {
+			t.Fatalf("%s %q?%q down=%v: status %d: %s", method, path, query, down, rec.Code, rec.Body)
+		}
+		// The oracle below reads the path the way the mux does only when no
+		// cleaning or escaping is involved.
+		if !strings.HasPrefix(path, "/") || path != pathpkg.Clean(path) || strings.ContainsAny(path, "%{}") {
+			return
+		}
+		methods := routePath(path)
+		served := false
+		for _, m := range methods {
+			served = served || m == method || (m == "GET" && method == "HEAD")
+		}
+		switch {
+		case len(methods) == 0 && rec.Code != http.StatusNotFound:
+			t.Fatalf("%s %q is off the route table: status %d, want 404", method, path, rec.Code)
+		case len(methods) > 0 && !served && rec.Code != http.StatusMethodNotAllowed:
+			t.Fatalf("%s %q: status %d, want 405 (table serves %v)", method, path, rec.Code, methods)
+		case served && (rec.Code == http.StatusMethodNotAllowed):
+			t.Fatalf("%s %q: 405 on a route the table serves", method, path)
+		}
+	})
 }

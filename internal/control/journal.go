@@ -30,11 +30,61 @@ import (
 // including the crypto/rand-minted broadcast and viewer tokens, which could
 // never be re-derived.
 
-// Journal payload codecs, one per Record*Ctrl* type. BroadcastID travels in
-// the record frame itself.
+// ctrlRecord is one journaled mutation. Its JSON form is the journal payload
+// and applyLocked is the only code that installs it into service state: the
+// live path reaches it through commitLocked, replay through
+// applyRecordLocked, so live state equals replayed state by construction.
+// Apply functions re-check what the live path already validated (the row
+// exists, the broadcast is not ended): on replay the journal is outside
+// input. The entity ID travels in the record frame's BroadcastID field.
+type ctrlRecord interface {
+	applyLocked(s *Service, id string)
+}
+
+// newCtrlRecord returns the empty payload codec for a record type, or nil for
+// a type this binary does not know.
+func newCtrlRecord(t journal.RecordType) ctrlRecord {
+	switch t {
+	case journal.RecordCtrlRegister:
+		return new(ctrlRegisterRec)
+	case journal.RecordCtrlStart:
+		return new(ctrlStartRec)
+	case journal.RecordCtrlEnd:
+		return new(ctrlEndRec)
+	case journal.RecordCtrlKey:
+		return new(ctrlKeyRec)
+	case journal.RecordCtrlJoin:
+		return new(ctrlJoinRec)
+	case journal.RecordCtrlTenant:
+		return new(ctrlTenantRec)
+	case journal.RecordCtrlTenantPlan:
+		return new(ctrlTenantPlanRec)
+	case journal.RecordCtrlTenantStatus:
+		return new(ctrlTenantStatusRec)
+	case journal.RecordCtrlKeyIssue:
+		return new(ctrlKeyIssueRec)
+	case journal.RecordCtrlKeyRevoke:
+		return new(ctrlKeyRevokeRec)
+	case journal.RecordCtrlUsage:
+		return new(UsageDay)
+	}
+	return nil
+}
+
 type ctrlRegisterRec struct {
 	ID   uint64 `json:"id"`
 	Name string `json:"name,omitempty"`
+}
+
+func (rec *ctrlRegisterRec) applyLocked(s *Service, _ string) {
+	if rec.ID == 0 {
+		s.logf("control: journal register record without an ID")
+		return
+	}
+	s.users[rec.ID] = User{ID: rec.ID, Name: rec.Name}
+	if rec.ID > s.nextUser {
+		s.nextUser = rec.ID
+	}
 }
 
 type ctrlStartRec struct {
@@ -52,12 +102,81 @@ type ctrlStartRec struct {
 	TenantID    string   `json:"tenant,omitempty"`
 }
 
+func (rec *ctrlStartRec) applyLocked(s *Service, id string) {
+	if _, ok := s.broadcasts[id]; ok {
+		return
+	}
+	st := &broadcastState{
+		id:          id,
+		token:       rec.Token,
+		broadcaster: rec.Broadcaster,
+		originID:    rec.OriginID,
+		rtmpAddr:    rec.RTMPAddr,
+		rtmpsAddr:   rec.RTMPSAddr,
+		startedAt:   time.Unix(0, rec.StartedAt),
+		loc:         geo.Location{City: rec.City, Lat: rec.Lat, Lon: rec.Lon},
+		private:     rec.Private,
+		tenantID:    rec.TenantID,
+		started:     closedStart,
+	}
+	if rec.TenantID != "" {
+		// The owning tenant's record always precedes the start in the
+		// journal (both were appended under s.mu); a missing row means a
+		// tenant record was skipped as undecodable.
+		if ts, ok := s.tenants[rec.TenantID]; ok {
+			ts.live++
+		}
+	}
+	if rec.Private {
+		st.allowed = make(map[uint64]bool, len(rec.Allowed))
+		for _, u := range rec.Allowed {
+			st.allowed[u] = true
+		}
+		st.viewerTokens = make(map[string]bool)
+	} else {
+		// Private broadcasts never appear on the public global list.
+		s.livePos[id] = len(s.liveIDs)
+		s.liveIDs = append(s.liveIDs, id)
+	}
+	s.broadcasts[id] = st
+	if n, ok := seqOf(id, "bcast-"); ok && n > s.nextBcast {
+		s.nextBcast = n
+	}
+}
+
 type ctrlEndRec struct {
 	EndedAt int64 `json:"ended_at"` // unix nanos
 }
 
+func (rec *ctrlEndRec) applyLocked(s *Service, id string) {
+	st, ok := s.broadcasts[id]
+	if !ok || st.ended {
+		return
+	}
+	st.ended = true
+	st.endedAt = time.Unix(0, rec.EndedAt)
+	if st.tenantID != "" {
+		if ts, ok := s.tenants[st.tenantID]; ok && ts.live > 0 {
+			ts.live--
+		}
+	}
+	if pos, ok := s.livePos[id]; ok {
+		last := len(s.liveIDs) - 1
+		s.liveIDs[pos] = s.liveIDs[last]
+		s.livePos[s.liveIDs[pos]] = pos
+		s.liveIDs = s.liveIDs[:last]
+		delete(s.livePos, id)
+	}
+}
+
 type ctrlKeyRec struct {
 	PubKey []byte `json:"pubkey"`
+}
+
+func (rec *ctrlKeyRec) applyLocked(s *Service, id string) {
+	if st, ok := s.broadcasts[id]; ok {
+		st.pubKey = append(ed25519.PublicKey(nil), rec.PubKey...)
+	}
 }
 
 type ctrlJoinRec struct {
@@ -68,83 +187,110 @@ type ctrlJoinRec struct {
 	ViewerToken string `json:"viewer_token,omitempty"`
 }
 
-// Tenancy codecs (DESIGN.md §11). The tenant ID (or, for key records, the
-// API key) travels in the record frame's BroadcastID field.
-
-// planRec is the journaled form of a Plan.
-type planRec struct {
-	Name          string  `json:"name,omitempty"`
-	MaxBroadcasts int     `json:"max_broadcasts,omitempty"`
-	MaxJoinRPS    float64 `json:"max_join_rps,omitempty"`
-	JoinBurst     float64 `json:"join_burst,omitempty"`
-	DailyBytes    int64   `json:"daily_bytes,omitempty"`
-}
-
-func planRecOf(p Plan) planRec {
-	return planRec{
-		Name:          p.Name,
-		MaxBroadcasts: p.MaxConcurrentBroadcasts,
-		MaxJoinRPS:    p.MaxJoinRPS,
-		JoinBurst:     p.JoinBurst,
-		DailyBytes:    p.DailyBytesQuota,
+func (rec *ctrlJoinRec) applyLocked(s *Service, id string) {
+	st, ok := s.broadcasts[id]
+	if !ok || st.ended {
+		return
+	}
+	st.joins = append(st.joins, ViewerJoin{UserID: rec.UserID, At: time.Unix(0, rec.At)})
+	if rec.ViewerToken != "" && st.viewerTokens != nil {
+		st.viewerTokens[rec.ViewerToken] = true
 	}
 }
 
-func (r planRec) plan() Plan {
-	return Plan{
-		Name:                    r.Name,
-		MaxConcurrentBroadcasts: r.MaxBroadcasts,
-		MaxJoinRPS:              r.MaxJoinRPS,
-		JoinBurst:               r.JoinBurst,
-		DailyBytesQuota:         r.DailyBytes,
-	}
-}
+// Tenancy records (DESIGN.md §11). Plan and UsageDay are their own payloads;
+// the tenant row keeps a record type because its timestamp is journaled as
+// unix nanos and its ID rides in the frame.
 
 type ctrlTenantRec struct {
-	Name      string  `json:"name,omitempty"`
-	Plan      planRec `json:"plan"`
-	Suspended bool    `json:"suspended,omitempty"`
-	CreatedAt int64   `json:"created_at"` // unix nanos
+	Name      string `json:"name,omitempty"`
+	Plan      Plan   `json:"plan"`
+	Suspended bool   `json:"suspended,omitempty"`
+	CreatedAt int64  `json:"created_at"` // unix nanos
 }
 
-func tenantRecOf(t Tenant) ctrlTenantRec {
-	return ctrlTenantRec{
-		Name:      t.Name,
-		Plan:      planRecOf(t.Plan),
-		Suspended: t.Suspended,
-		CreatedAt: t.CreatedAt.UnixNano(),
+func (rec *ctrlTenantRec) applyLocked(s *Service, id string) {
+	t := Tenant{
+		ID:        id,
+		Name:      rec.Name,
+		Plan:      rec.Plan,
+		Suspended: rec.Suspended,
+		CreatedAt: time.Unix(0, rec.CreatedAt),
+	}
+	if ts, ok := s.tenants[id]; ok {
+		// Upsert: keep live count and rollups accumulated so far.
+		ts.t = t
+	} else {
+		s.tenants[id] = &tenantState{t: t, usage: make(map[string]UsageDay)}
+	}
+	if n, ok := seqOf(id, "tnt-"); ok && n > s.nextTenant {
+		s.nextTenant = n
 	}
 }
 
 type ctrlTenantPlanRec struct {
-	Plan planRec `json:"plan"`
+	Plan Plan `json:"plan"`
+}
+
+func (rec *ctrlTenantPlanRec) applyLocked(s *Service, id string) {
+	if ts, ok := s.tenants[id]; ok {
+		ts.t.Plan = rec.Plan
+	}
 }
 
 type ctrlTenantStatusRec struct {
 	Suspended bool `json:"suspended"`
 }
 
+func (rec *ctrlTenantStatusRec) applyLocked(s *Service, id string) {
+	if ts, ok := s.tenants[id]; ok {
+		ts.t.Suspended = rec.Suspended
+	}
+}
+
+// ctrlKeyIssueRec's frame ID is the API key itself.
 type ctrlKeyIssueRec struct {
 	Tenant   string `json:"tenant"`
 	IssuedAt int64  `json:"issued_at"` // unix nanos
 }
 
+func (rec *ctrlKeyIssueRec) applyLocked(s *Service, key string) {
+	if rec.Tenant == "" {
+		s.logf("control: journal key issue record without a tenant")
+		return
+	}
+	s.keys[key] = &APIKey{Key: key, TenantID: rec.Tenant, IssuedAt: time.Unix(0, rec.IssuedAt)}
+}
+
 type ctrlKeyRevokeRec struct{}
 
-// ctrlUsageRec carries ABSOLUTE cumulative day totals (see
-// journal.RecordCtrlUsage): replay assigns, so a torn tail can lose the
-// newest rollup but never double-counts an older one.
-type ctrlUsageRec struct {
-	Day    string `json:"day"`
-	Frames int64  `json:"frames"`
-	Chunks int64  `json:"chunks"`
-	Bytes  int64  `json:"bytes"`
+func (*ctrlKeyRevokeRec) applyLocked(s *Service, key string) {
+	if k, ok := s.keys[key]; ok {
+		k.Revoked = true
+	}
+}
+
+// applyLocked installs one usage rollup. Records carry ABSOLUTE cumulative day
+// totals (see journal.RecordCtrlUsage) and apply ASSIGNS them — never adds.
+// Later records for the same day simply carry larger totals, so replaying any
+// prefix of the journal (a torn tail) yields exact counts as of the last
+// durable flush, with no double-counting.
+func (rec *UsageDay) applyLocked(s *Service, tenantID string) {
+	ts, ok := s.tenants[tenantID]
+	if !ok {
+		return
+	}
+	if rec.Day == "" {
+		s.logf("control: journal usage record %q without a day", tenantID)
+		return
+	}
+	ts.usage[rec.Day] = *rec
 }
 
 // encodeCtrl marshals a payload codec. The codecs are plain structs of
 // scalars and slices; json.Marshal cannot fail on them.
-func encodeCtrl(v interface{}) []byte {
-	b, _ := json.Marshal(v)
+func encodeCtrl(rec ctrlRecord) []byte {
+	b, _ := json.Marshal(rec)
 	return b
 }
 
@@ -189,16 +335,19 @@ var closedStart = func() chan struct{} {
 	return ch
 }()
 
-// appendLocked enqueues one record on the journal writer. Called with s.mu
-// held — see the package comment above: holding the lock across the enqueue
-// is what makes journal order equal mutation order. The writer only
-// enqueues (the group commit runs on its own goroutine), so the critical
-// section grows by a channel send, never an fsync.
-func (s *Service) appendLocked(r journal.Record) {
+// commitLocked is the one way a live mutation reaches service state: it
+// applies the record through the function replay uses, then enqueues it on the
+// journal writer. Called with s.mu held — see the comment at the top of this
+// file: holding the lock across the enqueue is what makes journal order equal
+// mutation order. The writer only enqueues (the group commit runs on its own
+// goroutine), so the critical section grows by a channel send, never an fsync.
+func (s *Service) commitLocked(t journal.RecordType, id string, rec ctrlRecord) {
+	rec.applyLocked(s, id)
 	if s.jw == nil {
 		return
 	}
-	if err := s.jw.Append(r); err != nil && !errors.Is(err, journal.ErrClosed) {
+	err := s.jw.Append(journal.Record{Type: t, BroadcastID: id, Payload: encodeCtrl(rec)})
+	if err != nil && !errors.Is(err, journal.ErrClosed) {
 		s.logf("control: journal append: %v", err)
 	}
 }
@@ -241,13 +390,8 @@ func (s *Service) openJournalLocked() {
 	})
 }
 
-// bcastSeq extracts N from a "bcast-N" broadcast ID; replay uses it to
-// restore the sequential-ID counter past every journaled broadcast.
-func bcastSeq(id string) (uint64, bool) { return seqOf(id, "bcast-") }
-
-// tntSeq does the same for "tnt-N" tenant IDs.
-func tntSeq(id string) (uint64, bool) { return seqOf(id, "tnt-") }
-
+// seqOf extracts N from a "<prefix>N" ID; apply uses it to restore the
+// sequential-ID counters past every journaled broadcast and tenant.
 func seqOf(id, prefix string) (uint64, bool) {
 	rest, ok := strings.CutPrefix(id, prefix)
 	if !ok {
@@ -264,192 +408,18 @@ func seqOf(id, prefix string) (uint64, bool) {
 // an undecodable payload is a writer bug, not tail damage; it is skipped
 // (logged) rather than aborting recovery.
 func (s *Service) applyRecordLocked(r journal.Record) error {
-	switch r.Type {
-	case journal.RecordCtrlRegister:
-		var rec ctrlRegisterRec
-		if json.Unmarshal(r.Payload, &rec) != nil || rec.ID == 0 {
-			s.logf("control: journal register record undecodable")
-			return nil
-		}
-		s.users[rec.ID] = User{ID: rec.ID, Name: rec.Name}
-		if rec.ID > s.nextUser {
-			s.nextUser = rec.ID
-		}
-	case journal.RecordCtrlStart:
-		var rec ctrlStartRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal start record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		id := r.BroadcastID
-		if _, ok := s.broadcasts[id]; ok {
-			return nil
-		}
-		st := &broadcastState{
-			id:          id,
-			token:       rec.Token,
-			broadcaster: rec.Broadcaster,
-			originID:    rec.OriginID,
-			rtmpAddr:    rec.RTMPAddr,
-			rtmpsAddr:   rec.RTMPSAddr,
-			startedAt:   time.Unix(0, rec.StartedAt),
-			loc:         geo.Location{City: rec.City, Lat: rec.Lat, Lon: rec.Lon},
-			private:     rec.Private,
-			tenantID:    rec.TenantID,
-			started:     closedStart,
-		}
-		if rec.TenantID != "" {
-			// The owning tenant's record always precedes the start in the
-			// journal (both were appended under s.mu); a missing row means a
-			// tenant record was skipped as undecodable — count live anyway so
-			// a later tenant upsert sees consistent admission state.
-			if ts, ok := s.tenants[rec.TenantID]; ok {
-				ts.live++
-			}
-		}
-		if rec.Private {
-			st.allowed = make(map[uint64]bool, len(rec.Allowed))
-			for _, u := range rec.Allowed {
-				st.allowed[u] = true
-			}
-			st.viewerTokens = make(map[string]bool)
-		}
-		s.broadcasts[id] = st
-		if !rec.Private {
-			s.livePos[id] = len(s.liveIDs)
-			s.liveIDs = append(s.liveIDs, id)
-		}
-		if n, ok := bcastSeq(id); ok && n > s.nextBcast {
-			s.nextBcast = n
-		}
-	case journal.RecordCtrlEnd:
-		st, ok := s.broadcasts[r.BroadcastID]
-		if !ok || st.ended {
-			return nil
-		}
-		var rec ctrlEndRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal end record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		st.ended = true
-		st.endedAt = time.Unix(0, rec.EndedAt)
-		if st.tenantID != "" {
-			if ts, tok := s.tenants[st.tenantID]; tok && ts.live > 0 {
-				ts.live--
-			}
-		}
-		s.removeLiveLocked(r.BroadcastID)
-	case journal.RecordCtrlKey:
-		st, ok := s.broadcasts[r.BroadcastID]
-		if !ok {
-			return nil
-		}
-		var rec ctrlKeyRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal key record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		st.pubKey = append(ed25519.PublicKey(nil), rec.PubKey...)
-	case journal.RecordCtrlJoin:
-		st, ok := s.broadcasts[r.BroadcastID]
-		if !ok || st.ended {
-			return nil
-		}
-		var rec ctrlJoinRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal join record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		st.joins = append(st.joins, ViewerJoin{UserID: rec.UserID, At: time.Unix(0, rec.At)})
-		if rec.ViewerToken != "" && st.viewerTokens != nil {
-			st.viewerTokens[rec.ViewerToken] = true
-		}
-	case journal.RecordCtrlTenant:
-		var rec ctrlTenantRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal tenant record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		id := r.BroadcastID
-		t := Tenant{
-			ID:        id,
-			Name:      rec.Name,
-			Plan:      rec.Plan.plan(),
-			Suspended: rec.Suspended,
-			CreatedAt: time.Unix(0, rec.CreatedAt),
-		}
-		if ts, ok := s.tenants[id]; ok {
-			// Upsert: keep live count and rollups accumulated so far.
-			ts.t = t
-		} else {
-			s.tenants[id] = &tenantState{t: t, usage: make(map[string]UsageDay)}
-		}
-		if n, ok := tntSeq(id); ok && n > s.nextTenant {
-			s.nextTenant = n
-		}
-	case journal.RecordCtrlTenantPlan:
-		ts, ok := s.tenants[r.BroadcastID]
-		if !ok {
-			return nil
-		}
-		var rec ctrlTenantPlanRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal tenant plan record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		ts.t.Plan = rec.Plan.plan()
-	case journal.RecordCtrlTenantStatus:
-		ts, ok := s.tenants[r.BroadcastID]
-		if !ok {
-			return nil
-		}
-		var rec ctrlTenantStatusRec
-		if json.Unmarshal(r.Payload, &rec) != nil {
-			s.logf("control: journal tenant status record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		ts.t.Suspended = rec.Suspended
-	case journal.RecordCtrlKeyIssue:
-		var rec ctrlKeyIssueRec
-		if json.Unmarshal(r.Payload, &rec) != nil || rec.Tenant == "" {
-			s.logf("control: journal key issue record undecodable")
-			return nil
-		}
-		s.keys[r.BroadcastID] = &APIKey{
-			Key:      r.BroadcastID,
-			TenantID: rec.Tenant,
-			IssuedAt: time.Unix(0, rec.IssuedAt),
-		}
-	case journal.RecordCtrlKeyRevoke:
-		if k, ok := s.keys[r.BroadcastID]; ok {
-			k.Revoked = true
-		}
-	case journal.RecordCtrlUsage:
-		ts, ok := s.tenants[r.BroadcastID]
-		if !ok {
-			return nil
-		}
-		var rec ctrlUsageRec
-		if json.Unmarshal(r.Payload, &rec) != nil || rec.Day == "" {
-			s.logf("control: journal usage record %q undecodable", r.BroadcastID)
-			return nil
-		}
-		// ASSIGN the absolute totals — never add. Later records for the same
-		// day simply carry larger totals, so replaying any prefix of the
-		// journal (a torn tail) yields exact counts as of the last durable
-		// flush, with no double-counting.
-		ts.usage[rec.Day] = UsageDay{
-			Day:    rec.Day,
-			Frames: rec.Frames,
-			Chunks: rec.Chunks,
-			Bytes:  rec.Bytes,
-		}
-	default:
+	rec := newCtrlRecord(r.Type)
+	if rec == nil {
 		// Unknown record types are skipped, not fatal: a journal written by
 		// a newer binary must not brick an older one's recovery.
 		s.logf("control: journal record type %d unknown", r.Type)
+		return nil
 	}
+	if err := json.Unmarshal(r.Payload, rec); err != nil {
+		s.logf("control: journal record type %d for %q undecodable: %v", r.Type, r.BroadcastID, err)
+		return nil
+	}
+	rec.applyLocked(s, r.BroadcastID)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package control
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -81,5 +82,40 @@ func TestResolveEdgeHTTPRoundTrip(t *testing.T) {
 	}
 	if _, err := client.ResolveEdge(ctx, "missing", geo.Location{}); !errors.Is(err, ErrNoBroadcast) {
 		t.Fatalf("missing broadcast err = %v", err)
+	}
+}
+
+// TestResolveEdgeCoordinateParsing: absent coordinates mean 0; malformed ones
+// are refused, not silently resolved from (0,0).
+func TestResolveEdgeCoordinateParsing(t *testing.T) {
+	var got []geo.Location
+	s := NewService(Config{Routes: Routes{AssignEdge: func(id string, loc geo.Location) string {
+		got = append(got, loc)
+		return "http://edge-2/hls"
+	}}})
+	g, _ := s.StartBroadcast(1, geo.Location{})
+	h := Handler("/api", s)
+	for _, tc := range []struct {
+		query string
+		want  int
+		loc   geo.Location
+	}{
+		{"", http.StatusOK, geo.Location{}},
+		{"city=SF&lon=", http.StatusOK, geo.Location{City: "SF"}},
+		{"lat=1e1&lon=-0.5", http.StatusOK, geo.Location{Lat: 10, Lon: -0.5}},
+		{"lat=abc", http.StatusBadRequest, geo.Location{}},
+		{"lat=1&lon=2.5west", http.StatusBadRequest, geo.Location{}},
+	} {
+		got = nil
+		code := call(h, "GET", "/api/broadcasts/"+g.BroadcastID+"/edge?"+tc.query, "", "").Code
+		if code != tc.want {
+			t.Errorf("edge?%s = %d, want %d", tc.query, code, tc.want)
+		}
+		if tc.want == http.StatusOK && (len(got) != 1 || got[0] != tc.loc) {
+			t.Errorf("edge?%s resolved %+v, want %+v", tc.query, got, tc.loc)
+		}
+		if tc.want != http.StatusOK && len(got) != 0 {
+			t.Errorf("edge?%s reached the resolver with %+v", tc.query, got)
+		}
 	}
 }

@@ -49,19 +49,21 @@ func (e *QuotaError) Is(target error) bool { return target == ErrQuotaExceeded }
 func (e *QuotaError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
 // Plan is a tenant's service level. Zero values mean unlimited — the
-// implicit plan of the pre-tenancy platform.
+// implicit plan of the pre-tenancy platform. Like every domain type here, the
+// struct is its own HTTP body and journal payload: the wire shape and the
+// durable shape cannot drift apart.
 type Plan struct {
 	// Name labels the plan ("free", "pro"); informational.
-	Name string
+	Name string `json:"name,omitempty"`
 	// MaxConcurrentBroadcasts caps simultaneously live broadcasts.
-	MaxConcurrentBroadcasts int
+	MaxConcurrentBroadcasts int `json:"max_broadcasts,omitempty"`
 	// MaxJoinRPS is the sustained key-authenticated join rate; JoinBurst
 	// is the bucket depth (zero means 2×MaxJoinRPS, floor 1).
-	MaxJoinRPS float64
-	JoinBurst  float64
+	MaxJoinRPS float64 `json:"max_join_rps,omitempty"`
+	JoinBurst  float64 `json:"join_burst,omitempty"`
 	// DailyBytesQuota caps delivered bytes (RTMP fan-out + HLS chunks) per
 	// UTC day; admission answers 429 once the rollups cross it.
-	DailyBytesQuota int64
+	DailyBytesQuota int64 `json:"daily_bytes,omitempty"`
 }
 
 // joinBurst resolves the effective bucket depth for a plan.
@@ -78,11 +80,11 @@ func joinBurst(p Plan) float64 {
 
 // Tenant is one metered customer of the platform.
 type Tenant struct {
-	ID        string
-	Name      string
-	Plan      Plan
-	Suspended bool
-	CreatedAt time.Time
+	ID        string    `json:"id"`
+	Name      string    `json:"name,omitempty"`
+	Plan      Plan      `json:"plan"`
+	Suspended bool      `json:"suspended,omitempty"`
+	CreatedAt time.Time `json:"created_at"`
 }
 
 // APIKey authenticates requests to a tenant. Keys are minted with the same
@@ -157,33 +159,21 @@ func (m *TenantMeter) Totals() (frames, chunks, bytes int64) {
 // CreateTenant registers a tenant with sequential "tnt-N" IDs and journals
 // the row.
 func (s *Service) CreateTenant(name string, plan Plan) (Tenant, error) {
-	if s.crashed.Load() {
-		return Tenant{}, ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return Tenant{}, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextTenant++
-	t := Tenant{
-		ID:        fmt.Sprintf("tnt-%d", s.nextTenant),
-		Name:      name,
-		Plan:      plan,
-		CreatedAt: s.clock.Now(),
-	}
-	s.tenants[t.ID] = &tenantState{t: t, usage: make(map[string]UsageDay)}
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlTenant,
-		BroadcastID: t.ID,
-		Payload:     encodeCtrl(tenantRecOf(t)),
-	})
-	return t, nil
+	id := fmt.Sprintf("tnt-%d", s.nextTenant+1)
+	s.commitLocked(journal.RecordCtrlTenant, id,
+		&ctrlTenantRec{Name: name, Plan: plan, CreatedAt: s.clock.Now().UnixNano()})
+	return s.tenants[id].t, nil
 }
 
 // TenantInfo returns one tenant row.
 func (s *Service) TenantInfo(id string) (Tenant, error) {
-	if s.crashed.Load() {
-		return Tenant{}, ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return Tenant{}, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts, ok := s.tenants[id]
 	if !ok {
@@ -206,21 +196,14 @@ func (s *Service) Tenants() []Tenant {
 
 // SetTenantPlan replaces a tenant's plan and journals the change.
 func (s *Service) SetTenantPlan(id string, plan Plan) error {
-	if s.crashed.Load() {
-		return ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	ts, ok := s.tenants[id]
-	if !ok {
+	if _, ok := s.tenants[id]; !ok {
 		return ErrNoTenant
 	}
-	ts.t.Plan = plan
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlTenantPlan,
-		BroadcastID: id,
-		Payload:     encodeCtrl(ctrlTenantPlanRec{Plan: planRecOf(plan)}),
-	})
+	s.commitLocked(journal.RecordCtrlTenantPlan, id, &ctrlTenantPlanRec{Plan: plan})
 	return nil
 }
 
@@ -232,65 +215,46 @@ func (s *Service) SuspendTenant(id string) error { return s.setSuspended(id, tru
 func (s *Service) ResumeTenant(id string) error { return s.setSuspended(id, false) }
 
 func (s *Service) setSuspended(id string, suspended bool) error {
-	if s.crashed.Load() {
-		return ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	ts, ok := s.tenants[id]
-	if !ok {
+	if _, ok := s.tenants[id]; !ok {
 		return ErrNoTenant
 	}
-	ts.t.Suspended = suspended
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlTenantStatus,
-		BroadcastID: id,
-		Payload:     encodeCtrl(ctrlTenantStatusRec{Suspended: suspended}),
-	})
+	s.commitLocked(journal.RecordCtrlTenantStatus, id, &ctrlTenantStatusRec{Suspended: suspended})
 	return nil
 }
 
 // IssueAPIKey mints and journals a key for the tenant.
 func (s *Service) IssueAPIKey(tenantID string) (APIKey, error) {
-	if s.crashed.Load() {
-		return APIKey{}, ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return APIKey{}, err
+	}
+	defer s.mu.Unlock()
+	if _, ok := s.tenants[tenantID]; !ok {
+		return APIKey{}, ErrNoTenant
 	}
 	secret, err := newToken()
 	if err != nil {
 		return APIKey{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tenants[tenantID]; !ok {
-		return APIKey{}, ErrNoTenant
-	}
-	k := APIKey{Key: "key-" + secret, TenantID: tenantID, IssuedAt: s.clock.Now()}
-	s.keys[k.Key] = &k
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlKeyIssue,
-		BroadcastID: k.Key,
-		Payload:     encodeCtrl(ctrlKeyIssueRec{Tenant: tenantID, IssuedAt: k.IssuedAt.UnixNano()}),
-	})
-	return k, nil
+	key := "key-" + secret
+	s.commitLocked(journal.RecordCtrlKeyIssue, key,
+		&ctrlKeyIssueRec{Tenant: tenantID, IssuedAt: s.clock.Now().UnixNano()})
+	return *s.keys[key], nil
 }
 
 // RevokeAPIKey invalidates a key; every later use answers 403.
 func (s *Service) RevokeAPIKey(key string) error {
-	if s.crashed.Load() {
-		return ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	k, ok := s.keys[key]
-	if !ok {
+	if _, ok := s.keys[key]; !ok {
 		return ErrBadAPIKey
 	}
-	k.Revoked = true
-	s.appendLocked(journal.Record{
-		Type:        journal.RecordCtrlKeyRevoke,
-		BroadcastID: key,
-		Payload:     encodeCtrl(ctrlKeyRevokeRec{}),
-	})
+	s.commitLocked(journal.RecordCtrlKeyRevoke, key, &ctrlKeyRevokeRec{})
 	return nil
 }
 
@@ -319,10 +283,9 @@ func (s *Service) resolveKeyLocked(key string) (*tenantState, error) {
 // StartBroadcastKey is the key-authenticated StartBroadcast: the broadcast
 // is owned by (and admission-checked against) the key's tenant.
 func (s *Service) StartBroadcastKey(key string, userID uint64, loc geo.Location) (BroadcastGrant, error) {
-	if s.crashed.Load() {
-		return BroadcastGrant{}, ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return BroadcastGrant{}, err
 	}
-	s.mu.Lock()
 	ts, err := s.resolveKeyLocked(key)
 	if err != nil {
 		s.mu.Unlock()
@@ -330,17 +293,16 @@ func (s *Service) StartBroadcastKey(key string, userID uint64, loc geo.Location)
 	}
 	tenantID := ts.t.ID
 	s.mu.Unlock()
-	return s.startBroadcastAs(userID, loc, nil, tenantID)
+	return s.startBroadcast(userID, loc, false, nil, tenantID)
 }
 
 // JoinKey is the key-authenticated Join: the caller's tenant pays the join
 // rate (plan MaxJoinRPS through the keyed limiter) and must be inside its
 // daily delivered-bytes quota.
 func (s *Service) JoinKey(key string, userID uint64, broadcastID string, loc geo.Location) (ViewerGrant, error) {
-	if s.crashed.Load() {
-		return ViewerGrant{}, ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return ViewerGrant{}, err
 	}
-	s.mu.Lock()
 	ts, err := s.resolveKeyLocked(key)
 	if err != nil {
 		s.mu.Unlock()
@@ -448,10 +410,9 @@ func (s *Service) meterLocked(tenantID string) *TenantMeter {
 // A crashed control plane skips the flush entirely; the atomics keep
 // accumulating and the next flush after Recover picks them up.
 func (s *Service) FlushUsage() int {
-	if s.crashed.Load() {
+	if s.lockLive() != nil {
 		return 0
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	day := s.clock.Now().UTC().Format(usageDayLayout)
 	flushed := 0
@@ -471,17 +432,7 @@ func (s *Service) FlushUsage() int {
 		u.Frames += frames
 		u.Chunks += chunks
 		u.Bytes += bytes
-		ts.usage[day] = u
-		s.appendLocked(journal.Record{
-			Type:        journal.RecordCtrlUsage,
-			BroadcastID: tenantID,
-			Payload: encodeCtrl(ctrlUsageRec{
-				Day:    day,
-				Frames: u.Frames,
-				Chunks: u.Chunks,
-				Bytes:  u.Bytes,
-			}),
-		})
+		s.commitLocked(journal.RecordCtrlUsage, tenantID, &u)
 		flushed++
 	}
 	return flushed
@@ -489,10 +440,9 @@ func (s *Service) FlushUsage() int {
 
 // Usage returns a tenant's flushed per-day rollups sorted by day.
 func (s *Service) Usage(tenantID string) ([]UsageDay, error) {
-	if s.crashed.Load() {
-		return nil, ErrUnavailable
+	if err := s.lockLive(); err != nil {
+		return nil, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts, ok := s.tenants[tenantID]
 	if !ok {
