@@ -1,11 +1,12 @@
 # Single source of truth for the commands CI runs, so "works locally, fails
-# in CI" never involves a command mismatch. `make ci` is exactly the test
-# job; `make lint` is exactly the lint job.
+# in CI" never involves a command mismatch: every step of ci.yml is a target
+# here. `make lint` is the lint job; `make ci` is the test job followed by the
+# lint job.
 
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race lint vet analyze fmt tidy vuln bench bench-check benchguard metrics crash partition-soak tenant-soak scale-smoke fuzz ci clean
+.PHONY: all build test race fanout-race chaos lint vet analyze fmt tidy vuln bench bench-check benchguard metrics metrics-smoke crash partition-soak tenant-soak scale-smoke fuzz ci clean
 
 all: build test lint
 
@@ -18,29 +19,27 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# The repo's custom analyzer suite (internal/lint) driven through the real
-# `go vet -vettool` protocol. Zero unsuppressed findings is the bar; false
-# positives are silenced in place with a reasoned `//lint:allow` directive.
-$(BIN)/vetlivesim: FORCE
-	$(GO) build -o $(BIN)/vetlivesim ./cmd/vetlivesim
-FORCE:
+# fanout-race is the RTMP fan-out concurrency slice of `race`, as its own
+# named CI step: join/leave churn, acceptFrame and slow-viewer eviction.
+fanout-race:
+	$(GO) test -race -count=1 -run 'ConcurrentJoinLeaveFanout|AcceptFrame|SlowViewer' ./internal/rtmp/
 
-vet: $(BIN)/vetlivesim
+# vet is the toolchain's own analyzers and nothing else.
+vet:
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(BIN)/vetlivesim ./...
 
-$(BIN)/escapecheck: FORCE
-	$(GO) build -o $(BIN)/escapecheck ./cmd/escapecheck
-
-# analyze is the full static-analysis suite (DESIGN.md §8): the seven AST
-# analyzers run standalone in dependency order with whole-program fact
-# propagation, then the compiler-assisted hotpathescape pass recompiles
-# every //livesim:hotpath package with -m=2. Budgeted like benchguard: the
-# suite must finish inside ANALYZE_BUDGET seconds (timeout exits 124) so it
-# stays cheap enough to gate every push.
+# analyze is the one run of the repo's custom static-analysis suite
+# (internal/lint, DESIGN.md §8): vetlivesim loads the program once, runs the
+# seven AST analyzers in dependency order against one in-memory fact store,
+# then recompiles every //livesim:hotpath package with -m=2 for
+# hotpathescape. Zero unsuppressed findings is the bar; false positives are
+# silenced in place with a reasoned `//lint:allow` directive. Budgeted like
+# benchguard: the suite must finish inside ANALYZE_BUDGET seconds (timeout
+# exits 124) so it stays cheap enough to gate every push.
 ANALYZE_BUDGET ?= 60
-analyze: $(BIN)/vetlivesim $(BIN)/escapecheck
-	timeout $(ANALYZE_BUDGET) $(BIN)/vetlivesim -escape ./...
+analyze:
+	$(GO) build -o $(BIN)/vetlivesim ./cmd/vetlivesim
+	timeout $(ANALYZE_BUDGET) $(BIN)/vetlivesim ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -58,10 +57,15 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-lint: fmt tidy vet
+lint: fmt tidy vet analyze
 
 bench:
 	$(GO) test -run '^$$' -bench 'Fanout|EdgePoll|Ingest|ControlRecovery' -benchmem -benchtime=1x .
+
+# chaos is the fault-injection soak family in internal/core (every test with
+# Chaos in its name). Always under -race.
+chaos:
+	$(GO) test -race -count=1 -run 'Chaos' ./internal/core/
 
 # crash is the recovery soak (DESIGN.md §6.2): kill the ingest origin
 # mid-broadcast, corrupt the journal tail, restart, and assert every viewer
@@ -93,21 +97,35 @@ tenant-soak:
 scale-smoke:
 	$(GO) test -race -count=1 -run 'TestScaleSmoke' -v ./internal/viewersim/
 
-# fuzz smoke: a short bounded run of the decoders that read bytes from outside
-# the process — the journal (round-trip encode/decode and replay over
-# corrupted logs), the chunk codec every HLS body goes through (zero-copy
-# decode: the sealed form is the consumed input, frames alias it, re-encoding
-# reproduces it), the RTMP message reader, and the control plane's two
-# outside inputs: its journal (replay over byte soup, then extend it) and its
-# HTTP handler (arbitrary method/path/query/body/key against the route table).
-# `go test -fuzz` accepts one target per invocation, hence one run each.
+# fuzz smoke: a short bounded run of every decoder and handler that reads
+# bytes from outside the process — the journal (round-trip encode/decode and
+# replay over corrupted logs), the media codecs every HLS body goes through
+# (frames, chunks — zero-copy decode: the sealed form is the consumed input,
+# frames alias it, re-encoding reproduces it — and chunklists), the RTMP
+# message reader and its handshake and signed-frame payloads, the HLS handler
+# (arbitrary method/path/query against a small store), and the control
+# plane's two outside inputs: its journal (replay over byte soup, then extend
+# it) and its HTTP handler (arbitrary method/path/query/body/key against the
+# route table). `go test -fuzz` accepts one target per invocation, hence one
+# run per <package>:<target> entry.
+FUZZ_TARGETS := \
+	journal:FuzzRecordRoundTrip \
+	journal:FuzzReplay \
+	media:FuzzUnmarshalFrame \
+	media:FuzzUnmarshalChunk \
+	media:FuzzParseChunkList \
+	wire:FuzzReadMessage \
+	wire:FuzzUnmarshalHandshake \
+	wire:FuzzUnmarshalSignedFrame \
+	hls:FuzzHLSHandler \
+	control:FuzzControlJournalRecovery \
+	control:FuzzControlHandler
+
 fuzz:
-	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip' -fuzztime 10s ./internal/journal/
-	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime 10s ./internal/journal/
-	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalChunk' -fuzztime 10s ./internal/media/
-	$(GO) test -run '^$$' -fuzz 'FuzzReadMessage' -fuzztime 10s ./internal/wire/
-	$(GO) test -run '^$$' -fuzz 'FuzzControlJournalRecovery' -fuzztime 10s ./internal/control/
-	$(GO) test -run '^$$' -fuzz 'FuzzControlHandler' -fuzztime 10s ./internal/control/
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 10s ./internal/$${t%%:*}/; \
+	done
 
 # bench-check vets and unit-tests the frozen benchmark module (bench/, its own
 # go.mod with `replace repro => ../`) against the working tree, so an API
@@ -127,7 +145,12 @@ benchguard:
 metrics:
 	$(GO) run ./cmd/livesim -snapshot
 
-ci: build bench-check race lint analyze vuln crash partition-soak tenant-soak scale-smoke fuzz benchguard metrics
+# metrics-smoke checks the live /metrics and /debug/vars endpoints of a
+# running platform.
+metrics-smoke:
+	$(GO) test -count=1 -run 'PlatformMetricsEndpoints' ./internal/core/
+
+ci: build bench-check race fanout-race chaos crash partition-soak tenant-soak scale-smoke fuzz metrics-smoke benchguard metrics lint vuln
 
 clean:
 	rm -rf $(BIN)

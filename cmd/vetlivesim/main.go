@@ -1,312 +1,52 @@
-// Command vetlivesim runs the repo's custom analyzers (internal/lint):
-// locksend, walltime, atomiccounter, hotpathalloc, ctxplumb, lockorder,
-// goroleak.
+// Command vetlivesim runs the repo's custom static-analysis suite
+// (internal/lint): locksend, walltime, atomiccounter, hotpathalloc, ctxplumb,
+// lockorder, goroleak and the compiler-assisted hotpathescape.
 //
-// It speaks two protocols:
+// `vetlivesim [patterns]` (default ./...) loads the packages once (via
+// `go list -export`), analyzes them in dependency order against one
+// in-memory fact store so lockorder and goroleak see the whole program,
+// recompiles the //livesim:hotpath packages with -m=2 for hotpathescape, and
+// prints the findings that survive //lint:allow suppression. It is the only
+// way the suite runs; `make analyze` is this command under a time budget.
 //
-//   - Standalone: `vetlivesim ./...` loads packages itself (via
-//     `go list -export`) and prints findings. Packages are analyzed in
-//     dependency order against one shared fact store, so lockorder and
-//     goroleak see the whole program. `vetlivesim -escape ./...` also runs
-//     the hotpathescape compiler-assisted pass (cmd/escapecheck) after the
-//     AST analyzers — the full-suite orchestration `make analyze` uses.
-//
-//   - Vet tool: `go vet -vettool=$(which vetlivesim) ./...`. The go
-//     command probes the tool with -V=full (version fingerprint for the
-//     build cache) and -flags (supported analyzer flags, as JSON), then
-//     invokes it once per package with a JSON config file argument ending
-//     in .cfg — the same contract golang.org/x/tools' unitchecker
-//     implements. Dependency units arrive as VetxOnly configs: for module
-//     packages the analyzers run for their facts alone (diagnostics
-//     dropped) and the accumulated fact store is gob-encoded into the
-//     VetxOutput .vetx file; dependents decode the .vetx files of their
-//     imports (PackageVetx) to seed their own store. Non-module units just
-//     merge and re-emit their imports' facts.
-//
-// Exit status: 0 clean, 1 usage/internal error, 2 findings (matching
-// unitchecker so `go vet` reports findings as findings, not tool crashes).
+// Exit status: 0 clean, 1 usage/internal error, 2 findings.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
-	"repro/internal/lint/escape"
-	"repro/internal/lint/loader"
 )
 
-// modulePrefix identifies this module's packages in unitchecker configs;
-// only they are analyzed (the invariants target this repo, and running the
-// suite over the standard library would cost every `go vet` user seconds
-// for facts nothing consumes).
-const modulePrefix = "repro"
-
 func main() {
-	analysis.RegisterFactTypes(lint.Analyzers())
-	args := os.Args[1:]
-	// Protocol probes from the go command. These can arrive regardless of
-	// other arguments and must answer before anything else.
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			printVersion()
-			return
-		case a == "-flags" || a == "--flags":
-			// No analyzer flags beyond the suite itself.
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-	runEscape := false
-	if len(args) > 0 && args[0] == "-escape" {
-		runEscape = true
-		args = args[1:]
-	}
-	os.Exit(standalone(args, runEscape))
-}
-
-// printVersion emulates unitchecker's -V=full output, which the go command
-// hashes into the build cache key: "<name> version <fingerprint>". The
-// fingerprint is the binary's own digest so rebuilding the tool invalidates
-// cached vet results.
-func printVersion() {
-	name := "vetlivesim"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			io.Copy(h, f)
-			f.Close()
-			fmt.Printf("%s version devel comments-go-here buildID=%02x\n", name, h.Sum(nil))
-			return
-		}
-	}
-	fmt.Printf("%s version devel\n", name)
-}
-
-// standalone loads the named patterns (default ./...) and prints findings,
-// analyzing in dependency order against one shared fact store. With
-// escape=true the hotpathescape pass runs afterwards.
-func standalone(patterns []string, runEscape bool) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vetlivesim:", err)
-		return 1
+		os.Exit(1)
 	}
-	pkgs, err := loader.Load(wd, patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vetlivesim:", err)
-		return 1
-	}
-	facts := analysis.NewFactStore()
-	total := 0
-	for _, pkg := range pkgs {
-		findings, err := lint.RunFacts(pkg, lint.Analyzers(), facts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vetlivesim:", err)
-			return 1
-		}
-		for _, f := range findings {
-			fmt.Println(f)
-		}
-		total += len(findings)
-	}
-	if runEscape {
-		findings, stats, err := escape.Check(wd, patterns...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vetlivesim:", err)
-			return 1
-		}
-		for _, f := range findings {
-			fmt.Println(f)
-		}
-		total += len(findings)
-		if len(findings) == 0 {
-			fmt.Printf("hotpathescape: %d hotpath function(s) in %d package(s) proved escape-free\n",
-				stats.Functions, stats.Packages)
-		}
-	}
-	if total > 0 {
-		fmt.Fprintf(os.Stderr, "vetlivesim: %d finding(s)\n", total)
-		return 2
-	}
-	return 0
+	os.Exit(run(wd, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// vetConfig mirrors the JSON the go command writes for -vettool invocations
-// (the unitchecker contract).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// inModule reports whether a unit's import path (possibly the bracketed
-// test variant) belongs to this module.
-func inModule(importPath string) bool {
-	return importPath == modulePrefix || strings.HasPrefix(importPath, modulePrefix+"/")
-}
-
-func unitcheck(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
+// run checks the patterns relative to dir and prints findings to stdout.
+func run(dir string, patterns []string, stdout, stderr io.Writer) int {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	findings, stats, err := lint.Check(dir, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vetlivesim:", err)
+		fmt.Fprintln(stderr, "vetlivesim:", err)
 		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "vetlivesim: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-
-	// Seed the fact store from the .vetx files of this unit's imports.
-	// Each unit re-exports everything it read, so direct imports carry the
-	// transitive closure.
-	facts := analysis.NewFactStore()
-	for _, vetx := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetx)
-		if err != nil {
-			continue // a dependency with no facts file contributes nothing
-		}
-		if err := facts.Decode(data); err != nil {
-			fmt.Fprintf(os.Stderr, "vetlivesim: reading facts %s: %v\n", vetx, err)
-			return 1
-		}
-	}
-
-	writeVetx := func() int {
-		if cfg.VetxOutput == "" {
-			return 0
-		}
-		data, err := facts.Encode()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vetlivesim:", err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "vetlivesim:", err)
-			return 1
-		}
-		return 0
-	}
-
-	// Units outside the module (standard library, vendored deps) are not
-	// analyzed: their facts file is just the merge of their imports'.
-	if !inModule(cfg.ImportPath) {
-		return writeVetx()
-	}
-
-	fset := token.NewFileSet()
-	var syntax []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "vetlivesim:", err)
-			return 1
-		}
-		syntax = append(syntax, f)
-	}
-
-	compilerImporter := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		return compilerImporter.Import(path)
-	})
-
-	info := loader.NewInfo()
-	conf := &types.Config{
-		Importer:  imp,
-		Sizes:     types.SizesFor(cfg.Compiler, build.Default.GOARCH),
-		GoVersion: cfg.GoVersion,
-	}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, syntax, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "vetlivesim: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	pkg := &loader.Package{
-		ImportPath: cfg.ImportPath,
-		Name:       tpkg.Name(),
-		Dir:        cfg.Dir,
-		Fset:       fset,
-		Syntax:     syntax,
-		Types:      tpkg,
-		TypesInfo:  info,
-	}
-	all, err := lint.RunFacts(pkg, lint.Analyzers(), facts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vetlivesim:", err)
-		return 1
-	}
-	if code := writeVetx(); code != 0 {
-		return code
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// The invariants target production code. The standalone loader analyzes
-	// only non-test GoFiles; under `go vet` the test-variant compilation
-	// units include _test.go files, where real sleeps, wall-clock reads, and
-	// context-free requests against local test servers are legitimate — so
-	// findings there are dropped to keep the two drivers consistent.
-	var findings []lint.Finding
-	for _, f := range all {
-		if strings.HasSuffix(f.Pos.Filename, "_test.go") {
-			continue
-		}
-		findings = append(findings, f)
 	}
 	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", f.Pos, f.Analyzer, f.Message)
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "vetlivesim: %d finding(s)\n", len(findings))
 		return 2
 	}
+	fmt.Fprintf(stdout, "hotpathescape: %d hotpath function(s) in %d package(s) proved escape-free\n",
+		stats.Functions, stats.Packages)
 	return 0
 }

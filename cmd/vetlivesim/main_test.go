@@ -1,26 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// buildTool compiles the vetlivesim binary into a temp dir.
-func buildTool(t *testing.T) string {
-	t.Helper()
-	exe := filepath.Join(t.TempDir(), "vetlivesim")
-	out, err := exec.Command("go", "build", "-o", exe, ".").CombinedOutput()
-	if err != nil {
-		t.Fatalf("building vetlivesim: %v\n%s", err, out)
-	}
-	return exe
-}
-
-// writeModule lays out a throwaway module whose path shares this repo's
-// module prefix, so its units are analyzed under the vet protocol.
+// writeModule lays out a throwaway module for run to load.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -36,15 +24,10 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// TestUnitcheckerFactRoundTrip drives the real `go vet -vettool` protocol
-// over a module with a cross-package AB/BA lock inversion: liba's LockSet
-// fact must survive the .vetx gob round-trip between separate tool
-// invocations for libb to close the cycle.
-func TestUnitcheckerFactRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool and runs go vet")
-	}
-	exe := buildTool(t)
+// TestCrossPackageLockInversion drives the entry point, in process, over a
+// module with a cross-package AB/BA lock inversion: liba's LockSet fact must
+// reach libb through the run's fact store for libb to close the cycle.
+func TestCrossPackageLockInversion(t *testing.T) {
 	mod := writeModule(t, map[string]string{
 		"go.mod": "module repro/vetlivesime2e\n\ngo 1.24\n",
 		"liba/liba.go": `package liba
@@ -89,13 +72,11 @@ func (h *Hub) Rebalance(r *liba.Registry) {
 `,
 	})
 
-	cmd := exec.Command("go", "vet", "-vettool="+exe, "./...")
-	cmd.Dir = mod
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet succeeded; want the cross-package lock-order cycle\n%s", out)
+	var stdout, stderr bytes.Buffer
+	if code := run(mod, nil, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2 (the cross-package lock-order cycle)\n%s%s", code, &stdout, &stderr)
 	}
-	text := string(out)
+	text := stdout.String()
 	if !strings.Contains(text, "lock-order cycle") {
 		t.Errorf("output lacks the cycle diagnostic:\n%s", text)
 	}
@@ -106,13 +87,9 @@ func (h *Hub) Rebalance(r *liba.Registry) {
 	}
 }
 
-// TestUnitcheckerClean: the same protocol over a module with a consistent
-// lock order and terminating goroutines reports nothing.
-func TestUnitcheckerClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool and runs go vet")
-	}
-	exe := buildTool(t)
+// TestClean: the same entry point over a module with a consistent lock order
+// and terminating goroutines exits 0 with only the summary line.
+func TestClean(t *testing.T) {
 	mod := writeModule(t, map[string]string{
 		"go.mod": "module repro/vetlivesime2e\n\ngo 1.24\n",
 		"liba/liba.go": `package liba
@@ -163,9 +140,21 @@ func (h *Hub) Drain(r *liba.Registry, ctx <-chan struct{}) {
 `,
 	})
 
-	cmd := exec.Command("go", "vet", "-vettool="+exe, "./...")
-	cmd.Dir = mod
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet on a clean module failed: %v\n%s", err, out)
+	var stdout, stderr bytes.Buffer
+	if code := run(mod, []string{"./..."}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d on a clean module, want 0\n%s%s", code, &stdout, &stderr)
+	}
+	if got := stdout.String(); !strings.HasPrefix(got, "hotpathescape: 0 hotpath function(s)") || strings.Count(got, "\n") != 1 {
+		t.Errorf("clean run printed %q, want only the summary line", got)
+	}
+
+	// A pattern that names nothing is an error, not a clean run of zero
+	// packages: this command is the only gate.
+	for _, pattern := range []string{"./libc", "./libc/...", "repro/vetlivesime2e/libc"} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(mod, []string{pattern}, &stdout, &stderr); code != 1 || stdout.Len() != 0 {
+			t.Errorf("pattern %s: exit %d, stdout %q, want exit 1 and no summary\n%s", pattern, code, &stdout, &stderr)
+		}
 	}
 }

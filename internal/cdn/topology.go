@@ -80,11 +80,6 @@ type TopologyConfig struct {
 	// EdgeBreaker tunes every edge's per-broadcast circuit breaker (zero
 	// value → resilience defaults).
 	EdgeBreaker resilience.BreakerConfig
-	// EdgeMaxInflight, EdgeQueueDepth, and EdgeQueueWait configure every
-	// edge's load-shedding gate; zero EdgeMaxInflight disables shedding.
-	EdgeMaxInflight int
-	EdgeQueueDepth  int
-	EdgeQueueWait   time.Duration
 	// EdgeShedRetryAfter is the Retry-After hint edges attach to sheds.
 	EdgeShedRetryAfter time.Duration
 	// Seed drives latency jitter when Net is nil but injection is wanted.
@@ -141,9 +136,6 @@ func Build(cfg TopologyConfig) *Topology {
 			Resolve:        nil, // set below, needs the edge list
 			Retry:          cfg.EdgeRetry,
 			Breaker:        cfg.EdgeBreaker,
-			MaxInflight:    cfg.EdgeMaxInflight,
-			QueueDepth:     cfg.EdgeQueueDepth,
-			QueueWait:      cfg.EdgeQueueWait,
 			ShedRetryAfter: cfg.EdgeShedRetryAfter,
 			Metrics:        cfg.Metrics,
 			TenantOf:       cfg.TenantOf,

@@ -384,6 +384,15 @@ func TestPlatformChaosSoak(t *testing.T) {
 	waitFor(t, 5*time.Second, "live count drains", func() bool { return p.Ctrl.LiveCount() == 0 })
 }
 
+// soakFramePace is the wall-clock gap the exactly-once soaks leave between
+// published frames: real time. A 200 ms chunk then takes 200 ms to fill and
+// the six-entry playlist window is 1.2 s of wall time, so a viewer
+// descheduled for a few hundred milliseconds (-race beside a CPU hog) still
+// finds its next chunk listed. Do not speed it up to shorten the soaks: at an
+// 8 ms pace (a 240 ms window) the origin-crash soak skipped a chunk 4 runs in
+// 60.
+const soakFramePace = media.FrameDuration
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()

@@ -225,7 +225,7 @@ func TestPlatformControlCrashRecoverySoak(t *testing.T) {
 				pubErr <- fmt.Errorf("send frame %d: %w", i, err)
 				return
 			}
-			time.Sleep(8 * time.Millisecond)
+			time.Sleep(soakFramePace)
 		}
 		pubErr <- pub.End()
 	}()
@@ -458,7 +458,7 @@ func TestPlatformControlEdgePartitionSoak(t *testing.T) {
 				pubErr <- fmt.Errorf("send frame %d: %w", i, err)
 				return
 			}
-			time.Sleep(8 * time.Millisecond)
+			time.Sleep(soakFramePace)
 		}
 		pubErr <- pub.End()
 	}()

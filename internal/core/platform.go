@@ -72,11 +72,6 @@ type PlatformConfig struct {
 	// Health tunes the fleet-health registry (heartbeat period, miss
 	// thresholds); the zero value uses the health defaults.
 	Health health.Config
-	// EdgeMaxInflight/EdgeQueueDepth/EdgeQueueWait configure every edge's
-	// load-shedding gate; zero EdgeMaxInflight disables shedding.
-	EdgeMaxInflight int
-	EdgeQueueDepth  int
-	EdgeQueueWait   time.Duration
 	// EdgeShedRetryAfter is the Retry-After hint shed responses carry.
 	EdgeShedRetryAfter time.Duration
 	// Seed drives global-list sampling.
@@ -220,9 +215,6 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		EdgeRetry:      cfg.EdgeRetry,
 		EdgeBreaker:    cfg.EdgeBreaker,
 
-		EdgeMaxInflight:    cfg.EdgeMaxInflight,
-		EdgeQueueDepth:     cfg.EdgeQueueDepth,
-		EdgeQueueWait:      cfg.EdgeQueueWait,
 		EdgeShedRetryAfter: cfg.EdgeShedRetryAfter,
 		Metrics:            p.metrics,
 		Journal:            cfg.Journal,

@@ -89,9 +89,9 @@ func TestPlatformOriginCrashRecoverySoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Publisher: 150 frames at 8 ms pace (30 chunks at 5 frames per 200 ms
-	// chunk). Sends stall inside the redial loop while the origin is down,
-	// then resume — so the crash always lands mid-broadcast.
+	// Publisher: 150 frames at soakFramePace (30 chunks at 5 frames per
+	// 200 ms chunk). Sends stall inside the redial loop while the origin is
+	// down, then resume — so the crash always lands mid-broadcast.
 	const totalFrames = 150
 	framesPerChunk := int(200 * time.Millisecond / media.FrameDuration)
 	totalChunks := totalFrames / framesPerChunk
@@ -105,7 +105,7 @@ func TestPlatformOriginCrashRecoverySoak(t *testing.T) {
 				pubErr <- fmt.Errorf("send frame %d: %w", i, err)
 				return
 			}
-			time.Sleep(8 * time.Millisecond)
+			time.Sleep(soakFramePace)
 		}
 		pubErr <- pub.End(ctx)
 	}()

@@ -239,7 +239,7 @@ func TestPlatformNoisyNeighborSoak(t *testing.T) {
 					errc <- fmt.Errorf("send frame %d: %w", i, err)
 					return
 				}
-				time.Sleep(8 * time.Millisecond)
+				time.Sleep(soakFramePace)
 			}
 			errc <- pub.End()
 		}()

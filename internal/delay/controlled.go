@@ -89,7 +89,7 @@ func RunControlled(cfg ControlledConfig) (rtmpAvg, hlsAvg Components) {
 	src := rng.New(cfg.Seed)
 	origin := geo.Nearest(cfg.Broadcaster, geo.WowzaSites())
 	edge := geo.Nearest(cfg.Viewer, geo.FastlySites())
-	gw := gatewayFor(origin)
+	gw := geo.Gateway(origin)
 
 	reg := cfg.Metrics
 	if reg == nil {
@@ -128,16 +128,6 @@ func RunControlled(cfg ControlledConfig) (rtmpAvg, hlsAvg Components) {
 		hHists.Observe(HLSComponents(tr, origin, path, hlsView, model))
 	}
 	return rHists.Means(), hHists.Means()
-}
-
-func gatewayFor(origin geo.Datacenter) *geo.Datacenter {
-	for _, e := range geo.FastlySites() {
-		if geo.CoLocated(e, origin) {
-			e := e
-			return &e
-		}
-	}
-	return nil
 }
 
 // ComponentHists bundles the six per-component delay histograms for one

@@ -105,7 +105,7 @@ func runAblationGateway(cfg Config) (*Result, error) {
 	origin := geo.WowzaSites()[0] // Ashburn
 	far := geo.Datacenter{ID: "fastly-tokyo", Provider: geo.Fastly,
 		Location: geo.Location{City: "Tokyo", Continent: geo.Asia, Lat: 35.68, Lon: 139.69}}
-	gw := gatewayOf(origin)
+	gw := geo.Gateway(origin)
 
 	measure := func(useGW bool, b int) float64 {
 		model := netsim.NewModel(netsim.Params{}, src.Split(fmt.Sprintf("gw%v-%d", useGW, b)))

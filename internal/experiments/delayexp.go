@@ -176,7 +176,7 @@ func runFig15(cfg Config) (*Result, error) {
 			}, model, src.Split(fmt.Sprintf("t15-%d-%d", cl, b)))
 			path := delay.EdgePath{Edge: pair[1]}
 			if cl != geo.ClassCoLocated {
-				gw := gatewayOf(pair[0])
+				gw := geo.Gateway(pair[0])
 				if gw != nil && gw.ID != pair[1].ID {
 					path.Gateway = gw
 					path.GatewayOverhead = delay.DefaultGatewayOverhead
@@ -210,16 +210,6 @@ func classKey(c geo.DistanceClass) string {
 	default:
 		return "over10000"
 	}
-}
-
-func gatewayOf(origin geo.Datacenter) *geo.Datacenter {
-	for _, f := range geo.FastlySites() {
-		if geo.CoLocated(f, origin) {
-			f := f
-			return &f
-		}
-	}
-	return nil
 }
 
 // bufferSweep runs the Figures 16/17 simulation: stall-ratio and buffering

@@ -131,6 +131,19 @@ func CoLocated(a, b Datacenter) bool {
 	return a.Location.City == b.Location.City
 }
 
+// Gateway returns the Fastly site co-located with a Wowza origin — the POP
+// the gateway-relay hypothesis has fronting that origin (§5.3, Fig. 9/15) —
+// or nil for the two of eight origins that share a city with no POP.
+func Gateway(origin Datacenter) *Datacenter {
+	sites := FastlySites()
+	for i := range sites {
+		if CoLocated(sites[i], origin) {
+			return &sites[i]
+		}
+	}
+	return nil
+}
+
 // DistanceClass buckets a datacenter pair the way Figure 15 groups them.
 type DistanceClass int
 

@@ -102,6 +102,34 @@ func TestCoLocationAuditMatchesPaper(t *testing.T) {
 	}
 }
 
+// Gateway agrees with the audit on every Wowza origin: the six same-city
+// pairs of Fig. 9 each resolve to a Fastly POP in the origin's own city, the
+// other two to nil.
+func TestGatewayMatchesCoLocatedPairs(t *testing.T) {
+	withGateway := 0
+	for _, a := range AuditCoLocation(WowzaSites(), FastlySites()) {
+		var origin Datacenter
+		for _, w := range WowzaSites() {
+			if w.ID == a.WowzaID {
+				origin = w
+			}
+		}
+		gw := Gateway(origin)
+		if (gw != nil) != a.SameCity {
+			t.Errorf("%s: gateway %v, audit says same-city %v", a.WowzaID, gw, a.SameCity)
+		}
+		if gw != nil {
+			withGateway++
+			if gw.Provider != Fastly || !CoLocated(*gw, origin) {
+				t.Errorf("%s: gateway %s (%s) is not the co-located Fastly POP", a.WowzaID, gw.ID, gw.Location.City)
+			}
+		}
+	}
+	if withGateway != 6 {
+		t.Fatalf("origins with a gateway = %d, want 6 of 8", withGateway)
+	}
+}
+
 func TestClassify(t *testing.T) {
 	w := WowzaSites()
 	f := FastlySites()

@@ -443,7 +443,7 @@ func (c *Client) FetchChunk(ctx context.Context, broadcastID string, seq uint64)
 		default:
 			return nil, fmt.Errorf("hls: chunk status %d", resp.StatusCode)
 		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		data, err := readBody(resp, maxChunkBody)
 		if err != nil {
 			return nil, fmt.Errorf("hls: chunk body: %w", err)
 		}

@@ -397,20 +397,41 @@ func TestServeChunkListAllocFreeRouting(t *testing.T) {
 // the decoded chunk then keeps as its sealed form; without a usable
 // Content-Length it still decodes, through the capped ReadAll.
 func TestFetchChunkReadsExactSizeBuffer(t *testing.T) {
-	chunk := makeChunks(1)[0]
-	want := media.MarshalChunk(chunk)
+	// Through a real Handler, which declares the length: fetching a 4 MiB
+	// chunk allocates about one body, where io.ReadAll's growth allocated
+	// about five (the sealed form's cap is clipped, so bytes allocated is
+	// the only place the difference shows).
+	store, client := startHLS(t)
+	big := &media.Chunk{Frames: []media.Frame{{Keyframe: true, CapturedAt: time.Unix(1, 0), Payload: make([]byte, 4<<20)}}}
+	store.add("b1", big)
+	want := big.Wire()
+	ctx := context.Background()
+	if _, err := client.FetchChunk(ctx, "b1", 0); err != nil { // dial and warm the connection
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := client.FetchChunk(ctx, "b1", 0)
+	runtime.ReadMemStats(&after)
+	if err != nil || !bytes.Equal(got.Wire(), want) {
+		t.Fatalf("declared-length fetch: %v", err)
+	}
+	// TotalAlloc is process-wide, so the server's goroutines count too: the
+	// bound leaves two bodies of slack and still sits far below ReadAll's five.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*uint64(len(want)) {
+		t.Errorf("fetching a %d-byte chunk allocated %d bytes, want one body-sized buffer", len(want), alloc)
+	}
+
+	want = media.MarshalChunk(makeChunks(1)[0])
 	exact, err := readBody(&http.Response{ContentLength: int64(len(want)), Body: io.NopCloser(bytes.NewReader(want))}, maxChunkBody)
 	if err != nil || !bytes.Equal(exact, want) || cap(exact) != len(want) {
-		t.Fatalf("declared length: err %v, len %d cap %d, want exactly %d", err, len(exact), cap(exact), len(want))
+		t.Fatalf("declared-length read: err %v, len %d cap %d, want exactly %d", err, len(exact), cap(exact), len(want))
 	}
 	if _, err := readBody(&http.Response{ContentLength: int64(len(want)), Body: io.NopCloser(bytes.NewReader(want[:10]))}, maxChunkBody); err == nil {
 		t.Fatal("a body shorter than its Content-Length was accepted")
 	}
-	for _, declared := range []int64{-1, maxChunkBody + 1} {
-		got, err := readBody(&http.Response{ContentLength: declared, Body: io.NopCloser(bytes.NewReader(want))}, maxChunkBody)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("Content-Length %d: err %v, %d bytes", declared, err, len(got))
-		}
+	if got, err := readBody(&http.Response{ContentLength: maxChunkBody + 1, Body: io.NopCloser(bytes.NewReader(want))}, maxChunkBody); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("over-limit Content-Length: err %v, %d bytes", err, len(got))
 	}
 
 	// End to end against a server that streams the chunk without a length.
@@ -419,7 +440,7 @@ func TestFetchChunkReadsExactSizeBuffer(t *testing.T) {
 		w.Write(want)
 	}))
 	defer srv.Close()
-	got, err := (&Client{BaseURL: srv.URL}).FetchChunk(context.Background(), "b1", 0)
+	got, err = (&Client{BaseURL: srv.URL}).FetchChunk(ctx, "b1", 0)
 	if err != nil || !bytes.Equal(got.Wire(), want) {
 		t.Fatalf("chunked-transfer fetch: %v", err)
 	}

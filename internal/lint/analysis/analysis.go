@@ -1,7 +1,7 @@
 // Package analysis is a minimal, dependency-free re-implementation of the
 // golang.org/x/tools/go/analysis driver contract, just large enough to host
 // this repo's custom analyzers. The container that builds this repo has no
-// module proxy access, so vendoring x/tools is not an option; the five
+// module proxy access, so vendoring x/tools is not an option; the AST
 // analyzers in internal/lint only need the (Analyzer, Pass, Diagnostic)
 // triple plus type information, all of which the standard library's go/ast
 // and go/types provide. The shapes mirror x/tools so the analyzers could be
@@ -22,18 +22,13 @@ type Analyzer struct {
 	// directives. It must be a valid Go identifier.
 	Name string
 
-	// Doc is the one-paragraph description shown by `vetlivesim -help`.
+	// Doc is the one-paragraph description of the invariant.
 	Doc string
 
 	// Run applies the analyzer to a single package. Diagnostics are
 	// delivered through pass.Report; the result value is unused by this
 	// driver and exists only for x/tools signature compatibility.
 	Run func(*Pass) (interface{}, error)
-
-	// FactTypes lists the concrete fact types this analyzer exports, one
-	// zero value per type, so the driver can register them for gob
-	// serialization across units (see facts.go).
-	FactTypes []Fact
 }
 
 // Diagnostic is a finding at a source position.
@@ -50,8 +45,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the cross-unit fact store (nil when the driver propagates
-	// no facts; the Import/Export methods then degrade to no-ops).
+	// Facts is the run's cross-package fact store (see facts.go).
 	Facts *FactStore
 
 	// Report delivers a diagnostic to the driver.

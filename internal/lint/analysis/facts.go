@@ -1,42 +1,34 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
-	"sync"
 )
 
-// Fact is a typed datum an analyzer attaches to an object or package in one
-// compilation unit and reads back when analyzing a dependent unit — the
-// x/tools facts contract. Concrete fact types must be gob-serializable
-// (exported fields) because the vet driver round-trips them through .vetx
-// files between `go vet` invocations.
+// Fact is a typed datum an analyzer attaches to an object or package while
+// analyzing one package and reads back when analyzing a dependent one — the
+// x/tools facts contract. Concrete fact types are pointers to structs.
 type Fact interface {
 	AFact() // marker method, discourages accidental implementations
 }
 
-// FactKey addresses one fact: the declaring package's import path, a stable
-// object key within it ("" for package-level facts), and the fact's type
-// name. Objects are keyed structurally — "Name" for package-level
+// factKey addresses one fact: the declaring package's import path, a stable
+// object key within it ("" for package-level facts), and the fact's concrete
+// type. Objects are keyed structurally — "Name" for package-level
 // functions/vars, "(T).M" / "(*T).M" for methods — so a fact exported while
 // type-checking a package from source is found again when the same object is
 // reached through gc export data in a dependent package, where the
 // types.Object identity differs but the structure does not.
-type FactKey struct {
-	Pkg  string // import path
-	Obj  string // object key, "" for a package fact
-	Type string // fact type, e.g. "*lint.LockSet"
+type factKey struct {
+	pkg string       // import path
+	obj string       // object key, "" for a package fact
+	typ reflect.Type // fact type, e.g. *lint.LockSet
 }
 
-// ObjectKey renders the structural key for obj. It covers the object kinds
+// objectKey renders the structural key for obj. It covers the object kinds
 // facts are attached to (package-level funcs, vars, types, and methods);
 // other objects get a best-effort name.
-func ObjectKey(obj types.Object) string {
+func objectKey(obj types.Object) string {
 	if f, ok := obj.(*types.Func); ok {
 		if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
 			t := sig.Recv().Type()
@@ -53,160 +45,59 @@ func ObjectKey(obj types.Object) string {
 	return obj.Name()
 }
 
-// pkgKey normalizes an import path for fact addressing. Under `go vet` the
-// test variant of a package is type-checked as "path [path.test]"; facts
-// written by that unit and read back by its dependents must agree on the
-// key, and the bracketed suffix would also split it from the plain unit, so
-// it is stripped.
-func pkgKey(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
-// FactStore holds the facts of every unit analyzed (or imported) so far.
-// One store is shared across an entire standalone run, packages analyzed in
-// dependency order; under the unitchecker protocol each invocation seeds a
-// fresh store from the dependency .vetx files and serializes the result for
-// its own importers.
+// FactStore holds the facts of every package analyzed so far. One store is
+// shared across a whole run, packages analyzed in dependency order on one
+// goroutine, so a fact is a plain Go value that never leaves the process.
 type FactStore struct {
-	mu    sync.Mutex
-	facts map[FactKey]Fact
+	facts map[factKey]Fact
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{facts: make(map[FactKey]Fact)}
-}
-
-func factType(f Fact) string { return reflect.TypeOf(f).String() }
-
-// RegisterFactTypes makes the concrete fact types of the analyzers known to
-// gob so stores containing them can be encoded and decoded. Call once per
-// process before Encode/Decode.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
+	return &FactStore{facts: make(map[factKey]Fact)}
 }
 
 func (s *FactStore) put(pkg, obj string, fact Fact) {
-	s.mu.Lock()
-	s.facts[FactKey{Pkg: pkgKey(pkg), Obj: obj, Type: factType(fact)}] = fact
-	s.mu.Unlock()
+	s.facts[factKey{pkg, obj, reflect.TypeOf(fact)}] = fact
 }
 
 // get copies the stored fact (if any) into the pointed-to value of fact.
 func (s *FactStore) get(pkg, obj string, fact Fact) bool {
-	s.mu.Lock()
-	stored, ok := s.facts[FactKey{Pkg: pkgKey(pkg), Obj: obj, Type: factType(fact)}]
-	s.mu.Unlock()
+	stored, ok := s.facts[factKey{pkg, obj, reflect.TypeOf(fact)}]
 	if !ok {
 		return false
 	}
-	dv := reflect.ValueOf(fact)
-	sv := reflect.ValueOf(stored)
-	if dv.Kind() != reflect.Ptr || sv.Kind() != reflect.Ptr || dv.Type() != sv.Type() {
-		return false
-	}
-	dv.Elem().Set(sv.Elem())
+	// The key carries the concrete pointer type, so the two agree.
+	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	return true
-}
-
-// storeEntry is the gob wire form of one fact.
-type storeEntry struct {
-	Key  FactKey
-	Fact Fact
-}
-
-// Encode serializes the full store. Each unit re-exports the facts it
-// imported along with its own, so a dependent unit only needs the .vetx
-// files of its direct imports to see the transitive closure.
-func (s *FactStore) Encode() ([]byte, error) {
-	s.mu.Lock()
-	entries := make([]storeEntry, 0, len(s.facts))
-	for k, f := range s.facts {
-		entries = append(entries, storeEntry{Key: k, Fact: f})
-	}
-	s.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i].Key, entries[j].Key
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		return a.Type < b.Type
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
-		return nil, fmt.Errorf("encoding facts: %v", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode merges serialized facts into the store. Empty input (the .vetx
-// file of a unit that exported nothing, or of a run of an older tool
-// version) merges nothing and is not an error.
-func (s *FactStore) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var entries []storeEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&entries); err != nil {
-		return fmt.Errorf("decoding facts: %v", err)
-	}
-	s.mu.Lock()
-	for _, e := range entries {
-		s.facts[e.Key] = e.Fact
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// Len reports the number of stored facts.
-func (s *FactStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.facts)
 }
 
 // ExportObjectFact attaches fact to obj (a function, method, var, or type
 // of the package under analysis).
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.Facts == nil || obj == nil || obj.Pkg() == nil {
+	if obj == nil || obj.Pkg() == nil {
 		return
 	}
-	p.Facts.put(obj.Pkg().Path(), ObjectKey(obj), fact)
+	p.Facts.put(obj.Pkg().Path(), objectKey(obj), fact)
 }
 
 // ImportObjectFact copies the fact of the given type attached to obj — by
 // this unit or by the unit that analyzed obj's declaring package — into
 // fact, reporting whether one was found.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if p.Facts == nil || obj == nil || obj.Pkg() == nil {
+	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	return p.Facts.get(obj.Pkg().Path(), ObjectKey(obj), fact)
+	return p.Facts.get(obj.Pkg().Path(), objectKey(obj), fact)
 }
 
 // ExportPackageFact attaches fact to the package under analysis.
 func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.Facts == nil || p.Pkg == nil {
-		return
-	}
 	p.Facts.put(p.Pkg.Path(), "", fact)
 }
 
 // ImportPackageFact copies the package-level fact of the given type for pkg
 // (typically an import of the package under analysis) into fact.
 func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if p.Facts == nil || pkg == nil {
-		return false
-	}
 	return p.Facts.get(pkg.Path(), "", fact)
 }

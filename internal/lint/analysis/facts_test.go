@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// testFact is a minimal gob-encodable fact.
+// testFact is a minimal fact.
 type testFact struct{ N int }
 
 func (*testFact) AFact() {}
@@ -25,32 +25,18 @@ func newMethod(pkg *types.Package, typeName, method string, ptrRecv bool) *types
 	return types.NewFunc(token.NoPos, pkg, method, sig)
 }
 
-// TestObjectFactRoundTrip exports a fact against an object from one
-// types.Package, serializes the store, and imports it against a distinct
-// types.Object with the same structure — the source-checked vs
-// export-data-imported identity split the structural keys exist to bridge.
-func TestObjectFactRoundTrip(t *testing.T) {
-	RegisterFactTypes([]*Analyzer{{Name: "t", FactTypes: []Fact{(*testFact)(nil)}}})
-
+// TestFactsBridgeObjectIdentity exports facts against objects of one
+// types.Package and imports them against distinct types.Objects with the
+// same structure — the source-checked vs export-data-imported identity split
+// the structural keys exist to bridge.
+func TestFactsBridgeObjectIdentity(t *testing.T) {
+	store := NewFactStore()
 	srcPkg := types.NewPackage("repro/internal/x", "x")
-	exporter := &Pass{Pkg: srcPkg, Facts: NewFactStore()}
+	exporter := &Pass{Pkg: srcPkg, Facts: store}
 	exporter.ExportObjectFact(newMethod(srcPkg, "T", "M", true), &testFact{N: 7})
 	exporter.ExportPackageFact(&testFact{N: 9})
 
-	data, err := exporter.Facts.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-
-	store := NewFactStore()
-	if err := store.Decode(data); err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if store.Len() != 2 {
-		t.Fatalf("want 2 facts after round-trip, got %d", store.Len())
-	}
-
-	// A dependent unit sees the same declarations through export data:
+	// A dependent package sees the same declarations through export data:
 	// fresh types.Package and types.Object values, same structure.
 	impPkg := types.NewPackage("repro/internal/x", "x")
 	importer := &Pass{Pkg: types.NewPackage("repro/internal/y", "y"), Facts: store}
@@ -74,27 +60,8 @@ func TestObjectFactRoundTrip(t *testing.T) {
 	if importer.ImportObjectFact(newMethod(impPkg, "T", "M", false), &got) {
 		t.Error("value-receiver lookup matched a pointer-receiver fact")
 	}
-}
-
-// TestDecodeEmpty: the .vetx file of a unit that exported nothing merges
-// nothing and is not an error.
-func TestDecodeEmpty(t *testing.T) {
-	store := NewFactStore()
-	if err := store.Decode(nil); err != nil {
-		t.Fatalf("Decode(nil): %v", err)
-	}
-	if store.Len() != 0 {
-		t.Errorf("want empty store, got %d facts", store.Len())
-	}
-}
-
-// TestPkgKeyTestVariant: the bracketed test-variant suffix is stripped so
-// the plain and test units address the same facts.
-func TestPkgKeyTestVariant(t *testing.T) {
-	if got := pkgKey("repro/internal/x [repro/internal/x.test]"); got != "repro/internal/x" {
-		t.Errorf("pkgKey test variant = %q", got)
-	}
-	if got := pkgKey("repro/internal/x"); got != "repro/internal/x" {
-		t.Errorf("pkgKey plain = %q", got)
+	// Neither is a package the store has never seen.
+	if importer.ImportPackageFact(importer.Pkg, &pf) {
+		t.Error("package fact found for a package that exported none")
 	}
 }

@@ -19,79 +19,43 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/lint"
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/loader"
 )
 
-// Run loads testdata/src/<dir> relative to the caller's testdata root,
-// applies the analyzer (with no //lint:allow filtering — that is the
-// driver's concern, tested separately), and diffs diagnostics against
-// // want comments.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, dir string) {
+// Run loads the fixture packages testdata/src/<dir> in one load, applies the
+// analyzer through the driver's own lint.Analyze — so a fact exported by one
+// fixture package is visible to the next — with no //lint:allow filtering
+// (that is lint.Check's concern, tested separately), and diffs each
+// package's diagnostics against its own // want comments.
+func Run(t *testing.T, testdata string, a *analysis.Analyzer, dirs ...string) {
 	t.Helper()
-	pkg, err := loader.LoadDir(filepath.Join(testdata, "src", dir))
+	patterns := make([]string, len(dirs))
+	for i, dir := range dirs {
+		patterns[i] = "./" + filepath.ToSlash(dir)
+	}
+	prog, err := loader.Load(filepath.Join(testdata, "src"), patterns...)
 	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
+		t.Fatalf("loading fixtures %v: %v", dirs, err)
 	}
-	var got []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Syntax,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		Report:    func(d analysis.Diagnostic) { got = append(got, d) },
+	if len(prog.Packages) != len(dirs) {
+		t.Fatalf("loading fixtures %v: got %d packages", dirs, len(prog.Packages))
 	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s on fixture %s: %v", a.Name, dir, err)
+	got := make(map[*loader.Package][]analysis.Diagnostic)
+	err = lint.Analyze(prog, []*analysis.Analyzer{a}, func(pkg *loader.Package, _ *analysis.Analyzer, d analysis.Diagnostic) {
+		got[pkg] = append(got[pkg], d)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	Check(t, pkg, a.Name, got)
-}
-
-// RunSuite analyzes several fixture packages in dependency order with
-// cross-package fact propagation: between packages the fact store is
-// gob-encoded and decoded into a fresh store, so the test exercises the
-// same wire path — and the same structural fact keys — the vet driver uses
-// when facts cross a .vetx file. Each package's diagnostics are checked
-// against its own // want comments.
-func RunSuite(t *testing.T, testdata string, a *analysis.Analyzer, dirs ...string) {
-	t.Helper()
-	analysis.RegisterFactTypes([]*analysis.Analyzer{a})
-	facts := analysis.NewFactStore()
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(filepath.Join(testdata, "src", dir))
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", dir, err)
-		}
-		var got []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Syntax,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			Facts:     facts,
-			Report:    func(d analysis.Diagnostic) { got = append(got, d) },
-		}
-		if _, err := a.Run(pass); err != nil {
-			t.Fatalf("%s on fixture %s: %v", a.Name, dir, err)
-		}
-		Check(t, pkg, a.Name, got)
-
-		data, err := facts.Encode()
-		if err != nil {
-			t.Fatalf("encoding facts after %s: %v", dir, err)
-		}
-		facts = analysis.NewFactStore()
-		if err := facts.Decode(data); err != nil {
-			t.Fatalf("decoding facts after %s: %v", dir, err)
-		}
+	for _, pkg := range prog.Packages {
+		check(t, pkg, a.Name, got[pkg])
 	}
 }
 
-// Check diffs diagnostics against the fixture's // want comments. Exposed
-// so the driver test can validate post-suppression findings the same way.
-func Check(t *testing.T, pkg *loader.Package, name string, got []analysis.Diagnostic) {
+// check diffs diagnostics against the fixture's // want comments.
+func check(t *testing.T, pkg *loader.Package, name string, got []analysis.Diagnostic) {
 	t.Helper()
 	type key struct {
 		file string

@@ -1,13 +1,15 @@
-package escape
+package lint_test
 
 import (
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
-// writeModule lays out a throwaway module for Check to compile.
+// writeModule lays out a throwaway module for lint.Check to load and compile.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -23,11 +25,11 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// TestCheck compiles a fixture module with -m=2 and verifies the full
-// contract in one pass: an escape in a hotpath function is a finding, an
+// TestEscape compiles a fixture module with -m=2 through the driver and
+// verifies the full contract in one pass: an escape in a hotpath function is a finding, an
 // escape in an unmarked function is not, a reasoned //lint:allow
 // hotpathescape suppresses, and a stale allow is itself a finding.
-func TestCheck(t *testing.T) {
+func TestEscape(t *testing.T) {
 	mod := writeModule(t, map[string]string{
 		"go.mod": "module escapee2e\n\ngo 1.24\n",
 		"hot.go": `package hot
@@ -72,7 +74,7 @@ func coldLeak() *int {
 `,
 	})
 
-	findings, stats, err := Check(mod, "./...")
+	findings, stats, err := lint.Check(mod, "./...")
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -85,9 +87,10 @@ func coldLeak() *int {
 	var gotLeak, gotStale int
 	for _, f := range findings {
 		switch {
-		case f.Func == "leak" && strings.Contains(f.Message, "heap"):
+		case f.Analyzer == lint.Hotpathescape && strings.Contains(f.Message, "heap") &&
+			strings.Contains(f.Message, "hotpath function leak"):
 			gotLeak++
-		case strings.Contains(f.Message, "stale //lint:allow hotpathescape"):
+		case f.Analyzer == "lintdirective" && strings.Contains(f.Message, "stale //lint:allow hotpathescape"):
 			gotStale++
 		default:
 			t.Errorf("unexpected finding: %s", f)
@@ -101,9 +104,9 @@ func coldLeak() *int {
 	}
 }
 
-// TestCheckNoHotpath: a module with no hotpath directives compiles nothing
+// TestEscapeNoHotpath: a module with no hotpath directives compiles nothing
 // and reports nothing.
-func TestCheckNoHotpath(t *testing.T) {
+func TestEscapeNoHotpath(t *testing.T) {
 	mod := writeModule(t, map[string]string{
 		"go.mod": "module escapee2e\n\ngo 1.24\n",
 		"cold.go": `package cold
@@ -114,7 +117,7 @@ func Leak() *int {
 }
 `,
 	})
-	findings, stats, err := Check(mod, "./...")
+	findings, stats, err := lint.Check(mod, "./...")
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}

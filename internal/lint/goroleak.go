@@ -27,8 +27,7 @@ var Goroleak = &analysis.Analyzer{
 		"return/break out of unconditional loops, no ctx.Done()/done-channel " +
 		"exit, no WaitGroup accounting), using NeverReturns facts to catch " +
 		"spawns of forever-blocking functions across packages",
-	Run:       runGoroleak,
-	FactTypes: []analysis.Fact{(*NeverReturns)(nil)},
+	Run: runGoroleak,
 }
 
 // NeverReturns marks a function that provably never returns to its caller:

@@ -11,7 +11,7 @@ import (
 // hotpathDirective marks a function as allocation-budgeted. The PR 3 alloc
 // regression tests (wire zero-alloc framing, rtmp 2-allocs/frame fan-out,
 // cdn RawChunkList warm polls) pin the budget at runtime; this analyzer
-// catches the obvious regressions at vet time, with position information,
+// catches the obvious regressions at analysis time, with position information,
 // before a benchmark has to.
 const hotpathDirective = "livesim:hotpath"
 

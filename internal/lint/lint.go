@@ -1,6 +1,6 @@
-// Package lint hosts the repo's custom analyzers and the driver that runs
-// them with //lint:allow suppression. The analyzers enforce invariants that
-// PRs 1–3 established but nothing checked mechanically:
+// Package lint hosts the repo's custom static checks and the driver that runs
+// them with //lint:allow suppression. They enforce invariants that PRs 1–3
+// established but nothing checked mechanically:
 //
 //	locksend      — no blocking op while a sync.Mutex/RWMutex is held (§5a)
 //	walltime      — simulation/delivery packages use internal/clock and
@@ -13,28 +13,31 @@
 //	                (no AB/BA deadlocks), propagated across packages via
 //	                facts
 //	goroleak      — every `go` statement has a provable termination path
+//	hotpathescape — //livesim:hotpath functions are escape-free according
+//	                to the compiler itself (escape.go; compiler-assisted, so
+//	                it runs over the whole load rather than as an Analyzer)
 //
-// A ninth check, hotpathescape, lives in cmd/escapecheck: it is
-// compiler-assisted (parses `go tool compile -m=2` escape diagnostics) and
-// cannot run under the unitchecker protocol, but shares this package's
-// //lint:allow directive namespace.
+// Check is the one driver: one `go list -export` load, the seven AST
+// analyzers over each package in dependency order against one in-memory fact
+// store, then the escape pass over the same load, every diagnostic passing
+// through one //lint:allow suppression and stale-directive pass.
 //
 // False positives are suppressed in place with a reasoned directive:
 //
 //	//lint:allow <analyzer> <reason>
 //
-// on the flagged line or on the line directly above it. A directive is
-// scoped to the named analyzer at that position; it does not blanket the
-// line for other analyzers. Directives naming an unknown analyzer, carrying
-// no reason, or matching no finding (stale — the code was fixed but the
-// suppression lingered, ready to mask the next regression) are themselves
-// diagnostics.
+// on the flagged line or on the line directly above it, the same contract
+// for all eight names. A directive is scoped to the named check at that
+// position; it does not blanket the line for the others. Directives naming
+// an unknown check, carrying no reason, or matching no finding (stale — the
+// code was fixed but the suppression lingered, ready to mask the next
+// regression) are themselves diagnostics.
 package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,7 +45,7 @@ import (
 	"repro/internal/lint/loader"
 )
 
-// Analyzers returns the full suite in stable order.
+// Analyzers returns the AST analyzers in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Locksend,
@@ -55,11 +58,14 @@ func Analyzers() []*analysis.Analyzer {
 	}
 }
 
-// ExternalAllowNames are analyzer names that are valid in //lint:allow
-// directives but enforced by a separate binary (cmd/escapecheck), so this
-// driver can neither match nor stale-check their directives.
-var ExternalAllowNames = map[string]bool{
-	"hotpathescape": true,
+// Names returns every name a //lint:allow directive may carry: the
+// analyzers, then Hotpathescape.
+func Names() []string {
+	var names []string
+	for _, a := range Analyzers() {
+		names = append(names, a.Name)
+	}
+	return append(names, Hotpathescape)
 }
 
 // Finding is one post-suppression diagnostic.
@@ -82,132 +88,127 @@ type allowKey struct {
 
 // directive is one well-formed //lint:allow, tracked for staleness.
 type directive struct {
-	name     string
-	pos      token.Position
-	external bool
-	used     bool
+	name string
+	pos  token.Position
+	used bool
 }
 
 const allowPrefix = "lint:allow"
 
-// collectAllows parses every //lint:allow directive in the files. A
-// directive suppresses its analyzer on the directive's own line (trailing
+// directiveCheck is the name findings about the directives themselves carry.
+const directiveCheck = "lintdirective"
+
+// collectAllows parses every //lint:allow directive in the program. A
+// directive suppresses its check on the directive's own line (trailing
 // comment) and on the following line (standalone comment above the
-// statement). Malformed or unknown-analyzer directives are returned as
-// findings so they fail the build like any other diagnostic.
-func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) (map[allowKey]*directive, []*directive, []Finding) {
+// statement). Malformed or unknown-name directives are returned as findings
+// so they fail the build like any other diagnostic.
+func collectAllows(prog *loader.Program) (map[allowKey]*directive, []*directive, []Finding) {
+	names := Names()
 	allows := make(map[allowKey]*directive)
 	var directives []*directive
 	var bad []Finding
-	for _, file := range files {
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				if !strings.HasPrefix(text, allowPrefix) {
-					continue
+	malformed := func(pos token.Position, format string, args ...interface{}) {
+		bad = append(bad, Finding{Analyzer: directiveCheck, Pos: pos, Message: fmt.Sprintf(format, args...)})
+	}
+	for _, pkg := range prog.Packages {
+		for _, file := range pkg.Syntax {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					text := strings.TrimPrefix(c.Text, "//")
+					if !strings.HasPrefix(text, allowPrefix) {
+						continue
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					fields := strings.Fields(strings.TrimPrefix(text, allowPrefix))
+					switch {
+					case len(fields) == 0:
+						malformed(pos, "malformed //lint:allow: want \"//lint:allow <analyzer> <reason>\"")
+					case !slices.Contains(names, fields[0]):
+						malformed(pos, "//lint:allow names unknown analyzer %q (known: %s)", fields[0], strings.Join(names, ", "))
+					case len(fields) < 2:
+						malformed(pos, "//lint:allow %s has no reason; suppressions must say why", fields[0])
+					default:
+						d := &directive{name: fields[0], pos: pos}
+						directives = append(directives, d)
+						allows[allowKey{d.name, pos.Filename, pos.Line}] = d
+						allows[allowKey{d.name, pos.Filename, pos.Line + 1}] = d
+					}
 				}
-				pos := fset.Position(c.Pos())
-				fields := strings.Fields(strings.TrimPrefix(text, allowPrefix))
-				if len(fields) == 0 {
-					bad = append(bad, Finding{
-						Analyzer: "lintdirective", Pos: pos,
-						Message: "malformed //lint:allow: want \"//lint:allow <analyzer> <reason>\"",
-					})
-					continue
-				}
-				name := fields[0]
-				if !known[name] && !ExternalAllowNames[name] {
-					bad = append(bad, Finding{
-						Analyzer: "lintdirective", Pos: pos,
-						Message: fmt.Sprintf("//lint:allow names unknown analyzer %q (known: %s)", name, knownNames(known)),
-					})
-					continue
-				}
-				if len(fields) < 2 {
-					bad = append(bad, Finding{
-						Analyzer: "lintdirective", Pos: pos,
-						Message: fmt.Sprintf("//lint:allow %s has no reason; suppressions must say why", name),
-					})
-					continue
-				}
-				d := &directive{name: name, pos: pos, external: ExternalAllowNames[name]}
-				directives = append(directives, d)
-				allows[allowKey{name, pos.Filename, pos.Line}] = d
-				allows[allowKey{name, pos.Filename, pos.Line + 1}] = d
 			}
 		}
 	}
 	return allows, directives, bad
 }
 
-func knownNames(known map[string]bool) string {
-	names := make([]string, 0, len(known)+len(ExternalAllowNames))
-	for n := range known {
-		names = append(names, n)
-	}
-	for n := range ExternalAllowNames {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
-
-// Run applies the analyzers to one loaded package with a private fact
-// store: fine for single-package use where cross-package facts cannot
-// matter. Drivers analyzing a whole program use RunFacts with a store
-// shared across packages in dependency order.
-func Run(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	return RunFacts(pkg, analyzers, analysis.NewFactStore())
-}
-
-// RunFacts applies the analyzers to one loaded package against a shared
-// fact store and returns the findings that survive //lint:allow
-// suppression, plus directive diagnostics (malformed, unknown, reasonless,
-// or stale), sorted by position. Analyzers export facts into the store even
-// for suppressed findings, so suppression never poisons downstream
-// packages' view of the program.
-func RunFacts(pkg *loader.Package, analyzers []*analysis.Analyzer, facts *analysis.FactStore) ([]Finding, error) {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	allows, directives, findings := collectAllows(pkg.Fset, pkg.Syntax, known)
-
-	for _, a := range analyzers {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Syntax,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			Facts:     facts,
-		}
-		name := a.Name
-		pass.Report = func(d analysis.Diagnostic) {
-			pos := pkg.Fset.Position(d.Pos)
-			if dir, ok := allows[allowKey{name, pos.Filename, pos.Line}]; ok {
-				dir.used = true
-				return
+// Analyze applies analyzers to every package of prog, dependencies first,
+// against one fresh in-memory fact store, so a fact one package exports is
+// visible to every later one. It is the one place a Pass is wired: Check and
+// the analysistest fixture runner both come through here.
+func Analyze(prog *loader.Program, analyzers []*analysis.Analyzer, report func(*loader.Package, *analysis.Analyzer, analysis.Diagnostic)) error {
+	facts := analysis.NewFactStore()
+	for _, pkg := range prog.Packages {
+		for _, a := range analyzers {
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Syntax,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
+				Facts:     facts,
+				Report:    func(d analysis.Diagnostic) { report(pkg, a, d) },
 			}
-			findings = append(findings, Finding{Analyzer: name, Pos: pos, Message: d.Message})
+			if _, err := a.Run(pass); err != nil {
+				return fmt.Errorf("%s on %s: %v", a.Name, pkg.ImportPath, err)
+			}
 		}
-		if _, err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.ImportPath, err)
+	}
+	return nil
+}
+
+// Check loads patterns (relative to dir) once and runs all eight checks over
+// the load. It returns the findings that survive //lint:allow suppression,
+// plus directive diagnostics (malformed, unknown, reasonless, or stale),
+// sorted by position. Analyzers export facts into the store even for
+// suppressed findings, so suppression never poisons downstream packages'
+// view of the program.
+func Check(dir string, patterns ...string) ([]Finding, Stats, error) {
+	prog, err := loader.Load(dir, patterns...)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	allows, directives, findings := collectAllows(prog)
+	report := func(name string, pos token.Position, msg string) {
+		if d, ok := allows[allowKey{name, pos.Filename, pos.Line}]; ok {
+			d.used = true
+			return
 		}
+		findings = append(findings, Finding{Analyzer: name, Pos: pos, Message: msg})
+	}
+
+	err = Analyze(prog, Analyzers(), func(pkg *loader.Package, a *analysis.Analyzer, d analysis.Diagnostic) {
+		report(a.Name, pkg.Fset.Position(d.Pos), d.Message)
+	})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	stats, err := escapePass(prog, func(pos token.Position, msg string) {
+		report(Hotpathescape, pos, msg)
+	})
+	if err != nil {
+		return nil, Stats{}, err
 	}
 
 	// A directive that suppressed nothing is stale: the finding it covered
 	// was fixed, and the lingering suppression would silently swallow the
-	// next one at that position. External analyzers (hotpathescape) are
-	// matched by their own driver.
+	// next one at that position.
 	for _, d := range directives {
-		if d.used || d.external {
-			continue
+		if !d.used {
+			findings = append(findings, Finding{
+				Analyzer: directiveCheck, Pos: d.pos,
+				Message: fmt.Sprintf("stale //lint:allow %s: no %s finding here; delete the directive (it would mask the next real finding at this position)", d.name, d.name),
+			})
 		}
-		findings = append(findings, Finding{
-			Analyzer: "lintdirective", Pos: d.pos,
-			Message: fmt.Sprintf("stale //lint:allow %s: no %s finding here; delete the directive (it would mask the next real finding at this position)", d.name, d.name),
-		})
 	}
 
 	sort.Slice(findings, func(i, j int) bool {
@@ -220,5 +221,5 @@ func RunFacts(pkg *loader.Package, analyzers []*analysis.Analyzer, facts *analys
 		}
 		return findings[i].Analyzer < findings[j].Analyzer
 	})
-	return findings, nil
+	return findings, stats, nil
 }

@@ -2,12 +2,12 @@ package lint_test
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/lint"
 	"repro/internal/lint/analysistest"
-	"repro/internal/lint/loader"
 )
 
 func TestLocksend(t *testing.T) {
@@ -66,9 +66,9 @@ func TestLockorder(t *testing.T) {
 
 // TestLockorderCrossPackage seeds an AB/BA inversion across two fixture
 // packages: the hub→registry edge exists only through liba's LockSet fact
-// on Refresh, round-tripped through the gob wire format between packages.
+// on Refresh.
 func TestLockorderCrossPackage(t *testing.T) {
-	analysistest.RunSuite(t, "testdata", lint.Lockorder,
+	analysistest.Run(t, "testdata", lint.Lockorder,
 		filepath.Join("lockorderx", "liba"), filepath.Join("lockorderx", "libb"))
 }
 
@@ -79,22 +79,19 @@ func TestGoroleak(t *testing.T) {
 // TestGoroleakCrossPackage spawns a forever-blocking function declared in a
 // dependency: the spawn is flagged via the imported NeverReturns fact.
 func TestGoroleakCrossPackage(t *testing.T) {
-	analysistest.RunSuite(t, "testdata", lint.Goroleak,
+	analysistest.Run(t, "testdata", lint.Goroleak,
 		filepath.Join("goroleakx", "liba"), filepath.Join("goroleakx", "libb"))
 }
 
-// TestAllowDirectives drives lint.Run over the directives fixture and checks
-// the suppression contract: a reasoned //lint:allow <analyzer> silences that
-// analyzer on the next line; a directive naming an unknown analyzer or
-// carrying no reason is itself a finding and suppresses nothing.
+// TestAllowDirectives drives lint.Check over the directives fixture and
+// checks the one suppression contract all eight names share: a reasoned
+// //lint:allow <name> silences that check on the next line; a directive
+// naming an unknown check or carrying no reason is itself a finding and
+// suppresses nothing; a directive that matched nothing is stale.
 func TestAllowDirectives(t *testing.T) {
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "directives"))
+	findings, _, err := lint.Check(filepath.Join("testdata", "src", "directives"), ".")
 	if err != nil {
-		t.Fatalf("loading directives fixture: %v", err)
-	}
-	findings, err := lint.Run(pkg, lint.Analyzers())
-	if err != nil {
-		t.Fatalf("lint.Run: %v", err)
+		t.Fatalf("lint.Check: %v", err)
 	}
 	for _, f := range findings {
 		t.Logf("finding: %s", f)
@@ -130,18 +127,19 @@ func TestAllowDirectives(t *testing.T) {
 	if got := count("lintdirective", "stale //lint:allow locksend"); got != 1 {
 		t.Errorf("want 1 stale-directive finding, got %d", got)
 	}
-	// The hotpathescape directive is valid (external analyzer) and exempt
-	// from this driver's stale check: no finding for it.
-	if got := count("lintdirective", "//lint:allow hotpathescape"); got != 0 {
-		t.Errorf("want 0 findings about the hotpathescape directive, got %d", got)
+	// hotpathescape is a known name under the same contract: its directive
+	// matched no escape diagnostic, so the same pass reports it stale.
+	if got := count("lintdirective", "stale //lint:allow hotpathescape"); got != 1 {
+		t.Errorf("want 1 stale hotpathescape directive finding, got %d", got)
 	}
-	if got := len(findings); got != 5 {
-		t.Errorf("want 5 findings total (2 sends + 3 directive diagnostics), got %d", got)
+	if got := len(findings); got != 6 {
+		t.Errorf("want 6 findings total (2 sends + 4 directive diagnostics), got %d", got)
 	}
 }
 
-// TestSuiteNames pins the analyzer names the //lint:allow directives and the
-// CI job reference: renaming one silently orphans every suppression.
+// TestSuiteNames pins the names the //lint:allow directives and the CI job
+// reference — the seven AST analyzers, then hotpathescape as the eighth
+// known directive name: renaming one silently orphans every suppression.
 func TestSuiteNames(t *testing.T) {
 	want := []string{"locksend", "walltime", "atomiccounter", "hotpathalloc", "ctxplumb", "lockorder", "goroleak"}
 	as := lint.Analyzers()
@@ -155,5 +153,8 @@ func TestSuiteNames(t *testing.T) {
 		if a.Doc == "" {
 			t.Errorf("analyzer %q has no doc", a.Name)
 		}
+	}
+	if got := lint.Names(); !slices.Equal(got, append(want, "hotpathescape")) {
+		t.Errorf("directive names = %v, want the seven analyzers then hotpathescape", got)
 	}
 }

@@ -19,25 +19,32 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // Package is one type-checked package ready for analysis.
 type Package struct {
 	ImportPath string
-	Name       string
 	Dir        string
+	Files      []string // absolute paths of the non-test Go files, Syntax order
 	Fset       *token.FileSet
 	Syntax     []*ast.File
 	Types      *types.Package
 	TypesInfo  *types.Info
 }
 
-// ListPkg is the subset of `go list -json` output the loader consumes.
-type ListPkg struct {
+// Program is one load: the type-checked module packages the patterns matched
+// and the export-data file of every package in their import graph (what the
+// type checker imported, and what the escape pass hands the compiler as its
+// importcfg).
+type Program struct {
+	Packages []*Package        // dependencies first
+	Exports  map[string]string // import path → gc export-data file
+}
+
+// listPkg is the subset of `go list -json` output the loader consumes.
+type listPkg struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	Export     string
 	Standard   bool
 	DepOnly    bool
@@ -45,17 +52,10 @@ type ListPkg struct {
 	Error      *struct{ Err string }
 }
 
-// List runs `go list -e -export -json -deps` in dir and decodes the JSON
-// stream: every package in the import graph of patterns, dependencies
-// first, each with the path of its gc export-data file. Exported for
-// cmd/escapecheck, which feeds the Export files to `go tool compile` as an
-// importcfg.
-func List(dir string, patterns ...string) ([]*ListPkg, error) {
-	return list(dir, patterns)
-}
-
-// list runs `go list -export -json -deps` in dir and decodes the JSON stream.
-func list(dir string, patterns []string) ([]*ListPkg, error) {
+// list runs `go list -e -export -json -deps` in dir and decodes the JSON
+// stream: every package in the import graph of patterns, dependencies first,
+// each with the path of its gc export-data file.
+func list(dir string, patterns []string) ([]*listPkg, error) {
 	args := append([]string{"list", "-e", "-export", "-json", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -65,10 +65,10 @@ func list(dir string, patterns []string) ([]*ListPkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
-	var pkgs []*ListPkg
+	var pkgs []*listPkg
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		p := new(ListPkg)
+		p := new(listPkg)
 		if err := dec.Decode(p); err == io.EOF {
 			break
 		} else if err != nil {
@@ -79,20 +79,66 @@ func list(dir string, patterns []string) ([]*ListPkg, error) {
 	return pkgs, nil
 }
 
-// exportImporter satisfies types.Importer by reading gc export data located
-// by an import-path → file map (built from `go list -export`).
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok || file == "" {
+// Load lists patterns relative to dir ("./..." for a module; an explicit
+// directory for an analysistest fixture under testdata, which the go tool
+// only skips when expanding wildcards) and returns the type-checked module
+// packages in dependency order. Dependencies — standard library included —
+// are imported from export data, so no source beyond the matched packages'
+// own is parsed. This is the only `go list` of a run.
+func Load(dir string, patterns ...string) (*Program, error) {
+	lps, err := list(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	prog := &Program{Exports: make(map[string]string, len(lps))}
+	for _, lp := range lps {
+		if lp.Export != "" {
+			prog.Exports[lp.ImportPath] = lp.Export
+		}
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := prog.Exports[path]
+		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
 	})
+
+	for _, lp := range lps {
+		if lp.DepOnly || lp.Standard {
+			continue
+		}
+		if lp.Error != nil { // before the no-files skip: a mistyped pattern is an error package with no files
+			return nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		if len(lp.GoFiles) == 0 {
+			continue
+		}
+		pkg := &Package{ImportPath: lp.ImportPath, Dir: lp.Dir, Fset: fset, TypesInfo: newInfo()}
+		for _, f := range lp.GoFiles {
+			path := filepath.Join(lp.Dir, f)
+			af, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			pkg.Files = append(pkg.Files, path)
+			pkg.Syntax = append(pkg.Syntax, af)
+		}
+		conf := &types.Config{Importer: imp}
+		if pkg.Types, err = conf.Check(lp.ImportPath, fset, pkg.Syntax, pkg.TypesInfo); err != nil {
+			return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
+		}
+		prog.Packages = append(prog.Packages, pkg)
+	}
+	if len(prog.Packages) == 0 {
+		return nil, fmt.Errorf("patterns %q matched no packages", patterns)
+	}
+	return prog, nil
 }
 
-// NewInfo returns a types.Info with every map the analyzers consult.
-func NewInfo() *types.Info {
+// newInfo returns a types.Info with every map the analyzers consult.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -101,138 +147,4 @@ func NewInfo() *types.Info {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-}
-
-// Load lists patterns (relative to dir, e.g. "./...") and returns the
-// type-checked module packages, dependency order preserved. Dependencies —
-// standard library included — are imported from export data, so no source
-// beyond the module's own is parsed.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	lps, err := list(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(lps))
-	for _, lp := range lps {
-		if lp.Export != "" {
-			exports[lp.ImportPath] = lp.Export
-		}
-	}
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-
-	var out []*Package
-	for _, lp := range lps {
-		if lp.DepOnly || lp.Standard || len(lp.GoFiles) == 0 {
-			continue
-		}
-		if lp.Error != nil {
-			return nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
-		}
-		var files []string
-		for _, f := range lp.GoFiles {
-			files = append(files, filepath.Join(lp.Dir, f))
-		}
-		pkg, err := check(fset, lp.ImportPath, lp.Dir, files, imp)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// LoadDir type-checks a single directory of Go files that sits outside the
-// module build graph (analysistest fixtures under testdata). Imports are
-// resolved by running `go list -export` on the fixture's import set, so
-// fixtures may import the standard library and this module's packages.
-func LoadDir(dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("loader: no Go files in %s", dir)
-	}
-
-	// Discover the fixture's imports with a syntax-only parse, then ask the
-	// go tool for their export data.
-	fset := token.NewFileSet()
-	importSet := make(map[string]bool)
-	for _, f := range files {
-		af, err := parser.ParseFile(fset, f, nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, err
-		}
-		for _, im := range af.Imports {
-			importSet[strings.Trim(im.Path.Value, `"`)] = true
-		}
-	}
-	exports := make(map[string]string)
-	if len(importSet) > 0 {
-		var pats []string
-		for p := range importSet {
-			pats = append(pats, p)
-		}
-		lps, err := list(dir, pats)
-		if err != nil {
-			return nil, err
-		}
-		for _, lp := range lps {
-			if lp.Export != "" {
-				exports[lp.ImportPath] = lp.Export
-			}
-		}
-	}
-	fset = token.NewFileSet()
-	return check(fset, dirImportPath(dir), dir, files, exportImporter(fset, exports))
-}
-
-// dirImportPath resolves the module import path of a directory (testdata
-// packages included — the go tool only skips testdata when expanding
-// wildcards, not for explicit arguments). Cross-package facts are keyed by
-// import path, so a fixture package analyzed from source must carry the
-// same path its dependents see in export data; the directory base name is
-// only a fallback for directories outside any module.
-func dirImportPath(dir string) string {
-	// list emits dependencies first, so the directory's own package is the
-	// last entry.
-	lps, err := list(dir, []string{"."})
-	if err == nil && len(lps) > 0 && lps[len(lps)-1].ImportPath != "" {
-		return lps[len(lps)-1].ImportPath
-	}
-	return filepath.Base(dir)
-}
-
-// check parses files and type-checks them as one package.
-func check(fset *token.FileSet, path, dir string, files []string, imp types.Importer) (*Package, error) {
-	var syntax []*ast.File
-	for _, f := range files {
-		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		syntax = append(syntax, af)
-	}
-	info := NewInfo()
-	conf := &types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, syntax, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", path, err)
-	}
-	return &Package{
-		ImportPath: path,
-		Name:       tpkg.Name(),
-		Dir:        dir,
-		Fset:       fset,
-		Syntax:     syntax,
-		Types:      tpkg,
-		TypesInfo:  info,
-	}, nil
 }

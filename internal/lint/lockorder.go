@@ -31,7 +31,7 @@ import (
 //     acquire, directly or through callees (same-package call graphs are
 //     closed by fixpoint; imported callees contribute their fact);
 //   - each package exports a LockGraph fact: its own edges merged with the
-//     graphs of its imports, so a dependent unit sees the transitive
+//     graphs of its imports, so a dependent package sees the transitive
 //     closure through its direct imports alone.
 //
 // A cycle is reported once, at an acquisition or call site in the package
@@ -43,8 +43,7 @@ var Lockorder = &analysis.Analyzer{
 	Doc: "builds the whole-program lock-acquisition graph across packages " +
 		"(via facts) and reports cycles — potential AB/BA deadlocks — with " +
 		"the full acquisition chain",
-	Run:       runLockorder,
-	FactTypes: []analysis.Fact{(*LockSet)(nil), (*LockGraph)(nil)},
+	Run: runLockorder,
 }
 
 // LockSet is the object fact exported for every analyzed function: the lock

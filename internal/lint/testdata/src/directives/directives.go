@@ -1,6 +1,7 @@
 // Fixture for the //lint:allow driver: one properly suppressed finding, one
-// directive naming an unknown analyzer, one directive with no reason. The
-// driver test asserts on lint.Run's post-suppression findings directly.
+// directive naming an unknown analyzer, one directive with no reason, two
+// stale ones. The driver test asserts on lint.Check's post-suppression
+// findings directly.
 package directives
 
 import "sync"
@@ -44,9 +45,10 @@ func (h *hub) staleAllow() {
 	h.ch <- 4
 }
 
-// externalAllow names the compiler-assisted analyzer: a valid name, and
-// exempt from this driver's stale check (cmd/escapecheck matches it).
-func externalAllow() []byte {
+// staleEscapeAllow names the compiler-assisted check: a valid name under
+// the same contract, so with no escape diagnostic here (the function is not
+// a hotpath one) the directive is stale like any other.
+func staleEscapeAllow() []byte {
 	//lint:allow hotpathescape deliberate fixture allocation
 	return make([]byte, 1)
 }

@@ -2,8 +2,6 @@ package rtmp
 
 import (
 	"context"
-	"crypto/ed25519"
-	"crypto/tls"
 	"errors"
 	"sync/atomic"
 	"time"
@@ -15,10 +13,6 @@ import (
 
 // PublishResilientConfig tunes PublishResilient.
 type PublishResilientConfig struct {
-	// Signer, when set, signs every frame (§7.2 defense).
-	Signer ed25519.PrivateKey
-	// TLS, when non-nil, publishes over RTMPS.
-	TLS *tls.Config
 	// Resolve re-reads the server address before each redial. A restarted
 	// origin may come back on a different port; the control plane knows the
 	// current one. Nil redials the original address.
@@ -99,11 +93,11 @@ func (rp *ResilientPublisher) dial(ctx context.Context) (*Publisher, error) {
 	}
 	conn, ack, err := dialAndHandshakeTLS(ctx, addr, wire.Handshake{
 		Role: wire.RoleBroadcaster, BroadcastID: rp.broadcastID, Token: rp.token,
-	}, rp.cfg.TLS, nil, rp.cfg.DialTimeout)
+	}, nil, nil, rp.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	return &Publisher{conn: conn, signer: rp.cfg.Signer, resumeSeq: ack.ResumeSeq}, nil
+	return &Publisher{conn: conn, resumeSeq: ack.ResumeSeq}, nil
 }
 
 // buffer retains a deep copy of f in the resume ring, evicting the oldest

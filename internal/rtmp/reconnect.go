@@ -2,7 +2,6 @@ package rtmp
 
 import (
 	"context"
-	"crypto/tls"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -22,8 +21,6 @@ type ReconnectConfig struct {
 	// MaxReconnects bounds redial attempts across the whole session
 	// (each failed dial counts). Zero means 8; negative means unlimited.
 	MaxReconnects int
-	// TLS, when non-nil, subscribes over RTMPS.
-	TLS *tls.Config
 }
 
 // ResilientViewer is a viewer session that survives connection drops: when
@@ -59,7 +56,7 @@ func SubscribeResilient(ctx context.Context, addr, broadcastID, token string, cf
 		// not the whole session.
 		cfg.Options.DialTimeout = 3 * time.Second
 	}
-	v, err := SubscribeTLS(ctx, addr, broadcastID, token, cfg.Options, cfg.TLS)
+	v, err := Subscribe(ctx, addr, broadcastID, token, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +102,7 @@ func (rv *ResilientViewer) run(ctx context.Context, v *Viewer, addr, broadcastID
 				return
 			}
 			redials++
-			nv, serr := SubscribeTLS(ctx, addr, broadcastID, token, cfg.Options, cfg.TLS)
+			nv, serr := Subscribe(ctx, addr, broadcastID, token, cfg.Options)
 			if serr == nil {
 				v = nv
 				rv.reconnects.Add(1)

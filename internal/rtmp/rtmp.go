@@ -103,11 +103,6 @@ type ServerConfig struct {
 	// whose socket stays unwritable this long is dropped (a dead or
 	// wedged client must never pin a server goroutine). Zero means 30s.
 	WriteTimeout time.Duration
-	// DropSignedFrames controls the verification failure policy: when a
-	// signature check fails the frame is always excluded from fan-out,
-	// and the whole broadcast is additionally terminated when this is
-	// true.
-	DropSignedFrames bool
 	// Logf sinks diagnostics; nil discards.
 	Logf func(format string, args ...interface{})
 	// Clock stamps frame arrivals (timestamp ① of the delay
@@ -613,11 +608,7 @@ func (s *Server) handleBroadcaster(conn net.Conn, hs wire.Handshake) {
 		case wire.MsgEnd:
 			return
 		case wire.MsgFrame, wire.MsgSignedFrame:
-			if !s.acceptFrame(b, enc) {
-				if s.cfg.DropSignedFrames {
-					return
-				}
-			}
+			s.acceptFrame(b, enc)
 		default:
 			s.cfg.Logf("rtmp publish %s: unexpected message type %d", hs.BroadcastID, enc.Type())
 		}

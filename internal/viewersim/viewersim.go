@@ -260,14 +260,8 @@ func buildWorld(cfg Config) *world {
 	// Gateway relay exactly as RunControlled wires it: the Fastly site
 	// co-located with the origin fronts it, and the hop only exists when
 	// that gateway is not the serving edge itself.
-	for _, e := range geo.FastlySites() {
-		if geo.CoLocated(e, w.origin) {
-			if !geo.CoLocated(e, w.edge) {
-				e := e
-				w.gateway = &e
-			}
-			break
-		}
+	if gw := geo.Gateway(w.origin); gw != nil && !geo.CoLocated(*gw, w.edge) {
+		w.gateway = gw
 	}
 
 	src := rng.New(cfg.Seed).Split("viewersim")
