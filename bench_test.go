@@ -306,8 +306,11 @@ func BenchmarkFanout(b *testing.B) {
 				}
 			}
 			// Pipeline at most half the viewer queue so slow drains throttle
-			// the publisher instead of overflowing into evictions.
-			const window = 4096
+			// the publisher instead of overflowing into evictions: the check
+			// every window frames lets the publisher run up to 2*window-1
+			// ahead of the viewers' mean, and the slowest viewer needs the
+			// other half of its queue as slack below that mean.
+			const window = 2048
 			b.SetBytes(int64(len(frames[0])))
 			b.ReportAllocs()
 			b.ResetTimer()

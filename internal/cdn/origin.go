@@ -481,8 +481,9 @@ func (o *Origin) Ingest(id string, f media.Frame, at time.Time) { o.ingest(id, f
 // a completed chunk is sealed here — the journal needs its bytes anyway, and
 // that marshal is the only one the chunk ever gets; without one, nothing on
 // this path builds bytes (the first HTTP serve does, if there ever is one).
-// Journal appends happen after the lock is released — they only enqueue onto
-// the group-commit writer, and per-broadcast ordering holds because one
+// Journal appends happen after the lock is released — they copy the record
+// into the group-commit writer's pending batch, the one copy the sealed bytes
+// get on the way to the backend — and per-broadcast ordering holds because one
 // handler goroutine serves each broadcast.
 func (o *Origin) ingest(id string, f media.Frame, at time.Time) {
 	o.mu.Lock()

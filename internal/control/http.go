@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/resilience"
 )
 
 // The control plane's HTTP surface stands in for Periscope's HTTPS API: the
@@ -500,7 +501,7 @@ func (c *Client) do(req *http.Request, out interface{}) error {
 	if err != nil {
 		return fmt.Errorf("control: %s %s: %w", req.Method, req.URL.Path, err)
 	}
-	defer resp.Body.Close()
+	defer resilience.DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		if err := errFromResponse(resp); err != nil {
 			return err

@@ -17,6 +17,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/geo"
 	"repro/internal/journal"
+	"repro/internal/testutil"
 )
 
 // newHTTPTenantFixture builds a service + handler + key-bearing client with
@@ -526,4 +527,35 @@ func FuzzControlHandler(f *testing.F) {
 			t.Fatalf("%s %q: 405 on a route the table serves", method, path)
 		}
 	})
+}
+
+// TestClientKeepsConnectionAlive: every reply is read to its end before the
+// body is closed, so net/http can reuse the connection — including replies the
+// client has no use for (EndBroadcast's `{}`) and error replies. Start → refused
+// End → End → Start on one client is one TCP connection.
+func TestClientKeepsConnectionAlive(t *testing.T) {
+	s := newTestService()
+	srv, conns := testutil.CountingServer(t, Handler("/api", s))
+	hc := &http.Client{Transport: &http.Transport{}}
+	defer hc.CloseIdleConnections()
+	c := &Client{BaseURL: srv.URL + "/api", HTTPClient: hc}
+	ctx := context.Background()
+	u := s.Register("streamer")
+
+	grant, err := c.StartBroadcast(ctx, u.ID, geo.Location{City: "NYC"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EndBroadcast(ctx, grant.BroadcastID, "not-the-token"); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("end with a forged token: %v, want ErrBadToken", err)
+	}
+	if err := c.EndBroadcast(ctx, grant.BroadcastID, grant.Token); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.StartBroadcast(ctx, u.ID, geo.Location{City: "NYC"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("four sequential calls opened %d connections, want 1", n)
+	}
 }

@@ -23,7 +23,7 @@ import (
 // here are JSON: the control plane is off every hot path, so the codec
 // optimizes for schema evolution over allocation count.
 //
-// Replay determinism rests on one invariant: records are enqueued while
+// Replay determinism rests on one invariant: records are appended while
 // s.mu is held, so the journal order IS the serialization the mutex imposed
 // on the live mutations. Replaying the log single-threaded therefore
 // reconstructs exactly the state the crashed process acknowledged —
@@ -336,11 +336,12 @@ var closedStart = func() chan struct{} {
 }()
 
 // commitLocked is the one way a live mutation reaches service state: it
-// applies the record through the function replay uses, then enqueues it on the
+// applies the record through the function replay uses, then appends it to the
 // journal writer. Called with s.mu held — see the comment at the top of this
-// file: holding the lock across the enqueue is what makes journal order equal
-// mutation order. The writer only enqueues (the group commit runs on its own
-// goroutine), so the critical section grows by a channel send, never an fsync.
+// file: holding the lock across the append is what makes journal order equal
+// mutation order. The writer only frames the record into its pending batch (the
+// group commit runs on its own goroutine), so the critical section grows by one
+// short copy under the writer's mutex, never an fsync.
 func (s *Service) commitLocked(t journal.RecordType, id string, rec ctrlRecord) {
 	rec.applyLocked(s, id)
 	if s.jw == nil {

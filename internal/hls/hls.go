@@ -394,7 +394,7 @@ func (c *Client) FetchChunkList(ctx context.Context, broadcastID string, haveVer
 		if err != nil {
 			return nil, fmt.Errorf("hls: fetch chunklist: %w", err)
 		}
-		defer resp.Body.Close()
+		defer resilience.DrainClose(resp.Body)
 		switch resp.StatusCode {
 		case http.StatusOK:
 			c.observe(resp)
@@ -432,7 +432,7 @@ func (c *Client) FetchChunk(ctx context.Context, broadcastID string, seq uint64)
 		if err != nil {
 			return nil, fmt.Errorf("hls: fetch chunk: %w", err)
 		}
-		defer resp.Body.Close()
+		defer resilience.DrainClose(resp.Body)
 		switch resp.StatusCode {
 		case http.StatusOK:
 			c.observe(resp)

@@ -703,3 +703,41 @@ func TestFailoverResolveHintKeepsSessionCancelable(t *testing.T) {
 		t.Fatalf("canceled after %v, want ~80ms (sleeping on the capped hint)", elapsed)
 	}
 }
+
+// TestClientKeepsConnectionAcrossRefusals: a shed (503) or missing (404)
+// reply carries an http.Error body; the client reads it out before closing,
+// so the retry and the next fetch reuse the connection instead of redialing an
+// edge that has just said it is overloaded.
+func TestClientKeepsConnectionAcrossRefusals(t *testing.T) {
+	store := newMemStore()
+	store.add("b1", makeChunks(1)[0])
+	var served atomic.Int64
+	inner := Handler("/hls", store)
+	srv, conns := testutil.CountingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if served.Add(1) == 1 {
+			http.Error(w, "edge overloaded, retry shortly", http.StatusServiceUnavailable)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	hc := &http.Client{Transport: &http.Transport{}}
+	defer hc.CloseIdleConnections()
+	c := &Client{BaseURL: srv.URL + "/hls", HTTPClient: hc, Retry: instantRetry(&sleepRecorder{})}
+	ctx := context.Background()
+
+	if cl, err := c.FetchChunkList(ctx, "b1", 0); err != nil || len(cl.Chunks) != 1 {
+		t.Fatalf("poll answered 503 then 200: %v", err)
+	}
+	if _, err := c.FetchChunk(ctx, "b1", 99); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing chunk: %v, want ErrNotFound", err)
+	}
+	if _, err := c.FetchChunk(ctx, "b1", 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := served.Load(); got != 4 {
+		t.Fatalf("server saw %d requests, want 4", got)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("four sequential requests opened %d connections, want 1", n)
+	}
+}

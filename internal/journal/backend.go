@@ -8,9 +8,10 @@ import (
 )
 
 // Backend is the byte store a journal writes to. Append receives one or more
-// complete framed records per call (a group commit); Load returns the full
-// journal for replay; Truncate discards everything past the intact prefix a
-// replay identified, so a damaged tail never sits in front of future appends.
+// complete framed records per call (a group commit) and must not keep b past
+// the call — the Writer reuses the buffer for a later batch; Load returns the
+// full journal for replay; Truncate discards everything past the intact prefix
+// a replay identified, so a damaged tail never sits in front of future appends.
 type Backend interface {
 	Append(b []byte) error
 	Load() ([]byte, error)

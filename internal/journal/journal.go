@@ -32,8 +32,8 @@ import (
 type RecordType uint8
 
 // The three origin state transitions worth making durable. Frame arrivals are
-// deliberately NOT journaled: the //livesim:hotpath ingest budget (2
-// allocs/frame, DESIGN.md §5a) leaves no room for per-frame durability, and
+// deliberately NOT journaled: the ingest budget (one allocation per arrival,
+// DESIGN.md §5a) leaves no room for per-frame durability, and
 // sealing is the moment frames become externally visible anyway — a crash
 // loses at most one partial chunk, which the reconnecting publisher re-sends
 // by sequence.

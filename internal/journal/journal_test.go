@@ -159,15 +159,7 @@ func TestWriterGroupCommit(t *testing.T) {
 	if st.Records != n || st.TailCorrupt {
 		t.Fatalf("stats = %+v, want %d clean records", st, n)
 	}
-	var appends, batches int64
-	for _, c := range reg.Snapshot().Counters {
-		switch c.Name {
-		case "journal_appends_total":
-			appends = c.Value
-		case "journal_batches_total":
-			batches = c.Value
-		}
-	}
+	appends, batches := counterValue(reg, "journal_appends_total"), counterValue(reg, "journal_batches_total")
 	if appends != n {
 		t.Fatalf("journal_appends_total = %d, want %d", appends, n)
 	}

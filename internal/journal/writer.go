@@ -10,11 +10,15 @@ import (
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("journal: writer closed")
 
+// maxPending bounds the bytes waiting for the next group commit. An Append
+// that would take a non-empty batch past it blocks until the drain goroutine
+// has taken the batch — backpressure, never silent loss; a record above the
+// bound is admitted to an empty batch, and a buffer one has grown past twice
+// the bound (a bounded batch's never is) is not kept for reuse.
+const maxPending = 4 << 20
+
 // WriterConfig tunes a Writer.
 type WriterConfig struct {
-	// Queue is the append queue depth (default 256). Appends block when the
-	// queue is full — backpressure, never silent loss.
-	Queue int
 	// Metrics is the registry the writer's counters register in; nil means
 	// a private registry.
 	Metrics *metrics.Registry
@@ -24,19 +28,24 @@ type WriterConfig struct {
 	Logf func(format string, args ...interface{})
 }
 
-// Writer appends records to a Backend with group commit: callers enqueue
-// encoded records onto a channel and a single background goroutine drains
-// whatever has accumulated into one Backend.Append (one write + one fsync on
-// the file backend). That keeps the durability cost off the caller — the
-// //livesim:hotpath ingest path enqueues a sealed chunk and moves on — while
-// batching bursts of records into a single sync.
+// Writer appends records to a Backend with encode-in-place group commit:
+// Append frames the record straight into the pending batch under the writer's
+// mutex (record order is lock order), and a single background goroutine swaps
+// whatever has accumulated for a spare buffer, hands it to one Backend.Append
+// (one write + one fsync on the file backend) and keeps it as the next spare.
+// The durability cost stays off the caller — the origin's ingest path copies a
+// sealed chunk's bytes once and moves on — bursts share a sync, and once the
+// two buffers have grown to the working batch size no call allocates.
 type Writer struct {
 	backend Backend
 
-	mu     sync.RWMutex
-	closed bool
-	ch     chan []byte
-	done   chan struct{}
+	mu sync.Mutex
+	// cond wakes the drain goroutine (pending became non-empty, or closed)
+	// and blocked appenders (pending was taken, or closed).
+	cond    *sync.Cond
+	pending []byte
+	closed  bool
+	done    chan struct{}
 
 	appends *metrics.Counter
 	batches *metrics.Counter
@@ -46,9 +55,6 @@ type Writer struct {
 
 // NewWriter starts a Writer appending to backend.
 func NewWriter(backend Backend, cfg WriterConfig) *Writer {
-	if cfg.Queue <= 0 {
-		cfg.Queue = 256
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -59,81 +65,75 @@ func NewWriter(backend Backend, cfg WriterConfig) *Writer {
 	}
 	w := &Writer{
 		backend: backend,
-		ch:      make(chan []byte, cfg.Queue),
 		done:    make(chan struct{}),
 		appends: reg.Counter("journal_appends_total", cfg.Labels...),
 		batches: reg.Counter("journal_batches_total", cfg.Labels...),
 		errs:    reg.Counter("journal_append_errors_total", cfg.Labels...),
 		logf:    logf,
 	}
+	w.cond = sync.NewCond(&w.mu)
 	go w.run()
 	return w
 }
 
-// Append enqueues one record for the next group commit. It blocks only when
-// the queue is full (the background writer is behind by a whole queue of
-// records) and fails only after Close.
+// Append frames one record into the next group commit. It blocks only while
+// the pending batch is at its bound and fails only after Close.
 func (w *Writer) Append(r Record) error {
-	buf := AppendRecord(nil, r)
-	w.mu.RLock()
-	defer w.mu.RUnlock()
+	size := recordHeaderSize + len(r.BroadcastID) + len(r.Payload)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for !w.closed && len(w.pending) > 0 && len(w.pending)+size > maxPending {
+		w.cond.Wait()
+	}
 	if w.closed {
 		return ErrClosed
 	}
-	// The send must stay under the RLock: Close flips closed and closes the
-	// channel under the write lock, so the lock is exactly what makes
-	// send-on-closed-channel impossible. Progress is guaranteed — run()
-	// drains the channel until it is closed, so a send blocked on a full
-	// queue always completes and Close (blocked on the write lock behind
-	// this RLock) runs only after it.
-	//lint:allow locksend the RLock is the send-vs-close guard; the drain goroutine guarantees progress
-	w.ch <- buf
+	w.pending = AppendRecord(w.pending, r)
 	w.appends.Inc()
+	w.cond.Broadcast()
 	return nil
 }
 
-// Close drains every queued record into the backend and stops the writer.
-// Records enqueued before Close are durable when it returns — which is why
+// Close drains every appended record into the backend and stops the writer.
+// Records appended before Close are durable when it returns — which is why
 // the origin's crash path closes the writer before wiping its state: the
 // journal must hold everything the origin acknowledged.
 func (w *Writer) Close() error {
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		<-w.done
-		return nil
-	}
 	w.closed = true
-	close(w.ch)
+	w.cond.Broadcast()
 	w.mu.Unlock()
 	<-w.done
 	return nil
 }
 
-// run is the group-commit loop: take one queued record, then opportunistically
-// drain everything else already queued into the same batch, and hand the
-// batch to the backend as a single append.
+// run is the group-commit loop: swap a non-empty batch for the spare buffer
+// and hand it to the backend as one append, until closed with nothing pending.
 func (w *Writer) run() {
 	defer close(w.done)
-	for first := range w.ch {
-		batch := first
-	drain:
-		for {
-			select {
-			case more, ok := <-w.ch:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, more...)
-			default:
-				break drain
-			}
+	var spare []byte
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for {
+		for len(w.pending) == 0 && !w.closed {
+			w.cond.Wait()
 		}
+		if len(w.pending) == 0 {
+			return
+		}
+		batch := w.pending
+		w.pending = spare[:0]
+		w.cond.Broadcast()
+		w.mu.Unlock()
 		if err := w.backend.Append(batch); err != nil {
 			w.errs.Inc()
 			w.logf("journal: append: %v", err)
-			continue
+		} else {
+			w.batches.Inc()
 		}
-		w.batches.Inc()
+		if spare = batch; cap(spare) > 2*maxPending {
+			spare = nil
+		}
+		w.mu.Lock()
 	}
 }

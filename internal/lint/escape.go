@@ -21,7 +21,7 @@ import (
 
 // Hotpathescape is the compiler-assisted member of the suite (DESIGN.md §8):
 // every //livesim:hotpath function must be escape-free, so the
-// 2-allocs/frame fan-out and ~2.5-allocs/event engine budgets hold by
+// one-alloc-per-frame fan-out and ~2.5-allocs/event engine budgets hold by
 // construction rather than by benchmark.
 //
 // go/types cannot see escapes — they are a property of the gc backend's

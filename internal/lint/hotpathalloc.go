@@ -9,7 +9,7 @@ import (
 )
 
 // hotpathDirective marks a function as allocation-budgeted. The PR 3 alloc
-// regression tests (wire zero-alloc framing, rtmp 2-allocs/frame fan-out,
+// regression tests (wire zero-alloc framing, rtmp one-alloc-per-arrival fan-out,
 // cdn RawChunkList warm polls) pin the budget at runtime; this analyzer
 // catches the obvious regressions at analysis time, with position information,
 // before a benchmark has to.

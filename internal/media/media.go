@@ -130,8 +130,12 @@ func NewChunker(chunkDur time.Duration) *Chunker {
 }
 
 // Add appends a frame and returns a completed chunk when one fills, else
-// nil. The returned chunk owns its frame slice.
+// nil. The returned chunk owns its frame slice, which is sized for a whole
+// chunk on the chunk's first frame — allocated once, never regrown.
 func (ck *Chunker) Add(f Frame) *Chunk {
+	if ck.pending == nil {
+		ck.pending = make([]Frame, 0, ck.perChunk)
+	}
 	ck.pending = append(ck.pending, f)
 	if len(ck.pending) < ck.perChunk {
 		return nil
@@ -321,9 +325,10 @@ func SniffFrame(data []byte) (int, error) {
 
 // UnmarshalFrame parses one frame from data, returning the frame and the
 // number of bytes consumed. The returned frame owns its payload and
-// signature (they are copied out of data).
+// signature (they are copied out of data) — for callers that reuse data for
+// the next read or edit the frame. ViewFrame is the copy-free form.
 func UnmarshalFrame(data []byte) (Frame, int, error) {
-	f, total, err := viewFrame(data)
+	f, total, err := ViewFrame(data)
 	if err != nil {
 		return Frame{}, 0, err
 	}
@@ -334,10 +339,10 @@ func UnmarshalFrame(data []byte) (Frame, int, error) {
 	return f, total, nil
 }
 
-// viewFrame is UnmarshalFrame without the copies: the returned frame's
+// ViewFrame is UnmarshalFrame without the copies: the returned frame's
 // payload and signature alias data, capped so an append cannot reach the
-// bytes that follow.
-func viewFrame(data []byte) (Frame, int, error) {
+// bytes that follow. The frame is valid for as long as nothing writes data.
+func ViewFrame(data []byte) (Frame, int, error) {
 	total, err := SniffFrame(data)
 	if err != nil {
 		return Frame{}, 0, err
@@ -449,7 +454,7 @@ func SealedChunk(wire []byte) (*Chunk, error) {
 	c.Frames = make([]Frame, 0, n)
 	off := chunkHeaderSize
 	for i := 0; i < n; i++ {
-		f, used, err := viewFrame(wire[off:])
+		f, used, err := ViewFrame(wire[off:])
 		if err != nil {
 			return nil, fmt.Errorf("media: frame %d: %w", i, err)
 		}

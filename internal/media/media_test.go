@@ -61,6 +61,29 @@ func TestChunkerCustomDuration(t *testing.T) {
 	}
 }
 
+// TestChunkerAllocsPerChunk pins what assembling one chunk costs: the frame
+// slice, sized once on the chunk's first frame, and the Chunk that takes it
+// over — however many frames the chunk has (viewersim chunks at one).
+func TestChunkerAllocsPerChunk(t *testing.T) {
+	for _, perChunk := range []int{1, 75} {
+		ck := NewChunker(time.Duration(perChunk) * FrameDuration)
+		f := Frame{Payload: []byte("p")}
+		allocs := testing.AllocsPerRun(50, func() {
+			for i := 0; i < perChunk-1; i++ {
+				if ck.Add(f) != nil {
+					t.Fatal("chunk sealed early")
+				}
+			}
+			if c := ck.Add(f); c == nil || cap(c.Frames) != perChunk {
+				t.Fatalf("chunk of %d frames: %+v", perChunk, c)
+			}
+		})
+		if allocs != 2 {
+			t.Fatalf("%d-frame chunk: %.0f allocs, want 2", perChunk, allocs)
+		}
+	}
+}
+
 func TestEncoderBitrate(t *testing.T) {
 	e := NewEncoder(EncoderConfig{BitsPerSec: 500_000}, rng.New(1))
 	var total int

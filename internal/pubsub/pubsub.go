@@ -426,7 +426,7 @@ func (c *Client) Publish(ctx context.Context, broadcastID string, ev Event) (Eve
 		if err != nil {
 			return Event{}, fmt.Errorf("pubsub: publish: %w", err)
 		}
-		defer resp.Body.Close()
+		defer resilience.DrainClose(resp.Body)
 		switch resp.StatusCode {
 		case http.StatusOK:
 		case http.StatusForbidden:
@@ -466,7 +466,7 @@ func (c *Client) Events(ctx context.Context, broadcastID string, since uint64, w
 		if err != nil {
 			return page{}, fmt.Errorf("pubsub: events: %w", err)
 		}
-		defer resp.Body.Close()
+		defer resilience.DrainClose(resp.Body)
 		switch resp.StatusCode {
 		case http.StatusOK:
 		case http.StatusNotFound:

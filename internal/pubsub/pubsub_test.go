@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -403,5 +404,34 @@ func TestWaitCloseRemoveHammer(t *testing.T) {
 		case <-ctx.Done():
 			t.Fatalf("only %d/%d waiters exited: waiters leaked", i, channels*waitersPerChannel)
 		}
+	}
+}
+
+// TestClientKeepsConnectionAcrossRefusals: the 403 and 404 replies carry an
+// http.Error body the client reads out before closing, so a refused call does
+// not cost the next one a dial.
+func TestClientKeepsConnectionAcrossRefusals(t *testing.T) {
+	h := NewHub(1)
+	h.Open("b1")
+	srv, conns := testutil.CountingServer(t, Handler("/channel", h))
+	hc := &http.Client{Transport: &http.Transport{}}
+	defer hc.CloseIdleConnections()
+	client := &Client{BaseURL: srv.URL + "/channel", HTTPClient: hc}
+	ctx := context.Background()
+
+	if _, err := client.Publish(ctx, "b1", Event{UserID: "u1", Kind: KindComment}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Publish(ctx, "b1", Event{UserID: "u2", Kind: KindComment}); !errors.Is(err, ErrNotCommenter) {
+		t.Fatalf("second commenter: %v, want ErrNotCommenter", err)
+	}
+	if _, _, err := client.Events(ctx, "missing", 0, false); !errors.Is(err, ErrNoChannel) {
+		t.Fatalf("missing channel: %v, want ErrNoChannel", err)
+	}
+	if evs, _, err := client.Events(ctx, "b1", 0, false); err != nil || len(evs) != 1 {
+		t.Fatalf("events after the refusals: %d (%v)", len(evs), err)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("four sequential calls opened %d connections, want 1", n)
 	}
 }

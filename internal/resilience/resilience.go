@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 )
@@ -83,6 +84,17 @@ var defaultRand = func() func() float64 {
 		return float64(v>>11) / (1 << 53)
 	}
 }()
+
+// DrainClose reads what is left of an HTTP response body, up to a bound, and
+// closes it. net/http returns a connection to the keep-alive pool only once
+// its response body has been read to EOF: closing one unread — an error reply,
+// or a success whose body the caller has no use for — discards the connection
+// and the next request pays a dial, against a server that may just have said
+// it is overloaded. Clients defer this instead of resp.Body.Close.
+func DrainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, 64<<10)) // best effort: a failed drain only costs the connection
+	body.Close()
+}
 
 // SleepCtx sleeps for d or until ctx is done, returning ctx.Err() when
 // interrupted.

@@ -1,7 +1,10 @@
 package rtmp
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"crypto/ed25519"
 	"sync"
 	"testing"
 	"time"
@@ -138,57 +141,151 @@ func TestAcceptFrameEvictsSlowViewer(t *testing.T) {
 }
 
 // TestAcceptFrameAllocBudget pins the per-frame fan-out allocation budget.
-// The message arrives pre-framed, so relaying it to N viewers must not
-// allocate at all without a tap, and only the decode's payload copy with one.
+// The message arrives pre-framed and the tap is handed a view of it, so
+// relaying it to N viewers must not allocate at all, with or without a tap.
 func TestAcceptFrameAllocBudget(t *testing.T) {
 	const viewers = 10
 	enc := encodeFrameMsg(t, 1, 1024)
-
-	setup := func(tap FrameTap) (*Server, *broadcast) {
-		s := NewServer(ServerConfig{Tap: tap})
-		b := &broadcast{id: "alloc"}
-		vs := make([]*viewerConn, viewers)
-		for i := range vs {
-			vs[i] = &viewerConn{out: make(chan wire.Encoded, 4), done: make(chan struct{})}
-		}
-		b.viewers.Store(&vs)
-		return s, b
+	var kept []media.Frame
+	for name, tap := range map[string]FrameTap{
+		"no_tap": nil,
+		// The tap keeps every frame, as the origin's chunker does.
+		"tap": func(_ string, f media.Frame, _ time.Time) { kept = append(kept, f) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, b := fanoutFixture(tap, viewers)
+			kept = make([]media.Frame, 0, 128)
+			allocs := testing.AllocsPerRun(100, func() {
+				if !s.acceptFrame(b, enc) {
+					t.Fatal("frame rejected")
+				}
+				for _, v := range b.snapshot() {
+					<-v.out
+				}
+			})
+			if tap != nil && len(kept) == 0 {
+				t.Fatal("tap never fired")
+			}
+			if allocs > 0 {
+				t.Fatalf("fan-out allocs/frame = %.1f, want 0", allocs)
+			}
+		})
 	}
+}
 
-	t.Run("no_tap", func(t *testing.T) {
-		s, b := setup(nil)
-		allocs := testing.AllocsPerRun(100, func() {
+// fanoutFixture is a server and a broadcast with n queued-only viewers, for
+// driving acceptFrame without sockets.
+func fanoutFixture(tap FrameTap, n int) (*Server, *broadcast) {
+	s := NewServer(ServerConfig{Tap: tap})
+	b := &broadcast{id: "fixture"}
+	vs := make([]*viewerConn, n)
+	for i := range vs {
+		vs[i] = &viewerConn{out: make(chan wire.Encoded, 4), done: make(chan struct{})}
+	}
+	b.viewers.Store(&vs)
+	return s, b
+}
+
+// TestArrivalAllocBudget pins what one frame costs on the broadcaster loop —
+// the buffered read plus acceptFrame with a retaining tap — at exactly the
+// relay buffer.
+func TestArrivalAllocBudget(t *testing.T) {
+	const runs = 200
+	kept := make([]media.Frame, 0, runs+1)
+	s, b := fanoutFixture(func(_ string, f media.Frame, _ time.Time) { kept = append(kept, f) }, 10)
+	var stream bytes.Buffer
+	for i := 0; i <= runs; i++ {
+		stream.Write(encodeFrameMsg(t, uint64(i), 1024))
+	}
+	br := bufio.NewReader(&stream)
+	allocs := testing.AllocsPerRun(runs, func() {
+		enc, err := wire.ReadEncodedFrom(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.acceptFrame(b, enc) {
+			t.Fatal("frame rejected")
+		}
+		for _, v := range b.snapshot() {
+			<-v.out
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("allocs per arrival = %.1f, want 1 (the relay buffer)", allocs)
+	}
+	if len(kept) != runs+1 {
+		t.Fatalf("tap saw %d frames, want %d", len(kept), runs+1)
+	}
+}
+
+// sameBytes reports whether view is exactly the region of backing that starts
+// at off: same first byte in memory, not merely equal contents.
+func sameBytes(view, backing []byte, off int) bool {
+	return len(view) > 0 && off+len(view) <= len(backing) && &view[0] == &backing[off]
+}
+
+// TestTapFrameAliasesRelayBuffer: the frame a tap receives is a view of the
+// message every viewer is sent — payload, and for a signed stream the
+// signature — and neither view can be appended into the bytes behind it.
+func TestTapFrameAliasesRelayBuffer(t *testing.T) {
+	pubKey, privKey, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := &media.Frame{Seq: 7, CapturedAt: time.Unix(3, 4), Keyframe: true, Payload: []byte("relay-me-once")}
+	frameBytes := media.MarshalFrame(nil, frame)
+	signedBody, err := wire.MarshalSignedFrame(frameBytes, ed25519.Sign(privKey, frameBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		msg    wire.Message
+		pubKey ed25519.PublicKey
+		// payloadAt and sigAt are the offsets of the views inside the
+		// framed message (sigAt < 0: unsigned).
+		payloadAt, sigAt int
+	}{
+		{"plain", wire.Message{Type: wire.MsgFrame, Body: frameBytes}, nil, len(frameBytes) - len(frame.Payload), -1},
+		{"signed", wire.Message{Type: wire.MsgSignedFrame, Body: signedBody}, pubKey, 4 + len(frameBytes) - len(frame.Payload), 4 + len(frameBytes)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got media.Frame
+			s, b := fanoutFixture(func(_ string, f media.Frame, _ time.Time) { got = f }, 1)
+			b.pubKey = tc.pubKey
+			enc, err := wire.EncodeMessage(tc.msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := append([]byte(nil), enc...)
 			if !s.acceptFrame(b, enc) {
 				t.Fatal("frame rejected")
 			}
-			for _, v := range b.snapshot() {
-				<-v.out
+			relayed := <-b.snapshot()[0].out
+			if &relayed[0] != &enc[0] {
+				t.Fatal("viewer was queued a copy, not the arrival's buffer")
+			}
+			if got.Seq != frame.Seq || !got.CapturedAt.Equal(frame.CapturedAt) || !got.Keyframe || !bytes.Equal(got.Payload, frame.Payload) {
+				t.Fatalf("tapped frame = %+v", got)
+			}
+			body := enc.Body()
+			if !sameBytes(got.Payload, body, tc.payloadAt) {
+				t.Fatal("tapped payload does not alias the relay buffer")
+			}
+			if tc.sigAt < 0 {
+				if got.Sig != nil {
+					t.Fatalf("unsigned frame tapped with a %d-byte signature", len(got.Sig))
+				}
+			} else if !sameBytes(got.Sig, body, tc.sigAt) || len(got.Sig) != wire.SignatureSize {
+				t.Fatal("tapped signature does not alias the message's signature bytes")
+			}
+			// A consumer appending to a view must get a copy, never a write
+			// into the shared buffer.
+			_ = append(got.Payload, 0xEE)
+			_ = append(got.Sig, 0xEE)
+			if !bytes.Equal(enc, sent) {
+				t.Fatal("appending to a tapped view wrote into the relay buffer")
 			}
 		})
-		if allocs > 0 {
-			t.Fatalf("fan-out allocs/frame = %.1f, want 0", allocs)
-		}
-	})
-
-	t.Run("tap", func(t *testing.T) {
-		var tapped int
-		s, b := setup(func(string, media.Frame, time.Time) { tapped++ })
-		allocs := testing.AllocsPerRun(100, func() {
-			if !s.acceptFrame(b, enc) {
-				t.Fatal("frame rejected")
-			}
-			for _, v := range b.snapshot() {
-				<-v.out
-			}
-		})
-		if tapped == 0 {
-			t.Fatal("tap never fired")
-		}
-		// Budget: the tap retains the decoded frame, so the payload copy in
-		// UnmarshalFrame is the one allowed allocation (plus slack for the
-		// runtime's occasional map/chan internals).
-		if allocs > 2 {
-			t.Fatalf("tap-path allocs/frame = %.1f, want <= 2", allocs)
-		}
-	})
+	}
 }

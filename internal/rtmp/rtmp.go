@@ -12,6 +12,7 @@
 package rtmp
 
 import (
+	"bufio"
 	"context"
 	"crypto/ed25519"
 	"crypto/tls"
@@ -54,7 +55,9 @@ var AllowAll = AuthFunc(func(string, string, string) bool { return true })
 
 // FrameTap observes every frame accepted from a broadcaster, with the server
 // arrival time (timestamps ② and ⑥ of Fig. 10). The CDN origin uses it to
-// feed the HLS chunker.
+// feed the HLS chunker. The frame is read-only: its Payload and Sig alias the
+// relay buffer every viewer of the broadcast is being sent, which is never
+// written again, so a tap may keep the frame but must not modify those bytes.
 type FrameTap func(broadcastID string, f media.Frame, arrivedAt time.Time)
 
 // FrameUsage sinks delivered-frame counts for usage metering. The server
@@ -596,8 +599,11 @@ func (s *Server) handleBroadcaster(conn net.Conn, hs wire.Handshake) {
 	}
 	s.ackResume(conn, wire.StatusOK, "publishing", resume)
 
+	// The handshake was read exactly, so nothing of the stream is lost by
+	// buffering from here on; small frames then share a read syscall.
+	br := bufio.NewReader(conn)
 	for {
-		enc, err := wire.ReadEncoded(conn)
+		enc, err := wire.ReadEncodedFrom(br)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.cfg.Logf("rtmp publish %s: %v", hs.BroadcastID, err)
@@ -616,9 +622,11 @@ func (s *Server) handleBroadcaster(conn net.Conn, hs wire.Handshake) {
 }
 
 // acceptFrame validates, records, taps, and fans out one frame message. The
-// message arrives pre-framed and is relayed to every viewer as-is: one
-// allocation per arrival (the read buffer), zero per viewer. It reports
-// false when the frame failed signature verification.
+// message arrives pre-framed and is relayed to every viewer as-is, and the tap
+// is handed a frame that views the same buffer: the arrival's one allocation
+// is the relay buffer its reader made, and this function adds none, with or
+// without a tap. It reports false when the frame failed signature
+// verification.
 //
 //livesim:hotpath
 func (s *Server) acceptFrame(b *broadcast, enc wire.Encoded) bool {
@@ -642,30 +650,22 @@ func (s *Server) acceptFrame(b *broadcast, enc wire.Encoded) bool {
 		s.m.tamperedFrames.Add(1)
 		return false
 	}
-	if s.cfg.Tap == nil {
-		// No tap: nothing retains the decoded frame, so validate the bytes
-		// in place and skip the payload-copying decode entirely.
-		if _, err := media.SniffFrame(frameBytes); err != nil {
-			return false
-		}
-		s.m.framesIn.Inc()
-		s.m.bytesIn.Add(int64(len(body)))
-	} else {
-		f, _, err := media.UnmarshalFrame(frameBytes)
-		if err != nil {
-			return false
-		}
-		// Carry the signature into the HLS path: chunks assembled from
-		// the tap retain per-frame signatures so HLS viewers can verify
-		// too (§7.2's viewer-side defense). The tap keeps the frame past
-		// this call, so it needs its own copy of the signature.
+	// The frame views enc, which is immutable from here on: the buffer the
+	// viewers' queues share is the buffer a tap's chunk holds.
+	f, _, err := media.ViewFrame(frameBytes)
+	if err != nil {
+		return false
+	}
+	s.m.framesIn.Inc()
+	s.m.bytesIn.Add(int64(len(body)))
+	if s.cfg.Tap != nil {
+		// Carry the signature into the HLS path: chunks assembled from the
+		// tap retain per-frame signatures so HLS viewers can verify too
+		// (§7.2's viewer-side defense).
 		if sig != nil {
-			f.Sig = append([]byte(nil), sig...)
+			f.Sig = sig
 		}
-		arrived := s.cfg.Clock.Now()
-		s.m.framesIn.Inc()
-		s.m.bytesIn.Add(int64(len(body)))
-		s.cfg.Tap(b.id, f, arrived)
+		s.cfg.Tap(b.id, f, s.cfg.Clock.Now())
 	}
 	// Fan out over the copy-on-write snapshot: no lock held while pushing,
 	// so N channel sends never serialize against joins/leaves (or each

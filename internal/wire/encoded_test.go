@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 )
@@ -61,47 +63,102 @@ func TestEncodeMessageTooLarge(t *testing.T) {
 	}
 }
 
-// TestReadEncodedMatchesWire checks ReadEncoded preserves the exact framed
-// bytes, including the zero-body case.
+// encodedReaders are the two ways to read a message with its framing kept:
+// from any reader, and from a buffered one the caller owns.
+var encodedReaders = map[string]func(raw []byte) func() (Encoded, error){
+	"ReadEncoded": func(raw []byte) func() (Encoded, error) {
+		r := bytes.NewReader(raw)
+		return func() (Encoded, error) { return ReadEncoded(r) }
+	},
+	"ReadEncodedFrom": func(raw []byte) func() (Encoded, error) {
+		br := bufio.NewReader(bytes.NewReader(raw))
+		return func() (Encoded, error) { return ReadEncodedFrom(br) }
+	},
+}
+
+// TestReadEncodedMatchesWire checks both readers preserve the exact framed
+// bytes, including the zero-body case and a body larger than a bufio buffer,
+// and tell a clean end of stream from one cut mid-message.
 func TestReadEncodedMatchesWire(t *testing.T) {
+	big := bytes.Repeat([]byte{9}, 10_000)
 	var buf bytes.Buffer
 	for _, m := range []Message{
 		{Type: MsgFrame, Body: []byte("abc")},
 		{Type: MsgEnd},
+		{Type: MsgFrame, Body: big},
 	} {
 		if err := WriteMessage(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wireBytes := append([]byte(nil), buf.Bytes()...)
-	e1, err := ReadEncoded(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := ReadEncoded(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := append(append([]byte(nil), e1...), e2...); !bytes.Equal(got, wireBytes) {
-		t.Fatalf("ReadEncoded bytes diverged from wire bytes")
-	}
-	if e1.Type() != MsgFrame || string(e1.Body()) != "abc" {
-		t.Fatalf("e1 = type %d body %q", e1.Type(), e1.Body())
-	}
-	if e2.Type() != MsgEnd || len(e2.Body()) != 0 {
-		t.Fatalf("e2 = type %d body %q", e2.Type(), e2.Body())
-	}
-	if _, err := ReadEncoded(&buf); err != io.EOF {
-		t.Fatalf("err = %v, want EOF", err)
+	wireBytes := buf.Bytes()
+	for name, open := range encodedReaders {
+		t.Run(name, func(t *testing.T) {
+			next := open(wireBytes)
+			var got []byte
+			var msgs []Encoded
+			for i := 0; i < 3; i++ {
+				e, err := next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				msgs = append(msgs, e)
+				got = append(got, e...)
+			}
+			if !bytes.Equal(got, wireBytes) {
+				t.Fatal("read bytes diverged from wire bytes")
+			}
+			if msgs[0].Type() != MsgFrame || string(msgs[0].Body()) != "abc" {
+				t.Fatalf("e1 = type %d body %q", msgs[0].Type(), msgs[0].Body())
+			}
+			if msgs[1].Type() != MsgEnd || len(msgs[1].Body()) != 0 {
+				t.Fatalf("e2 = type %d body %q", msgs[1].Type(), msgs[1].Body())
+			}
+			if !bytes.Equal(msgs[2].Body(), big) {
+				t.Fatal("large body diverged")
+			}
+			if _, err := next(); err != io.EOF {
+				t.Fatalf("err = %v, want EOF", err)
+			}
+			if _, err := open(wireBytes[:3])(); err != io.ErrUnexpectedEOF {
+				t.Fatalf("torn header: err = %v, want ErrUnexpectedEOF", err)
+			}
+			if _, err := open(wireBytes[:6])(); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("torn body: err = %v, want ErrUnexpectedEOF", err)
+			}
+		})
 	}
 }
 
 // TestReadEncodedRejectsOversize checks the length-prefix bound holds on the
-// preserved-framing read path too.
+// preserved-framing read paths too.
 func TestReadEncodedRejectsOversize(t *testing.T) {
 	raw := []byte{byte(MsgFrame), 0xff, 0xff, 0xff, 0xff}
-	if _, err := ReadEncoded(bytes.NewReader(raw)); err != ErrBodyTooLarge {
-		t.Fatalf("err = %v, want ErrBodyTooLarge", err)
+	for name, open := range encodedReaders {
+		if _, err := open(raw)(); err != ErrBodyTooLarge {
+			t.Fatalf("%s: err = %v, want ErrBodyTooLarge", name, err)
+		}
+	}
+}
+
+// TestReadEncodedFromOneAlloc pins the buffered read at its product: the
+// framed buffer, and no header scratch beside it.
+func TestReadEncodedFromOneAlloc(t *testing.T) {
+	const runs = 100
+	var buf bytes.Buffer
+	for i := 0; i <= runs; i++ {
+		if err := WriteMessage(&buf, Message{Type: MsgFrame, Body: make([]byte, 600)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReader(&buf)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := ReadEncodedFrom(br); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("ReadEncodedFrom allocs/msg = %.1f, want 1", allocs)
 	}
 }
 

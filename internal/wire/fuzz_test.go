@@ -27,6 +27,12 @@ func FuzzReadMessage(f *testing.F) {
 		if !bytes.Equal(out.Bytes(), data[:5+len(m.Body)]) {
 			t.Fatal("re-write mismatch")
 		}
+		// The framing-preserving readers consume exactly the same message.
+		for _, read := range encodedReaders {
+			if e, err := read(data)(); err != nil || !bytes.Equal(e, out.Bytes()) {
+				t.Fatalf("encoded read = %x (%v), want %x", e, err, out.Bytes())
+			}
+		}
 	})
 }
 

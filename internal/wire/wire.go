@@ -6,6 +6,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -159,16 +160,20 @@ func WriteEncoded(w io.Writer, e Encoded) error {
 	return nil
 }
 
-// ReadEncoded reads one message preserving its framed form: the returned
-// buffer is byte-for-byte what WriteEncoded would send. It costs one
-// allocation — the buffer a fan-out retains anyway — so relaying a message to
-// N viewers needs no re-framing and no further copies.
+// ReadEncodedFrom reads one message from a buffered stream preserving its
+// framed form: the returned buffer is byte-for-byte what WriteEncoded would
+// send. The header is peeked in br's own buffer, so the framed buffer — which
+// a fan-out retains anyway — is the call's one allocation, and the message is
+// copied into it once. Relaying it to N viewers needs no re-framing and no
+// further copies.
 //
 //livesim:hotpath
-func ReadEncoded(r io.Reader) (Encoded, error) {
-	//lint:allow hotpathescape header scratch is pinned by the io.Reader interface call; the body buffer cannot be sized before it is read
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadEncodedFrom(br *bufio.Reader) (Encoded, error) {
+	hdr, err := br.Peek(headerSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
@@ -177,9 +182,29 @@ func ReadEncoded(r io.Reader) (Encoded, error) {
 	}
 	//lint:allow hotpathescape the framed buffer is the product; the fan-out retains it by design
 	buf := make([]byte, headerSize+int(n))
+	if _, err := io.ReadFull(br, buf); err != nil {
+		//lint:allow hotpathalloc error path only; the success path costs the one retained buffer
+		return nil, fmt.Errorf("wire: read body: %w", err)
+	}
+	return Encoded(buf), nil
+}
+
+// ReadEncoded is ReadEncodedFrom for a reader that cannot be peeked. It must
+// not read past the message, so the header goes into a scratch of its own
+// first: two allocations and two reads per message. A loop that reads many
+// messages should own a bufio.Reader and call ReadEncodedFrom.
+func ReadEncoded(r io.Reader) (Encoded, error) {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr[1:])
+	if n > MaxBody {
+		return nil, ErrBodyTooLarge
+	}
+	buf := make([]byte, headerSize+int(n))
 	copy(buf, hdr[:])
 	if _, err := io.ReadFull(r, buf[headerSize:]); err != nil {
-		//lint:allow hotpathalloc error path only; the success path costs the one retained buffer
 		return nil, fmt.Errorf("wire: read body: %w", err)
 	}
 	return Encoded(buf), nil
@@ -358,7 +383,8 @@ func MarshalSignedFrame(frameBytes, sig []byte) ([]byte, error) {
 }
 
 // UnmarshalSignedFrame decodes a signed-frame body into frame bytes and
-// signature.
+// signature. Both alias data, capped so an append cannot reach the bytes that
+// follow.
 func UnmarshalSignedFrame(data []byte) (frameBytes, sig []byte, err error) {
 	if len(data) < 4 {
 		return nil, nil, errors.New("wire: short signed frame")
@@ -367,7 +393,8 @@ func UnmarshalSignedFrame(data []byte) (frameBytes, sig []byte, err error) {
 	if uint64(len(data)) < 4+uint64(n)+SignatureSize {
 		return nil, nil, errors.New("wire: truncated signed frame")
 	}
-	frameBytes = data[4 : 4+n]
-	sig = data[4+n : 4+n+SignatureSize]
+	end := 4 + int(n)
+	frameBytes = data[4:end:end]
+	sig = data[end : end+SignatureSize : end+SignatureSize]
 	return frameBytes, sig, nil
 }
