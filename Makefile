@@ -1,12 +1,13 @@
 # Single source of truth for the commands CI runs, so "works locally, fails
 # in CI" never involves a command mismatch: every step of ci.yml is a target
 # here. `make lint` is the lint job; `make ci` is the test job followed by the
-# lint job.
+# lint job. `race` runs every Go test under -race, so the named slices of it
+# (fanout-race … metrics-smoke) are local replay recipes, not CI steps.
 
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race fanout-race chaos lint vet analyze fmt tidy vuln bench bench-check benchguard metrics metrics-smoke crash partition-soak tenant-soak scale-smoke fuzz ci clean
+.PHONY: all build test race fanout-race chaos lint vet analyze fmt tidy vuln bench-check metrics metrics-smoke crash partition-soak tenant-soak scale-smoke fuzz ci clean
 
 all: build test lint
 
@@ -19,8 +20,8 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# fanout-race is the RTMP fan-out concurrency slice of `race`, as its own
-# named CI step: join/leave churn, acceptFrame and slow-viewer eviction.
+# fanout-race is the RTMP fan-out concurrency slice of `race`: join/leave
+# churn, acceptFrame and slow-viewer eviction.
 fanout-race:
 	$(GO) test -race -count=1 -run 'ConcurrentJoinLeaveFanout|AcceptFrame|SlowViewer' ./internal/rtmp/
 
@@ -33,9 +34,9 @@ vet:
 # seven AST analyzers in dependency order against one in-memory fact store,
 # then recompiles every //livesim:hotpath package with -m=2 for
 # hotpathescape. Zero unsuppressed findings is the bar; false positives are
-# silenced in place with a reasoned `//lint:allow` directive. Budgeted like
-# benchguard: the suite must finish inside ANALYZE_BUDGET seconds (timeout
-# exits 124) so it stays cheap enough to gate every push.
+# silenced in place with a reasoned `//lint:allow` directive. Budgeted: the
+# suite must finish inside ANALYZE_BUDGET seconds (timeout exits 124) so it
+# stays cheap enough to gate every push.
 ANALYZE_BUDGET ?= 60
 analyze:
 	$(GO) build -o $(BIN)/vetlivesim ./cmd/vetlivesim
@@ -58,9 +59,6 @@ vuln:
 	fi
 
 lint: fmt tidy vet analyze
-
-bench:
-	$(GO) test -run '^$$' -bench 'Fanout|EdgePoll|Ingest|ControlRecovery' -benchmem -benchtime=1x .
 
 # chaos is the fault-injection soak family in internal/core (every test with
 # Chaos in its name). Always under -race.
@@ -134,11 +132,6 @@ fuzz:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# benchguard re-runs the hot-path benchmarks and fails on allocs/op
-# regressions against the recorded baselines in BENCH_fanout.json.
-benchguard:
-	$(GO) run ./cmd/benchguard
-
 # metrics boots a small platform, drives one scripted broadcast through
 # every layer, and prints the registry snapshot — the smoke test that the
 # delay-component histograms fill with live observations.
@@ -150,7 +143,7 @@ metrics:
 metrics-smoke:
 	$(GO) test -count=1 -run 'PlatformMetricsEndpoints' ./internal/core/
 
-ci: build bench-check race fanout-race chaos crash partition-soak tenant-soak scale-smoke fuzz metrics-smoke benchguard metrics lint vuln
+ci: build bench-check race fuzz metrics lint vuln
 
 clean:
 	rm -rf $(BIN)

@@ -66,9 +66,9 @@ type EdgeConfig struct {
 	// ShedRetryAfter is the Retry-After hint attached to sheds (default
 	// 1 s).
 	ShedRetryAfter time.Duration
-	// Clock is the time source for arrival stamps and queue waits; nil
-	// means the real clock. Trace-driven simulations inject a
-	// clock.Virtual so chunk arrival times are seed-determined.
+	// Clock is the time source for arrival stamps and every wait (queue,
+	// transfer delay, retry back-off, breaker cool-down); nil means the real
+	// clock. Simulations inject theirs so arrival times are seed-determined.
 	Clock clock.Clock
 	// Metrics is the registry the edge's instruments register in, labelled
 	// by site; nil means a private registry.
@@ -276,6 +276,12 @@ func NewEdge(cfg EdgeConfig) *Edge {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewReal()
+	}
+	if cfg.Retry.Sleep == nil {
+		cfg.Retry.Sleep = cfg.Clock.Sleep
+	}
+	if cfg.Breaker.Now == nil {
+		cfg.Breaker.Now = cfg.Clock.Now
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -588,7 +594,7 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 		return nil, err
 	}
 	if up.TransferDelay != nil {
-		if err := sleepCtx(ctx, up.TransferDelay()); err != nil {
+		if err := e.cfg.Clock.Sleep(ctx, up.TransferDelay()); err != nil {
 			return nil, err
 		}
 	}
@@ -619,7 +625,7 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 		// chunk bytes at this edge.
 		copyStart := e.cfg.Clock.Now()
 		if up.TransferDelay != nil {
-			if err := sleepCtx(ctx, up.TransferDelay()); err != nil {
+			if err := e.cfg.Clock.Sleep(ctx, up.TransferDelay()); err != nil {
 				return nil, err
 			}
 		}
@@ -743,7 +749,7 @@ func (e *Edge) fetchChunk(ctx context.Context, id string, seq uint64) (*media.Ch
 		return nil, err
 	}
 	if up.TransferDelay != nil {
-		if err := sleepCtx(ctx, up.TransferDelay()); err != nil {
+		if err := e.cfg.Clock.Sleep(ctx, up.TransferDelay()); err != nil {
 			return nil, err
 		}
 	}
@@ -770,8 +776,4 @@ func (e *Edge) Evict(id string) {
 	defer sh.mu.Unlock()
 	delete(sh.cache, id)
 	delete(sh.breakers, id)
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	return resilience.SleepCtx(ctx, d)
 }

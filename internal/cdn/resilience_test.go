@@ -2,11 +2,14 @@ package cdn
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/hls"
 	"repro/internal/media"
 	"repro/internal/resilience"
@@ -299,5 +302,77 @@ func TestEdgeInvalidateCountsOnlyWhenMarkingStale(t *testing.T) {
 	e.Invalidate("b1", cl.Version+2)
 	if n := e.m.invalidates.Value(); n != 1 {
 		t.Fatalf("Invalidates = %d, want 1 (only the marking invalidation counts)", n)
+	}
+}
+
+// TestEdgeWaitsOnInjectedClock: an edge on a clock.Wheel takes every wait on
+// a failing upstream from that wheel. The retry schedule completes, the
+// breaker opens, and it goes half-open again because the test advances the
+// wheel — never because wall time passed.
+func TestEdgeWaitsOnInjectedClock(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	wh := clock.NewWheel(clock.WheelConfig{})
+	o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: time.Second})
+	feedFrames(o, "b1", framesPerTestChunk)
+	flaky := &flakyStore{inner: o}
+	flaky.failLists.Store(true)
+	e := NewEdge(EdgeConfig{
+		Site:    site("e1", "Y"),
+		Resolve: func(string) (Upstream, error) { return Upstream{Store: flaky}, nil },
+		Retry:   resilience.Policy{MaxAttempts: 3, BaseDelay: 20 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Jitter: -1},
+		Breaker: resilience.BreakerConfig{FailureThreshold: 3, OpenFor: time.Second},
+		Clock:   wh,
+	})
+	// poll runs one ChunkList call, ticking the wheel only while the call is
+	// parked on it, and returns how far the wheel had to move.
+	poll := func() (*media.ChunkList, time.Duration, error) {
+		type result struct {
+			list *media.ChunkList
+			err  error
+		}
+		done := make(chan result, 1)
+		start := wh.Now()
+		go func() {
+			list, err := e.ChunkList(context.Background(), "b1")
+			done <- result{list, err}
+		}()
+		for {
+			select {
+			case r := <-done:
+				return r.list, wh.Now().Sub(start), r.err
+			default:
+			}
+			if wh.Pending() > 0 {
+				wh.Advance(wh.Resolution())
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}
+
+	// Three attempts, two back-offs (20 ms, then 40 ms), all on the wheel.
+	if _, waited, err := poll(); err == nil || waited != 60*time.Millisecond {
+		t.Fatalf("failing poll: err %v after %v on the wheel, want an error after 60ms", err, waited)
+	}
+	if got := flaky.listErrs.Load(); got != 3 {
+		t.Fatalf("upstream saw %d attempts, want 3", got)
+	}
+	if e.openBreakers() != 1 {
+		t.Fatal("three consecutive failures did not open the breaker")
+	}
+	// Open: the next poll fails fast, reaching neither the upstream nor the wheel.
+	if _, waited, err := poll(); !errors.Is(err, resilience.ErrOpen) || waited != 0 || flaky.listErrs.Load() != 3 {
+		t.Fatalf("poll on an open breaker: err %v, waited %v, upstream attempts %d", err, waited, flaky.listErrs.Load())
+	}
+	// The cool-down is wheel time: one Advance later the breaker admits a
+	// probe, which finds the upstream healed and closes it.
+	wh.Advance(time.Second)
+	flaky.failLists.Store(false)
+	list, _, err := poll()
+	if err != nil || len(list.Chunks) != 1 {
+		t.Fatalf("probe after the cool-down: list %+v, err %v", list, err)
+	}
+	if e.openBreakers() != 0 {
+		t.Fatal("a successful probe did not close the breaker")
 	}
 }

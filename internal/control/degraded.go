@@ -197,7 +197,8 @@ type ResolverCacheConfig struct {
 	// probe per cooldown instead of a timeout per viewer per poll. Zero
 	// uses the resilience defaults.
 	Breaker resilience.BreakerConfig
-	// Clock defaults to the real clock.
+	// Clock times the cache TTLs and the breaker's cool-down; nil means the
+	// real clock.
 	Clock clock.Clock
 	// Metrics registers the degraded-mode instruments; nil means private.
 	Metrics *metrics.Registry
@@ -240,6 +241,9 @@ func NewResolverCache(cfg ResolverCacheConfig) *ResolverCache {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewReal()
+	}
+	if cfg.Breaker.Now == nil {
+		cfg.Breaker.Now = cfg.Clock.Now
 	}
 	reg := cfg.Metrics
 	if reg == nil {

@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -177,6 +178,60 @@ func TestControlRestartIsNewServiceOverBackend(t *testing.T) {
 	}
 	if g2.BroadcastID == grant.BroadcastID {
 		t.Fatalf("broadcast ID %q reused after restart", g2.BroadcastID)
+	}
+}
+
+// TestControlRecoveryReplayBudget pins the outage-to-serving path: a Service
+// built over a 256-record journal (32 broadcasters, their 32 live broadcasts,
+// 96 viewer registrations, 96 joins) has decoded every record by the time
+// NewService returns, writes nothing back — replay applies records, it never
+// re-journals them — and stays within nine allocations per record (≈8.2,
+// JSON decode plus the rebuilt maps).
+func TestControlRecoveryReplayBudget(t *testing.T) {
+	const broadcasts, viewersEach = 32, 3
+	const records = broadcasts * (2 + 2*viewersEach)
+	const maxAllocsPerRecord = 9
+	backend := journal.NewMem()
+	seed := newJournaledService(backend, nil)
+	var lastID string
+	var lastViewer uint64
+	for i := 0; i < broadcasts; i++ {
+		g, err := seed.StartBroadcast(seed.Register(fmt.Sprintf("user-%d", i)).ID, geo.Location{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < viewersEach; v++ {
+			vu := seed.Register(fmt.Sprintf("viewer-%d-%d", i, v))
+			if _, err := seed.Join(vu.ID, g.BroadcastID, geo.Location{}); err != nil {
+				t.Fatal(err)
+			}
+			lastID, lastViewer = g.BroadcastID, vu.ID
+		}
+	}
+	seed.Close()
+	before, _ := backend.Load()
+
+	recoverOnce := func() {
+		s := newJournaledService(backend, nil)
+		defer s.Close()
+		if n := s.LiveCount(); n != broadcasts {
+			t.Fatalf("recovered %d live broadcasts, want %d", n, broadcasts)
+		}
+		if n := s.UserCount(); n != broadcasts*(1+viewersEach) {
+			t.Fatalf("recovered %d users, want %d", n, broadcasts*(1+viewersEach))
+		}
+		// The journal's last record is already applied: decode is eager.
+		if joins, err := s.Joins(lastID); err != nil || len(joins) != viewersEach || joins[viewersEach-1].UserID != lastViewer {
+			t.Fatalf("last broadcast's joins after recovery = %+v, err %v", joins, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, recoverOnce)
+	if allocs > maxAllocsPerRecord*records {
+		t.Fatalf("recovery allocates %.0f times for %d records (%.1f per record), want <= %d per record",
+			allocs, records, allocs/records, maxAllocsPerRecord)
+	}
+	if after, _ := backend.Load(); !bytes.Equal(after, before) {
+		t.Fatalf("recovery changed the journal: %d bytes before, %d after", len(before), len(after))
 	}
 }
 

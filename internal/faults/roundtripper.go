@@ -8,7 +8,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/resilience"
+	"repro/internal/clock"
 )
 
 // faultyRoundTripper injects faults into an HTTP client — the viewer-side
@@ -41,7 +41,7 @@ func (i *Injector) Client(base *http.Client) *http.Client {
 // RoundTrip implements http.RoundTripper.
 func (t *faultyRoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	if d := t.inj.maybeLatency(); d > 0 {
-		if err := resilience.SleepCtx(req.Context(), d); err != nil {
+		if err := clock.NewReal().Sleep(req.Context(), d); err != nil {
 			return nil, err
 		}
 	}

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/clock"
 	"repro/internal/hls"
 	"repro/internal/media"
-	"repro/internal/resilience"
 )
 
 // faultyStore injects faults in front of an hls.Store — the origin (or
@@ -24,7 +24,7 @@ func (i *Injector) Store(next hls.Store) hls.Store {
 
 func (s *faultyStore) before(ctx context.Context, op string) error {
 	if d := s.inj.maybeLatency(); d > 0 {
-		if err := resilience.SleepCtx(ctx, d); err != nil {
+		if err := clock.NewReal().Sleep(ctx, d); err != nil {
 			return err
 		}
 	}

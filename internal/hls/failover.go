@@ -23,7 +23,7 @@ type FailoverConfig struct {
 	// inject fault-carrying transports here.
 	NewClient func(baseURL string) *Client
 	// Poller is the inner polling configuration (Interval, OnChunk, OnEnd,
-	// ListOnly).
+	// PreBuffer).
 	Poller PollerConfig
 	// FailureThreshold is how many consecutive failed polls against one
 	// edge trigger a failover. Zero means 3. Overload (503) and a poisoned
@@ -46,8 +46,9 @@ type FailoverConfig struct {
 	// Backoff schedules the wait between failover rounds; the zero value
 	// uses the resilience defaults.
 	Backoff resilience.Policy
-	// Clock is handed to the default per-edge client (a custom NewClient
-	// sets its own); nil means the real clock.
+	// Clock times the waits between failover rounds and resolve retries and
+	// is handed to the default per-edge client (a custom NewClient sets its
+	// own); nil means the real clock.
 	Clock clock.Clock
 	// Metrics is the registry the session's failover counters register in,
 	// and is handed to the default per-edge client; nil means a private
@@ -94,6 +95,9 @@ func NewFailoverPoller(broadcastID string, cfg FailoverConfig) *FailoverPoller {
 	}
 	if cfg.Poller.Interval <= 0 {
 		cfg.Poller.Interval = 2 * time.Second
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Real{}
 	}
 	if cfg.NewClient == nil {
 		cfg.NewClient = func(baseURL string) *Client {
@@ -167,7 +171,7 @@ func (fp *FailoverPoller) Run(ctx context.Context) error {
 				}
 				return fmt.Errorf("hls: %d failovers: %w", rounds-1, lastErr)
 			}
-			if err := resilience.SleepCtx(ctx, fp.cfg.Backoff.Delay(rounds-1)); err != nil {
+			if err := fp.cfg.Clock.Sleep(ctx, fp.cfg.Backoff.Delay(rounds-1)); err != nil {
 				return err
 			}
 			fp.m.failovers.Inc()
@@ -250,7 +254,7 @@ func (fp *FailoverPoller) resolveEdge(ctx context.Context) (string, error) {
 				delay = hint
 			}
 		}
-		if err := resilience.SleepCtx(ctx, delay); err != nil {
+		if err := fp.cfg.Clock.Sleep(ctx, delay); err != nil {
 			return "", err
 		}
 	}

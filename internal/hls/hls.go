@@ -247,9 +247,9 @@ type Client struct {
 	// edge-draining header — the failover poller uses it to migrate off a
 	// draining edge between polls.
 	OnDrainHint func()
-	// Clock times poll events and the poll interval; nil means the real
-	// clock. The trace-driven buffering study (§6) injects clock.Virtual
-	// so ChunkEvent timestamps are seed-determined.
+	// Clock times poll events, the poll interval and every retry and
+	// Retry-After wait; nil means the real clock. The buffering study (§6)
+	// injects clock.Virtual so ChunkEvent timestamps are seed-determined.
 	Clock clock.Clock
 	// Metrics is the registry the client's poll instruments register in
 	// (observed poll gaps, last-mile chunk fetches, pre-buffer fill); nil
@@ -322,13 +322,14 @@ func (c *Client) retryAfterCap() time.Duration {
 	return 30 * time.Second
 }
 
-// sleep waits on the retry policy's injected sleeper when set (tests run
-// instantly), else the real clock.
-func (c *Client) sleep(ctx context.Context, d time.Duration) error {
-	if c.Retry.Sleep != nil {
-		return c.Retry.Sleep(ctx, d)
+// retry is the fetch retry policy; unless it brings its own sleeper, every
+// wait — back-off and Retry-After alike — is on the client's clock.
+func (c *Client) retry() resilience.Policy {
+	p := c.Retry
+	if p.Sleep == nil {
+		p.Sleep = c.clock().Sleep
 	}
-	return resilience.SleepCtx(ctx, d)
+	return p
 }
 
 // parseRetryAfter reads a Retry-After header: delta-seconds or an HTTP date
@@ -358,7 +359,7 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 func (c *Client) shed(ctx context.Context, resp *http.Response) error {
 	d := parseRetryAfter(resp.Header.Get(RetryAfterHeader), c.clock().Now())
 	if wait := min(d, c.retryAfterCap()); wait > 0 {
-		if err := c.sleep(ctx, wait); err != nil {
+		if err := c.retry().Sleep(ctx, wait); err != nil {
 			return resilience.Permanent(err)
 		}
 	}
@@ -383,7 +384,7 @@ func (c *Client) FetchChunkList(ctx context.Context, broadcastID string, haveVer
 	if haveVersion != 0 {
 		url += "?have_version=" + strconv.FormatUint(haveVersion, 10)
 	}
-	return resilience.RetryValue(ctx, c.Retry, func(ctx context.Context) (*media.ChunkList, error) {
+	return resilience.RetryValue(ctx, c.retry(), func(ctx context.Context) (*media.ChunkList, error) {
 		reqCtx, cancel := context.WithTimeout(ctx, c.timeout())
 		defer cancel()
 		req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, url, nil)
@@ -421,7 +422,7 @@ func (c *Client) FetchChunkList(ctx context.Context, broadcastID string, haveVer
 // under a per-attempt deadline.
 func (c *Client) FetchChunk(ctx context.Context, broadcastID string, seq uint64) (*media.Chunk, error) {
 	url := fmt.Sprintf("%s/%s/chunk/%d", c.BaseURL, broadcastID, seq)
-	return resilience.RetryValue(ctx, c.Retry, func(ctx context.Context) (*media.Chunk, error) {
+	return resilience.RetryValue(ctx, c.retry(), func(ctx context.Context) (*media.Chunk, error) {
 		reqCtx, cancel := context.WithTimeout(ctx, c.timeout())
 		defer cancel()
 		req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, url, nil)
@@ -471,7 +472,7 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 // paper's measurement methodology records (§4.3).
 type ChunkEvent struct {
 	Ref media.ChunkRef
-	// Chunk is the downloaded data (nil when the poller runs list-only).
+	// Chunk is the downloaded data.
 	Chunk *media.Chunk
 	// PolledAt is when the poll that discovered the chunk was issued (⑨/⑭).
 	PolledAt time.Time
@@ -486,9 +487,6 @@ type PollerConfig struct {
 	// Interval between chunklist polls. Periscope clients use 2–2.8 s
 	// (§5.2); the paper's measurement crawler uses 100 ms.
 	Interval time.Duration
-	// ListOnly skips chunk downloads (crawler mode measuring only
-	// chunklist freshness).
-	ListOnly bool
 	// OnChunk receives every newly observed chunk in order.
 	OnChunk func(ev ChunkEvent)
 	// OnEnd fires once when the playlist carries the end marker.
@@ -548,22 +546,18 @@ func (c *Client) pollOnce(ctx context.Context, broadcastID string, cfg *PollerCo
 			continue
 		}
 		ev := ChunkEvent{Ref: ref, PolledAt: polledAt, ListFetchedAt: listAt}
-		if !cfg.ListOnly {
-			fetchStart := c.clock().Now()
-			chunk, err := c.FetchChunk(ctx, broadcastID, ref.Seq)
-			if err != nil {
-				if ctx.Err() != nil {
-					return false, ctx.Err()
-				}
-				continue
+		fetchStart := c.clock().Now()
+		chunk, err := c.FetchChunk(ctx, broadcastID, ref.Seq)
+		if err != nil {
+			if ctx.Err() != nil {
+				return false, ctx.Err()
 			}
-			ev.Chunk = chunk
-			ev.FetchedAt = c.clock().Now()
-			// Last-mile: edge→player transfer for this chunk.
-			m.lastMile.Observe(ev.FetchedAt.Sub(fetchStart))
-		} else {
-			ev.FetchedAt = listAt
+			continue
 		}
+		ev.Chunk = chunk
+		ev.FetchedAt = c.clock().Now()
+		// Last-mile: edge→player transfer for this chunk.
+		m.lastMile.Observe(ev.FetchedAt.Sub(fetchStart))
 		st.lastSeq, st.haveAny = ref.Seq, true
 		if cfg.PreBuffer > 0 && !st.bufferObserved {
 			if st.firstFetchAt.IsZero() {

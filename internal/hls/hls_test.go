@@ -238,7 +238,6 @@ func TestPollEndCallback(t *testing.T) {
 	ended := false
 	err := client.Poll(context.Background(), "b1", PollerConfig{
 		Interval: 5 * time.Millisecond,
-		ListOnly: true,
 		OnEnd:    func() { ended = true },
 	})
 	if err != nil {
@@ -266,28 +265,9 @@ func TestPollContextCancel(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	err := client.Poll(ctx, "b1", PollerConfig{Interval: 5 * time.Millisecond, ListOnly: true})
+	err := client.Poll(ctx, "b1", PollerConfig{Interval: 5 * time.Millisecond})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Poll err = %v, want context.Canceled", err)
-	}
-}
-
-func TestPollListOnlySkipsDownloads(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	store, client := startHLS(t)
-	store.add("b1", makeChunks(1)[0])
-	store.end("b1")
-	err := client.Poll(context.Background(), "b1", PollerConfig{
-		Interval: time.Millisecond,
-		ListOnly: true,
-		OnChunk: func(ev ChunkEvent) {
-			if ev.Chunk != nil {
-				t.Error("list-only poll downloaded a chunk")
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -18,13 +18,21 @@ type Backend interface {
 	Truncate(size int64) error
 }
 
-// Mem is an in-memory Backend for tests and the chaos harness. Beyond the
-// interface it exposes tail-damage helpers so crash schedules can simulate a
-// torn or corrupted final write.
+// Mem is an in-memory Backend for tests and the chaos harness; CorruptTail
+// lets crash schedules simulate a torn final write. The log lives in
+// fixed-size segments, not one slice grown by append: that copies the whole
+// log each time it runs out of room and then holds up to a quarter more than
+// it contains, so a large journal's footprint steps by tens of megabytes at
+// moments that depend on timing.
 type Mem struct {
-	mu  sync.Mutex
-	buf []byte
+	mu sync.Mutex
+	// segs are memSegment bytes each; the journal is their first size bytes.
+	// Segments past size stay for the appends after a Truncate.
+	segs [][]byte
+	size int
 }
+
+const memSegment = 256 << 10
 
 // NewMem returns an empty in-memory backend.
 func NewMem() *Mem { return &Mem{} }
@@ -33,7 +41,15 @@ func NewMem() *Mem { return &Mem{} }
 func (m *Mem) Append(b []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.buf = append(m.buf, b...)
+	for len(b) > 0 {
+		seg, off := m.size/memSegment, m.size%memSegment
+		if seg == len(m.segs) {
+			m.segs = append(m.segs, make([]byte, memSegment))
+		}
+		n := copy(m.segs[seg][off:], b)
+		b = b[n:]
+		m.size += n
+	}
 	return nil
 }
 
@@ -41,17 +57,21 @@ func (m *Mem) Append(b []byte) error {
 func (m *Mem) Load() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]byte(nil), m.buf...), nil
+	out := make([]byte, 0, m.size)
+	for _, seg := range m.segs {
+		out = append(out, seg[:min(memSegment, m.size-len(out))]...)
+	}
+	return out, nil
 }
 
 // Truncate implements Backend.
 func (m *Mem) Truncate(size int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if size < 0 || size > int64(len(m.buf)) {
-		return fmt.Errorf("journal: truncate %d outside journal of %d bytes", size, len(m.buf))
+	if size < 0 || size > int64(m.size) {
+		return fmt.Errorf("journal: truncate %d outside journal of %d bytes", size, m.size)
 	}
-	m.buf = m.buf[:size]
+	m.size = int(size)
 	return nil
 }
 
@@ -59,7 +79,7 @@ func (m *Mem) Truncate(size int64) error {
 func (m *Mem) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.buf)
+	return m.size
 }
 
 // CorruptTail flips the low bit of the last n bytes — the fault-injection
@@ -67,23 +87,9 @@ func (m *Mem) Len() int {
 func (m *Mem) CorruptTail(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if n > len(m.buf) {
-		n = len(m.buf)
+	for i := m.size - min(n, m.size); i < m.size; i++ {
+		m.segs[i/memSegment][i%memSegment] ^= 1
 	}
-	for i := len(m.buf) - n; i < len(m.buf); i++ {
-		m.buf[i] ^= 1
-	}
-}
-
-// TruncateTail drops the last n bytes — a crash before the final write
-// reached the disk.
-func (m *Mem) TruncateTail(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n > len(m.buf) {
-		n = len(m.buf)
-	}
-	m.buf = m.buf[:len(m.buf)-n]
 }
 
 // File is a file-backed Backend for cmd/livesim: every group commit is one

@@ -188,6 +188,45 @@ func TestMemBackendTailHelpers(t *testing.T) {
 	}
 }
 
+// TestMemBackendSegments: a journal longer than one segment reads back as the
+// bytes appended, truncation and tail damage land on the right bytes either
+// side of a segment boundary, and appends after a Truncate reuse the segments
+// the journal already holds.
+func TestMemBackendSegments(t *testing.T) {
+	mem := NewMem()
+	want := make([]byte, 2*memSegment+memSegment/2)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	for _, cut := range []int{memSegment - 3, memSegment + 5, len(want)} { // the second append straddles a boundary
+		if err := mem.Append(want[mem.Len():cut]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if data, _ := mem.Load(); !bytes.Equal(data, want) {
+		t.Fatalf("Load returned %d bytes that differ from the %d appended", len(data), len(want))
+	}
+	if err := mem.Truncate(int64(len(want) + 1)); err == nil {
+		t.Fatal("Truncate past the end succeeded")
+	}
+	if err := mem.Truncate(memSegment + 1); err != nil {
+		t.Fatal(err)
+	}
+	mem.CorruptTail(2) // one byte in each of the first two segments
+	want = want[:memSegment+1]
+	want[memSegment-1] ^= 1
+	want[memSegment] ^= 1
+	if data, _ := mem.Load(); !bytes.Equal(data, want) {
+		t.Fatalf("after Truncate and CorruptTail, Load returned %d bytes that differ from the %d expected", len(data), len(want))
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		_ = mem.Truncate(0)
+		_ = mem.Append(want)
+	}); n != 0 {
+		t.Fatalf("refilling a truncated journal allocated %v times, want 0", n)
+	}
+}
+
 // TestFileBackend: append, reload, truncate, and append-after-truncate all
 // behave like the in-memory backend.
 func TestFileBackend(t *testing.T) {

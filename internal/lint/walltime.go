@@ -19,7 +19,11 @@ import (
 // an event draws from anything but its seeded stream. control is restricted
 // too: quota windows, rate-limiter refills, and usage-rollup day keys must
 // follow the injected clock or tenancy tests against a clock.Virtual would
-// silently mix time bases. Matching is by the final import-path element.
+// silently mix time bases. resilience is restricted because cdn, hls, rtmp and
+// control wait through it: a retry back-off or breaker cool-down that read
+// the wall clock would put the host's time back on exactly the failure paths
+// a simulated clock drives, so its only wall-clock default is clock.Real.
+// Matching is by the final import-path element.
 var walltimePackages = map[string]bool{
 	"netsim":      true,
 	"delay":       true,
@@ -33,6 +37,7 @@ var walltimePackages = map[string]bool{
 	"clock":       true,
 	"viewersim":   true,
 	"control":     true,
+	"resilience":  true,
 }
 
 // walltimeFuncs are the time package entry points that read or schedule off

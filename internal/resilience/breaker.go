@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // ErrOpen is returned by Breaker.Allow while the circuit is open: the
@@ -44,7 +46,8 @@ type BreakerConfig struct {
 	// OpenFor is how long the circuit stays open before a half-open
 	// probe is admitted. Zero means 1 s.
 	OpenFor time.Duration
-	// Now is the clock; nil means time.Now. Tests inject a fake.
+	// Now is the time base the cool-down is measured on; nil means
+	// clock.Real's. An owner with an injected clock passes that clock's Now.
 	Now func() time.Time
 }
 
@@ -69,7 +72,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 		cfg.OpenFor = time.Second
 	}
 	if cfg.Now == nil {
-		cfg.Now = time.Now
+		cfg.Now = clock.Real{}.Now
 	}
 	return &Breaker{cfg: cfg}
 }

@@ -15,6 +15,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Policy bounds a retry loop. The zero value retries 3 times with a 10 ms
@@ -27,17 +29,12 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth. Zero means 1 s.
 	MaxDelay time.Duration
-	// Multiplier grows the delay between retries. Zero means 2.
-	Multiplier float64
 	// Jitter is the fraction of each delay randomized symmetrically
 	// around it (0.5 → delay uniform in [0.5d, 1.5d]). Negative disables
 	// jitter; zero means 0.5.
 	Jitter float64
-	// Rand supplies jitter uniforms in [0,1). Nil uses a process-global
-	// seeded source; tests inject deterministic values.
-	Rand func() float64
-	// Sleep overrides the wait between attempts; nil sleeps on the real
-	// clock, honouring ctx. Tests use it to run retry loops instantly.
+	// Sleep is the wait between attempts, honouring ctx; nil means
+	// clock.Real's. An owner with an injected clock passes that clock's Sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
@@ -51,27 +48,21 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxDelay == 0 {
 		p.MaxDelay = time.Second
 	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
-	}
 	if p.Jitter == 0 {
 		p.Jitter = 0.5
 	} else if p.Jitter < 0 {
 		p.Jitter = 0
 	}
-	if p.Rand == nil {
-		p.Rand = defaultRand
-	}
 	if p.Sleep == nil {
-		p.Sleep = SleepCtx
+		p.Sleep = clock.Real{}.Sleep
 	}
 	return p
 }
 
-// defaultRand is a mutex-guarded xorshift64*, seeded constantly so retry
-// timing is reproducible run to run (the fault injector, not the backoff,
-// is the experiment's randomness).
-var defaultRand = func() func() float64 {
+// jitterRand supplies jitter uniforms in [0,1): a mutex-guarded xorshift64*,
+// seeded constantly so retry timing is reproducible run to run (the fault
+// injector, not the backoff, is the experiment's randomness).
+var jitterRand = func() func() float64 {
 	var mu sync.Mutex
 	state := uint64(0x9e3779b97f4a7c15)
 	return func() float64 {
@@ -94,22 +85,6 @@ var defaultRand = func() func() float64 {
 func DrainClose(body io.ReadCloser) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(body, 64<<10)) // best effort: a failed drain only costs the connection
 	body.Close()
-}
-
-// SleepCtx sleeps for d or until ctx is done, returning ctx.Err() when
-// interrupted.
-func SleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // permanentError marks an error that must not be retried.
@@ -136,11 +111,14 @@ func IsPermanent(err error) bool {
 
 // Delay returns the backoff before retry attempt n (n=0 → before the first
 // retry), jittered. Exposed so reconnect loops can share the schedule.
-func (p Policy) Delay(n int) time.Duration {
-	p = p.withDefaults()
+func (p Policy) Delay(n int) time.Duration { return p.withDefaults().delay(n) }
+
+// delay is Delay on a policy whose defaults are already filled: filling them
+// twice would read the zero that "jitter disabled" becomes as "unset".
+func (p Policy) delay(n int) time.Duration {
 	d := float64(p.BaseDelay)
 	for i := 0; i < n; i++ {
-		d *= p.Multiplier
+		d *= 2
 		if d >= float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break
@@ -150,7 +128,7 @@ func (p Policy) Delay(n int) time.Duration {
 		d = float64(p.MaxDelay)
 	}
 	if p.Jitter > 0 {
-		d *= 1 + p.Jitter*(2*p.Rand()-1)
+		d *= 1 + p.Jitter*(2*jitterRand()-1)
 	}
 	if d < 0 {
 		d = 0
@@ -186,7 +164,7 @@ func Retry(ctx context.Context, p Policy, op func(ctx context.Context) error) er
 		if attempt == p.MaxAttempts-1 {
 			break
 		}
-		if serr := p.Sleep(ctx, p.Delay(attempt)); serr != nil {
+		if serr := p.Sleep(ctx, p.delay(attempt)); serr != nil {
 			return serr
 		}
 	}

@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,7 +106,6 @@ func TestRetryDelaysGrowExponentiallyAndCap(t *testing.T) {
 		MaxAttempts: 6,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    50 * time.Millisecond,
-		Multiplier:  2,
 		Jitter:      -1, // disable for exact schedule
 	}
 	want := []time.Duration{
@@ -119,6 +119,12 @@ func TestRetryDelaysGrowExponentiallyAndCap(t *testing.T) {
 		if got := p.Delay(n); got != w {
 			t.Fatalf("Delay(%d) = %v, want %v", n, got, w)
 		}
+	}
+	// Retry waits that same schedule, jitter still disabled.
+	var slept []time.Duration
+	_ = Retry(context.Background(), instant(p, &slept), func(context.Context) error { return errors.New("down") })
+	if !reflect.DeepEqual(slept, want) {
+		t.Fatalf("Retry slept %v, want %v", slept, want)
 	}
 }
 

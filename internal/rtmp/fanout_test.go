@@ -6,6 +6,7 @@ import (
 	"context"
 	"crypto/ed25519"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,22 +141,53 @@ func TestAcceptFrameEvictsSlowViewer(t *testing.T) {
 	b.remove(slow)
 }
 
+// usageSink is a FrameUsage that only counts, as control.TenantMeter does.
+type usageSink struct{ frames, bytes atomic.Int64 }
+
+func (u *usageSink) MeterFrames(frames, bytes int64) {
+	u.frames.Add(frames)
+	u.bytes.Add(bytes)
+}
+
+// meterTenant adds tenant attribution to cfg — per-tenant instruments plus a
+// usage sink — and returns the sink.
+func meterTenant(cfg *ServerConfig) *usageSink {
+	sink := &usageSink{}
+	cfg.TenantOf = func(string) string { return "tnt-fixture" }
+	cfg.TenantUsage = func(string) FrameUsage { return sink }
+	return sink
+}
+
 // TestAcceptFrameAllocBudget pins the per-frame fan-out allocation budget.
 // The message arrives pre-framed and the tap is handed a view of it, so
-// relaying it to N viewers must not allocate at all, with or without a tap.
+// relaying it to N viewers must not allocate at all — with or without a tap,
+// and with tenant metering on, whose handles are resolved before the first
+// frame.
 func TestAcceptFrameAllocBudget(t *testing.T) {
 	const viewers = 10
+	const runs = 100
 	enc := encodeFrameMsg(t, 1, 1024)
 	var kept []media.Frame
-	for name, tap := range map[string]FrameTap{
-		"no_tap": nil,
-		// The tap keeps every frame, as the origin's chunker does.
-		"tap": func(_ string, f media.Frame, _ time.Time) { kept = append(kept, f) },
+	// The tap keeps every frame, as the origin's chunker does.
+	tap := func(_ string, f media.Frame, _ time.Time) { kept = append(kept, f) }
+	for _, tc := range []struct {
+		name    string
+		tap     FrameTap
+		metered bool
+	}{
+		{"no_tap", nil, false},
+		{"tap", tap, false},
+		{"tap_metered", tap, true},
 	} {
-		t.Run(name, func(t *testing.T) {
-			s, b := fanoutFixture(tap, viewers)
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ServerConfig{Tap: tc.tap}
+			var sink *usageSink
+			if tc.metered {
+				sink = meterTenant(&cfg)
+			}
+			s, b := fanoutFixture(cfg, viewers)
 			kept = make([]media.Frame, 0, 128)
-			allocs := testing.AllocsPerRun(100, func() {
+			allocs := testing.AllocsPerRun(runs, func() {
 				if !s.acceptFrame(b, enc) {
 					t.Fatal("frame rejected")
 				}
@@ -163,8 +195,11 @@ func TestAcceptFrameAllocBudget(t *testing.T) {
 					<-v.out
 				}
 			})
-			if tap != nil && len(kept) == 0 {
+			if tc.tap != nil && len(kept) == 0 {
 				t.Fatal("tap never fired")
+			}
+			if sink != nil && sink.frames.Load() < runs*viewers {
+				t.Fatalf("usage sink saw %d delivered frames, want >= %d", sink.frames.Load(), runs*viewers)
 			}
 			if allocs > 0 {
 				t.Fatalf("fan-out allocs/frame = %.1f, want 0", allocs)
@@ -175,9 +210,9 @@ func TestAcceptFrameAllocBudget(t *testing.T) {
 
 // fanoutFixture is a server and a broadcast with n queued-only viewers, for
 // driving acceptFrame without sockets.
-func fanoutFixture(tap FrameTap, n int) (*Server, *broadcast) {
-	s := NewServer(ServerConfig{Tap: tap})
-	b := &broadcast{id: "fixture"}
+func fanoutFixture(cfg ServerConfig, n int) (*Server, *broadcast) {
+	s := NewServer(cfg)
+	b := s.newBroadcast("fixture")
 	vs := make([]*viewerConn, n)
 	for i := range vs {
 		vs[i] = &viewerConn{out: make(chan wire.Encoded, 4), done: make(chan struct{})}
@@ -188,33 +223,46 @@ func fanoutFixture(tap FrameTap, n int) (*Server, *broadcast) {
 
 // TestArrivalAllocBudget pins what one frame costs on the broadcaster loop —
 // the buffered read plus acceptFrame with a retaining tap — at exactly the
-// relay buffer.
+// relay buffer, whether or not the broadcast's tenant is metered.
 func TestArrivalAllocBudget(t *testing.T) {
 	const runs = 200
-	kept := make([]media.Frame, 0, runs+1)
-	s, b := fanoutFixture(func(_ string, f media.Frame, _ time.Time) { kept = append(kept, f) }, 10)
-	var stream bytes.Buffer
-	for i := 0; i <= runs; i++ {
-		stream.Write(encodeFrameMsg(t, uint64(i), 1024))
-	}
-	br := bufio.NewReader(&stream)
-	allocs := testing.AllocsPerRun(runs, func() {
-		enc, err := wire.ReadEncodedFrom(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !s.acceptFrame(b, enc) {
-			t.Fatal("frame rejected")
-		}
-		for _, v := range b.snapshot() {
-			<-v.out
-		}
-	})
-	if allocs != 1 {
-		t.Fatalf("allocs per arrival = %.1f, want 1 (the relay buffer)", allocs)
-	}
-	if len(kept) != runs+1 {
-		t.Fatalf("tap saw %d frames, want %d", len(kept), runs+1)
+	const viewers = 10
+	for name, metered := range map[string]bool{"unmetered": false, "metered": true} {
+		t.Run(name, func(t *testing.T) {
+			kept := make([]media.Frame, 0, runs+1)
+			cfg := ServerConfig{Tap: func(_ string, f media.Frame, _ time.Time) { kept = append(kept, f) }}
+			var sink *usageSink
+			if metered {
+				sink = meterTenant(&cfg)
+			}
+			s, b := fanoutFixture(cfg, viewers)
+			var stream bytes.Buffer
+			for i := 0; i <= runs; i++ {
+				stream.Write(encodeFrameMsg(t, uint64(i), 1024))
+			}
+			br := bufio.NewReader(&stream)
+			allocs := testing.AllocsPerRun(runs, func() {
+				enc, err := wire.ReadEncodedFrom(br)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !s.acceptFrame(b, enc) {
+					t.Fatal("frame rejected")
+				}
+				for _, v := range b.snapshot() {
+					<-v.out
+				}
+			})
+			if allocs != 1 {
+				t.Fatalf("allocs per arrival = %.1f, want 1 (the relay buffer)", allocs)
+			}
+			if len(kept) != runs+1 {
+				t.Fatalf("tap saw %d frames, want %d", len(kept), runs+1)
+			}
+			if sink != nil && sink.frames.Load() != (runs+1)*viewers {
+				t.Fatalf("usage sink saw %d delivered frames, want %d", sink.frames.Load(), (runs+1)*viewers)
+			}
+		})
 	}
 }
 
@@ -251,7 +299,7 @@ func TestTapFrameAliasesRelayBuffer(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got media.Frame
-			s, b := fanoutFixture(func(_ string, f media.Frame, _ time.Time) { got = f }, 1)
+			s, b := fanoutFixture(ServerConfig{Tap: func(_ string, f media.Frame, _ time.Time) { got = f }}, 1)
 			b.pubKey = tc.pubKey
 			enc, err := wire.EncodeMessage(tc.msg)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/media"
 	"repro/internal/resilience"
 	"repro/internal/wire"
@@ -149,7 +150,7 @@ func (rp *ResilientPublisher) redialAndResend(ctx context.Context) error {
 		if rp.cfg.MaxReconnects >= 0 && redials >= rp.cfg.MaxReconnects {
 			return errors.New("rtmp: publisher reconnect budget exhausted")
 		}
-		if err := resilience.SleepCtx(ctx, rp.cfg.Backoff.Delay(redials)); err != nil {
+		if err := clock.NewReal().Sleep(ctx, rp.cfg.Backoff.Delay(redials)); err != nil {
 			return err
 		}
 		redials++

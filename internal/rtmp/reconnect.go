@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/resilience"
 	"repro/internal/wire"
 )
@@ -56,6 +57,9 @@ func SubscribeResilient(ctx context.Context, addr, broadcastID, token string, cf
 		// not the whole session.
 		cfg.Options.DialTimeout = 3 * time.Second
 	}
+	if cfg.Options.Clock == nil {
+		cfg.Options.Clock = clock.Real{}
+	}
 	v, err := Subscribe(ctx, addr, broadcastID, token, cfg.Options)
 	if err != nil {
 		return nil, err
@@ -97,7 +101,7 @@ func (rv *ResilientViewer) run(ctx context.Context, v *Viewer, addr, broadcastID
 				rv.setErr(err)
 				return
 			}
-			if serr := resilience.SleepCtx(ctx, cfg.Backoff.Delay(redials)); serr != nil {
+			if serr := cfg.Options.Clock.Sleep(ctx, cfg.Backoff.Delay(redials)); serr != nil {
 				rv.setErr(serr)
 				return
 			}

@@ -201,7 +201,7 @@ type broadcast struct {
 
 	// Per-tenant attribution, resolved once at publisher handshake (cold
 	// path) so the fan-out hot path is nil-checks and atomic adds — zero
-	// allocations per frame (DESIGN.md §5a budget, benchguard-enforced).
+	// allocations per frame (DESIGN.md §5a budget, TestArrivalAllocBudget).
 	// All nil for untenanted broadcasts.
 	tFramesOut *metrics.Counter
 	tBytesOut  *metrics.Counter
@@ -556,13 +556,12 @@ func (s *Server) ackResume(conn net.Conn, status, message string, resumeSeq uint
 	}
 }
 
-func (s *Server) handleBroadcaster(conn net.Conn, hs wire.Handshake) {
-	b := &broadcast{
-		id:     hs.BroadcastID,
-		pubKey: s.cfg.Auth.PublicKey(hs.BroadcastID),
-	}
+// newBroadcast builds a broadcast's server-side state, resolving its tenant
+// attribution once so the per-frame path only adds to cached handles.
+func (s *Server) newBroadcast(id string) *broadcast {
+	b := &broadcast{id: id, pubKey: s.cfg.Auth.PublicKey(id)}
 	if s.cfg.TenantOf != nil {
-		if tenant := s.cfg.TenantOf(hs.BroadcastID); tenant != "" {
+		if tenant := s.cfg.TenantOf(id); tenant != "" {
 			labels := make([]metrics.Label, 0, len(s.cfg.MetricsLabels)+1)
 			labels = append(labels, s.cfg.MetricsLabels...)
 			labels = append(labels, metrics.L("tenant", tenant))
@@ -570,10 +569,15 @@ func (s *Server) handleBroadcaster(conn net.Conn, hs wire.Handshake) {
 			b.tBytesOut = s.cfg.Metrics.Counter("rtmp_tenant_bytes_out_total", labels...)
 			b.tDelay = s.cfg.Metrics.Histogram("rtmp_tenant_push_latency_seconds", pushLatencyBuckets, labels...)
 			if s.cfg.TenantUsage != nil {
-				b.usage = s.cfg.TenantUsage(hs.BroadcastID)
+				b.usage = s.cfg.TenantUsage(id)
 			}
 		}
 	}
+	return b
+}
+
+func (s *Server) handleBroadcaster(conn net.Conn, hs wire.Handshake) {
+	b := s.newBroadcast(hs.BroadcastID)
 	s.mu.Lock()
 	if _, dup := s.broadcasts[hs.BroadcastID]; dup {
 		s.mu.Unlock()

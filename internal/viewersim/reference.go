@@ -10,10 +10,9 @@ import (
 
 // runReference drives the day with the pre-wheel architecture: one goroutine
 // per broadcast and per viewer, blocked on a conservative coordinator over
-// clock.Virtual. It exists as the equivalence anchor (and the baseline
-// BenchmarkViewerEngine contrasts): the same sim methods run in event-time
-// order, one goroutine at a time, so any divergence from the wheel engine is
-// a wheel bug, not a modeling difference.
+// clock.Virtual. It exists as the equivalence anchor: the same sim methods
+// run in event-time order, one goroutine at a time, so any divergence from
+// the wheel engine is a wheel bug, not a modeling difference.
 func (s *sim) runReference() {
 	clk := clock.NewVirtual(s.w.start)
 	s.buildCDN(clk)

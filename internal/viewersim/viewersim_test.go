@@ -3,6 +3,7 @@ package viewersim
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -176,7 +177,7 @@ func TestUnknownEngineRejected(t *testing.T) {
 	}
 }
 
-// TestScaleSmoke is the CI gate behind `make scale-smoke`: a 1:200-scale
+// TestScaleSmoke is what `make scale-smoke` runs alone: a 1:200-scale
 // simulated day on the wheel engine under -race, with the real-socket
 // fidelity slice running concurrently, asserting the Fig. 11 shape — HLS
 // delay dominated by chunking+polling+buffering, an order beyond RTMP.
@@ -220,5 +221,35 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	if sum.RealPolls == 0 {
 		t.Errorf("real HLS slice made no polls")
+	}
+}
+
+// TestAllocsPerEventFlatAcrossAudience pins the pooled-viewer invariant: a
+// viewer costs its fixed per-view set-up and nothing per event, so ten times
+// the audience on one broadcast leaves mallocs per event where they were.
+// (The absolute level is gated end to end by bench's simday allocs_per_op.)
+func TestAllocsPerEventFlatAcrossAudience(t *testing.T) {
+	perEvent := func(viewers int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sum, err := Run(Config{
+			Seed:                1,
+			Broadcasts:          1,
+			ViewersPerBroadcast: viewers,
+			BroadcastDuration:   12 * time.Second,
+			Engine:              "wheel",
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Views != int64(viewers) || sum.Events == 0 {
+			t.Fatalf("%d viewers: %d views, %d events", viewers, sum.Views, sum.Events)
+		}
+		return float64(after.Mallocs-before.Mallocs) / float64(sum.Events)
+	}
+	small, large := perEvent(1_000), perEvent(10_000)
+	if math.Abs(large-small) > 0.10*small {
+		t.Fatalf("mallocs/event = %.3f at 1k viewers, %.3f at 10k: not flat within 10%%", small, large)
 	}
 }
