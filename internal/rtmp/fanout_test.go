@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/media"
+	"repro/internal/testutil"
 	"repro/internal/wire"
 )
 
@@ -221,46 +222,51 @@ func fanoutFixture(cfg ServerConfig, n int) (*Server, *broadcast) {
 	return s, b
 }
 
-// TestArrivalAllocBudget pins what one frame costs on the broadcaster loop —
-// the buffered read plus acceptFrame with a retaining tap — at exactly the
-// relay buffer, whether or not the broadcast's tenant is metered.
+// TestArrivalAllocBudget pins what the broadcaster loop pays for a socket
+// read — wire.Reader plus acceptFrame with a retaining tap, the pair
+// handleBroadcaster runs — at exactly one relay buffer per read, however many
+// frames the read carried, whether or not the broadcast's tenant is metered.
 func TestArrivalAllocBudget(t *testing.T) {
 	const runs = 200
 	const viewers = 10
+	// Each refill of the 4 KB bufio buffer reads exactly one batch of k frames.
+	var batch []byte
+	k := 4096 / len(encodeFrameMsg(t, 0, 512))
+	for i := 0; i < k; i++ {
+		batch = append(batch, encodeFrameMsg(t, uint64(i), 512)...)
+	}
 	for name, metered := range map[string]bool{"unmetered": false, "metered": true} {
 		t.Run(name, func(t *testing.T) {
-			kept := make([]media.Frame, 0, runs+1)
+			kept := make([]media.Frame, 0, (runs+1)*k)
 			cfg := ServerConfig{Tap: func(_ string, f media.Frame, _ time.Time) { kept = append(kept, f) }}
 			var sink *usageSink
 			if metered {
 				sink = meterTenant(&cfg)
 			}
 			s, b := fanoutFixture(cfg, viewers)
-			var stream bytes.Buffer
-			for i := 0; i <= runs; i++ {
-				stream.Write(encodeFrameMsg(t, uint64(i), 1024))
-			}
-			br := bufio.NewReader(&stream)
+			rd := wire.NewReader(bufio.NewReader(testutil.Replay(batch)))
 			allocs := testing.AllocsPerRun(runs, func() {
-				enc, err := wire.ReadEncodedFrom(br)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !s.acceptFrame(b, enc) {
-					t.Fatal("frame rejected")
-				}
-				for _, v := range b.snapshot() {
-					<-v.out
+				for i := 0; i < k; i++ {
+					enc, err := rd.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !s.acceptFrame(b, enc) {
+						t.Fatal("frame rejected")
+					}
+					for _, v := range b.snapshot() {
+						<-v.out
+					}
 				}
 			})
 			if allocs != 1 {
-				t.Fatalf("allocs per arrival = %.1f, want 1 (the relay buffer)", allocs)
+				t.Fatalf("allocs per %d-frame read = %.1f, want 1 (the relay buffer)", k, allocs)
 			}
-			if len(kept) != runs+1 {
-				t.Fatalf("tap saw %d frames, want %d", len(kept), runs+1)
+			if len(kept) != (runs+1)*k {
+				t.Fatalf("tap saw %d frames, want %d", len(kept), (runs+1)*k)
 			}
-			if sink != nil && sink.frames.Load() != (runs+1)*viewers {
-				t.Fatalf("usage sink saw %d delivered frames, want %d", sink.frames.Load(), (runs+1)*viewers)
+			if sink != nil && sink.frames.Load() != int64((runs+1)*k*viewers) {
+				t.Fatalf("usage sink saw %d delivered frames, want %d", sink.frames.Load(), (runs+1)*k*viewers)
 			}
 		})
 	}
@@ -336,4 +342,41 @@ func TestTapFrameAliasesRelayBuffer(t *testing.T) {
 			}
 		})
 	}
+	// Two frames read in one batch share its buffer back to back; each tap
+	// frame views its own message, and no append on the first — the relayed
+	// message or the tapped payload that ends it — can reach the second.
+	t.Run("batch", func(t *testing.T) {
+		var got []media.Frame
+		s, b := fanoutFixture(ServerConfig{Tap: func(_ string, f media.Frame, _ time.Time) { got = append(got, f) }}, 1)
+		stream := append(encodeFrameMsg(t, 1, 32), encodeFrameMsg(t, 2, 32)...)
+		rd := wire.NewReader(bufio.NewReader(bytes.NewReader(stream)))
+		var encs [2]wire.Encoded
+		for i := range encs {
+			enc, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.acceptFrame(b, enc) {
+				t.Fatal("frame rejected")
+			}
+			if relayed := <-b.snapshot()[0].out; &relayed[0] != &enc[0] {
+				t.Fatal("viewer was queued a copy, not the batch")
+			}
+			encs[i] = enc
+		}
+		if !testutil.Adjacent(encs[0], encs[1]) {
+			t.Fatal("the two frames were not carved back to back from one batch")
+		}
+		for i, f := range got {
+			body := encs[i].Body()
+			if f.Seq != uint64(i+1) || !sameBytes(f.Payload, body, len(body)-len(f.Payload)) {
+				t.Fatalf("tapped frame %d (seq %d) does not view its own message in the batch", i, f.Seq)
+			}
+		}
+		_ = append(encs[0], 0xEE)
+		_ = append(got[0].Payload, 0xEE)
+		if !bytes.Equal(append(append([]byte(nil), encs[0]...), encs[1]...), stream) {
+			t.Fatal("appending to the first frame's views wrote into the second")
+		}
+	})
 }

@@ -260,7 +260,15 @@ type viewerConn struct {
 	// gone flips exactly once — on eviction, leave, or broadcast end; the
 	// winner of the flip closes done.
 	gone atomic.Bool
+	// iov and bufs are the push loop's batch — the iovec array and the
+	// net.Buffers header one vectored write consumes — kept here so a batch
+	// allocates nothing. Only the viewer's own goroutine touches them.
+	iov  [pushBatch][]byte
+	bufs net.Buffers
 }
+
+// pushBatch is the most queued messages one viewer wake-up writes at once.
+const pushBatch = 32
 
 // close closes done exactly once, reporting whether this call won the flip.
 func (v *viewerConn) close() bool {
@@ -271,7 +279,8 @@ func (v *viewerConn) close() bool {
 	return false
 }
 
-// encodedEnd is the shared pre-framed MsgEnd every teardown path writes.
+// encodedEnd is the shared pre-framed MsgEnd the end-of-broadcast flush
+// writes.
 var encodedEnd = func() wire.Encoded {
 	e, err := wire.EncodeMessage(wire.Message{Type: wire.MsgEnd})
 	if err != nil {
@@ -467,33 +476,16 @@ func (s *Server) Abort() error {
 			err = cerr
 		}
 	}
+	// Aborted is already set, so the viewer loops endBroadcast releases
+	// return without their clean MsgEnd: a crash must not look like an end.
 	for _, b := range bs {
-		s.abortBroadcast(b)
+		s.endBroadcast(b)
 	}
 	for _, c := range conns {
 		c.Close()
 	}
 	s.wg.Wait()
 	return err
-}
-
-// abortBroadcast is endBroadcast without the clean MsgEnd: viewer done
-// channels close so handler loops unwind, but nothing is queued — the
-// viewers' sockets are being severed, and a crash must not look like an end.
-func (s *Server) abortBroadcast(b *broadcast) {
-	b.mu.Lock()
-	if b.ended {
-		b.mu.Unlock()
-		return
-	}
-	b.ended = true
-	viewers := b.snapshot()
-	empty := make([]*viewerConn, 0)
-	b.viewers.Store(&empty)
-	b.mu.Unlock()
-	for _, v := range viewers {
-		v.close()
-	}
 }
 
 func (s *Server) handle(conn net.Conn) {
@@ -604,10 +596,11 @@ func (s *Server) handleBroadcaster(conn net.Conn, hs wire.Handshake) {
 	s.ackResume(conn, wire.StatusOK, "publishing", resume)
 
 	// The handshake was read exactly, so nothing of the stream is lost by
-	// buffering from here on; small frames then share a read syscall.
-	br := bufio.NewReader(conn)
+	// buffering from here on; small frames then share a read syscall and
+	// one relay buffer.
+	rd := wire.NewReader(bufio.NewReader(conn))
 	for {
-		enc, err := wire.ReadEncodedFrom(br)
+		enc, err := rd.Next()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.cfg.Logf("rtmp publish %s: %v", hs.BroadcastID, err)
@@ -707,6 +700,9 @@ func (s *Server) acceptFrame(b *broadcast, enc wire.Encoded) bool {
 	return true
 }
 
+// endBroadcast marks b ended and releases its viewers. Each viewer loop then
+// flushes its queue with MsgEnd in the last batch — or, when the server is
+// aborting, returns without writing anything.
 func (s *Server) endBroadcast(b *broadcast) {
 	b.mu.Lock()
 	if b.ended {
@@ -719,10 +715,6 @@ func (s *Server) endBroadcast(b *broadcast) {
 	b.viewers.Store(&empty)
 	b.mu.Unlock()
 	for _, v := range viewers {
-		select {
-		case v.out <- encodedEnd:
-		default:
-		}
 		v.close()
 	}
 }
@@ -771,15 +763,17 @@ func (s *Server) handleViewer(conn net.Conn, hs wire.Handshake) {
 	}()
 	s.ack(conn, wire.StatusOK, "subscribed")
 
-	// Reader goroutine: detect client hangup. The buffer is reused across
-	// reads — viewers are not expected to send anything meaningful.
+	// Reader goroutine: detect client hangup. Viewers send nothing
+	// meaningful, so whatever arrives is read into a small scratch and
+	// dropped, never parsed: a declared message length must not cost the
+	// server memory. (io.Copy to io.Discard would do the same, but holds a
+	// pooled 8 KB buffer per idle viewer for the whole session.)
 	hangup := make(chan struct{})
 	go func() {
 		defer close(hangup)
-		var buf []byte
+		var scratch [64]byte
 		for {
-			var err error
-			if _, buf, err = wire.ReadMessageInto(conn, buf); err != nil {
+			if _, err := conn.Read(scratch[:]); err != nil {
 				return
 			}
 		}
@@ -794,38 +788,72 @@ func (s *Server) handleViewer(conn net.Conn, hs wire.Handshake) {
 				// critically no clean MsgEnd.
 				return
 			}
-			// Flush anything already queued, then end.
+			// Flush anything already queued; MsgEnd rides the last batch.
 			for {
-				select {
-				case m := <-v.out:
-					if err := s.pushToViewer(conn, m); err != nil {
-						return
-					}
-				default:
-					_ = wire.WriteEncoded(conn, encodedEnd)
+				ended, err := s.push(conn, v, nil, true)
+				if ended || err != nil {
 					return
 				}
 			}
 		case m := <-v.out:
-			if err := s.pushToViewer(conn, m); err != nil {
+			if _, err := s.push(conn, v, m, false); err != nil {
 				return
 			}
 		}
 	}
 }
 
+// push writes one batch to a viewer: first (when non-nil) and every message
+// already queued behind it, up to pushBatch, in one net.Buffers.WriteTo — a
+// single writev on TCP, one Write per message on TLS and on wrapped
+// connections. Nothing waits for the queue to fill, so a viewer that keeps up
+// gets each frame in a batch of its own. With end set, MsgEnd is appended
+// once the queue is empty, and push reports that it was written.
+//
 //livesim:hotpath
-func (s *Server) pushToViewer(conn net.Conn, e wire.Encoded) error {
+func (s *Server) push(conn net.Conn, v *viewerConn, first wire.Encoded, end bool) (ended bool, err error) {
+	n := 0
+	if first != nil {
+		v.iov[0] = first
+		n = 1
+	}
+	limit := pushBatch
+	if end {
+		limit-- // room for MsgEnd
+	}
+fill:
+	for n < limit {
+		select {
+		case m := <-v.out:
+			v.iov[n] = m
+			n++
+		default:
+			ended = end
+			break fill
+		}
+	}
+	var frames, bytes int64
+	for _, e := range v.iov[:n] {
+		if t := wire.Encoded(e).Type(); t == wire.MsgFrame || t == wire.MsgSignedFrame {
+			frames++
+			bytes += int64(len(wire.Encoded(e).Body()))
+		}
+	}
+	if ended {
+		v.iov[n] = encodedEnd
+		n++
+	}
 	if s.cfg.WriteTimeout > 0 {
 		//lint:allow walltime socket deadlines are interpreted by the kernel, which only speaks wall time
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
-	if err := wire.WriteEncoded(conn, e); err != nil {
-		return err
+	// WriteTo consumes bufs, clearing each iov entry it writes, so a batch
+	// pins no relay buffer once it is on the wire.
+	v.bufs = v.iov[:n]
+	if _, err := v.bufs.WriteTo(conn); err != nil {
+		return false, err
 	}
-	if t := e.Type(); t == wire.MsgFrame || t == wire.MsgSignedFrame {
-		s.m.framesOut.Inc()
-		s.m.bytesOut.Add(int64(len(e.Body())))
-	}
-	return nil
+	s.m.framesOut.Add(frames)
+	s.m.bytesOut.Add(bytes)
+	return ended, nil
 }

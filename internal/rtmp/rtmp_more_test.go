@@ -23,18 +23,7 @@ func TestSlowViewerDoesNotBlockBroadcast(t *testing.T) {
 	defer pub.End()
 
 	// A raw conn that handshakes as viewer and then never reads.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hs := wire.Handshake{Role: wire.RoleViewer, BroadcastID: "b1"}
-	if err := wire.WriteMessage(conn, wire.Message{Type: wire.MsgHandshake, Body: wire.MarshalHandshake(hs)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadMessage(conn); err != nil { // ack
-		t.Fatal(err)
-	}
+	dialRawViewer(t, addr, "b1")
 
 	// Fast, healthy viewer for comparison.
 	healthy, err := Subscribe(ctx, addr, "b1", "", ViewerOptions{Queue: 8192})

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // TestEncodeMessageRoundTrip checks that the pre-framed form is exactly what
@@ -63,16 +65,19 @@ func TestEncodeMessageTooLarge(t *testing.T) {
 	}
 }
 
-// encodedReaders are the two ways to read a message with its framing kept:
-// from any reader, and from a buffered one the caller owns.
+// encodedReaders are the ways to read a message with its framing kept: from
+// any reader, and with a Reader over a buffered one — the default 4 KB
+// buffer, and the smallest bufio allows, which most messages outgrow.
 var encodedReaders = map[string]func(raw []byte) func() (Encoded, error){
 	"ReadEncoded": func(raw []byte) func() (Encoded, error) {
 		r := bytes.NewReader(raw)
 		return func() (Encoded, error) { return ReadEncoded(r) }
 	},
-	"ReadEncodedFrom": func(raw []byte) func() (Encoded, error) {
-		br := bufio.NewReader(bytes.NewReader(raw))
-		return func() (Encoded, error) { return ReadEncodedFrom(br) }
+	"Reader": func(raw []byte) func() (Encoded, error) {
+		return NewReader(bufio.NewReader(bytes.NewReader(raw))).Next
+	},
+	"Reader_bufio16": func(raw []byte) func() (Encoded, error) {
+		return NewReader(bufio.NewReaderSize(bytes.NewReader(raw), 16)).Next
 	},
 }
 
@@ -141,24 +146,54 @@ func TestReadEncodedRejectsOversize(t *testing.T) {
 	}
 }
 
-// TestReadEncodedFromOneAlloc pins the buffered read at its product: the
-// framed buffer, and no header scratch beside it.
-func TestReadEncodedFromOneAlloc(t *testing.T) {
+// TestReaderOneAllocPerBatch pins the buffered read at its product: k
+// messages already in the bufio.Reader cost one allocation between them —
+// the batch they are carved from, with no header scratch beside it — and so
+// does a message too big to be buffered whole.
+func TestReaderOneAllocPerBatch(t *testing.T) {
 	const runs = 100
-	var buf bytes.Buffer
-	for i := 0; i <= runs; i++ {
-		if err := WriteMessage(&buf, Message{Type: MsgFrame, Body: make([]byte, 600)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	br := bufio.NewReader(&buf)
-	allocs := testing.AllocsPerRun(runs, func() {
-		if _, err := ReadEncodedFrom(br); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 1 {
-		t.Fatalf("ReadEncodedFrom allocs/msg = %.1f, want 1", allocs)
+	for _, tc := range []struct {
+		name    string
+		k, body int
+	}{
+		{"six_buffered", 6, 600},
+		{"larger_than_bufio", 1, 10_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var batch []byte
+			for i := 0; i < tc.k; i++ {
+				body := bytes.Repeat([]byte{byte(i)}, tc.body)
+				batch, _ = AppendMessage(batch, Message{Type: MsgFrame, Body: body})
+			}
+			// Each refill of the bufio.Reader reads exactly one batch.
+			rd := NewReader(bufio.NewReader(testutil.Replay(batch)))
+			msgs := make([]Encoded, tc.k)
+			allocs := testing.AllocsPerRun(runs, func() {
+				for i := range msgs {
+					e, err := rd.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					msgs[i] = e
+				}
+			})
+			if allocs != 1 {
+				t.Fatalf("allocs per %d buffered messages = %.1f, want 1", tc.k, allocs)
+			}
+			var got []byte
+			for i, e := range msgs {
+				got = append(got, e...)
+				if cap(e) != len(e) {
+					t.Fatalf("message %d: cap %d > len %d — an append could reach the next message", i, cap(e), len(e))
+				}
+				if i > 0 && !testutil.Adjacent(msgs[i-1], e) {
+					t.Fatalf("message %d was not carved from the batch right behind message %d", i, i-1)
+				}
+			}
+			if !bytes.Equal(got, batch) {
+				t.Fatal("carved messages diverged from the wire bytes")
+			}
+		})
 	}
 }
 

@@ -160,39 +160,103 @@ func WriteEncoded(w io.Writer, e Encoded) error {
 	return nil
 }
 
-// ReadEncodedFrom reads one message from a buffered stream preserving its
-// framed form: the returned buffer is byte-for-byte what WriteEncoded would
-// send. The header is peeked in br's own buffer, so the framed buffer — which
-// a fan-out retains anyway — is the call's one allocation, and the message is
-// copied into it once. Relaying it to N viewers needs no re-framing and no
-// further copies.
+// Reader reads messages from a buffered stream preserving their framed form:
+// each Encoded it returns is byte-for-byte what WriteEncoded would send.
+// Whenever it has to read, it copies every complete message already sitting
+// in the bufio.Reader into one buffer of exactly their size — the batch, the
+// read's one allocation — and hands them out one by one as capped views of
+// it, so an append on one message can never reach the next. A batch is only
+// what is already buffered: Next waits for the one message it returns and
+// never for another. A message larger than the bufio.Reader's buffer is read
+// into a buffer of its own. Relaying a message to N viewers needs no
+// re-framing and no further copies.
+type Reader struct {
+	br *bufio.Reader
+	// batch holds the messages of the last read not yet handed out.
+	batch []byte
+}
+
+// NewReader returns a Reader over br. The Reader owns br from here on.
+func NewReader(br *bufio.Reader) *Reader {
+	return &Reader{br: br}
+}
+
+// Next returns the next message. A length prefix above MaxBody is reported,
+// as ErrBodyTooLarge, when that message is the next one to read: the complete
+// messages buffered before it are delivered first.
 //
 //livesim:hotpath
-func ReadEncodedFrom(br *bufio.Reader) (Encoded, error) {
-	hdr, err := br.Peek(headerSize)
+func (r *Reader) Next() (Encoded, error) {
+	if len(r.batch) == 0 {
+		if err := r.fill(); err != nil {
+			return nil, err
+		}
+	}
+	end := headerSize + int(binary.BigEndian.Uint32(r.batch[1:]))
+	e := Encoded(r.batch[:end:end])
+	r.batch = r.batch[end:]
+	return e, nil
+}
+
+// fill reads the next batch: at least one whole message, plus every complete
+// message buffered behind it.
+//
+//livesim:hotpath
+func (r *Reader) fill() error {
+	// The spent batch's empty tail still points into it: drop it before
+	// blocking, so an idle publisher pins nothing.
+	r.batch = nil
+	hdr, err := r.br.Peek(headerSize)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n > MaxBody {
-		return nil, ErrBodyTooLarge
+		return ErrBodyTooLarge
 	}
-	//lint:allow hotpathescape the framed buffer is the product; the fan-out retains it by design
-	buf := make([]byte, headerSize+int(n))
-	if _, err := io.ReadFull(br, buf); err != nil {
+	size := headerSize + int(n)
+	if size > r.br.Size() {
+		// Too big to be buffered whole: one message, in its own buffer.
+		//lint:allow hotpathescape the framed buffer is the product; the fan-out retains it by design
+		buf := make([]byte, size)
+		if _, err := io.ReadFull(r.br, buf); err != nil {
+			//lint:allow hotpathalloc error path only; the success path costs the one retained buffer
+			return fmt.Errorf("wire: read body: %w", err)
+		}
+		r.batch = buf
+		return nil
+	}
+	if _, err := r.br.Peek(size); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		//lint:allow hotpathalloc error path only; the success path costs the one retained buffer
-		return nil, fmt.Errorf("wire: read body: %w", err)
+		return fmt.Errorf("wire: read body: %w", err)
 	}
-	return Encoded(buf), nil
+	// Every complete message behind the first joins the batch; the walk
+	// stops at a torn one or one over MaxBody, which stay in br.
+	buffered, _ := r.br.Peek(r.br.Buffered())
+	for size+headerSize <= len(buffered) {
+		n := binary.BigEndian.Uint32(buffered[size+1:])
+		if n > MaxBody || size+headerSize+int(n) > len(buffered) {
+			break
+		}
+		size += headerSize + int(n)
+	}
+	//lint:allow hotpathescape the batch is the product; the fan-out retains its messages by design
+	r.batch = make([]byte, size)
+	copy(r.batch, buffered)
+	_, err = r.br.Discard(size)
+	return err
 }
 
-// ReadEncoded is ReadEncodedFrom for a reader that cannot be peeked. It must
-// not read past the message, so the header goes into a scratch of its own
-// first: two allocations and two reads per message. A loop that reads many
-// messages should own a bufio.Reader and call ReadEncodedFrom.
+// ReadEncoded is Reader.Next for a reader that cannot be buffered. It must not
+// read past the message, so the header goes into a scratch of its own first:
+// two allocations and two reads per message. A loop that reads many messages
+// should own a bufio.Reader and a Reader over it.
 func ReadEncoded(r io.Reader) (Encoded, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
