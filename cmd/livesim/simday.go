@@ -15,7 +15,6 @@ var (
 	simday         = flag.Bool("simday", false, "run one simulated day through the viewer event engine and exit")
 	simdayScale    = flag.Float64("simday-scale", 100, "workload scale divisor (1 = full paper scale)")
 	simdayFraction = flag.Float64("simday-fraction", 1, "fraction of the day to simulate (0,1]")
-	simdayEngine   = flag.String("engine", "wheel", "event engine: wheel or goroutine")
 	simdayCap      = flag.Int("viewer-cap", 0, "max simulated viewers per broadcast (0 = uncapped)")
 	realHLS        = flag.Int("real-hls", 0, "real-socket HLS viewers watching a concurrent loopback broadcast")
 	realRTMP       = flag.Int("real-rtmp", 0, "real-socket RTMP viewers watching a concurrent loopback broadcast")
@@ -26,15 +25,13 @@ func runSimday(seed uint64, chunk time.Duration, rtmpCap int) error {
 		Seed:          seed,
 		Scale:         *simdayScale,
 		DayFraction:   *simdayFraction,
-		Engine:        *simdayEngine,
 		ViewerCap:     *simdayCap,
 		ChunkDuration: chunk,
 		RTMPCap:       rtmpCap,
 		RealHLS:       *realHLS,
 		RealRTMP:      *realRTMP,
 	}
-	fmt.Printf("simday: scale 1:%g, %.0f%% of the day, engine=%s\n",
-		cfg.Scale, *simdayFraction*100, cfg.Engine)
+	fmt.Printf("simday: scale 1:%g, %.0f%% of the day\n", cfg.Scale, *simdayFraction*100)
 	start := time.Now()
 	sum, err := viewersim.Run(cfg)
 	if err != nil {

@@ -5,7 +5,7 @@
 //
 // The paper's large-scale experiments are trace-driven simulations; those run
 // on the VirtualClock so that a seed fully determines the outcome. The
-// real-socket platform (examples, crawler, security demo) runs on the
+// real-socket platform (quickstart, crawler, security demo) runs on the
 // RealClock.
 package clock
 

@@ -400,16 +400,6 @@ var errTable = []struct {
 	{ErrUnavailable, http.StatusServiceUnavailable, "unavailable"},
 }
 
-// legacyStatusErr maps a bare status, from a server that predates
-// X-Control-Error, to the one meaning the status had then.
-var legacyStatusErr = map[int]error{
-	http.StatusNotFound:           ErrNoBroadcast,
-	http.StatusForbidden:          ErrBadToken,
-	http.StatusUnauthorized:       ErrNotInvited,
-	http.StatusGone:               ErrEnded,
-	http.StatusServiceUnavailable: ErrUnavailable,
-}
-
 // respondErr writes err's errTable row (500 for an error outside the table)
 // and reports whether there was an error to write.
 func respondErr(w http.ResponseWriter, err error) bool {
@@ -514,9 +504,9 @@ func (c *Client) do(req *http.Request, out interface{}) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// errFromResponse reconstructs the service error from a non-200 response:
-// the X-Control-Error code when present (it disambiguates statuses that
-// carry two meanings), the historical status mapping otherwise.
+// errFromResponse reconstructs the service error from a non-200 response's
+// X-Control-Error code (it disambiguates statuses that carry two meanings);
+// nil when the response carries no known code.
 func errFromResponse(resp *http.Response) error {
 	code := resp.Header.Get(errCodeHeader)
 	for _, e := range errTable {
@@ -532,7 +522,7 @@ func errFromResponse(resp *http.Response) error {
 		}
 		return &QuotaError{Reason: "server quota rejection", RetryAfter: retry}
 	}
-	return legacyStatusErr[resp.StatusCode]
+	return nil
 }
 
 // Register creates a user.

@@ -399,12 +399,6 @@ func TestErrorTableRoundTrip(t *testing.T) {
 	if resp, got := roundTrip(errors.New("boom")); resp.StatusCode != http.StatusInternalServerError || got != nil {
 		t.Errorf("unknown error: status %d, client error %v", resp.StatusCode, got)
 	}
-	// A server without X-Control-Error still maps by status alone.
-	for status, want := range legacyStatusErr {
-		if got := errFromResponse(&http.Response{StatusCode: status, Header: http.Header{}}); got != want {
-			t.Errorf("bare status %d → %v, want %v", status, got, want)
-		}
-	}
 }
 
 // TestHTTPRouting: the route table is the whole surface — other paths are

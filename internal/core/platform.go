@@ -1,8 +1,8 @@
 // Package core assembles the complete platform of Figure 8 into a runnable
 // system on real sockets: control plane (HTTPS analog), Wowza-like RTMP
 // origins, Fastly-like HLS edges, and the PubNub-like message hub. It is the
-// thing the paper measured, rebuilt — the crawler, the examples, the
-// security demonstration and the Fig. 14 scalability benchmark all run
+// thing the paper measured, rebuilt — the crawler, the quickstart example,
+// the security demonstration and the Fig. 14 scalability benchmark all run
 // against a Platform.
 package core
 
@@ -41,13 +41,6 @@ type PlatformConfig struct {
 	// RTMPViewerLimit routes joins beyond it to HLS (default 100, §4.1);
 	// it is enforced both at the control plane and at the origins.
 	RTMPViewerLimit int
-	// CommenterCap bounds commenters per broadcast (default 100, §2.1);
-	// negative means unlimited.
-	CommenterCap int
-	// Net, when set, injects WAN latency into edge pulls.
-	Net *netsim.Model
-	// DisableGateway turns off the §5.3 relay structure.
-	DisableGateway bool
 	// Retention garbage-collects ended broadcasts (origin chunks, edge
 	// caches, message channels) this long after they end; zero keeps
 	// everything (small demos, tests).
@@ -146,7 +139,7 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 	if p.metrics == nil {
 		p.metrics = metrics.NewRegistry()
 	}
-	p.Hub = pubsub.NewHub(cfg.CommenterCap)
+	p.Hub = pubsub.NewHub(pubsub.DefaultCommenterCap)
 	p.Hub.UseRegistry(p.metrics)
 	// TLS credentials back the RTMPS (private broadcast) listeners; the
 	// CA travels to clients via the authenticated control channel.
@@ -209,11 +202,9 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 			}
 			return nil
 		},
-		Net:            cfg.Net,
-		DisableGateway: cfg.DisableGateway,
-		WrapUpstream:   cfg.WrapUpstream,
-		EdgeRetry:      cfg.EdgeRetry,
-		EdgeBreaker:    cfg.EdgeBreaker,
+		WrapUpstream: cfg.WrapUpstream,
+		EdgeRetry:    cfg.EdgeRetry,
+		EdgeBreaker:  cfg.EdgeBreaker,
 
 		EdgeShedRetryAfter: cfg.EdgeShedRetryAfter,
 		Metrics:            p.metrics,

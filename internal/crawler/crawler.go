@@ -31,8 +31,6 @@ type Config struct {
 	// paper's per-account rate is 5 s; with 20 accounts the aggregate is
 	// 250 ms (default).
 	ListInterval time.Duration
-	// Location of the crawler (affects edge assignment like any viewer).
-	Location geo.Location
 	// TapRTMP attaches a zero-buffer RTMP viewer to each broadcast and
 	// emits per-frame delay records (§4.3 passive crawling).
 	TapRTMP bool
@@ -139,8 +137,9 @@ func (c *Crawler) monitor(ctx context.Context, b control.Summary) {
 		Broadcaster: fmt.Sprintf("user-%d", b.Broadcaster),
 		StartedAt:   b.StartedAt,
 	}
-	// Every monitor joins as user 0, the crawler's account.
-	grant, err := c.cfg.Control.Join(ctx, 0, b.BroadcastID, c.cfg.Location)
+	// Every monitor joins as user 0, the crawler's account, reporting no
+	// location (edge assignment sees lat 0, lon 0).
+	grant, err := c.cfg.Control.Join(ctx, 0, b.BroadcastID, geo.Location{})
 	if err != nil {
 		// Ended between discovery and join; record what we saw.
 		c.finish(rec)

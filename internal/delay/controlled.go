@@ -14,6 +14,20 @@ import (
 // and nearby datacenter pairs (Fig. 15, §5.3).
 const DefaultGatewayOverhead = 250 * time.Millisecond
 
+// LabLocation is the §4.3 lab placement of broadcaster and viewers: San
+// Francisco, served by the San Jose origin and edge, which keeps the WAN
+// short. viewersim's simulated day uses the same geometry.
+var LabLocation = geo.Location{City: "San Francisco", Continent: geo.NorthAmerica, Lat: 37.77, Lon: -122.42}
+
+// The controlled experiment's client settings: the HLS viewer polls at
+// 2.8 s (§5.2 upper bound) and the players pre-buffer 1 s (RTMP) and 9 s
+// (HLS), the shipped Periscope configuration (§6). Both ends sit on WiFi.
+const (
+	controlledPollInterval  = 2800 * time.Millisecond
+	controlledRTMPPreBuffer = time.Second
+	controlledHLSPreBuffer  = 9 * time.Second
+)
+
 // ControlledConfig reproduces the §4.3 controlled experiment: one
 // broadcaster, one RTMP viewer, one HLS viewer, stable WiFi, repeated runs.
 type ControlledConfig struct {
@@ -21,30 +35,8 @@ type ControlledConfig struct {
 	Repetitions int
 	// BroadcastDuration per run (content time).
 	BroadcastDuration time.Duration
-	// ChunkDuration for HLS (default 3 s).
-	ChunkDuration time.Duration
-	// PollInterval of the HLS viewer (default 2.8 s, §5.2 upper bound).
-	PollInterval time.Duration
-	// RTMPPreBuffer / HLSPreBuffer are the client P values (defaults 1 s
-	// and 9 s, the shipped Periscope configuration, §6).
-	RTMPPreBuffer time.Duration
-	HLSPreBuffer  time.Duration
-	// Broadcaster / Viewer locations; defaults put both in San Francisco
-	// with the San Jose origin and edge (the paper's lab setting keeps
-	// the WAN short).
-	Broadcaster geo.Location
-	Viewer      geo.Location
-	// Access profiles; default WiFi on both ends.
-	UploadProfile netsim.AccessProfile
-	ViewerProfile netsim.AccessProfile
 	// Seed drives all randomness.
 	Seed uint64
-	// Metrics, when set, receives one observation per run into each of the
-	// six per-component delay histograms, labelled proto=rtmp|hls — the same
-	// series the live platform populates, so the controlled experiment and
-	// the running system share one instrument catalog. Nil uses a private
-	// registry.
-	Metrics *metrics.Registry
 }
 
 func (c ControlledConfig) withDefaults() ControlledConfig {
@@ -54,63 +46,37 @@ func (c ControlledConfig) withDefaults() ControlledConfig {
 	if c.BroadcastDuration == 0 {
 		c.BroadcastDuration = 2 * time.Minute
 	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 2800 * time.Millisecond
-	}
-	if c.RTMPPreBuffer == 0 {
-		c.RTMPPreBuffer = time.Second
-	}
-	if c.HLSPreBuffer == 0 {
-		c.HLSPreBuffer = 9 * time.Second
-	}
-	zero := geo.Location{}
-	if c.Broadcaster == zero {
-		c.Broadcaster = geo.Location{City: "San Francisco", Continent: geo.NorthAmerica, Lat: 37.77, Lon: -122.42}
-	}
-	if c.Viewer == zero {
-		c.Viewer = geo.Location{City: "San Francisco", Continent: geo.NorthAmerica, Lat: 37.77, Lon: -122.42}
-	}
-	if c.UploadProfile.Name == "" {
-		c.UploadProfile = netsim.WiFi
-	}
-	if c.ViewerProfile.Name == "" {
-		c.ViewerProfile = netsim.WiFi
-	}
 	return c
 }
 
 // RunControlled executes the controlled experiment and returns the averaged
 // RTMP and HLS component breakdowns — the two bars of Figure 11. Per-run
-// component delays are observed into the registry's delay histograms
+// component delays are observed into a private registry's delay histograms
 // (proto=rtmp / proto=hls); the returned averages are read back from those
 // instruments, so the harness has no accumulator state of its own.
 func RunControlled(cfg ControlledConfig) (rtmpAvg, hlsAvg Components) {
 	cfg = cfg.withDefaults()
 	src := rng.New(cfg.Seed)
-	origin := geo.Nearest(cfg.Broadcaster, geo.WowzaSites())
-	edge := geo.Nearest(cfg.Viewer, geo.FastlySites())
+	origin := geo.Nearest(LabLocation, geo.WowzaSites())
+	edge := geo.Nearest(LabLocation, geo.FastlySites())
 	gw := geo.Gateway(origin)
 
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	rHists := NewComponentHists(reg, "rtmp")
 	hHists := NewComponentHists(reg, "hls")
 	for rep := 0; rep < cfg.Repetitions; rep++ {
 		model := netsim.NewModel(netsim.Params{}, src.Split("rep"))
 		tr := GenTrace(TraceConfig{
-			Duration:      cfg.BroadcastDuration,
-			ChunkDuration: cfg.ChunkDuration,
-			Broadcaster:   cfg.Broadcaster,
-			Origin:        origin,
-			Upload:        cfg.UploadProfile,
+			Duration:    cfg.BroadcastDuration,
+			Broadcaster: LabLocation,
+			Origin:      origin,
+			Upload:      netsim.WiFi,
 		}, model, src)
 
 		rtmpView := ViewerConfig{
-			Location:  cfg.Viewer,
-			LastMile:  cfg.ViewerProfile,
-			PreBuffer: cfg.RTMPPreBuffer,
+			Location:  LabLocation,
+			LastMile:  netsim.WiFi,
+			PreBuffer: controlledRTMPPreBuffer,
 		}
 		rHists.Observe(RTMPComponents(tr, origin, rtmpView, model))
 
@@ -119,11 +85,11 @@ func RunControlled(cfg ControlledConfig) (rtmpAvg, hlsAvg Components) {
 			path.Gateway = gw
 		}
 		hlsView := ViewerConfig{
-			Location:     cfg.Viewer,
-			LastMile:     cfg.ViewerProfile,
-			PollInterval: cfg.PollInterval,
-			PollPhase:    time.Duration(src.Float64() * float64(cfg.PollInterval)),
-			PreBuffer:    cfg.HLSPreBuffer,
+			Location:     LabLocation,
+			LastMile:     netsim.WiFi,
+			PollInterval: controlledPollInterval,
+			PollPhase:    time.Duration(src.Float64() * float64(controlledPollInterval)),
+			PreBuffer:    controlledHLSPreBuffer,
 		}
 		hHists.Observe(HLSComponents(tr, origin, path, hlsView, model))
 	}
@@ -133,9 +99,9 @@ func RunControlled(cfg ControlledConfig) (rtmpAvg, hlsAvg Components) {
 // ComponentHists bundles the six per-component delay histograms for one
 // protocol — the shared accounting surface of RunControlled and the
 // viewersim engines. A shared registry may carry observations from earlier
-// runs (the platform's live traffic, a prior RunControlled), so each
-// histogram's count and sum are recorded at construction and Means reports
-// the delta — the average over exactly this experiment's observations.
+// runs (the platform's live traffic), so each histogram's count and sum are
+// recorded at construction and Means reports the delta — the average over
+// exactly this experiment's observations.
 type ComponentHists struct {
 	hists [6]*metrics.Histogram
 	base  [6]histBase

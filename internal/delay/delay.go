@@ -44,16 +44,21 @@ type TraceConfig struct {
 	// Upload is the broadcaster's last-mile profile (§4.3 used WiFi).
 	Upload netsim.AccessProfile
 	// Bursty enables the accumulate-and-flush upload pathology behind
-	// Fig. 16(b)'s long tail; BurstHold is the mean flush interval.
-	Bursty    bool
-	BurstHold time.Duration
-	// FrameBytes approximates per-frame payload for serialization delay
-	// (default 2500 B ≈ 500 kbit/s at 25 fps).
-	FrameBytes int
-	// DeviceDelay is the capture→send latency of the phone's encoding
-	// pipeline (default 150 ms), part of the paper's upload component.
-	DeviceDelay time.Duration
+	// Fig. 16(b)'s long tail.
+	Bursty bool
 }
+
+// The §4.3 trace constants, shared with viewersim's chunk-level traces.
+const (
+	// DeviceDelay is the capture→send latency of the phone's encoding
+	// pipeline, part of the paper's upload component.
+	DeviceDelay = 150 * time.Millisecond
+	// FrameBytes approximates per-frame payload for serialization delay
+	// (≈500 kbit/s at 25 fps).
+	FrameBytes = 2500
+	// burstHold is a bursty uploader's mean flush interval.
+	burstHold = 3 * time.Second
+)
 
 // Trace is the CDN-side record of one broadcast: what the paper's passive
 // crawlers captured for 16,013 broadcasts.
@@ -82,15 +87,6 @@ func GenTrace(cfg TraceConfig, model *netsim.Model, src *rng.Source) *Trace {
 	if cfg.ChunkDuration == 0 {
 		cfg.ChunkDuration = media.DefaultChunkDuration
 	}
-	if cfg.FrameBytes == 0 {
-		cfg.FrameBytes = 2500
-	}
-	if cfg.BurstHold == 0 {
-		cfg.BurstHold = 3 * time.Second
-	}
-	if cfg.DeviceDelay == 0 {
-		cfg.DeviceDelay = 150 * time.Millisecond
-	}
 	nFrames := int(cfg.Duration / media.FrameDuration)
 	if nFrames < 1 {
 		nFrames = 1
@@ -102,7 +98,7 @@ func GenTrace(cfg TraceConfig, model *netsim.Model, src *rng.Source) *Trace {
 	// long buffering tail.
 	var nextFlush time.Time
 	if cfg.Bursty {
-		nextFlush = start.Add(time.Duration(src.Exp(float64(cfg.BurstHold))))
+		nextFlush = start.Add(time.Duration(src.Exp(float64(burstHold))))
 	}
 	var prevArrival time.Time
 	for i := 0; i < nFrames; i++ {
@@ -110,13 +106,13 @@ func GenTrace(cfg TraceConfig, model *netsim.Model, src *rng.Source) *Trace {
 		released := captured
 		if cfg.Bursty {
 			for nextFlush.Before(captured) {
-				nextFlush = nextFlush.Add(time.Duration(src.Exp(float64(cfg.BurstHold))))
+				nextFlush = nextFlush.Add(time.Duration(src.Exp(float64(burstHold))))
 			}
 			released = nextFlush
 		}
 		arrival := released.
-			Add(cfg.DeviceDelay).
-			Add(model.LastMile(cfg.Upload, cfg.FrameBytes)).
+			Add(DeviceDelay).
+			Add(model.LastMile(cfg.Upload, FrameBytes)).
 			Add(model.OneWay(cfg.Broadcaster, cfg.Origin.Location))
 		// TCP delivers in order: a delayed frame delays its successors.
 		if arrival.Before(prevArrival) {
@@ -138,7 +134,7 @@ func GenTrace(cfg TraceConfig, model *netsim.Model, src *rng.Source) *Trace {
 			FirstCaptured: tr.Captured[lo],
 			FirstOriginAt: tr.OriginAt[lo],
 			ReadyAt:       tr.OriginAt[hi-1],
-			Bytes:         (hi - lo) * cfg.FrameBytes,
+			Bytes:         (hi - lo) * FrameBytes,
 		})
 	}
 	return tr
@@ -248,7 +244,7 @@ func RTMPItems(tr *Trace, origin geo.Datacenter, v ViewerConfig, model *netsim.M
 	for i, at := range tr.OriginAt {
 		arrive := at.
 			Add(model.OneWay(origin.Location, v.Location)).
-			Add(model.LastMile(v.LastMile, 2500))
+			Add(model.LastMile(v.LastMile, FrameBytes))
 		if arrive.Before(prev) {
 			arrive = prev
 		}

@@ -34,7 +34,7 @@ func runAblationChunkSize(cfg Config) (*Result, error) {
 		n = 5
 	}
 	src := rng.New(cfg.Seed + 21)
-	sf := geo.Location{City: "San Francisco", Continent: geo.NorthAmerica, Lat: 37.77, Lon: -122.42}
+	sf := delay.LabLocation
 	origin := geo.Nearest(sf, geo.WowzaSites())
 	edge := geo.Nearest(sf, geo.FastlySites())
 

@@ -32,7 +32,7 @@ type traceBundle struct {
 
 func genTraces(cfg Config, n int, burstyShare float64) *traceBundle {
 	src := rng.New(cfg.Seed)
-	sf := geo.Location{City: "San Francisco", Continent: geo.NorthAmerica, Lat: 37.77, Lon: -122.42}
+	sf := delay.LabLocation
 	origin := geo.Nearest(sf, geo.WowzaSites())
 	tb := &traceBundle{origin: origin}
 	for i := 0; i < n; i++ {
@@ -220,7 +220,7 @@ func bufferSweep(cfg Config, hls bool, preBuffers []time.Duration) (*Result, err
 	stallFig := &stats.Figure{XLabel: "stall ratio", YLabel: "CDF"}
 	delayFig := &stats.Figure{XLabel: "buffering delay (s)", YLabel: "CDF"}
 	values := map[string]float64{}
-	sf := geo.Location{City: "San Francisco", Continent: geo.NorthAmerica, Lat: 37.77, Lon: -122.42}
+	sf := delay.LabLocation
 	proto := "RTMP"
 	if hls {
 		proto = "HLS"

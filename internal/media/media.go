@@ -176,25 +176,26 @@ func (ck *Chunker) SkipTo(seq uint64) {
 type Encoder struct {
 	seq         uint64
 	bytesPerFrm float64
-	keyInterval int
-	keyMultiple float64
-	sizeJitter  float64
 	src         *rng.Source
 	sinceKey    int
 }
+
+// The encoder's frame-size profile.
+const (
+	// keyframeInterval is frames between keyframes: one per 3 s chunk,
+	// which lets every chunk start with a keyframe.
+	keyframeInterval = int(DefaultChunkDuration / FrameDuration)
+	// keyframeMultiple is the size ratio keyframe:delta.
+	keyframeMultiple = 6
+	// sizeJitterSigma is the lognormal sigma on frame size.
+	sizeJitterSigma = 0.2
+)
 
 // EncoderConfig parameterizes an Encoder.
 type EncoderConfig struct {
 	// BitsPerSec is the target video bitrate (default 500 kbit/s, typical
 	// of 2015 mobile livestreams).
 	BitsPerSec float64
-	// KeyframeInterval is frames between keyframes (default 75 = one per
-	// 3 s chunk, which lets every chunk start with a keyframe).
-	KeyframeInterval int
-	// KeyframeMultiple is the size ratio keyframe:delta (default 6).
-	KeyframeMultiple float64
-	// SizeJitterSigma is lognormal sigma on frame size (default 0.2).
-	SizeJitterSigma float64
 }
 
 // NewEncoder builds an Encoder; zero config fields take defaults.
@@ -202,21 +203,9 @@ func NewEncoder(cfg EncoderConfig, src *rng.Source) *Encoder {
 	if cfg.BitsPerSec == 0 {
 		cfg.BitsPerSec = 500_000
 	}
-	if cfg.KeyframeInterval == 0 {
-		cfg.KeyframeInterval = FramesPerChunk(DefaultChunkDuration)
-	}
-	if cfg.KeyframeMultiple == 0 {
-		cfg.KeyframeMultiple = 6
-	}
-	if cfg.SizeJitterSigma == 0 {
-		cfg.SizeJitterSigma = 0.2
-	}
 	fps := float64(time.Second / FrameDuration)
 	return &Encoder{
 		bytesPerFrm: cfg.BitsPerSec / 8 / fps,
-		keyInterval: cfg.KeyframeInterval,
-		keyMultiple: cfg.KeyframeMultiple,
-		sizeJitter:  cfg.SizeJitterSigma,
 		src:         src,
 	}
 }
@@ -225,18 +214,17 @@ func NewEncoder(cfg EncoderConfig, src *rng.Source) *Encoder {
 func (e *Encoder) Next(capturedAt time.Time) Frame {
 	key := e.sinceKey == 0
 	e.sinceKey++
-	if e.sinceKey >= e.keyInterval {
+	if e.sinceKey >= keyframeInterval {
 		e.sinceKey = 0
 	}
 	// Keep the average frame size at bytesPerFrm: deltas shrink to
 	// compensate for keyframe inflation.
-	k := float64(e.keyInterval)
-	deltaShare := k / (k - 1 + e.keyMultiple)
+	const deltaShare = float64(keyframeInterval) / float64(keyframeInterval-1+keyframeMultiple)
 	size := e.bytesPerFrm * deltaShare
 	if key {
-		size *= e.keyMultiple
+		size *= keyframeMultiple
 	}
-	size *= e.src.LogNormal(0, e.sizeJitter)
+	size *= e.src.LogNormal(0, sizeJitterSigma)
 	if size < 16 {
 		size = 16
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/media"
@@ -24,8 +23,6 @@ type PublishResilientConfig struct {
 	// MaxReconnects bounds redial attempts across the whole session (each
 	// failed dial counts). Zero means 16; negative means unlimited.
 	MaxReconnects int
-	// DialTimeout bounds each dial plus handshake round-trip. Zero means 3s.
-	DialTimeout time.Duration
 	// BufferFrames is how many recent frames are retained for resume-by-
 	// sequence replay after a reconnect. It should exceed the origin's
 	// frames-per-chunk so every frame past the server's journal replay
@@ -63,9 +60,6 @@ func PublishResilient(ctx context.Context, addr, broadcastID, token string, cfg 
 	if cfg.MaxReconnects == 0 {
 		cfg.MaxReconnects = 16
 	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
 	if cfg.BufferFrames == 0 {
 		cfg.BufferFrames = 512
 	}
@@ -94,7 +88,7 @@ func (rp *ResilientPublisher) dial(ctx context.Context) (*Publisher, error) {
 	}
 	conn, ack, err := dialAndHandshakeTLS(ctx, addr, wire.Handshake{
 		Role: wire.RoleBroadcaster, BroadcastID: rp.broadcastID, Token: rp.token,
-	}, nil, nil, rp.cfg.DialTimeout)
+	}, nil, nil, redialTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,11 @@ import (
 	"repro/internal/wire"
 )
 
+// redialTimeout bounds each dial plus handshake round-trip of a resilient
+// publisher or viewer: a redial must never hang on kernel SYN-retransmit
+// backoff, so a lost packet costs one backoff step, not the whole session.
+const redialTimeout = 3 * time.Second
+
 // ReconnectConfig tunes SubscribeResilient.
 type ReconnectConfig struct {
 	// Options configure each underlying Subscribe.
@@ -52,10 +57,7 @@ func SubscribeResilient(ctx context.Context, addr, broadcastID, token string, cf
 		cfg.MaxReconnects = 8
 	}
 	if cfg.Options.DialTimeout == 0 {
-		// A redial must never hang on kernel SYN-retransmit backoff: bound
-		// every dial + handshake so a lost packet costs one backoff step,
-		// not the whole session.
-		cfg.Options.DialTimeout = 3 * time.Second
+		cfg.Options.DialTimeout = redialTimeout
 	}
 	if cfg.Options.Clock == nil {
 		cfg.Options.Clock = clock.Real{}

@@ -102,10 +102,6 @@ type ServerConfig struct {
 	// that falls this far behind is disconnected (it would re-join via
 	// HLS in production). Zero means 256.
 	ViewerQueue int
-	// WriteTimeout bounds each push to a viewer connection; a viewer
-	// whose socket stays unwritable this long is dropped (a dead or
-	// wedged client must never pin a server goroutine). Zero means 30s.
-	WriteTimeout time.Duration
 	// Logf sinks diagnostics; nil discards.
 	Logf func(format string, args ...interface{})
 	// Clock stamps frame arrivals (timestamp ① of the delay
@@ -270,6 +266,11 @@ type viewerConn struct {
 // pushBatch is the most queued messages one viewer wake-up writes at once.
 const pushBatch = 32
 
+// viewerWriteTimeout bounds each push to a viewer connection; a viewer whose
+// socket stays unwritable this long is dropped (a dead or wedged client must
+// never pin a server goroutine).
+const viewerWriteTimeout = 30 * time.Second
+
 // close closes done exactly once, reporting whether this call won the flip.
 func (v *viewerConn) close() bool {
 	if v.gone.CompareAndSwap(false, true) {
@@ -296,9 +297,6 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	if cfg.ViewerQueue == 0 {
 		cfg.ViewerQueue = 256
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 30 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
@@ -490,14 +488,7 @@ func (s *Server) Abort() error {
 
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	msg, err := wire.ReadMessage(conn)
-	if err != nil {
-		return
-	}
-	if msg.Type != wire.MsgHandshake {
-		return
-	}
-	hs, err := wire.UnmarshalHandshake(msg.Body)
+	hs, err := wire.ReadHandshake(conn)
 	if err != nil {
 		return
 	}
@@ -843,10 +834,8 @@ fill:
 		v.iov[n] = encodedEnd
 		n++
 	}
-	if s.cfg.WriteTimeout > 0 {
-		//lint:allow walltime socket deadlines are interpreted by the kernel, which only speaks wall time
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	}
+	//lint:allow walltime socket deadlines are interpreted by the kernel, which only speaks wall time
+	conn.SetWriteDeadline(time.Now().Add(viewerWriteTimeout))
 	// WriteTo consumes bufs, clearing each iov entry it writes, so a batch
 	// pins no relay buffer once it is on the wire.
 	v.bufs = v.iov[:n]

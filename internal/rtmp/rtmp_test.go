@@ -3,6 +3,9 @@ package rtmp
 import (
 	"context"
 	"crypto/ed25519"
+	"io"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/media"
 	"repro/internal/rng"
 	"repro/internal/testutil"
+	"repro/internal/wire"
 )
 
 // startServer launches a server on an ephemeral port and returns its address
@@ -137,6 +141,33 @@ func TestAuthRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub.End()
+}
+
+// TestOversizedHandshakeRefusedUnallocated: the handshake is read before any
+// auth, so a declared length no Handshake can have is refused on the header
+// alone. A peer that declares a near-MaxBody handshake and then idles must
+// cost the server no memory and have its connection closed.
+func TestOversizedHandshakeRefusedUnallocated(t *testing.T) {
+	_, addr := startServer(t, ServerConfig{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write([]byte{byte(wire.MsgHandshake), 0x01, 0xFF, 0xFF, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("after the oversized header: read %d bytes, %v; want the server to close", n, err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("a 5-byte handshake header cost the server %d bytes, want < 1 MB", d)
+	}
 }
 
 func TestDuplicateBroadcasterRejected(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cdn"
 	"repro/internal/clock"
+	"repro/internal/delay"
 	"repro/internal/geo"
 	"repro/internal/hls"
 	"repro/internal/media"
@@ -35,9 +36,9 @@ type realResult struct {
 // from the simulation's.
 func runReal(cfg Config, reg *metrics.Registry) (*realResult, error) {
 	clk := clock.NewReal()
-	originSite := geo.Nearest(sanFrancisco, geo.WowzaSites())
+	originSite := geo.Nearest(delay.LabLocation, geo.WowzaSites())
 	originSite.ID = "real-" + originSite.ID
-	edgeSite := geo.Nearest(sanFrancisco, geo.FastlySites())
+	edgeSite := geo.Nearest(delay.LabLocation, geo.FastlySites())
 	edgeSite.ID = "real-" + edgeSite.ID
 
 	origin := cdn.NewOrigin(cdn.OriginConfig{

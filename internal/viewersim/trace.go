@@ -9,14 +9,9 @@ import (
 	"repro/internal/rng"
 )
 
-// The §4.3 trace constants shared with delay.GenTrace: phone encode
-// pipeline latency, per-frame payload (≈500 kbit/s at 25 fps), and the
-// crawler's trigger-poll cadence that turns a chunk-ready into an edge pull.
-const (
-	deviceDelay         = 150 * time.Millisecond
-	frameBytes          = 2500
-	triggerPollInterval = 100 * time.Millisecond
-)
+// triggerPollInterval is the crawler's trigger-poll cadence that turns a
+// chunk-ready into an edge pull (delay.EdgeArrivals' default).
+const triggerPollInterval = 100 * time.Millisecond
 
 // btrace is one broadcast's CDN-side trace at chunk granularity — the
 // scale-friendly form of delay.Trace. Where GenTrace draws the WAN model per
@@ -61,7 +56,7 @@ func (t *btrace) lastCapOf(c int) time.Duration {
 	return time.Duration(c*t.perChunk+t.framesOf(c)-1) * media.FrameDuration
 }
 
-func (t *btrace) bytesOf(c int) int { return t.framesOf(c) * frameBytes }
+func (t *btrace) bytesOf(c int) int { return t.framesOf(c) * delay.FrameBytes }
 
 // contentOf is the chunk's content duration (the last chunk may be partial).
 func (t *btrace) contentOf(c int) time.Duration {
@@ -101,8 +96,8 @@ func genTrace(w *world, sp bcastSpec, src *rng.Source, tr *btrace) {
 		}
 		// ⑥: first frame's device→origin leg, ordered after every prior
 		// frame (TCP in-order delivery, as in GenTrace).
-		o := tr.capturedOf(c) + deviceDelay +
-			model.LastMile(netsim.WiFi, frameBytes) +
+		o := tr.capturedOf(c) + delay.DeviceDelay +
+			model.LastMile(netsim.WiFi, delay.FrameBytes) +
 			model.OneWay(w.bcaster, w.origin.Location)
 		if o < prevReady {
 			o = prevReady
@@ -110,8 +105,8 @@ func genTrace(w *world, sp bcastSpec, src *rng.Source, tr *btrace) {
 		// ⑦: last frame's arrival seals the chunk.
 		r := o
 		if frames > 1 {
-			r = tr.lastCapOf(c) + deviceDelay +
-				model.LastMile(netsim.WiFi, frameBytes) +
+			r = tr.lastCapOf(c) + delay.DeviceDelay +
+				model.LastMile(netsim.WiFi, delay.FrameBytes) +
 				model.OneWay(w.bcaster, w.origin.Location)
 			if r < o {
 				r = o
@@ -128,11 +123,11 @@ func genTrace(w *world, sp bcastSpec, src *rng.Source, tr *btrace) {
 			arr = pollAt +
 				model.RTT(w.edge.Location, w.gateway.Location) +
 				delay.DefaultGatewayOverhead +
-				model.Transfer(w.gateway.Location, w.edge.Location, frames*frameBytes)
+				model.Transfer(w.gateway.Location, w.edge.Location, frames*delay.FrameBytes)
 		} else {
 			arr = pollAt +
 				model.RTT(w.edge.Location, w.origin.Location) +
-				model.Transfer(w.origin.Location, w.edge.Location, frames*frameBytes)
+				model.Transfer(w.origin.Location, w.edge.Location, frames*delay.FrameBytes)
 		}
 		if arr < prevEdge {
 			arr = prevEdge

@@ -103,7 +103,7 @@ func (v *viewer) rtmpArrival(c int) time.Duration {
 	w := v.s.w
 	arr := v.b.tr.readyAt[c] +
 		v.model.OneWay(w.origin.Location, w.viewer) +
-		v.model.LastMile(netsim.WiFi, frameBytes)
+		v.model.LastMile(netsim.WiFi, delay.FrameBytes)
 	if arr < v.prevArr {
 		arr = v.prevArr
 	}

@@ -242,17 +242,14 @@ type world struct {
 	perChunk int
 }
 
-// sanFrancisco matches delay.ControlledConfig's default lab placement.
-var sanFrancisco = geo.Location{City: "San Francisco", Continent: geo.NorthAmerica, Lat: 37.77, Lon: -122.42}
-
 func buildWorld(cfg Config) *world {
 	prof := workload.Periscope(cfg.Scale)
 	w := &world{
 		cfg:      cfg,
 		start:    prof.Start.AddDate(0, 0, cfg.Day),
 		window:   time.Duration(cfg.DayFraction * 24 * float64(time.Hour)),
-		bcaster:  sanFrancisco,
-		viewer:   sanFrancisco,
+		bcaster:  delay.LabLocation,
+		viewer:   delay.LabLocation,
 		perChunk: media.FramesPerChunk(cfg.ChunkDuration),
 	}
 	w.origin = geo.Nearest(w.bcaster, geo.WowzaSites())

@@ -33,6 +33,19 @@ func FuzzReadMessage(f *testing.F) {
 				t.Fatal("re-write mismatch")
 			}
 		}
+		// ReadHandshake accepts exactly what ReadMessage + UnmarshalHandshake
+		// accept for a handshake no longer than maxHandshakeBody.
+		hs, herr := ReadHandshake(bytes.NewReader(data))
+		want, werr := Handshake{}, err
+		if werr == nil && (m.Type != MsgHandshake || len(m.Body) > maxHandshakeBody) {
+			werr = errors.New("not a handshake")
+		}
+		if werr == nil {
+			want, werr = UnmarshalHandshake(m.Body)
+		}
+		if (herr == nil) != (werr == nil) || herr == nil && hs != want {
+			t.Fatalf("ReadHandshake = %+v, %v; ReadMessage + UnmarshalHandshake = %+v, %v", hs, herr, want, werr)
+		}
 		// The framing-preserving readers consume the whole input exactly as
 		// successive ReadMessage calls do — every batch boundary, the torn
 		// tail, and an over-MaxBody length only after the messages before it.

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -379,6 +380,33 @@ func MarshalHandshake(h Handshake) []byte {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], h.BufferMs)
 	return append(buf, b[:]...)
+}
+
+// maxHandshakeBody is the longest body MarshalHandshake can encode: three
+// uint16-prefixed strings and the 4-byte buffer field.
+const maxHandshakeBody = 3*(2+math.MaxUint16) + 4
+
+// ReadHandshake reads and decodes the session-opening message. Any other
+// message type, or a declared length no Handshake can have, is refused
+// before the body is allocated, so an unauthenticated peer costs the server
+// at most maxHandshakeBody bytes.
+func ReadHandshake(r io.Reader) (Handshake, error) {
+	hdr := make([]byte, headerSize)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return Handshake{}, err
+	}
+	if t := MsgType(hdr[0]); t != MsgHandshake {
+		return Handshake{}, fmt.Errorf("wire: message type %d, want handshake", t)
+	}
+	n := binary.BigEndian.Uint32(hdr[1:])
+	if n > maxHandshakeBody {
+		return Handshake{}, fmt.Errorf("wire: handshake body of %d bytes: %w", n, ErrBodyTooLarge)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return Handshake{}, fmt.Errorf("wire: read handshake body: %w", err)
+	}
+	return UnmarshalHandshake(body)
 }
 
 // UnmarshalHandshake decodes a Handshake body.
