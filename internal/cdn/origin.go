@@ -64,8 +64,6 @@ type OriginConfig struct {
 	// journal is the restart path. Nil disables journaling (no recovery,
 	// zero overhead).
 	Journal journal.Backend
-	// Logf sinks journal replay/append diagnostics; nil discards.
-	Logf func(format string, args ...interface{})
 }
 
 // originMetrics instrument chunk assembly: every closed chunk counts once
@@ -225,9 +223,6 @@ func NewOrigin(cfg OriginConfig) *Origin {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...interface{}) {}
-	}
 	o := &Origin{
 		cfg:     cfg,
 		m:       newOriginMetrics(cfg.Metrics, cfg.Site.ID),
@@ -293,31 +288,23 @@ func (o *Origin) openJournalLocked() {
 	}
 	data, err := backend.Load()
 	if err != nil {
-		o.cfg.Logf("origin %s: journal load: %v", o.cfg.Site.ID, err)
+		// An unreadable journal recovers nothing: the origin starts empty.
 		data = nil
 	}
-	st, err := journal.Replay(data, o.applyRecordLocked)
-	if err != nil {
-		// applyRecordLocked never fails; a non-nil error would mean the
-		// journal package broke its own contract.
-		o.cfg.Logf("origin %s: journal replay: %v", o.cfg.Site.ID, err)
-	}
+	// applyRecordLocked never fails, so neither does the replay.
+	st, _ := journal.Replay(data, o.applyRecordLocked)
 	if st.TailCorrupt {
 		// Discard the damaged tail before appending anything new: bytes
 		// written after a corrupt region would be unreachable to every
-		// future replay.
+		// future replay. A failed truncate leaves them so; the origin still
+		// serves what it replayed.
 		o.m.corruptTails.Inc()
-		o.cfg.Logf("origin %s: journal tail corrupt: discarding %d bytes after %d records",
-			o.cfg.Site.ID, st.DiscardedBytes, st.Records)
-		if err := backend.Truncate(int64(st.ValidBytes)); err != nil {
-			o.cfg.Logf("origin %s: journal truncate: %v", o.cfg.Site.ID, err)
-		}
+		_ = backend.Truncate(int64(st.ValidBytes))
 	}
 	o.m.replayed.Add(int64(st.Records))
 	o.jw = journal.NewWriter(backend, journal.WriterConfig{
 		Metrics: o.cfg.Metrics,
 		Labels:  []metrics.Label{metrics.L("site", o.cfg.Site.ID)},
-		Logf:    o.cfg.Logf,
 	})
 }
 
@@ -343,7 +330,6 @@ func (o *Origin) applyRecordLocked(r journal.Record) error {
 		if err != nil {
 			// A CRC-valid record with an undecodable payload is a writer
 			// bug, not tail damage; skip it rather than abort recovery.
-			o.cfg.Logf("origin %s: journal chunk %s: %v", o.cfg.Site.ID, id, err)
 			return nil
 		}
 		st.addChunkLocked(chunk, o.cfg.Clock.Now())
@@ -513,10 +499,10 @@ func (o *Origin) ingest(id string, f media.Frame, at time.Time) {
 	o.mu.Unlock()
 	if jw != nil {
 		if created {
-			o.journalAppend(jw, journal.Record{Type: journal.RecordCreate, BroadcastID: id})
+			journalAppend(jw, journal.Record{Type: journal.RecordCreate, BroadcastID: id})
 		}
 		if chunk != nil {
-			o.journalAppend(jw, journal.Record{Type: journal.RecordSeal, BroadcastID: id, Payload: chunk.Wire()})
+			journalAppend(jw, journal.Record{Type: journal.RecordSeal, BroadcastID: id, Payload: chunk.Wire()})
 		}
 	}
 	if chunk != nil {
@@ -526,10 +512,11 @@ func (o *Origin) ingest(id string, f media.Frame, at time.Time) {
 	}
 }
 
-func (o *Origin) journalAppend(jw *journal.Writer, r journal.Record) {
-	if err := jw.Append(r); err != nil && !errors.Is(err, journal.ErrClosed) {
-		o.cfg.Logf("origin %s: journal append: %v", o.cfg.Site.ID, err)
-	}
+// journalAppend hands r to the group-commit writer. Append fails only with
+// journal.ErrClosed, when the origin crashed after taking jw: the record is
+// dropped as the crash drops everything not yet appended.
+func journalAppend(jw *journal.Writer, r journal.Record) {
+	_ = jw.Append(r)
 }
 
 func (o *Origin) endBroadcast(id string) {
@@ -553,9 +540,9 @@ func (o *Origin) endBroadcast(id string) {
 	o.mu.Unlock()
 	if jw != nil {
 		if flushedChunk != nil {
-			o.journalAppend(jw, journal.Record{Type: journal.RecordSeal, BroadcastID: id, Payload: flushedChunk.Wire()})
+			journalAppend(jw, journal.Record{Type: journal.RecordSeal, BroadcastID: id, Payload: flushedChunk.Wire()})
 		}
-		o.journalAppend(jw, journal.Record{Type: journal.RecordEnd, BroadcastID: id})
+		journalAppend(jw, journal.Record{Type: journal.RecordEnd, BroadcastID: id})
 	}
 	if flushedChunk != nil {
 		o.m.chunks.Inc()

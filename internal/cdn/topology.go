@@ -82,8 +82,6 @@ type TopologyConfig struct {
 	EdgeBreaker resilience.BreakerConfig
 	// EdgeShedRetryAfter is the Retry-After hint edges attach to sheds.
 	EdgeShedRetryAfter time.Duration
-	// Seed drives latency jitter when Net is nil but injection is wanted.
-	Seed uint64
 	// Metrics is the shared registry every origin and edge registers its
 	// instruments in (per-site labels keep the series apart); nil gives
 	// each component a private registry.

@@ -91,8 +91,6 @@ type Config struct {
 	// Metrics is the registry the control plane's recovery histogram and
 	// journal counters register in; nil means a private registry.
 	Metrics *metrics.Registry
-	// Logf sinks journal replay/append diagnostics; nil discards.
-	Logf func(format string, args ...interface{})
 }
 
 // BroadcastGrant is what a broadcaster gets back from StartBroadcast; the
@@ -190,7 +188,6 @@ type Service struct {
 	clock clock.Clock
 	reg   *metrics.Registry
 	m     *ctrlMetrics
-	logf  func(string, ...interface{})
 
 	// crashed marks a killed control plane: every public method answers
 	// ErrUnavailable (503 over HTTP) until Recover replays the journal.
@@ -235,10 +232,6 @@ func NewService(cfg Config) *Service {
 	if cfg.RTMPViewerLimit == 0 {
 		cfg.RTMPViewerLimit = DefaultRTMPViewerLimit
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...interface{}) {}
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -248,7 +241,6 @@ func NewService(cfg Config) *Service {
 		clock:      cfg.Clock,
 		reg:        reg,
 		m:          newCtrlMetrics(reg),
-		logf:       logf,
 		src:        rng.New(cfg.Seed),
 		users:      make(map[uint64]User),
 		broadcasts: make(map[string]*broadcastState),

@@ -3,7 +3,6 @@ package control
 import (
 	"crypto/ed25519"
 	"encoding/json"
-	"errors"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,8 +77,7 @@ type ctrlRegisterRec struct {
 
 func (rec *ctrlRegisterRec) applyLocked(s *Service, _ string) {
 	if rec.ID == 0 {
-		s.logf("control: journal register record without an ID")
-		return
+		return // a register record without an ID names no user
 	}
 	s.users[rec.ID] = User{ID: rec.ID, Name: rec.Name}
 	if rec.ID > s.nextUser {
@@ -256,8 +254,7 @@ type ctrlKeyIssueRec struct {
 
 func (rec *ctrlKeyIssueRec) applyLocked(s *Service, key string) {
 	if rec.Tenant == "" {
-		s.logf("control: journal key issue record without a tenant")
-		return
+		return // a key issued to no tenant authorizes nothing
 	}
 	s.keys[key] = &APIKey{Key: key, TenantID: rec.Tenant, IssuedAt: time.Unix(0, rec.IssuedAt)}
 }
@@ -281,8 +278,7 @@ func (rec *UsageDay) applyLocked(s *Service, tenantID string) {
 		return
 	}
 	if rec.Day == "" {
-		s.logf("control: journal usage record %q without a day", tenantID)
-		return
+		return // a rollup without a day has no row to land in
 	}
 	ts.usage[rec.Day] = *rec
 }
@@ -347,10 +343,9 @@ func (s *Service) commitLocked(t journal.RecordType, id string, rec ctrlRecord) 
 	if s.jw == nil {
 		return
 	}
-	err := s.jw.Append(journal.Record{Type: t, BroadcastID: id, Payload: encodeCtrl(rec)})
-	if err != nil && !errors.Is(err, journal.ErrClosed) {
-		s.logf("control: journal append: %v", err)
-	}
+	// Append fails only with journal.ErrClosed, once Crash has taken the
+	// writer; a mutation racing the crash is then as lost as the crash makes it.
+	_ = s.jw.Append(journal.Record{Type: t, BroadcastID: id, Payload: encodeCtrl(rec)})
 }
 
 // openJournalLocked replays the configured journal backend into the service
@@ -363,31 +358,23 @@ func (s *Service) openJournalLocked() {
 	}
 	data, err := backend.Load()
 	if err != nil {
-		s.logf("control: journal load: %v", err)
+		// An unreadable journal recovers nothing: the service starts empty.
 		data = nil
 	}
-	st, err := journal.Replay(data, s.applyRecordLocked)
-	if err != nil {
-		// applyRecordLocked never fails; a non-nil error would mean the
-		// journal package broke its own contract.
-		s.logf("control: journal replay: %v", err)
-	}
+	// applyRecordLocked never fails, so neither does the replay.
+	st, _ := journal.Replay(data, s.applyRecordLocked)
 	if st.TailCorrupt {
 		// Discard the damaged tail before appending anything new: bytes
 		// written after a corrupt region would be unreachable to every
-		// future replay.
+		// future replay. A failed truncate leaves them so; the service still
+		// serves what it replayed.
 		s.m.corruptTails.Inc()
-		s.logf("control: journal tail corrupt: discarding %d bytes after %d records",
-			st.DiscardedBytes, st.Records)
-		if err := backend.Truncate(int64(st.ValidBytes)); err != nil {
-			s.logf("control: journal truncate: %v", err)
-		}
+		_ = backend.Truncate(int64(st.ValidBytes))
 	}
 	s.m.replayed.Add(int64(st.Records))
 	s.jw = journal.NewWriter(backend, journal.WriterConfig{
 		Metrics: s.reg,
 		Labels:  []metrics.Label{metrics.L("site", "control")},
-		Logf:    s.logf,
 	})
 }
 
@@ -407,17 +394,15 @@ func seqOf(id, prefix string) (uint64, bool) {
 
 // applyRecordLocked rehydrates one journal record. A CRC-valid record with
 // an undecodable payload is a writer bug, not tail damage; it is skipped
-// (logged) rather than aborting recovery.
+// rather than aborting recovery.
 func (s *Service) applyRecordLocked(r journal.Record) error {
 	rec := newCtrlRecord(r.Type)
 	if rec == nil {
 		// Unknown record types are skipped, not fatal: a journal written by
 		// a newer binary must not brick an older one's recovery.
-		s.logf("control: journal record type %d unknown", r.Type)
 		return nil
 	}
 	if err := json.Unmarshal(r.Payload, rec); err != nil {
-		s.logf("control: journal record type %d for %q undecodable: %v", r.Type, r.BroadcastID, err)
 		return nil
 	}
 	rec.applyLocked(s, r.BroadcastID)

@@ -150,12 +150,6 @@ func (m *TenantMeter) MeterChunks(chunks, bytes int64) {
 // so a tenant cannot stream past its quota between flushes).
 func (m *TenantMeter) pendingBytes() int64 { return m.bytes.Load() }
 
-// Totals reads the meter's unflushed counts — a debugging/benchmark window
-// into what the next FlushUsage will fold in.
-func (m *TenantMeter) Totals() (frames, chunks, bytes int64) {
-	return m.frames.Load(), m.chunks.Load(), m.bytes.Load()
-}
-
 // CreateTenant registers a tenant with sequential "tnt-N" IDs and journals
 // the row.
 func (s *Service) CreateTenant(name string, plan Plan) (Tenant, error) {

@@ -11,12 +11,14 @@ import (
 	"repro/internal/geo"
 	"repro/internal/hls"
 	"repro/internal/media"
+	"repro/internal/pubsub"
 	"repro/internal/rng"
 	"repro/internal/rtmp"
 )
 
 // TestSweepEndedCollectsBroadcastState: after retention, ended broadcasts
-// disappear from origins, edges, the message hub and the topology map.
+// disappear from origins, edges, the message hub, the topology map and the
+// origins' auth cache.
 func TestSweepEndedCollectsBroadcastState(t *testing.T) {
 	p := startPlatform(t, PlatformConfig{
 		ChunkDuration: time.Second,
@@ -71,6 +73,9 @@ func TestSweepEndedCollectsBroadcastState(t *testing.T) {
 	if n := p.SweepEnded(time.Now()); n != 0 {
 		t.Fatalf("premature sweep collected %d", n)
 	}
+	if g := staleGrants(p); g != 1 {
+		t.Fatalf("control_stale_grants = %d before the sweep, want the publisher's 1", g)
+	}
 	// After retention: everything goes.
 	if n := p.SweepEnded(time.Now().Add(2 * time.Minute)); n != 1 {
 		t.Fatalf("sweep collected %d, want 1", n)
@@ -81,6 +86,22 @@ func TestSweepEndedCollectsBroadcastState(t *testing.T) {
 	if _, ok := p.Topo.OriginFor(grant.BroadcastID); ok {
 		t.Fatal("topology assignment survived sweep")
 	}
+	if _, _, err := p.Hub.EventsSince(grant.BroadcastID, 0); !errors.Is(err, pubsub.ErrNoChannel) {
+		t.Fatalf("message channel survived sweep: %v", err)
+	}
+	if g := staleGrants(p); g != 0 {
+		t.Fatalf("control_stale_grants = %d after the sweep, want 0", g)
+	}
+}
+
+// staleGrants reads the auth cache's gauge of unexpired cached grants.
+func staleGrants(p *Platform) int64 {
+	for _, g := range p.Metrics().Snapshot().Gauges {
+		if g.Name == "control_stale_grants" {
+			return g.Value
+		}
+	}
+	return -1
 }
 
 // TestAPIRateLimiting: the control API throttles a greedy client but not a

@@ -458,8 +458,8 @@ func (p *Platform) DrainEdge(siteID string) error {
 }
 
 // janitor periodically garbage-collects ended broadcasts: origin chunk
-// stores (origin.Sweep), edge caches, message channels, and topology
-// assignments.
+// stores (origin.Sweep), edge caches, message channels, topology
+// assignments, and the auth cache's grants and keys.
 func (p *Platform) janitor(ctx context.Context) {
 	interval := p.cfg.Retention / 2
 	if interval < time.Second {
@@ -502,6 +502,7 @@ func (p *Platform) SweepEnded(now time.Time) int {
 		}
 		p.Hub.Remove(id)
 		p.Topo.ReleaseBroadcast(id)
+		p.AuthCache.Evict(id)
 	}
 	if p.limiter != nil {
 		p.limiter.Sweep(10 * p.cfg.Retention)
@@ -686,11 +687,6 @@ func (p *Platform) RTMPAddr(originID string) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.rtmpAddrs[originID]
-}
-
-// OriginFor exposes the ingest origin serving a broadcast.
-func (p *Platform) OriginFor(broadcastID string) (*cdn.Origin, bool) {
-	return p.Topo.OriginFor(broadcastID)
 }
 
 // Stats aggregates origin RTMP counters across the platform.

@@ -19,13 +19,19 @@ const DefaultGatewayOverhead = 250 * time.Millisecond
 // short. viewersim's simulated day uses the same geometry.
 var LabLocation = geo.Location{City: "San Francisco", Continent: geo.NorthAmerica, Lat: 37.77, Lon: -122.42}
 
-// The controlled experiment's client settings: the HLS viewer polls at
-// 2.8 s (§5.2 upper bound) and the players pre-buffer 1 s (RTMP) and 9 s
-// (HLS), the shipped Periscope configuration (§6). Both ends sit on WiFi.
+// The client parameters Periscope ships, used by the controlled experiment,
+// the Fig. 16/17 sweep and viewersim's simulated day.
 const (
-	controlledPollInterval  = 2800 * time.Millisecond
-	controlledRTMPPreBuffer = time.Second
-	controlledHLSPreBuffer  = 9 * time.Second
+	// HLSPollInterval is the HLS client's chunklist poll interval, the upper
+	// end of the 2–2.8 s §5.2 measured.
+	HLSPollInterval = 2800 * time.Millisecond
+	// RTMPPreBuffer and HLSPreBuffer are the players' pre-buffer P (§6).
+	RTMPPreBuffer = time.Second
+	HLSPreBuffer  = 9 * time.Second
+	// TriggerPollInterval is the paper's crawler cadence (§4.3): the first
+	// HLS viewer polls every 0.1 s, so its poll triggers the edge's pull
+	// right after the chunklist expires and ⑪−⑦ is measured in isolation.
+	TriggerPollInterval = 100 * time.Millisecond
 )
 
 // ControlledConfig reproduces the §4.3 controlled experiment: one
@@ -76,7 +82,7 @@ func RunControlled(cfg ControlledConfig) (rtmpAvg, hlsAvg Components) {
 		rtmpView := ViewerConfig{
 			Location:  LabLocation,
 			LastMile:  netsim.WiFi,
-			PreBuffer: controlledRTMPPreBuffer,
+			PreBuffer: RTMPPreBuffer,
 		}
 		rHists.Observe(RTMPComponents(tr, origin, rtmpView, model))
 
@@ -87,9 +93,9 @@ func RunControlled(cfg ControlledConfig) (rtmpAvg, hlsAvg Components) {
 		hlsView := ViewerConfig{
 			Location:     LabLocation,
 			LastMile:     netsim.WiFi,
-			PollInterval: controlledPollInterval,
-			PollPhase:    time.Duration(src.Float64() * float64(controlledPollInterval)),
-			PreBuffer:    controlledHLSPreBuffer,
+			PollInterval: HLSPollInterval,
+			PollPhase:    time.Duration(src.Float64() * float64(HLSPollInterval)),
+			PreBuffer:    HLSPreBuffer,
 		}
 		hHists.Observe(HLSComponents(tr, origin, path, hlsView, model))
 	}

@@ -149,8 +149,8 @@ type EdgePath struct {
 	Gateway         *geo.Datacenter
 	GatewayOverhead time.Duration
 	// TriggerPollInterval is the polling cadence of the *first* HLS
-	// viewer, whose poll triggers the origin pull (⑨). The paper's
-	// crawler used 0.1 s to isolate ⑪−⑦.
+	// viewer, whose poll triggers the origin pull (⑨); zero means the
+	// crawler's TriggerPollInterval.
 	TriggerPollInterval time.Duration
 	// TriggerPollPhase offsets the trigger poller's schedule.
 	TriggerPollPhase time.Duration
@@ -159,7 +159,7 @@ type EdgePath struct {
 // EdgeArrivals computes ⑪ (chunk available at the edge) for every chunk.
 func EdgeArrivals(tr *Trace, origin geo.Datacenter, path EdgePath, model *netsim.Model) []time.Time {
 	if path.TriggerPollInterval <= 0 {
-		path.TriggerPollInterval = 100 * time.Millisecond
+		path.TriggerPollInterval = TriggerPollInterval
 	}
 	out := make([]time.Time, 0, len(tr.Chunks))
 	var prev time.Time
@@ -226,8 +226,8 @@ type ViewerConfig struct {
 	Location geo.Location
 	// LastMile is the viewer's access profile.
 	LastMile netsim.AccessProfile
-	// PollInterval is the HLS client's chunklist cadence (Periscope:
-	// 2–2.8 s, §5.2); ignored for RTMP.
+	// PollInterval is the HLS client's chunklist cadence; zero means
+	// HLSPollInterval. Ignored for RTMP.
 	PollInterval time.Duration
 	PollPhase    time.Duration
 	// PreBuffer is the player's P (§6): Periscope ships ≈1 s for RTMP
@@ -263,7 +263,7 @@ func RTMPItems(tr *Trace, origin geo.Datacenter, v ViewerConfig, model *netsim.M
 // viewer, returning items plus ⑭ (list seen) and ⑮ (chunk downloaded).
 func HLSItems(tr *Trace, edgeAt []time.Time, v ViewerConfig, model *netsim.Model) ([]player.Item, []time.Time, []time.Time) {
 	if v.PollInterval <= 0 {
-		v.PollInterval = 2800 * time.Millisecond
+		v.PollInterval = HLSPollInterval
 	}
 	seenAt := PollObservations(edgeAt, v.PollInterval, v.PollPhase)
 	items := make([]player.Item, 0, len(edgeAt))

@@ -232,8 +232,8 @@ func bufferSweep(cfg Config, hls bool, preBuffers []time.Duration) (*Result, err
 	items := make([][]player.Item, len(tb.traces))
 	for i, tr := range tb.traces {
 		v := delay.ViewerConfig{Location: sf, LastMile: netsim.WiFi,
-			PollInterval: 2800 * time.Millisecond,
-			PollPhase:    time.Duration(src.Float64() * float64(2800*time.Millisecond))}
+			PollInterval: delay.HLSPollInterval,
+			PollPhase:    time.Duration(src.Float64() * float64(delay.HLSPollInterval))}
 		if hls {
 			edge := geo.Nearest(sf, geo.FastlySites())
 			// In real viewing (unlike the 0.1s crawler probe) the
@@ -241,8 +241,8 @@ func bufferSweep(cfg Config, hls bool, preBuffers []time.Duration) (*Result, err
 			// ~2.8s poll, compounding the polling beat.
 			path := delay.EdgePath{
 				Edge:                edge,
-				TriggerPollInterval: 2800 * time.Millisecond,
-				TriggerPollPhase:    time.Duration(src.Float64() * float64(2800*time.Millisecond)),
+				TriggerPollInterval: delay.HLSPollInterval,
+				TriggerPollPhase:    time.Duration(src.Float64() * float64(delay.HLSPollInterval)),
 			}
 			edgeAt := delay.EdgeArrivals(tr, tb.origin, path, tb.models[i])
 			its, _, _ := delay.HLSItems(tr, edgeAt, v, tb.models[i])

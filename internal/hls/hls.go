@@ -248,8 +248,7 @@ type Client struct {
 	// draining edge between polls.
 	OnDrainHint func()
 	// Clock times poll events, the poll interval and every retry and
-	// Retry-After wait; nil means the real clock. The buffering study (§6)
-	// injects clock.Virtual so ChunkEvent timestamps are seed-determined.
+	// Retry-After wait; nil means the real clock.
 	Clock clock.Clock
 	// Metrics is the registry the client's poll instruments register in
 	// (observed poll gaps, last-mile chunk fetches, pre-buffer fill); nil

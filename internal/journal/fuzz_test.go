@@ -78,11 +78,11 @@ func FuzzReplay(f *testing.F) {
 		if st.Records != n {
 			t.Fatalf("stats.Records = %d, callback ran %d times", st.Records, n)
 		}
-		if st.ValidBytes+st.DiscardedBytes != len(data) {
-			t.Fatalf("valid %d + discarded %d != total %d", st.ValidBytes, st.DiscardedBytes, len(data))
+		if st.ValidBytes > len(data) {
+			t.Fatalf("valid %d > total %d", st.ValidBytes, len(data))
 		}
-		if st.TailCorrupt != (st.DiscardedBytes > 0) {
-			t.Fatalf("TailCorrupt = %v with %d discarded bytes", st.TailCorrupt, st.DiscardedBytes)
+		if st.TailCorrupt != (st.ValidBytes < len(data)) {
+			t.Fatalf("TailCorrupt = %v with %d of %d bytes valid", st.TailCorrupt, st.ValidBytes, len(data))
 		}
 		// The valid prefix must re-replay to the same record count.
 		st2, err := Replay(data[:st.ValidBytes], func(Record) error { return nil })

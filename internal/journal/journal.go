@@ -172,8 +172,6 @@ type ReplayStats struct {
 	// origin truncates its backend to before appending new records, so a
 	// damaged tail is not entombed in front of future appends.
 	ValidBytes int
-	// DiscardedBytes is what the damaged tail cost: len(data) − ValidBytes.
-	DiscardedBytes int
 	// TailCorrupt reports whether a damaged tail (truncated or corrupt) was
 	// discarded.
 	TailCorrupt bool
@@ -195,13 +193,11 @@ func Replay(data []byte, fn func(Record) error) (ReplayStats, error) {
 		}
 		if err := fn(r); err != nil {
 			st.ValidBytes = off
-			st.DiscardedBytes = len(data) - off
 			return st, err
 		}
 		st.Records++
 		off += n
 	}
 	st.ValidBytes = off
-	st.DiscardedBytes = len(data) - off
 	return st, nil
 }

@@ -24,8 +24,6 @@ type WriterConfig struct {
 	Metrics *metrics.Registry
 	// Labels are attached to every instrument (the origin passes its site).
 	Labels []metrics.Label
-	// Logf sinks append failures; nil discards.
-	Logf func(format string, args ...interface{})
 }
 
 // Writer appends records to a Backend with encode-in-place group commit:
@@ -50,7 +48,6 @@ type Writer struct {
 	appends *metrics.Counter
 	batches *metrics.Counter
 	errs    *metrics.Counter
-	logf    func(string, ...interface{})
 }
 
 // NewWriter starts a Writer appending to backend.
@@ -59,17 +56,12 @@ func NewWriter(backend Backend, cfg WriterConfig) *Writer {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...interface{}) {}
-	}
 	w := &Writer{
 		backend: backend,
 		done:    make(chan struct{}),
 		appends: reg.Counter("journal_appends_total", cfg.Labels...),
 		batches: reg.Counter("journal_batches_total", cfg.Labels...),
 		errs:    reg.Counter("journal_append_errors_total", cfg.Labels...),
-		logf:    logf,
 	}
 	w.cond = sync.NewCond(&w.mu)
 	go w.run()
@@ -127,7 +119,6 @@ func (w *Writer) run() {
 		w.mu.Unlock()
 		if err := w.backend.Append(batch); err != nil {
 			w.errs.Inc()
-			w.logf("journal: append: %v", err)
 		} else {
 			w.batches.Inc()
 		}

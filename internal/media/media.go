@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -157,9 +156,6 @@ func (ck *Chunker) flush() *Chunk {
 	ck.pending = nil
 	return c
 }
-
-// FramesPerChunkCount exposes the configured chunk size in frames.
-func (ck *Chunker) FramesPerChunkCount() int { return ck.perChunk }
 
 // SkipTo advances the next chunk sequence to at least seq. A recovering
 // origin calls it after journal replay so chunks sealed post-restart continue
@@ -346,45 +342,6 @@ func ViewFrame(data []byte) (Frame, int, error) {
 		f.Sig = data[end:total:total]
 	}
 	return f, total, nil
-}
-
-// WriteFrame writes f to w in wire form.
-func WriteFrame(w io.Writer, f *Frame) error {
-	buf := MarshalFrame(nil, f)
-	_, err := w.Write(buf)
-	return err
-}
-
-// ReadFrame reads one frame from r.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	if hdr[16]&^3 != 0 {
-		return Frame{}, fmt.Errorf("media: unknown frame flags %#x", hdr[16])
-	}
-	plen := binary.BigEndian.Uint32(hdr[17:21])
-	if plen > MaxFramePayload {
-		return Frame{}, ErrFrameTooLarge
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, fmt.Errorf("media: reading payload: %w", err)
-	}
-	f := Frame{
-		Seq:        binary.BigEndian.Uint64(hdr[0:8]),
-		CapturedAt: time.Unix(0, int64(binary.BigEndian.Uint64(hdr[8:16]))).UTC(),
-		Keyframe:   hdr[16]&1 != 0,
-		Payload:    payload,
-	}
-	if hdr[16]&2 != 0 {
-		f.Sig = make([]byte, FrameSigSize)
-		if _, err := io.ReadFull(r, f.Sig); err != nil {
-			return Frame{}, fmt.Errorf("media: reading signature: %w", err)
-		}
-	}
-	return f, nil
 }
 
 // chunkHeaderSize is the chunk wire header: seq uint64, frame count uint32.

@@ -56,8 +56,13 @@ func TestChunkerFillsAt75(t *testing.T) {
 
 func TestChunkerCustomDuration(t *testing.T) {
 	ck := NewChunker(1 * time.Second)
-	if ck.FramesPerChunkCount() != 25 {
-		t.Fatalf("1s chunker = %d frames", ck.FramesPerChunkCount())
+	for i := 1; i < 25; i++ {
+		if ck.Add(Frame{Seq: uint64(i)}) != nil {
+			t.Fatalf("1s chunker sealed after %d frames, want 25", i)
+		}
+	}
+	if c := ck.Add(Frame{}); c == nil || len(c.Frames) != 25 {
+		t.Fatalf("1s chunker's 25th frame sealed %+v, want a 25-frame chunk", c)
 	}
 }
 
@@ -149,26 +154,30 @@ func TestFrameRoundtrip(t *testing.T) {
 	}
 }
 
+// Frames marshalled back to back decode one by one: each UnmarshalFrame
+// reports exactly the bytes its frame used, as chunk decoding relies on.
 func TestFrameStreamRoundtrip(t *testing.T) {
-	var buf bytes.Buffer
+	var buf []byte
 	e := NewEncoder(EncoderConfig{}, rng.New(3))
 	now := time.Unix(500, 0).UTC()
 	var sent []Frame
 	for i := 0; i < 10; i++ {
 		f := e.Next(now.Add(time.Duration(i) * FrameDuration))
 		sent = append(sent, f)
-		if err := WriteFrame(&buf, &f); err != nil {
-			t.Fatal(err)
-		}
+		buf = MarshalFrame(buf, &f)
 	}
 	for i := 0; i < 10; i++ {
-		got, err := ReadFrame(&buf)
+		got, used, err := UnmarshalFrame(buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got.Seq != sent[i].Seq || !bytes.Equal(got.Payload, sent[i].Payload) {
 			t.Fatalf("frame %d mismatch", i)
 		}
+		buf = buf[used:]
+	}
+	if len(buf) != 0 {
+		t.Fatalf("%d bytes left after the last frame", len(buf))
 	}
 }
 

@@ -50,25 +50,6 @@ func (cl *ChunkList) Append(ref ChunkRef) {
 	cl.marshal, cl.raw = sync.Once{}, nil
 }
 
-// Latest returns the newest chunk reference and whether one exists.
-func (cl *ChunkList) Latest() (ChunkRef, bool) {
-	if len(cl.Chunks) == 0 {
-		return ChunkRef{}, false
-	}
-	return cl.Chunks[len(cl.Chunks)-1], true
-}
-
-// NewerThan returns the refs with Seq strictly greater than seq.
-func (cl *ChunkList) NewerThan(seq uint64) []ChunkRef {
-	var out []ChunkRef
-	for _, r := range cl.Chunks {
-		if r.Seq > seq {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy the caller may keep building on.
 func (cl *ChunkList) Clone() *ChunkList {
 	return &ChunkList{

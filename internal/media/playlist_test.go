@@ -23,32 +23,6 @@ func TestChunkListAppendWindow(t *testing.T) {
 	}
 }
 
-func TestChunkListLatest(t *testing.T) {
-	cl := &ChunkList{}
-	if _, ok := cl.Latest(); ok {
-		t.Fatal("empty list reported a latest chunk")
-	}
-	cl.Append(ChunkRef{Seq: 7})
-	ref, ok := cl.Latest()
-	if !ok || ref.Seq != 7 {
-		t.Fatalf("Latest = %+v, %v", ref, ok)
-	}
-}
-
-func TestChunkListNewerThan(t *testing.T) {
-	cl := &ChunkList{}
-	for i := 0; i < 5; i++ {
-		cl.Append(ChunkRef{Seq: uint64(i)})
-	}
-	newer := cl.NewerThan(2)
-	if len(newer) != 2 || newer[0].Seq != 3 || newer[1].Seq != 4 {
-		t.Fatalf("NewerThan(2) = %+v", newer)
-	}
-	if got := cl.NewerThan(100); len(got) != 0 {
-		t.Fatalf("NewerThan(100) = %+v", got)
-	}
-}
-
 func TestChunkListCloneIsDeep(t *testing.T) {
 	cl := &ChunkList{BroadcastID: "b"}
 	cl.Append(ChunkRef{Seq: 1})

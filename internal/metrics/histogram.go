@@ -91,21 +91,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum reports the total of all observed durations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Mean reports Sum/Count using integer duration division (0 when empty) —
-// the same arithmetic the delay harness historically used to average
-// per-repetition components, so refactoring onto histograms preserves every
-// reproduced figure bit-for-bit.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
-// Bounds returns the bucket upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []time.Duration { return h.bounds }
-
 // BucketCount is one cumulative bucket of a histogram snapshot.
 type BucketCount struct {
 	// Bound is the inclusive upper bound; negative means +Inf (overflow).

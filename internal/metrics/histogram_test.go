@@ -42,17 +42,22 @@ func TestHistogramExactBoundaries(t *testing.T) {
 	}
 }
 
+// TestHistogramMeanIntegerDivision pins what a mean is computed from (see
+// delay.ComponentHists.Means): Sum is the exact nanosecond total, so
+// Sum/Count is the integer division the delay harness has always used.
 func TestHistogramMeanIntegerDivision(t *testing.T) {
 	h := newHistogram(DelayBuckets)
 	h.Observe(3 * time.Second)
-	h.Observe(4 * time.Second)
-	// (3s+4s)/2 with integer division of nanoseconds.
-	if got, want := h.Mean(), time.Duration((int64(3*time.Second)+int64(4*time.Second))/2); got != want {
-		t.Fatalf("Mean = %v, want %v", got, want)
+	h.Observe(4*time.Second + time.Nanosecond)
+	if h.Sum() != 7*time.Second+time.Nanosecond || h.Count() != 2 {
+		t.Fatalf("Sum, Count = %v, %d; want 7.000000001s, 2", h.Sum(), h.Count())
+	}
+	if got, want := h.Sum()/time.Duration(h.Count()), 3500*time.Millisecond; got != want {
+		t.Fatalf("Sum/Count = %v, want %v", got, want)
 	}
 	var empty Histogram
-	if empty.Mean() != 0 {
-		t.Fatalf("empty Mean = %v, want 0", empty.Mean())
+	if empty.Sum() != 0 || empty.Count() != 0 {
+		t.Fatalf("empty Sum, Count = %v, %d; want 0, 0", empty.Sum(), empty.Count())
 	}
 }
 

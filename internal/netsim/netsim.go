@@ -2,8 +2,7 @@
 // paper measured a planet-scale deployment; we replace the physical WAN with
 // a distance-based delay model: great-circle propagation at fiber speed with
 // route inflation, lognormal queueing jitter, bandwidth-dependent
-// serialization, and last-mile access profiles (§4.3's "stable WiFi" setup
-// and its degraded variants).
+// serialization, and a last-mile access profile (§4.3's "stable WiFi" setup).
 //
 // All randomness comes from an explicit rng.Source, so delays are
 // reproducible under a seed in virtual-time experiments. In real-socket mode
@@ -102,9 +101,7 @@ func (m *Model) Transfer(a, b geo.Location, size int) time.Duration {
 	return m.OneWay(a, b) + ser
 }
 
-// AccessProfile models the viewer or broadcaster last-mile link (§4.3 used
-// stable WiFi; we also provide LTE and congested profiles for robustness
-// experiments).
+// AccessProfile models the viewer or broadcaster last-mile link.
 type AccessProfile struct {
 	Name string
 	// Base is the median one-way last-mile latency.
@@ -119,24 +116,12 @@ type AccessProfile struct {
 	BytesPerSec float64
 }
 
-// The canonical access profiles.
-var (
-	WiFi = AccessProfile{
-		Name: "wifi", Base: 8 * time.Millisecond, JitterSigma: 0.3,
-		LossBurstProb: 0.002, BurstPenalty: 80 * time.Millisecond,
-		BytesPerSec: 4e6,
-	}
-	LTE = AccessProfile{
-		Name: "lte", Base: 45 * time.Millisecond, JitterSigma: 0.45,
-		LossBurstProb: 0.01, BurstPenalty: 200 * time.Millisecond,
-		BytesPerSec: 1.5e6,
-	}
-	Congested = AccessProfile{
-		Name: "congested", Base: 90 * time.Millisecond, JitterSigma: 0.7,
-		LossBurstProb: 0.05, BurstPenalty: 600 * time.Millisecond,
-		BytesPerSec: 400e3,
-	}
-)
+// WiFi is the stable WiFi link of the paper's lab setup (§4.3).
+var WiFi = AccessProfile{
+	Name: "wifi", Base: 8 * time.Millisecond, JitterSigma: 0.3,
+	LossBurstProb: 0.002, BurstPenalty: 80 * time.Millisecond,
+	BytesPerSec: 4e6,
+}
 
 // LastMile returns a jittered last-mile delay for a payload of size bytes
 // under profile p.
@@ -149,29 +134,4 @@ func (m *Model) LastMile(p AccessProfile, size int) time.Duration {
 		d += time.Duration(float64(p.BurstPenalty) * m.src.LogNormal(0, 0.3))
 	}
 	return d
-}
-
-// UploadPattern models broadcaster frame-release behaviour. The paper found
-// ~10% of broadcasts suffer bursty uploading that produces >5 s buffering
-// tails (Fig. 16b); Bursty reproduces that by holding frames and releasing
-// them in clumps.
-type UploadPattern struct {
-	// BurstProb is the chance a broadcast is a bursty uploader.
-	BurstProb float64
-	// BurstHold is the mean time a bursty uploader accumulates frames
-	// before flushing them at once.
-	BurstHold time.Duration
-}
-
-// DefaultUploadPattern matches the Fig. 16 tail: ~10% bursty broadcasters.
-func DefaultUploadPattern() UploadPattern {
-	return UploadPattern{BurstProb: 0.10, BurstHold: 3 * time.Second}
-}
-
-// IsBursty draws whether a broadcast follows the bursty pattern.
-func (m *Model) IsBursty(p UploadPattern) bool { return m.src.Bool(p.BurstProb) }
-
-// BurstHold draws the accumulate-then-flush interval for a bursty uploader.
-func (m *Model) BurstHold(p UploadPattern) time.Duration {
-	return time.Duration(m.src.Exp(float64(p.BurstHold)))
 }

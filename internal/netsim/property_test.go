@@ -51,7 +51,7 @@ func TestModelDelayProperties(t *testing.T) {
 func TestLastMileProperties(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	m := NewModel(Params{}, rng.New(100))
-	for _, p := range []AccessProfile{WiFi, LTE, Congested} {
+	for _, p := range append([]AccessProfile{WiFi}, slowerLinks...) {
 		var small, large float64
 		const n = 400
 		for i := 0; i < n; i++ {

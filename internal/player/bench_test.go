@@ -28,28 +28,3 @@ func BenchmarkSimulate(b *testing.B) {
 		Simulate(items, Config{PreBuffer: 6 * time.Second})
 	}
 }
-
-func BenchmarkSweep(b *testing.B) {
-	items := benchItems(1200)
-	ps := []time.Duration{0, 3 * time.Second, 6 * time.Second, 9 * time.Second}
-	for i := 0; i < b.N; i++ {
-		Sweep(items, ps)
-	}
-}
-
-func BenchmarkMergeTimeline(b *testing.B) {
-	video := mkVideo(1000, time.Second, 5*time.Second)
-	var msgs []Message
-	src := rng.New(2)
-	for i := 0; i < 2000; i++ {
-		msgs = append(msgs, Message{
-			Kind:       EventHeart,
-			StreamTime: t0.Add(time.Duration(src.Float64() * 1000 * float64(time.Second))),
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MergeTimeline(video, msgs)
-	}
-}

@@ -31,26 +31,3 @@ func ExampleSimulate() {
 	// P=0s: stall=0.10 delay=0s
 	// P=9s: stall=0.00 delay=5.4s
 }
-
-// ExampleMergeTimeline aligns a delayed comment with the video moment it
-// refers to (§4.1's client-side merge by timestamps).
-func ExampleMergeTimeline() {
-	start := time.Date(2015, 5, 15, 0, 0, 0, 0, time.UTC)
-	video := []player.VideoItem{
-		{Seq: 0, StreamTime: start, PlayAt: start.Add(10 * time.Second), Duration: 3 * time.Second},
-		{Seq: 1, StreamTime: start.Add(3 * time.Second), PlayAt: start.Add(13 * time.Second), Duration: 3 * time.Second},
-	}
-	msgs := []player.Message{{
-		Kind:       player.EventComment,
-		StreamTime: start.Add(4 * time.Second),
-		UserID:     "fan",
-		Text:       "what lake is that?",
-	}}
-	for _, e := range player.MergeTimeline(video, msgs) {
-		if e.Kind == player.EventComment {
-			fmt.Printf("comment shows during chunk %d at +%v\n", e.Seq, e.PlayAt.Sub(start))
-		}
-	}
-	// Output:
-	// comment shows during chunk 1 at +14s
-}

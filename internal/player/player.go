@@ -127,13 +127,3 @@ func startTime(bySeq []Item, preBuffer time.Duration) time.Time {
 	}
 	return byArrival[len(byArrival)-1].ArriveAt
 }
-
-// Sweep runs Simulate across pre-buffer values, returning one Result per P.
-// This is the Figure 16/17 x-axis sweep.
-func Sweep(items []Item, preBuffers []time.Duration) []Result {
-	out := make([]Result, 0, len(preBuffers))
-	for _, p := range preBuffers {
-		out = append(out, Simulate(items, Config{PreBuffer: p}))
-	}
-	return out
-}

@@ -142,7 +142,10 @@ func TestPaperTradeoffMonotonicity(t *testing.T) {
 			ArriveAt: t0.Add(time.Duration(i)*3*time.Second + jitter),
 		}
 	}
-	sweep := Sweep(items, []time.Duration{0, 3 * time.Second, 6 * time.Second, 9 * time.Second})
+	var sweep []Result
+	for _, p := range []time.Duration{0, 3 * time.Second, 6 * time.Second, 9 * time.Second} {
+		sweep = append(sweep, Simulate(items, Config{PreBuffer: p}))
+	}
 	for i := 1; i < len(sweep); i++ {
 		if sweep[i].StallRatio > sweep[i-1].StallRatio+1e-9 {
 			t.Fatalf("stall ratio not non-increasing in P: %+v", sweep)

@@ -202,20 +202,6 @@ func (h *Hub) Publish(broadcastID string, ev Event) (Event, error) {
 	return ev, nil
 }
 
-// CanComment reports whether user may still comment on the channel.
-func (h *Hub) CanComment(broadcastID, userID string) bool {
-	ch, err := h.channel(broadcastID)
-	if err != nil {
-		return false
-	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if h.commenterCap <= 0 {
-		return true
-	}
-	return ch.commenters[userID] || len(ch.commenters) < h.commenterCap
-}
-
 // EventsSince returns events with Seq > since and whether the channel is
 // closed.
 func (h *Hub) EventsSince(broadcastID string, since uint64) ([]Event, bool, error) {

@@ -60,7 +60,6 @@ type Breaker struct {
 	failures int
 	openedAt time.Time
 	probing  bool
-	opens    int64
 }
 
 // NewBreaker builds a Breaker.
@@ -83,13 +82,6 @@ func (b *Breaker) State() BreakerState {
 	defer b.mu.Unlock()
 	b.advanceLocked()
 	return b.state
-}
-
-// Opens returns how many times the circuit has opened.
-func (b *Breaker) Opens() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
 }
 
 func (b *Breaker) advanceLocked() {
@@ -143,16 +135,4 @@ func (b *Breaker) trip() {
 	b.openedAt = b.cfg.Now()
 	b.failures = 0
 	b.probing = false
-	b.opens++
-}
-
-// Do runs op under the breaker: fail-fast with ErrOpen when open, otherwise
-// run and report.
-func (b *Breaker) Do(op func() error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := op()
-	b.Report(err)
-	return err
 }

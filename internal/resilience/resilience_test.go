@@ -154,6 +154,16 @@ func TestRetryValue(t *testing.T) {
 	}
 }
 
+// attempt runs one request through b the way every breaker owner does: ask
+// Allow, and if admitted Report the request's outcome.
+func attempt(b *Breaker, outcome error) error {
+	if err := b.Allow(); err != nil {
+		return err
+	}
+	b.Report(outcome)
+	return outcome
+}
+
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	now := time.Unix(0, 0)
 	b := NewBreaker(BreakerConfig{
@@ -164,18 +174,15 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	boom := errors.New("boom")
 	// Three consecutive failures trip the circuit.
 	for i := 0; i < 3; i++ {
-		if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
+		if err := attempt(b, boom); !errors.Is(err, boom) {
 			t.Fatalf("attempt %d: %v", i, err)
 		}
 	}
 	if b.State() != Open {
 		t.Fatalf("state = %v, want open", b.State())
 	}
-	if err := b.Do(func() error { return nil }); !errors.Is(err, ErrOpen) {
+	if err := attempt(b, nil); !errors.Is(err, ErrOpen) {
 		t.Fatalf("open circuit admitted a call: %v", err)
-	}
-	if b.Opens() != 1 {
-		t.Fatalf("Opens = %d", b.Opens())
 	}
 
 	// After the open window a probe is admitted; failure re-opens.
@@ -183,7 +190,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if b.State() != HalfOpen {
 		t.Fatalf("state = %v, want half-open", b.State())
 	}
-	if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
+	if err := attempt(b, boom); !errors.Is(err, boom) {
 		t.Fatalf("probe: %v", err)
 	}
 	if b.State() != Open {
@@ -192,13 +199,13 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 
 	// Next window: successful probe closes the circuit.
 	now = now.Add(time.Second)
-	if err := b.Do(func() error { return nil }); err != nil {
+	if err := attempt(b, nil); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
 	if b.State() != Closed {
 		t.Fatalf("state after good probe = %v, want closed", b.State())
 	}
-	if err := b.Do(func() error { return nil }); err != nil {
+	if err := attempt(b, nil); err != nil {
 		t.Fatalf("closed circuit refused a call: %v", err)
 	}
 }
@@ -210,7 +217,7 @@ func TestBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
 		OpenFor:          time.Second,
 		Now:              func() time.Time { return now },
 	})
-	b.Do(func() error { return errors.New("boom") })
+	attempt(b, errors.New("boom"))
 	now = now.Add(time.Second)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("first probe refused: %v", err)
@@ -228,9 +235,9 @@ func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 	b := NewBreaker(BreakerConfig{FailureThreshold: 3})
 	boom := errors.New("boom")
 	for i := 0; i < 10; i++ {
-		b.Do(func() error { return boom })
-		b.Do(func() error { return boom })
-		b.Do(func() error { return nil }) // resets the streak
+		attempt(b, boom)
+		attempt(b, boom)
+		attempt(b, nil) // resets the streak
 	}
 	if b.State() != Closed {
 		t.Fatalf("interleaved successes still tripped the breaker: %v", b.State())

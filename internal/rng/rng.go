@@ -58,9 +58,6 @@ func (s *Source) Uint64() uint64 {
 	return uint64(s.next())<<32 | uint64(s.next())
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (s *Source) Uint32() uint32 { return s.next() }
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
@@ -116,15 +113,6 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 // underlying normal, not the resulting distribution's mean.
 func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
-}
-
-// Pareto returns a Pareto(xm, alpha) draw: xm * U^(-1/alpha), values ≥ xm.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return xm * math.Pow(u, -1/alpha)
 }
 
 // Poisson returns a Poisson draw with the given mean, using inversion for

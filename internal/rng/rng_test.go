@@ -127,15 +127,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestParetoLowerBound(t *testing.T) {
-	s := New(19)
-	for i := 0; i < 10000; i++ {
-		if v := s.Pareto(2, 1.5); v < 2 {
-			t.Fatalf("Pareto(2,1.5) = %v below xm", v)
-		}
-	}
-}
-
 func TestPoissonMean(t *testing.T) {
 	s := New(23)
 	for _, mean := range []float64{0.5, 4, 40, 800} {

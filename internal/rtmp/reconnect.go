@@ -42,7 +42,6 @@ type ResilientViewer struct {
 	cancel context.CancelFunc
 
 	reconnects atomic.Int64
-	lastSeq    atomic.Uint64
 
 	mu  sync.Mutex
 	err error
@@ -160,7 +159,6 @@ func (rv *ResilientViewer) forward(ctx context.Context, v *Viewer, haveAny *bool
 				continue // already delivered before the drop
 			}
 			*lastSeq, *haveAny = rf.Frame.Seq, true
-			rv.lastSeq.Store(rf.Frame.Seq)
 			select {
 			case rv.frames <- rf:
 			case <-ctx.Done():
@@ -190,9 +188,6 @@ func (rv *ResilientViewer) Err() error {
 
 // Reconnects returns how many times the session re-established transport.
 func (rv *ResilientViewer) Reconnects() int64 { return rv.reconnects.Load() }
-
-// LastSeq returns the highest frame sequence delivered so far.
-func (rv *ResilientViewer) LastSeq() uint64 { return rv.lastSeq.Load() }
 
 // Close tears the session down and stops reconnecting.
 func (rv *ResilientViewer) Close() error {

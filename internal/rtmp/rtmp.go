@@ -18,7 +18,6 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -102,8 +101,6 @@ type ServerConfig struct {
 	// that falls this far behind is disconnected (it would re-join via
 	// HLS in production). Zero means 256.
 	ViewerQueue int
-	// Logf sinks diagnostics; nil discards.
-	Logf func(format string, args ...interface{})
 	// Clock stamps frame arrivals (timestamp ① of the delay
 	// decomposition); nil means the real clock. Socket deadlines always
 	// use the OS wall clock regardless — the kernel knows nothing about
@@ -298,9 +295,6 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.ViewerQueue == 0 {
 		cfg.ViewerQueue = 256
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...interface{}) {}
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewReal()
 	}
@@ -401,11 +395,8 @@ func (s *Server) Listen(ctx context.Context, addr string) (net.Listener, error) 
 	if err != nil {
 		return nil, fmt.Errorf("rtmp: listen: %w", err)
 	}
-	go func() {
-		if err := s.Serve(ctx, ln); err != nil {
-			s.cfg.Logf("rtmp server: %v", err)
-		}
-	}()
+	// Serve fails only on an accept error, which ends this listener alone.
+	go s.Serve(ctx, ln)
 	return ln, nil
 }
 
@@ -418,11 +409,8 @@ func (s *Server) ListenTLS(ctx context.Context, addr string, tlsCfg *tls.Config)
 	if err != nil {
 		return nil, fmt.Errorf("rtmp: listen tls: %w", err)
 	}
-	go func() {
-		if err := s.Serve(ctx, ln); err != nil {
-			s.cfg.Logf("rtmps server: %v", err)
-		}
-	}()
+	// Serve fails only on an accept error, which ends this listener alone.
+	go s.Serve(ctx, ln)
 	return ln, nil
 }
 
@@ -534,9 +522,9 @@ func (s *Server) ack(conn net.Conn, status, message string) {
 
 func (s *Server) ackResume(conn net.Conn, status, message string, resumeSeq uint64) {
 	m := wire.Message{Type: wire.MsgHandshakeAck, Body: wire.MarshalAck(wire.Ack{Status: status, Message: message, ResumeSeq: resumeSeq})}
-	if err := wire.WriteMessage(conn, m); err != nil {
-		s.cfg.Logf("rtmp ack: %v", err)
-	}
+	// A failed ack needs no handling of its own: a refused peer is hung up
+	// on next, and an accepted one's next read or write fails the same way.
+	_ = wire.WriteMessage(conn, m)
 }
 
 // newBroadcast builds a broadcast's server-side state, resolving its tenant
@@ -593,18 +581,14 @@ func (s *Server) handleBroadcaster(conn net.Conn, hs wire.Handshake) {
 	for {
 		enc, err := rd.Next()
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.cfg.Logf("rtmp publish %s: %v", hs.BroadcastID, err)
-			}
 			return
 		}
+		// Any other message type is ignored.
 		switch enc.Type() {
 		case wire.MsgEnd:
 			return
 		case wire.MsgFrame, wire.MsgSignedFrame:
 			s.acceptFrame(b, enc)
-		default:
-			s.cfg.Logf("rtmp publish %s: unexpected message type %d", hs.BroadcastID, enc.Type())
 		}
 	}
 }

@@ -22,14 +22,3 @@ func BenchmarkComputeMetrics(b *testing.B) {
 		ComputeMetrics(g, MetricsOptions{Seed: uint64(i + 1), ClusteringSample: 500, PathSources: 8})
 	}
 }
-
-func BenchmarkFollowersOf(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Nodes = 10_000
-	cfg.Communities = 50
-	g := Generate(cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.FollowersOf()
-	}
-}

@@ -41,21 +41,26 @@ type Config struct {
 	// CelebrityFraction of the earliest nodes get a large attachment
 	// boost, producing the 10^5–10^6-follower tail of Fig. 7.
 	CelebrityFraction float64
-	// UniformMix is the probability a non-triad edge attaches to a
-	// uniformly random node instead of preferentially. It tempers hub
-	// dominance, lengthening paths and softening disassortativity
-	// toward the paper's mild −0.057.
-	UniformMix float64
-	// Communities partitions users into interest groups; CommunityBias
-	// is the probability a non-triad edge stays inside the node's own
-	// community. Community structure lengthens paths, raises
-	// clustering, and softens disassortativity — real social graphs
-	// (and Table 2's numbers) need it. Zero disables.
-	Communities   int
-	CommunityBias float64
+	// Communities partitions users into interest groups (see
+	// communityBias). Community structure lengthens paths, raises
+	// clustering, and softens disassortativity — real social graphs (and
+	// Table 2's numbers) need it. Zero disables.
+	Communities int
 	// Seed drives generation.
 	Seed uint64
 }
+
+// The attachment mix of a non-triad edge, calibrated with DefaultConfig.
+const (
+	// uniformMix is the probability a non-triad edge attaches to a
+	// uniformly random node instead of preferentially. It tempers hub
+	// dominance, lengthening paths and softening disassortativity toward
+	// the paper's mild −0.057.
+	uniformMix = 0.70
+	// communityBias is the probability a non-triad edge stays inside the
+	// node's own community, when there are communities.
+	communityBias = 0.80
+)
 
 // DefaultConfig returns the calibration used for Table 2 at 1:100 scale,
 // chosen so the synthetic graph reproduces the paper's measured Periscope
@@ -67,9 +72,7 @@ func DefaultConfig() Config {
 		EdgesPerNode:      20,
 		TriadProb:         0.50,
 		CelebrityFraction: 0.0002,
-		UniformMix:        0.70,
 		Communities:       600,
-		CommunityBias:     0.80,
 		Seed:              1,
 	}
 }
@@ -157,10 +160,10 @@ func Generate(cfg Config) *Graph {
 					continue
 				}
 				target = g.out[via][src.Intn(len(g.out[via]))]
-			case cfg.Communities > 1 && src.Bool(cfg.CommunityBias):
+			case cfg.Communities > 1 && src.Bool(communityBias):
 				// Stay inside the node's interest community.
 				comm := commOf(int32(v))
-				if cfg.UniformMix > 0 && src.Bool(cfg.UniformMix) {
+				if src.Bool(uniformMix) {
 					// Uniform member of the community below v.
 					n := (v - 1 - comm) / cfg.Communities
 					if n < 0 {
@@ -174,7 +177,7 @@ func Generate(cfg Config) *Graph {
 					}
 					target = cp[src.Intn(len(cp))]
 				}
-			case cfg.UniformMix > 0 && src.Bool(cfg.UniformMix):
+			case src.Bool(uniformMix):
 				target = int32(src.Intn(v))
 			default:
 				target = pool[src.Intn(len(pool))]
@@ -219,12 +222,6 @@ func (g *Graph) Edges() int {
 	return n
 }
 
-// Followers returns node v's follower count (in-degree).
-func (g *Graph) Followers(v int) int { return int(g.in[v]) }
-
-// Followees returns node v's out-neighbors (the users v follows).
-func (g *Graph) Followees(v int) []int32 { return g.out[v] }
-
 // FollowerCounts returns every node's follower count.
 func (g *Graph) FollowerCounts() []int {
 	out := make([]int, len(g.in))
@@ -232,21 +229,6 @@ func (g *Graph) FollowerCounts() []int {
 		out[i] = int(d)
 	}
 	return out
-}
-
-// FollowersOf materializes the reverse adjacency (follower lists), used by
-// the notification model: when v broadcasts, followers of v are notified.
-func (g *Graph) FollowersOf() [][]int32 {
-	rev := make([][]int32, len(g.out))
-	for i := range rev {
-		rev[i] = make([]int32, 0, g.in[i])
-	}
-	for u, adj := range g.out {
-		for _, v := range adj {
-			rev[v] = append(rev[v], int32(u))
-		}
-	}
-	return rev
 }
 
 // Metrics are the Table 2 statistics.

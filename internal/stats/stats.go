@@ -204,26 +204,6 @@ func ranks(xs []float64) []float64 {
 	return r
 }
 
-// Histogram buckets xs into bins of the given width starting at min,
-// returning counts per bin; values ≥ min+width*len are clamped to the last.
-func Histogram(xs []float64, min, width float64, bins int) []int {
-	counts := make([]int, bins)
-	if bins == 0 || width <= 0 {
-		return counts
-	}
-	for _, x := range xs {
-		b := int((x - min) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // Table renders labeled rows with aligned columns, in the spirit of the
 // paper's Tables 1 and 2.
 type Table struct {

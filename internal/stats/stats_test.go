@@ -109,13 +109,6 @@ func TestSpearmanTies(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts := Histogram([]float64{0.5, 1.5, 1.7, 2.5, -3, 99}, 0, 1, 3)
-	if counts[0] != 2 || counts[1] != 2 || counts[2] != 2 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "T", Headers: []string{"App", "Views"}}
 	tab.AddRow("Periscope", "705M")
@@ -219,26 +212,6 @@ func TestQuantileInverseProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram counts always sum to the sample size.
-func TestHistogramTotalProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		for i, x := range xs {
-			if math.IsNaN(x) {
-				xs[i] = 0
-			}
-		}
-		counts := Histogram(xs, -10, 2.5, 16)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total == len(xs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

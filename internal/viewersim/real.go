@@ -99,7 +99,7 @@ func runReal(cfg Config, reg *metrics.Registry) (*realResult, error) {
 	src := rng.New(cfg.Seed).Split("real")
 	pollCtx, pollCancel := context.WithTimeout(ctx, cfg.RealDuration+2*time.Second)
 	defer pollCancel()
-	interval := cfg.PollInterval
+	interval := delay.HLSPollInterval
 	if interval > cfg.RealDuration {
 		// A slice shorter than the nominal cadence still deserves a few
 		// polls per viewer.

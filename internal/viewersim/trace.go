@@ -9,10 +9,6 @@ import (
 	"repro/internal/rng"
 )
 
-// triggerPollInterval is the crawler's trigger-poll cadence that turns a
-// chunk-ready into an edge pull (delay.EdgeArrivals' default).
-const triggerPollInterval = 100 * time.Millisecond
-
 // btrace is one broadcast's CDN-side trace at chunk granularity — the
 // scale-friendly form of delay.Trace. Where GenTrace draws the WAN model per
 // frame, genTrace draws it for each chunk's first and last frame and keeps
@@ -74,7 +70,7 @@ func genTrace(w *world, sp bcastSpec, src *rng.Source, tr *btrace) {
 	// broadcast on one absolute epoch; per-broadcast offsets start at 0
 	// here, so an explicit phase draw restores the cross-broadcast
 	// dispersion of poll alignment.
-	phase := time.Duration(src.Float64() * float64(triggerPollInterval))
+	phase := time.Duration(src.Float64() * float64(delay.TriggerPollInterval))
 
 	nFrames := int(sp.dur / media.FrameDuration)
 	if nFrames < 1 {
@@ -117,7 +113,7 @@ func genTrace(w *world, sp bcastSpec, src *rng.Source, tr *btrace) {
 		// poll on the grid, then the pull (via the gateway relay when the
 		// origin's co-located edge is not the serving edge).
 		invalidAt := r + model.OneWay(w.origin.Location, w.edge.Location)
-		pollAt := nextAfter(invalidAt, triggerPollInterval, phase)
+		pollAt := nextAfter(invalidAt, delay.TriggerPollInterval, phase)
 		var arr time.Duration
 		if w.gateway != nil {
 			arr = pollAt +

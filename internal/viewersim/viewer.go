@@ -58,9 +58,9 @@ func (v *viewer) reset(s *sim, b *bcastRun, idx int) {
 	v.sums = [5]time.Duration{}
 	v.n = 0
 	if v.isRTMP {
-		v.play.reset(s.cfg.RTMPPreBuffer)
+		v.play.reset(delay.RTMPPreBuffer)
 	} else {
-		v.play.reset(s.cfg.HLSPreBuffer)
+		v.play.reset(delay.HLSPreBuffer)
 	}
 }
 
@@ -94,7 +94,7 @@ func (v *viewer) init() bool {
 
 // pollFor is the first poll-grid instant that observes chunk c (⑭).
 func (v *viewer) pollFor(c int) time.Duration {
-	return nextAfter(v.b.tr.edgeAt[c], v.s.cfg.PollInterval, v.join)
+	return nextAfter(v.b.tr.edgeAt[c], delay.HLSPollInterval, v.join)
 }
 
 // rtmpArrival draws window c's transit and returns its fully-drained offset,

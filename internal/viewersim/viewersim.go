@@ -54,9 +54,6 @@ type Config struct {
 	// Scale divides the paper's workload volume (1 = full paper scale,
 	// default 100 — the repo-wide convention).
 	Scale float64
-	// Day is the day index into the 98-day Periscope window (default 49,
-	// mid-window, where the daily rate crosses the paper's average).
-	Day int
 	// DayFraction simulates only the first fraction of the day (default
 	// 1.0). The scale-smoke CI target and Quick experiments shrink runs
 	// with it instead of distorting Scale further.
@@ -73,15 +70,11 @@ type Config struct {
 	ViewerCap int
 	// Engine selects the scheduler: "wheel" (default) or "goroutine".
 	Engine string
-	// ChunkDuration (default 3 s) and PollInterval (default 2.8 s) are the
-	// paper's HLS parameters; RTMPCap is the 100-viewer RTMP limit (§2.1).
+	// ChunkDuration (default 3 s) is the paper's HLS chunk; RTMPCap is the
+	// 100-viewer RTMP limit (§2.1). Viewers poll at delay.HLSPollInterval and
+	// pre-buffer delay.RTMPPreBuffer or delay.HLSPreBuffer.
 	ChunkDuration time.Duration
-	PollInterval  time.Duration
 	RTMPCap       int
-	// RTMPPreBuffer / HLSPreBuffer are the player P values (§6 defaults:
-	// 1 s and 9 s).
-	RTMPPreBuffer time.Duration
-	HLSPreBuffer  time.Duration
 	// RealHLS / RealRTMP size the real-socket fidelity slice: that many
 	// hls.Client pollers and rtmp.Viewer sessions watch a short loopback
 	// broadcast concurrently with the simulated run, reporting into the
@@ -102,9 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 100
 	}
-	if c.Day <= 0 {
-		c.Day = 49
-	}
 	if c.DayFraction <= 0 || c.DayFraction > 1 {
 		c.DayFraction = 1
 	}
@@ -114,17 +104,8 @@ func (c Config) withDefaults() Config {
 	if c.ChunkDuration <= 0 {
 		c.ChunkDuration = media.DefaultChunkDuration
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 2800 * time.Millisecond
-	}
 	if c.RTMPCap <= 0 {
 		c.RTMPCap = 100
-	}
-	if c.RTMPPreBuffer <= 0 {
-		c.RTMPPreBuffer = time.Second
-	}
-	if c.HLSPreBuffer <= 0 {
-		c.HLSPreBuffer = 9 * time.Second
 	}
 	if c.RealDuration <= 0 {
 		c.RealDuration = 2 * time.Second
@@ -227,6 +208,10 @@ type bcastSpec struct {
 	rtmp  int // the first rtmp joiners (by join time) use RTMP (§2.1)
 }
 
+// simDay is the day simulated, an index into the 98-day Periscope window:
+// mid-window, where the daily rate crosses the paper's average.
+const simDay = 49
+
 // world is the immutable run setting: the drawn broadcast specs plus the
 // §4.3 controlled geometry every trace and viewer uses.
 type world struct {
@@ -246,7 +231,7 @@ func buildWorld(cfg Config) *world {
 	prof := workload.Periscope(cfg.Scale)
 	w := &world{
 		cfg:      cfg,
-		start:    prof.Start.AddDate(0, 0, cfg.Day),
+		start:    prof.Start.AddDate(0, 0, simDay),
 		window:   time.Duration(cfg.DayFraction * 24 * float64(time.Hour)),
 		bcaster:  delay.LabLocation,
 		viewer:   delay.LabLocation,
@@ -264,7 +249,7 @@ func buildWorld(cfg Config) *world {
 	src := rng.New(cfg.Seed).Split("viewersim")
 	n := cfg.Broadcasts
 	if n <= 0 {
-		n = src.Poisson(prof.DailyRate(cfg.Day) * cfg.DayFraction)
+		n = src.Poisson(prof.DailyRate(simDay) * cfg.DayFraction)
 	}
 	w.specs = make([]bcastSpec, 0, n)
 	for i := 0; i < n; i++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/delay"
 	"repro/internal/metrics"
 	"repro/internal/player"
 	"repro/internal/rng"
@@ -210,7 +211,7 @@ func TestScaleSmoke(t *testing.T) {
 	if hlsTotal < 2*rtmpTotal {
 		t.Errorf("HLS (%v) should dominate RTMP (%v) as in Fig. 11", hlsTotal, rtmpTotal)
 	}
-	if sum.HLS.Polling <= 0 || sum.HLS.Polling > cfg.PollInterval+2800*time.Millisecond {
+	if sum.HLS.Polling <= 0 || sum.HLS.Polling > delay.HLSPollInterval {
 		t.Errorf("HLS polling %v outside (0, interval]", sum.HLS.Polling)
 	}
 	if math.Abs(float64(sum.HLS.Chunking-3*time.Second)) > float64(time.Second) {

@@ -11,7 +11,8 @@ import (
 )
 
 // TestEncodeMessageRoundTrip checks that the pre-framed form is exactly what
-// WriteMessage puts on the wire, and that its accessors re-view the bytes.
+// WriteMessage puts on the wire, that its accessors re-view the bytes, and
+// that ReadMessage reads it back.
 func TestEncodeMessageRoundTrip(t *testing.T) {
 	msgs := []Message{
 		{Type: MsgFrame, Body: []byte("payload bytes")},
@@ -36,17 +37,7 @@ func TestEncodeMessageRoundTrip(t *testing.T) {
 		if !bytes.Equal(enc.Body(), m.Body) {
 			t.Fatalf("Body() = %q, want %q", enc.Body(), m.Body)
 		}
-		got := enc.Message()
-		if got.Type != m.Type || !bytes.Equal(got.Body, m.Body) {
-			t.Fatalf("Message() = %+v, want %+v", got, m)
-		}
-
-		// WriteEncoded → ReadMessage round trip.
-		var out bytes.Buffer
-		if err := WriteEncoded(&out, enc); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadMessage(&out)
+		back, err := ReadMessage(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatal(err)
 		}

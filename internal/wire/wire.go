@@ -108,7 +108,7 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 }
 
 // Encoded is one fully framed message — header and body in a single
-// contiguous buffer, exactly the bytes WriteEncoded puts on the wire. The
+// contiguous buffer, exactly the bytes WriteMessage puts on the wire. The
 // fan-out path frames a frame once per arrival and hands the same Encoded to
 // every viewer, replacing N per-viewer framings (and their copies) with one.
 // An Encoded is immutable once built: it may be shared across goroutines.
@@ -130,13 +130,8 @@ func (e Encoded) Body() []byte {
 	return e[headerSize:]
 }
 
-// Message re-views the encoded bytes as a Message without copying.
-func (e Encoded) Message() Message {
-	return Message{Type: e.Type(), Body: e.Body()}
-}
-
-// EncodeMessage frames m once; the result can be written to any number of
-// connections with WriteEncoded.
+// EncodeMessage frames m once; the result can be written as it is to any
+// number of connections.
 //
 //livesim:hotpath
 func EncodeMessage(m Message) (Encoded, error) {
@@ -149,20 +144,8 @@ func EncodeMessage(m Message) (Encoded, error) {
 	return Encoded(buf), nil
 }
 
-// WriteEncoded writes one pre-framed message with a single Write call and no
-// copying.
-//
-//livesim:hotpath
-func WriteEncoded(w io.Writer, e Encoded) error {
-	if _, err := w.Write(e); err != nil {
-		//lint:allow hotpathalloc error path only; the success path allocates nothing
-		return fmt.Errorf("wire: write: %w", err)
-	}
-	return nil
-}
-
 // Reader reads messages from a buffered stream preserving their framed form:
-// each Encoded it returns is byte-for-byte what WriteEncoded would send.
+// each Encoded it returns is byte-for-byte what the peer wrote.
 // Whenever it has to read, it copies every complete message already sitting
 // in the bufio.Reader into one buffer of exactly their size — the batch, the
 // read's one allocation — and hands them out one by one as capped views of
