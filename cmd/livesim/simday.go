@@ -39,9 +39,9 @@ func runSimday(seed uint64, chunk time.Duration, rtmpCap int) error {
 	}
 	wall := time.Since(start)
 	fmt.Println(sum)
-	fmt.Printf("simulated %v of platform time in %v wall (%.0f events/sec)\n",
+	fmt.Printf("simulated %v of platform time in %v wall (%.0f events/sec on %d partitions)\n",
 		sum.End.Sub(sum.Start).Round(time.Second), wall.Round(time.Millisecond),
-		float64(sum.Events)/wall.Seconds())
+		float64(sum.Events)/wall.Seconds(), viewersim.Partitions(sum.Broadcasts))
 	if sum.RealHLS > 0 || sum.RealRTMP > 0 {
 		fmt.Printf("real-socket slice: %d hls viewers (%d polls), %d rtmp viewers (%d frames)\n",
 			sum.RealHLS, sum.RealPolls, sum.RealRTMP, sum.RealFrames)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/hls"
 	"repro/internal/media"
+	"repro/internal/metrics"
 	"repro/internal/resilience"
 	"repro/internal/testutil"
 )
@@ -302,6 +303,40 @@ func TestEdgeInvalidateCountsOnlyWhenMarkingStale(t *testing.T) {
 	e.Invalidate("b1", cl.Version+2)
 	if n := e.m.invalidates.Value(); n != 1 {
 		t.Fatalf("Invalidates = %d, want 1 (only the marking invalidation counts)", n)
+	}
+}
+
+// TestBreakersOpenGaugeCountsEveryEdgeAtSite: several edges at one site in one
+// registry (a multi-core simulated day builds one per core) share the
+// cdn_breakers_open{site} series, and it counts every edge's open breakers —
+// not only those of the edge registered last.
+func TestBreakersOpenGaugeCountsEveryEdgeAtSite(t *testing.T) {
+	reg := metrics.NewRegistry()
+	o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: time.Second})
+	feedFrames(o, "b1", framesPerTestChunk)
+	flaky := &flakyStore{inner: o}
+	flaky.failLists.Store(true)
+	newEdge := func() *Edge {
+		return NewEdge(EdgeConfig{
+			Site:    site("e1", "Y"),
+			Resolve: func(string) (Upstream, error) { return Upstream{Store: flaky}, nil },
+			Retry:   resilience.Policy{MaxAttempts: 1},
+			Breaker: resilience.BreakerConfig{FailureThreshold: 1, OpenFor: time.Hour},
+			Metrics: reg,
+		})
+	}
+	first, _ := newEdge(), newEdge()
+	if _, err := first.ChunkList(context.Background(), "b1"); err == nil {
+		t.Fatal("poll through a failing upstream succeeded")
+	}
+	var open int64 = -1
+	for _, g := range reg.Snapshot().Gauges {
+		if g.Name == "cdn_breakers_open" && g.Labels["site"] == "e1" {
+			open = g.Value
+		}
+	}
+	if open != 1 {
+		t.Fatalf("cdn_breakers_open{site=e1} = %d with one breaker open on the first of two edges, want 1", open)
 	}
 }
 

@@ -48,10 +48,10 @@ type instrument struct {
 	labels []Label // sorted by key
 	kind   string
 
-	counter *Counter
-	gauge   *Gauge
-	gaugeFn func() int64 // derived gauge; nil for plain gauges
-	hist    *Histogram
+	counter  *Counter
+	gauge    *Gauge
+	gaugeFns []func() int64 // derived gauge, summed; empty for plain gauges
+	hist     *Histogram
 }
 
 // Registry holds instruments keyed by name + label set. Registering the
@@ -114,13 +114,15 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 }
 
 // GaugeFunc registers a derived gauge whose value is computed by fn at
-// snapshot time. Re-registering replaces fn (a rebuilt component installs
-// its fresh closure). fn is called outside the registry lock and must be
-// safe to call from any goroutine.
+// snapshot time. The series reads the sum of every function registered under
+// its name and labels, so several components behind one label set (the
+// per-core edges of a simulated day, all at one site) report their total.
+// fn is called outside the registry lock and must be safe to call from any
+// goroutine.
 func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...Label) {
 	in := r.register(name, kindGauge, labels, func(in *instrument) {})
 	r.mu.Lock()
-	in.gaugeFn = fn
+	in.gaugeFns = append(in.gaugeFns, fn)
 	r.mu.Unlock()
 }
 

@@ -108,6 +108,11 @@ func TestGaugeFuncEvaluatedAtSnapshot(t *testing.T) {
 	if got := findGauge(t, r.Snapshot(), "derived"); got != 42 {
 		t.Fatalf("derived = %d after update, want 42", got)
 	}
+	// A second function under the same series adds to it, never replaces.
+	r.GaugeFunc("derived", func() int64 { return 2 })
+	if got := findGauge(t, r.Snapshot(), "derived"); got != 44 {
+		t.Fatalf("derived = %d with two functions registered, want their sum 44", got)
+	}
 }
 
 // TestGaugeFuncMayLockRegistry guards the lock-ordering contract: a

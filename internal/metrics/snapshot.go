@@ -55,10 +55,12 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	ins := make([]*instrument, len(r.order))
 	copy(ins, r.order)
-	fns := make(map[*instrument]func() int64)
+	// A slice header copied under the lock stays valid: GaugeFunc only
+	// appends.
+	fns := make(map[*instrument][]func() int64)
 	for _, in := range ins {
-		if in.gaugeFn != nil {
-			fns[in] = in.gaugeFn
+		if len(in.gaugeFns) > 0 {
+			fns[in] = in.gaugeFns
 		}
 	}
 	r.mu.Unlock()
@@ -71,8 +73,10 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters = append(s.Counters, CounterValue{Name: in.name, Labels: lm, Value: in.counter.Value()})
 		case kindGauge:
 			var v int64
-			if fn, ok := fns[in]; ok {
-				v = fn()
+			if fs, ok := fns[in]; ok {
+				for _, fn := range fs {
+					v += fn()
+				}
 			} else {
 				v = in.gauge.Value()
 			}

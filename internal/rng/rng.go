@@ -26,12 +26,20 @@ func New(seed uint64) *Source {
 // NewStream returns a Source on an explicit stream; distinct streams with the
 // same seed are statistically independent.
 func NewStream(seed, stream uint64) *Source {
-	s := &Source{inc: (stream << 1) | 1}
+	s := new(Source)
+	s.Reset(seed, stream)
+	return s
+}
+
+// Reset re-seeds s in place: afterwards it draws exactly what
+// NewStream(seed, stream) would, without allocating. Pooled simulation
+// entities keep their Source by value and Reset it for each reuse.
+func (s *Source) Reset(seed, stream uint64) {
+	s.inc = stream<<1 | 1
 	s.state = 0
 	s.next()
 	s.state += seed
 	s.next()
-	return s
 }
 
 // Split derives a child source whose stream is keyed by label. Children are

@@ -16,6 +16,26 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNewStream pins the one seeding path: a used Source re-seeded
+// in place draws what a fresh NewStream draws, without allocating, and
+// NewStream's output is the same as before Reset existed.
+func TestResetMatchesNewStream(t *testing.T) {
+	s := New(42)
+	for i := 0; i < 10; i++ {
+		s.Uint64()
+	}
+	s.Reset(1, 2)
+	fresh := NewStream(1, 2)
+	for i, want := range []uint64{0xf5deba95bd7525b, 0xb2473657741c8ff9, 0x226e7b9893562bff} {
+		if got, ref := s.Uint64(), fresh.Uint64(); got != want || ref != want {
+			t.Fatalf("draw %d: Reset %#x, NewStream %#x, want %#x", i, got, ref, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Reset(3, 4) }); allocs != 0 {
+		t.Fatalf("Reset allocates %.0f per call, want 0", allocs)
+	}
+}
+
 func TestSeedsDiffer(t *testing.T) {
 	a := New(1)
 	b := New(2)

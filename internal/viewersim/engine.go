@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/cdn"
@@ -11,14 +12,16 @@ import (
 	"repro/internal/delay"
 	"repro/internal/media"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/rng"
 )
 
 // sim carries the run state both engines share: the CDN under test, the
-// delay histograms, the counters, and the entity free lists. Both engines
-// run event handlers strictly one at a time (the wheel on its driving
-// goroutine, the reference under its coordinator), so none of it needs
-// synchronization; a multi-core day is N independent sims merged at the end.
+// delay histograms, the counters, and the entity free lists. Each sim runs
+// its event handlers strictly one at a time (a wheel partition on its driving
+// goroutine, the reference under its coordinator), so its own state needs no
+// synchronization. Wheel partitions share only the read-only world, the
+// registry and the two delay-histogram sets, whose updates are atomic sums.
 type sim struct {
 	cfg Config
 	w   *world
@@ -52,6 +55,15 @@ type counters struct {
 	deliveries int64
 }
 
+func (c *counters) add(o counters) {
+	c.views += o.views
+	c.rtmpViews += o.rtmpViews
+	c.hlsViews += o.hlsViews
+	c.chunks += o.chunks
+	c.polls += o.polls
+	c.deliveries += o.deliveries
+}
+
 func newSim(cfg Config, w *world) *sim {
 	reg := cfg.Metrics
 	if reg == nil {
@@ -67,6 +79,20 @@ func newSim(cfg Config, w *world) *sim {
 		payload: make([]byte, 32),
 	}
 	return s
+}
+
+// partition returns a fresh sim over s's world, registry and delay
+// histograms; its clock, CDN, free lists and counters are its own.
+func (s *sim) partition() *sim {
+	return &sim{
+		cfg:     s.cfg,
+		w:       s.w,
+		reg:     s.reg,
+		ctx:     s.ctx,
+		rh:      s.rh,
+		hh:      s.hh,
+		payload: make([]byte, len(s.payload)),
+	}
 }
 
 // buildCDN stands up the in-process origin and edge on the engine's clock.
@@ -94,10 +120,14 @@ func (s *sim) buildCDN(clk clock.Clock) {
 
 // bcastRun is one live broadcast's mutable state.
 type bcastRun struct {
-	s         *sim
-	sp        bcastSpec
-	id        string
-	start     time.Time
+	s     *sim
+	sp    bcastSpec
+	id    string
+	start time.Time
+	// src is the broadcast's keyed stream, re-seeded in place on every
+	// reuse; model draws from it and is built once per pooled broadcast.
+	src       rng.Source
+	model     *netsim.Model
 	tr        btrace
 	joins     []time.Duration
 	nextJoin  int
@@ -122,13 +152,16 @@ func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
 	b.sp = sp
 	b.id = "b" + strconv.Itoa(sp.idx)
 	b.start = s.w.start.Add(sp.start)
-	src := rng.NewStream(s.cfg.Seed, bcastKey(sp.idx))
-	genTrace(s.w, sp, src, &b.tr)
+	b.src.Reset(s.cfg.Seed, bcastKey(sp.idx))
+	if b.model == nil {
+		b.model = netsim.NewModel(netsim.Params{}, &b.src)
+	}
+	genTrace(s.w, sp, &b.src, b.model, &b.tr)
 	b.joins = b.joins[:0]
 	for i := 0; i < sp.views; i++ {
 		// Audiences are front-loaded (Fig. 6: most viewers arrive near
 		// the start): dur·u² biases joins toward the beginning.
-		u := src.Float64()
+		u := b.src.Float64()
 		b.joins = append(b.joins, time.Duration(float64(sp.dur)*u*u))
 	}
 	sort.Slice(b.joins, func(i, j int) bool { return b.joins[i] < b.joins[j] })
@@ -220,7 +253,6 @@ func (s *sim) finishViewer(v *viewer) {
 func (s *sim) releaseViewer(v *viewer) {
 	v.s = nil
 	v.b = nil
-	v.model = nil
 	s.vfree = append(s.vfree, v)
 }
 
@@ -252,13 +284,42 @@ func (s *sim) summary() *Summary {
 	}
 }
 
-// runWheel drives the day on the timer wheel: every broadcast start is
-// scheduled up front, and all subsequent events (ingest chain, join chain,
-// per-viewer delivery chains) are rescheduled from callbacks.
-func (s *sim) runWheel() {
+// runWheel drives the day on n partitions, one goroutine each: partition p
+// replays the broadcasts at positions p, p+n, p+2n, … of the start-sorted
+// specs on its own wheel and CDN. Once all return, their counters and fire
+// counts are added up and the latest end is the day's. No broadcast reads
+// another's state, so the totals are the same at any n (DESIGN.md §10).
+func (s *sim) runWheel(n int) {
+	parts := make([]*sim, n)
+	var wg sync.WaitGroup
+	for p := range parts {
+		ps := s.partition()
+		parts[p] = ps
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ps.runPartition(p, n)
+		}()
+	}
+	wg.Wait()
+	s.end = s.w.start
+	for _, ps := range parts {
+		s.ctr.add(ps.ctr)
+		s.events += ps.events
+		if ps.end.After(s.end) {
+			s.end = ps.end
+		}
+	}
+}
+
+// runPartition replays every stride-th broadcast from first on one timer
+// wheel: each broadcast start is scheduled up front, and all subsequent
+// events (ingest chain, join chain, per-viewer delivery chains) are
+// rescheduled from callbacks.
+func (s *sim) runPartition(first, stride int) {
 	s.wheel = clock.NewWheel(clock.WheelConfig{Epoch: s.w.start})
 	s.buildCDN(s.wheel)
-	for i := range s.w.specs {
+	for i := first; i < len(s.w.specs); i += stride {
 		sp := s.w.specs[i]
 		s.schedule(s.w.start.Add(sp.start), func(time.Time) { s.wheelStart(sp) })
 	}

@@ -63,9 +63,8 @@ func (t *btrace) contentOf(c int) time.Duration {
 // chunk is fixed (uplink last-mile + one-way for the first frame, again for
 // the last frame when distinct, invalidation one-way, trigger RTT, transfer)
 // so a broadcast's trace is a pure function of its keyed rng stream — the
-// foundation of cross-engine determinism.
-func genTrace(w *world, sp bcastSpec, src *rng.Source, tr *btrace) {
-	model := netsim.NewModel(netsim.Params{}, src)
+// foundation of cross-engine determinism. model must draw from src.
+func genTrace(w *world, sp bcastSpec, src *rng.Source, model *netsim.Model, tr *btrace) {
 	// The trigger poller's grid phase. RunControlled anchors every
 	// broadcast on one absolute epoch; per-broadcast offsets start at 0
 	// here, so an explicit phase draw restores the cross-broadcast

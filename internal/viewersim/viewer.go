@@ -24,8 +24,11 @@ import (
 // fetch each chunk one last-mile draw after the poll that first observes it,
 // mirroring delay.HLSItems.
 type viewer struct {
-	s      *sim
-	b      *bcastRun
+	s *sim
+	b *bcastRun
+	// src is the session's keyed stream, re-seeded in place on every reuse;
+	// model draws from it and is built once per pooled viewer.
+	src    rng.Source
 	model  *netsim.Model
 	isRTMP bool
 	join   time.Duration
@@ -44,12 +47,16 @@ type viewer struct {
 }
 
 // reset binds a pooled viewer to one (broadcast, join index) session and
-// re-derives its private rng stream; everything the session draws afterwards
-// is independent of scheduling order.
+// re-seeds its private rng stream in place; everything the session draws
+// afterwards is independent of scheduling order. Only a viewer's first reset
+// allocates (its netsim model).
 func (v *viewer) reset(s *sim, b *bcastRun, idx int) {
 	v.s = s
 	v.b = b
-	v.model = netsim.NewModel(netsim.Params{}, rng.NewStream(s.cfg.Seed, viewerKey(b.sp.idx, idx)))
+	v.src.Reset(s.cfg.Seed, viewerKey(b.sp.idx, idx))
+	if v.model == nil {
+		v.model = netsim.NewModel(netsim.Params{}, &v.src)
+	}
 	v.isRTMP = idx < b.sp.rtmp
 	v.join = b.joins[idx]
 	v.cur = 0

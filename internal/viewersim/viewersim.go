@@ -11,7 +11,9 @@
 //     (join → poll/download → buffer → leave for HLS, join → frame-drain →
 //     leave for RTMP) advance by timer callbacks, so a million concurrent
 //     viewers cost a million pooled timer nodes instead of a million
-//     goroutines doing loopback TCP.
+//     goroutines doing loopback TCP. The day's broadcasts are split into one
+//     partition per core, each with its own wheel and CDN, and the
+//     partitions' totals are summed.
 //   - Engine "goroutine" is the reference implementation: one goroutine per
 //     broadcast and per viewer, serialized over clock.Virtual by a
 //     conservative coordinator. It exists to anchor the equivalence suite —
@@ -35,6 +37,7 @@ package viewersim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -152,8 +155,27 @@ func (s *Summary) String() string {
 }
 
 // Run executes one simulated day under the configured engine and, when
-// RealHLS/RealRTMP are set, the concurrent real-socket fidelity slice.
+// RealHLS/RealRTMP are set, the concurrent real-socket fidelity slice. The
+// wheel engine splits the day into Partitions(broadcasts) partitions, one
+// per core; the Summary is the same at any count.
 func Run(cfg Config) (*Summary, error) {
+	return run(cfg, runtime.GOMAXPROCS(0))
+}
+
+// Partitions is how many wheel partitions Run uses for a day of the given
+// number of broadcasts: one per core GOMAXPROCS allows, at most one per
+// broadcast, at least one.
+func Partitions(broadcasts int) int {
+	return partitions(runtime.GOMAXPROCS(0), broadcasts)
+}
+
+func partitions(cores, broadcasts int) int {
+	return max(1, min(cores, broadcasts))
+}
+
+// run is Run with the core count the wheel engine partitions for given
+// explicitly, so tests can pin it.
+func run(cfg Config, cores int) (*Summary, error) {
 	cfg = cfg.withDefaults()
 	w := buildWorld(cfg)
 	s := newSim(cfg, w)
@@ -173,7 +195,7 @@ func Run(cfg Config) (*Summary, error) {
 
 	switch cfg.Engine {
 	case "wheel":
-		s.runWheel()
+		s.runWheel(partitions(cores, len(w.specs)))
 	case "goroutine":
 		s.runReference()
 	default:

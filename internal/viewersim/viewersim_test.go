@@ -84,63 +84,98 @@ func equivCfg(seed uint64) Config {
 	}
 }
 
+// runOn runs cfg on the given number of wheel partitions (the reference
+// engine ignores it) into a fresh registry.
+func runOn(t *testing.T, cfg Config, parts int) (*Summary, *metrics.Registry) {
+	t.Helper()
+	cfg.Metrics = metrics.NewRegistry()
+	sum, err := run(cfg, parts)
+	if err != nil {
+		t.Fatalf("%s engine on %d partitions: %v", cfg.Engine, parts, err)
+	}
+	return sum, cfg.Metrics
+}
+
 func TestWheelMatchesGoroutineReference(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 23} {
 		cfg := equivCfg(seed)
+		cfg.Engine = "goroutine"
+		refSum, refReg := runOn(t, cfg, 1)
+		refHists := protoHists(refReg)
 
 		cfg.Engine = "wheel"
-		cfg.Metrics = metrics.NewRegistry()
-		wheelSum, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: wheel: %v", seed, err)
-		}
-		wheelHists := protoHists(cfg.Metrics)
-
-		cfg.Engine = "goroutine"
-		cfg.Metrics = metrics.NewRegistry()
-		refSum, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: goroutine: %v", seed, err)
-		}
-		refHists := protoHists(cfg.Metrics)
-
-		if got, want := comparable(wheelSum), comparable(refSum); !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d: summaries diverge\nwheel:     %+v\ngoroutine: %+v", seed, got, want)
-		}
-		if !reflect.DeepEqual(wheelHists, refHists) {
-			t.Errorf("seed %d: proto-labelled delay histograms diverge between engines", seed)
-		}
-		if wheelSum.Views == 0 || wheelSum.HLSViews == 0 || wheelSum.RTMPViews == 0 {
-			t.Fatalf("seed %d: degenerate workload: %+v", seed, wheelSum)
+		for _, parts := range []int{1, 3} {
+			wheelSum, wheelReg := runOn(t, cfg, parts)
+			if got, want := comparable(wheelSum), comparable(refSum); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d, %d partitions: summaries diverge\nwheel:     %+v\ngoroutine: %+v", seed, parts, got, want)
+			}
+			if !reflect.DeepEqual(protoHists(wheelReg), refHists) {
+				t.Errorf("seed %d, %d partitions: proto-labelled delay histograms diverge between engines", seed, parts)
+			}
+			if wheelSum.Views == 0 || wheelSum.HLSViews == 0 || wheelSum.RTMPViews == 0 {
+				t.Fatalf("seed %d: degenerate workload: %+v", seed, wheelSum)
+			}
 		}
 	}
 }
 
-// TestWheelRepeatedRunsByteIdentical pins the wheel engine's reproducibility:
-// the wheel fires in one total order, so not only the summary and the delay
-// histograms but the whole registry — the site-labelled cdn instruments
-// (list hits, origin pulls) included — repeats exactly.
+// TestWheelRepeatedRunsByteIdentical pins the wheel engine's reproducibility
+// at any partition count: each partition's wheel fires in one total order and
+// broadcasts share only atomic sums, so not only the summary (End included)
+// and the delay histograms but the whole registry — the site-labelled cdn
+// instruments (list hits, origin pulls) included — repeats exactly, whether
+// the day runs on one partition, on several, or on more partitions than it
+// has broadcasts.
 func TestWheelRepeatedRunsByteIdentical(t *testing.T) {
-	run := func() (*Summary, metrics.Snapshot) {
-		cfg := equivCfg(5)
-		cfg.Engine = "wheel"
-		cfg.Metrics = metrics.NewRegistry()
-		sum, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
+	days := map[string]Config{
+		"equiv": equivCfg(5),
+		"three broadcasts": {
+			Seed: 5, Broadcasts: 3, ViewersPerBroadcast: 130, BroadcastDuration: 40 * time.Second, RTMPCap: 20,
+		},
+	}
+	for name, cfg := range days {
+		want, wantReg := runOn(t, cfg, 1)
+		wantSnap := wantReg.Snapshot()
+		if len(wantSnap.Counters) == 0 || len(wantSnap.Histograms) == 0 || len(wantSnap.Gauges) == 0 {
+			t.Fatalf("%s: registry snapshot is incomplete: %+v", name, wantSnap)
 		}
-		return sum, cfg.Metrics.Snapshot()
+		if want.Polls == 0 || want.RTMPViews == 0 {
+			t.Fatalf("%s: degenerate day: %+v", name, want)
+		}
+		for _, parts := range []int{1, 2, 3, 8} {
+			got, gotReg := runOn(t, cfg, parts)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d partitions differ from 1:\n%+v\n%+v", name, parts, got, want)
+			}
+			if !reflect.DeepEqual(gotReg.Snapshot(), wantSnap) {
+				t.Errorf("%s: %d partitions produce a different registry snapshot from 1", name, parts)
+			}
+		}
 	}
-	s1, m1 := run()
-	s2, m2 := run()
-	if !reflect.DeepEqual(s1, s2) {
-		t.Errorf("repeated seeded runs differ:\n%+v\n%+v", s1, s2)
-	}
-	if !reflect.DeepEqual(m1, m2) {
-		t.Errorf("repeated seeded runs produce different registry snapshots")
-	}
-	if len(m1.Counters) == 0 || len(m1.Histograms) == 0 {
-		t.Fatalf("registry snapshot is empty: %+v", m1)
+}
+
+// TestPooledViewerResetAllocatesNothing is the pooling budget: re-binding a
+// pooled viewer to a new session re-seeds its stream in place and keeps its
+// netsim model, so a view after the pool is warm costs no allocation.
+func TestPooledViewerResetAllocatesNothing(t *testing.T) {
+	cfg := Config{
+		Seed: 2, Broadcasts: 1, ViewersPerBroadcast: 40, BroadcastDuration: time.Minute, RTMPCap: 20,
+	}.withDefaults()
+	s := newSim(cfg, buildWorld(cfg))
+	b := s.setupBroadcast(s.w.specs[0])
+	v := &viewer{}
+	for _, idx := range []int{0, 20} { // the first RTMP and the first HLS session
+		allocs := testing.AllocsPerRun(100, func() {
+			v.reset(s, b, idx)
+			if !v.init() {
+				t.Fatalf("viewer %d sees no content", idx)
+			}
+			s.releaseViewer(v)
+			s.vfree = s.vfree[:0]
+		})
+		if allocs != 0 {
+			t.Errorf("viewer %d (rtmp=%v): reset+init allocates %.0f, want 0", idx, v.isRTMP, allocs)
+		}
 	}
 }
 
