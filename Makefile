@@ -33,16 +33,15 @@ vet:
 
 # analyze is the one run of the repo's custom static-analysis suite
 # (internal/lint, DESIGN.md §8): vetlivesim loads the program once, runs the
-# seven AST analyzers in dependency order against one in-memory fact store,
+# six AST analyzers in dependency order against one in-memory fact store,
 # then recompiles every //livesim:hotpath package with -m=2 for
 # hotpathescape. Zero unsuppressed findings is the bar; false positives are
 # silenced in place with a reasoned `//lint:allow` directive. Budgeted: the
-# suite must finish inside ANALYZE_BUDGET seconds (timeout exits 124) so it
-# stays cheap enough to gate every push.
-ANALYZE_BUDGET ?= 60
+# suite must finish inside 60 seconds (timeout exits 124) so it stays cheap
+# enough to gate every push.
 analyze:
 	$(GO) build -o $(BIN)/vetlivesim ./cmd/vetlivesim
-	timeout $(ANALYZE_BUDGET) $(BIN)/vetlivesim ./...
+	timeout 60 $(BIN)/vetlivesim ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -1,6 +1,6 @@
 // Command vetlivesim runs the repo's custom static-analysis suite
-// (internal/lint): locksend, walltime, atomiccounter, hotpathalloc, ctxplumb,
-// lockorder, goroleak and the compiler-assisted hotpathescape.
+// (internal/lint): locksend, walltime, atomiccounter, ctxplumb, lockorder,
+// goroleak and the compiler-assisted hotpathescape.
 //
 // `vetlivesim [patterns]` (default ./...) loads the packages once (via
 // `go list -export`), analyzes them in dependency order against one

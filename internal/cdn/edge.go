@@ -512,7 +512,7 @@ func (e *Edge) admit(ctx context.Context) (func(), error) {
 // the upstream pull. When the upstream is unreachable the last cached list is
 // served stale rather than surfacing the error to the player.
 //
-//livesim:hotpath
+//livesim:hotpath TestEdgeWarmHitServesByReference
 func (e *Edge) ChunkList(ctx context.Context, id string) (*media.ChunkList, error) {
 	rel, err := e.admit(ctx)
 	if err != nil {
@@ -664,7 +664,7 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 // reference (the one *media.Chunk every viewer of it shares), a miss pulls
 // through with retries under the broadcast's circuit breaker.
 //
-//livesim:hotpath
+//livesim:hotpath TestEdgeWarmHitServesByReference
 func (e *Edge) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, error) {
 	rel, err := e.admit(ctx)
 	if err != nil {

@@ -73,19 +73,13 @@ type OriginConfig struct {
 type originMetrics struct {
 	chunks   *metrics.Counter
 	chunking *metrics.Histogram
-	// replayed counts journal records rehydrated at startup; corruptTails
-	// counts restarts that found (and discarded) a damaged journal tail.
-	replayed     *metrics.Counter
-	corruptTails *metrics.Counter
 }
 
 func newOriginMetrics(reg *metrics.Registry, site string) *originMetrics {
 	l := metrics.L("site", site)
 	return &originMetrics{
-		chunks:       reg.Counter("cdn_origin_chunks_total", l),
-		chunking:     reg.Histogram(metrics.DelayChunking, metrics.DelayBuckets, l),
-		replayed:     reg.Counter("journal_replayed_records_total", l),
-		corruptTails: reg.Counter("journal_corrupt_tails_total", l),
+		chunks:   reg.Counter("cdn_origin_chunks_total", l),
+		chunking: reg.Histogram(metrics.DelayChunking, metrics.DelayBuckets, l),
 	}
 }
 
@@ -279,37 +273,20 @@ func (o *Origin) newRTMPServer() *rtmp.Server {
 }
 
 // openJournalLocked replays the configured journal backend into the stream
-// table, truncates any damaged tail, and starts the group-commit writer.
-// No-op without a backend.
+// table and starts its writer (journal.Open). No-op without a backend; an
+// unreadable one leaves the origin empty and unjournaled.
 func (o *Origin) openJournalLocked() {
-	backend := o.cfg.Journal
-	if backend == nil {
+	if o.cfg.Journal == nil {
 		return
 	}
-	data, err := backend.Load()
-	if err != nil {
-		// An unreadable journal recovers nothing: the origin starts empty.
-		data = nil
-	}
-	// applyRecordLocked never fails, so neither does the replay.
-	st, _ := journal.Replay(data, o.applyRecordLocked)
-	if st.TailCorrupt {
-		// Discard the damaged tail before appending anything new: bytes
-		// written after a corrupt region would be unreachable to every
-		// future replay. A failed truncate leaves them so; the origin still
-		// serves what it replayed.
-		o.m.corruptTails.Inc()
-		_ = backend.Truncate(int64(st.ValidBytes))
-	}
-	o.m.replayed.Add(int64(st.Records))
-	o.jw = journal.NewWriter(backend, journal.WriterConfig{
+	o.jw = journal.Open(o.cfg.Journal, o.applyRecordLocked, journal.WriterConfig{
 		Metrics: o.cfg.Metrics,
 		Labels:  []metrics.Label{metrics.L("site", o.cfg.Site.ID)},
 	})
 }
 
 // applyRecordLocked rehydrates one journal record into the stream table.
-func (o *Origin) applyRecordLocked(r journal.Record) error {
+func (o *Origin) applyRecordLocked(r journal.Record) {
 	id := r.BroadcastID
 	switch r.Type {
 	case journal.RecordCreate:
@@ -330,7 +307,7 @@ func (o *Origin) applyRecordLocked(r journal.Record) error {
 		if err != nil {
 			// A CRC-valid record with an undecodable payload is a writer
 			// bug, not tail damage; skip it rather than abort recovery.
-			return nil
+			return
 		}
 		st.addChunkLocked(chunk, o.cfg.Clock.Now())
 		st.chunker.SkipTo(chunk.Seq + 1)
@@ -340,13 +317,12 @@ func (o *Origin) applyRecordLocked(r journal.Record) error {
 	case journal.RecordEnd:
 		st, ok := o.streams[id]
 		if !ok {
-			return nil
+			return
 		}
 		st.endLocked()
 		o.endedAt[id] = o.cfg.Clock.Now()
 		delete(o.pending, id)
 	}
-	return nil
 }
 
 func (o *Origin) newStreamLocked(id string) *originStream {

@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/hls"
 	"repro/internal/journal"
 	"repro/internal/media"
+	"repro/internal/metrics"
 )
 
 // framesPerTestChunk is one 1 s chunk's worth of frames.
@@ -98,6 +100,50 @@ func TestOriginJournalAppendIsTheSeal(t *testing.T) {
 	})
 	if string(sealedPayload) != string(wire) {
 		t.Fatal("the journaled payload differs from the served bytes")
+	}
+}
+
+// flakyLoad is a journal backend whose first Load fails, as a disk with a
+// transient read error would.
+type flakyLoad struct {
+	*journal.Mem
+	failed bool
+}
+
+func (b *flakyLoad) Load() ([]byte, error) {
+	if !b.failed {
+		b.failed = true
+		return nil, errors.New("read error")
+	}
+	return b.Mem.Load()
+}
+
+// An origin whose journal cannot be read starts empty and unjournaled: it
+// appends nothing after bytes it could not read, so the next load that
+// succeeds replays the old log exactly as it was. The failure is counted.
+func TestOriginAppendsNothingAfterFailedLoad(t *testing.T) {
+	mem := journal.NewMem()
+	o, _ := originAndEdge(OriginConfig{Journal: mem})
+	feedFrames(o, "b1", framesPerTestChunk)
+	o.Close()
+	before, _ := mem.Load()
+
+	reg := metrics.NewRegistry()
+	o2, _ := originAndEdge(OriginConfig{Journal: &flakyLoad{Mem: mem}, Metrics: reg})
+	feedFrames(o2, "b1", 2*framesPerTestChunk)
+	o2.endBroadcast("b1")
+	o2.Close()
+	if after, _ := mem.Load(); !bytes.Equal(after, before) {
+		t.Fatalf("the origin appended %d bytes after a journal it could not read", len(after)-len(before))
+	}
+	var loadErrors int64
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "journal_load_errors_total" && c.Labels["site"] == "o1" {
+			loadErrors += c.Value
+		}
+	}
+	if loadErrors != 1 {
+		t.Fatalf("journal_load_errors_total{site=o1} = %d, want 1", loadErrors)
 	}
 }
 

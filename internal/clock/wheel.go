@@ -154,9 +154,10 @@ func (w *Wheel) deadlineLocked(d time.Duration) int64 {
 // Zero and negative delays fire at the current tick — from a callback, that
 // means on the driver's next pass, before time moves on. The wheel does not
 // interpret owner; the parameter remains only because the frozen benchmark
-// module (bench/) passes one.
+// module (bench/) passes one. One mutex, pooled node: no allocation in steady
+// state.
 //
-//livesim:hotpath — one mutex, pooled node, no allocation in steady state.
+//livesim:hotpath TestWheelNodePoolingReuses
 func (w *Wheel) Schedule(owner uint64, d time.Duration, fn func(now time.Time)) Timer {
 	w.mu.Lock()
 	n := w.free
@@ -184,7 +185,7 @@ func (w *Wheel) ScheduleAt(owner uint64, at time.Time, fn func(now time.Time)) T
 // insertLocked stamps n with its deadline and schedule order and links it
 // into a slot bucket or, beyond the ring's window, the overflow heap.
 //
-//livesim:hotpath
+//livesim:hotpath TestWheelNodePoolingReuses
 func (w *Wheel) insertLocked(n *timerNode, tick int64) {
 	w.seq++
 	n.seq = w.seq
@@ -235,7 +236,7 @@ func (w *Wheel) unlinkLocked(n *timerNode) {
 // releaseLocked retires an unlinked node, fired or stopped: every outstanding
 // handle to it dies and it returns to the freelist.
 //
-//livesim:hotpath
+//livesim:hotpath TestWheelNodePoolingReuses
 func (w *Wheel) releaseLocked(n *timerNode) {
 	n.gen++
 	n.fn = nil
@@ -281,7 +282,7 @@ func (w *Wheel) nextDueLocked() int64 {
 // nextBucketTickLocked scans the occupancy bitmap for the first occupied
 // slot at or after now, wrapping once around the wheel.
 //
-//livesim:hotpath
+//livesim:hotpath TestWheelNodePoolingReuses
 func (w *Wheel) nextBucketTickLocked(now int64) int64 {
 	slot0 := int(now & w.mask)
 	w0 := slot0 >> 6
@@ -316,7 +317,7 @@ func (w *Wheel) nextBucketTickLocked(now int64) int64 {
 // bucket FIFO — and releases the nodes at once, so timers the callbacks
 // schedule reuse them.
 //
-//livesim:hotpath
+//livesim:hotpath TestWheelNodePoolingReuses
 func (w *Wheel) detachLocked(tick int64) []func(now time.Time) {
 	batch := w.batch[:0]
 	for len(w.overflow) > 0 && w.overflow[0].tick <= tick {
@@ -344,7 +345,7 @@ func (w *Wheel) detachLocked(tick int64) []func(now time.Time) {
 // detach its timers, then run the callbacks with mu released so they can
 // schedule. The caller holds runMu, which also makes w.batch its own.
 //
-//livesim:hotpath
+//livesim:hotpath TestWheelNodePoolingReuses
 func (w *Wheel) runLocked(limit int64) {
 	w.mu.Lock()
 	for {

@@ -290,13 +290,10 @@ func encodeCtrl(rec ctrlRecord) []byte {
 	return b
 }
 
-// ctrlMetrics instrument the durability layer: recovery latency plus the
-// replay/corruption counters shared (by name, distinguished by the site
-// label) with the origin journals.
+// ctrlMetrics instrument the durability layer: recovery latency. The replay
+// and corruption counters are journal.Open's, labelled site=control.
 type ctrlMetrics struct {
-	recovery     *metrics.Histogram
-	replayed     *metrics.Counter
-	corruptTails *metrics.Counter
+	recovery *metrics.Histogram
 }
 
 // recoveryBuckets resolve control-plane recovery time: journal replay over
@@ -314,12 +311,7 @@ var recoveryBuckets = []time.Duration{
 }
 
 func newCtrlMetrics(reg *metrics.Registry) *ctrlMetrics {
-	l := metrics.L("site", "control")
-	return &ctrlMetrics{
-		recovery:     reg.Histogram("control_recovery_seconds", recoveryBuckets),
-		replayed:     reg.Counter("journal_replayed_records_total", l),
-		corruptTails: reg.Counter("journal_corrupt_tails_total", l),
-	}
+	return &ctrlMetrics{recovery: reg.Histogram("control_recovery_seconds", recoveryBuckets)}
 }
 
 // closedStart is the pre-closed start gate given to replayed broadcasts:
@@ -349,30 +341,14 @@ func (s *Service) commitLocked(t journal.RecordType, id string, rec ctrlRecord) 
 }
 
 // openJournalLocked replays the configured journal backend into the service
-// state, truncates any damaged tail, and starts the group-commit writer.
-// No-op without a backend. Called with s.mu held.
+// state and starts its writer (journal.Open). No-op without a backend; an
+// unreadable one leaves the service empty and unjournaled. Called with s.mu
+// held.
 func (s *Service) openJournalLocked() {
-	backend := s.cfg.Journal
-	if backend == nil {
+	if s.cfg.Journal == nil {
 		return
 	}
-	data, err := backend.Load()
-	if err != nil {
-		// An unreadable journal recovers nothing: the service starts empty.
-		data = nil
-	}
-	// applyRecordLocked never fails, so neither does the replay.
-	st, _ := journal.Replay(data, s.applyRecordLocked)
-	if st.TailCorrupt {
-		// Discard the damaged tail before appending anything new: bytes
-		// written after a corrupt region would be unreachable to every
-		// future replay. A failed truncate leaves them so; the service still
-		// serves what it replayed.
-		s.m.corruptTails.Inc()
-		_ = backend.Truncate(int64(st.ValidBytes))
-	}
-	s.m.replayed.Add(int64(st.Records))
-	s.jw = journal.NewWriter(backend, journal.WriterConfig{
+	s.jw = journal.Open(s.cfg.Journal, s.applyRecordLocked, journal.WriterConfig{
 		Metrics: s.reg,
 		Labels:  []metrics.Label{metrics.L("site", "control")},
 	})
@@ -395,18 +371,17 @@ func seqOf(id, prefix string) (uint64, bool) {
 // applyRecordLocked rehydrates one journal record. A CRC-valid record with
 // an undecodable payload is a writer bug, not tail damage; it is skipped
 // rather than aborting recovery.
-func (s *Service) applyRecordLocked(r journal.Record) error {
+func (s *Service) applyRecordLocked(r journal.Record) {
 	rec := newCtrlRecord(r.Type)
 	if rec == nil {
 		// Unknown record types are skipped, not fatal: a journal written by
 		// a newer binary must not brick an older one's recovery.
-		return nil
+		return
 	}
 	if err := json.Unmarshal(r.Payload, rec); err != nil {
-		return nil
+		return
 	}
 	rec.applyLocked(s, r.BroadcastID)
-	return nil
 }
 
 // Crash kills the control plane in place: the journal writer drains

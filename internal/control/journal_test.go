@@ -181,6 +181,75 @@ func TestControlRestartIsNewServiceOverBackend(t *testing.T) {
 	}
 }
 
+// flakyLoad is a journal backend whose first Load fails, as a disk with a
+// transient read error would.
+type flakyLoad struct {
+	*journal.Mem
+	failed bool
+}
+
+func (b *flakyLoad) Load() ([]byte, error) {
+	if !b.failed {
+		b.failed = true
+		return nil, errors.New("read error")
+	}
+	return b.Mem.Load()
+}
+
+// TestControlAppendsNothingAfterFailedLoad: a service whose journal cannot be
+// read starts empty and unjournaled. Its broadcast IDs restart at bcast-1, so
+// an append would land the new bcast-1's start, join and end on the old one
+// at the next load that succeeds; instead the backend's bytes stay as they
+// were, the old broadcast replays intact, and the failure is counted.
+func TestControlAppendsNothingAfterFailedLoad(t *testing.T) {
+	mem := journal.NewMem()
+	s := newJournaledService(mem, nil)
+	alice := s.Register("alice")
+	old, err := s.StartBroadcast(alice.ID, geo.Location{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	before, _ := mem.Load()
+
+	reg := metrics.NewRegistry()
+	s2 := newJournaledService(&flakyLoad{Mem: mem}, reg)
+	bob := s2.Register("bob")
+	g, err := s2.StartBroadcast(bob.ID, geo.Location{})
+	if err != nil || g.BroadcastID != old.BroadcastID {
+		t.Fatalf("restarted service started %q (err %v), want the reused ID %q", g.BroadcastID, err, old.BroadcastID)
+	}
+	if _, err := s2.Join(bob.ID, g.BroadcastID, geo.Location{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.EndBroadcast(g.BroadcastID, g.Token); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	if after, _ := mem.Load(); !bytes.Equal(after, before) {
+		t.Errorf("the service appended %d bytes after a journal it could not read", len(after)-len(before))
+	}
+
+	s3 := newJournaledService(mem, nil)
+	defer s3.Close()
+	info, err := s3.Info(old.BroadcastID)
+	if err != nil || !info.Live || info.Broadcaster != alice.ID {
+		t.Fatalf("%s after the next good load = %+v (err %v), want alice's live broadcast", old.BroadcastID, info, err)
+	}
+	if joins, _ := s3.Joins(old.BroadcastID); len(joins) != 0 {
+		t.Fatalf("%s after the next good load has joins %+v, want none", old.BroadcastID, joins)
+	}
+	var loadErrors int64
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "journal_load_errors_total" && c.Labels["site"] == "control" {
+			loadErrors += c.Value
+		}
+	}
+	if loadErrors != 1 {
+		t.Fatalf("journal_load_errors_total{site=control} = %d, want 1", loadErrors)
+	}
+}
+
 // TestControlRecoveryReplayBudget pins the outage-to-serving path: a Service
 // built over a 256-record journal (32 broadcasters, their 32 live broadcasts,
 // 96 viewer registrations, 96 joins) has decoded every record by the time

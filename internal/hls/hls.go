@@ -182,7 +182,7 @@ func writeStoreError(w http.ResponseWriter, err error) {
 // serveChunkList answers the steady stream of viewer polls — the edge's
 // hottest HTTP path (one hit per viewer per chunk interval).
 //
-//livesim:hotpath
+//livesim:hotpath TestServeChunkListAllocBudget
 func serveChunkList(w http.ResponseWriter, r *http.Request, store Store, id string) {
 	//lint:allow hotpathescape inlined r.Context() fallback is the zero-size context.backgroundCtx; zero bytes allocated
 	cl, err := store.ChunkList(r.Context(), id)
@@ -210,7 +210,7 @@ func serveChunkList(w http.ResponseWriter, r *http.Request, store Store, id stri
 // Content-Length lets net/http send the body as is instead of re-framing
 // ~40 KB as chunked transfer.
 //
-//livesim:hotpath
+//livesim:hotpath TestServeChunkSharesSealedBytes
 func serveChunk(w http.ResponseWriter, r *http.Request, store Store, id string, seq uint64) {
 	//lint:allow hotpathescape inlined r.Context() fallback is the zero-size context.backgroundCtx; zero bytes allocated
 	c, err := store.Chunk(r.Context(), id, seq)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -327,8 +328,8 @@ func TestServeChunkSharesSealedBytes(t *testing.T) {
 		}
 	}
 	// The Content-Length value and its header slice; nothing else.
-	if allocs := testing.AllocsPerRun(200, serve); allocs > 2 {
-		t.Fatalf("chunk serve allocates %v times per request, want ≤ 2", allocs)
+	if allocs := testing.AllocsPerRun(200, serve); allocs != 2 {
+		t.Fatalf("chunk serve allocates %v times per request, want 2", allocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -339,6 +340,47 @@ func TestServeChunkSharesSealedBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perServe := (after.TotalAlloc - before.TotalAlloc) / runs; perServe > 256 {
 		t.Fatalf("chunk serve allocates %d B per request; a %d B chunk must be served by reference", perServe, len(want))
+	}
+}
+
+// listStore answers every poll with one published list, by reference, as a
+// warm cdn.Edge does: a handler budget over it counts the handler alone.
+type listStore struct{ cl *media.ChunkList }
+
+func (s listStore) ChunkList(context.Context, string) (*media.ChunkList, error) { return s.cl, nil }
+func (s listStore) Chunk(context.Context, string, uint64) (*media.Chunk, error) {
+	return nil, ErrNotFound
+}
+
+// TestServeChunkListAllocBudget pins the poll path at what net/http makes
+// inherent: the version header's value string and its []string, both for a
+// full answer and for a 304. The list itself renders once per version and
+// is written by reference. (The version is past 99, which strconv would
+// answer with an interned string.)
+func TestServeChunkListAllocBudget(t *testing.T) {
+	cl := &media.ChunkList{BroadcastID: "b1", Version: 1234, Chunks: []media.ChunkRef{
+		{Seq: 0, Duration: time.Second, URI: "/hls/b1/chunk/0"},
+	}}
+	h := Handler("/hls", listStore{cl})
+	for _, tc := range []struct {
+		query  string
+		status int
+	}{
+		{"", http.StatusOK},
+		{"have_version=" + strconv.FormatUint(cl.Version, 10), http.StatusNotModified},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/hls/b1/chunklist.m3u8?"+tc.query, nil)
+		w := &discardWriter{h: make(http.Header)}
+		allocs := testing.AllocsPerRun(200, func() {
+			w.status = http.StatusOK // what an unset WriteHeader means
+			h.ServeHTTP(w, req)
+		})
+		if w.status != tc.status {
+			t.Fatalf("?%s: status %d, want %d", tc.query, w.status, tc.status)
+		}
+		if allocs != 2 {
+			t.Errorf("?%s: list serve allocates %v times per poll, want 2", tc.query, allocs)
+		}
 	}
 }
 

@@ -68,6 +68,35 @@ func NewWriter(backend Backend, cfg WriterConfig) *Writer {
 	return w
 }
 
+// Open is the one open path of a journaled service: it loads backend,
+// replays every intact record into apply, truncates a torn tail, and returns
+// a Writer that appends after the intact prefix. It counts
+// journal_replayed_records_total and journal_corrupt_tails_total, and
+// journal_load_errors_total when Load fails, under cfg's labels. A failed
+// Load returns no writer: the caller runs unjournaled rather than append
+// after bytes it could not read, which a later good load would replay as one
+// history with them. A failed Truncate leaves the tail; the caller still
+// serves what it replayed.
+func Open(backend Backend, apply func(Record), cfg WriterConfig) *Writer {
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
+	}
+	data, err := backend.Load()
+	if err != nil {
+		cfg.Metrics.Counter("journal_load_errors_total", cfg.Labels...).Inc()
+		return nil
+	}
+	st, _ := Replay(data, func(r Record) error { apply(r); return nil })
+	if st.TailCorrupt {
+		// Bytes appended after a corrupt region would be unreachable to
+		// every future replay.
+		cfg.Metrics.Counter("journal_corrupt_tails_total", cfg.Labels...).Inc()
+		_ = backend.Truncate(int64(st.ValidBytes))
+	}
+	cfg.Metrics.Counter("journal_replayed_records_total", cfg.Labels...).Add(int64(st.Records))
+	return NewWriter(backend, cfg)
+}
+
 // Append frames one record into the next group commit. It blocks only while
 // the pending batch is at its bound and fails only after Close.
 func (w *Writer) Append(r Record) error {

@@ -2,123 +2,43 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/lint/analysis"
 )
 
-// Atomiccounter flags variables (struct fields or package-level vars) that
-// are accessed through sync/atomic in one place and with plain reads or
-// writes in another, anywhere in the same package. Mixed access is a data
-// race that -race only catches when both sides happen to execute in the
-// sampled interleaving; the stats counters exported to EXPERIMENTS.md are
-// read by scrapers while the hot path increments them, so every counter
-// must pick one discipline. (Fields of type atomic.Int64 etc. are type-safe
-// and out of scope — this analyzer is about the address-based
-// atomic.AddInt64(&x.n, 1) style, which the repo uses on hot paths to keep
-// struct layout flat.)
+// Atomiccounter keeps every counter atomic everywhere or nowhere. Counters
+// are atomic.Int64-style values: every access goes through their methods, a
+// plain read or write of one does not compile, and go vet's copylocks flags a
+// copy. The package-level sync/atomic functions (atomic.AddInt64(&x.n, 1),
+// LoadUint64, StorePointer, CompareAndSwap*, …) are the one way to put an
+// atomic access and a plain one on the same variable — a race -race only sees
+// when both sides run in the sampled interleaving — so this analyzer bans them
+// outside tests (the suite loads no test files), and the invariant holds by
+// type.
 var Atomiccounter = &analysis.Analyzer{
 	Name: "atomiccounter",
-	Doc: "flags fields accessed both via sync/atomic and via plain " +
-		"reads/writes in the same package (a data race -race sees only " +
-		"probabilistically)",
+	Doc: "bans the package-level sync/atomic functions (atomic.AddInt64(&x.n, 1), " +
+		"LoadUint64, CompareAndSwap*, …): counters are atomic.Int64-style types, " +
+		"which no plain access can race",
 	Run: runAtomiccounter,
 }
 
 func runAtomiccounter(pass *analysis.Pass) (interface{}, error) {
-	// Pass 1: find every variable whose address is taken for a sync/atomic
-	// call, and remember the &x positions that belong to those calls so
-	// pass 2 does not flag them as plain accesses.
-	atomicVars := make(map[*types.Var]token.Pos) // var -> first atomic use
-	atomicArgPos := make(map[token.Pos]bool)     // positions of &x args inside atomic calls
-
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pass, call) || len(call.Args) == 0 {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
 				return true
 			}
-			// All address-based sync/atomic functions take the address as
-			// the first argument.
-			if un, ok := call.Args[0].(*ast.UnaryExpr); ok && un.Op == token.AND {
-				if v := referencedVar(pass, un.X); v != nil {
-					if _, seen := atomicVars[v]; !seen {
-						atomicVars[v] = call.Pos()
-					}
-					atomicArgPos[un.X.Pos()] = true
-				}
-			}
-			return true
-		})
-	}
-	if len(atomicVars) == 0 {
-		return nil, nil
-	}
-
-	// Pass 2: any other mention of those variables is a plain access.
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var v *types.Var
-			switch e := n.(type) {
-			case *ast.SelectorExpr:
-				v = referencedVar(pass, e)
-			case *ast.Ident:
-				// Only package-level vars: field *uses* always appear under
-				// a SelectorExpr; a bare ident that resolves to a field is
-				// its declaration or a composite-literal key.
-				if obj, ok := pass.TypesInfo.Uses[e].(*types.Var); ok && !obj.IsField() {
-					v = obj
-				}
-			default:
-				return true
-			}
-			if v != nil && !atomicArgPos[n.Pos()] {
-				if first, ok := atomicVars[v]; ok {
-					pass.Reportf(n.Pos(),
-						"%s is accessed with sync/atomic at %s; this plain access races with it — use atomic.Load/Store here too",
-						v.Name(), pass.Position(first))
-				}
+			if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok &&
+				fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && isPkgFunc(fn) {
+				pass.Reportf(sel.Pos(),
+					"atomic.%s takes the counter's address, so plain reads and writes of it still compile; declare it as an atomic.Int64-style value and use its methods",
+					fn.Name())
 			}
 			return true
 		})
 	}
 	return nil, nil
-}
-
-// isAtomicCall reports whether call invokes a sync/atomic package function.
-func isAtomicCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && isPkgFunc(fn)
-}
-
-// referencedVar resolves an expression to the struct field or package-level
-// variable it names, or nil.
-func referencedVar(pass *analysis.Pass, e ast.Expr) *types.Var {
-	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		if selInfo, ok := pass.TypesInfo.Selections[e]; ok {
-			if v, ok := selInfo.Obj().(*types.Var); ok && v.IsField() {
-				return v
-			}
-			return nil
-		}
-		// Qualified package-level var (pkg.Counter).
-		if v, ok := pass.TypesInfo.Uses[e.Sel].(*types.Var); ok && !v.IsField() {
-			return v
-		}
-	case *ast.Ident:
-		if v, ok := pass.TypesInfo.Uses[e].(*types.Var); ok && !v.IsField() {
-			// Restrict to package-level vars: locals cannot be shared
-			// unless captured, and flagging locals drowns the signal.
-			if v.Parent() == pass.Pkg.Scope() {
-				return v
-			}
-		}
-	}
-	return nil
 }

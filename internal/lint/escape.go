@@ -20,9 +20,10 @@ import (
 )
 
 // Hotpathescape is the compiler-assisted member of the suite (DESIGN.md §8):
-// every //livesim:hotpath function must be escape-free, so the
-// one-alloc-per-frame fan-out and ~2.5-allocs/event engine budgets hold by
-// construction rather than by benchmark.
+// every //livesim:hotpath function must be escape-free, on every path. The
+// exact budget each directive names counts, on the path its test runs, what
+// the compiler does not report: []byte↔string copies, a closure's append, a
+// fmt call with no arguments.
 //
 // go/types cannot see escapes — they are a property of the gc backend's
 // escape analysis — so this pass asks the compiler itself: each loaded
@@ -48,8 +49,28 @@ import (
 //
 // It is not an analysis.Analyzer (it needs the whole load, not one typed
 // package), but its diagnostics go through the same //lint:allow pass as the
-// other seven names.
+// other six names.
 const Hotpathescape = "hotpathescape"
+
+// hotpathDirective marks a function as allocation-budgeted:
+// "//livesim:hotpath <TestName>" names the test beside it that pins the
+// function's allocations with testing.AllocsPerRun
+// (TestHotpathsNameTheirBudget holds every directive to that).
+const hotpathDirective = "livesim:hotpath"
+
+// isHotpath reports whether the function's doc comment carries the
+// //livesim:hotpath directive.
+func isHotpath(fn *ast.FuncDecl) bool {
+	if fn.Doc == nil {
+		return false
+	}
+	for _, c := range fn.Doc.List {
+		if strings.HasPrefix(strings.TrimPrefix(c.Text, "//"), hotpathDirective) {
+			return true
+		}
+	}
+	return false
+}
 
 // Stats summarizes the escape pass for the clean-run report.
 type Stats struct {

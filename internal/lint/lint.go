@@ -1,12 +1,13 @@
 // Package lint hosts the repo's custom static checks and the driver that runs
-// them with //lint:allow suppression. They enforce invariants that PRs 1–3
-// established but nothing checked mechanically:
+// them with //lint:allow suppression. Each check owns one invariant that
+// nothing else catches (DESIGN.md §8 names the owners):
 //
-//	locksend      — no blocking op while a sync.Mutex/RWMutex is held (§5a)
+//	locksend      — no blocking op, and no second lock, while a
+//	                sync.Mutex/RWMutex is held in the same function (§5a)
 //	walltime      — simulation/delivery packages use internal/clock and
 //	                internal/rng, never the wall clock or global math/rand
-//	atomiccounter — a counter is atomic everywhere or nowhere
-//	hotpathalloc  — //livesim:hotpath functions stay allocation-lean
+//	atomiccounter — no address-based sync/atomic calls, so a counter is
+//	                atomic everywhere or nowhere by type
 //	ctxplumb      — HTTP requests carry contexts; request paths derive from
 //	                the caller's context rather than context.Background
 //	lockorder     — the whole-program lock-acquisition graph is acyclic
@@ -17,7 +18,7 @@
 //	                to the compiler itself (escape.go; compiler-assisted, so
 //	                it runs over the whole load rather than as an Analyzer)
 //
-// Check is the one driver: one `go list -export` load, the seven AST
+// Check is the one entry point: one `go list -export` load, the six AST
 // analyzers over each package in dependency order against one in-memory fact
 // store, then the escape pass over the same load, every diagnostic passing
 // through one //lint:allow suppression and stale-directive pass.
@@ -27,7 +28,7 @@
 //	//lint:allow <analyzer> <reason>
 //
 // on the flagged line or on the line directly above it, the same contract
-// for all eight names. A directive is scoped to the named check at that
+// for all seven names. A directive is scoped to the named check at that
 // position; it does not blanket the line for the others. Directives naming
 // an unknown check, carrying no reason, or matching no finding (stale — the
 // code was fixed but the suppression lingered, ready to mask the next
@@ -51,7 +52,6 @@ func Analyzers() []*analysis.Analyzer {
 		Locksend,
 		Walltime,
 		Atomiccounter,
-		Hotpathalloc,
 		Ctxplumb,
 		Lockorder,
 		Goroleak,
@@ -166,7 +166,7 @@ func Analyze(prog *loader.Program, analyzers []*analysis.Analyzer, report func(*
 	return nil
 }
 
-// Check loads patterns (relative to dir) once and runs all eight checks over
+// Check loads patterns (relative to dir) once and runs all seven checks over
 // the load. It returns the findings that survive //lint:allow suppression,
 // plus directive diagnostics (malformed, unknown, reasonless, or stale),
 // sorted by position. Analyzers export facts into the store even for

@@ -46,10 +46,6 @@ func TestAtomiccounter(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Atomiccounter, "atomiccounter")
 }
 
-func TestHotpathalloc(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Hotpathalloc, "hotpathalloc")
-}
-
 func TestCtxplumb(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Ctxplumb, "ctxplumb")
 }
@@ -84,7 +80,7 @@ func TestGoroleakCrossPackage(t *testing.T) {
 }
 
 // TestAllowDirectives drives lint.Check over the directives fixture and
-// checks the one suppression contract all eight names share: a reasoned
+// checks the one suppression contract all seven names share: a reasoned
 // //lint:allow <name> silences that check on the next line; a directive
 // naming an unknown check or carrying no reason is itself a finding and
 // suppresses nothing; a directive that matched nothing is stale.
@@ -138,10 +134,10 @@ func TestAllowDirectives(t *testing.T) {
 }
 
 // TestSuiteNames pins the names the //lint:allow directives and the CI job
-// reference — the seven AST analyzers, then hotpathescape as the eighth
+// reference — the six AST analyzers, then hotpathescape as the seventh
 // known directive name: renaming one silently orphans every suppression.
 func TestSuiteNames(t *testing.T) {
-	want := []string{"locksend", "walltime", "atomiccounter", "hotpathalloc", "ctxplumb", "lockorder", "goroleak"}
+	want := []string{"locksend", "walltime", "atomiccounter", "ctxplumb", "lockorder", "goroleak"}
 	as := lint.Analyzers()
 	if len(as) != len(want) {
 		t.Fatalf("want %d analyzers, got %d", len(want), len(as))
@@ -155,6 +151,6 @@ func TestSuiteNames(t *testing.T) {
 		}
 	}
 	if got := lint.Names(); !slices.Equal(got, append(want, "hotpathescape")) {
-		t.Errorf("directive names = %v, want the seven analyzers then hotpathescape", got)
+		t.Errorf("directive names = %v, want the six analyzers then hotpathescape", got)
 	}
 }

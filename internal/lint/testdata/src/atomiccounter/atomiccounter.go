@@ -1,5 +1,5 @@
-// Fixture for the atomiccounter analyzer: variables touched both through
-// sync/atomic and with plain reads/writes in the same package.
+// Fixture for the atomiccounter analyzer: the address-based sync/atomic
+// functions are banned; the typed atomics are the way to count.
 package atomiccounter
 
 import "sync/atomic"
@@ -10,36 +10,35 @@ type stats struct {
 }
 
 func (s *stats) inc() {
-	atomic.AddInt64(&s.frames, 1)
-	atomic.AddInt64(&s.bytes, 100)
+	atomic.AddInt64(&s.frames, 1) // want `atomic\.AddInt64 takes the counter's address`
 }
 
 func (s *stats) report() int64 {
-	return s.frames // want `frames is accessed with sync/atomic at`
+	return atomic.LoadInt64(&s.bytes) // want `atomic\.LoadInt64 takes the counter's address`
 }
 
-func (s *stats) reset() {
-	s.frames = 0 // want `frames is accessed with sync/atomic at`
-	atomic.StoreInt64(&s.bytes, 0)
+var ready int32
+
+func claim() bool {
+	return atomic.CompareAndSwapInt32(&ready, 0, 1) // want `atomic\.CompareAndSwapInt32 takes the counter's address`
 }
 
-var hits int64
+// A function value is the same door as a call.
+var add = atomic.AddUint64 // want `atomic\.AddUint64 takes the counter's address`
 
-func bump() {
-	atomic.AddInt64(&hits, 1)
-}
-
-func read() int64 {
-	return hits // want `hits is accessed with sync/atomic at`
-}
-
-// goodStats keeps one discipline: every access is atomic, nothing flagged.
+// goodStats counts with typed atomics: every access is a method, nothing
+// flagged.
 type goodStats struct {
-	n int64
+	n    atomic.Int64
+	last atomic.Pointer[string]
 }
 
-func (g *goodStats) inc()       { atomic.AddInt64(&g.n, 1) }
-func (g *goodStats) get() int64 { return atomic.LoadInt64(&g.n) }
+func (g *goodStats) inc()       { g.n.Add(1) }
+func (g *goodStats) get() int64 { return g.n.Load() }
+
+func (g *goodStats) swap(s *string) bool {
+	return g.last.CompareAndSwap(nil, s)
+}
 
 // plainOnly is never touched atomically, so plain access is fine.
 var plainOnly int64

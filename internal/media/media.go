@@ -82,7 +82,7 @@ type Chunk struct {
 // bytes are shared and must not be modified; neither may Seq or Frames be,
 // once Wire can have been called.
 //
-//livesim:hotpath
+//livesim:hotpath TestWireSealsOnce
 func (c *Chunk) Wire() []byte {
 	c.seal.Do(func() { c.wire = MarshalChunk(c) })
 	return c.wire

@@ -74,7 +74,7 @@ func newHistogram(bounds []time.Duration) *Histogram {
 // pairs with Snapshot's read order so a concurrent snapshot never sees a
 // total count exceeding the bucket sum.
 //
-//livesim:hotpath
+//livesim:hotpath TestObservationsAllocFree
 func (h *Histogram) Observe(d time.Duration) {
 	i := 0
 	for i < len(h.bounds) && d > h.bounds[i] {

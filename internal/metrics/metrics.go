@@ -184,12 +184,12 @@ func stripeIndex() uintptr {
 
 // Add adds n to the counter.
 //
-//livesim:hotpath
+//livesim:hotpath TestObservationsAllocFree
 func (c *Counter) Add(n int64) { c.cells[stripeIndex()].n.Add(n) }
 
 // Inc adds one.
 //
-//livesim:hotpath
+//livesim:hotpath TestObservationsAllocFree
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value sums the stripes.
@@ -211,12 +211,12 @@ type Gauge struct {
 
 // Set stores v.
 //
-//livesim:hotpath
+//livesim:hotpath TestObservationsAllocFree
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adjusts the gauge by d.
 //
-//livesim:hotpath
+//livesim:hotpath TestObservationsAllocFree
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Value reads the gauge.

@@ -89,8 +89,14 @@ func TestObservationsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { c.Add(3) }); n != 0 {
 		t.Errorf("Counter.Add allocates %.1f/op, want 0", n)
 	}
+	if n := testing.AllocsPerRun(100, func() { c.Inc() }); n != 0 {
+		t.Errorf("Counter.Inc allocates %.1f/op, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() { g.Set(9) }); n != 0 {
 		t.Errorf("Gauge.Set allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { g.Add(-2) }); n != 0 {
+		t.Errorf("Gauge.Add allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { h.Observe(3 * time.Second) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %.1f/op, want 0", n)

@@ -600,7 +600,7 @@ func (s *Server) handleBroadcaster(conn net.Conn, hs wire.Handshake) {
 // without a tap. It reports false when the frame failed signature
 // verification.
 //
-//livesim:hotpath
+//livesim:hotpath TestArrivalAllocBudget
 func (s *Server) acceptFrame(b *broadcast, enc wire.Encoded) bool {
 	body := enc.Body()
 	frameBytes := body
@@ -785,7 +785,7 @@ func (s *Server) handleViewer(conn net.Conn, hs wire.Handshake) {
 // gets each frame in a batch of its own. With end set, MsgEnd is appended
 // once the queue is empty, and push reports that it was written.
 //
-//livesim:hotpath
+//livesim:hotpath TestPushBatchAllocFree
 func (s *Server) push(conn net.Conn, v *viewerConn, first wire.Encoded, end bool) (ended bool, err error) {
 	n := 0
 	if first != nil {

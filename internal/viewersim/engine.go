@@ -174,7 +174,7 @@ func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
 // ingestChunk feeds the next sealed chunk into the origin at its trace
 // ready time, flowing through the real invalidate path to the edge.
 //
-//livesim:hotpath
+//livesim:hotpath TestWheelIngestAllocBudget
 func (s *sim) ingestChunk(b *bcastRun) {
 	c := b.nextChunk
 	b.nextChunk++
@@ -220,7 +220,7 @@ func (s *sim) countView(isRTMP bool) {
 // (the in-process fast path every poll exercises), then the state machine
 // advances. done means the session finished and was torn down.
 //
-//livesim:hotpath
+//livesim:hotpath TestWheelAudienceAllocatesNothing
 func (s *sim) deliver(v *viewer) (next time.Duration, done bool) {
 	if !v.isRTMP {
 		s.ctr.polls++
@@ -331,7 +331,7 @@ func (s *sim) runPartition(first, stride int) {
 // schedule arms fn on the wheel at an absolute time. The wheel ignores its
 // owner argument, so every timer passes zero.
 //
-//livesim:hotpath
+//livesim:hotpath TestWheelAudienceAllocatesNothing
 func (s *sim) schedule(at time.Time, fn func(time.Time)) {
 	s.wheel.ScheduleAt(0, at, fn)
 }
@@ -350,7 +350,7 @@ func (s *sim) wheelStart(sp bcastSpec) {
 	}
 }
 
-//livesim:hotpath
+//livesim:hotpath TestWheelIngestAllocBudget
 func (s *sim) wheelIngest(b *bcastRun) {
 	s.ingestChunk(b)
 	if b.nextChunk < b.tr.chunks() {
@@ -360,7 +360,7 @@ func (s *sim) wheelIngest(b *bcastRun) {
 	s.userDone(b) // broadcaster leaves
 }
 
-//livesim:hotpath
+//livesim:hotpath TestWheelAudienceAllocatesNothing
 func (s *sim) wheelJoin(b *bcastRun) {
 	idx := b.nextJoin
 	b.nextJoin++
@@ -372,7 +372,7 @@ func (s *sim) wheelJoin(b *bcastRun) {
 	}
 }
 
-//livesim:hotpath
+//livesim:hotpath TestWheelAudienceAllocatesNothing
 func (s *sim) wheelViewer(v *viewer) {
 	next, done := s.deliver(v)
 	if done {

@@ -121,7 +121,7 @@ func (v *viewer) rtmpArrival(c int) time.Duration {
 // advance delivers chunk v.cur at offset v.nextAt, accumulates its delay
 // components, and computes the next event; done reports the session's end.
 //
-//livesim:hotpath
+//livesim:hotpath TestWheelAudienceAllocatesNothing
 func (v *viewer) advance() (next time.Duration, done bool) {
 	tr := &v.b.tr
 	c := v.cur
@@ -204,7 +204,7 @@ func (p *playAcc) reset(pre time.Duration) {
 	p.total = 0
 }
 
-//livesim:hotpath
+//livesim:hotpath TestWheelAudienceAllocatesNothing
 func (p *playAcc) add(arr, dur time.Duration) {
 	if p.started {
 		p.playItem(arr, dur)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/delay"
 	"repro/internal/metrics"
 	"repro/internal/player"
@@ -176,6 +177,75 @@ func TestPooledViewerResetAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("viewer %d (rtmp=%v): reset+init allocates %.0f, want 0", idx, v.isRTMP, allocs)
 		}
+	}
+}
+
+// budgetSim is a partition, on its own wheel and CDN, over a one-broadcast
+// day: 20 RTMP and 20 HLS viewers over a minute.
+func budgetSim() *sim {
+	cfg := Config{
+		Seed: 2, Broadcasts: 1, ViewersPerBroadcast: 40, BroadcastDuration: time.Minute, RTMPCap: 20,
+	}.withDefaults()
+	s := newSim(cfg, buildWorld(cfg))
+	s.wheel = clock.NewWheel(clock.WheelConfig{Epoch: s.w.start})
+	s.buildCDN(s.wheel)
+	return s
+}
+
+// TestWheelAudienceAllocatesNothing is the per-event budget of the engine: a
+// broadcast's whole audience — every join, every HLS poll of the warm edge,
+// every RTMP window, every player item, every session's end — replayed on a
+// warm partition allocates nothing. The broadcast's chunks are all in the CDN
+// already, so only viewer events fire. Warm means each pooled viewer has grown
+// its player's pending slices once.
+func TestWheelAudienceAllocatesNothing(t *testing.T) {
+	s := budgetSim()
+	b := s.setupBroadcast(s.w.specs[0])
+	for b.nextChunk < b.tr.chunks() {
+		s.ingestChunk(b)
+	}
+	b.fireJoin = func(time.Time) { s.wheelJoin(b) }
+	var events int64
+	audience := func() {
+		fired, polls := s.wheel.Fired(), s.ctr.polls
+		b.start = s.wheel.Now()
+		b.nextJoin = 0
+		b.remaining = len(b.joins) + 1 // the broadcaster never leaves
+		s.schedule(b.abs(b.joins[0]), b.fireJoin)
+		s.wheel.Run()
+		events = s.wheel.Fired() - fired
+		if b.remaining != 1 || s.ctr.polls == polls {
+			t.Fatalf("%d sessions left open, %d polls", b.remaining-1, s.ctr.polls-polls)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		audience()
+	}
+	if allocs := testing.AllocsPerRun(20, audience); allocs != 0 {
+		t.Errorf("a %d-event audience allocates %.0f times, want 0", events, allocs)
+	}
+}
+
+// TestWheelIngestAllocBudget pins one ingest event — the origin seals the
+// chunk, publishes its successor list and invalidates the edge, and the next
+// ingest is scheduled — at six allocations, all of them the CDN's: the
+// engine's share of the event is pooled.
+func TestWheelIngestAllocBudget(t *testing.T) {
+	s := budgetSim()
+	sp := s.w.specs[0]
+	sp.views, sp.rtmp, sp.dur = 0, 0, time.Hour
+	b := s.setupBroadcast(sp)
+	b.fireIngest = func(time.Time) { s.wheelIngest(b) }
+	s.schedule(b.abs(b.tr.readyAt[0]), b.fireIngest)
+	allocs := testing.AllocsPerRun(100, func() {
+		fired := s.wheel.Fired()
+		s.wheel.RunUntil(b.abs(b.tr.readyAt[b.nextChunk]).Add(s.wheel.Resolution()))
+		if s.wheel.Fired() != fired+1 {
+			t.Fatalf("%d events fired, want the one ingest", s.wheel.Fired()-fired)
+		}
+	})
+	if allocs != 6 {
+		t.Errorf("an ingest event allocates %.0f times, want 6", allocs)
 	}
 }
 

@@ -223,6 +223,40 @@ func TestReadMessageInto(t *testing.T) {
 	}
 }
 
+// TestReadMessageIntoAllocFree pins the buffer-reuse promise: a read loop that
+// hands each returned buffer to the next call reads every message without
+// allocating once the buffer has grown to the body size.
+func TestReadMessageIntoAllocFree(t *testing.T) {
+	body := bytes.Repeat([]byte{3}, 600)
+	raw, _ := AppendMessage(nil, Message{Type: MsgFrame, Body: body})
+	r := testutil.Replay(raw)
+	buf := make([]byte, 0, len(body))
+	allocs := testing.AllocsPerRun(100, func() {
+		m, next, err := ReadMessageInto(r, buf)
+		if err != nil || len(m.Body) != len(body) {
+			t.Fatalf("read %d body bytes (err %v), want %d", len(m.Body), err, len(body))
+		}
+		buf = next
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadMessageInto allocs/op = %.1f, want 0", allocs)
+	}
+}
+
+// TestEncodeMessageOneAlloc pins the fan-out's one framing per arrival at its
+// product: the framed buffer, and nothing beside it.
+func TestEncodeMessageOneAlloc(t *testing.T) {
+	m := Message{Type: MsgFrame, Body: make([]byte, 512)}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := EncodeMessage(m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("EncodeMessage allocs/op = %.1f, want 1 (the framed buffer)", allocs)
+	}
+}
+
 // TestWriteMessageAllocFree locks in the pooled-buffer property: framing and
 // writing a message allocates nothing in steady state.
 func TestWriteMessageAllocFree(t *testing.T) {

@@ -95,7 +95,7 @@ const headerSize = 5
 // slice. It is the allocation-free building block behind WriteMessage and
 // EncodeMessage.
 //
-//livesim:hotpath
+//livesim:hotpath TestWriteMessageAllocFree
 func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	if len(m.Body) > MaxBody {
 		return dst, ErrBodyTooLarge
@@ -133,7 +133,7 @@ func (e Encoded) Body() []byte {
 // EncodeMessage frames m once; the result can be written as it is to any
 // number of connections.
 //
-//livesim:hotpath
+//livesim:hotpath TestEncodeMessageOneAlloc
 func EncodeMessage(m Message) (Encoded, error) {
 	//lint:allow hotpathescape the framed buffer is the product; the fan-out retains it by design
 	buf := make([]byte, 0, headerSize+len(m.Body))
@@ -169,7 +169,7 @@ func NewReader(br *bufio.Reader) *Reader {
 // as ErrBodyTooLarge, when that message is the next one to read: the complete
 // messages buffered before it are delivered first.
 //
-//livesim:hotpath
+//livesim:hotpath TestReaderOneAllocPerBatch
 func (r *Reader) Next() (Encoded, error) {
 	if len(r.batch) == 0 {
 		if err := r.fill(); err != nil {
@@ -185,7 +185,7 @@ func (r *Reader) Next() (Encoded, error) {
 // fill reads the next batch: at least one whole message, plus every complete
 // message buffered behind it.
 //
-//livesim:hotpath
+//livesim:hotpath TestReaderOneAllocPerBatch
 func (r *Reader) fill() error {
 	// The spent batch's empty tail still points into it: drop it before
 	// blocking, so an idle publisher pins nothing.
@@ -207,7 +207,6 @@ func (r *Reader) fill() error {
 		//lint:allow hotpathescape the framed buffer is the product; the fan-out retains it by design
 		buf := make([]byte, size)
 		if _, err := io.ReadFull(r.br, buf); err != nil {
-			//lint:allow hotpathalloc error path only; the success path costs the one retained buffer
 			return fmt.Errorf("wire: read body: %w", err)
 		}
 		r.batch = buf
@@ -217,7 +216,6 @@ func (r *Reader) fill() error {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		//lint:allow hotpathalloc error path only; the success path costs the one retained buffer
 		return fmt.Errorf("wire: read body: %w", err)
 	}
 	// Every complete message behind the first joins the batch; the walk
@@ -273,7 +271,7 @@ const maxPooledBuf = 1 << 20
 // and body are staged in a pooled buffer, so steady-state calls allocate
 // nothing.
 //
-//livesim:hotpath
+//livesim:hotpath TestWriteMessageAllocFree
 func WriteMessage(w io.Writer, m Message) error {
 	if len(m.Body) > MaxBody {
 		return ErrBodyTooLarge
@@ -286,7 +284,6 @@ func WriteMessage(w io.Writer, m Message) error {
 		writeBufs.Put(bp)
 	}
 	if err != nil {
-		//lint:allow hotpathalloc error path only; the success path allocates nothing
 		return fmt.Errorf("wire: write: %w", err)
 	}
 	return nil
@@ -304,7 +301,7 @@ func ReadMessage(r io.Reader) (Message, error) {
 // read loop that does not retain bodies becomes allocation-free. Callers that
 // keep a Body past the next call must copy it first.
 //
-//livesim:hotpath
+//livesim:hotpath TestReadMessageIntoAllocFree
 func ReadMessageInto(r io.Reader, buf []byte) (Message, []byte, error) {
 	// The header is read into the caller's buffer, not a local array: a
 	// local would be pinned to the heap by the io.Reader interface call,
@@ -329,7 +326,6 @@ func ReadMessageInto(r io.Reader, buf []byte) (Message, []byte, error) {
 	}
 	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
-		//lint:allow hotpathalloc error path only; the success path reuses the caller's buffer
 		return Message{}, buf, fmt.Errorf("wire: read body: %w", err)
 	}
 	return Message{Type: typ, Body: body}, body, nil
