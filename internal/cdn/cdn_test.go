@@ -9,7 +9,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/hls"
 	"repro/internal/media"
-	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/rtmp"
 	"repro/internal/testutil"
@@ -228,31 +227,6 @@ func TestTopologyGatewayRelay(t *testing.T) {
 	}
 }
 
-func TestTopologyDisableGateway(t *testing.T) {
-	topo := Build(TopologyConfig{ChunkDuration: time.Second, DisableGateway: true})
-	var ashburn *Origin
-	for _, o := range topo.Origins {
-		if o.Site().ID == "wowza-ashburn" {
-			ashburn = o
-		}
-	}
-	gw := topo.GatewayFor(ashburn)
-	topo.AssignBroadcast("b1", ashburn)
-	feedFrames(ashburn, "b1", 30)
-	var tokyoEdge *Edge
-	for _, e := range topo.Edges {
-		if e.Site().ID == "fastly-tokyo" {
-			tokyoEdge = e
-		}
-	}
-	if _, err := tokyoEdge.ChunkList(context.Background(), "b1"); err != nil {
-		t.Fatal(err)
-	}
-	if gw.m.listPulls.Value() != 0 {
-		t.Fatal("gateway used despite DisableGateway")
-	}
-}
-
 func TestTopologyNearestSelection(t *testing.T) {
 	topo := Build(TopologyConfig{})
 	tokyo := geo.Location{City: "Tokyo", Lat: 35.68, Lon: 139.69}
@@ -261,34 +235,6 @@ func TestTopologyNearestSelection(t *testing.T) {
 	}
 	if e := topo.NearestEdge(tokyo); e.Site().ID != "fastly-tokyo" {
 		t.Fatalf("NearestEdge(Tokyo) = %s", e.Site().ID)
-	}
-}
-
-func TestTopologyWithLatencyInjection(t *testing.T) {
-	net := netsim.NewModel(netsim.Params{}, rng.New(11))
-	topo := Build(TopologyConfig{ChunkDuration: time.Second, Net: net})
-	var sydney *Origin
-	for _, o := range topo.Origins {
-		if o.Site().ID == "wowza-sydney" {
-			sydney = o
-		}
-	}
-	topo.AssignBroadcast("b1", sydney)
-	feedFrames(sydney, "b1", 30)
-	var londonEdge *Edge
-	for _, e := range topo.Edges {
-		if e.Site().ID == "fastly-london" {
-			londonEdge = e
-		}
-	}
-	start := time.Now()
-	if _, err := londonEdge.ChunkList(context.Background(), "b1"); err != nil {
-		t.Fatal(err)
-	}
-	// Sydney→London relay spans half the planet; injected latency must
-	// be at least ~100 ms even with the gateway path.
-	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-		t.Fatalf("injected latency only %v", elapsed)
 	}
 }
 

@@ -17,12 +17,9 @@ import (
 
 // Upstream resolves which store an edge pulls a broadcast from: the origin
 // directly (co-located/gateway edges) or another edge acting as gateway
-// (§5.3). The returned TransferDelay, if non-nil, is slept before each pull
-// to model the WAN hop in real-socket mode.
+// (§5.3).
 type Upstream struct {
 	Store hls.Store
-	// TransferDelay injects per-pull WAN latency; may be nil.
-	TransferDelay func() time.Duration
 }
 
 // ChunkUsage sinks delivered-chunk counts for usage metering. The edge
@@ -67,8 +64,8 @@ type EdgeConfig struct {
 	// 1 s).
 	ShedRetryAfter time.Duration
 	// Clock is the time source for arrival stamps and every wait (queue,
-	// transfer delay, retry back-off, breaker cool-down); nil means the real
-	// clock. Simulations inject theirs so arrival times are seed-determined.
+	// retry back-off, breaker cool-down); nil means the real clock.
+	// Simulations inject theirs so arrival times are seed-determined.
 	Clock clock.Clock
 	// Metrics is the registry the edge's instruments register in, labelled
 	// by site; nil means a private registry.
@@ -275,7 +272,7 @@ func NewEdge(cfg EdgeConfig) *Edge {
 		cfg.ShedRetryAfter = time.Second
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = clock.NewReal()
+		cfg.Clock = clock.Real{}
 	}
 	if cfg.Retry.Sleep == nil {
 		cfg.Retry.Sleep = cfg.Clock.Sleep
@@ -593,11 +590,6 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 	if err != nil {
 		return nil, err
 	}
-	if up.TransferDelay != nil {
-		if err := e.cfg.Clock.Sleep(ctx, up.TransferDelay()); err != nil {
-			return nil, err
-		}
-	}
 	list, err := up.Store.ChunkList(ctx, id)
 	if err != nil {
 		return nil, err
@@ -621,14 +613,8 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 	failed := 0
 	for _, ref := range missing {
 		// The ⑪ transfer is the paper's Wowza→Fastly component: time from
-		// starting the hop (including the modelled WAN delay) to having the
-		// chunk bytes at this edge.
+		// starting the hop to having the chunk bytes at this edge.
 		copyStart := e.cfg.Clock.Now()
-		if up.TransferDelay != nil {
-			if err := e.cfg.Clock.Sleep(ctx, up.TransferDelay()); err != nil {
-				return nil, err
-			}
-		}
 		c, err := up.Store.Chunk(ctx, id, ref.Seq)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -747,11 +733,6 @@ func (e *Edge) fetchChunk(ctx context.Context, id string, seq uint64) (*media.Ch
 	up, err := e.cfg.Resolve(id)
 	if err != nil {
 		return nil, err
-	}
-	if up.TransferDelay != nil {
-		if err := e.cfg.Clock.Sleep(ctx, up.TransferDelay()); err != nil {
-			return nil, err
-		}
 	}
 	return up.Store.Chunk(ctx, id, seq)
 }

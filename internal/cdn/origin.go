@@ -212,7 +212,7 @@ func sealed(c *media.Chunk) *media.Chunk {
 // so pointing a fresh Origin at a crashed one's journal is the restart path.
 func NewOrigin(cfg OriginConfig) *Origin {
 	if cfg.Clock == nil {
-		cfg.Clock = clock.NewReal()
+		cfg.Clock = clock.Real{}
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()

@@ -4,11 +4,11 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/geo"
 	"repro/internal/hls"
 	"repro/internal/journal"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/resilience"
 	"repro/internal/rtmp"
 )
@@ -24,8 +24,6 @@ type Topology struct {
 
 	mu       sync.Mutex
 	originOf map[string]*Origin // broadcastID → origin
-	net      *netsim.Model
-	useGW    bool
 	wrapUp   func(hls.Store) hls.Store
 	eligible func(role, siteID string) bool
 }
@@ -64,12 +62,9 @@ type TopologyConfig struct {
 	// Retention keeps ended broadcasts queryable at origins for this
 	// long before Sweep removes them; zero keeps them indefinitely.
 	Retention time.Duration
-	// Net injects WAN transfer delays on origin↔edge pulls; nil disables
-	// latency injection (pure functional mode).
-	Net *netsim.Model
-	// DisableGateway pulls every edge directly from the origin — the
-	// ablation contrasting §5.3's relay structure.
-	DisableGateway bool
+	// Clock is the time source of every origin (and so of its RTMP server)
+	// and every edge; nil means the real clock.
+	Clock clock.Clock
 	// WrapUpstream, when set, intercepts every upstream store an edge
 	// pulls from — the seam the fault-injection harness uses to model
 	// origin failures and WAN loss on the origin↔edge hop.
@@ -103,8 +98,6 @@ func Build(cfg TopologyConfig) *Topology {
 	}
 	t := &Topology{
 		originOf: make(map[string]*Origin),
-		net:      cfg.Net,
-		useGW:    !cfg.DisableGateway,
 		wrapUp:   cfg.WrapUpstream,
 	}
 	for _, site := range cfg.OriginSites {
@@ -116,6 +109,7 @@ func Build(cfg TopologyConfig) *Topology {
 			Site:          site,
 			ChunkDuration: cfg.ChunkDuration,
 			Retention:     cfg.Retention,
+			Clock:         cfg.Clock,
 			Metrics:       cfg.Metrics,
 			Journal:       backend,
 			RTMP: rtmp.ServerConfig{
@@ -135,6 +129,7 @@ func Build(cfg TopologyConfig) *Topology {
 			Retry:          cfg.EdgeRetry,
 			Breaker:        cfg.EdgeBreaker,
 			ShedRetryAfter: cfg.EdgeShedRetryAfter,
+			Clock:          cfg.Clock,
 			Metrics:        cfg.Metrics,
 			TenantOf:       cfg.TenantOf,
 			TenantUsage:    cfg.TenantChunkUsage,
@@ -270,8 +265,8 @@ func (t *Topology) GatewayFor(o *Origin) *Edge {
 }
 
 // resolve computes the upstream path for edge→broadcast: direct to the
-// origin when the edge is co-located (or is itself the gateway, or gateways
-// are disabled), otherwise through the origin's gateway edge.
+// origin when the edge is co-located (or is itself the gateway), otherwise
+// through the origin's gateway edge.
 func (t *Topology) resolve(e *Edge, broadcastID string) (Upstream, error) {
 	o, ok := t.OriginFor(broadcastID)
 	if !ok {
@@ -283,34 +278,14 @@ func (t *Topology) resolve(e *Edge, broadcastID string) (Upstream, error) {
 	if gw != nil && gw != e && (gw.Killed() || !t.isEligible(RoleEdge, gw.Site().ID)) {
 		gw = nil
 	}
-	direct := !t.useGW || gw == nil || gw == e || geo.CoLocated(e.Site(), o.Site())
-	up := Upstream{}
-	if direct {
-		up = Upstream{
-			Store:         o,
-			TransferDelay: t.delayFn(e.Site().Location, o.Site().Location),
-		}
-	} else {
+	up := Upstream{Store: o}
+	if gw != nil && gw != e && !geo.CoLocated(e.Site(), o.Site()) {
 		// Relay: this edge pulls from the gateway edge, which in turn
 		// pulls from the origin over its own (co-located, near-zero) hop.
-		up = Upstream{
-			Store:         gw,
-			TransferDelay: t.delayFn(e.Site().Location, gw.Site().Location),
-		}
+		up.Store = gw
 	}
 	if t.wrapUp != nil {
 		up.Store = t.wrapUp(up.Store)
 	}
 	return up, nil
-}
-
-func (t *Topology) delayFn(a, b geo.Location) func() time.Duration {
-	if t.net == nil {
-		return nil
-	}
-	return func() time.Duration {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		return t.net.RTT(a, b)
-	}
 }

@@ -31,9 +31,6 @@ type Clock interface {
 // Real is a Clock backed by the operating system.
 type Real struct{}
 
-// NewReal returns the real-time clock.
-func NewReal() Real { return Real{} }
-
 // Now implements Clock.
 func (Real) Now() time.Time {
 	//lint:allow walltime Real is the wall-clock boundary everything else injects

@@ -186,21 +186,21 @@ func TestVirtualAfter(t *testing.T) {
 func TestRealSleepRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewReal()
+	r := Real{}
 	if err := r.Sleep(ctx, time.Hour); err != context.Canceled {
 		t.Fatalf("Sleep = %v, want context.Canceled", err)
 	}
 }
 
 func TestRealSleepZero(t *testing.T) {
-	r := NewReal()
+	r := Real{}
 	if err := r.Sleep(context.Background(), 0); err != nil {
 		t.Fatalf("Sleep(0) = %v", err)
 	}
 }
 
 func TestRealNowAdvances(t *testing.T) {
-	r := NewReal()
+	r := Real{}
 	a := r.Now()
 	time.Sleep(time.Millisecond)
 	if !r.Now().After(a) {

@@ -227,7 +227,7 @@ type Service struct {
 // at a crashed one's journal is the restart path.
 func NewService(cfg Config) *Service {
 	if cfg.Clock == nil {
-		cfg.Clock = clock.NewReal()
+		cfg.Clock = clock.Real{}
 	}
 	if cfg.RTMPViewerLimit == 0 {
 		cfg.RTMPViewerLimit = DefaultRTMPViewerLimit

@@ -85,7 +85,7 @@ func NewAuthCache(cfg AuthCacheConfig) *AuthCache {
 		cfg.TTL = 5 * time.Minute
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = clock.NewReal()
+		cfg.Clock = clock.Real{}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -240,7 +240,7 @@ func NewResolverCache(cfg ResolverCacheConfig) *ResolverCache {
 		cfg.TTL = time.Minute
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = clock.NewReal()
+		cfg.Clock = clock.Real{}
 	}
 	if cfg.Breaker.Now == nil {
 		cfg.Breaker.Now = cfg.Clock.Now

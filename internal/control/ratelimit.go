@@ -35,7 +35,7 @@ type bucket struct {
 // NewKeyedLimiter builds a limiter on clk (nil means the real clock).
 func NewKeyedLimiter(clk clock.Clock) *KeyedLimiter {
 	if clk == nil {
-		clk = clock.NewReal()
+		clk = clock.Real{}
 	}
 	return &KeyedLimiter{clock: clk, buckets: make(map[string]*bucket)}
 }

@@ -59,7 +59,7 @@ func TestPlatformFleetChaosSoak(t *testing.T) {
 		EdgeRetry: resilience.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		// Fast detector so kill → down fits the soak: 25 ms beats, suspect
 		// after 2 silent intervals, down after 4 (~100 ms).
-		Health: health.Config{HeartbeatInterval: 25 * time.Millisecond},
+		HeartbeatInterval: 25 * time.Millisecond,
 		// Shed hint kept tiny; viewer clients cap their Retry-After honor
 		// anyway.
 		EdgeShedRetryAfter: 10 * time.Millisecond,

@@ -127,8 +127,8 @@ func TestPlatformControlCrashRecoverySoak(t *testing.T) {
 			journals[siteID] = m
 			return m
 		},
-		EdgeRetry: resilience.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-		Health:    health.Config{HeartbeatInterval: 25 * time.Millisecond},
+		EdgeRetry:         resilience.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		HeartbeatInterval: 25 * time.Millisecond,
 	})
 	if journals["control"] == nil {
 		t.Fatal("no journal backend for the control plane")
@@ -385,11 +385,11 @@ func TestPlatformControlEdgePartitionSoak(t *testing.T) {
 
 	parts := netsim.NewPartitions()
 	p := startPlatform(t, PlatformConfig{
-		ChunkDuration:   200 * time.Millisecond,
-		RTMPViewerLimit: 2, // two RTMP viewers: one pre-cut, one mid-cut
-		Partitions:      parts,
-		EdgeRetry:       resilience.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-		Health:          health.Config{HeartbeatInterval: 25 * time.Millisecond},
+		ChunkDuration:     200 * time.Millisecond,
+		RTMPViewerLimit:   2, // two RTMP viewers: one pre-cut, one mid-cut
+		Partitions:        parts,
+		EdgeRetry:         resilience.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		HeartbeatInterval: 25 * time.Millisecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cdn"
+	"repro/internal/clock"
 	"repro/internal/control"
 	"repro/internal/geo"
 	"repro/internal/health"
@@ -62,9 +63,15 @@ type PlatformConfig struct {
 	// values use the edge defaults.
 	EdgeRetry   resilience.Policy
 	EdgeBreaker resilience.BreakerConfig
-	// Health tunes the fleet-health registry (heartbeat period, miss
-	// thresholds); the zero value uses the health defaults.
-	Health health.Config
+	// HeartbeatInterval is the fleet-health beat period every node
+	// heartbeats at and the detector counts misses in; zero means 1 s.
+	HeartbeatInterval time.Duration
+	// Clock is the platform's one time source: the heartbeat, detector,
+	// janitor and usage-flush loops wait on it, and every component
+	// NewPlatform builds (control plane, auth cache, API rate limiter, hub,
+	// health registry, origins with their RTMP servers, edges) reads it.
+	// Nil means the real clock.
+	Clock clock.Clock
 	// EdgeShedRetryAfter is the Retry-After hint shed responses carry.
 	EdgeShedRetryAfter time.Duration
 	// Seed drives global-list sampling.
@@ -125,6 +132,12 @@ type Platform struct {
 
 // NewPlatform wires the components; call Start to open sockets.
 func NewPlatform(cfg PlatformConfig) *Platform {
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Real{}
+	}
+	if cfg.UsageFlushInterval <= 0 {
+		cfg.UsageFlushInterval = 5 * time.Second
+	}
 	p := &Platform{
 		cfg:        cfg,
 		rtmpAddrs:  make(map[string]string),
@@ -133,14 +146,17 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		endedAt:    make(map[string]time.Time),
 	}
 	if cfg.APIRate != nil {
-		p.limiter = control.NewRateLimiter(*cfg.APIRate)
+		rc := *cfg.APIRate
+		if rc.Clock == nil {
+			rc.Clock = cfg.Clock
+		}
+		p.limiter = control.NewRateLimiter(rc)
 	}
 	p.metrics = cfg.Metrics
 	if p.metrics == nil {
 		p.metrics = metrics.NewRegistry()
 	}
-	p.Hub = pubsub.NewHub(pubsub.DefaultCommenterCap)
-	p.Hub.UseRegistry(p.metrics)
+	p.Hub = pubsub.NewHub(pubsub.DefaultCommenterCap, p.metrics, cfg.Clock)
 	// TLS credentials back the RTMPS (private broadcast) listeners; the
 	// CA travels to clients via the authenticated control channel.
 	creds, err := security.GenerateTLS()
@@ -159,6 +175,7 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 	}
 	ctrlCfg := control.Config{
 		RTMPViewerLimit: cfg.RTMPViewerLimit,
+		Clock:           cfg.Clock,
 		Seed:            cfg.Seed,
 		Routes:          routes,
 		Metrics:         p.metrics,
@@ -172,6 +189,7 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 	// cached grants instead of rejecting every reconnect.
 	p.AuthCache = control.NewAuthCache(control.AuthCacheConfig{
 		Service: p.Ctrl,
+		Clock:   cfg.Clock,
 		Metrics: p.metrics,
 		Gate: func() error {
 			return cfg.Partitions.Check(cdn.RoleOrigin, "control")
@@ -207,6 +225,7 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		EdgeBreaker:  cfg.EdgeBreaker,
 
 		EdgeShedRetryAfter: cfg.EdgeShedRetryAfter,
+		Clock:              cfg.Clock,
 		Metrics:            p.metrics,
 		Journal:            cfg.Journal,
 	})
@@ -217,11 +236,11 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 	// Fleet health: every node heartbeats into the registry (the loop
 	// starts in Start); assignment routing consults node eligibility, so
 	// joins and failover re-resolves skip suspect/down/draining nodes.
-	hc := cfg.Health
-	if hc.Metrics == nil {
-		hc.Metrics = p.metrics
-	}
-	p.Health = health.NewRegistry(hc)
+	p.Health = health.NewRegistry(health.Config{
+		HeartbeatInterval: cfg.HeartbeatInterval,
+		Clock:             cfg.Clock,
+		Metrics:           p.metrics,
+	})
 	for _, o := range p.Topo.Origins {
 		p.Health.Register(healthNodeID(cdn.RoleOrigin, o.Site().ID))
 	}
@@ -241,7 +260,7 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		p.Hub.Close(id)
 		if cfg.Retention > 0 {
 			p.mu.Lock()
-			p.endedAt[id] = time.Now()
+			p.endedAt[id] = cfg.Clock.Now()
 			p.mu.Unlock()
 		}
 	})
@@ -292,31 +311,29 @@ func (p *Platform) RestartControl() {
 	}
 }
 
-// heartbeats beats every live node into the registry each interval. A killed
-// edge stops beating — exactly what a crashed process looks like from the
-// control plane — so the miss-count detector degrades it to suspect and then
-// down without any special-casing.
-func (p *Platform) heartbeats(ctx context.Context) {
-	ticker := time.NewTicker(p.Health.Interval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
+// every runs fn each interval of the platform clock until ctx is done.
+func (p *Platform) every(ctx context.Context, interval time.Duration, fn func()) {
+	for p.cfg.Clock.Sleep(ctx, interval) == nil {
+		fn()
+	}
+}
+
+// heartbeat beats every live node into the registry. A killed edge stops
+// beating — exactly what a crashed process looks like from the control plane
+// — so the miss-count detector degrades it to suspect and then down without
+// any special-casing.
+func (p *Platform) heartbeat() {
+	for _, o := range p.Topo.Origins {
+		if o.Killed() || p.partitionedFromControl(cdn.RoleOrigin, o.Site().ID) {
+			continue
 		}
-		for _, o := range p.Topo.Origins {
-			if o.Killed() || p.partitionedFromControl(cdn.RoleOrigin, o.Site().ID) {
-				continue
-			}
-			p.Health.Heartbeat(healthNodeID(cdn.RoleOrigin, o.Site().ID))
+		p.Health.Heartbeat(healthNodeID(cdn.RoleOrigin, o.Site().ID))
+	}
+	for _, e := range p.Topo.Edges {
+		if e.Killed() || p.partitionedFromControl(cdn.RoleEdge, e.Site().ID) {
+			continue
 		}
-		for _, e := range p.Topo.Edges {
-			if e.Killed() || p.partitionedFromControl(cdn.RoleEdge, e.Site().ID) {
-				continue
-			}
-			p.Health.Heartbeat(healthNodeID(cdn.RoleEdge, e.Site().ID))
-		}
+		p.Health.Heartbeat(healthNodeID(cdn.RoleEdge, e.Site().ID))
 	}
 }
 
@@ -372,7 +389,8 @@ func (p *Platform) KillOrigin(siteID string) error {
 // RTMP server re-listens — on the previous address when the port is still
 // free, an ephemeral one otherwise — edges re-register for invalidation,
 // and heartbeats resume so the health detector walks it back to healthy.
-// The wall-clock cost lands in the origin_recovery_seconds histogram.
+// The cost, timed on the platform clock, lands in the
+// origin_recovery_seconds histogram.
 func (p *Platform) RestartOrigin(siteID string) error {
 	o := p.OriginByID(siteID)
 	if o == nil {
@@ -381,7 +399,7 @@ func (p *Platform) RestartOrigin(siteID string) error {
 	if !o.Killed() {
 		return nil
 	}
-	start := time.Now()
+	start := p.cfg.Clock.Now()
 	o.Recover()
 	p.mu.Lock()
 	ctx := p.runCtx
@@ -417,7 +435,7 @@ func (p *Platform) RestartOrigin(siteID string) error {
 	}
 	p.Topo.AttachEdges(o)
 	p.Health.Heartbeat(healthNodeID(cdn.RoleOrigin, siteID))
-	p.recovery.Observe(time.Since(start))
+	p.recovery.Observe(p.cfg.Clock.Now().Sub(start))
 	return nil
 }
 
@@ -457,26 +475,6 @@ func (p *Platform) DrainEdge(siteID string) error {
 	return nil
 }
 
-// janitor periodically garbage-collects ended broadcasts: origin chunk
-// stores (origin.Sweep), edge caches, message channels, topology
-// assignments, and the auth cache's grants and keys.
-func (p *Platform) janitor(ctx context.Context) {
-	interval := p.cfg.Retention / 2
-	if interval < time.Second {
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		p.SweepEnded(time.Now())
-	}
-}
-
 // SweepEnded removes all state for broadcasts that ended more than the
 // retention period before now. It returns how many broadcasts were
 // collected. Exposed for tests and manual operation.
@@ -511,26 +509,6 @@ func (p *Platform) SweepEnded(now time.Time) int {
 	// API buckets.
 	p.Ctrl.Sweep(10 * p.cfg.Retention)
 	return len(expired)
-}
-
-// usageFlusher periodically rolls the per-tenant delivery meters into
-// journaled daily usage records; a final flush runs at Stop so clean
-// shutdowns account everything delivered.
-func (p *Platform) usageFlusher(ctx context.Context) {
-	interval := p.cfg.UsageFlushInterval
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			p.Ctrl.FlushUsage()
-		}
-	}
 }
 
 func valueOr(v, def int) int {
@@ -622,11 +600,17 @@ func (p *Platform) Start(ctx context.Context) error {
 	p.httpSrv = &http.Server{Handler: mux}
 	p.mu.Unlock()
 	p.Ctrl.SetMessageURL("http://" + ln.Addr().String() + "/channel")
+	// The janitor garbage-collects ended broadcasts: origin chunk stores
+	// (origin.Sweep), edge caches, message channels, topology assignments,
+	// and the auth cache's grants and keys.
 	if p.cfg.Retention > 0 {
-		go p.janitor(ctx)
+		go p.every(ctx, max(p.cfg.Retention/2, time.Second), func() { p.SweepEnded(p.cfg.Clock.Now()) })
 	}
-	go p.usageFlusher(ctx)
-	go p.heartbeats(ctx)
+	// The usage flush rolls the per-tenant delivery meters into journaled
+	// daily usage records; Stop runs a final one, so a clean shutdown
+	// accounts everything delivered.
+	go p.every(ctx, p.cfg.UsageFlushInterval, func() { p.Ctrl.FlushUsage() })
+	go p.every(ctx, p.Health.Interval(), p.heartbeat)
 	go p.Health.Run(ctx)
 	go func() {
 		p.httpSrv.Serve(ln)

@@ -55,7 +55,7 @@ func TestPlatformOriginCrashRecoverySoak(t *testing.T) {
 		EdgeRetry: resilience.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		// Fast detector so kill → down → healthy fits the soak: 25 ms beats,
 		// suspect after 2 silent intervals, down after 4 (~100 ms).
-		Health: health.Config{HeartbeatInterval: 25 * time.Millisecond},
+		HeartbeatInterval: 25 * time.Millisecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

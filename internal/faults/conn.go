@@ -29,6 +29,7 @@ func (c *faultyConn) reset(op string) error {
 // Read implements net.Conn.
 func (c *faultyConn) Read(b []byte) (int, error) {
 	if d := c.inj.maybeLatency(); d > 0 {
+		//lint:allow walltime latency injected into a real socket's Read/Write, which has no clock but the host's
 		time.Sleep(d)
 	}
 	if c.inj.roll(c.inj.resetRate()) {
@@ -44,6 +45,7 @@ func (c *faultyConn) Read(b []byte) (int, error) {
 // Write implements net.Conn.
 func (c *faultyConn) Write(b []byte) (int, error) {
 	if d := c.inj.maybeLatency(); d > 0 {
+		//lint:allow walltime latency injected into a real socket's Read/Write, which has no clock but the host's
 		time.Sleep(d)
 	}
 	if c.inj.roll(c.inj.resetRate()) {

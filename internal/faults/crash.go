@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/rng"
 )
 
@@ -37,8 +36,6 @@ type CrashPlan struct {
 	// tests use to damage the journal tail while the process is down,
 	// simulating a torn write at the moment of the crash.
 	Corrupt func(target int)
-	// Clock paces the schedule; nil means the real clock.
-	Clock clock.Clock
 }
 
 // CrashStats report what a scheduler run did.
@@ -66,9 +63,6 @@ type CrashScheduler struct {
 // NewCrashScheduler builds a scheduler; the target index is drawn (or
 // validated) eagerly so tests can inspect it before Run.
 func NewCrashScheduler(plan CrashPlan, targets []CrashTarget) *CrashScheduler {
-	if plan.Clock == nil {
-		plan.Clock = clock.NewReal()
-	}
 	idx := plan.Target
 	if idx < 0 || idx >= len(targets) {
 		idx = 0
@@ -99,7 +93,7 @@ func (cs *CrashScheduler) Run(ctx context.Context) error {
 		return nil
 	}
 	t := cs.targets[cs.target]
-	if err := cs.plan.Clock.Sleep(ctx, cs.plan.After); err != nil {
+	if err := sleep(ctx, cs.plan.After); err != nil {
 		return err
 	}
 	if err := t.Kill(); err != nil {
@@ -109,7 +103,7 @@ func (cs *CrashScheduler) Run(ctx context.Context) error {
 	if cs.plan.Corrupt != nil {
 		cs.plan.Corrupt(cs.target)
 	}
-	if err := cs.plan.Clock.Sleep(ctx, cs.plan.Downtime); err != nil {
+	if err := sleep(ctx, cs.plan.Downtime); err != nil {
 		return err
 	}
 	if err := t.Restart(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/faults"
 	"repro/internal/testutil"
 )
@@ -79,7 +78,6 @@ func TestCrashSchedulerCtxCancel(t *testing.T) {
 	cs := faults.NewCrashScheduler(faults.CrashPlan{
 		Target: 0,
 		After:  time.Hour,
-		Clock:  clock.NewReal(),
 	}, []faults.CrashTarget{faults.TargetFuncs{
 		KillFn:    func() error { killed = true; return nil },
 		RestartFn: func() error { return nil },

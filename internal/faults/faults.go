@@ -10,11 +10,13 @@
 package faults
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/rng"
 )
 
@@ -22,6 +24,12 @@ import (
 // wrapped). Tests assert on it to distinguish injected faults from real
 // bugs.
 var ErrInjected = errors.New("faults: injected failure")
+
+// sleep waits d, or until ctx is done, on the host's clock.
+func sleep(ctx context.Context, d time.Duration) error {
+	//lint:allow walltime faults are injected into real sockets and real processes, whose waits are the host's time
+	return clock.Real{}.Sleep(ctx, d)
+}
 
 // Config sets the per-operation fault rates. All rates are probabilities in
 // [0, 1]; zero disables that fault class.

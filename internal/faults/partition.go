@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/netsim"
 	"repro/internal/rng"
 )
@@ -35,8 +34,6 @@ type PartitionPlan struct {
 	// asymmetric failure real routing produces: From→To goes dark while
 	// To→From still delivers.
 	Symmetric bool
-	// Clock paces the schedule; nil means the real clock.
-	Clock clock.Clock
 }
 
 // PartitionStats report what a scheduler run did.
@@ -65,9 +62,6 @@ type PartitionScheduler struct {
 // NewPartitionScheduler builds a scheduler; the link index is drawn (or
 // validated) eagerly so tests can inspect it before Run.
 func NewPartitionScheduler(plan PartitionPlan, parts *netsim.Partitions, candidates []netsim.Link) *PartitionScheduler {
-	if plan.Clock == nil {
-		plan.Clock = clock.NewReal()
-	}
 	idx := plan.Link
 	if idx < 0 || idx >= len(candidates) {
 		idx = 0
@@ -105,7 +99,7 @@ func (ps *PartitionScheduler) Run(ctx context.Context) error {
 		return nil
 	}
 	l := ps.candidates[ps.link]
-	if err := ps.plan.Clock.Sleep(ctx, ps.plan.After); err != nil {
+	if err := sleep(ctx, ps.plan.After); err != nil {
 		return err
 	}
 	if ps.plan.Symmetric {
@@ -114,7 +108,7 @@ func (ps *PartitionScheduler) Run(ctx context.Context) error {
 		ps.parts.Cut(l.From, l.To)
 	}
 	ps.cuts.Add(1)
-	err := ps.plan.Clock.Sleep(ctx, ps.plan.Duration)
+	err := sleep(ctx, ps.plan.Duration)
 	ps.parts.HealBoth(l.From, l.To)
 	ps.heals.Add(1)
 	return err

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-
-	"repro/internal/clock"
 )
 
 // faultyRoundTripper injects faults into an HTTP client — the viewer-side
@@ -41,7 +39,7 @@ func (i *Injector) Client(base *http.Client) *http.Client {
 // RoundTrip implements http.RoundTripper.
 func (t *faultyRoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	if d := t.inj.maybeLatency(); d > 0 {
-		if err := clock.NewReal().Sleep(req.Context(), d); err != nil {
+		if err := sleep(req.Context(), d); err != nil {
 			return nil, err
 		}
 	}

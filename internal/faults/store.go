@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/clock"
 	"repro/internal/hls"
 	"repro/internal/media"
 )
@@ -24,7 +23,7 @@ func (i *Injector) Store(next hls.Store) hls.Store {
 
 func (s *faultyStore) before(ctx context.Context, op string) error {
 	if d := s.inj.maybeLatency(); d > 0 {
-		if err := clock.NewReal().Sleep(ctx, d); err != nil {
+		if err := sleep(ctx, d); err != nil {
 			return err
 		}
 	}

@@ -49,20 +49,22 @@ func (s State) String() string {
 	return "unknown"
 }
 
+// The detector's miss thresholds: a node silent for SuspectMisses whole
+// heartbeat intervals degrades from Healthy to Suspect, and one silent for
+// DownMisses intervals is declared Down.
+const (
+	SuspectMisses = 2
+	DownMisses    = 4
+)
+
 // Config tunes the Registry's failure detector.
 type Config struct {
 	// HeartbeatInterval is the expected beat period. Zero means 1 s.
 	HeartbeatInterval time.Duration
-	// SuspectMisses is how many consecutive intervals a node may miss
-	// before Healthy degrades to Suspect. Zero means 2.
-	SuspectMisses int
-	// DownMisses is how many consecutive missed intervals declare a node
-	// Down. Zero means 4. Must be ≥ SuspectMisses to be meaningful.
-	DownMisses int
 	// Clock defaults to the real clock; tests drive a virtual one.
 	Clock clock.Clock
 	// OnStateChange, when set, is invoked (outside the registry lock) for
-	// every transition — the platform uses it to log failovers.
+	// every transition, with the node's previous and new state.
 	OnStateChange func(nodeID string, from, to State)
 	// Metrics is the registry the fleet-state gauges register in; nil means
 	// a private registry. One "fleet_nodes" gauge per lifecycle state,
@@ -75,17 +77,8 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = time.Second
 	}
-	if c.SuspectMisses == 0 {
-		c.SuspectMisses = 2
-	}
-	if c.DownMisses == 0 {
-		c.DownMisses = 4
-	}
-	if c.DownMisses < c.SuspectMisses {
-		c.DownMisses = c.SuspectMisses
-	}
 	if c.Clock == nil {
-		c.Clock = clock.NewReal()
+		c.Clock = clock.Real{}
 	}
 	return c
 }
@@ -265,7 +258,7 @@ func (r *Registry) Eligible(nodeID string) bool {
 
 // Check runs one detector sweep: every non-draining node that has been
 // silent for whole heartbeat intervals accrues misses and degrades to
-// Suspect and then Down at the configured thresholds. It returns the number
+// Suspect and then Down at SuspectMisses and DownMisses. It returns the number
 // of state transitions applied.
 func (r *Registry) Check() int {
 	now := r.clock.Now()
@@ -283,9 +276,9 @@ func (r *Registry) Check() int {
 		}
 		target := n.state
 		switch {
-		case misses >= r.cfg.DownMisses:
+		case misses >= DownMisses:
 			target = StateDown
-		case misses >= r.cfg.SuspectMisses:
+		case misses >= SuspectMisses:
 			target = StateSuspect
 		}
 		// The detector only degrades; recovery happens on Heartbeat.

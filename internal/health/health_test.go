@@ -15,8 +15,6 @@ func testRegistry(t *testing.T) (*Registry, *clock.Virtual) {
 	vc := clock.NewVirtual(time.Unix(1_700_000_000, 0))
 	r := NewRegistry(Config{
 		HeartbeatInterval: time.Second,
-		SuspectMisses:     2,
-		DownMisses:        4,
 		Clock:             vc,
 	})
 	return r, vc

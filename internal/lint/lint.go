@@ -4,8 +4,9 @@
 //
 //	locksend      — no blocking op, and no second lock, while a
 //	                sync.Mutex/RWMutex is held in the same function (§5a)
-//	walltime      — simulation/delivery packages use internal/clock and
-//	                internal/rng, never the wall clock or global math/rand
+//	walltime      — every package but main takes time from an injected
+//	                internal/clock.Clock and randomness from internal/rng,
+//	                never the wall clock or global math/rand
 //	atomiccounter — no address-based sync/atomic calls, so a counter is
 //	                atomic everywhere or nowhere by type
 //	ctxplumb      — HTTP requests carry contexts; request paths derive from

@@ -15,31 +15,13 @@ func TestLocksend(t *testing.T) {
 }
 
 func TestWalltime(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Walltime, "delay")
+	analysistest.Run(t, "testdata", lint.Walltime, "walltime")
 }
 
-// TestWalltimeUnrestricted: the same constructs in a package outside the
-// simulation set produce no diagnostics (the fixture has no want comments).
+// TestWalltimeUnrestricted: the same constructs in a main package produce no
+// diagnostics (the fixture has no want comments).
 func TestWalltimeUnrestricted(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Walltime, "wtok")
-}
-
-// TestWalltimeClock: the clock engines themselves may not read the wall
-// clock — only Real does, behind reasoned //lint:allow suppressions.
-func TestWalltimeClock(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Walltime, "clock")
-}
-
-// TestWalltimeViewersim: the viewer event engine's determinism contract bans
-// the global rand source and host-clock pacing.
-func TestWalltimeViewersim(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Walltime, "viewersim")
-}
-
-// TestWalltimeControl: the control plane's tenancy layer (rate-limiter
-// refills, quota windows, usage-day keys) must follow the injected clock.
-func TestWalltimeControl(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Walltime, "control")
 }
 
 func TestAtomiccounter(t *testing.T) {

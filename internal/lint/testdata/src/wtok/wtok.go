@@ -1,21 +1,18 @@
-// Fixture for the walltime analyzer, negative case: "wtok" is not a
-// restricted package, so wall-clock reads are fine here (CLI entry points,
-// benchmarks, and infrastructure legitimately use real time).
-package wtok
+// Fixture for the walltime analyzer, negative case: a main package picks the
+// clock it injects, so wall-clock reads are fine here.
+package main
 
 import (
+	"context"
 	"math/rand"
 	"time"
+
+	"repro/internal/clock"
 )
 
-func stamp() time.Time {
-	return time.Now()
-}
-
-func wait() {
+func main() {
+	_ = time.Now()
 	time.Sleep(time.Millisecond)
-}
-
-func jitter() float64 {
-	return rand.Float64()
+	_ = rand.Float64()
+	_ = clock.Real{}.Sleep(context.Background(), time.Millisecond)
 }

@@ -7,39 +7,6 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// walltimePackages are the simulation and delivery packages whose results
-// must be reproducible from a seed: the trace-driven buffering study (§6)
-// and the delay decomposition (§4.2–4.3) are meaningless if a run's outcome
-// depends on the host's wall clock or the global math/rand source. These
-// packages must take time from internal/clock and randomness from
-// internal/rng. clock itself is restricted — a stray time.Now inside the
-// wheel or Virtual engines would silently desynchronize simulated time (only
-// Real touches the wall clock, behind reasoned //lint:allow suppressions) —
-// as is viewersim, whose cross-engine byte-equality contract dies the moment
-// an event draws from anything but its seeded stream. control is restricted
-// too: quota windows, rate-limiter refills, and usage-rollup day keys must
-// follow the injected clock or tenancy tests against a clock.Virtual would
-// silently mix time bases. resilience is restricted because cdn, hls, rtmp and
-// control wait through it: a retry back-off or breaker cool-down that read
-// the wall clock would put the host's time back on exactly the failure paths
-// a simulated clock drives, so its only wall-clock default is clock.Real.
-// Matching is by the final import-path element.
-var walltimePackages = map[string]bool{
-	"netsim":      true,
-	"delay":       true,
-	"player":      true,
-	"workload":    true,
-	"experiments": true,
-	"rtmp":        true,
-	"cdn":         true,
-	"hls":         true,
-	"metrics":     true,
-	"clock":       true,
-	"viewersim":   true,
-	"control":     true,
-	"resilience":  true,
-}
-
 // walltimeFuncs are the time package entry points that read or schedule off
 // the wall clock. time.Time methods (Sub, Add, Before…) are pure and fine.
 var walltimeFuncs = map[string]string{
@@ -63,22 +30,40 @@ var mathRandOK = map[string]bool{
 	"NewZipf":   true,
 }
 
-// Walltime flags direct wall-clock and global-randomness use in the
-// simulation/delivery packages listed above.
+// Walltime flags direct wall-clock and global-randomness use in every package
+// but a program's main. The delay decomposition (§4.2–4.3) and the
+// trace-driven studies are meaningless if a run's outcome depends on the
+// host's wall clock or the global math/rand source, so library code takes time
+// from an injected internal/clock.Clock and randomness from internal/rng; a
+// main package picks the clock it injects. Where the wall clock is what is
+// being modelled — clock.Real itself, a real socket, X.509 validity — a
+// reasoned //lint:allow walltime says so. A clock.Real built and called in
+// place (clock.Real{}.Sleep(…)) reads the wall clock as surely as time.Sleep
+// and is flagged the same way; a method value taken from one as a default
+// (Policy.Sleep = clock.Real{}.Sleep) is an injection seam and is not.
 var Walltime = &analysis.Analyzer{
 	Name: "walltime",
-	Doc: "flags time.Now/Sleep/timers and global math/rand in simulation and " +
-		"delivery packages; these must go through internal/clock and " +
-		"internal/rng so a seed fully determines a run",
+	Doc: "flags time.Now/Sleep/timers, in-place clock.Real calls and global " +
+		"math/rand outside package main; time must come from an injected " +
+		"internal/clock.Clock and randomness from internal/rng so a seed " +
+		"fully determines a run",
 	Run: runWalltime,
 }
 
 func runWalltime(pass *analysis.Pass) (interface{}, error) {
-	if !walltimePackages[pathBase(pass.Pkg.Path())] {
+	if pass.Pkg.Name() == "main" {
 		return nil, nil
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isRealClockLit(pass, sel.X) {
+					pass.Reportf(call.Pos(),
+						"clock.Real{}.%s reads the wall clock in place; call an injected clock.Clock so simulated runs stay deterministic",
+						sel.Sel.Name)
+				}
+				return true
+			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
@@ -105,6 +90,21 @@ func runWalltime(pass *analysis.Pass) (interface{}, error) {
 		})
 	}
 	return nil, nil
+}
+
+// isRealClockLit reports whether e is a composite literal of internal/clock's
+// Real (matched by the final import-path element).
+func isRealClockLit(pass *analysis.Pass, e ast.Expr) bool {
+	lit, ok := ast.Unparen(e).(*ast.CompositeLit)
+	if !ok {
+		return false
+	}
+	named, ok := pass.TypesInfo.TypeOf(lit).(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Real" && obj.Pkg() != nil && pathBase(obj.Pkg().Path()) == "clock"
 }
 
 // isPkgFunc reports whether obj is a package-level function (as opposed to a

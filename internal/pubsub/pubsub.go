@@ -16,9 +16,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
 )
@@ -54,10 +54,8 @@ const DefaultCommenterCap = 100
 // Hub is the in-process message service: one channel per broadcast.
 type Hub struct {
 	commenterCap int
-
-	// m holds the registered instruments; an atomic pointer so UseRegistry
-	// can swap registries after construction without racing publishers.
-	m atomic.Pointer[hubMetrics]
+	clock        clock.Clock
+	m            *hubMetrics
 
 	mu       sync.Mutex
 	channels map[string]*channel
@@ -92,21 +90,25 @@ type channel struct {
 }
 
 // NewHub returns a Hub with the given commenter cap; cap<0 means unlimited,
-// cap==0 means DefaultCommenterCap.
-func NewHub(commenterCap int) *Hub {
+// cap==0 means DefaultCommenterCap. Its instruments register in reg (nil
+// means a private registry), and clk stamps published events (nil means the
+// real clock).
+func NewHub(commenterCap int, reg *metrics.Registry, clk clock.Clock) *Hub {
 	if commenterCap == 0 {
 		commenterCap = DefaultCommenterCap
 	}
-	h := &Hub{commenterCap: commenterCap, channels: make(map[string]*channel)}
-	h.m.Store(newHubMetrics(metrics.NewRegistry()))
-	return h
-}
-
-// UseRegistry re-registers the hub's instruments in reg, replacing the
-// private registry NewHub installed. The platform calls it once at assembly;
-// counts accumulated before the switch stay on the old registry.
-func (h *Hub) UseRegistry(reg *metrics.Registry) {
-	h.m.Store(newHubMetrics(reg))
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	if clk == nil {
+		clk = clock.Real{}
+	}
+	return &Hub{
+		commenterCap: commenterCap,
+		clock:        clk,
+		m:            newHubMetrics(reg),
+		channels:     make(map[string]*channel),
+	}
 }
 
 // Open creates the channel for a broadcast. Opening twice is a no-op.
@@ -115,7 +117,7 @@ func (h *Hub) Open(broadcastID string) {
 	defer h.mu.Unlock()
 	if _, ok := h.channels[broadcastID]; !ok {
 		h.channels[broadcastID] = &channel{commenters: make(map[string]bool)}
-		h.m.Load().channels.Add(1)
+		h.m.channels.Add(1)
 	}
 }
 
@@ -152,9 +154,8 @@ func (h *Hub) Remove(broadcastID string) {
 	buffered := len(ch.events)
 	ch.wakeLocked()
 	ch.mu.Unlock()
-	m := h.m.Load()
-	m.channels.Add(-1)
-	m.buffered.Add(-int64(buffered))
+	h.m.channels.Add(-1)
+	h.m.buffered.Add(-int64(buffered))
 }
 
 func (h *Hub) channel(broadcastID string) (*channel, error) {
@@ -192,13 +193,12 @@ func (h *Hub) Publish(broadcastID string, ev Event) (Event, error) {
 	ev.Seq = ch.seq
 	ev.BroadcastID = broadcastID
 	if ev.At.IsZero() {
-		ev.At = time.Now()
+		ev.At = h.clock.Now()
 	}
 	ch.events = append(ch.events, ev)
 	ch.wakeLocked()
-	m := h.m.Load()
-	m.publishes.Inc()
-	m.buffered.Add(1)
+	h.m.publishes.Inc()
+	h.m.buffered.Add(1)
 	return ev, nil
 }
 
@@ -212,7 +212,7 @@ func (h *Hub) EventsSince(broadcastID string, since uint64) ([]Event, bool, erro
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	evs := eventsAfterLocked(ch, since)
-	h.m.Load().delivers.Add(int64(len(evs)))
+	h.m.delivers.Add(int64(len(evs)))
 	return evs, ch.closed, nil
 }
 
@@ -237,7 +237,7 @@ func (h *Hub) Wait(ctx context.Context, broadcastID string, since uint64) ([]Eve
 		closed := ch.closed
 		if len(evs) > 0 || closed {
 			ch.mu.Unlock()
-			h.m.Load().delivers.Add(int64(len(evs)))
+			h.m.delivers.Add(int64(len(evs)))
 			return evs, closed, nil
 		}
 		wake := make(chan struct{})

@@ -13,7 +13,7 @@ import (
 )
 
 func TestPublishAndRead(t *testing.T) {
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	ev, err := h.Publish("b1", Event{UserID: "u1", Kind: KindComment, Text: "hi"})
 	if err != nil {
@@ -37,7 +37,7 @@ func TestPublishAndRead(t *testing.T) {
 }
 
 func TestPublishNoChannel(t *testing.T) {
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	if _, err := h.Publish("missing", Event{Kind: KindHeart}); !errors.Is(err, ErrNoChannel) {
 		t.Fatalf("err = %v", err)
 	}
@@ -47,7 +47,7 @@ func TestPublishNoChannel(t *testing.T) {
 }
 
 func TestCommenterCap(t *testing.T) {
-	h := NewHub(3)
+	h := NewHub(3, nil, nil)
 	h.Open("b1")
 	for i := 0; i < 3; i++ {
 		u := fmt.Sprintf("u%d", i)
@@ -69,7 +69,7 @@ func TestCommenterCap(t *testing.T) {
 }
 
 func TestUnlimitedCap(t *testing.T) {
-	h := NewHub(-1)
+	h := NewHub(-1, nil, nil)
 	h.Open("b1")
 	for i := 0; i < 200; i++ {
 		if _, err := h.Publish("b1", Event{UserID: fmt.Sprintf("u%d", i), Kind: KindComment}); err != nil {
@@ -79,7 +79,7 @@ func TestUnlimitedCap(t *testing.T) {
 }
 
 func TestDefaultCapIs100(t *testing.T) {
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	for i := 0; i < DefaultCommenterCap; i++ {
 		if _, err := h.Publish("b1", Event{UserID: fmt.Sprintf("u%d", i), Kind: KindComment}); err != nil {
@@ -93,7 +93,7 @@ func TestDefaultCapIs100(t *testing.T) {
 
 func TestWaitWakesOnPublish(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	got := make(chan []Event, 1)
 	go func() {
@@ -117,7 +117,7 @@ func TestWaitWakesOnPublish(t *testing.T) {
 
 func TestWaitWakesOnClose(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	done := make(chan bool, 1)
 	go func() {
@@ -140,7 +140,7 @@ func TestWaitWakesOnClose(t *testing.T) {
 }
 
 func TestWaitContextCancel(t *testing.T) {
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -151,7 +151,7 @@ func TestWaitContextCancel(t *testing.T) {
 }
 
 func TestPublishAfterCloseFails(t *testing.T) {
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	h.Close("b1")
 	if _, err := h.Publish("b1", Event{Kind: KindHeart}); !errors.Is(err, ErrNoChannel) {
@@ -164,7 +164,7 @@ func TestPublishAfterCloseFails(t *testing.T) {
 }
 
 func TestCounts(t *testing.T) {
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	for i := 0; i < 3; i++ {
 		h.Publish("b1", Event{UserID: "u1", Kind: KindHeart})
@@ -178,7 +178,7 @@ func TestCounts(t *testing.T) {
 
 func TestHTTPRoundtrip(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	h := NewHub(2)
+	h := NewHub(2, nil, nil)
 	h.Open("b1")
 	srv := httptest.NewServer(Handler("/channel", h))
 	defer srv.Close()
@@ -210,7 +210,7 @@ func TestHTTPRoundtrip(t *testing.T) {
 
 func TestHTTPLongPoll(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	srv := httptest.NewServer(Handler("/channel", h))
 	defer srv.Close()
@@ -276,7 +276,7 @@ func startWaiters(h *Hub, id string, n int) chan waitResult {
 // closed=true — no waiting out the context.
 func TestWaitWokenByClose(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	results := startWaiters(h, "b1", 3)
 	h.Close("b1")
@@ -297,7 +297,7 @@ func TestWaitWokenByClose(t *testing.T) {
 // surfaces ErrNoChannel — not block until its context expires.
 func TestWaitWokenByRemove(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	results := startWaiters(h, "b1", 3)
 	h.Remove("b1")
@@ -317,7 +317,7 @@ func TestWaitWokenByRemove(t *testing.T) {
 // without disturbing the channel, and the goroutine does not leak.
 func TestWaitCancelledByContext(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	h := NewHub(0)
+	h := NewHub(0, nil, nil)
 	h.Open("b1")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -356,7 +356,7 @@ func TestWaitCancelledByContext(t *testing.T) {
 // check, and CheckGoroutines asserts nothing stays parked.
 func TestWaitCloseRemoveHammer(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	h := NewHub(-1)
+	h := NewHub(-1, nil, nil)
 	const channels = 8
 	const waitersPerChannel = 4
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -405,7 +405,7 @@ func TestWaitCloseRemoveHammer(t *testing.T) {
 // http.Error body the client reads out before closing, so a refused call does
 // not cost the next one a dial.
 func TestClientKeepsConnectionAcrossRefusals(t *testing.T) {
-	h := NewHub(1)
+	h := NewHub(1, nil, nil)
 	h.Open("b1")
 	srv, conns := testutil.CountingServer(t, Handler("/channel", h))
 	hc := &http.Client{Transport: &http.Transport{}}

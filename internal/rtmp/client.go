@@ -220,7 +220,7 @@ func SubscribeTLS(ctx context.Context, addr, broadcastID, token string, opts Vie
 	}
 	clk := opts.Clock
 	if clk == nil {
-		clk = clock.NewReal()
+		clk = clock.Real{}
 	}
 	v := &Viewer{
 		conn:   conn,

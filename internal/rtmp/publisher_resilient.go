@@ -17,8 +17,8 @@ type PublishResilientConfig struct {
 	// origin may come back on a different port; the control plane knows the
 	// current one. Nil redials the original address.
 	Resolve func() string
-	// Backoff schedules redial delays; the zero value uses the resilience
-	// defaults.
+	// Backoff schedules redial delays and, through its Sleep, waits them
+	// out; the zero value uses the resilience defaults.
 	Backoff resilience.Policy
 	// MaxReconnects bounds redial attempts across the whole session (each
 	// failed dial counts). Zero means 16; negative means unlimited.
@@ -62,6 +62,9 @@ func PublishResilient(ctx context.Context, addr, broadcastID, token string, cfg 
 	}
 	if cfg.BufferFrames == 0 {
 		cfg.BufferFrames = 512
+	}
+	if cfg.Backoff.Sleep == nil {
+		cfg.Backoff.Sleep = clock.Real{}.Sleep
 	}
 	rp := &ResilientPublisher{
 		cfg:         cfg,
@@ -144,7 +147,7 @@ func (rp *ResilientPublisher) redialAndResend(ctx context.Context) error {
 		if rp.cfg.MaxReconnects >= 0 && redials >= rp.cfg.MaxReconnects {
 			return errors.New("rtmp: publisher reconnect budget exhausted")
 		}
-		if err := clock.NewReal().Sleep(ctx, rp.cfg.Backoff.Delay(redials)); err != nil {
+		if err := rp.cfg.Backoff.Sleep(ctx, rp.cfg.Backoff.Delay(redials)); err != nil {
 			return err
 		}
 		redials++

@@ -274,3 +274,70 @@ func TestResilientViewerNoGoroutineLeak(t *testing.T) {
 	close(stop)
 	pub.Close()
 }
+
+// TestResilientPublisherRedialsThroughBackoffSleep: the publisher waits out
+// every redial through its Backoff.Sleep, so a caller on another clock owns
+// each wait. The recording Sleep restarts the crashed server on its first
+// call; the recorded delays must be exactly the backoff schedule of the
+// redials the session made.
+func TestResilientPublisherRedialsThroughBackoffSleep(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := NewServer(ServerConfig{})
+	ln, err := s.Listen(ctx, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+
+	var delays []time.Duration
+	var restarted *Server
+	defer func() {
+		if restarted != nil {
+			restarted.Close()
+		}
+	}()
+	backoff := resilience.Policy{BaseDelay: 3 * time.Millisecond, MaxDelay: 10 * time.Millisecond, Jitter: -1}
+	backoff.Sleep = func(ctx context.Context, d time.Duration) error {
+		delays = append(delays, d)
+		if restarted == nil {
+			restarted = NewServer(ServerConfig{})
+			ln, err := restarted.Listen(ctx, "127.0.0.1:0")
+			if err != nil {
+				return err
+			}
+			addr = ln.Addr().String()
+		}
+		return nil
+	}
+	rp, err := PublishResilient(ctx, addr, "b1", "tok", PublishResilientConfig{
+		Resolve:       func() string { return addr },
+		Backoff:       backoff,
+		MaxReconnects: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+
+	s.Abort()
+	enc := media.NewEncoder(media.EncoderConfig{}, rng.New(9))
+	for i := 0; rp.Reconnects() == 0; i++ {
+		if i == 1000 {
+			t.Fatal("publisher never noticed the crash")
+		}
+		f := enc.Next(time.Now())
+		if err := rp.Send(ctx, &f); err != nil {
+			t.Fatalf("send %d: %v (recorded delays %v)", i, err, delays)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if int64(len(delays)) != rp.Reconnects() {
+		t.Fatalf("recorded %d delays %v for %d redials", len(delays), delays, rp.Reconnects())
+	}
+	for i, d := range delays {
+		if want := backoff.Delay(i); d != want {
+			t.Fatalf("delay %d = %v, want the backoff schedule's %v", i, d, want)
+		}
+	}
+}

@@ -296,7 +296,7 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg.ViewerQueue = 256
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = clock.NewReal()
+		cfg.Clock = clock.Real{}
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()

@@ -44,11 +44,13 @@ func GenerateTLS() (*TLSCredentials, error) {
 	if err != nil {
 		return nil, fmt.Errorf("security: tls serial: %w", err)
 	}
+	//lint:allow walltime X.509 validity is checked against wall time
+	now := time.Now()
 	tmpl := x509.Certificate{
 		SerialNumber:          serial,
 		Subject:               pkix.Name{CommonName: "livesim-rtmps"},
-		NotBefore:             time.Now().Add(-time.Hour),
-		NotAfter:              time.Now().Add(24 * 365 * time.Hour),
+		NotBefore:             now.Add(-time.Hour),
+		NotAfter:              now.Add(24 * 365 * time.Hour),
 		KeyUsage:              x509.KeyUsageDigitalSignature | x509.KeyUsageCertSign,
 		ExtKeyUsage:           []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
 		IPAddresses:           []net.IP{net.IPv4(127, 0, 0, 1), net.IPv6loopback},

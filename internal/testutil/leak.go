@@ -101,6 +101,7 @@ func CheckGoroutines(t testing.TB, wait ...time.Duration) {
 		if tr, ok := http.DefaultTransport.(*http.Transport); ok {
 			tr.CloseIdleConnections()
 		}
+		//lint:allow walltime the checker waits for real goroutines to exit
 		deadline := time.Now().Add(d)
 		for {
 			runtime.GC()
@@ -108,10 +109,12 @@ func CheckGoroutines(t testing.TB, wait ...time.Duration) {
 			if len(l) == 0 {
 				return
 			}
+			//lint:allow walltime the checker waits for real goroutines to exit
 			if time.Now().After(deadline) {
 				t.Errorf("testutil: %d leaked goroutine(s):\n\n%s", len(l), strings.Join(l, "\n\n"))
 				return
 			}
+			//lint:allow walltime the checker waits for real goroutines to exit
 			time.Sleep(20 * time.Millisecond)
 		}
 	})

@@ -35,7 +35,7 @@ type realResult struct {
 // "real-" prefixed IDs so the cdn's site-labelled instruments stay separable
 // from the simulation's.
 func runReal(cfg Config, reg *metrics.Registry) (*realResult, error) {
-	clk := clock.NewReal()
+	clk := clock.Real{}
 	originSite := geo.Nearest(delay.LabLocation, geo.WowzaSites())
 	originSite.ID = "real-" + originSite.ID
 	edgeSite := geo.Nearest(delay.LabLocation, geo.FastlySites())
