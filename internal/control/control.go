@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -387,7 +388,7 @@ func (s *Service) startBroadcast(userID uint64, loc geo.Location, private bool, 
 		}
 	}
 	rec.StartedAt = s.clock.Now().UnixNano()
-	id := fmt.Sprintf("bcast-%d", s.nextBcast+1)
+	id := "bcast-" + strconv.FormatUint(s.nextBcast+1, 10)
 	s.commitLocked(journal.RecordCtrlStart, id, &rec)
 	// Apply installs replay's pre-closed gate; a live start holds it open
 	// until its OnStart callbacks have run.

@@ -8,10 +8,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/geo"
@@ -274,23 +274,39 @@ func handlePublicKey(s *Service, w http.ResponseWriter, r *http.Request) {
 }
 
 func handleResolveEdge(s *Service, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	lat, errLat := queryFloat(q, "lat")
-	lon, errLon := queryFloat(q, "lon")
-	if errLat != nil || errLon != nil {
-		http.Error(w, "bad lat/lon parameter", http.StatusBadRequest)
+	city, errCity := queryValue(r.URL.RawQuery, "city")
+	lat, errLat := queryFloat(r.URL.RawQuery, "lat")
+	lon, errLon := queryFloat(r.URL.RawQuery, "lon")
+	if errCity != nil || errLat != nil || errLon != nil {
+		http.Error(w, "bad city/lat/lon parameter", http.StatusBadRequest)
 		return
 	}
-	edge, err := s.ResolveEdge(r.PathValue("id"), geo.Location{City: q.Get("city"), Lat: lat, Lon: lon})
+	edge, err := s.ResolveEdge(r.PathValue("id"), geo.Location{City: city, Lat: lat, Lon: lon})
 	reply(w, resolveEdgeResp{HLSBaseURL: edge}, err)
+}
+
+// queryValue returns the unescaped value of the first name=value pair of a
+// raw query, or "" when there is none. It reads the query in place, where
+// r.URL.Query() would build a map and a slice per request, and unescaping
+// allocates only for a value that has escapes. A malformed escape is an
+// error, not an absent parameter.
+func queryValue(rawQuery, name string) (string, error) {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == name {
+			return url.QueryUnescape(v)
+		}
+	}
+	return "", nil
 }
 
 // queryFloat parses an optional coordinate: absent means 0, malformed is an
 // error (a typo must not silently resolve from (0,0)).
-func queryFloat(q url.Values, name string) (float64, error) {
-	v := q.Get(name)
-	if v == "" {
-		return 0, nil
+func queryFloat(rawQuery, name string) (float64, error) {
+	v, err := queryValue(rawQuery, name)
+	if err != nil || v == "" {
+		return 0, err
 	}
 	return strconv.ParseFloat(v, 64)
 }
@@ -348,8 +364,8 @@ func handleRevokeKey(s *Service, w http.ResponseWriter, r *http.Request) {
 }
 
 func handleUsage(s *Service, w http.ResponseWriter, r *http.Request) {
-	tenantID := r.URL.Query().Get("tenant")
-	if tenantID == "" {
+	tenantID, err := queryValue(r.URL.RawQuery, "tenant")
+	if err != nil || tenantID == "" {
 		http.Error(w, "missing tenant parameter", http.StatusBadRequest)
 		return
 	}
@@ -357,8 +373,11 @@ func handleUsage(s *Service, w http.ResponseWriter, r *http.Request) {
 	reply(w, usageResp{TenantID: tenantID, Days: days}, err)
 }
 
+// maxRequestBody caps a request's JSON.
+const maxRequestBody = 64 << 10
+
 func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<10))
+	body, err := resilience.ReadBody(r.Body, r.ContentLength, maxRequestBody)
 	if err != nil || json.Unmarshal(body, v) != nil {
 		http.Error(w, "bad request body", http.StatusBadRequest)
 		return false
@@ -435,8 +454,17 @@ func retryAfterSeconds(d time.Duration) int {
 	return s
 }
 
+// Ready-made header values: assigning one directly (the key is already
+// canonical) spares each request and response the []string http.Header.Set
+// builds. Nothing here compresses, and a request that names no encoding
+// makes Transport build a header map per request to ask for gzip.
+var (
+	contentTypeJSON = []string{"application/json"}
+	acceptIdentity  = []string{"identity"}
+)
+
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		_ = err // response already started
 	}
@@ -468,10 +496,7 @@ func (c *Client) post(ctx context.Context, path string, in, out interface{}) err
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.APIKey != "" {
-		req.Header.Set(apiKeyHeader, c.APIKey)
-	}
+	req.Header["Content-Type"] = contentTypeJSON
 	return c.do(req, out)
 }
 
@@ -480,18 +505,22 @@ func (c *Client) get(ctx context.Context, path string, out interface{}) error {
 	if err != nil {
 		return err
 	}
-	if c.APIKey != "" {
-		req.Header.Set(apiKeyHeader, c.APIKey)
-	}
 	return c.do(req, out)
 }
 
+// maxResponseBody caps a reply the client reads.
+const maxResponseBody = 16 << 20
+
 func (c *Client) do(req *http.Request, out interface{}) error {
+	req.Header["Accept-Encoding"] = acceptIdentity
+	if c.APIKey != "" {
+		req.Header.Set(apiKeyHeader, c.APIKey)
+	}
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return fmt.Errorf("control: %s %s: %w", req.Method, req.URL.Path, err)
 	}
-	defer resilience.DrainClose(resp.Body)
+	defer resilience.DrainClose(resp)
 	if resp.StatusCode != http.StatusOK {
 		if err := errFromResponse(resp); err != nil {
 			return err
@@ -501,7 +530,11 @@ func (c *Client) do(req *http.Request, out interface{}) error {
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	body, err := resilience.ReadBody(resp.Body, resp.ContentLength, maxResponseBody)
+	if err != nil {
+		return fmt.Errorf("control: %s %s: body: %w", req.Method, req.URL.Path, err)
+	}
+	return json.Unmarshal(body, out)
 }
 
 // errFromResponse reconstructs the service error from a non-200 response's
@@ -592,8 +625,8 @@ func (c *Client) Join(ctx context.Context, userID uint64, broadcastID string, lo
 // recording a join — the failover path viewers take when their edge dies.
 func (c *Client) ResolveEdge(ctx context.Context, broadcastID string, loc geo.Location) (string, error) {
 	var resp resolveEdgeResp
-	path := fmt.Sprintf("/broadcasts/%s/edge?city=%s&lat=%g&lon=%g",
-		broadcastID, url.QueryEscape(loc.City), loc.Lat, loc.Lon)
+	path := "/broadcasts/" + broadcastID + "/edge?city=" + url.QueryEscape(loc.City) +
+		"&lat=" + strconv.FormatFloat(loc.Lat, 'g', -1, 64) + "&lon=" + strconv.FormatFloat(loc.Lon, 'g', -1, 64)
 	if err := c.get(ctx, path, &resp); err != nil {
 		return "", err
 	}

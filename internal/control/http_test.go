@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -551,5 +552,63 @@ func TestClientKeepsConnectionAlive(t *testing.T) {
 	}
 	if n := conns.Load(); n != 1 {
 		t.Fatalf("four sequential calls opened %d connections, want 1", n)
+	}
+}
+
+// TestJSONHandlerAllocBudgets pins what the two control endpoints a viewer's
+// lifecycle calls allocate per request, handler and recorder together,
+// through httptest.NewRecorder and no socket so the count is exact: the
+// ready-made Content-Type, the exact-size body read and the in-place query
+// read each show in it. Both routes answer through the same Service calls
+// the platform makes.
+func TestJSONHandlerAllocBudgets(t *testing.T) {
+	if testutil.Race {
+		t.Skip("sync.Pool drops puts under the race detector, so the count is not exact")
+	}
+	s := NewService(Config{
+		Routes: Routes{
+			AssignOrigin: func(geo.Location) (string, string) { return "origin-1", "127.0.0.1:1935" },
+			AssignEdge:   func(string, geo.Location) string { return "http://edge-1/hls" },
+			MessageURL:   "http://msg/channel",
+		},
+		// Every join in the run takes the same (RTMP) route.
+		RTMPViewerLimit: 1 << 30,
+		Seed:            1,
+	})
+	u := s.Register("alice")
+	g, err := s.StartBroadcast(u.ID, geo.Location{City: "NYC"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		handle func(*Service, http.ResponseWriter, *http.Request)
+		method string
+		target string
+		body   string
+		want   float64
+	}{
+		{"join", handleJoin, "POST", "/api/broadcasts/" + g.BroadcastID + "/join",
+			`{"user_id":1,"city":"New York","lat":40.71,"lon":-74.01}`, 18},
+		{"resolve-edge", handleResolveEdge, "GET", "/api/broadcasts/" + g.BroadcastID + "/edge?city=New+York&lat=40.71&lon=-74.01", "", 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := bytes.NewReader([]byte(tc.body))
+			req := httptest.NewRequest(tc.method, tc.target, body)
+			req.SetPathValue("id", g.BroadcastID)
+			// The run's joins grow the broadcast's join list, a fraction of
+			// an allocation per request that the whole-number average drops.
+			allocs := testing.AllocsPerRun(200, func() {
+				body.Seek(0, io.SeekStart)
+				rec := httptest.NewRecorder()
+				tc.handle(s, rec, req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			})
+			if allocs != tc.want {
+				t.Fatalf("%s allocates %.0f times per request, want %.0f", tc.name, allocs, tc.want)
+			}
+		})
 	}
 }

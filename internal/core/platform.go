@@ -123,6 +123,7 @@ type Platform struct {
 	pendingEnds map[string]bool
 	httpLn      net.Listener
 	httpSrv     *http.Server
+	edgeURLs    map[*cdn.Edge]string // each edge's HLS base URL, built at Start
 	cancel      context.CancelFunc
 	runCtx      context.Context // the Start context; RestartOrigin re-listens under it
 	started     bool
@@ -595,9 +596,14 @@ func (p *Platform) Start(ctx context.Context) error {
 		cancel()
 		return fmt.Errorf("core: http listen: %w", err)
 	}
+	edgeURLs := make(map[*cdn.Edge]string, len(p.Topo.Edges))
+	for _, e := range p.Topo.Edges {
+		edgeURLs[e] = "http://" + ln.Addr().String() + "/edge/" + e.Site().ID + "/hls"
+	}
 	p.mu.Lock()
 	p.httpLn = ln
 	p.httpSrv = &http.Server{Handler: mux}
+	p.edgeURLs = edgeURLs
 	p.mu.Unlock()
 	p.Ctrl.SetMessageURL("http://" + ln.Addr().String() + "/channel")
 	// The janitor garbage-collects ended broadcasts: origin chunk stores
@@ -661,9 +667,12 @@ func (p *Platform) ControlURL() string { return p.BaseURL() + "/api" }
 // MessageURL returns the pubsub base (for pubsub.Client).
 func (p *Platform) MessageURL() string { return p.BaseURL() + "/channel" }
 
-// EdgeURL returns the HLS base URL of an edge (for hls.Client).
+// EdgeURL returns the HLS base URL of an edge (for hls.Client), or "" before
+// Start. Every join and edge re-resolve asks, so the URLs are built once.
 func (p *Platform) EdgeURL(e *cdn.Edge) string {
-	return p.BaseURL() + "/edge/" + e.Site().ID + "/hls"
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.edgeURLs[e]
 }
 
 // RTMPAddr returns an origin's listener address.

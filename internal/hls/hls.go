@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -307,6 +306,22 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
+// acceptIdentity is the Accept-Encoding every fetch sends, ready-made like
+// the Content-Type values above. Nothing here compresses, and a request that
+// names no encoding makes Transport build a header map per request to ask
+// for gzip.
+var acceptIdentity = []string{"identity"}
+
+// get issues one GET; a URL that does not parse is a permanent failure.
+func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, resilience.Permanent(err)
+	}
+	req.Header["Accept-Encoding"] = acceptIdentity
+	return c.http().Do(req)
+}
+
 func (c *Client) timeout() time.Duration {
 	if c.Timeout > 0 {
 		return c.Timeout
@@ -379,22 +394,18 @@ var ErrNotModified = errors.New("hls: chunklist not modified")
 // backoff under a per-attempt deadline. If haveVersion is non-zero it is
 // sent as a conditional and ErrNotModified is returned on a match.
 func (c *Client) FetchChunkList(ctx context.Context, broadcastID string, haveVersion uint64) (*media.ChunkList, error) {
-	url := fmt.Sprintf("%s/%s/chunklist.m3u8", c.BaseURL, broadcastID)
+	url := c.BaseURL + "/" + broadcastID + "/chunklist.m3u8"
 	if haveVersion != 0 {
 		url += "?have_version=" + strconv.FormatUint(haveVersion, 10)
 	}
 	return resilience.RetryValue(ctx, c.retry(), func(ctx context.Context) (*media.ChunkList, error) {
 		reqCtx, cancel := context.WithTimeout(ctx, c.timeout())
 		defer cancel()
-		req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, resilience.Permanent(err)
-		}
-		resp, err := c.http().Do(req)
+		resp, err := c.get(reqCtx, url)
 		if err != nil {
 			return nil, fmt.Errorf("hls: fetch chunklist: %w", err)
 		}
-		defer resilience.DrainClose(resp.Body)
+		defer resilience.DrainClose(resp)
 		switch resp.StatusCode {
 		case http.StatusOK:
 			c.observe(resp)
@@ -408,7 +419,7 @@ func (c *Client) FetchChunkList(ctx context.Context, broadcastID string, haveVer
 		default:
 			return nil, fmt.Errorf("hls: chunklist status %d", resp.StatusCode)
 		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		data, err := resilience.ReadBody(resp.Body, resp.ContentLength, 1<<20)
 		if err != nil {
 			// A truncated body (dropped edge connection) is transient.
 			return nil, fmt.Errorf("hls: chunklist body: %w", err)
@@ -420,19 +431,15 @@ func (c *Client) FetchChunkList(ctx context.Context, broadcastID string, haveVer
 // FetchChunk downloads one chunk, retrying transient failures with backoff
 // under a per-attempt deadline.
 func (c *Client) FetchChunk(ctx context.Context, broadcastID string, seq uint64) (*media.Chunk, error) {
-	url := fmt.Sprintf("%s/%s/chunk/%d", c.BaseURL, broadcastID, seq)
+	url := c.BaseURL + "/" + broadcastID + "/chunk/" + strconv.FormatUint(seq, 10)
 	return resilience.RetryValue(ctx, c.retry(), func(ctx context.Context) (*media.Chunk, error) {
 		reqCtx, cancel := context.WithTimeout(ctx, c.timeout())
 		defer cancel()
-		req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, resilience.Permanent(err)
-		}
-		resp, err := c.http().Do(req)
+		resp, err := c.get(reqCtx, url)
 		if err != nil {
 			return nil, fmt.Errorf("hls: fetch chunk: %w", err)
 		}
-		defer resilience.DrainClose(resp.Body)
+		defer resilience.DrainClose(resp)
 		switch resp.StatusCode {
 		case http.StatusOK:
 			c.observe(resp)
@@ -443,7 +450,7 @@ func (c *Client) FetchChunk(ctx context.Context, broadcastID string, seq uint64)
 		default:
 			return nil, fmt.Errorf("hls: chunk status %d", resp.StatusCode)
 		}
-		data, err := readBody(resp, maxChunkBody)
+		data, err := resilience.ReadBody(resp.Body, resp.ContentLength, maxChunkBody)
 		if err != nil {
 			return nil, fmt.Errorf("hls: chunk body: %w", err)
 		}
@@ -453,19 +460,6 @@ func (c *Client) FetchChunk(ctx context.Context, broadcastID string, seq uint64)
 
 // maxChunkBody caps a chunk download.
 const maxChunkBody = 64 << 20
-
-// readBody reads a response body of at most limit bytes. A declared
-// Content-Length within the limit gets one exact-size buffer; io.ReadAll's
-// doubling would allocate several times a chunk's size to the same end. An
-// undeclared (chunked) or over-limit length falls back to the capped ReadAll.
-func readBody(resp *http.Response, limit int64) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= limit {
-		data := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, data)
-		return data, err
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, limit))
-}
 
 // ChunkEvent describes one newly observed chunk, with the timestamps the
 // paper's measurement methodology records (§4.3).

@@ -7,6 +7,7 @@
 package pubsub
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -283,23 +284,27 @@ func (h *Hub) Counts(broadcastID string) (comments, hearts int) {
 //
 //	POST {prefix}/{broadcastID}/publish          body: Event JSON
 //	GET  {prefix}/{broadcastID}/events?since=N[&wait=1]
+//
+// An absent or empty since means 0; one that is not a number is refused with
+// 400, because read as 0 a typo would replay the whole channel.
 func Handler(prefix string, hub *Hub) http.Handler {
+	root := prefix + "/"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rest, ok := strings.CutPrefix(r.URL.Path, prefix+"/")
+		// Routing cuts substrings of the path; it allocates nothing.
+		rest, ok := strings.CutPrefix(r.URL.Path, root)
 		if !ok {
 			http.NotFound(w, r)
 			return
 		}
-		parts := strings.Split(rest, "/")
-		if len(parts) != 2 {
+		id, op, ok := strings.Cut(rest, "/")
+		if !ok || strings.Contains(op, "/") {
 			http.NotFound(w, r)
 			return
 		}
-		id, op := parts[0], parts[1]
 		switch {
 		case op == "publish" && r.Method == http.MethodPost:
 			var ev Event
-			body, err := io.ReadAll(io.LimitReader(r.Body, 64<<10))
+			body, err := resilience.ReadBody(r.Body, r.ContentLength, maxEventBody)
 			if err != nil || json.Unmarshal(body, &ev) != nil {
 				http.Error(w, "bad event", http.StatusBadRequest)
 				return
@@ -316,11 +321,19 @@ func Handler(prefix string, hub *Hub) http.Handler {
 				writeJSON(w, stored)
 			}
 		case op == "events" && r.Method == http.MethodGet:
-			since, _ := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
+			var since uint64
+			if v := queryValue(r.URL.RawQuery, "since"); v != "" {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					http.Error(w, "bad since parameter", http.StatusBadRequest)
+					return
+				}
+				since = n
+			}
 			var evs []Event
 			var closed bool
 			var err error
-			if r.URL.Query().Get("wait") == "1" {
+			if queryValue(r.URL.RawQuery, "wait") == "1" {
 				ctx, cancel := context.WithTimeout(r.Context(), 25*time.Second)
 				defer cancel()
 				evs, closed, err = hub.Wait(ctx, id, since)
@@ -338,18 +351,48 @@ func Handler(prefix string, hub *Hub) http.Handler {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			writeJSON(w, struct {
-				Events []Event `json:"events"`
-				Closed bool    `json:"closed"`
-			}{Events: evs, Closed: closed})
+			writeJSON(w, eventsPage{Events: evs, Closed: closed})
 		default:
 			http.NotFound(w, r)
 		}
 	})
 }
 
+// maxEventBody caps a published event's JSON.
+const maxEventBody = 64 << 10
+
+// eventsPage is the events response body.
+type eventsPage struct {
+	Events []Event `json:"events"`
+	Closed bool    `json:"closed"`
+}
+
+// queryValue returns the value of the first name=value pair of a raw query,
+// or "" — read in place, where r.URL.Query() would build a map and a slice
+// per request to find it. Both parameters here are numbers, which need no
+// unescaping.
+func queryValue(rawQuery, name string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == name {
+			return v
+		}
+	}
+	return ""
+}
+
+// Ready-made header values: assigning one directly (the key is already
+// canonical) spares each request and response the []string http.Header.Set
+// builds. Nothing here compresses, and a request that names no encoding
+// makes Transport build a header map per request to ask for gzip.
+var (
+	contentTypeJSON = []string{"application/json"}
+	acceptIdentity  = []string{"identity"}
+)
+
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// Response already started; nothing more to do.
 		_ = err
@@ -394,25 +437,44 @@ func (c *Client) timeout(wait bool) time.Duration {
 	return 10 * time.Second
 }
 
+// do issues one request; a URL that does not parse is a permanent failure.
+func (c *Client) do(ctx context.Context, method, url string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return nil, resilience.Permanent(err)
+	}
+	req.Header["Accept-Encoding"] = acceptIdentity
+	return c.http().Do(req)
+}
+
+// decodeBody reads a response body (at most maxResponseBody) and decodes it.
+func decodeBody(resp *http.Response, v interface{}) error {
+	data, err := resilience.ReadBody(resp.Body, resp.ContentLength, maxResponseBody)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
+}
+
+// maxResponseBody caps a response the client reads: a page of some 400,000
+// events, far beyond any incremental poll's.
+const maxResponseBody = 64 << 20
+
 // Publish sends one event, retrying transient transport failures.
 func (c *Client) Publish(ctx context.Context, broadcastID string, ev Event) (Event, error) {
 	body, err := json.Marshal(ev)
 	if err != nil {
 		return Event{}, err
 	}
-	url := fmt.Sprintf("%s/%s/publish", c.BaseURL, broadcastID)
+	url := c.BaseURL + "/" + broadcastID + "/publish"
 	return resilience.RetryValue(ctx, c.Retry, func(ctx context.Context) (Event, error) {
 		ctx, cancel := context.WithTimeout(ctx, c.timeout(false))
 		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(body)))
-		if err != nil {
-			return Event{}, resilience.Permanent(err)
-		}
-		resp, err := c.http().Do(req)
+		resp, err := c.do(ctx, http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
 			return Event{}, fmt.Errorf("pubsub: publish: %w", err)
 		}
-		defer resilience.DrainClose(resp.Body)
+		defer resilience.DrainClose(resp)
 		switch resp.StatusCode {
 		case http.StatusOK:
 		case http.StatusForbidden:
@@ -423,7 +485,7 @@ func (c *Client) Publish(ctx context.Context, broadcastID string, ev Event) (Eve
 			return Event{}, fmt.Errorf("pubsub: publish status %d", resp.StatusCode)
 		}
 		var stored Event
-		if err := json.NewDecoder(resp.Body).Decode(&stored); err != nil {
+		if err := decodeBody(resp, &stored); err != nil {
 			return Event{}, fmt.Errorf("pubsub: publish body: %w", err)
 		}
 		return stored, nil
@@ -433,44 +495,33 @@ func (c *Client) Publish(ctx context.Context, broadcastID string, ev Event) (Eve
 // Events fetches events after since, retrying transient failures; wait
 // enables server-side long polling.
 func (c *Client) Events(ctx context.Context, broadcastID string, since uint64, wait bool) ([]Event, bool, error) {
-	url := fmt.Sprintf("%s/%s/events?since=%d", c.BaseURL, broadcastID, since)
+	url := c.BaseURL + "/" + broadcastID + "/events?since=" + strconv.FormatUint(since, 10)
 	if wait {
 		url += "&wait=1"
 	}
-	type page struct {
-		evs    []Event
-		closed bool
-	}
-	out, err := resilience.RetryValue(ctx, c.Retry, func(ctx context.Context) (page, error) {
+	out, err := resilience.RetryValue(ctx, c.Retry, func(ctx context.Context) (eventsPage, error) {
 		ctx, cancel := context.WithTimeout(ctx, c.timeout(wait))
 		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		resp, err := c.do(ctx, http.MethodGet, url, nil)
 		if err != nil {
-			return page{}, resilience.Permanent(err)
+			return eventsPage{}, fmt.Errorf("pubsub: events: %w", err)
 		}
-		resp, err := c.http().Do(req)
-		if err != nil {
-			return page{}, fmt.Errorf("pubsub: events: %w", err)
-		}
-		defer resilience.DrainClose(resp.Body)
+		defer resilience.DrainClose(resp)
 		switch resp.StatusCode {
 		case http.StatusOK:
 		case http.StatusNotFound:
-			return page{}, resilience.Permanent(ErrNoChannel)
+			return eventsPage{}, resilience.Permanent(ErrNoChannel)
 		default:
-			return page{}, fmt.Errorf("pubsub: events status %d", resp.StatusCode)
+			return eventsPage{}, fmt.Errorf("pubsub: events status %d", resp.StatusCode)
 		}
-		var body struct {
-			Events []Event `json:"events"`
-			Closed bool    `json:"closed"`
+		var page eventsPage
+		if err := decodeBody(resp, &page); err != nil {
+			return eventsPage{}, fmt.Errorf("pubsub: events body: %w", err)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			return page{}, fmt.Errorf("pubsub: events body: %w", err)
-		}
-		return page{evs: body.Events, closed: body.Closed}, nil
+		return page, nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	return out.evs, out.closed, nil
+	return out.Events, out.Closed, nil
 }

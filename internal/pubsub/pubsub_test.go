@@ -1,9 +1,11 @@
 package pubsub
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -427,5 +429,81 @@ func TestClientKeepsConnectionAcrossRefusals(t *testing.T) {
 	}
 	if n := conns.Load(); n != 1 {
 		t.Fatalf("four sequential calls opened %d connections, want 1", n)
+	}
+}
+
+// TestHandlerAllocBudgets pins what the two message-channel endpoints a
+// lifecycle calls allocate per request, routing, handler and recorder
+// together, through httptest.NewRecorder and no socket so the count is
+// exact: the routing cut, the in-place query read, the exact-size body read
+// and the ready-made Content-Type each show in it.
+func TestHandlerAllocBudgets(t *testing.T) {
+	if testutil.Race {
+		t.Skip("sync.Pool drops puts under the race detector, so the count is not exact")
+	}
+	hub := NewHub(0, nil, nil)
+	hub.Open("b1")
+	hub.Open("b2")
+	for _, ev := range []Event{{UserID: "u1", Kind: KindComment, Text: "hello"}, {UserID: "u1", Kind: KindHeart}} {
+		if _, err := hub.Publish("b2", ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := Handler("/channel", hub)
+	for _, tc := range []struct {
+		name   string
+		method string
+		target string
+		body   string
+		want   float64
+	}{
+		// Hearts: a comment would also grow the commenter set.
+		{"publish", "POST", "/channel/b1/publish", `{"user_id":"viewer-7","kind":"heart"}`, 18},
+		{"events", "GET", "/channel/b2/events?since=0", "", 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := bytes.NewReader([]byte(tc.body))
+			req := httptest.NewRequest(tc.method, tc.target, body)
+			// The run's publishes grow the channel's event log, a fraction
+			// of an allocation per request that the whole-number average
+			// drops.
+			allocs := testing.AllocsPerRun(200, func() {
+				body.Seek(0, io.SeekStart)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			})
+			if allocs != tc.want {
+				t.Fatalf("%s allocates %.0f times per request, want %.0f", tc.name, allocs, tc.want)
+			}
+		})
+	}
+}
+
+// A since that is not a number is refused; read as 0 it would replay the
+// whole channel. Absent or empty, it means 0.
+func TestEventsRejectsMalformedSince(t *testing.T) {
+	hub := NewHub(0, nil, nil)
+	hub.Open("b1")
+	if _, err := hub.Publish("b1", Event{UserID: "u1", Kind: KindHeart}); err != nil {
+		t.Fatal(err)
+	}
+	h := Handler("/channel", hub)
+	for query, want := range map[string]int{
+		"since=abc":       http.StatusBadRequest,
+		"since=-1":        http.StatusBadRequest,
+		"since=1x&wait=1": http.StatusBadRequest,
+		"since=0":         http.StatusOK,
+		"since=":          http.StatusOK,
+		"":                http.StatusOK,
+		"wait=0&since=1":  http.StatusOK,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/channel/b1/events?"+query, nil))
+		if rec.Code != want {
+			t.Errorf("?%s: status %d, want %d: %s", query, rec.Code, want, rec.Body)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"sync"
 	"time"
 
@@ -81,10 +82,33 @@ var jitterRand = func() func() float64 {
 // its response body has been read to EOF: closing one unread — an error reply,
 // or a success whose body the caller has no use for — discards the connection
 // and the next request pays a dial, against a server that may just have said
-// it is overloaded. Clients defer this instead of resp.Body.Close.
-func DrainClose(body io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(body, 64<<10)) // best effort: a failed drain only costs the connection
-	body.Close()
+// it is overloaded. Clients defer this instead of resp.Body.Close. A body that
+// declared a length within the bound is drained as it is — net/http already
+// stops it at that length — so only an undeclared or longer one pays for the
+// bounding reader.
+func DrainClose(resp *http.Response) {
+	var body io.Reader = resp.Body
+	if n := resp.ContentLength; n < 0 || n > maxDrain {
+		body = io.LimitReader(resp.Body, maxDrain)
+	}
+	_, _ = io.Copy(io.Discard, body) // best effort: a failed drain only costs the connection
+	resp.Body.Close()
+}
+
+// maxDrain bounds what DrainClose reads to save a connection.
+const maxDrain = 64 << 10
+
+// ReadBody reads a body that declared n bytes (n ≤ 0: undeclared or unknown),
+// at most limit of them. A declared length within the limit is read into one
+// buffer of exactly that size, where io.ReadAll's doubling would allocate
+// several; anything else falls back to the capped ReadAll.
+func ReadBody(body io.Reader, n, limit int64) ([]byte, error) {
+	if n > 0 && n <= limit {
+		data := make([]byte, n)
+		_, err := io.ReadFull(body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(body, limit))
 }
 
 // permanentError marks an error that must not be retried.

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -317,5 +318,28 @@ func TestSingleFlightErrorShared(t *testing.T) {
 	v, err, _ := g.Do("k", func() (int, error) { return 1, nil })
 	if err != nil || v != 1 {
 		t.Fatalf("second Do = %d, %v", v, err)
+	}
+}
+
+// ReadBody reads a declared length into one buffer of exactly that size,
+// refuses a body shorter than it declared, and falls back to the capped read
+// for an undeclared or over-limit length.
+func TestReadBody(t *testing.T) {
+	want := bytes.Repeat([]byte("chunk"), 1000)
+	const limit = 1 << 20
+	exact, err := ReadBody(bytes.NewReader(want), int64(len(want)), limit)
+	if err != nil || !bytes.Equal(exact, want) || cap(exact) != len(want) {
+		t.Fatalf("declared-length read: err %v, len %d cap %d, want exactly %d", err, len(exact), cap(exact), len(want))
+	}
+	if _, err := ReadBody(bytes.NewReader(want[:10]), int64(len(want)), limit); err == nil {
+		t.Fatal("a body shorter than its declared length was accepted")
+	}
+	for _, n := range []int64{-1, 0, limit + 1} {
+		if got, err := ReadBody(bytes.NewReader(want), n, limit); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("declared %d: err %v, %d bytes", n, err, len(got))
+		}
+	}
+	if got, _ := ReadBody(bytes.NewReader(want), -1, 10); len(got) != 10 {
+		t.Fatalf("undeclared length read %d bytes past a limit of 10", len(got))
 	}
 }

@@ -54,20 +54,28 @@ func dialAndHandshakeTLS(ctx context.Context, addr string, hs wire.Handshake, tl
 	if wrap != nil {
 		conn = wrap(conn)
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
+	// The handshake round trip ends with ctx, by deadline or by cancel: a
+	// deadline in the past, armed when ctx is done, fails the blocked write or
+	// read at once. A peer that accepts and never acks must not hold the
+	// caller.
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	m := wire.Message{Type: wire.MsgHandshake, Body: wire.MarshalHandshake(hs)}
-	if err := wire.WriteMessage(conn, m); err != nil {
+	var reply wire.Message
+	err = wire.WriteMessage(conn, m)
+	if err == nil {
+		if reply, err = wire.ReadMessage(conn); err != nil {
+			err = fmt.Errorf("rtmp: reading handshake ack: %w", err)
+		}
+	}
+	if !stop() {
+		// ctx ended first: the past deadline is armed or about to be, so
+		// the connection is unusable whatever the exchange returned.
+		err = fmt.Errorf("rtmp: handshake with %s: %w", addr, ctx.Err())
+	}
+	if err != nil {
 		conn.Close()
 		return nil, wire.Ack{}, err
 	}
-	reply, err := wire.ReadMessage(conn)
-	if err != nil {
-		conn.Close()
-		return nil, wire.Ack{}, fmt.Errorf("rtmp: reading handshake ack: %w", err)
-	}
-	conn.SetDeadline(time.Time{})
 	if reply.Type != wire.MsgHandshakeAck {
 		conn.Close()
 		return nil, wire.Ack{}, fmt.Errorf("rtmp: unexpected reply type %d", reply.Type)
@@ -156,7 +164,10 @@ func (p *Publisher) End() error {
 func (p *Publisher) Close() error { return p.conn.Close() }
 
 // ReceivedFrame is one frame as seen by a viewer, with its local arrival
-// time (timestamp ③ of Fig. 10) and signature status.
+// time (timestamp ③ of Fig. 10) and signature status. Frame.Payload (and
+// Frame.Sig) is a capped view of the buffer the frame was read in, which it
+// shares with the frames read beside it: a receiver may keep it, and append
+// to it, but must not write its bytes.
 type ReceivedFrame struct {
 	Frame      media.Frame
 	ReceivedAt time.Time
@@ -215,6 +226,13 @@ func SubscribeTLS(ctx context.Context, addr, broadcastID, token string, opts Vie
 	if err != nil {
 		return nil, err
 	}
+	v := newViewer(conn, opts)
+	go v.receiveLoop()
+	return v, nil
+}
+
+// newViewer builds the session over a handshaken connection.
+func newViewer(conn net.Conn, opts ViewerOptions) *Viewer {
 	if opts.Queue == 0 {
 		opts.Queue = 1024
 	}
@@ -222,7 +240,7 @@ func SubscribeTLS(ctx context.Context, addr, broadcastID, token string, opts Vie
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	v := &Viewer{
+	return &Viewer{
 		conn:   conn,
 		frames: make(chan ReceivedFrame, opts.Queue),
 		errc:   make(chan error, 1),
@@ -230,31 +248,33 @@ func SubscribeTLS(ctx context.Context, addr, broadcastID, token string, opts Vie
 		pubKey: opts.PubKey,
 		clk:    clk,
 	}
-	go v.receiveLoop()
-	return v, nil
 }
 
+// receiveLoop reads pushed frames the way the origin reads its broadcaster:
+// through a pooled bufio.Reader and a wire.Reader, so every frame already
+// buffered when a read returns shares that read's one allocation, and each
+// frame is a view of it (media.ViewFrame) rather than a copy.
 func (v *Viewer) receiveLoop() {
 	defer close(v.frames)
-	// The read buffer is reused across frames: UnmarshalFrame copies the
-	// payload out, so nothing retains msg.Body past the iteration.
-	var buf []byte
+	// The handshake ack was read exactly, so buffering from here on loses
+	// nothing of the stream.
+	br := getReader(v.conn)
+	defer putReader(br)
+	rd := wire.NewReader(br)
 	for {
-		var msg wire.Message
-		var err error
-		msg, buf, err = wire.ReadMessageInto(v.conn, buf)
+		msg, err := rd.Next()
 		if err != nil {
 			v.errc <- err
 			return
 		}
-		switch msg.Type {
+		switch msg.Type() {
 		case wire.MsgEnd:
 			return
 		case wire.MsgFrame, wire.MsgSignedFrame:
 			rf := ReceivedFrame{ReceivedAt: v.clk.Now()}
-			frameBytes := msg.Body
-			if msg.Type == wire.MsgSignedFrame {
-				fb, sig, err := wire.UnmarshalSignedFrame(msg.Body)
+			frameBytes := msg.Body()
+			if msg.Type() == wire.MsgSignedFrame {
+				fb, sig, err := wire.UnmarshalSignedFrame(frameBytes)
 				if err != nil {
 					continue
 				}
@@ -264,7 +284,7 @@ func (v *Viewer) receiveLoop() {
 				}
 				frameBytes = fb
 			}
-			f, _, err := media.UnmarshalFrame(frameBytes)
+			f, _, err := media.ViewFrame(frameBytes)
 			if err != nil {
 				continue
 			}

@@ -205,23 +205,21 @@ func TestBatchedRelayDeliversEveryFrame(t *testing.T) {
 // messages so its queue builds up behind it.
 func readAll(conn net.Conn, want []wire.Message, slow bool) error {
 	conn.SetReadDeadline(time.Now().Add(60 * time.Second))
-	br := bufio.NewReader(conn)
-	var buf []byte
+	rd := wire.NewReader(bufio.NewReader(conn))
 	for i := 0; ; i++ {
 		if slow && i%100 == 0 {
 			time.Sleep(2 * time.Millisecond)
 		}
-		m, next, err := wire.ReadMessageInto(br, buf)
-		buf = next
+		m, err := rd.Next()
 		switch {
 		case err != nil:
 			return fmt.Errorf("message %d: %w", i, err)
-		case i < len(want) && (m.Type != want[i].Type || !bytes.Equal(m.Body, want[i].Body)):
-			return fmt.Errorf("message %d: type %d, %d bytes; want frame %d as sent", i, m.Type, len(m.Body), i)
-		case i == len(want) && m.Type != wire.MsgEnd:
-			return fmt.Errorf("message %d: type %d after the last frame, want MsgEnd", i, m.Type)
+		case i < len(want) && (m.Type() != want[i].Type || !bytes.Equal(m.Body(), want[i].Body)):
+			return fmt.Errorf("message %d: type %d, %d bytes; want frame %d as sent", i, m.Type(), len(m.Body()), i)
+		case i == len(want) && m.Type() != wire.MsgEnd:
+			return fmt.Errorf("message %d: type %d after the last frame, want MsgEnd", i, m.Type())
 		case i == len(want):
-			if _, err := wire.ReadMessage(br); err != io.EOF {
+			if _, err := rd.Next(); err != io.EOF {
 				return fmt.Errorf("after MsgEnd: %v, want the server to close", err)
 			}
 			return nil
@@ -264,5 +262,63 @@ func TestViewerUploadPinsNoMemory(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
 		t.Fatalf("a viewer's 5-byte header cost the server %d bytes, want < 1 MB", d)
+	}
+}
+
+// TestViewerOneAllocPerBatch pins the viewer client's read budget: k frames
+// that arrive in one write cost the receive loop one allocation — the batch
+// they are read in — and nothing per frame. Signed frames are read the same
+// way and still verify.
+func TestViewerOneAllocPerBatch(t *testing.T) {
+	const runs, k = 50, 8
+	pubKey, privKey, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		signed bool
+	}{{"unsigned", false}, {"signed", true}} {
+		signed := tc.signed
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer server.Close()
+			v := newViewer(client, ViewerOptions{Queue: k, PubKey: pubKey})
+			go v.receiveLoop()
+			defer v.Close()
+
+			frames := make([]media.Frame, k)
+			var batch []byte
+			for i := range frames {
+				frames[i] = media.Frame{Seq: uint64(i), CapturedAt: time.Unix(0, int64(i)), Payload: bytes.Repeat([]byte{byte(i)}, 100)}
+				m := wire.Message{Type: wire.MsgFrame, Body: media.MarshalFrame(nil, &frames[i])}
+				if signed {
+					body, err := wire.MarshalSignedFrame(m.Body, ed25519.Sign(privKey, m.Body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					m = wire.Message{Type: wire.MsgSignedFrame, Body: body}
+				}
+				batch, _ = wire.AppendMessage(batch, m)
+			}
+			allocs := testing.AllocsPerRun(runs, func() {
+				// net.Pipe hands the whole write to the loop's first read.
+				if _, err := server.Write(batch); err != nil {
+					t.Fatal(err)
+				}
+				for i := range frames {
+					rf := <-v.Frames()
+					if rf.Frame.Seq != frames[i].Seq || !bytes.Equal(rf.Frame.Payload, frames[i].Payload) {
+						t.Fatalf("frame %d: seq %d, %d payload bytes; want it as sent", i, rf.Frame.Seq, len(rf.Frame.Payload))
+					}
+					if rf.Signed != signed || rf.Verified != signed {
+						t.Fatalf("frame %d: signed %v verified %v, want %v %v", i, rf.Signed, rf.Verified, signed, signed)
+					}
+				}
+			})
+			if allocs != 1 {
+				t.Fatalf("a batch of %d frames allocates %.0f times in the viewer, want 1", k, allocs)
+			}
+		})
 	}
 }

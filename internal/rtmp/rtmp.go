@@ -287,6 +287,26 @@ var encodedEnd = func() wire.Encoded {
 	return e
 }()
 
+// readers pools the 4 KiB bufio.Readers that the two stream-reading loops —
+// the origin's broadcaster loop and the viewer client's receive loop — read
+// through with a wire.Reader. wire.Reader copies each batch out of the
+// buffer, so nothing a loop hands on aliases a pooled reader, and a finished
+// session's buffer serves the next session instead of becoming garbage.
+var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// getReader returns a pooled reader over conn.
+func getReader(conn net.Conn) *bufio.Reader {
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(conn)
+	return br
+}
+
+// putReader returns br to the pool once its loop has stopped reading.
+func putReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readers.Put(br)
+}
+
 // NewServer builds a Server from cfg.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.Auth == nil {
@@ -577,7 +597,9 @@ func (s *Server) handleBroadcaster(conn net.Conn, hs wire.Handshake) {
 	// The handshake was read exactly, so nothing of the stream is lost by
 	// buffering from here on; small frames then share a read syscall and
 	// one relay buffer.
-	rd := wire.NewReader(bufio.NewReader(conn))
+	br := getReader(conn)
+	defer putReader(br)
+	rd := wire.NewReader(br)
 	for {
 		enc, err := rd.Next()
 		if err != nil {

@@ -2,6 +2,7 @@ package rtmp
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -217,4 +218,57 @@ func TestGarbageHandshakeIgnored(t *testing.T) {
 		t.Fatalf("server unusable after junk: %v", err)
 	}
 	pub.End()
+}
+
+// TestHandshakeEndsOnCancel: a server that accepts and never acks must not
+// hold a handshake whose context has no deadline once that context is
+// cancelled — Publish and Subscribe return context.Canceled promptly.
+func TestHandshakeEndsOnCancel(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 2)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c // held open, never answered
+		}
+	}()
+	addr := ln.Addr().String()
+	for _, tc := range []struct {
+		name string
+		open func(ctx context.Context) error
+	}{
+		{"publish", func(ctx context.Context) error {
+			_, err := Publish(ctx, addr, "b1", "tok", nil)
+			return err
+		}},
+		{"subscribe", func(ctx context.Context) error {
+			_, err := Subscribe(ctx, addr, "b1", "", ViewerOptions{})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			errc := make(chan error, 1)
+			go func() { errc <- tc.open(ctx) }()
+			conn := <-accepted
+			defer conn.Close() // releases a handshake the cancel did not
+			cancel()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("handshake after cancel: %v, want context.Canceled", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("handshake still blocked 1 s after its context was cancelled")
+			}
+		})
+	}
 }

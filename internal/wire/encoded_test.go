@@ -188,61 +188,6 @@ func TestReaderOneAllocPerBatch(t *testing.T) {
 	}
 }
 
-// TestReadMessageInto checks buffer reuse: the same backing array serves
-// successive reads once grown, and bodies alias the returned buffer.
-func TestReadMessageInto(t *testing.T) {
-	var buf bytes.Buffer
-	big := bytes.Repeat([]byte{7}, 1024)
-	for _, m := range []Message{
-		{Type: MsgFrame, Body: big},
-		{Type: MsgFrame, Body: []byte("small")},
-		{Type: MsgEnd},
-	} {
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m1, reuse, err := ReadMessageInto(&buf, nil)
-	if err != nil || !bytes.Equal(m1.Body, big) {
-		t.Fatalf("m1 = %v (err %v)", len(m1.Body), err)
-	}
-	grown := cap(reuse)
-	if grown < 1024 {
-		t.Fatalf("reuse cap = %d, want >= 1024", grown)
-	}
-	m2, reuse2, err := ReadMessageInto(&buf, reuse)
-	if err != nil || string(m2.Body) != "small" {
-		t.Fatalf("m2 = %q (err %v)", m2.Body, err)
-	}
-	if cap(reuse2) != grown {
-		t.Fatalf("buffer was reallocated for a smaller body: cap %d → %d", grown, cap(reuse2))
-	}
-	m3, _, err := ReadMessageInto(&buf, reuse2)
-	if err != nil || m3.Type != MsgEnd || len(m3.Body) != 0 {
-		t.Fatalf("m3 = %+v (err %v)", m3, err)
-	}
-}
-
-// TestReadMessageIntoAllocFree pins the buffer-reuse promise: a read loop that
-// hands each returned buffer to the next call reads every message without
-// allocating once the buffer has grown to the body size.
-func TestReadMessageIntoAllocFree(t *testing.T) {
-	body := bytes.Repeat([]byte{3}, 600)
-	raw, _ := AppendMessage(nil, Message{Type: MsgFrame, Body: body})
-	r := testutil.Replay(raw)
-	buf := make([]byte, 0, len(body))
-	allocs := testing.AllocsPerRun(100, func() {
-		m, next, err := ReadMessageInto(r, buf)
-		if err != nil || len(m.Body) != len(body) {
-			t.Fatalf("read %d body bytes (err %v), want %d", len(m.Body), err, len(body))
-		}
-		buf = next
-	})
-	if allocs != 0 {
-		t.Fatalf("ReadMessageInto allocs/op = %.1f, want 0", allocs)
-	}
-}
-
 // TestEncodeMessageOneAlloc pins the fan-out's one framing per arrival at its
 // product: the framed buffer, and nothing beside it.
 func TestEncodeMessageOneAlloc(t *testing.T) {

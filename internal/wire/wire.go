@@ -289,46 +289,24 @@ func WriteMessage(w io.Writer, m Message) error {
 	return nil
 }
 
-// ReadMessage reads one framed message into a fresh buffer.
+// ReadMessage reads one framed message into a fresh buffer. It reads exactly
+// the message and nothing behind it, so it suits a single exchange on a
+// stream something else reads next (the handshake ack); a loop that reads
+// many messages should own a bufio.Reader and a Reader over it.
 func ReadMessage(r io.Reader) (Message, error) {
-	m, _, err := ReadMessageInto(r, nil)
-	return m, err
-}
-
-// ReadMessageInto reads one framed message, reusing buf for the body when it
-// has the capacity (growing it otherwise). The returned message's Body
-// aliases the returned buffer, which should be passed to the next call — a
-// read loop that does not retain bodies becomes allocation-free. Callers that
-// keep a Body past the next call must copy it first.
-//
-//livesim:hotpath TestReadMessageIntoAllocFree
-func ReadMessageInto(r io.Reader, buf []byte) (Message, []byte, error) {
-	// The header is read into the caller's buffer, not a local array: a
-	// local would be pinned to the heap by the io.Reader interface call,
-	// costing an allocation on every read and breaking the zero-alloc
-	// steady state this function promises (hotpathescape enforces it).
-	if cap(buf) < headerSize {
-		//lint:allow hotpathescape grow path runs only until the caller's buffer reaches header size; the buffer is returned for reuse
-		buf = make([]byte, headerSize)
-	}
-	hdr := buf[:headerSize]
+	hdr := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Message{}, buf, err
+		return Message{}, err
 	}
-	typ := MsgType(hdr[0])
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n > MaxBody {
-		return Message{}, buf, ErrBodyTooLarge
+		return Message{}, ErrBodyTooLarge
 	}
-	if cap(buf) < int(n) {
-		//lint:allow hotpathescape grow path runs only while bodies outgrow the caller's buffer; the buffer is returned for reuse
-		buf = make([]byte, n)
-	}
-	body := buf[:n]
+	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return Message{}, buf, fmt.Errorf("wire: read body: %w", err)
+		return Message{}, fmt.Errorf("wire: read body: %w", err)
 	}
-	return Message{Type: typ, Body: body}, body, nil
+	return Message{Type: MsgType(hdr[0]), Body: body}, nil
 }
 
 // appendString appends a length-prefixed string.
@@ -351,9 +329,10 @@ func readString(data []byte) (string, []byte, error) {
 	return string(data[2 : 2+n]), data[2+n:], nil
 }
 
-// MarshalHandshake encodes a Handshake body.
+// MarshalHandshake encodes a Handshake body into a buffer sized once.
 func MarshalHandshake(h Handshake) []byte {
-	buf := appendString(nil, h.Role)
+	buf := make([]byte, 0, 3*2+len(h.Role)+len(h.BroadcastID)+len(h.Token)+4)
+	buf = appendString(buf, h.Role)
 	buf = appendString(buf, h.BroadcastID)
 	buf = appendString(buf, h.Token)
 	var b [4]byte
