@@ -209,24 +209,7 @@ func closer(d, bestD float64, id, bestID string) bool {
 // NearestOrigin returns the eligible origin closest to loc — the broadcaster
 // assignment policy the paper observed (§5.3), filtered by fleet health.
 func (t *Topology) NearestOrigin(loc geo.Location) *Origin {
-	var best *Origin
-	var bestD float64
-	pick := func(onlyEligible bool) {
-		for _, o := range t.Origins {
-			if onlyEligible && !t.isEligible(RoleOrigin, o.Site().ID) {
-				continue
-			}
-			d := geo.DistanceKm(loc, o.Site().Location)
-			if best == nil || closer(d, bestD, o.Site().ID, best.Site().ID) {
-				best, bestD = o, d
-			}
-		}
-	}
-	pick(true)
-	if best == nil {
-		pick(false)
-	}
-	return best
+	return nearestSite(t, RoleOrigin, loc, t.Origins)
 }
 
 // NearestEdge returns the eligible edge closest to loc — the IP-anycast
@@ -234,24 +217,32 @@ func (t *Topology) NearestOrigin(loc geo.Location) *Origin {
 // draining are skipped so joins and failover re-resolves land on healthy
 // siblings.
 func (t *Topology) NearestEdge(loc geo.Location) *Edge {
-	var best *Edge
-	var bestD float64
-	pick := func(onlyEligible bool) {
-		for _, e := range t.Edges {
-			if onlyEligible && !t.isEligible(RoleEdge, e.Site().ID) {
+	return nearestSite(t, RoleEdge, loc, t.Edges)
+}
+
+// nearestSite is the one nearest-site search: the node of nodes closest to
+// loc among those the eligibility predicate admits for role, ties broken by
+// smaller site ID, falling back to the whole fleet when it admits none. The
+// zero N (nil) when nodes is empty.
+func nearestSite[N interface{ Site() geo.Datacenter }](t *Topology, role string, loc geo.Location, nodes []N) N {
+	best, bestD, bestID := -1, 0.0, ""
+	for _, onlyEligible := range [2]bool{true, false} {
+		for i, n := range nodes {
+			site := n.Site()
+			if onlyEligible && !t.isEligible(role, site.ID) {
 				continue
 			}
-			d := geo.DistanceKm(loc, e.Site().Location)
-			if best == nil || closer(d, bestD, e.Site().ID, best.Site().ID) {
-				best, bestD = e, d
+			d := geo.DistanceKm(loc, site.Location)
+			if best < 0 || closer(d, bestD, site.ID, bestID) {
+				best, bestD, bestID = i, d, site.ID
 			}
 		}
+		if best >= 0 {
+			return nodes[best]
+		}
 	}
-	pick(true)
-	if best == nil {
-		pick(false)
-	}
-	return best
+	var none N
+	return none
 }
 
 // GatewayFor returns the edge co-located with the origin, or nil.

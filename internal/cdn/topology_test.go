@@ -106,6 +106,25 @@ func TestNearestFallsBackWhenWholeFleetIneligible(t *testing.T) {
 	}
 }
 
+// TestNearestSiteAllocFree: the nearest-site search runs on every broadcast
+// start, join and resolve, so it must allocate nothing, with or without an
+// eligibility predicate.
+func TestNearestSiteAllocFree(t *testing.T) {
+	topo := Build(TopologyConfig{})
+	at := geo.Location{City: "here", Lat: 40, Lon: -74}
+	search := func() {
+		topo.NearestOrigin(at)
+		topo.NearestEdge(at)
+	}
+	if n := testing.AllocsPerRun(100, search); n != 0 {
+		t.Fatalf("nearest-site search: %v allocs, want 0", n)
+	}
+	topo.SetEligibility(func(role, siteID string) bool { return siteID != "none" })
+	if n := testing.AllocsPerRun(100, search); n != 0 {
+		t.Fatalf("nearest-site search with eligibility: %v allocs, want 0", n)
+	}
+}
+
 // blockingStore parks every call until released, letting tests hold an
 // edge's inflight slots occupied.
 type blockingStore struct {

@@ -43,12 +43,13 @@ type FailoverConfig struct {
 	// unlimited. Resolve errors marked resilience.Permanent (authoritative
 	// rejections like "no such broadcast") are never retried.
 	ResolveRetries int
-	// Backoff schedules the wait between failover rounds; the zero value
-	// uses the resilience defaults.
+	// Backoff schedules the waits between failover rounds and between
+	// resolve retries and, through its Sleep, waits them out; the zero value
+	// uses the resilience defaults and a nil Sleep means Clock's.
 	Backoff resilience.Policy
-	// Clock times the waits between failover rounds and resolve retries and
-	// is handed to the default per-edge client (a custom NewClient sets its
-	// own); nil means the real clock.
+	// Clock is the default Backoff.Sleep and is handed to the default
+	// per-edge client (a custom NewClient sets its own); nil means the real
+	// clock.
 	Clock clock.Clock
 	// Metrics is the registry the session's failover counters register in,
 	// and is handed to the default per-edge client; nil means a private
@@ -98,6 +99,9 @@ func NewFailoverPoller(broadcastID string, cfg FailoverConfig) *FailoverPoller {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
+	}
+	if cfg.Backoff.Sleep == nil {
+		cfg.Backoff.Sleep = cfg.Clock.Sleep
 	}
 	if cfg.NewClient == nil {
 		cfg.NewClient = func(baseURL string) *Client {
@@ -171,7 +175,7 @@ func (fp *FailoverPoller) Run(ctx context.Context) error {
 				}
 				return fmt.Errorf("hls: %d failovers: %w", rounds-1, lastErr)
 			}
-			if err := fp.cfg.Clock.Sleep(ctx, fp.cfg.Backoff.Delay(rounds-1)); err != nil {
+			if err := fp.cfg.Backoff.Sleep(ctx, fp.cfg.Backoff.Delay(rounds-1)); err != nil {
 				return err
 			}
 			fp.m.failovers.Inc()
@@ -254,7 +258,7 @@ func (fp *FailoverPoller) resolveEdge(ctx context.Context) (string, error) {
 				delay = hint
 			}
 		}
-		if err := fp.cfg.Clock.Sleep(ctx, delay); err != nil {
+		if err := fp.cfg.Backoff.Sleep(ctx, delay); err != nil {
 			return "", err
 		}
 	}

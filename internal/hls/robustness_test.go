@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -621,6 +622,43 @@ func TestFailoverPollerFallsBackToCachedEdgeDuringOutage(t *testing.T) {
 	defer mu.Unlock()
 	if len(seqs) != len(chunks) {
 		t.Fatalf("delivered %d chunks, want %d (seqs=%v)", len(seqs), len(chunks), seqs)
+	}
+}
+
+// TestFailoverPollerWaitsThroughBackoffSleep: every wait of the session goes
+// through its Backoff.Sleep — here two resolve retries, then the waits
+// before two failover rounds against edges that always fail.
+func TestFailoverPollerWaitsThroughBackoffSleep(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	p := newEdgePair(t, nil)
+	srvErr := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	})
+	p.a.Config.Handler = srvErr
+	p.b.Config.Handler = srvErr
+
+	rec := &sleepRecorder{}
+	var calls atomic.Int64
+	cfg := fastFailoverCfg(p, nil)
+	cfg.FailureThreshold = 1
+	cfg.MaxFailovers = 2
+	cfg.Backoff = resilience.Policy{BaseDelay: 3 * time.Millisecond, MaxDelay: 10 * time.Millisecond, Jitter: -1, Sleep: rec.sleep}
+	cfg.Resolve = func(ctx context.Context) (string, error) {
+		if calls.Add(1) <= 2 {
+			return "", errors.New("control plane down")
+		}
+		return p.resolve(ctx)
+	}
+	fp := NewFailoverPoller("b1", cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := fp.Run(ctx); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run = %v, want terminal upstream error within budget", err)
+	}
+	d := cfg.Backoff.Delay
+	want := []time.Duration{d(0), d(1), d(0), d(1)}
+	if got := rec.all(); !slices.Equal(got, want) {
+		t.Fatalf("recorded waits %v, want resolve retries then failover rounds %v", got, want)
 	}
 }
 

@@ -3,7 +3,8 @@
 // nothing else catches (DESIGN.md §8 names the owners):
 //
 //	locksend      — no blocking op, and no second lock, while a
-//	                sync.Mutex/RWMutex is held in the same function (§5a)
+//	                sync.Mutex/RWMutex is held in the same function body,
+//	                literals it invokes on the spot included (§5a)
 //	walltime      — every package but main takes time from an injected
 //	                internal/clock.Clock and randomness from internal/rng,
 //	                never the wall clock or global math/rand
@@ -14,6 +15,9 @@
 //	lockorder     — the whole-program lock-acquisition graph is acyclic
 //	                (no AB/BA deadlocks), propagated across packages via
 //	                facts
+//	                (locksend and lockorder run one held-lock walker,
+//	                lockwalk.go, and differ only in what they do at each
+//	                event)
 //	goroleak      — every `go` statement has a provable termination path
 //	hotpathescape — //livesim:hotpath functions are escape-free according
 //	                to the compiler itself (escape.go; compiler-assisted, so

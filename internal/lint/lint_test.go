@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/lint"
+	"repro/internal/lint/analysis"
 	"repro/internal/lint/analysistest"
+	"repro/internal/lint/loader"
 )
 
 func TestLocksend(t *testing.T) {
@@ -112,6 +114,81 @@ func TestAllowDirectives(t *testing.T) {
 	}
 	if got := len(findings); got != 6 {
 		t.Errorf("want 6 findings total (2 sends + 4 directive diagnostics), got %d", got)
+	}
+}
+
+// TestLockShapes is the lock-shape matrix that keeps both lock analyzers:
+// per shape (one fixture file each), how many findings each reports.
+// locksend alone misses an AB/BA order built through helper calls;
+// lockorder alone misses a nesting whose order is acyclic.
+func TestLockShapes(t *testing.T) {
+	findings, _, err := lint.Check(filepath.Join("testdata", "src", "lockshapes"), ".")
+	if err != nil {
+		t.Fatalf("lint.Check: %v", err)
+	}
+	type counts struct{ locksend, lockorder int }
+	got := make(map[string]counts)
+	for _, f := range findings {
+		c := got[filepath.Base(f.Pos.Filename)]
+		switch f.Analyzer {
+		case "locksend":
+			c.locksend++
+		case "lockorder":
+			c.lockorder++
+		default:
+			t.Errorf("unexpected finding: %s", f)
+		}
+		got[filepath.Base(f.Pos.Filename)] = c
+	}
+	want := map[string]counts{
+		"nested.go":   {1, 0}, // a nested Lock, acyclic order
+		"reversed.go": {2, 1}, // that nesting plus the reverse in another body
+		"helpers.go":  {0, 1}, // an AB/BA order made only through helper calls
+		"acyclic.go":  {0, 0}, // an acyclic order through one helper
+	}
+	for file, w := range want {
+		if got[file] != w {
+			t.Errorf("%s: (locksend, lockorder) = %v, want %v", file, got[file], w)
+		}
+	}
+}
+
+// TestTreeLockGraph pins the tree's lock graph to the call-through edges
+// DESIGN.md §8 names: a new edge is a new lock order the design must own.
+func TestTreeLockGraph(t *testing.T) {
+	prog, err := loader.Load(filepath.Join("..", ".."), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	graph := &analysis.Analyzer{
+		Name: "lockgraph",
+		Doc:  "collects each package's merged LockGraph fact",
+		Run: func(pass *analysis.Pass) (interface{}, error) {
+			var g lint.LockGraph
+			if pass.ImportPackageFact(pass.Pkg, &g) {
+				for _, e := range g.Edges {
+					if edge := e.From + " → " + e.To; !slices.Contains(got, edge) {
+						got = append(got, edge)
+					}
+				}
+			}
+			return nil, nil
+		},
+	}
+	err = lint.Analyze(prog, []*analysis.Analyzer{lint.Lockorder, graph},
+		func(*loader.Package, *analysis.Analyzer, analysis.Diagnostic) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"repro/internal/cdn.Origin.mu → repro/internal/metrics.Registry.mu",
+		"repro/internal/clock.Wheel.runMu → repro/internal/clock.Wheel.mu",
+		"repro/internal/control.Service.mu → repro/internal/metrics.Registry.mu",
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("lock graph edges:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }
 

@@ -8,22 +8,22 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// lockclass.go is the mutex-call classifier shared by locksend (which keys
-// locks by receiver expression within one function) and lockorder (which
-// keys them by field class across the whole program).
-//
-// Two identities are computed for a call like `e.RLock()`:
+// lockclass.go is the mutex-call classifier behind the held-lock walker
+// (lockwalk.go). Every lock the walker holds carries two identities,
+// computed here for a call like `e.RLock()`:
 //
 //   - recvKey: the receiver expression, normalized through embedded-struct
-//     promotion. `e.Lock()` on a struct embedding sync.Mutex and
+//     promotion. It decides which Unlock releases the lock, and locksend
+//     prints it. `e.Lock()` on a struct embedding sync.Mutex and
 //     `e.Mutex.Lock()` are the same lock; rendering the promoted call as
-//     "e" and the explicit one as "e.Mutex" made locksend treat a
+//     "e" and the explicit one as "e.Mutex" would leave a
 //     lock-via-promotion / unlock-via-field pair as a phantom held lock.
-//     Both now render "e.Mutex".
+//     Both render "e.Mutex".
 //
 //   - class: the declaring struct field — "repro/internal/cdn.Edge.mu" —
 //     shared by every instance of the type, or the package-level variable
-//     for global mutexes. Local and parameter mutexes have no class.
+//     for global mutexes; lockorder keys its graph by it. Local and
+//     parameter mutexes have no class, and lockorder skips them.
 
 // mutexCall describes one sync.Mutex / sync.RWMutex method call.
 type mutexCall struct {

@@ -21,8 +21,8 @@ import (
 // Locks are classified by field identity — "repro/internal/cdn.Edge.mu" —
 // so every instance of a type shares a class; a cycle between classes is a
 // potential deadlock between some pair of instances. Within each function
-// the held-set is tracked statement by statement (the locksend machinery's
-// rules: defer Unlock holds to return, branches fork the set). Acquisitions
+// the held-lock walker locksend also runs (lockwalk.go) tracks the held set;
+// locks it cannot classify (locals, parameters) are skipped. Acquisitions
 // observed while a lock is held become graph edges; calls made while a lock
 // is held add edges to everything the callee may transitively acquire,
 // which is where the cross-package facts come in:
@@ -73,18 +73,11 @@ type LockGraph struct {
 // AFact marks LockGraph as a fact.
 func (*LockGraph) AFact() {}
 
-// lockAcq is one acquisition event inside a function body.
-type lockAcq struct {
-	class string
-	read  bool
-	pos   token.Pos
-}
-
 // lockCall is a call made while locks were held, or a call that contributes
 // the callee's lockset to the caller's.
 type lockCall struct {
 	callee *types.Func
-	held   []lockAcq // snapshot of locks held at the call site
+	held   []heldLock // the classified locks held at the call site
 	pos    token.Pos
 }
 
@@ -115,21 +108,22 @@ func runLockorder(pass *analysis.Pass) (interface{}, error) {
 		shared: newLockTracker(pass),
 	}
 
-	// Phase 1: per-function summaries, in declaration order.
+	// Phase 1: per-function summaries, in declaration order. Package-level
+	// initializers summarize as an "init" with no object: no fact, but
+	// their literals' edges count.
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		lo.shared.walkLocks(file, func(fd *ast.FuncDecl) lockVisitor {
+			info := &fnInfo{name: "init", acquires: make(map[string]bool)}
+			if fd != nil {
+				info.obj, _ = pass.TypesInfo.Defs[fd.Name].(*types.Func)
+				info.name = fd.Name.Name
 			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			info := &fnInfo{obj: obj, name: fd.Name.Name, acquires: make(map[string]bool)}
-			lo.collect(info, fd.Body.List, nil)
 			lo.fns = append(lo.fns, info)
-			if obj != nil {
-				lo.byObj[obj] = info
+			if info.obj != nil {
+				lo.byObj[info.obj] = info
 			}
-		}
+			return &orderVisitor{lo: lo, fn: info, name: info.name}
+		})
 	}
 
 	// Phase 2: close same-package locksets by fixpoint; imported callees
@@ -251,191 +245,67 @@ func (lo *lockorderPass) calleeLocks(callee *types.Func, closure map[*fnInfo]map
 	return lo.importedLocks(callee)
 }
 
-// collect walks a statement list maintaining the held-lock stack, recording
-// direct acquisitions, intra-function edges, and calls with their held
-// snapshot. It mirrors locksend's control-flow rules: branches fork the
-// held set, defer Unlock holds to function return, `go` bodies run with an
-// empty held set (but their acquisitions still count toward the enclosing
-// function's lockset only when not spawned — a spawned goroutine's locks
-// are taken on another stack at another time).
-func (lo *lockorderPass) collect(info *fnInfo, stmts []ast.Stmt, held []lockAcq) []lockAcq {
-	for _, stmt := range stmts {
-		if es, ok := stmt.(*ast.ExprStmt); ok {
-			if call, ok := es.X.(*ast.CallExpr); ok {
-				if op, ok := lo.shared.mutexOp(call); ok {
-					if cls, clsOK := lo.shared.lockClass(call); clsOK {
-						if op.acquire {
-							acq := lockAcq{class: cls, read: op.read, pos: call.Pos()}
-							info.acquires[cls] = true
-							for _, h := range held {
-								site := fmt.Sprintf("%s at %s: acquires %s", info.name, lo.pass.Position(call.Pos()), cls)
-								info.edges = append(info.edges, rawEdge{
-									LockEdge: LockEdge{From: h.class, To: cls, Site: site, ReadOnly: h.read && op.read},
-									pos:      call.Pos(),
-								})
-							}
-							held = append(held, acq)
-						} else {
-							for i := len(held) - 1; i >= 0; i-- {
-								if held[i].class == cls {
-									held = append(held[:i:i], held[i+1:]...)
-									break
-								}
-							}
-						}
-						continue
-					}
-					// Unclassifiable mutex (local or parameter): it cannot
-					// alias a field class, so it neither holds nor edges.
-					continue
-				}
-			}
-		}
-		if ds, ok := stmt.(*ast.DeferStmt); ok {
-			if op, ok := lo.shared.mutexOp(ds.Call); ok && !op.acquire {
-				continue // deferred unlock: lock stays held to return
-			}
-		}
-		held = lo.collectStmt(info, stmt, held)
+// orderVisitor records the walker's events into one function's summary.
+// Inside an escaped literal (a `go` body or a stored callback) edges are
+// real program edges, and calls made while the literal holds its own locks
+// still produce edges (extCalls), but its acquisitions and calls do not
+// accrue to the enclosing function's lockset: creating a closure acquires
+// nothing, and a spawned goroutine's locks are taken on another stack.
+type orderVisitor struct {
+	lo      *lockorderPass
+	fn      *fnInfo
+	name    string // the function, or the literal inside it, for edge sites
+	escaped bool
+}
+
+func (o *orderVisitor) acquire(call *ast.CallExpr, lk heldLock, held []heldLock) {
+	if lk.class == "" {
+		return // a local or parameter mutex cannot alias a field class
 	}
-	return held
-}
-
-// collectStmt descends into one statement; compound statements fork the
-// held set so a branch's unlock does not leak past the branch.
-func (lo *lockorderPass) collectStmt(info *fnInfo, stmt ast.Stmt, held []lockAcq) []lockAcq {
-	fork := func() []lockAcq { return append([]lockAcq(nil), held...) }
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		lo.collect(info, s.List, fork())
-	case *ast.IfStmt:
-		if s.Init != nil {
-			lo.collectStmt(info, s.Init, held)
-		}
-		lo.scanExpr(info, s.Cond, held)
-		lo.collect(info, s.Body.List, fork())
-		if s.Else != nil {
-			lo.collectStmt(info, s.Else, fork())
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			lo.collectStmt(info, s.Init, held)
-		}
-		if s.Cond != nil {
-			lo.scanExpr(info, s.Cond, held)
-		}
-		lo.collect(info, s.Body.List, fork())
-	case *ast.RangeStmt:
-		lo.scanExpr(info, s.X, held)
-		lo.collect(info, s.Body.List, fork())
-	case *ast.SwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				lo.collect(info, cc.Body, fork())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				lo.collect(info, cc.Body, fork())
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				lo.collect(info, cc.Body, fork())
-			}
-		}
-	case *ast.LabeledStmt:
-		held = lo.collectStmt(info, s.Stmt, held)
-	case *ast.GoStmt:
-		// The spawned body runs on its own stack with nothing held, and
-		// its acquisitions are not the spawner's: a caller holding a lock
-		// across this `go` statement does not order itself before them.
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			lo.collectEscaping(info, info.name+".go-func", lit)
-		}
-	case *ast.DeferStmt:
-		// Deferred work runs at return; locks deferred-unlocked are treated
-		// as held until then, so scanning the call here would double-count.
-		// A deferred closure's own acquisitions still count.
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			lo.collect(info, lit.Body.List, nil)
-		}
-	default:
-		lo.scanStmt(info, stmt, held)
+	if !o.escaped {
+		o.fn.acquires[lk.class] = true
 	}
-	return held
-}
-
-// scanStmt scans a leaf statement for calls and acquisitions (which may
-// appear in expressions: `x := s.get()` calls under the held set).
-func (lo *lockorderPass) scanStmt(info *fnInfo, stmt ast.Stmt, held []lockAcq) {
-	lo.scanNode(info, stmt, held)
-}
-
-func (lo *lockorderPass) scanExpr(info *fnInfo, expr ast.Expr, held []lockAcq) {
-	if expr != nil {
-		lo.scanNode(info, expr, held)
+	for _, h := range held {
+		if h.class == "" {
+			continue
+		}
+		site := fmt.Sprintf("%s at %s: acquires %s", o.name, o.lo.pass.Position(lk.pos), lk.class)
+		o.fn.edges = append(o.fn.edges, rawEdge{
+			LockEdge: LockEdge{From: h.class, To: lk.class, Site: site, ReadOnly: h.read && lk.read},
+			pos:      lk.pos,
+		})
 	}
 }
 
-// collectEscaping summarizes a function literal that escapes the current
-// control flow (`go` body, stored callback): its internal lock-order edges
-// are real program edges, and calls it makes while holding its own locks
-// still produce edges (extCalls), but its lockset does not accrue to the
-// enclosing function — creating a closure acquires nothing.
-func (lo *lockorderPass) collectEscaping(info *fnInfo, name string, lit *ast.FuncLit) {
-	sub := &fnInfo{obj: info.obj, name: name, acquires: make(map[string]bool)}
-	lo.collect(sub, lit.Body.List, nil)
-	info.edges = append(info.edges, sub.edges...)
-	for _, call := range append(sub.calls, sub.extCalls...) {
-		if len(call.held) > 0 {
-			info.extCalls = append(info.extCalls, call)
+func (o *orderVisitor) visit(n ast.Node, held []heldLock) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	callee := o.lo.callee(call)
+	if callee == nil {
+		return
+	}
+	c := lockCall{callee: callee, pos: call.Pos()}
+	for _, h := range held {
+		if h.class != "" {
+			c.held = append(c.held, h)
 		}
+	}
+	switch {
+	case !o.escaped:
+		o.fn.calls = append(o.fn.calls, c)
+	case len(c.held) > 0:
+		o.fn.extCalls = append(o.fn.extCalls, c)
 	}
 }
 
-// scanNode records every call in the subtree. An immediately-invoked
-// function literal runs here, under the current held set; any other literal
-// escapes and is summarized by collectEscaping.
-func (lo *lockorderPass) scanNode(info *fnInfo, n ast.Node, held []lockAcq) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch e := n.(type) {
-		case *ast.FuncLit:
-			lo.collectEscaping(info, info.name+".func", e)
-			return false
-		case *ast.CallExpr:
-			if lit, ok := e.Fun.(*ast.FuncLit); ok {
-				lo.collect(info, lit.Body.List, append([]lockAcq(nil), held...))
-				for _, arg := range e.Args {
-					lo.scanNode(info, arg, held)
-				}
-				return false
-			}
-			if op, ok := lo.shared.mutexOp(e); ok {
-				if cls, clsOK := lo.shared.lockClass(e); clsOK && op.acquire {
-					info.acquires[cls] = true
-					for _, h := range held {
-						site := fmt.Sprintf("%s at %s: acquires %s", info.name, lo.pass.Position(e.Pos()), cls)
-						info.edges = append(info.edges, rawEdge{
-							LockEdge: LockEdge{From: h.class, To: cls, Site: site, ReadOnly: h.read && op.read},
-							pos:      e.Pos(),
-						})
-					}
-				}
-				return true
-			}
-			if callee := lo.callee(e); callee != nil {
-				info.calls = append(info.calls, lockCall{
-					callee: callee,
-					held:   append([]lockAcq(nil), held...),
-					pos:    e.Pos(),
-				})
-			}
-		}
-		return true
-	})
+func (o *orderVisitor) escape(spawned bool) lockVisitor {
+	name := o.name + ".func"
+	if spawned {
+		name = o.name + ".go-func"
+	}
+	return &orderVisitor{lo: o.lo, fn: o.fn, name: name, escaped: true}
 }
 
 // callee resolves the static *types.Func a call targets, nil for builtins,

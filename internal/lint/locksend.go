@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/lint/analysis"
@@ -17,17 +16,14 @@ import (
 // out, and -race cannot see it because it is a liveness bug, not a data
 // race.
 //
-// The analysis is intraprocedural and syntactic about control flow: within
-// each function body it tracks, statement by statement, which mutexes are
-// held (keyed by the receiver expression, e.g. "s.mu"), treating
-// `defer mu.Unlock()` as holding the lock until the function returns.
-// Receiver keys are normalized through embedded-struct promotion (see
-// lockclass.go), so `e.Lock()` on a struct embedding a sync.Mutex and
-// `e.Mutex.Unlock()` pair up instead of leaving a phantom held lock.
-// Read locks (RLock) are tracked the same way — readers block writers, so
-// a blocking operation under an RLock stalls the whole fan-out just as
-// effectively. Function literals are analyzed as separate roots with an
-// empty lock set, since they run at call time, not at definition time.
+// The analysis is intraprocedural: the held-lock walker (lockwalk.go) tracks
+// which mutexes each function body holds, keyed by the receiver expression
+// ("s.mu") normalized through embedded-struct promotion (lockclass.go), so
+// local and parameter mutexes count too. Read locks are tracked the same way
+// — readers block writers, so a blocking operation under an RLock stalls the
+// whole fan-out just as effectively. The body includes the literals it
+// invokes on the spot; `go` bodies and stored literals are roots of their
+// own, since they run elsewhere or later.
 var Locksend = &analysis.Analyzer{
 	Name: "locksend",
 	Doc: "flags channel sends, time.Sleep, network I/O, and nested lock " +
@@ -37,161 +33,47 @@ var Locksend = &analysis.Analyzer{
 }
 
 func runLocksend(pass *analysis.Pass) (interface{}, error) {
-	ls := &locksendPass{pass: pass, tracker: newLockTracker(pass)}
+	t := newLockTracker(pass)
+	ls := locksendVisitor{pass}
 	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					ls.checkStmts(fn.Body.List, map[string]token.Pos{})
-				}
-			case *ast.FuncLit:
-				ls.checkStmts(fn.Body.List, map[string]token.Pos{})
-			}
-			return true
-		})
+		t.walkLocks(file, func(*ast.FuncDecl) lockVisitor { return ls })
 	}
 	return nil, nil
 }
 
-type locksendPass struct {
-	pass    *analysis.Pass
-	tracker *lockTracker
+// locksendVisitor reports the blocking operations and nested acquisitions
+// the walker meets under a held lock.
+type locksendVisitor struct {
+	pass *analysis.Pass
 }
 
-// mutexOp returns the lock operation a call expression performs, if any,
-// with the receiver key normalized through embedded-struct promotion.
-func (ls *locksendPass) mutexOp(call *ast.CallExpr) (mutexCall, bool) {
-	return ls.tracker.mutexOp(call)
-}
-
-// checkStmts walks a statement list in order, maintaining the held-lock set.
-// Nested blocks get a copy of the set: an unlock on one branch does not
-// release the lock for the code after the branch (the common
-// `if cond { mu.Unlock(); return }` early-exit stays precise because the
-// flagged statements are the ones syntactically after the Lock with no
-// unconditional Unlock between).
-func (ls *locksendPass) checkStmts(stmts []ast.Stmt, held map[string]token.Pos) {
-	for _, stmt := range stmts {
-		// Lock bookkeeping first: a standalone mu.Lock()/mu.Unlock() call.
-		if es, ok := stmt.(*ast.ExprStmt); ok {
-			if call, ok := es.X.(*ast.CallExpr); ok {
-				if op, ok := ls.mutexOp(call); ok {
-					if op.acquire {
-						if len(held) > 0 {
-							for k, pos := range held {
-								ls.pass.Reportf(call.Pos(),
-									"acquiring %s while %s is held (locked at %s); nested locking on the fan-out path risks deadlock and head-of-line blocking",
-									op.recvKey, k, ls.pass.Position(pos))
-							}
-						}
-						held[op.recvKey] = op.pos
-					} else {
-						delete(held, op.recvKey)
-					}
-					continue
-				}
-			}
-		}
-		// defer mu.Unlock() keeps the lock held for the remainder of the
-		// function, so it is deliberately NOT removed from the set.
-		if ds, ok := stmt.(*ast.DeferStmt); ok {
-			if op, ok := ls.mutexOp(ds.Call); ok && !op.acquire {
-				continue
-			}
-		}
-		ls.checkStmt(stmt, held)
+func (ls locksendVisitor) acquire(call *ast.CallExpr, lk heldLock, held []heldLock) {
+	for _, h := range held {
+		ls.pass.Reportf(call.Pos(),
+			"acquiring %s while %s is held (locked at %s); nested locking on the fan-out path risks deadlock and head-of-line blocking",
+			lk.key, h.key, ls.pass.Position(h.pos))
 	}
 }
 
-// checkStmt recurses into one statement: compound statements descend with a
-// copy of the held set; leaves are scanned for blocking operations.
-func (ls *locksendPass) checkStmt(stmt ast.Stmt, held map[string]token.Pos) {
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		ls.checkStmts(s.List, copyHeld(held))
-	case *ast.IfStmt:
-		if s.Init != nil {
-			ls.checkStmt(s.Init, held)
+func (ls locksendVisitor) visit(n ast.Node, held []heldLock) {
+	if len(held) == 0 {
+		return
+	}
+	what := "channel send"
+	if call, ok := n.(*ast.CallExpr); ok {
+		if what, ok = ls.blockingCall(call); !ok {
+			return
 		}
-		ls.checkCond(s.Cond, held)
-		ls.checkStmts(s.Body.List, copyHeld(held))
-		if s.Else != nil {
-			ls.checkStmt(s.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			ls.checkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			ls.checkCond(s.Cond, held)
-		}
-		ls.checkStmts(s.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		ls.checkStmts(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				ls.checkStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				ls.checkStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if len(held) > 0 && cc.Comm != nil {
-					ls.flagBlocking(cc.Comm, held)
-				}
-				ls.checkStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.LabeledStmt:
-		ls.checkStmt(s.Stmt, held)
-	case *ast.GoStmt, *ast.DeferStmt:
-		// The spawned/deferred body runs outside this lock region; function
-		// literals are analyzed as separate roots.
-	default:
-		if len(held) > 0 {
-			ls.flagBlocking(stmt, held)
-		}
+	}
+	for _, h := range held {
+		ls.pass.Reportf(n.Pos(),
+			"%s while %s is held (locked at %s); release the lock first — snapshot under the lock, operate on the copy (DESIGN.md §5a)",
+			what, h.key, ls.pass.Position(h.pos))
 	}
 }
 
-// checkCond scans a condition expression for blocking operations (rare, but
-// `case <-ch` style receives in conditions would hide here).
-func (ls *locksendPass) checkCond(expr ast.Expr, held map[string]token.Pos) {
-	if len(held) > 0 {
-		ls.flagBlocking(expr, held)
-	}
-}
-
-// flagBlocking inspects one leaf statement or expression for operations
-// that must not happen under a lock. Function literals are skipped: they
-// execute at call time, under whatever locks the caller then holds.
-func (ls *locksendPass) flagBlocking(n ast.Node, held map[string]token.Pos) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch e := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			ls.report(e.Pos(), "channel send", held)
-		case *ast.CallExpr:
-			if op, ok := ls.mutexOp(e); ok && op.acquire {
-				ls.report(e.Pos(), "acquiring "+op.recvKey, held)
-				return false
-			}
-			if name, ok := ls.blockingCall(e); ok {
-				ls.report(e.Pos(), name, held)
-			}
-		}
-		return true
-	})
-}
+// escape: a literal's findings do not depend on where it was made.
+func (ls locksendVisitor) escape(bool) lockVisitor { return ls }
 
 // netBlocking names the net / net/http operations that block on the wire.
 // An allowlist, because those packages are full of pure accessors
@@ -211,7 +93,7 @@ var netBlocking = map[string]bool{
 
 // blockingCall reports whether call is time.Sleep or blocking network I/O
 // (a net / net/http dial, read, write, serve, or request).
-func (ls *locksendPass) blockingCall(call *ast.CallExpr) (string, bool) {
+func (ls locksendVisitor) blockingCall(call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -231,20 +113,4 @@ func (ls *locksendPass) blockingCall(call *ast.CallExpr) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-func (ls *locksendPass) report(pos token.Pos, what string, held map[string]token.Pos) {
-	for k, lpos := range held {
-		ls.pass.Reportf(pos,
-			"%s while %s is held (locked at %s); release the lock first — snapshot under the lock, operate on the copy (DESIGN.md §5a)",
-			what, k, ls.pass.Position(lpos))
-	}
-}
-
-func copyHeld(held map[string]token.Pos) map[string]token.Pos {
-	out := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
 }

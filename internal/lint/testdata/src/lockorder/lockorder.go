@@ -113,3 +113,56 @@ func (h *H) register() {
 	h.fn = func() { h.lockH() }
 	h.mu.Unlock()
 }
+
+type I struct{ mu sync.Mutex }
+type J struct{ mu sync.Mutex }
+
+func (j *J) ready() chan int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return nil
+}
+
+// holdIselectJ orders I before J through a call in a select comm clause,
+// which is evaluated under i.mu; holdJlockI orders them the other way.
+func holdIselectJ(i *I, j *J) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	select {
+	case <-j.ready(): // want `lock-order cycle: .*lockorder\.I\.mu → .*lockorder\.J\.mu → .*lockorder\.I\.mu`
+	default:
+	}
+}
+
+func holdJlockI(i *I, j *J) {
+	j.mu.Lock()
+	i.mu.Lock()
+	i.mu.Unlock()
+	j.mu.Unlock()
+}
+
+type K struct{ mu sync.Mutex }
+type L struct{ mu sync.Mutex }
+
+func (l *L) state() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return 0
+}
+
+// holdKswitchL orders K before L through a call in a switch tag;
+// holdLlockK orders them the other way.
+func holdKswitchL(k *K, l *L) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	switch l.state() { // want `lock-order cycle: .*lockorder\.K\.mu → .*lockorder\.L\.mu → .*lockorder\.K\.mu`
+	case 0:
+	}
+}
+
+func holdLlockK(k *K, l *L) {
+	l.mu.Lock()
+	k.mu.Lock()
+	k.mu.Unlock()
+	l.mu.Unlock()
+}

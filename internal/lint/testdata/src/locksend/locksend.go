@@ -147,3 +147,48 @@ func (e *embedded) goodEmbedded() {
 	e.Mutex.Unlock()
 	e.ch <- 1
 }
+
+// badInvoked: a literal invoked on the spot runs in place, under h.mu.
+func (h *hub) badInvoked(ch chan int) {
+	h.mu.Lock()
+	func() {
+		ch <- 1 // want `channel send while h\.mu is held`
+	}()
+	h.mu.Unlock()
+}
+
+// goodStored: a stored literal runs later, from nothing held.
+func (h *hub) goodStored(ch chan int) func() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return func() { ch <- 1 }
+}
+
+// badSwitchInit: a switch init runs under the lock like any statement.
+func (h *hub) badSwitchInit(url string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch resp, err := http.Get(url); { // want `network I/O \(http\.Get\) while h\.mu is held`
+	case err == nil:
+		resp.Body.Close()
+	}
+}
+
+// badSwitchInitTag: the same, with a tag.
+func (h *hub) badSwitchInitTag(url string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch resp, err := http.Get(url); err { // want `network I/O \(http\.Get\) while h\.mu is held`
+	case nil:
+		resp.Body.Close()
+	}
+}
+
+// badForPost: a for post statement runs under the lock on every iteration.
+func (h *hub) badForPost(o *other) {
+	h.mu.Lock()
+	for i := 0; i < 1; o.mu.Lock() { // want `acquiring o\.mu while h\.mu is held`
+		i++
+	}
+	h.mu.Unlock()
+}

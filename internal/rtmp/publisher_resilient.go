@@ -20,8 +20,10 @@ type PublishResilientConfig struct {
 	// Backoff schedules redial delays and, through its Sleep, waits them
 	// out; the zero value uses the resilience defaults.
 	Backoff resilience.Policy
-	// MaxReconnects bounds redial attempts across the whole session (each
-	// failed dial counts). Zero means 16; negative means unlimited.
+	// MaxReconnects bounds the redial attempts of one outage (each failed
+	// dial counts); every outage starts with a fresh budget, so a long
+	// session survives any number of separate crashes. Zero means 16;
+	// negative means unlimited.
 	MaxReconnects int
 	// BufferFrames is how many recent frames are retained for resume-by-
 	// sequence replay after a reconnect. It should exceed the origin's

@@ -21,8 +21,9 @@ const redialTimeout = 3 * time.Second
 type ReconnectConfig struct {
 	// Options configure each underlying Subscribe.
 	Options ViewerOptions
-	// Backoff schedules redial delays; the zero value uses the
-	// resilience defaults (10 ms base doubling to 1 s, jittered).
+	// Backoff schedules redial delays and, through its Sleep, waits them
+	// out; the zero value uses the resilience defaults (10 ms base doubling
+	// to 1 s, jittered) and a nil Sleep means Options.Clock's.
 	Backoff resilience.Policy
 	// MaxReconnects bounds redial attempts across the whole session
 	// (each failed dial counts). Zero means 8; negative means unlimited.
@@ -60,6 +61,9 @@ func SubscribeResilient(ctx context.Context, addr, broadcastID, token string, cf
 	}
 	if cfg.Options.Clock == nil {
 		cfg.Options.Clock = clock.Real{}
+	}
+	if cfg.Backoff.Sleep == nil {
+		cfg.Backoff.Sleep = cfg.Options.Clock.Sleep
 	}
 	v, err := Subscribe(ctx, addr, broadcastID, token, cfg.Options)
 	if err != nil {
@@ -102,7 +106,7 @@ func (rv *ResilientViewer) run(ctx context.Context, v *Viewer, addr, broadcastID
 				rv.setErr(err)
 				return
 			}
-			if serr := cfg.Options.Clock.Sleep(ctx, cfg.Backoff.Delay(redials)); serr != nil {
+			if serr := cfg.Backoff.Sleep(ctx, cfg.Backoff.Delay(redials)); serr != nil {
 				rv.setErr(serr)
 				return
 			}

@@ -275,6 +275,131 @@ func TestResilientViewerNoGoroutineLeak(t *testing.T) {
 	pub.Close()
 }
 
+// TestResilientViewerRedialsThroughBackoffSleep: the viewer waits out every
+// redial through its Backoff.Sleep, as the publisher does; the recorded
+// delays must be exactly the backoff schedule of the redials it made.
+func TestResilientViewerRedialsThroughBackoffSleep(t *testing.T) {
+	s := NewServer(ServerConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ln, err := s.Listen(ctx, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pub, err := Publish(ctx, ln.Addr().String(), "b1", "tok", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var delays []time.Duration
+	backoff := resilience.Policy{BaseDelay: 3 * time.Millisecond, MaxDelay: 10 * time.Millisecond, Jitter: -1}
+	backoff.Sleep = func(_ context.Context, d time.Duration) error {
+		mu.Lock()
+		defer mu.Unlock()
+		delays = append(delays, d)
+		return nil
+	}
+	rec := &connRecorder{}
+	rv, err := SubscribeResilient(ctx, ln.Addr().String(), "b1", "", ReconnectConfig{
+		Options: ViewerOptions{WrapConn: rec.wrap},
+		Backoff: backoff,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rv.Close()
+
+	enc := media.NewEncoder(media.EncoderConfig{}, rng.New(13))
+	f := enc.Next(time.Now())
+	if err := pub.Send(&f); err != nil {
+		t.Fatal(err)
+	}
+	<-rv.Frames()
+	rec.kill(0)
+	for i := 0; rv.Reconnects() == 0; i++ {
+		if i == 5000 {
+			t.Fatal("viewer never reconnected")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	pub.End()
+	for range rv.Frames() {
+	}
+	if err := rv.Err(); err != nil {
+		t.Fatalf("terminal err = %v, want clean end", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if int64(len(delays)) != rv.Reconnects() {
+		t.Fatalf("recorded %d delays %v for %d redials", len(delays), delays, rv.Reconnects())
+	}
+	for i, d := range delays {
+		if want := backoff.Delay(i); d != want {
+			t.Fatalf("delay %d = %v, want the backoff schedule's %v", i, d, want)
+		}
+	}
+}
+
+// TestResilientPublisherBudgetIsPerOutage: MaxReconnects bounds one outage,
+// not the session. With a budget of one redial, the session survives two
+// separate server crashes, each restarted by the first redial's wait.
+func TestResilientPublisherBudgetIsPerOutage(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var srv *Server
+	var addr string
+	start := func() error {
+		srv = NewServer(ServerConfig{})
+		ln, err := srv.Listen(ctx, "127.0.0.1:0")
+		if err != nil {
+			return err
+		}
+		addr = ln.Addr().String()
+		return nil
+	}
+	if err := start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { srv.Close() }()
+
+	down := false
+	backoff := resilience.Policy{BaseDelay: time.Millisecond, Jitter: -1}
+	backoff.Sleep = func(context.Context, time.Duration) error {
+		if !down {
+			return nil
+		}
+		down = false
+		return start()
+	}
+	rp, err := PublishResilient(ctx, addr, "b1", "tok", PublishResilientConfig{
+		Resolve:       func() string { return addr },
+		Backoff:       backoff,
+		MaxReconnects: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+
+	enc := media.NewEncoder(media.EncoderConfig{}, rng.New(14))
+	for outage := int64(1); outage <= 2; outage++ {
+		srv.Abort()
+		down = true
+		for i := 0; rp.Reconnects() < outage; i++ {
+			if i == 1000 {
+				t.Fatalf("outage %d: publisher never noticed the crash", outage)
+			}
+			f := enc.Next(time.Now())
+			if err := rp.Send(ctx, &f); err != nil {
+				t.Fatalf("outage %d, send %d: %v", outage, i, err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // TestResilientPublisherRedialsThroughBackoffSleep: the publisher waits out
 // every redial through its Backoff.Sleep, so a caller on another clock owns
 // each wait. The recording Sleep restarts the crashed server on its first
