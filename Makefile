@@ -21,11 +21,13 @@ race:
 	$(GO) test -race -count=1 ./...
 
 # fanout-race is the RTMP fan-out concurrency slice of `race`: join/leave
-# churn, acceptFrame and slow-viewer eviction, the batched relay at both
-# sockets (wire.Reader's read batches, the viewer push batches) and the
+# churn, acceptFrame and the relay ring (eviction at its boundary, joins
+# while frames are written, an evicted viewer's broken transport and
+# redial, what a viewer costs), the batched relay at both sockets
+# (wire.Reader's read batches, the viewer push batches) and the
 # relay-buffer aliasing they share.
 fanout-race:
-	$(GO) test -race -count=1 -run 'ConcurrentJoinLeaveFanout|AcceptFrame|SlowViewer|Batch|Arrival|TapFrame|Reader|ReadEncoded' ./internal/rtmp/ ./internal/wire/
+	$(GO) test -race -count=1 -run 'ConcurrentJoinLeaveFanout|AcceptFrame|SlowViewer|Ring|Evict|JoinBytes|MemoryFlat|Batch|Arrival|TapFrame|Reader|ReadEncoded' ./internal/rtmp/ ./internal/wire/
 
 # vet is the toolchain's own analyzers and nothing else.
 vet:

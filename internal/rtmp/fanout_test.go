@@ -29,7 +29,10 @@ func encodeFrameMsg(t testing.TB, seq uint64, payload int) wire.Encoded {
 
 // TestConcurrentJoinLeaveFanout churns viewers on and off a live broadcast
 // while the publisher keeps pumping frames — the copy-on-write registry must
-// keep joins, leaves, and fan-out consistent under the race detector.
+// keep joins, leaves, and fan-out consistent under the race detector. The
+// publisher pauses every 50 frames: unpaced, it and the broadcaster loop can
+// keep both CPUs of a small machine busy until a viewer falls a whole ring
+// behind, and an evicted viewer rightly sees its stream break.
 func TestConcurrentJoinLeaveFanout(t *testing.T) {
 	s, addr := startServer(t, ServerConfig{ViewerQueue: 4096})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -55,6 +58,9 @@ func TestConcurrentJoinLeaveFanout(t *testing.T) {
 			f := &media.Frame{Seq: seq, CapturedAt: time.Now(), Payload: payload}
 			if err := pub.Send(f); err != nil {
 				return
+			}
+			if seq%50 == 0 {
+				time.Sleep(time.Millisecond)
 			}
 		}
 	}()
@@ -109,22 +115,24 @@ func TestConcurrentJoinLeaveFanout(t *testing.T) {
 	}
 }
 
-// TestAcceptFrameEvictsSlowViewer drives the copy-on-write eviction path
-// directly: a viewer whose queue is full is removed from the snapshot and its
-// done channel closed, while the healthy viewer keeps receiving.
+// TestAcceptFrameEvictsSlowViewer drives the eviction path directly: a
+// viewer the next frame would lap is removed from the viewer set, marked lapped
+// and its done channel closed, while the healthy viewer keeps receiving.
 func TestAcceptFrameEvictsSlowViewer(t *testing.T) {
-	s := NewServer(ServerConfig{})
-	b := &broadcast{id: "evict"}
-	slow := &viewerConn{out: make(chan wire.Encoded, 1), done: make(chan struct{})}
-	fast := &viewerConn{out: make(chan wire.Encoded, 16), done: make(chan struct{})}
-	vs := []*viewerConn{slow, fast}
-	b.viewers.Store(&vs)
+	const queue = 2
+	s, b := fanoutFixture(ServerConfig{ViewerQueue: queue}, 2)
+	vs := b.snapshot()
+	slow, fast := vs[0], vs[1]
 
 	enc := encodeFrameMsg(t, 1, 64)
-	// Frame 1 fills slow's queue; frame 2 overflows it and must evict.
-	for i := 0; i < 2; i++ {
+	// Frames 1 and 2 put slow a whole ring behind; frame 3 would overwrite
+	// its next frame and must evict it.
+	for i := 0; i < queue+1; i++ {
 		if !s.acceptFrame(b, enc) {
 			t.Fatalf("frame %d rejected", i+1)
+		}
+		if n, err := b.take(fast, pushBatch); n != 1 || err != nil {
+			t.Fatalf("frame %d: fast viewer took %d (%v), want 1", i+1, n, err)
 		}
 	}
 	select {
@@ -132,11 +140,14 @@ func TestAcceptFrameEvictsSlowViewer(t *testing.T) {
 	default:
 		t.Fatal("slow viewer's done channel not closed after eviction")
 	}
-	if cur := b.snapshot(); len(cur) != 1 || cur[0] != fast {
-		t.Fatalf("snapshot after eviction = %d viewers, want just the fast one", len(cur))
+	if _, err := b.take(slow, pushBatch); err != errLapped {
+		t.Fatalf("slow viewer's take after eviction = %v, want errLapped", err)
 	}
-	if len(fast.out) != 2 {
-		t.Fatalf("fast viewer queued %d frames, want 2", len(fast.out))
+	if cur := b.snapshot(); len(cur) != 1 || cur[0] != fast {
+		t.Fatalf("viewer set after eviction = %d viewers, want just the fast one", len(cur))
+	}
+	if got := s.Stats().SlowEvictions; got != 1 {
+		t.Fatalf("SlowEvictions = %d, want 1", got)
 	}
 	// Eviction is idempotent: a second remove must not re-close done.
 	b.remove(slow)
@@ -192,9 +203,7 @@ func TestAcceptFrameAllocBudget(t *testing.T) {
 				if !s.acceptFrame(b, enc) {
 					t.Fatal("frame rejected")
 				}
-				for _, v := range b.snapshot() {
-					<-v.out
-				}
+				drain(t, b)
 			})
 			if tc.tap != nil && len(kept) == 0 {
 				t.Fatal("tap never fired")
@@ -209,17 +218,42 @@ func TestAcceptFrameAllocBudget(t *testing.T) {
 	}
 }
 
-// fanoutFixture is a server and a broadcast with n queued-only viewers, for
-// driving acceptFrame without sockets.
+// fanoutFixture is a server and a broadcast with n joined viewers that only
+// take from the ring, for driving acceptFrame without sockets.
 func fanoutFixture(cfg ServerConfig, n int) (*Server, *broadcast) {
 	s := NewServer(cfg)
 	b := s.newBroadcast("fixture")
-	vs := make([]*viewerConn, n)
-	for i := range vs {
-		vs[i] = &viewerConn{out: make(chan wire.Encoded, 4), done: make(chan struct{})}
+	for i := 0; i < n; i++ {
+		b.join(0, s.cfg.ViewerQueue)
 	}
-	b.viewers.Store(&vs)
 	return s, b
+}
+
+// snapshot returns b's current viewer set.
+func (b *broadcast) snapshot() []*viewerConn {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.viewers
+}
+
+// drain has every viewer of b take what the ring holds for it, as its push
+// loop would before writing.
+func drain(t testing.TB, b *broadcast) {
+	t.Helper()
+	for _, v := range b.snapshot() {
+		if _, err := b.take(v, pushBatch); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// relayed returns the one message v has waiting in the ring.
+func relayed(t testing.TB, b *broadcast, v *viewerConn) wire.Encoded {
+	t.Helper()
+	if n, err := b.take(v, pushBatch); n != 1 || err != nil {
+		t.Fatalf("viewer took %d messages (%v), want 1", n, err)
+	}
+	return v.iov[0]
 }
 
 // TestArrivalAllocBudget pins what the broadcaster loop pays for a socket
@@ -254,9 +288,7 @@ func TestArrivalAllocBudget(t *testing.T) {
 					if !s.acceptFrame(b, enc) {
 						t.Fatal("frame rejected")
 					}
-					for _, v := range b.snapshot() {
-						<-v.out
-					}
+					drain(t, b)
 				}
 			})
 			if allocs != 1 {
@@ -315,8 +347,7 @@ func TestTapFrameAliasesRelayBuffer(t *testing.T) {
 			if !s.acceptFrame(b, enc) {
 				t.Fatal("frame rejected")
 			}
-			relayed := <-b.snapshot()[0].out
-			if &relayed[0] != &enc[0] {
+			if msg := relayed(t, b, b.snapshot()[0]); &msg[0] != &enc[0] {
 				t.Fatal("viewer was queued a copy, not the arrival's buffer")
 			}
 			if got.Seq != frame.Seq || !got.CapturedAt.Equal(frame.CapturedAt) || !got.Keyframe || !bytes.Equal(got.Payload, frame.Payload) {
@@ -359,7 +390,7 @@ func TestTapFrameAliasesRelayBuffer(t *testing.T) {
 			if !s.acceptFrame(b, enc) {
 				t.Fatal("frame rejected")
 			}
-			if relayed := <-b.snapshot()[0].out; &relayed[0] != &enc[0] {
+			if msg := relayed(t, b, b.snapshot()[0]); &msg[0] != &enc[0] {
 				t.Fatal("viewer was queued a copy, not the batch")
 			}
 			encs[i] = enc

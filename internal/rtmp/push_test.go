@@ -42,32 +42,32 @@ func dialRawViewer(t *testing.T, addr, broadcastID string) net.Conn {
 	return conn
 }
 
-// TestPushBatchLeavesInOneWrite: the messages queued for a viewer leave in
-// batches of at most pushBatch, each one vectored write under one deadline —
-// on TCP not a single per-message Write — and the end-of-broadcast flush
-// puts MsgEnd in its last batch.
+// TestPushBatchLeavesInOneWrite: the messages waiting in the ring for a
+// viewer leave in batches of at most pushBatch, each one vectored write under
+// one deadline — on TCP not a single per-message Write — and the
+// end-of-broadcast flush puts MsgEnd in its last batch.
 func TestPushBatchLeavesInOneWrite(t *testing.T) {
 	client, server := testutil.TCPPair(t)
 	conn := &testutil.CountingConn{TCPConn: server}
-	s := NewServer(ServerConfig{})
+	s, b := fanoutFixture(ServerConfig{}, 1)
+	v := b.snapshot()[0]
 	const q = pushBatch + 8
-	v := &viewerConn{out: make(chan wire.Encoded, q), done: make(chan struct{})}
 	var want []byte
 	for i := 0; i < q; i++ {
 		e := encodeFrameMsg(t, uint64(i), 100+i)
-		v.out <- e
+		b.relay(e)
 		want = append(want, e...)
 	}
 	want = append(want, encodedEnd...)
 
-	if ended, err := s.push(conn, v, <-v.out, false); ended || err != nil {
-		t.Fatalf("push = %v, %v", ended, err)
+	if n, ended, err := s.push(conn, b, v, false); n != pushBatch || ended || err != nil {
+		t.Fatalf("push = %d, %v, %v; want %d, false, nil", n, ended, err, pushBatch)
 	}
-	if w, d, left := conn.Writes.Load(), conn.Deadlines.Load(), len(v.out); w != 0 || d != 1 || left != q-pushBatch {
-		t.Fatalf("first batch: %d per-message Writes, %d deadlines, %d left queued; want 0, 1, %d", w, d, left, q-pushBatch)
+	if w, d, left := conn.Writes.Load(), conn.Deadlines.Load(), b.ring.head-v.cursor; w != 0 || d != 1 || left != q-pushBatch {
+		t.Fatalf("first batch: %d per-message Writes, %d deadlines, %d left in the ring; want 0, 1, %d", w, d, left, q-pushBatch)
 	}
-	if ended, err := s.push(conn, v, nil, true); !ended || err != nil {
-		t.Fatalf("end flush = %v, %v", ended, err)
+	if n, ended, err := s.push(conn, b, v, true); n != q-pushBatch || !ended || err != nil {
+		t.Fatalf("end flush = %d, %v, %v; want %d, true, nil", n, ended, err, q-pushBatch)
 	}
 	if w, d := conn.Writes.Load(), conn.Deadlines.Load(); w != 0 || d != 2 {
 		t.Fatalf("after the flush: %d per-message Writes, %d deadlines; want 0, 2", w, d)
@@ -83,7 +83,7 @@ func TestPushBatchLeavesInOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("the viewer's bytes diverged from the queued messages")
+		t.Fatal("the viewer's bytes diverged from the relayed messages")
 	}
 	if st := s.Stats(); st.FramesOut != q {
 		t.Fatalf("FramesOut = %d, want %d (MsgEnd is not a frame)", st.FramesOut, q)
@@ -92,20 +92,21 @@ func TestPushBatchLeavesInOneWrite(t *testing.T) {
 
 // TestPushBatchAllocFree pins the push side of the relay budget: once a
 // connection has written its first batch (which grows the kernel iovec slice
-// the runtime keeps per socket), writing a batch allocates nothing.
+// the runtime keeps per socket), taking a batch from the ring and writing it
+// allocates nothing.
 func TestPushBatchAllocFree(t *testing.T) {
 	const runs, q = 100, 8
 	client, server := testutil.TCPPair(t)
 	go io.Copy(io.Discard, client)
-	s := NewServer(ServerConfig{})
-	v := &viewerConn{out: make(chan wire.Encoded, q), done: make(chan struct{})}
+	s, b := fanoutFixture(ServerConfig{}, 1)
+	v := b.snapshot()[0]
 	enc := encodeFrameMsg(t, 1, 512)
 	allocs := testing.AllocsPerRun(runs, func() {
 		for i := 0; i < q; i++ {
-			v.out <- enc
+			b.relay(enc)
 		}
-		if _, err := s.push(server, v, <-v.out, false); err != nil {
-			t.Fatal(err)
+		if n, _, err := s.push(server, b, v, false); n != q || err != nil {
+			t.Fatalf("push took %d (%v), want %d", n, err, q)
 		}
 	})
 	if allocs != 0 {

@@ -466,3 +466,78 @@ func TestResilientPublisherRedialsThroughBackoffSleep(t *testing.T) {
 		}
 	}
 }
+
+// TestResilientViewerRedialsAfterEviction: a session the server evicts
+// because its consumer stalled past the queue is a dropped transport, not an
+// ended broadcast — the viewer redials and keeps receiving, and reports a
+// clean end only after the publisher really ends.
+func TestResilientViewerRedialsAfterEviction(t *testing.T) {
+	s, addr := startServer(t, ServerConfig{ViewerQueue: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pub, err := Publish(ctx, addr, "b1", "tok", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close() // lets the server's Close return if the test fails early
+	rv, err := SubscribeResilient(ctx, addr, "b1", "", ReconnectConfig{
+		Options: ViewerOptions{Queue: 1},
+		Backoff: fastBackoff(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rv.Close()
+
+	// Nothing reads rv.Frames() until the server has evicted the session.
+	seq := publishUntilEvicted(t, s, pub, 0)
+	// Keep the broadcast live while the consumer catches up.
+	stop := make(chan struct{})
+	pubDone := make(chan struct{})
+	go func() {
+		defer close(pubDone)
+		for ; ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f := media.Frame{Seq: seq, CapturedAt: time.Now(), Payload: make([]byte, 64)}
+			if err := pub.Send(&f); err != nil {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	// At most two frames of the evicted session sit between its socket and
+	// the consumer (one in rv's queue, one in hand), so a third received
+	// after the redial came over the new session.
+	deadline := time.After(15 * time.Second)
+	for after := 0; after < 3; {
+		select {
+		case _, ok := <-rv.Frames():
+			if !ok {
+				close(stop)
+				<-pubDone
+				t.Fatalf("frames closed while the broadcast is live: err %v, %d reconnects", rv.Err(), rv.Reconnects())
+			}
+			if rv.Reconnects() > 0 {
+				after++
+			}
+		case <-deadline:
+			close(stop)
+			<-pubDone
+			t.Fatalf("no frame over a redialed session (%d reconnects)", rv.Reconnects())
+		}
+	}
+	close(stop)
+	<-pubDone
+	if err := pub.End(); err != nil {
+		t.Fatal(err)
+	}
+	for range rv.Frames() {
+	}
+	if err := rv.Err(); err != nil || rv.Reconnects() < 1 {
+		t.Fatalf("after the end: err %v, %d reconnects; want a clean end after at least one redial", err, rv.Reconnects())
+	}
+}

@@ -97,9 +97,12 @@ type ServerConfig struct {
 	// Viewers dialing such a broadcast are refused with StatusUnavailable —
 	// a retryable answer — instead of the terminal StatusNotFound.
 	Pending func(broadcastID string) bool
-	// ViewerQueue is the per-viewer outgoing frame queue length; a viewer
-	// that falls this far behind is disconnected (it would re-join via
-	// HLS in production). Zero means 256.
+	// ViewerQueue is how far behind the live head, in frames, a viewer may
+	// fall: a viewer this far behind is disconnected by the next frame (it
+	// would re-join via HLS in production). Its memory is paid per
+	// broadcast, not per viewer — one relay ring of ViewerQueue slots that
+	// every viewer of the broadcast reads from, allocated once the broadcast
+	// has a viewer. Zero means 256.
 	ViewerQueue int
 	// Clock stamps frame arrivals (timestamp ① of the delay
 	// decomposition); nil means the real clock. Socket deadlines always
@@ -201,30 +204,49 @@ type broadcast struct {
 	tDelay     *metrics.Histogram
 	usage      FrameUsage
 
-	// mu serializes membership changes — join, leave, eviction, end. The
-	// fan-out path never takes it: it reads the copy-on-write snapshot
-	// below, so a frame push to N viewers runs entirely lock-free and a
-	// stalled viewer join cannot block frame delivery (or vice versa).
-	mu      sync.Mutex
-	viewers atomic.Pointer[[]*viewerConn]
+	// mu guards the viewer set and the relay ring: join, leave, eviction
+	// and end, the relay's write of each frame and every viewer's take of
+	// a batch. One lock, so a join places its cursor at the head of the
+	// ring state the relay sees next. It is a leaf: no other lock is taken,
+	// no channel sent on and no socket touched while it is held. A plain
+	// mutex, not an RWMutex: takes parked behind a waiting relay would all
+	// be released after its one frame and each take just that frame, so a
+	// behind viewer's push batches would shrink to one frame each.
+	mu sync.Mutex
+	// viewers is replaced wholesale, never changed in place, so the relay
+	// wakes the set it saw after letting go of mu.
+	viewers []*viewerConn
 	ended   bool
+	ring    relayRing
 }
 
-// snapshot returns the current viewer set. The slice is immutable: writers
-// replace it wholesale under b.mu.
-func (b *broadcast) snapshot() []*viewerConn {
-	if p := b.viewers.Load(); p != nil {
-		return *p
-	}
-	return nil
+// relayRing is a broadcast's one outgoing frame queue, shared by all of its
+// viewers and guarded by the broadcast's mu: frame number seq sits in
+// slots[seq%len(slots)] until every viewer has taken it. A viewer is a
+// cursor into the ring, and one the ring is about to overwrite unread — a
+// viewer ViewerQueue frames behind — is evicted, exactly when a per-viewer
+// queue of that length would have been full.
+type relayRing struct {
+	// slots is nil until the first viewer's join allocates it, and again
+	// once a frame finds no viewer left, so a broadcast without RTMP
+	// viewers pins nothing.
+	slots []wire.Encoded
+	// tail is the lowest sequence whose slot may still be set: every slot
+	// before it has been passed by all viewers and cleared.
+	tail uint64
+	// head is the sequence the next frame is written at.
+	head uint64
 }
 
-// remove takes the given viewers out of the snapshot and closes their done
-// channels. Idempotent and safe against concurrent fan-out: readers keep
-// iterating the old snapshot, whose channels stay valid.
+// errLapped ends the session of a viewer the ring evicted.
+var errLapped = errors.New("rtmp: viewer fell a whole relay ring behind")
+
+// remove takes the given viewers out of the viewer set and closes their done
+// channels. Idempotent and safe against concurrent fan-out: a relay that
+// loaded the old set keeps waking it, whose channels stay valid.
 func (b *broadcast) remove(vs ...*viewerConn) {
 	b.mu.Lock()
-	cur := b.snapshot()
+	cur := b.viewers
 	next := make([]*viewerConn, 0, len(cur))
 	for _, w := range cur {
 		keep := true
@@ -239,7 +261,7 @@ func (b *broadcast) remove(vs ...*viewerConn) {
 		}
 	}
 	if len(next) != len(cur) {
-		b.viewers.Store(&next)
+		b.viewers = next
 	}
 	b.mu.Unlock()
 	for _, v := range vs {
@@ -248,7 +270,14 @@ func (b *broadcast) remove(vs ...*viewerConn) {
 }
 
 type viewerConn struct {
-	out  chan wire.Encoded
+	// cursor is the sequence of the next frame the viewer takes from its
+	// broadcast's ring, and lapped is set when the ring evicts it; both
+	// under the broadcast's mu.
+	cursor uint64
+	lapped bool
+	// wake holds one token when a frame was written since the viewer last
+	// looked.
+	wake chan struct{}
 	done chan struct{}
 	// gone flips exactly once — on eviction, leave, or broadcast end; the
 	// winner of the flip closes done.
@@ -260,7 +289,7 @@ type viewerConn struct {
 	bufs net.Buffers
 }
 
-// pushBatch is the most queued messages one viewer wake-up writes at once.
+// pushBatch is the most ring messages one viewer write takes at once.
 const pushBatch = 32
 
 // viewerWriteTimeout bounds each push to a viewer connection; a viewer whose
@@ -645,7 +674,7 @@ func (s *Server) acceptFrame(b *broadcast, enc wire.Encoded) bool {
 		return false
 	}
 	// The frame views enc, which is immutable from here on: the buffer the
-	// viewers' queues share is the buffer a tap's chunk holds.
+	// ring holds for the viewers is the buffer a tap's chunk holds.
 	f, _, err := media.ViewFrame(frameBytes)
 	if err != nil {
 		return false
@@ -661,19 +690,14 @@ func (s *Server) acceptFrame(b *broadcast, enc wire.Encoded) bool {
 		}
 		s.cfg.Tap(b.id, f, s.cfg.Clock.Now())
 	}
-	// Fan out over the copy-on-write snapshot: no lock held while pushing,
-	// so N channel sends never serialize against joins/leaves (or each
-	// other on sibling broadcasts).
+	// Fan out: the frame is written into the ring once, then every viewer
+	// is woken, with no lock held, by a send that never blocks.
 	pushStart := s.cfg.Clock.Now()
-	var evicted []*viewerConn
-	vs := b.snapshot()
+	vs, queued, evicted := b.relay(enc)
 	for _, v := range vs {
 		select {
-		case v.out <- enc:
+		case v.wake <- struct{}{}:
 		default:
-			// Viewer too slow: disconnect it (production clients
-			// would rejoin via HLS).
-			evicted = append(evicted, v)
 		}
 	}
 	pushDur := s.cfg.Clock.Now().Sub(pushStart)
@@ -681,7 +705,7 @@ func (s *Server) acceptFrame(b *broadcast, enc wire.Encoded) bool {
 	// Tenant attribution: cached handles resolved at handshake, so this is
 	// nil-checks and atomic adds — no per-frame allocations.
 	if b.tFramesOut != nil {
-		if delivered := int64(len(vs) - len(evicted)); delivered > 0 {
+		if delivered := int64(queued); delivered > 0 {
 			b.tFramesOut.Add(delivered)
 			b.tBytesOut.Add(delivered * int64(len(body)))
 			if b.usage != nil {
@@ -691,15 +715,79 @@ func (s *Server) acceptFrame(b *broadcast, enc wire.Encoded) bool {
 		b.tDelay.Observe(pushDur)
 	}
 	if evicted != nil {
+		// Viewers too slow: disconnect them (production clients would
+		// rejoin via HLS).
 		s.m.slowEvictions.Add(int64(len(evicted)))
 		b.remove(evicted...)
 	}
 	return true
 }
 
+// relay writes enc into b's ring for the viewers joined now and returns them
+// with how many the frame was queued for. Before the write it evicts every
+// viewer the write would lap — returned in evicted, still in the set — and
+// clears every slot all remaining viewers have passed, so the ring pins no
+// relay buffer a per-viewer queue would not. With no viewer joined it writes
+// nothing and drops the ring.
+//
+//livesim:hotpath TestAcceptFrameAllocBudget
+func (b *broadcast) relay(enc wire.Encoded) (vs []*viewerConn, queued int, evicted []*viewerConn) {
+	r := &b.ring
+	b.mu.Lock()
+	vs = b.viewers
+	if len(vs) == 0 {
+		// With no viewer left the ring goes — unless the broadcast ended,
+		// whose viewers are flushing it, out of the set but not done with
+		// it.
+		if !b.ended {
+			r.slots, r.tail = nil, r.head
+		}
+		b.mu.Unlock()
+		return nil, 0, nil
+	}
+	q, low := uint64(len(r.slots)), r.head
+	for _, v := range vs {
+		if r.head-v.cursor >= q {
+			v.lapped = true
+			evicted = append(evicted, v)
+		} else {
+			low = min(low, v.cursor)
+			queued++
+		}
+	}
+	for ; r.tail < low; r.tail++ {
+		r.slots[r.tail%q] = nil
+	}
+	r.slots[r.head%q] = enc
+	r.head++
+	b.mu.Unlock()
+	return vs, queued, evicted
+}
+
+// take moves up to limit messages past v's cursor in b's ring into v.iov and
+// advances the cursor past them, or reports errLapped once the ring evicted
+// v.
+//
+//livesim:hotpath TestPushBatchAllocFree
+func (b *broadcast) take(v *viewerConn, limit int) (int, error) {
+	r := &b.ring
+	b.mu.Lock()
+	if v.lapped {
+		b.mu.Unlock()
+		return 0, errLapped
+	}
+	n := 0
+	for ; v.cursor < r.head && n < limit; v.cursor++ {
+		v.iov[n] = r.slots[v.cursor%uint64(len(r.slots))]
+		n++
+	}
+	b.mu.Unlock()
+	return n, nil
+}
+
 // endBroadcast marks b ended and releases its viewers. Each viewer loop then
-// flushes its queue with MsgEnd in the last batch — or, when the server is
-// aborting, returns without writing anything.
+// writes what is left of the ring for it with MsgEnd in the last batch — or,
+// when the server is aborting, returns without writing anything.
 func (s *Server) endBroadcast(b *broadcast) {
 	b.mu.Lock()
 	if b.ended {
@@ -707,9 +795,8 @@ func (s *Server) endBroadcast(b *broadcast) {
 		return
 	}
 	b.ended = true
-	viewers := b.snapshot()
-	empty := make([]*viewerConn, 0)
-	b.viewers.Store(&empty)
+	viewers := b.viewers
+	b.viewers = nil
 	b.mu.Unlock()
 	for _, v := range viewers {
 		v.close()
@@ -731,28 +818,16 @@ func (s *Server) handleViewer(conn net.Conn, hs wire.Handshake) {
 		s.ack(conn, wire.StatusNotFound, "no such broadcast")
 		return
 	}
-	v := &viewerConn{
-		out:  make(chan wire.Encoded, s.cfg.ViewerQueue),
-		done: make(chan struct{}),
-	}
-	b.mu.Lock()
-	if b.ended {
-		b.mu.Unlock()
+	v, refused := b.join(s.cfg.ViewerCap, s.cfg.ViewerQueue)
+	switch refused {
+	case wire.StatusNotFound:
 		s.ack(conn, wire.StatusNotFound, "broadcast ended")
 		return
-	}
-	cur := b.snapshot()
-	if s.cfg.ViewerCap > 0 && len(cur) >= s.cfg.ViewerCap {
-		b.mu.Unlock()
+	case wire.StatusFull:
 		s.m.viewersRejected.Inc()
 		s.ack(conn, wire.StatusFull, "RTMP viewer cap reached; use HLS")
 		return
 	}
-	next := make([]*viewerConn, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = v
-	b.viewers.Store(&next)
-	b.mu.Unlock()
 	s.m.activeViewers.Add(1)
 	defer func() {
 		b.remove(v)
@@ -779,55 +854,86 @@ func (s *Server) handleViewer(conn net.Conn, hs wire.Handshake) {
 		select {
 		case <-hangup:
 			return
+		case <-v.wake:
+			// Take the token first, then the ring: a frame written
+			// after the last take leaves a token of its own. A batch
+			// short of pushBatch means the viewer caught up.
+			for {
+				// A lapped viewer's push fails: it leaves without
+				// the flush and without MsgEnd, so its client sees
+				// a broken transport and redials, never a broadcast
+				// that ended while it is still live.
+				n, _, err := s.push(conn, b, v, false)
+				if err != nil {
+					return
+				}
+				if n < pushBatch {
+					break
+				}
+			}
 		case <-v.done:
 			if s.isAborted() {
 				// Crashing: the socket is being severed; no flush, and
 				// critically no clean MsgEnd.
 				return
 			}
-			// Flush anything already queued; MsgEnd rides the last batch.
+			// Flush what is left of the ring; MsgEnd rides the last batch.
 			for {
-				ended, err := s.push(conn, v, nil, true)
+				_, ended, err := s.push(conn, b, v, true)
 				if ended || err != nil {
 					return
 				}
-			}
-		case m := <-v.out:
-			if _, err := s.push(conn, v, m, false); err != nil {
-				return
 			}
 		}
 	}
 }
 
-// push writes one batch to a viewer: first (when non-nil) and every message
-// already queued behind it, up to pushBatch, in one net.Buffers.WriteTo — a
-// single writev on TCP, one Write per message on TLS and on wrapped
-// connections. Nothing waits for the queue to fill, so a viewer that keeps up
-// gets each frame in a batch of its own. With end set, MsgEnd is appended
-// once the queue is empty, and push reports that it was written.
+// join admits a new viewer to b with its cursor at the ring's head, or
+// returns the status it is refused with: StatusNotFound once b has ended,
+// StatusFull at a positive viewerCap. The first viewer allocates the ring,
+// with queue slots.
+func (b *broadcast) join(viewerCap, queue int) (*viewerConn, string) {
+	v := &viewerConn{wake: make(chan struct{}, 1), done: make(chan struct{})}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.ended {
+		return nil, wire.StatusNotFound
+	}
+	cur := b.viewers
+	if viewerCap > 0 && len(cur) >= viewerCap {
+		return nil, wire.StatusFull
+	}
+	if b.ring.slots == nil {
+		b.ring.slots = make([]wire.Encoded, queue)
+	}
+	next := make([]*viewerConn, len(cur)+1)
+	copy(next, cur)
+	next[len(cur)] = v
+	b.viewers = next
+	v.cursor = b.ring.head
+	return v, ""
+}
+
+// push writes one batch to a viewer: the messages past its cursor in the
+// ring, up to pushBatch, in one net.Buffers.WriteTo — a single writev on
+// TCP, one Write per message on TLS and on wrapped connections. Nothing
+// waits for the ring to fill, so a viewer that keeps up gets each frame in a
+// batch of its own. With end set, MsgEnd is appended once the viewer has
+// caught up, and push reports that it was written. It returns how many ring
+// messages it took; with none to take and no MsgEnd due it writes nothing.
 //
 //livesim:hotpath TestPushBatchAllocFree
-func (s *Server) push(conn net.Conn, v *viewerConn, first wire.Encoded, end bool) (ended bool, err error) {
-	n := 0
-	if first != nil {
-		v.iov[0] = first
-		n = 1
-	}
+func (s *Server) push(conn net.Conn, b *broadcast, v *viewerConn, end bool) (n int, ended bool, err error) {
 	limit := pushBatch
 	if end {
 		limit-- // room for MsgEnd
 	}
-fill:
-	for n < limit {
-		select {
-		case m := <-v.out:
-			v.iov[n] = m
-			n++
-		default:
-			ended = end
-			break fill
-		}
+	if n, err = b.take(v, limit); err != nil {
+		return 0, false, err
+	}
+	ended = end && n < limit
+	if n == 0 && !ended {
+		return 0, false, nil
 	}
 	var frames, bytes int64
 	for _, e := range v.iov[:n] {
@@ -836,19 +942,20 @@ fill:
 			bytes += int64(len(wire.Encoded(e).Body()))
 		}
 	}
+	msgs := n
 	if ended {
-		v.iov[n] = encodedEnd
-		n++
+		v.iov[msgs] = encodedEnd
+		msgs++
 	}
 	//lint:allow walltime socket deadlines are interpreted by the kernel, which only speaks wall time
 	conn.SetWriteDeadline(time.Now().Add(viewerWriteTimeout))
 	// WriteTo consumes bufs, clearing each iov entry it writes, so a batch
 	// pins no relay buffer once it is on the wire.
-	v.bufs = v.iov[:n]
+	v.bufs = v.iov[:msgs]
 	if _, err := v.bufs.WriteTo(conn); err != nil {
-		return false, err
+		return n, false, err
 	}
 	s.m.framesOut.Add(frames)
 	s.m.bytesOut.Add(bytes)
-	return ended, nil
+	return n, ended, nil
 }
