@@ -94,11 +94,13 @@ tenant-soak:
 # scale-smoke runs a 1:200-scale simulated day through the million-viewer
 # event engine (DESIGN.md §10) under -race, with the real-socket fidelity
 # slice watching a concurrent loopback broadcast, and asserts the Fig. 11
-# delay shape; beside it the partition-invariance test. -cpu 1,2,4 runs both
-# at three GOMAXPROCS values, so the day splits into 1, 2 and 4 partitions.
-# Seeded, so a failure replays deterministically.
+# delay shape; beside it the partition-invariance test and the equivalence
+# test against the goroutine reference engine, whose coordinator hands each
+# wheel callback to a goroutine and back. -cpu 1,2,4 runs all three at three
+# GOMAXPROCS values, so the day splits into 1, 2 and 4 partitions. Seeded,
+# so a failure replays deterministically.
 scale-smoke:
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestScaleSmoke|TestWheelRepeatedRunsByteIdentical' -v ./internal/viewersim/
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestScaleSmoke|TestWheelRepeatedRunsByteIdentical|TestWheelMatchesGoroutineReference' -v ./internal/viewersim/
 
 # fuzz smoke: a short bounded run of every decoder and handler that reads
 # bytes from outside the process — the journal (round-trip encode/decode and

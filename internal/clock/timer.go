@@ -2,72 +2,62 @@ package clock
 
 import "time"
 
-// timerNode is the pooled scheduling record shared by the Virtual clock's
-// event heap and the Wheel's slot buckets / overflow heaps. Nodes are
-// intrusive: they carry their own doubly-linked bucket links and their heap
-// index, so moving a timer between a bucket, a heap and the freelist never
-// allocates. A node is owned by exactly one scheduler (a Virtual or a Wheel)
-// for its whole life; the owning scheduler's mutex guards every field.
+// timerNode is the Wheel's pooled scheduling record, linked into a slot
+// bucket or the overflow heap. Nodes are intrusive: they carry their own
+// doubly-linked bucket links and their heap index, so moving a timer between
+// a bucket, the heap and the freelist never allocates. A node belongs to one
+// Wheel for its whole life; that wheel's mutex guards every field.
 type timerNode struct {
 	next, prev *timerNode // bucket list links; next doubles as the freelist link
-	heapIx     int        // index in the owning heap, -1 when not heaped
-	at         time.Time  // absolute deadline on the owning clock
-	tick       int64      // wheel deadline in resolution ticks (wheel only)
+	heapIx     int        // index in the overflow heap, -1 when not heaped
+	tick       int64      // deadline in resolution ticks
 	seq        uint64     // schedule order, tie-break for equal deadlines
 	gen        uint64     // generation; bumped whenever the node is detached
 	fn         func(now time.Time)
 }
 
-// timerSched is the private contract a Timer handle uses to reach back into
-// the scheduler that issued it.
-type timerSched interface {
-	stopTimer(n *timerNode, gen uint64) bool
-	resetTimer(n *timerNode, gen uint64, d time.Duration) bool
-}
-
 // Timer is a cancellable handle to one scheduled callback, returned by
-// Virtual.Schedule/ScheduleAt and Wheel.Schedule/ScheduleAt. The zero Timer
-// is valid and inert. Handles are single-shot: once the callback has been
-// dispatched (or the timer stopped), Stop and Reset return false and the
-// underlying node may be reused for an unrelated timer — a generation
-// counter makes stale handles safe, so Timer values can be kept, copied and
-// dropped freely without coordination.
+// Wheel.Schedule/ScheduleAt. The zero Timer is valid and inert. Handles are
+// single-shot: once the callback has been dispatched (or the timer stopped),
+// Stop and Reset return false and the underlying node may be reused for an
+// unrelated timer — a generation counter makes stale handles safe, so Timer
+// values can be kept, copied and dropped freely without coordination.
 type Timer struct {
 	n   *timerNode
 	gen uint64
-	s   timerSched
+	w   *Wheel
 }
 
 // Stop cancels the timer. It reports true if the callback was still pending
 // and will now never run, false if it already ran, was already stopped, or
 // the handle is zero.
 func (t Timer) Stop() bool {
-	if t.s == nil {
+	if t.w == nil {
 		return false
 	}
-	return t.s.stopTimer(t.n, t.gen)
+	return t.w.stopTimer(t.n, t.gen)
 }
 
-// Reset reschedules a still-pending timer to fire d from the scheduler's
+// Reset reschedules a still-pending timer to fire d from the wheel's
 // current time, keeping its callback, and reports whether it succeeded.
 // A false return means the timer already fired or was stopped; re-arm it
 // with a fresh Schedule call in that case.
 func (t Timer) Reset(d time.Duration) bool {
-	if t.s == nil {
+	if t.w == nil {
 		return false
 	}
-	return t.s.resetTimer(t.n, t.gen, d)
+	return t.w.resetTimer(t.n, t.gen, d)
 }
 
-// nodeHeap is a binary min-heap of timer nodes ordered by (at, seq),
+// nodeHeap is a binary min-heap of timer nodes ordered by (tick, seq),
 // maintaining heapIx so arbitrary removal (Stop) is O(log n). It is written
 // out rather than layered on container/heap to keep the wheel's overflow
 // path free of interface dispatch.
 type nodeHeap []*timerNode
 
 func nodeLess(a, b *timerNode) bool {
-	if !a.at.Equal(b.at) {
-		return a.at.Before(b.at)
+	if a.tick != b.tick {
+		return a.tick < b.tick
 	}
 	return a.seq < b.seq
 }
@@ -109,12 +99,6 @@ func (h *nodeHeap) remove(i int) {
 		h.up(i)
 	}
 	n.heapIx = -1
-}
-
-// fix restores heap order after s[i].at changed in place.
-func (h *nodeHeap) fix(i int) {
-	h.down(i)
-	h.up(i)
 }
 
 func (h nodeHeap) up(i int) {

@@ -24,10 +24,11 @@ type WheelConfig struct {
 	Slots int
 }
 
-// Wheel is a single-driver hashed timer wheel: the scheduler behind the
-// million-viewer event engine (internal/viewersim). Like Virtual it is a
-// discrete-event virtual clock — time advances only through Advance /
-// RunUntil / Run — but it is built for volume:
+// Wheel is a single-driver hashed timer wheel, the repo's discrete-event
+// clock: the scheduler behind the million-viewer event engine
+// (internal/viewersim) and the virtual time of every test that drives a
+// component's clock by hand. Time advances only through Advance / RunUntil /
+// Run, and the wheel is built for volume:
 //
 //   - Schedule/Stop/Reset are O(1) for near deadlines (a doubly-linked slot
 //     bucket) and O(log overflow) for far ones.
@@ -42,14 +43,15 @@ type WheelConfig struct {
 // total, reproducible order: by tick; within a tick, overflow-heap arrivals
 // in schedule order, then the slot bucket in FIFO order. A timer reaches the
 // heap only when scheduled at an earlier clock time than any bucket entry of
-// the same tick, so that is plain schedule order — Virtual's (time, seq) for
-// deadlines on tick boundaries. A tick's timers are detached together before
+// the same tick, so that is plain schedule order: the wheel fires by (tick,
+// seq). At a 1 ns resolution every deadline is on a tick, so the order is
+// exact (time, schedule order). A tick's timers are detached together before
 // the first of them runs, so a callback cannot Stop or Reset a timer due in
 // its own tick — that timer is already committed. Multi-core engines run one
 // wheel per worker rather than sharing one.
 //
-// Callbacks must not block on the wheel's own time (Sleep/After inside a
-// callback deadlocks the driving goroutine, exactly as with Virtual).
+// Callbacks must not block on the wheel's own time: Sleep/After inside a
+// callback deadlocks the driving goroutine.
 type Wheel struct {
 	epoch   time.Time
 	res     time.Duration
@@ -171,7 +173,7 @@ func (w *Wheel) Schedule(owner uint64, d time.Duration, fn func(now time.Time)) 
 	n.fn = fn
 	w.insertLocked(n, w.deadlineLocked(d))
 	w.pending++
-	t := Timer{n: n, gen: n.gen, s: w}
+	t := Timer{n: n, gen: n.gen, w: w}
 	w.mu.Unlock()
 	return t
 }
@@ -190,7 +192,6 @@ func (w *Wheel) insertLocked(n *timerNode, tick int64) {
 	w.seq++
 	n.seq = w.seq
 	n.tick = tick
-	n.at = w.timeOf(tick)
 	if tick-w.nowTick.Load() >= int64(w.slots) {
 		w.overflow.push(n)
 		return
@@ -246,7 +247,7 @@ func (w *Wheel) releaseLocked(n *timerNode) {
 	w.pending--
 }
 
-// stopTimer implements timerSched.
+// stopTimer is Timer.Stop: it detaches and releases n if gen is still live.
 func (w *Wheel) stopTimer(n *timerNode, gen uint64) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -258,7 +259,7 @@ func (w *Wheel) stopTimer(n *timerNode, gen uint64) bool {
 	return true
 }
 
-// resetTimer implements timerSched.
+// resetTimer is Timer.Reset: it moves n to d from now if gen is still live.
 func (w *Wheel) resetTimer(n *timerNode, gen uint64, d time.Duration) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -373,7 +374,8 @@ func (w *Wheel) runLocked(limit int64) {
 }
 
 // RunUntil executes every timer with a deadline ≤ t, then sets the clock to
-// t (rounded down to a tick).
+// t rounded down to a tick. A target inside the current tick leaves the
+// clock where it is.
 func (w *Wheel) RunUntil(t time.Time) {
 	w.runMu.Lock()
 	defer w.runMu.Unlock()
@@ -389,14 +391,17 @@ func (w *Wheel) Run() time.Time {
 }
 
 // Advance moves the clock forward by d, firing every timer due in the
-// window, and returns the new current time.
+// window, and returns the new current time. Like RunUntil it lands on a
+// tick, rounding down, so Advance is additive only in whole multiples of
+// Resolution: on a 10 ms wheel two Advance(5ms) calls leave the clock where
+// it was, while one Advance(10ms) moves it a tick.
 func (w *Wheel) Advance(d time.Duration) time.Time {
 	w.RunUntil(w.Now().Add(d))
 	return w.Now()
 }
 
-// Sleep implements Clock, for components written against the interface. As
-// with Virtual, someone else must drive the wheel forward.
+// Sleep implements Clock, for components written against the interface.
+// Someone else must drive the wheel forward.
 func (w *Wheel) Sleep(ctx context.Context, d time.Duration) error {
 	done := make(chan struct{})
 	wake := w.Schedule(0, d, func(time.Time) { close(done) })

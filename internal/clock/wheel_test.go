@@ -2,7 +2,8 @@ package clock
 
 import (
 	"context"
-	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -304,196 +305,195 @@ func TestWheelForeignScheduleStopDuringRun(t *testing.T) {
 	}
 }
 
-// firing is one observed callback dispatch, for equivalence comparison.
-type firing struct {
-	owner uint64
-	id    int
-	at    time.Duration
+// model is the specification the wheel is checked against, sharing no code
+// with it: one pending list kept in (deadline tick, schedule seq) order, with
+// no ring, no heap and no pooling. A fired or stopped timer is simply gone.
+type model struct {
+	res     time.Duration
+	now     int64 // ticks since Epoch
+	pending []*modelTimer
 }
 
-// schedHarness adapts Wheel and Virtual to one scheduling surface so the
-// same randomized workload can drive both.
-type schedHarness struct {
-	schedule func(owner uint64, d time.Duration, fn func(time.Time)) Timer
+type modelTimer struct {
+	tick int64
+	fn   func(now time.Time)
+}
+
+// insert files t at its deadline tick, after every timer already due then:
+// a later schedule has a larger seq.
+func (m *model) insert(t *modelTimer, d time.Duration) {
+	t.tick = m.now + int64((max(d, 0)+m.res-1)/m.res)
+	i := sort.Search(len(m.pending), func(i int) bool { return m.pending[i].tick > t.tick })
+	m.pending = slices.Insert(m.pending, i, t)
+}
+
+// detach removes t if it is still pending and reports whether it was.
+func (m *model) detach(t *modelTimer) bool {
+	i := slices.Index(m.pending, t)
+	if i < 0 {
+		return false
+	}
+	m.pending = slices.Delete(m.pending, i, i+1)
+	return true
+}
+
+func (m *model) schedule(d time.Duration, fn func(time.Time)) handle {
+	t := &modelTimer{fn: fn}
+	m.insert(t, d)
+	return handle{
+		stop: func() bool { return m.detach(t) },
+		reset: func(d time.Duration) bool {
+			ok := m.detach(t)
+			if ok {
+				m.insert(t, d)
+			}
+			return ok
+		},
+	}
+}
+
+// runUntil fires tick by tick up to limit, detaching each tick's timers
+// before the first of them runs.
+func (m *model) runUntil(limit int64) {
+	for len(m.pending) > 0 && m.pending[0].tick <= limit {
+		m.now = m.pending[0].tick
+		n := 1
+		for n < len(m.pending) && m.pending[n].tick == m.now {
+			n++
+		}
+		batch := slices.Clone(m.pending[:n])
+		m.pending = slices.Delete(m.pending, 0, n)
+		for _, t := range batch {
+			t.fn(Epoch.Add(time.Duration(m.now) * m.res))
+		}
+	}
+}
+
+// handle is a timer handle either scheduler hands out.
+type handle struct {
+	stop  func() bool
+	reset func(d time.Duration) bool
+}
+
+// harness is the scheduling surface the model workload drives.
+type harness struct {
+	schedule func(d time.Duration, fn func(time.Time)) handle
+	advance  func(d time.Duration) time.Time
 	run      func()
 }
 
-// TestWheelVirtualEquivalence drives an identical randomized timer workload
-// — schedules from callbacks, stops, resets, near and far deadlines, all at
-// resolution multiples — through the Virtual heap and through the wheel, and
-// requires the two global firing sequences (owner, id, timestamp) to be
-// identical: the wheel's (tick, schedule order) is Virtual's (time, seq).
-// This is the contract that lets internal/viewersim treat the two schedulers
-// as interchangeable.
-func TestWheelVirtualEquivalence(t *testing.T) {
-	const res = 10 * time.Millisecond
-	lcg := func(state *uint64, n int) int {
-		*state = *state*6364136223846793005 + 1442695040888963407
-		return int((*state >> 33) % uint64(n))
-	}
-	type ownerState struct {
-		state  uint64
-		nextID int
-	}
-	workload := func(h schedHarness) []firing {
-		const owners = 16
-		var fired []firing
-		var tick func(o *ownerState, idx uint64) func(time.Time)
-		tick = func(o *ownerState, idx uint64) func(time.Time) {
-			id := o.nextID
-			o.nextID++
-			return func(now time.Time) {
-				fired = append(fired, firing{idx, id, now.Sub(Epoch)})
-				if lcg(&o.state, 100) < 40 {
-					h.schedule(idx, time.Duration(1+lcg(&o.state, 200))*res, tick(o, idx))
-				}
-			}
-		}
-		setup := uint64(0x9e3779b97f4a7c15)
-		for owner := uint64(0); owner < owners; owner++ {
-			o := &ownerState{state: owner*0x9e3779b9 + 1}
-			var cancels []Timer
-			for i := 0; i < 30; i++ {
-				d := time.Duration(1+lcg(&setup, 1000)) * res // spans bucket window and overflow
-				tm := h.schedule(owner, d, tick(o, owner))
-				if lcg(&setup, 100) < 20 {
-					cancels = append(cancels, tm)
-				} else if lcg(&setup, 100) < 10 {
-					tm.Reset(time.Duration(1+lcg(&setup, 500)) * res)
-				}
-			}
-			for _, tm := range cancels {
-				tm.Stop()
-			}
-		}
-		h.run()
-		return fired
-	}
+// traced is one observation: a firing (op 'f' at the given offset), the
+// clock after an Advance ('a'), or the result of a Stop ('s') or Reset ('r').
+type traced struct {
+	op byte
+	id int
+	at time.Duration
+	ok bool
+}
 
-	v := NewVirtual(time.Time{})
-	want := workload(schedHarness{
-		schedule: func(owner uint64, d time.Duration, fn func(time.Time)) Timer {
-			return v.Schedule(d, fn)
+// modelWorkload drives a seeded timer workload and returns what it saw.
+// Deadlines, some off the tick grid, reach from the current tick to far past
+// the ring, so most timers start in the overflow heap. Stops and Resets hit
+// random handles, pending or not, from outside and from callbacks, and
+// callbacks schedule more timers, some due in their own tick.
+func modelWorkload(seed uint64, res time.Duration, h harness) []traced {
+	state := seed
+	rnd := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int((state >> 33) % uint64(n))
+	}
+	var trace []traced
+	var handles []handle
+	poke := func() {
+		id := rnd(len(handles))
+		d := time.Duration(rnd(8000)) * res / 10
+		if rnd(2) == 0 {
+			trace = append(trace, traced{op: 's', id: id, ok: handles[id].stop()})
+		} else {
+			trace = append(trace, traced{op: 'r', id: id, ok: handles[id].reset(d)})
+		}
+	}
+	var add func(d time.Duration)
+	add = func(d time.Duration) {
+		id := len(handles)
+		handles = append(handles, h.schedule(d, func(now time.Time) {
+			trace = append(trace, traced{op: 'f', id: id, at: now.Sub(Epoch)})
+			switch r := rnd(100); {
+			case r < 30:
+				add(time.Duration(rnd(3000)) * res / 10)
+			case r < 50:
+				poke()
+			}
+		}))
+	}
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 60; i++ {
+			add(time.Duration(rnd(10000)) * res / 10)
+		}
+		for i := 0; i < 30; i++ {
+			poke()
+		}
+		now := h.advance(time.Duration(rnd(4000)) * res / 10)
+		trace = append(trace, traced{op: 'a', at: now.Sub(Epoch)})
+	}
+	h.run()
+	return trace
+}
+
+// matchModel runs the seeded workload through a wheel of the given tick
+// width and ring size and through the model, and requires the two traces to
+// be identical: the same timers fire at the same times in the same order,
+// and every Stop and Reset gets the same answer.
+func matchModel(t *testing.T, seed uint64, res time.Duration, slots int) {
+	t.Helper()
+	m := &model{res: res}
+	want := modelWorkload(seed, res, harness{
+		schedule: m.schedule,
+		advance: func(d time.Duration) time.Time {
+			limit := m.now + int64(d/res)
+			m.runUntil(limit)
+			m.now = limit
+			return Epoch.Add(time.Duration(limit) * res)
 		},
-		run: func() { v.Run() },
+		run: func() { m.runUntil(math.MaxInt64) },
 	})
-	w := NewWheel(WheelConfig{Resolution: res, Slots: 128})
-	got := workload(schedHarness{schedule: w.Schedule, run: func() { w.Run() }})
-
-	if len(got) != len(want) {
-		t.Fatalf("%d firings, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing %d: got %+v, want %+v", i, got[i], want[i])
+	w := NewWheel(WheelConfig{Resolution: res, Slots: slots})
+	got := modelWorkload(seed, res, harness{
+		schedule: func(d time.Duration, fn func(time.Time)) handle {
+			tm := w.Schedule(0, d, fn)
+			return handle{stop: tm.Stop, reset: tm.Reset}
+		},
+		advance: w.Advance,
+		run:     func() { w.Run() },
+	})
+	if !slices.Equal(got, want) {
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("res %v, seed %d, observation %d: wheel %+v, model %+v", res, seed, i, got[i], want[i])
+			}
 		}
+		t.Fatalf("res %v, seed %d: wheel made %d observations, model %d", res, seed, len(got), len(want))
+	}
+	if w.Pending() != 0 || len(m.pending) != 0 {
+		t.Fatalf("res %v, seed %d: %d wheel and %d model timers left after Run", res, seed, w.Pending(), len(m.pending))
 	}
 }
 
-// TestWheelEquivalenceFuzzSeeds runs a smaller version of the equivalence
-// workload across several seeds, comparing the multiset of (owner, time)
-// firings between Virtual and the wheel.
+// TestWheelVirtualEquivalence holds the wheel to the model at a 1 ns
+// resolution, the exact virtual time viewersim's goroutine reference engine
+// runs on: every deadline is on a tick and, beyond the ring, every timer
+// waits in the overflow heap. 200 seeds, half with a 64-slot ring and half
+// with 128.
+func TestWheelVirtualEquivalence(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		matchModel(t, seed, time.Nanosecond, 64<<(seed%2))
+	}
+}
+
+// TestWheelEquivalenceFuzzSeeds holds the default 10 ms wheel to the model
+// over 200 seeds, half with a 64-slot ring and half with 128.
 func TestWheelEquivalenceFuzzSeeds(t *testing.T) {
-	const res = 10 * time.Millisecond
-	run := func(seed uint64, h schedHarness) []string {
-		var mu sync.Mutex
-		var fired []string
-		state := seed
-		rnd := func(n int) int {
-			state = state*6364136223846793005 + 1442695040888963407
-			return int((state >> 33) % uint64(n))
-		}
-		for owner := uint64(0); owner < 8; owner++ {
-			owner := owner
-			for i := 0; i < 40; i++ {
-				i := i
-				h.schedule(owner, time.Duration(1+rnd(300))*res, func(now time.Time) {
-					mu.Lock()
-					fired = append(fired, fmt.Sprintf("%d/%d@%v", owner, i, now.Sub(Epoch)))
-					mu.Unlock()
-				})
-			}
-		}
-		h.run()
-		sort.Strings(fired)
-		return fired
-	}
-	for seed := uint64(1); seed <= 5; seed++ {
-		v := NewVirtual(time.Time{})
-		ref := run(seed, schedHarness{
-			schedule: func(o uint64, d time.Duration, fn func(time.Time)) Timer { return v.Schedule(d, fn) },
-			run:      func() { v.Run() },
-		})
-		w := NewWheel(WheelConfig{Resolution: res, Slots: 64})
-		got := run(seed, schedHarness{schedule: w.Schedule, run: func() { w.Run() }})
-		w.Close()
-		if len(got) != len(ref) {
-			t.Fatalf("seed %d: %d firings vs %d", seed, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("seed %d firing %d: %s vs %s", seed, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
-func TestVirtualTimerStopReset(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	fired := 0
-	a := v.Schedule(time.Second, func(time.Time) { fired++ })
-	b := v.Schedule(2*time.Second, func(time.Time) { fired++ })
-	c := v.Schedule(3*time.Second, func(time.Time) { fired++ })
-	if !a.Stop() {
-		t.Fatal("Stop pending returned false")
-	}
-	if a.Stop() {
-		t.Fatal("double Stop returned true")
-	}
-	if !b.Reset(5 * time.Second) {
-		t.Fatal("Reset pending returned false")
-	}
-	end := v.Run()
-	if fired != 2 {
-		t.Fatalf("fired %d, want 2", fired)
-	}
-	if want := v.Now(); !end.Equal(want) {
-		t.Fatalf("Run returned %v, want %v", end, want)
-	}
-	if want := Epoch.Add(5 * time.Second); !v.Now().Equal(want) {
-		t.Fatalf("final time %v, want %v (reset deadline)", v.Now(), want)
-	}
-	if c.Stop() || b.Reset(time.Second) {
-		t.Fatal("handles must be dead after firing")
-	}
-}
-
-func TestVirtualPooledNodesAreGenerationSafe(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	first := v.Schedule(time.Second, func(time.Time) {})
-	v.Run()
-	// The node is back on the freelist; this schedule reuses it.
-	reused := v.Schedule(time.Second, func(time.Time) {})
-	if first.Stop() {
-		t.Fatal("stale handle stopped a reused node")
-	}
-	if !reused.Stop() {
-		t.Fatal("fresh handle failed to stop")
-	}
-	if v.Pending() != 0 {
-		t.Fatalf("Pending = %d, want 0", v.Pending())
-	}
-}
-
-func TestVirtualScheduleSteadyStateAllocs(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	v.Schedule(time.Millisecond, func(time.Time) {})
-	v.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		v.Schedule(time.Millisecond, func(time.Time) {})
-		v.Run()
-	})
-	if allocs > 0.5 {
-		t.Fatalf("steady-state Virtual schedule+fire allocates %.1f objects/op, want 0", allocs)
+	for seed := uint64(1); seed <= 200; seed++ {
+		matchModel(t, seed, 10*time.Millisecond, 64<<(seed%2))
 	}
 }

@@ -56,7 +56,7 @@ var fixtureJournal = []journalRec{
 func fixtureScript(t *testing.T) []journalRec {
 	t.Helper()
 	backend := journal.NewMem()
-	s := newTenantService(backend, clock.NewVirtual(fixtureEpoch))
+	s := newTenantService(backend, clock.NewWheel(clock.WheelConfig{Epoch: fixtureEpoch}))
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -134,7 +134,7 @@ func TestOldFormatFixtureReplays(t *testing.T) {
 	}
 	backend := journal.NewMem()
 	backend.Append(data)
-	s := newTenantService(backend, clock.NewVirtual(fixtureEpoch))
+	s := newTenantService(backend, clock.NewWheel(clock.WheelConfig{Epoch: fixtureEpoch}))
 	at := time.Unix(0, fixtureEpoch.UnixNano())
 
 	if s.UserCount() != 2 || s.users[1].Name != "alice" || s.users[2].Name != "" {
@@ -235,7 +235,7 @@ func (o observed) diff(other observed) string {
 // secrets it was handed, so observe can probe them later.
 type mutator struct {
 	s          *Service
-	clk        *clock.Virtual
+	clk        *clock.Wheel
 	rnd        *rand.Rand
 	users      []uint64
 	broadcasts []BroadcastGrant
@@ -416,7 +416,7 @@ func TestLiveEqualsReplay(t *testing.T) {
 	var keys, privateJoins, rollups int
 	for seed := int64(1); seed <= 25; seed++ {
 		backend := journal.NewMem()
-		clk := clock.NewVirtual(fixtureEpoch)
+		clk := clock.NewWheel(clock.WheelConfig{Epoch: fixtureEpoch})
 		m := &mutator{
 			s:          newTenantService(backend, clk),
 			clk:        clk,

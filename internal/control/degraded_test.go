@@ -40,7 +40,7 @@ func gaugeValue(t *testing.T, reg *metrics.Registry, name string) int64 {
 // control plane is down, but only until its TTL.
 func TestAuthCacheServesGrantsThroughOutage(t *testing.T) {
 	s := newTestService()
-	vc := clock.NewVirtual(time.Unix(0, 0))
+	vc := clock.NewWheel(clock.WheelConfig{Epoch: time.Unix(0, 0)})
 	reg := metrics.NewRegistry()
 	ac := NewAuthCache(AuthCacheConfig{Service: s, TTL: time.Minute, Clock: vc, Metrics: reg})
 

@@ -550,8 +550,9 @@ func errFromResponse(resp *http.Response) error {
 			return e.err
 		}
 		retry := time.Second
-		if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
-			retry = time.Duration(s) * time.Second
+		//lint:allow walltime an HTTP-date Retry-After names a wall-clock instant on a real server
+		if d := resilience.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now()); d > 0 {
+			retry = d
 		}
 		return &QuotaError{Reason: "server quota rejection", RetryAfter: retry}
 	}

@@ -131,7 +131,7 @@ func TestHTTPAuthStatusPaths(t *testing.T) {
 // wait and the client reconstructs a QuotaError whose hint FailoverPoller can
 // honor.
 func TestHTTPQuota429(t *testing.T) {
-	clk := clock.NewVirtual(time.Date(2026, 3, 1, 23, 59, 0, 0, time.UTC))
+	clk := clock.NewWheel(clock.WheelConfig{Epoch: time.Date(2026, 3, 1, 23, 59, 0, 0, time.UTC)})
 	s, srv, c, tn, grant := newHTTPTenantFixture(t, clk, Plan{DailyBytesQuota: 100})
 	ctx := context.Background()
 	s.Meter(grant.BroadcastID).MeterChunks(1, 100)
@@ -286,7 +286,7 @@ func call(h http.Handler, method, target, key, body string) *httptest.ResponseRe
 // are the wire contract. Secrets are crypto/rand, so they are read back out
 // of the response and replaced before comparing.
 func TestHTTPGoldenBodies(t *testing.T) {
-	clk := clock.NewVirtual(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
+	clk := clock.NewWheel(clock.WheelConfig{Epoch: time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)})
 	s := NewService(Config{
 		Routes: Routes{
 			AssignOrigin: func(geo.Location) (string, string) { return "origin-1", "127.0.0.1:1935" },
@@ -392,6 +392,12 @@ func TestErrorTableRoundTrip(t *testing.T) {
 	var qe *QuotaError
 	if !errors.As(got, &qe) || qe.RetryAfter != 90*time.Second || resp.Header.Get("Retry-After") != "90" {
 		t.Errorf("quota: Retry-After %q, client error %v", resp.Header.Get("Retry-After"), got)
+	}
+	// A count of seconds that overflows a time.Duration still asks for the
+	// longest wait, not none.
+	resp.Header.Set("Retry-After", "9300000000")
+	if got := errFromResponse(resp); !errors.As(got, &qe) || qe.RetryAfter <= 0 {
+		t.Errorf("quota: Retry-After 9300000000 reconstructed as %v, want a positive wait", got)
 	}
 	if resp, _ := roundTrip(ErrUnavailable); resp.Header.Get("Retry-After") != "1" {
 		t.Errorf("unavailable: Retry-After %q, want 1", resp.Header.Get("Retry-After"))

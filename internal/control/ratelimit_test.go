@@ -11,7 +11,7 @@ import (
 )
 
 func TestRateLimiterBurstThenThrottle(t *testing.T) {
-	vc := clock.NewVirtual(time.Time{})
+	vc := clock.NewWheel(clock.WheelConfig{})
 	rl := NewRateLimiter(RateLimiterConfig{RequestsPerSecond: 2, Burst: 3, Clock: vc})
 	for i := 0; i < 3; i++ {
 		if !rl.Allow("1.2.3.4") {
@@ -32,7 +32,7 @@ func TestRateLimiterBurstThenThrottle(t *testing.T) {
 }
 
 func TestRateLimiterPerClientIsolation(t *testing.T) {
-	vc := clock.NewVirtual(time.Time{})
+	vc := clock.NewWheel(clock.WheelConfig{})
 	rl := NewRateLimiter(RateLimiterConfig{RequestsPerSecond: 1, Burst: 1, Clock: vc})
 	if !rl.Allow("a") || rl.Allow("a") {
 		t.Fatal("client a bucket broken")
@@ -43,7 +43,7 @@ func TestRateLimiterPerClientIsolation(t *testing.T) {
 }
 
 func TestRateLimiterWhitelist(t *testing.T) {
-	vc := clock.NewVirtual(time.Time{})
+	vc := clock.NewWheel(clock.WheelConfig{})
 	rl := NewRateLimiter(RateLimiterConfig{
 		RequestsPerSecond: 1, Burst: 1, Clock: vc,
 		Whitelist: []string{"10.0.0.9"},
@@ -57,7 +57,7 @@ func TestRateLimiterWhitelist(t *testing.T) {
 }
 
 func TestRateLimiterTokensCapAtBurst(t *testing.T) {
-	vc := clock.NewVirtual(time.Time{})
+	vc := clock.NewWheel(clock.WheelConfig{})
 	rl := NewRateLimiter(RateLimiterConfig{RequestsPerSecond: 100, Burst: 2, Clock: vc})
 	rl.Allow("c")
 	vc.Advance(time.Hour) // would refill millions without the cap
@@ -72,7 +72,7 @@ func TestRateLimiterTokensCapAtBurst(t *testing.T) {
 }
 
 func TestRateLimiterSweep(t *testing.T) {
-	vc := clock.NewVirtual(time.Time{})
+	vc := clock.NewWheel(clock.WheelConfig{})
 	rl := NewRateLimiter(RateLimiterConfig{Clock: vc})
 	rl.Allow("old")
 	vc.Advance(2 * time.Hour)

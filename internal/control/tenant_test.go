@@ -138,7 +138,7 @@ func TestTenantConcurrentBroadcastCap(t *testing.T) {
 }
 
 func TestTenantJoinRateLimit(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	clk := clock.NewWheel(clock.WheelConfig{Epoch: time.Unix(1_700_000_000, 0)})
 	s := newTenantService(journal.NewMem(), clk)
 	tn, _ := s.CreateTenant("rated", Plan{MaxJoinRPS: 1, JoinBurst: 2})
 	k, _ := s.IssueAPIKey(tn.ID)
@@ -183,7 +183,7 @@ func TestTenantJoinRateLimit(t *testing.T) {
 }
 
 func TestTenantQuotaAdmission(t *testing.T) {
-	clk := clock.NewVirtual(time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC))
+	clk := clock.NewWheel(clock.WheelConfig{Epoch: time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)})
 	s := newTenantService(journal.NewMem(), clk)
 	tn, _ := s.CreateTenant("metered", Plan{DailyBytesQuota: 1000})
 	k, _ := s.IssueAPIKey(tn.ID)
@@ -245,7 +245,7 @@ func TestTenantQuotaAdmission(t *testing.T) {
 // revocations, suspensions, usage rollups, live counts — fails closed during
 // an outage and is rebuilt by replay.
 func TestTenantCrashRecover(t *testing.T) {
-	clk := clock.NewVirtual(time.Date(2026, 3, 1, 8, 0, 0, 0, time.UTC))
+	clk := clock.NewWheel(clock.WheelConfig{Epoch: time.Date(2026, 3, 1, 8, 0, 0, 0, time.UTC)})
 	backend := journal.NewMem()
 	s := newTenantService(backend, clk)
 
@@ -352,7 +352,7 @@ func TestTenantCrashRecover(t *testing.T) {
 }
 
 func TestKeyedLimiterSweep(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
+	clk := clock.NewWheel(clock.WheelConfig{Epoch: time.Unix(0, 0)})
 	l := NewKeyedLimiter(clk)
 	if !l.Allow("a", 1, 1) || !l.Allow("b", 1, 1) {
 		t.Fatal("fresh buckets should admit")
@@ -373,7 +373,7 @@ func TestKeyedLimiterSweep(t *testing.T) {
 // TestKeyedLimiterPlanChange: rates are passed per call, so a plan downgrade
 // applies to the very next request — the bucket clamps to the new burst.
 func TestKeyedLimiterPlanChange(t *testing.T) {
-	clk := clock.NewVirtual(time.Unix(0, 0))
+	clk := clock.NewWheel(clock.WheelConfig{Epoch: time.Unix(0, 0)})
 	l := NewKeyedLimiter(clk)
 	for i := 0; i < 10; i++ {
 		if !l.Allow("t", 100, 10) {

@@ -10,9 +10,9 @@ import (
 	"repro/internal/testutil"
 )
 
-func testRegistry(t *testing.T) (*Registry, *clock.Virtual) {
+func testRegistry(t *testing.T) (*Registry, *clock.Wheel) {
 	t.Helper()
-	vc := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	vc := clock.NewWheel(clock.WheelConfig{Epoch: time.Unix(1_700_000_000, 0)})
 	r := NewRegistry(Config{
 		HeartbeatInterval: time.Second,
 		Clock:             vc,
@@ -100,7 +100,7 @@ func TestUnknownNodeEligible(t *testing.T) {
 
 func TestStateChangeCallback(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	vc := clock.NewVirtual(time.Unix(1_700_000_000, 0))
+	vc := clock.NewWheel(clock.WheelConfig{Epoch: time.Unix(1_700_000_000, 0)})
 	type change struct {
 		id       string
 		from, to State

@@ -346,32 +346,11 @@ func (c *Client) retry() resilience.Policy {
 	return p
 }
 
-// parseRetryAfter reads a Retry-After header: delta-seconds or an HTTP date
-// (interpreted against now, the caller's clock). Returns 0 for absent or
-// unparsable values.
-func parseRetryAfter(v string, now time.Time) time.Duration {
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.ParseInt(v, 10, 64); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		if d := at.Sub(now); d > 0 {
-			return d
-		}
-	}
-	return 0
-}
-
 // shed handles a 503/429 response: honor the server's Retry-After (capped,
 // on the retry loop's context — not the expired attempt deadline), then
 // report ErrOverloaded so the retry loop or failover poller reacts.
 func (c *Client) shed(ctx context.Context, resp *http.Response) error {
-	d := parseRetryAfter(resp.Header.Get(RetryAfterHeader), c.clock().Now())
+	d := resilience.ParseRetryAfter(resp.Header.Get(RetryAfterHeader), c.clock().Now())
 	if wait := min(d, c.retryAfterCap()); wait > 0 {
 		if err := c.retry().Sleep(ctx, wait); err != nil {
 			return resilience.Permanent(err)

@@ -119,26 +119,34 @@ func TestClientHonorsRetryAfterHTTPDateAnd429(t *testing.T) {
 	}
 }
 
+// A day-long hint and one whose seconds overflow a time.Duration both wait
+// exactly the cap: the overflow must not wrap into "retry now".
 func TestClientCapsHostileRetryAfter(t *testing.T) {
 	store := newMemStore()
 	for _, c := range makeChunks(1) {
 		store.add("b1", c)
 	}
-	srv := httptest.NewServer(shedOnce(Handler("/hls", store), 1, "86400"))
-	defer srv.Close()
-
-	rec := &sleepRecorder{}
-	client := &Client{
-		BaseURL:       srv.URL + "/hls",
-		Retry:         instantRetry(rec),
-		RetryAfterCap: 4 * time.Second,
-	}
-	if _, err := client.FetchChunkList(context.Background(), "b1", 0); err != nil {
-		t.Fatalf("FetchChunkList = %v", err)
-	}
-	for _, d := range rec.all() {
-		if d > 4*time.Second {
-			t.Fatalf("slept %v, want Retry-After capped at 4s", d)
+	for _, hint := range []string{"86400", "9300000000"} {
+		srv := httptest.NewServer(shedOnce(Handler("/hls", store), 1, hint))
+		rec := &sleepRecorder{}
+		client := &Client{
+			BaseURL:       srv.URL + "/hls",
+			Retry:         instantRetry(rec),
+			RetryAfterCap: 4 * time.Second,
+		}
+		_, err := client.FetchChunkList(context.Background(), "b1", 0)
+		srv.Close()
+		if err != nil {
+			t.Fatalf("Retry-After %s: FetchChunkList = %v", hint, err)
+		}
+		sleeps := rec.all()
+		if len(sleeps) == 0 || sleeps[0] != 4*time.Second {
+			t.Fatalf("Retry-After %s: sleeps %v, want the 4s cap first", hint, sleeps)
+		}
+		for _, d := range sleeps {
+			if d > 4*time.Second {
+				t.Fatalf("Retry-After %s: slept %v, beyond the 4s cap", hint, d)
+			}
 		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -109,6 +111,31 @@ func ReadBody(body io.Reader, n, limit int64) ([]byte, error) {
 		return data, err
 	}
 	return io.ReadAll(io.LimitReader(body, limit))
+}
+
+// ParseRetryAfter reads a Retry-After header value: delta-seconds, or an
+// HTTP date taken against now. Absent, unparsable, negative and past values
+// are 0. A count of seconds beyond the longest time.Duration saturates there
+// instead of wrapping negative, so a server asking for the longest back-off
+// gets the caller's cap, not an immediate retry.
+func ParseRetryAfter(v string, now time.Time) time.Duration {
+	if v == "" {
+		return 0
+	}
+	// Out of range, ParseInt still returns the bound of the value's sign.
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs <= 0:
+			return 0
+		case secs > math.MaxInt64/int64(time.Second):
+			return math.MaxInt64
+		}
+		return time.Duration(secs) * time.Second
+	}
+	if at, err := http.ParseTime(v); err == nil {
+		return max(at.Sub(now), 0)
+	}
+	return 0
 }
 
 // permanentError marks an error that must not be retried.

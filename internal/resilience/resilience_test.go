@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"net/http"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -341,5 +343,31 @@ func TestReadBody(t *testing.T) {
 	}
 	if got, _ := ReadBody(bytes.NewReader(want), -1, 10); len(got) != 10 {
 		t.Fatalf("undeclared length read %d bytes past a limit of 10", len(got))
+	}
+}
+
+func TestParseRetryAfter(t *testing.T) {
+	now := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	longest := time.Duration(math.MaxInt64)
+	for _, tc := range []struct {
+		v    string
+		want time.Duration
+	}{
+		{"", 0},
+		{"0", 0},
+		{"5", 5 * time.Second},
+		{"-3", 0},
+		{"soon", 0},
+		{"9223372036", 9223372036 * time.Second}, // the last whole second that fits
+		{"9223372037", longest},
+		{"9300000000", longest},           // wraps to about −2.5M h unchecked
+		{"99999999999999999999", longest}, // beyond int64
+		{"-99999999999999999999", 0},
+		{now.Add(90 * time.Second).Format(http.TimeFormat), 90 * time.Second},
+		{now.Add(-time.Minute).Format(http.TimeFormat), 0},
+	} {
+		if got := ParseRetryAfter(tc.v, now); got != tc.want {
+			t.Errorf("ParseRetryAfter(%q) = %v, want %v", tc.v, got, tc.want)
+		}
 	}
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // runReference drives the day with the pre-wheel architecture: one goroutine
-// per broadcast and per viewer, blocked on a conservative coordinator over
-// clock.Virtual. It exists as the equivalence anchor: the same sim methods
-// run in event-time order, one goroutine at a time, so any divergence from
-// the wheel engine is a wheel bug, not a modeling difference.
+// per broadcast and per viewer, blocked on a conservative coordinator over a
+// 1 ns wheel. It exists as the equivalence anchor: the same sim methods run
+// in event-time order, one goroutine at a time, so any divergence from the
+// wheel engine is a wheel bug, not a modeling difference.
 func (s *sim) runReference() {
-	clk := clock.NewVirtual(s.w.start)
+	clk := clock.NewWheel(clock.WheelConfig{Epoch: s.w.start, Resolution: time.Nanosecond})
 	s.buildCDN(clk)
 	co := newCoord(clk)
 	for i := range s.w.specs {
@@ -55,28 +55,28 @@ func (s *sim) refViewer(co *coord, b *bcastRun, idx int) {
 	}
 }
 
-// coord serializes a population of goroutines over a Virtual clock: at any
-// instant at most one simulation goroutine is runnable, and the driver only
-// pops the next timer event once everyone is parked. That makes the
-// goroutine engine's execution order exactly the Virtual clock's (time, seq)
-// order — the property the wheel's firing order is tested against.
+// coord serializes a population of goroutines over a wheel: at any instant
+// at most one simulation goroutine is runnable, and the wheel fires its next
+// timer only once everyone is parked. At a 1 ns resolution every deadline is
+// on a tick, so the goroutine engine runs in exact (time, schedule order) —
+// the order the wheel engine's firing is tested against.
 type coord struct {
-	clk     *clock.Virtual
+	clk     *clock.Wheel
 	mu      sync.Mutex
 	cond    *sync.Cond
 	running int
 	events  atomic.Int64
 }
 
-func newCoord(clk *clock.Virtual) *coord {
+func newCoord(clk *clock.Wheel) *coord {
 	c := &coord{clk: clk}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
 // spawn registers fn as a live simulation goroutine; it counts as running
-// until its first sleep (or exit), keeping the driver from advancing time
-// past work that hasn't parked yet.
+// until its first sleep (or exit), keeping the wheel from firing past work
+// that hasn't parked yet.
 func (c *coord) spawn(fn func()) {
 	c.mu.Lock()
 	c.running++
@@ -96,41 +96,38 @@ func (c *coord) exit() {
 	c.mu.Unlock()
 }
 
-// sleepUntil parks the caller until the Virtual clock reaches at. The wake
-// callback marks the goroutine running again before the driver can observe
-// quiescence, so time never advances over a woken-but-unscheduled goroutine.
+// sleepUntil parks the caller until the wheel reaches at. The wheel fires a
+// whole tick's callbacks back to back on the driving goroutine, so the wake
+// callback marks the goroutine running, releases it, and then holds the
+// driver until every goroutine is parked again: the next timer fires only
+// after everything the woken goroutine schedules is on the wheel.
 func (c *coord) sleepUntil(at time.Time) {
 	c.events.Add(1)
 	ch := make(chan struct{})
-	c.clk.ScheduleAt(at, func(time.Time) {
+	c.clk.ScheduleAt(0, at, func(time.Time) {
 		c.mu.Lock()
 		c.running++
-		c.mu.Unlock()
 		close(ch)
+		c.quiesceLocked()
+		c.mu.Unlock()
 	})
 	c.exit()
 	<-ch
 }
 
-// drive steps the Virtual clock whenever the population is fully parked,
-// returning once no goroutine is live and no timer is pending.
-func (c *coord) drive() {
-	for {
-		c.mu.Lock()
-		for c.running > 0 {
-			c.cond.Wait()
-		}
-		c.mu.Unlock()
-		if !c.clk.Step(maxSimTime) {
-			c.mu.Lock()
-			idle := c.running == 0
-			c.mu.Unlock()
-			if idle {
-				return
-			}
-		}
+// quiesceLocked waits, with c.mu held, until no goroutine is running.
+func (c *coord) quiesceLocked() {
+	for c.running > 0 {
+		c.cond.Wait()
 	}
 }
 
-// maxSimTime is an effectively-unbounded Step limit.
-var maxSimTime = time.Unix(1<<40, 0)
+// drive waits for the first spawns to park, then runs the wheel until no
+// timer is pending. A parked goroutine always has its wake timer pending, so
+// when Run returns every goroutine has exited.
+func (c *coord) drive() {
+	c.mu.Lock()
+	c.quiesceLocked()
+	c.mu.Unlock()
+	c.clk.Run()
+}

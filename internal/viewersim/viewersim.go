@@ -15,11 +15,11 @@
 //     partition per core, each with its own wheel and CDN, and the
 //     partitions' totals are summed.
 //   - Engine "goroutine" is the reference implementation: one goroutine per
-//     broadcast and per viewer, serialized over clock.Virtual by a
-//     conservative coordinator. It exists to anchor the equivalence suite —
-//     both engines draw every random variate from per-entity rng streams, so
-//     a (seed, config) pair produces identical delay observations from
-//     either engine.
+//     broadcast and per viewer, serialized by a conservative coordinator
+//     over its own wheel at a 1 ns resolution, where every deadline is
+//     exact. It exists to anchor the equivalence suite — both engines draw
+//     every random variate from per-entity rng streams, so a (seed, config)
+//     pair produces identical delay observations from either engine.
 //
 // Delay accounting mirrors internal/delay's Fig. 10 timestamp methodology at
 // chunk granularity: each broadcast gets a trace of chunk capture, origin
