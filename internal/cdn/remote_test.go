@@ -2,11 +2,15 @@ package cdn
 
 import (
 	"context"
+	"math"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/hls"
+	"repro/internal/resilience"
 )
 
 // TestEdgePullsOverHTTP wires an edge to its origin across a real HTTP hop
@@ -65,5 +69,34 @@ func TestEdgePullsOverHTTP(t *testing.T) {
 	}
 	if _, err := far.Chunk(ctx, "b1", 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An edge whose upstream sheds with the longest Retry-After there is passes
+// that back-off on to its own viewers as the longest, not as "retry now".
+func TestEdgeRelaysSaturatedRetryAfter(t *testing.T) {
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(hls.RetryAfterHeader, "9300000000")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer upstream.Close()
+	noWait := func(context.Context, time.Duration) error { return nil }
+	remote := hls.RemoteStore{Client: &hls.Client{
+		BaseURL: upstream.URL + "/hls",
+		Retry:   resilience.Policy{MaxAttempts: 1, Sleep: noWait},
+	}}
+	edge := NewEdge(EdgeConfig{
+		Site:    site("e1", "Y"),
+		Resolve: func(string) (Upstream, error) { return Upstream{Store: remote}, nil },
+		Retry:   resilience.Policy{MaxAttempts: 1, Sleep: noWait},
+	})
+	h := hls.Handler("/hls", edge)
+	want := strconv.FormatInt(math.MaxInt64/int64(time.Second)+1, 10)
+	for _, path := range []string{"/hls/b1/chunklist.m3u8", "/hls/b1/chunk/0"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusServiceUnavailable || w.Header().Get(hls.RetryAfterHeader) != want {
+			t.Errorf("%s: %d with Retry-After %q, want 503 with %s", path, w.Code, w.Header().Get(hls.RetryAfterHeader), want)
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 // FuzzHLSHandler throws arbitrary requests at the handler over a small
 // store: it must never panic, answer only 200/304/400/404/405, serve a chunk
-// as exactly the store's sealed bytes and a chunklist as exactly its rendered
-// form, and treat a have_version it cannot read as absent — a full 200.
+// as exactly the store's sealed bytes under a Content-Length of their length
+// and a chunklist as exactly its rendered form, and treat a have_version it cannot read as absent — a full 200.
 func FuzzHLSHandler(f *testing.F) {
 	store := newMemStore()
 	for _, c := range makeChunks(3) {
@@ -76,6 +76,9 @@ func FuzzHLSHandler(f *testing.F) {
 			want, err := store.Chunk(context.Background(), "b1", seq)
 			if err != nil || !bytes.Equal(rec.Body.Bytes(), want.Wire()) {
 				t.Fatalf("%q: body is not chunk %d's sealed bytes (%v)", path, seq, err)
+			}
+			if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(want.Wire())) {
+				t.Fatalf("%q: Content-Length %q, want %d", path, got, len(want.Wire()))
 			}
 		}
 	})

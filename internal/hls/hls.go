@@ -89,12 +89,15 @@ type RawLister interface {
 // detect staleness without parsing.
 const VersionHeader = "X-Chunklist-Version"
 
-// Content-Type values as ready-made header values: assigning one directly
-// (the key is already canonical) spares the serve paths the []string
-// http.Header.Set builds on every response.
+// Ready-made header values: assigning one directly (every key here is
+// already canonical) spares the serve paths the []string http.Header.Set
+// builds on every response. The per-object values — a list's version, a
+// chunk's length — are built once on the list or chunk they describe
+// (media.ChunkList.VersionValue, media.Chunk.LengthValue).
 var (
 	contentTypeM3U8  = []string{"application/vnd.apple.mpegurl"}
 	contentTypeChunk = []string{"application/octet-stream"}
+	drainingValue    = []string{"1"}
 )
 
 // Handler serves the HLS HTTP surface over a Store:
@@ -112,7 +115,7 @@ func Handler(prefix string, store Store) http.Handler {
 			return
 		}
 		if drainer != nil && drainer.Draining() {
-			w.Header().Set(DrainingHeader, "1")
+			w.Header()[DrainingHeader] = drainingValue
 		}
 		// Routing cuts substrings of the path; it allocates nothing.
 		rest, ok := strings.CutPrefix(r.URL.Path, root)
@@ -168,7 +171,13 @@ func writeStoreError(w http.ResponseWriter, err error) {
 		secs := int64(1)
 		var oe *OverloadedError
 		if errors.As(err, &oe) {
-			secs = int64((oe.RetryAfter + time.Second - 1) / time.Second)
+			// Round up without adding to the hint: a saturated one
+			// (resilience.ParseRetryAfter's math.MaxInt64) would overflow
+			// and go out as "retry now".
+			secs = int64(oe.RetryAfter / time.Second)
+			if oe.RetryAfter%time.Second > 0 {
+				secs++
+			}
 			if secs < 0 {
 				secs = 0
 			}
@@ -189,17 +198,15 @@ func serveChunkList(w http.ResponseWriter, r *http.Request, store Store, id stri
 		writeStoreError(w, err)
 		return
 	}
+	h := w.Header()
+	h[VersionHeader] = cl.VersionValue()
 	// Conditional fetch: a poller or edge that already has this version
 	// gets an empty 304, the paper's "chunklist not yet expired" case.
 	if have, ok := haveVersion(r.URL.RawQuery); ok && have == cl.Version {
-		//lint:allow hotpathescape http.Header stores each value as a fresh []string; one slice per response is inherent to net/http
-		w.Header().Set(VersionHeader, strconv.FormatUint(cl.Version, 10))
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	w.Header()["Content-Type"] = contentTypeM3U8
-	//lint:allow hotpathescape http.Header stores each value as a fresh []string; one slice per response is inherent to net/http
-	w.Header().Set(VersionHeader, strconv.FormatUint(cl.Version, 10))
+	h["Content-Type"] = contentTypeM3U8
 	// The list renders once; every poll of this version writes those bytes.
 	w.Write(cl.Marshal())
 }
@@ -220,8 +227,7 @@ func serveChunk(w http.ResponseWriter, r *http.Request, store Store, id string, 
 	wire := c.Wire()
 	h := w.Header()
 	h["Content-Type"] = contentTypeChunk
-	//lint:allow hotpathescape http.Header stores each value as a fresh []string; one slice per response is inherent to net/http
-	h.Set("Content-Length", strconv.Itoa(len(wire)))
+	h["Content-Length"] = c.LengthValue()
 	w.Write(wire)
 }
 

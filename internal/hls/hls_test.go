@@ -286,7 +286,7 @@ func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len
 
 // A chunk is marshalled once and every GET is answered from those bytes:
 // identical bodies with an explicit Content-Length (identity, not chunked
-// transfer), and a serve that allocates nothing the size of a chunk.
+// transfer), and a serve that allocates nothing.
 func TestServeChunkSharesSealedBytes(t *testing.T) {
 	store, client := startHLS(t)
 	chunk := makeChunks(1)[0]
@@ -327,9 +327,10 @@ func TestServeChunkSharesSealedBytes(t *testing.T) {
 			t.Fatalf("served %d bytes, want %d", w.n, len(want))
 		}
 	}
-	// The Content-Length value and its header slice; nothing else.
-	if allocs := testing.AllocsPerRun(200, serve); allocs != 2 {
-		t.Fatalf("chunk serve allocates %v times per request, want 2", allocs)
+	// Both header values are ready-made: the chunk's Content-Length was
+	// built by its first serve.
+	if allocs := testing.AllocsPerRun(200, serve); allocs != 0 {
+		t.Fatalf("chunk serve allocates %v times per request, want 0", allocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -343,43 +344,58 @@ func TestServeChunkSharesSealedBytes(t *testing.T) {
 	}
 }
 
-// listStore answers every poll with one published list, by reference, as a
-// warm cdn.Edge does: a handler budget over it counts the handler alone.
-type listStore struct{ cl *media.ChunkList }
-
-func (s listStore) ChunkList(context.Context, string) (*media.ChunkList, error) { return s.cl, nil }
-func (s listStore) Chunk(context.Context, string, uint64) (*media.Chunk, error) {
-	return nil, ErrNotFound
+// fixedStore answers every poll with one published list and every chunk
+// request with one chunk, by reference, as a warm cdn.Edge does: a handler
+// budget over it counts the handler alone.
+type fixedStore struct {
+	cl *media.ChunkList
+	c  *media.Chunk
 }
 
-// TestServeChunkListAllocBudget pins the poll path at what net/http makes
-// inherent: the version header's value string and its []string, both for a
-// full answer and for a 304. The list itself renders once per version and
-// is written by reference. (The version is past 99, which strconv would
-// answer with an interned string.)
+func (s fixedStore) ChunkList(context.Context, string) (*media.ChunkList, error) { return s.cl, nil }
+func (s fixedStore) Chunk(context.Context, string, uint64) (*media.Chunk, error) {
+	if s.c == nil {
+		return nil, ErrNotFound
+	}
+	return s.c, nil
+}
+
+// TestServeChunkListAllocBudget pins the poll path at zero allocations, for a
+// full answer and for a 304, from a live edge and from a draining one: every
+// header value is ready-made (the version's was built by the list's first
+// serve), and the list renders once per version and is written by
+// reference. (The version is past 99, which strconv would answer with an
+// interned string.)
 func TestServeChunkListAllocBudget(t *testing.T) {
 	cl := &media.ChunkList{BroadcastID: "b1", Version: 1234, Chunks: []media.ChunkRef{
 		{Seq: 0, Duration: time.Second, URI: "/hls/b1/chunk/0"},
 	}}
-	h := Handler("/hls", listStore{cl})
-	for _, tc := range []struct {
-		query  string
-		status int
-	}{
-		{"", http.StatusOK},
-		{"have_version=" + strconv.FormatUint(cl.Version, 10), http.StatusNotModified},
-	} {
-		req := httptest.NewRequest(http.MethodGet, "/hls/b1/chunklist.m3u8?"+tc.query, nil)
-		w := &discardWriter{h: make(http.Header)}
-		allocs := testing.AllocsPerRun(200, func() {
-			w.status = http.StatusOK // what an unset WriteHeader means
-			h.ServeHTTP(w, req)
-		})
-		if w.status != tc.status {
-			t.Fatalf("?%s: status %d, want %d", tc.query, w.status, tc.status)
-		}
-		if allocs != 2 {
-			t.Errorf("?%s: list serve allocates %v times per poll, want 2", tc.query, allocs)
+	draining := &drainingStore{Store: fixedStore{cl: cl}}
+	draining.draining.Store(true)
+	for _, store := range []Store{fixedStore{cl: cl}, draining} {
+		h := Handler("/hls", store)
+		for _, tc := range []struct {
+			query  string
+			status int
+		}{
+			{"", http.StatusOK},
+			{"have_version=" + strconv.FormatUint(cl.Version, 10), http.StatusNotModified},
+		} {
+			req := httptest.NewRequest(http.MethodGet, "/hls/b1/chunklist.m3u8?"+tc.query, nil)
+			w := &discardWriter{h: make(http.Header)}
+			allocs := testing.AllocsPerRun(200, func() {
+				w.status = http.StatusOK // what an unset WriteHeader means
+				h.ServeHTTP(w, req)
+			})
+			if w.status != tc.status {
+				t.Fatalf("%T ?%s: status %d, want %d", store, tc.query, w.status, tc.status)
+			}
+			if _, ok := store.(Drainer); ok != (w.h.Get(DrainingHeader) != "") {
+				t.Fatalf("%T ?%s: draining header %q", store, tc.query, w.h.Get(DrainingHeader))
+			}
+			if allocs != 0 {
+				t.Errorf("%T ?%s: list serve allocates %v times per poll, want 0", store, tc.query, allocs)
+			}
 		}
 	}
 }

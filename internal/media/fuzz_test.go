@@ -115,5 +115,8 @@ func FuzzParseChunkList(f *testing.F) {
 		if again.Version != parsed.Version || len(again.Chunks) != len(parsed.Chunks) {
 			t.Fatal("roundtrip structure mismatch")
 		}
+		if !bytes.Equal(parsed.render(), fmtRender(parsed)) {
+			t.Fatal("render differs from the fmt renderer")
+		}
 	})
 }

@@ -9,7 +9,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/rng"
@@ -73,6 +75,9 @@ type Chunk struct {
 
 	seal sync.Once
 	wire []byte
+	// length caches LengthValue; with it the struct is 80 bytes, its size
+	// class.
+	length atomic.Pointer[[1]string]
 }
 
 // Wire returns the chunk's sealed wire form — MarshalChunk's bytes, produced
@@ -86,6 +91,30 @@ type Chunk struct {
 func (c *Chunk) Wire() []byte {
 	c.seal.Do(func() { c.wire = MarshalChunk(c) })
 	return c.wire
+}
+
+// LengthValue returns len(Wire()) in decimal as a ready-made header value
+// (an HTTP Content-Length): built by the first caller, on the first serve
+// rather than at the seal, and shared by every later one. len and cap are
+// both 1, so an append to it cannot write into the shared array; its element
+// must not be modified.
+//
+//livesim:hotpath TestHeaderValuesBuiltOnce
+func (c *Chunk) LengthValue() []string {
+	if p := c.length.Load(); p != nil {
+		return p[:]
+	}
+	return c.buildLengthValue()
+}
+
+// buildLengthValue is LengthValue's first call; of concurrent first callers,
+// one value wins and all of them return it.
+func (c *Chunk) buildLengthValue() []string {
+	p := &[1]string{strconv.Itoa(len(c.Wire()))}
+	if !c.length.CompareAndSwap(nil, p) {
+		p = c.length.Load()
+	}
+	return p[:]
 }
 
 // Duration returns the play time covered by the chunk.

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -26,12 +27,15 @@ type ChunkRef struct {
 type ChunkList struct {
 	BroadcastID string
 	Version     uint64
-	// Ended marks the broadcast as finished (HLS endlist).
-	Ended  bool
-	Chunks []ChunkRef
+	Chunks      []ChunkRef
 
 	marshal sync.Once
+	// Ended marks the broadcast as finished (HLS endlist). It sits in the
+	// padding after marshal so the cached version value below fits in the
+	// struct's 96-byte size class.
+	Ended   bool
 	raw     []byte
+	version atomic.Pointer[[1]string]
 }
 
 // WindowSize is how many trailing chunks a list advertises, as live HLS
@@ -40,7 +44,8 @@ const WindowSize = 6
 
 // Append adds a chunk reference, trimming to WindowSize, and bumps Version.
 // It is a builder's method (see the immutability note on ChunkList) and
-// drops any bytes an earlier Marshal cached.
+// drops the bytes an earlier Marshal and the value an earlier VersionValue
+// cached.
 func (cl *ChunkList) Append(ref ChunkRef) {
 	cl.Chunks = append(cl.Chunks, ref)
 	if len(cl.Chunks) > WindowSize {
@@ -48,6 +53,7 @@ func (cl *ChunkList) Append(ref ChunkRef) {
 	}
 	cl.Version++
 	cl.marshal, cl.raw = sync.Once{}, nil
+	cl.version.Store(nil)
 }
 
 // Clone returns a deep copy the caller may keep building on.
@@ -78,18 +84,71 @@ func (cl *ChunkList) Marshal() []byte {
 	return cl.raw
 }
 
+// render builds Marshal's bytes in one allocation: a first pass formats every
+// number into a stack scratch to size the buffer exactly, the second appends.
 func (cl *ChunkList) render() []byte {
-	var b strings.Builder
-	b.WriteString("#EXTM3U\n")
-	fmt.Fprintf(&b, "#X-BROADCAST:%s\n", cl.BroadcastID)
-	fmt.Fprintf(&b, "#X-VERSION:%d\n", cl.Version)
+	var scratch [32]byte
+	size := len("#EXTM3U\n#X-BROADCAST:\n#X-VERSION:\n") + len(cl.BroadcastID) +
+		len(strconv.AppendUint(scratch[:0], cl.Version, 10))
 	for _, c := range cl.Chunks {
-		fmt.Fprintf(&b, "#EXTINF:%.3f,%d\n%s\n", c.Duration.Seconds(), c.Seq, c.URI)
+		size += len("#EXTINF:,\n\n") + len(c.URI) +
+			len(appendSeconds(scratch[:0], c.Duration)) +
+			len(strconv.AppendUint(scratch[:0], c.Seq, 10))
 	}
 	if cl.Ended {
-		b.WriteString("#EXT-X-ENDLIST\n")
+		size += len(endList)
 	}
-	return []byte(b.String())
+	b := make([]byte, 0, size)
+	b = append(b, "#EXTM3U\n#X-BROADCAST:"...)
+	b = append(b, cl.BroadcastID...)
+	b = append(b, "\n#X-VERSION:"...)
+	b = strconv.AppendUint(b, cl.Version, 10)
+	b = append(b, '\n')
+	for _, c := range cl.Chunks {
+		b = append(b, "#EXTINF:"...)
+		b = appendSeconds(b, c.Duration)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, c.Seq, 10)
+		b = append(b, '\n')
+		b = append(b, c.URI...)
+		b = append(b, '\n')
+	}
+	if cl.Ended {
+		b = append(b, endList...)
+	}
+	return b
+}
+
+// endList closes an ended broadcast's list.
+const endList = "#EXT-X-ENDLIST\n"
+
+// appendSeconds appends d in seconds to three decimals (fmt's %.3f).
+func appendSeconds(b []byte, d time.Duration) []byte {
+	return strconv.AppendFloat(b, d.Seconds(), 'f', 3, 64)
+}
+
+// VersionValue returns the list's decimal Version as a ready-made header
+// value: built by the first caller, on the first serve rather than at
+// publish, and shared by every later one. len and cap are both 1, so an
+// append to it cannot write into the shared array; its element must not be
+// modified.
+//
+//livesim:hotpath TestHeaderValuesBuiltOnce
+func (cl *ChunkList) VersionValue() []string {
+	if p := cl.version.Load(); p != nil {
+		return p[:]
+	}
+	return cl.buildVersionValue()
+}
+
+// buildVersionValue is VersionValue's first call; of concurrent first
+// callers, one value wins and all of them return it.
+func (cl *ChunkList) buildVersionValue() []string {
+	p := &[1]string{strconv.FormatUint(cl.Version, 10)}
+	if !cl.version.CompareAndSwap(nil, p) {
+		p = cl.version.Load()
+	}
+	return p[:]
 }
 
 // ParseChunkList parses the Marshal format.

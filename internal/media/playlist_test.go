@@ -1,10 +1,15 @@
 package media
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/rng"
 )
 
 func TestChunkListAppendWindow(t *testing.T) {
@@ -136,5 +141,70 @@ func TestChunkListRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fmtRender is render as it was written with fmt: the oracle the one-buffer
+// render must match byte for byte.
+func fmtRender(cl *ChunkList) []byte {
+	var b strings.Builder
+	b.WriteString("#EXTM3U\n")
+	fmt.Fprintf(&b, "#X-BROADCAST:%s\n", cl.BroadcastID)
+	fmt.Fprintf(&b, "#X-VERSION:%d\n", cl.Version)
+	for _, c := range cl.Chunks {
+		fmt.Fprintf(&b, "#EXTINF:%.3f,%d\n%s\n", c.Duration.Seconds(), c.Seq, c.URI)
+	}
+	if cl.Ended {
+		b.WriteString("#EXT-X-ENDLIST\n")
+	}
+	return []byte(b.String())
+}
+
+// render writes what the fmt renderer wrote, over seeded random lists —
+// rounding boundaries (2.9995 s), zero and negative durations, the longest
+// durations, long IDs and URIs, versions and sequences past 2⁶³ — into one
+// buffer of exactly its length.
+func TestRenderMatchesFmt(t *testing.T) {
+	durations := []time.Duration{
+		0, time.Nanosecond, -time.Nanosecond, 2999500 * time.Microsecond, 2999499999,
+		999500 * time.Microsecond, 3 * time.Second, -3 * time.Second,
+		math.MaxInt64, math.MinInt64,
+	}
+	src := rng.New(34)
+	for i := 0; i < 2000; i++ {
+		cl := &ChunkList{
+			BroadcastID: strings.Repeat("b", src.Intn(300)),
+			Version:     src.Uint64() >> (src.Intn(4) * 21),
+			Ended:       src.Bool(0.5),
+		}
+		for n := src.Intn(WindowSize + 1); n > 0; n-- {
+			d := durations[src.Intn(len(durations))]
+			if src.Bool(0.5) {
+				d = time.Duration(src.Uint64() >> (1 + src.Intn(40)))
+			}
+			cl.Chunks = append(cl.Chunks, ChunkRef{
+				Seq:      src.Uint64() >> (src.Intn(4) * 21),
+				Duration: d,
+				URI:      "/hls/" + cl.BroadcastID + "/chunk/" + strings.Repeat("9", src.Intn(100)),
+			})
+		}
+		got, want := cl.render(), fmtRender(cl)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("list %d: render\n%s\nwant\n%s", i, got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("list %d: render buffer len %d cap %d, want exact", i, len(got), cap(got))
+		}
+	}
+}
+
+// A render is one allocation: the exact-size buffer.
+func TestRenderAllocBudget(t *testing.T) {
+	cl := &ChunkList{BroadcastID: "b1", Version: 1 << 63, Ended: true}
+	for seq := uint64(0); seq < WindowSize; seq++ {
+		cl.Append(ChunkRef{Seq: seq, Duration: 3 * time.Second, URI: "/hls/b1/chunk/" + fmt.Sprint(seq)})
+	}
+	if allocs := testing.AllocsPerRun(100, func() { cl.render() }); allocs != 1 {
+		t.Fatalf("render of a %d-chunk list allocates %v times, want 1", len(cl.Chunks), allocs)
 	}
 }
