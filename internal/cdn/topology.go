@@ -44,8 +44,8 @@ type TopologyConfig struct {
 	ChunkDuration time.Duration
 	// ViewerCap is the per-broadcast RTMP cap at every origin (≈100).
 	ViewerCap int
-	// Auth validates RTMP handshakes at every origin (control.Auth in
-	// the assembled platform); nil admits everyone.
+	// Auth validates RTMP handshakes at every origin (control.AuthCache
+	// in the assembled platform); nil admits everyone.
 	Auth rtmp.Auth
 	// OnBroadcastEnd is invoked when any origin's broadcaster session
 	// ends (the platform uses it to close the control-plane record).

@@ -159,12 +159,11 @@ func TestOldFormatFixtureReplays(t *testing.T) {
 	if joins, _ := s.Joins("bcast-1"); len(joins) != 1 || joins[0] != (ViewerJoin{UserID: 2, At: at}) {
 		t.Errorf("Joins(bcast-1) = %+v", joins)
 	}
-	if k := s.PublicKey("bcast-1"); len(k) != 32 {
-		t.Errorf("PublicKey(bcast-1) = %x", k)
+	if k, err := s.PublicKey("bcast-1"); err != nil || len(k) != 32 {
+		t.Errorf("PublicKey(bcast-1) = %x, %v", k, err)
 	}
-	auth := Auth{S: s}
-	if !auth.Authorize("bcast-2", "tok-2", "broadcaster") || !auth.Authorize("bcast-2", "vt-1", "viewer") ||
-		auth.Authorize("bcast-2", "vt-2", "viewer") || auth.Authorize("bcast-1", "tok-1", "broadcaster") {
+	if s.Authorize("bcast-2", "tok-2", "broadcaster") != nil || s.Authorize("bcast-2", "vt-1", "viewer") != nil ||
+		s.Authorize("bcast-2", "vt-2", "viewer") == nil || s.Authorize("bcast-1", "tok-1", "broadcaster") == nil {
 		t.Error("replayed tokens give the wrong verdicts")
 	}
 	if _, err := s.Join(6, "bcast-2", geo.Location{}); err != nil {
@@ -367,7 +366,6 @@ func (m *mutator) observe(t *testing.T, s *Service) observed {
 		o.Live = append(o.Live, b.BroadcastID)
 	}
 	sort.Strings(o.Live)
-	auth := Auth{S: s}
 	for _, g := range m.broadcasts {
 		id := g.BroadcastID
 		info, err := s.Info(id)
@@ -376,12 +374,16 @@ func (m *mutator) observe(t *testing.T, s *Service) observed {
 		}
 		o.Info[id] = info
 		o.Joins[id], _ = s.Joins(id)
-		o.PubKeys[id] = hex.EncodeToString(s.PublicKey(id))
+		key, err := s.PublicKey(id)
+		if err != nil {
+			t.Fatalf("PublicKey(%s): %v", id, err)
+		}
+		o.PubKeys[id] = hex.EncodeToString(key)
 		o.TenantOf[id] = s.TenantOf(id)
-		o.Tokens[id+"/broadcaster/"+g.Token] = auth.Authorize(id, g.Token, "broadcaster")
-		o.Tokens[id+"/viewer/forged"] = auth.Authorize(id, "forged", "viewer")
+		o.Tokens[id+"/broadcaster/"+g.Token] = s.Authorize(id, g.Token, "broadcaster") == nil
+		o.Tokens[id+"/viewer/forged"] = s.Authorize(id, "forged", "viewer") == nil
 		for _, vt := range m.viewerToks[id] {
-			o.Tokens[id+"/viewer/"+vt] = auth.Authorize(id, vt, "viewer")
+			o.Tokens[id+"/viewer/"+vt] = s.Authorize(id, vt, "viewer") == nil
 		}
 	}
 	for _, id := range m.tenants {

@@ -452,16 +452,45 @@ func (s *Service) RegisterPublicKey(broadcastID, token string, pub ed25519.Publi
 	return nil
 }
 
-// PublicKey returns the registered key for a broadcast, or nil. Viewers use
-// this (over the secure channel) to verify signed streams.
-func (s *Service) PublicKey(broadcastID string) ed25519.PublicKey {
-	s.mu.Lock()
+// PublicKey returns the registered key for a broadcast, nil for an unsigned
+// or unknown one. Viewers use this (over the secure channel) to verify signed
+// streams. A crashed control plane answers ErrUnavailable, never nil: an
+// empty key would read as "unsigned".
+func (s *Service) PublicKey(broadcastID string) (ed25519.PublicKey, error) {
+	if err := s.lockLive(); err != nil {
+		return nil, err
+	}
+	defer s.mu.Unlock()
+	if st, ok := s.broadcasts[broadcastID]; ok {
+		return st.pubKey, nil
+	}
+	return nil, nil
+}
+
+// Authorize checks an RTMP handshake: a broadcaster must present the exact
+// broadcast token; a viewer is admitted to any live public broadcast (the
+// Periscope default) and to a private one with the per-user token minted at
+// Join. A refusal is ErrNoBroadcast, ErrEnded or ErrBadToken. ErrUnavailable
+// is an outage, not a refusal: AuthCache answers it from cached grants.
+func (s *Service) Authorize(broadcastID, token, role string) error {
+	if err := s.lockLive(); err != nil {
+		return err
+	}
 	defer s.mu.Unlock()
 	st, ok := s.broadcasts[broadcastID]
-	if !ok {
-		return nil
+	switch {
+	case !ok:
+		return ErrNoBroadcast
+	case st.ended:
+		return ErrEnded
+	case role == wire.RoleBroadcaster:
+		if st.token != token {
+			return ErrBadToken
+		}
+	case st.private && !st.viewerTokens[token]:
+		return ErrBadToken
 	}
-	return st.pubKey
+	return nil
 }
 
 // EndBroadcast finishes a broadcast; requires the broadcast token.
@@ -676,36 +705,4 @@ func (s *Service) summaryLocked(st *broadcastState) Summary {
 		Viewers:     len(st.joins),
 		Location:    st.loc,
 	}
-}
-
-// Auth adapts the service to rtmp.Auth: broadcasters must present the exact
-// broadcast token; viewers are admitted to any live broadcast (public
-// broadcasts, the Periscope default).
-type Auth struct{ S *Service }
-
-// Authorize implements rtmp.Auth. While the control plane is down every
-// live lookup fails closed; wrap with NewAuthCache for the degraded-mode
-// grant cache that keeps previously authorized sessions reconnecting.
-func (a Auth) Authorize(broadcastID, token, role string) bool {
-	if a.S.lockLive() != nil {
-		return false
-	}
-	defer a.S.mu.Unlock()
-	st, ok := a.S.broadcasts[broadcastID]
-	if !ok || st.ended {
-		return false
-	}
-	if role == wire.RoleBroadcaster {
-		return st.token == token
-	}
-	if st.private {
-		// Private viewers present the per-user token minted at Join.
-		return st.viewerTokens[token]
-	}
-	return true
-}
-
-// PublicKey implements rtmp.Auth.
-func (a Auth) PublicKey(broadcastID string) ed25519.PublicKey {
-	return a.S.PublicKey(broadcastID)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/rtmp"
 	"repro/internal/testutil"
 	"repro/internal/wire"
 )
@@ -176,11 +177,13 @@ func TestCallbacks(t *testing.T) {
 	}
 }
 
+// TestAuthAdapter: AuthCache is the control plane's rtmp.Auth. Its live
+// verdicts are Service.Authorize's, whose refusals name their reason.
 func TestAuthAdapter(t *testing.T) {
 	s := newTestService()
 	u := s.Register("b")
 	g, _ := s.StartBroadcast(u.ID, geo.Location{})
-	a := Auth{S: s}
+	var a rtmp.Auth = NewAuthCache(AuthCacheConfig{Service: s})
 	if !a.Authorize(g.BroadcastID, g.Token, wire.RoleBroadcaster) {
 		t.Fatal("valid broadcaster token rejected")
 	}
@@ -193,9 +196,18 @@ func TestAuthAdapter(t *testing.T) {
 	if a.Authorize("missing", "x", wire.RoleViewer) {
 		t.Fatal("viewer admitted to missing broadcast")
 	}
+	if err := s.Authorize(g.BroadcastID, "wrong", wire.RoleBroadcaster); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("wrong token: %v, want ErrBadToken", err)
+	}
+	if err := s.Authorize("missing", "x", wire.RoleViewer); !errors.Is(err, ErrNoBroadcast) {
+		t.Fatalf("missing broadcast: %v, want ErrNoBroadcast", err)
+	}
 	s.EndBroadcast(g.BroadcastID, g.Token)
 	if a.Authorize(g.BroadcastID, g.Token, wire.RoleBroadcaster) {
 		t.Fatal("ended broadcast still authorizes")
+	}
+	if err := s.Authorize(g.BroadcastID, g.Token, wire.RoleBroadcaster); !errors.Is(err, ErrEnded) {
+		t.Fatalf("ended broadcast: %v, want ErrEnded", err)
 	}
 }
 
@@ -213,12 +225,16 @@ func TestPublicKeyRegistry(t *testing.T) {
 	if err := s.RegisterPublicKey(g.BroadcastID, g.Token, pub); err != nil {
 		t.Fatal(err)
 	}
-	got := s.PublicKey(g.BroadcastID)
-	if !pub.Equal(got) {
-		t.Fatal("stored key mismatch")
+	got, err := s.PublicKey(g.BroadcastID)
+	if err != nil || !pub.Equal(got) {
+		t.Fatalf("stored key mismatch (err %v)", err)
 	}
-	if s.PublicKey("missing") != nil {
-		t.Fatal("missing broadcast returned a key")
+	if k, err := s.PublicKey("missing"); k != nil || err != nil {
+		t.Fatalf("missing broadcast: key %x, err %v; want neither", k, err)
+	}
+	s.Crash()
+	if _, err := s.PublicKey(g.BroadcastID); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("PublicKey while crashed: %v, want ErrUnavailable", err)
 	}
 }
 

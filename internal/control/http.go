@@ -168,10 +168,9 @@ func Handler(prefix string, s *Service) http.Handler {
 	return mux
 }
 
-// refuseDown answers 503 for the lookups whose Service methods have no error
-// to report an outage with (global list, tenant list, public key). A wiped
-// service must not answer them from empty state — an empty key in particular
-// means "unsigned" to the client — so they fail closed like every other
+// refuseDown answers 503 for the lists whose Service methods have no error
+// to report an outage with (global list, tenant list). A wiped service must
+// not answer them from empty state, so they fail closed like every other
 // endpoint.
 func refuseDown(s *Service, w http.ResponseWriter) bool {
 	return s.Down() && respondErr(w, ErrUnavailable)
@@ -267,10 +266,8 @@ func handleRegisterKey(s *Service, w http.ResponseWriter, r *http.Request) {
 }
 
 func handlePublicKey(s *Service, w http.ResponseWriter, r *http.Request) {
-	if refuseDown(s, w) {
-		return
-	}
-	writeJSON(w, pubKeyResp{PubKeyHex: hex.EncodeToString(s.PublicKey(r.PathValue("id")))})
+	k, err := s.PublicKey(r.PathValue("id"))
+	reply(w, pubKeyResp{PubKeyHex: hex.EncodeToString(k)}, err)
 }
 
 func handleResolveEdge(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -434,7 +431,8 @@ func respondErr(w http.ResponseWriter, err error) bool {
 		w.Header().Set(errCodeHeader, e.code)
 		var qe *QuotaError
 		if errors.As(err, &qe) {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(qe.RetryAfter)))
+			// Floor 1 s, so clients never busy-loop.
+			w.Header().Set("Retry-After", resilience.FormatRetryAfter(max(qe.RetryAfter, time.Second)))
 		} else if e.err == ErrUnavailable {
 			w.Header().Set("Retry-After", "1")
 		}
@@ -442,16 +440,6 @@ func respondErr(w http.ResponseWriter, err error) bool {
 	}
 	http.Error(w, err.Error(), status)
 	return true
-}
-
-// retryAfterSeconds rounds a wait up to whole seconds (the Retry-After unit),
-// floor 1 so clients never busy-loop.
-func retryAfterSeconds(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // Ready-made header values: assigning one directly (the key is already

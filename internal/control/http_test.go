@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/geo"
 	"repro/internal/journal"
+	"repro/internal/resilience"
 	"repro/internal/testutil"
 )
 
@@ -161,6 +163,30 @@ func TestHTTPQuota429(t *testing.T) {
 	code, ec, _ = rawStatus(t, srv.URL+"/api/broadcasts", c.APIKey, `{"user_id": 1}`)
 	if code != http.StatusTooManyRequests || ec != "quota" {
 		t.Fatalf("capped start: status %d, code %q", code, ec)
+	}
+}
+
+// TestHTTPJoinRateRetryAfterSaturates: a plan whose join rate is so low
+// that earning one join back takes longer than a time.Duration holds (10¹²
+// s here) answers the longest wait the header can carry back, never "retry
+// in 1 s".
+func TestHTTPJoinRateRetryAfterSaturates(t *testing.T) {
+	_, srv, c, tn, grant := newHTTPTenantFixture(t, nil, Plan{})
+	if code, _, _ := rawStatus(t, srv.URL+"/api/tenants/"+tn.ID+"/plan", "", `{"max_join_rps": 1e-12}`); code != http.StatusOK {
+		t.Fatalf("set plan: status %d", code)
+	}
+	joinURL := srv.URL + "/api/broadcasts/" + grant.BroadcastID + "/join"
+	if code, _, _ := rawStatus(t, joinURL, c.APIKey, `{"user_id": 7}`); code != http.StatusOK {
+		t.Fatalf("first join: status %d", code)
+	}
+	code, ec, hdr := rawStatus(t, joinURL, c.APIKey, `{"user_id": 8}`)
+	if code != http.StatusTooManyRequests || ec != "quota" {
+		t.Fatalf("second join: status %d, code %q", code, ec)
+	}
+	// 10¹² s is past the longest time.Duration (≈9.2·10⁹ s), so the most a
+	// reader can take from the header is that saturated maximum.
+	if got := resilience.ParseRetryAfter(hdr.Get("Retry-After"), time.Time{}); got != math.MaxInt64 {
+		t.Fatalf("Retry-After %q reads as %v, want the saturated maximum", hdr.Get("Retry-After"), got)
 	}
 }
 
@@ -475,9 +501,10 @@ func routePath(path string) (methods []string) {
 }
 
 // FuzzControlHandler throws arbitrary requests at the handler: it must never
-// panic, never answer 5xx except 503 while the service is down, and answer
-// only 404 (or the mux's path-cleaning redirect) off the route table and 405
-// for a table path's other methods.
+// panic, never answer 5xx except 503 while the service is down, give every
+// 429 and 503 a Retry-After of at least a second, and answer only 404 (or
+// the mux's path-cleaning redirect) off the route table and 405 for a table
+// path's other methods.
 func FuzzControlHandler(f *testing.F) {
 	for _, rt := range routes {
 		path := strings.Replace(rt.path, "{id}", "bcast-1", 1)
@@ -487,6 +514,7 @@ func FuzzControlHandler(f *testing.F) {
 	f.Add("PATCH", "/api/users", "", "", "", false)
 	f.Add("GET", "/api/broadcasts//join", "", "not json", "", false)
 	f.Add("GET", "/api/../etc", "%zz", "", "", false)
+	f.Add("POST", "/api/tenants/tnt-1/plan", "", `{"max_join_rps":1e-12}`, "", false)
 	f.Fuzz(func(t *testing.T, method, path, query, body, key string, down bool) {
 		s := fuzzService()
 		if down {
@@ -508,6 +536,11 @@ func FuzzControlHandler(f *testing.F) {
 
 		if rec.Code >= 500 && !(down && rec.Code == http.StatusServiceUnavailable) {
 			t.Fatalf("%s %q?%q down=%v: status %d: %s", method, path, query, down, rec.Code, rec.Body)
+		}
+		if rec.Code == http.StatusTooManyRequests || rec.Code == http.StatusServiceUnavailable {
+			if ra := rec.Header().Get("Retry-After"); resilience.ParseRetryAfter(ra, time.Time{}) < time.Second {
+				t.Fatalf("%s %q down=%v: status %d with Retry-After %q, want at least 1 s", method, path, down, rec.Code, ra)
+			}
 		}
 		// The oracle below reads the path the way the mux does only when no
 		// cleaning or escaping is involved.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/journal"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 func newJournaledService(backend journal.Backend, reg *metrics.Registry) *Service {
@@ -89,8 +90,8 @@ func TestControlCrashRecover(t *testing.T) {
 	if err := s.ForceEnd(grant.BroadcastID); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("ForceEnd while crashed: err = %v, want ErrUnavailable", err)
 	}
-	if (Auth{S: s}).Authorize(grant.BroadcastID, grant.Token, "publisher") {
-		t.Fatal("Authorize succeeded while crashed")
+	if err := s.Authorize(grant.BroadcastID, grant.Token, wire.RoleBroadcaster); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Authorize while crashed = %v, want ErrUnavailable", err)
 	}
 	if s.LiveCount() != 0 {
 		t.Fatalf("LiveCount while crashed = %d", s.LiveCount())
@@ -113,10 +114,10 @@ func TestControlCrashRecover(t *testing.T) {
 	if info, err := s.Info(endedGrant.BroadcastID); err != nil || info.Live {
 		t.Fatalf("ended broadcast resurrected: %+v, err %v", info, err)
 	}
-	if !(Auth{S: s}).Authorize(grant.BroadcastID, grant.Token, "publisher") {
+	if s.Authorize(grant.BroadcastID, grant.Token, wire.RoleBroadcaster) != nil {
 		t.Fatal("recovered token rejected")
 	}
-	if k := s.PublicKey(grant.BroadcastID); !bytes.Equal(k, pub) {
+	if k, err := s.PublicKey(grant.BroadcastID); err != nil || !bytes.Equal(k, pub) {
 		t.Fatal("public key lost across recovery")
 	}
 	joins, err := s.Joins(grant.BroadcastID)
@@ -167,7 +168,7 @@ func TestControlRestartIsNewServiceOverBackend(t *testing.T) {
 	if s2.LiveCount() != 1 {
 		t.Fatalf("restarted LiveCount = %d, want 1", s2.LiveCount())
 	}
-	if !(Auth{S: s2}).Authorize(grant.BroadcastID, grant.Token, "publisher") {
+	if s2.Authorize(grant.BroadcastID, grant.Token, wire.RoleBroadcaster) != nil {
 		t.Fatal("token rejected after full restart")
 	}
 	// The broadcast-ID counter must resume past journaled IDs: a fresh
@@ -374,10 +375,10 @@ func TestControlPrivateBroadcastRecovery(t *testing.T) {
 	s.Crash()
 	s.Recover()
 
-	if !(Auth{S: s}).Authorize(grant.BroadcastID, vg.ViewerToken, "viewer") {
+	if s.Authorize(grant.BroadcastID, vg.ViewerToken, "viewer") != nil {
 		t.Fatal("viewer token rejected after recovery")
 	}
-	if (Auth{S: s}).Authorize(grant.BroadcastID, "forged", "viewer") {
+	if s.Authorize(grant.BroadcastID, "forged", "viewer") == nil {
 		t.Fatal("forged viewer token accepted after recovery")
 	}
 	// The allow-list survived too: an uninvited user still cannot join.
@@ -520,7 +521,7 @@ func FuzzControlJournalRecovery(f *testing.F) {
 		}
 		s.Crash()
 		s2 := newJournaledService(backend, nil)
-		if !(Auth{S: s2}).Authorize(grant.BroadcastID, grant.Token, "publisher") {
+		if s2.Authorize(grant.BroadcastID, grant.Token, wire.RoleBroadcaster) != nil {
 			t.Fatal("broadcast journaled after torn-tail truncation did not survive restart")
 		}
 	})

@@ -3,6 +3,7 @@ package control
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -314,16 +315,18 @@ func (s *Service) JoinKey(key string, userID uint64, broadcastID string, loc geo
 	return s.Join(userID, broadcastID, loc)
 }
 
-// rateRetryAfter suggests a wait long enough to earn one token back.
+// rateRetryAfter suggests a wait long enough to earn one token back, at
+// least a second. A rate so low that the wait overflows a time.Duration
+// saturates at the longest one instead of wrapping.
 func rateRetryAfter(rps float64) time.Duration {
 	if rps <= 0 {
 		return time.Second
 	}
-	d := time.Duration(float64(time.Second) / rps)
-	if d < time.Second {
-		d = time.Second
+	d := float64(time.Second) / rps
+	if d >= math.MaxInt64 {
+		return math.MaxInt64
 	}
-	return d
+	return max(time.Duration(d), time.Second)
 }
 
 // quotaCheckLocked reports whether the tenant is over its daily bytes quota:

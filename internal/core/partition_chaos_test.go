@@ -108,10 +108,12 @@ func assertExactlyOnce(t *testing.T, runs []*soakViewer, total int) {
 // TestPlatformControlCrashRecoverySoak kills the control plane mid-broadcast
 // — with a torn journal tail — while HLS viewers poll and an RTMP viewer
 // watches, and requires live delivery to keep flowing: the data plane never
-// consults control per chunk, degraded clients serve cached edge mappings and
-// queue joins, a broadcast that ends during the outage is parked and replayed
-// after recovery, and the recovered control plane rehydrates every broadcast
-// from its journal without ending anything falsely.
+// consults control per chunk, a new join is refused while established
+// sessions stream on, the serving edge drains so every HLS viewer fails over
+// against the dead control plane onto its last-known edge, a broadcast that
+// ends during the outage is parked and replayed after recovery, and the
+// recovered control plane rehydrates every broadcast from its journal
+// without ending anything falsely.
 func TestPlatformControlCrashRecoverySoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("control crash-recovery soak under -short")
@@ -230,17 +232,6 @@ func TestPlatformControlCrashRecoverySoak(t *testing.T) {
 		pubErr <- pub.End()
 	}()
 
-	// Degraded-mode resolver shared by every HLS viewer — warm it while
-	// control is up so the outage has a cache to serve from.
-	rc := control.NewResolverCache(control.ResolverCacheConfig{
-		Client:  cc,
-		Metrics: p.Metrics(),
-		Breaker: resilience.BreakerConfig{FailureThreshold: 2, OpenFor: 5 * time.Millisecond},
-	})
-	if _, err := rc.ResolveEdge(ctx, grant.BroadcastID, ashburn); err != nil {
-		t.Fatal(err)
-	}
-
 	servingEdge := p.Topo.NearestEdge(ashburn)
 	warm := &hls.Client{BaseURL: p.EdgeURL(servingEdge), Retry: resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}}
 	waitFor(t, 10*time.Second, "first chunk at the edge", func() bool {
@@ -250,32 +241,41 @@ func TestPlatformControlCrashRecoverySoak(t *testing.T) {
 
 	const viewers = 20
 	runs, viewerErrs := launchSoakViewers(ctx, viewers, grant.BroadcastID, func(ctx context.Context) (string, error) {
-		return rc.ResolveEdge(ctx, grant.BroadcastID, ashburn)
+		return cc.ResolveEdge(ctx, grant.BroadcastID, ashburn)
 	})
 
 	// The outage: crash control mid-broadcast and tear its journal tail —
 	// the torn write of the crash moment.
 	waitFor(t, 15*time.Second, "viewers mid-stream before the crash", func() bool { return minChunksSeen(runs) >= 6 })
+	for i, vr := range runs {
+		if got, want := vr.fp.BaseURL(), p.EdgeURL(servingEdge); got != want {
+			t.Fatalf("viewer %d polls %q, want the serving edge %q", i, got, want)
+		}
+	}
 	p.KillControl()
 	journals["control"].CorruptTail(3)
 
-	// Direct API calls answer 503/ErrUnavailable...
+	// API calls answer ErrUnavailable: a new session waits for recovery.
 	if _, err := cc.ResolveEdge(ctx, grant.BroadcastID, ashburn); !errors.Is(err, control.ErrUnavailable) {
 		t.Fatalf("ResolveEdge during the outage = %v, want ErrUnavailable", err)
 	}
-	// ...while the degraded resolver serves the cached mapping and queues
-	// the join it cannot confirm.
-	if url, err := rc.ResolveEdge(ctx, grant.BroadcastID, ashburn); err != nil || url == "" {
-		t.Fatalf("degraded ResolveEdge = (%q, %v), want the cached edge", url, err)
+	if _, err := cc.Join(ctx, dave, grant.BroadcastID, ashburn); !errors.Is(err, control.ErrUnavailable) {
+		t.Fatalf("Join during the outage = %v, want ErrUnavailable", err)
 	}
-	if g, degraded, err := rc.Join(ctx, dave, grant.BroadcastID, ashburn); err != nil || !degraded {
-		t.Fatalf("degraded Join = (%+v, %v, %v), want a synthetic degraded grant", g, degraded, err)
-	} else if g.Protocol != control.ProtoHLS || g.HLSBaseURL == "" {
-		t.Fatalf("degraded grant = %+v, want cached HLS", g)
+
+	// Drain the serving edge: every viewer must re-resolve against the dead
+	// control plane, fall back to its last-known edge and stream on.
+	if err := p.DrainEdge(servingEdge.Site().ID); err != nil {
+		t.Fatal(err)
 	}
-	if n := rc.QueuedJoins(); n != 1 {
-		t.Fatalf("queued joins during the outage = %d, want 1", n)
-	}
+	waitFor(t, 15*time.Second, "every viewer re-resolving against the dead control plane", func() bool {
+		for _, vr := range runs {
+			if vr.fp.StaleResolves() == 0 {
+				return false
+			}
+		}
+		return true
+	})
 
 	// b2 ends while control is down: the data plane stops immediately, and
 	// the control-plane end parks for replay.
@@ -301,12 +301,6 @@ func TestPlatformControlCrashRecoverySoak(t *testing.T) {
 	// Recovery: journal replay rehydrates both broadcasts, then the parked
 	// end lands — b1 live, b2 dead, nothing falsely ended either way.
 	waitFor(t, 5*time.Second, "live count settles to b1 only", func() bool { return p.Ctrl.LiveCount() == 1 })
-	if flushed := rc.FlushJoins(ctx); flushed != 1 {
-		t.Errorf("FlushJoins = %d, want 1", flushed)
-	}
-	if n := rc.QueuedJoins(); n != 0 {
-		t.Errorf("queued joins after flush = %d, want 0", n)
-	}
 
 	// The broadcast completes end-to-end across the outage.
 	select {
@@ -344,7 +338,7 @@ func TestPlatformControlCrashRecoverySoak(t *testing.T) {
 	}
 
 	// Instruments: recovery latency observed, the torn tail detected, the
-	// journal replayed, and the degraded paths counted.
+	// journal replayed, and every viewer's outage failover counted.
 	var recovered bool
 	for _, h := range p.Metrics().Snapshot().Histograms {
 		if h.Name == "control_recovery_seconds" && h.Count >= 1 {
@@ -360,11 +354,11 @@ func TestPlatformControlCrashRecoverySoak(t *testing.T) {
 	if v := metricCounter(p, "journal_replayed_records_total", "control"); v <= 0 {
 		t.Errorf("journal_replayed_records_total{site=control} = %d, want > 0", v)
 	}
-	if v := counterSum(p, "control_unavailable_total"); v <= 0 {
-		t.Errorf("control_unavailable_total = %d, want > 0", v)
-	}
-	if v := counterSum(p, "control_stale_served_total"); v <= 0 {
-		t.Errorf("control_stale_served_total = %d, want > 0", v)
+	for i, vr := range runs {
+		if vr.fp.StaleResolves() == 0 || vr.fp.Failovers() == 0 {
+			t.Errorf("viewer %d: hls_stale_resolves_total = %d, hls_failovers_total = %d, want both > 0",
+				i, vr.fp.StaleResolves(), vr.fp.Failovers())
+		}
 	}
 
 	waitFor(t, 5*time.Second, "live count drains", func() bool { return p.Ctrl.LiveCount() == 0 })

@@ -696,5 +696,4 @@ func (p *Platform) Stats() (framesIn, framesOut int64) {
 // /metrics once the platform starts.
 func (p *Platform) Metrics() *metrics.Registry { return p.metrics }
 
-var _ rtmp.Auth = control.Auth{}            // the control plane satisfies origin auth
-var _ rtmp.Auth = (*control.AuthCache)(nil) // …and so does its degraded-mode cache
+var _ rtmp.Auth = (*control.AuthCache)(nil) // origins authorize through the control plane's grant cache

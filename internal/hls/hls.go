@@ -168,21 +168,12 @@ func writeStoreError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrOverloaded):
 		status = http.StatusServiceUnavailable
-		secs := int64(1)
+		wait := time.Second
 		var oe *OverloadedError
 		if errors.As(err, &oe) {
-			// Round up without adding to the hint: a saturated one
-			// (resilience.ParseRetryAfter's math.MaxInt64) would overflow
-			// and go out as "retry now".
-			secs = int64(oe.RetryAfter / time.Second)
-			if oe.RetryAfter%time.Second > 0 {
-				secs++
-			}
-			if secs < 0 {
-				secs = 0
-			}
+			wait = oe.RetryAfter
 		}
-		w.Header().Set(RetryAfterHeader, strconv.FormatInt(secs, 10))
+		w.Header().Set(RetryAfterHeader, resilience.FormatRetryAfter(wait))
 	}
 	http.Error(w, err.Error(), status)
 }

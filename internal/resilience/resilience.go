@@ -138,6 +138,19 @@ func ParseRetryAfter(v string, now time.Time) time.Duration {
 	return 0
 }
 
+// FormatRetryAfter writes a wait as a Retry-After value, ParseRetryAfter's
+// inverse: whole seconds, rounded up by quotient and remainder so no wait
+// overflows — the longest time.Duration, where ParseRetryAfter saturates,
+// goes out as a count that reads back saturated, not as "retry now". A zero
+// or negative wait is "0".
+func FormatRetryAfter(d time.Duration) string {
+	secs := max(int64(d/time.Second), 0)
+	if d%time.Second > 0 {
+		secs++
+	}
+	return strconv.FormatInt(secs, 10)
+}
+
 // permanentError marks an error that must not be retried.
 type permanentError struct{ err error }
 

@@ -371,3 +371,32 @@ func TestParseRetryAfter(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatRetryAfter: whole seconds rounded up, never negative, and every
+// wait reads back through ParseRetryAfter as at least itself — the longest
+// one included, which an additive round-up would overflow.
+func TestFormatRetryAfter(t *testing.T) {
+	longest := time.Duration(math.MaxInt64)
+	for _, tc := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{math.MinInt64, "0"},
+		{-time.Second, "0"},
+		{-1, "0"},
+		{0, "0"},
+		{1, "1"},
+		{time.Second, "1"},
+		{1500 * time.Millisecond, "2"},
+		{90 * time.Second, "90"},
+		{longest, "9223372037"},
+	} {
+		got := FormatRetryAfter(tc.d)
+		if got != tc.want {
+			t.Errorf("FormatRetryAfter(%v) = %q, want %q", tc.d, got, tc.want)
+		}
+		if back := ParseRetryAfter(got, time.Time{}); tc.d > 0 && back < tc.d {
+			t.Errorf("FormatRetryAfter(%v) = %q reads back as %v, shorter", tc.d, got, back)
+		}
+	}
+}
