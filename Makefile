@@ -2,7 +2,9 @@
 # in CI" never involves a command mismatch: every step of ci.yml is a target
 # here. `make lint` is the lint job; `make ci` is the test job followed by the
 # lint job. `race` runs every Go test under -race, so the named slices of it
-# (fanout-race … metrics-smoke) are local replay recipes, not CI steps.
+# (fanout-race … metrics-smoke) are local replay recipes, not CI steps —
+# except scale-smoke, whose -cpu 1,2,4 runs the simulated day at three
+# partition counts that `race`'s one GOMAXPROCS does not.
 
 GO ?= go
 BIN := bin
@@ -150,7 +152,7 @@ metrics:
 metrics-smoke:
 	$(GO) test -count=1 -run 'PlatformMetricsEndpoints' ./internal/core/
 
-ci: build bench-check race fuzz metrics lint vuln
+ci: build bench-check race scale-smoke fuzz metrics lint vuln
 
 clean:
 	rm -rf $(BIN)

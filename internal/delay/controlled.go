@@ -6,6 +6,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/player"
 	"repro/internal/rng"
 )
 
@@ -34,6 +35,21 @@ const (
 	TriggerPollInterval = 100 * time.Millisecond
 )
 
+// LabPath is the §4.3 controlled path: the Wowza origin and the Fastly edge
+// nearest LabLocation, through the origin's co-located gateway when that is
+// not the serving edge itself, triggered by the crawler's 0.1 s poll.
+func LabPath() EdgePath {
+	p := EdgePath{
+		Origin:              geo.Nearest(LabLocation, geo.WowzaSites()),
+		Edge:                geo.Nearest(LabLocation, geo.FastlySites()),
+		TriggerPollInterval: TriggerPollInterval,
+	}
+	if gw := geo.Gateway(p.Origin); gw != nil && !geo.CoLocated(*gw, p.Edge) {
+		p.Gateway = gw
+	}
+	return p
+}
+
 // ControlledConfig reproduces the §4.3 controlled experiment: one
 // broadcaster, one RTMP viewer, one HLS viewer, stable WiFi, repeated runs.
 type ControlledConfig struct {
@@ -56,48 +72,39 @@ func (c ControlledConfig) withDefaults() ControlledConfig {
 }
 
 // RunControlled executes the controlled experiment and returns the averaged
-// RTMP and HLS component breakdowns — the two bars of Figure 11. Per-run
-// component delays are observed into a private registry's delay histograms
-// (proto=rtmp / proto=hls); the returned averages are read back from those
-// instruments, so the harness has no accumulator state of its own.
+// RTMP and HLS component breakdowns — the two bars of Figure 11. Each run
+// traces the broadcast per frame for the RTMP viewer, who watches from the
+// start with P = RTMPPreBuffer, and per chunk for the HLS viewer, who polls
+// from a random phase with P = HLSPreBuffer. Per-run component delays are
+// observed into a private registry's delay histograms (proto=rtmp /
+// proto=hls); the returned averages are read back from those instruments,
+// so the harness has no accumulator state of its own.
 func RunControlled(cfg ControlledConfig) (rtmpAvg, hlsAvg Components) {
 	cfg = cfg.withDefaults()
 	src := rng.New(cfg.Seed)
-	origin := geo.Nearest(LabLocation, geo.WowzaSites())
-	edge := geo.Nearest(LabLocation, geo.FastlySites())
-	gw := geo.Gateway(origin)
-
 	reg := metrics.NewRegistry()
 	rHists := NewComponentHists(reg, "rtmp")
 	hHists := NewComponentHists(reg, "hls")
+	var tr Trace
+	var s Session
+	var p player.Player
 	for rep := 0; rep < cfg.Repetitions; rep++ {
-		model := netsim.NewModel(netsim.Params{}, src.Split("rep"))
-		tr := GenTrace(TraceConfig{
-			Duration:    cfg.BroadcastDuration,
-			Broadcaster: LabLocation,
-			Origin:      origin,
-			Upload:      netsim.WiFi,
-		}, model, src)
+		rs := src.Split("rep")
+		model := netsim.NewModel(netsim.Params{}, rs)
+		tc := TraceConfig{Duration: cfg.BroadcastDuration, FramesPerItem: 1, Broadcaster: LabLocation, Path: LabPath()}
+		GenTrace(&tr, tc, model, rs)
+		p.Reset(RTMPPreBuffer)
+		if s.Start(&tr, model, false, 0, 0) {
+			rHists.Observe(s.Play(&p))
+		}
 
-		rtmpView := ViewerConfig{
-			Location:  LabLocation,
-			LastMile:  netsim.WiFi,
-			PreBuffer: RTMPPreBuffer,
+		tc.FramesPerItem = 0
+		GenTrace(&tr, tc, model, rs)
+		phase := time.Duration(rs.Float64() * float64(HLSPollInterval))
+		p.Reset(HLSPreBuffer)
+		if s.Start(&tr, model, true, -phase, 0) {
+			hHists.Observe(s.Play(&p))
 		}
-		rHists.Observe(RTMPComponents(tr, origin, rtmpView, model))
-
-		path := EdgePath{Edge: edge, GatewayOverhead: DefaultGatewayOverhead}
-		if gw != nil && !geo.CoLocated(*gw, edge) {
-			path.Gateway = gw
-		}
-		hlsView := ViewerConfig{
-			Location:     LabLocation,
-			LastMile:     netsim.WiFi,
-			PollInterval: HLSPollInterval,
-			PollPhase:    time.Duration(src.Float64() * float64(HLSPollInterval)),
-			PreBuffer:    HLSPreBuffer,
-		}
-		hHists.Observe(HLSComponents(tr, origin, path, hlsView, model))
 	}
 	return rHists.Means(), hHists.Means()
 }

@@ -16,6 +16,6 @@ func ExampleRunControlled() {
 	fmt.Printf("HLS dominated by buffering: %v\n",
 		hls.Buffering > hls.Chunking && hls.Chunking > hls.Polling)
 	// Output:
-	// RTMP total ≈ 1s, HLS total ≈ 10s
+	// RTMP total ≈ 1s, HLS total ≈ 11s
 	// HLS dominated by buffering: true
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/media"
 	"repro/internal/netsim"
 	"repro/internal/overlay"
+	"repro/internal/player"
 	"repro/internal/rng"
 	"repro/internal/security"
 	"repro/internal/stats"
@@ -34,9 +35,10 @@ func runAblationChunkSize(cfg Config) (*Result, error) {
 		n = 5
 	}
 	src := rng.New(cfg.Seed + 21)
-	sf := delay.LabLocation
-	origin := geo.Nearest(sf, geo.WowzaSites())
-	edge := geo.Nearest(sf, geo.FastlySites())
+	path := delay.LabPath()
+	var tr delay.Trace
+	var s delay.Session
+	var p player.Player
 
 	t := &stats.Table{
 		Title:   "Ablation: chunk size (poll interval = 0.93 × chunk)",
@@ -47,18 +49,17 @@ func runAblationChunkSize(cfg Config) (*Result, error) {
 		pollInterval := time.Duration(float64(size) * 0.93)
 		var totals, chunkings, pollings []float64
 		for b := 0; b < n; b++ {
-			model := netsim.NewModel(netsim.Params{}, src.Split(fmt.Sprintf("cs%v-%d", size, b)))
-			tr := delay.GenTrace(delay.TraceConfig{
-				Duration: 2 * time.Minute, ChunkDuration: size,
-				Broadcaster: sf, Origin: origin, Upload: netsim.WiFi,
-			}, model, src.Split(fmt.Sprintf("ct%v-%d", size, b)))
-			v := delay.ViewerConfig{
-				Location: sf, LastMile: netsim.WiFi,
-				PollInterval: pollInterval,
-				PollPhase:    time.Duration(src.Float64() * float64(pollInterval)),
-				PreBuffer:    3 * size,
-			}
-			c := delay.HLSComponents(tr, origin, delay.EdgePath{Edge: edge}, v, model)
+			bs := src.Split(fmt.Sprintf("cs%v-%d", size, b))
+			model := netsim.NewModel(netsim.Params{}, bs)
+			delay.GenTrace(&tr, delay.TraceConfig{
+				Duration:      2 * time.Minute,
+				FramesPerItem: media.FramesPerChunk(size),
+				Broadcaster:   delay.LabLocation,
+				Path:          path,
+			}, model, bs)
+			p.Reset(3 * tr.ItemDuration()) // three chunks
+			s.Start(&tr, model, true, beforeStart(bs, pollInterval), pollInterval)
+			c := s.Play(&p)
 			totals = append(totals, c.Total().Seconds())
 			chunkings = append(chunkings, c.Chunking.Seconds())
 			pollings = append(pollings, c.Polling.Seconds())
@@ -107,23 +108,19 @@ func runAblationGateway(cfg Config) (*Result, error) {
 		Location: geo.Location{City: "Tokyo", Continent: geo.Asia, Lat: 35.68, Lon: 139.69}}
 	gw := geo.Gateway(origin)
 
+	var tr delay.Trace
 	measure := func(useGW bool, b int) float64 {
-		model := netsim.NewModel(netsim.Params{}, src.Split(fmt.Sprintf("gw%v-%d", useGW, b)))
-		tr := delay.GenTrace(delay.TraceConfig{
-			Duration: 90 * time.Second, Broadcaster: origin.Location,
-			Origin: origin, Upload: netsim.WiFi,
-		}, model, src.Split(fmt.Sprintf("gt%v-%d", useGW, b)))
-		path := delay.EdgePath{Edge: far}
+		bs := src.Split(fmt.Sprintf("gw%v-%d", useGW, b))
+		path := delay.EdgePath{Origin: origin, Edge: far}
 		if useGW {
 			path.Gateway = gw
-			path.GatewayOverhead = delay.DefaultGatewayOverhead
 		}
-		edgeAt := delay.EdgeArrivals(tr, origin, path, model)
-		var sum float64
-		for i := range edgeAt {
-			sum += edgeAt[i].Sub(tr.Chunks[i].ReadyAt).Seconds()
-		}
-		return sum / float64(len(edgeAt))
+		delay.GenTrace(&tr, delay.TraceConfig{
+			Duration:    90 * time.Second,
+			Broadcaster: origin.Location,
+			Path:        path,
+		}, netsim.NewModel(netsim.Params{}, bs), bs)
+		return meanW2F(&tr)
 	}
 	var withGW, direct []float64
 	for b := 0; b < n; b++ {

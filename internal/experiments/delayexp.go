@@ -22,36 +22,43 @@ func init() {
 	register("fig17", "HLS: impact of pre-buffer size on buffering delay and stalling", runFig17)
 }
 
-// traceBundle generates the per-broadcast CDN traces the client-side
-// simulations replay (the paper's 16,013-broadcast corpus, scaled).
-type traceBundle struct {
-	traces []*delay.Trace
-	models []*netsim.Model
-	origin geo.Datacenter
+// replayTraces generates n broadcasts of the §4.3 lab setting at the given
+// granularity and edge path — durations of 2 min plus an exponential 2 min,
+// capped at 8 min; a burstyShare of them bursty — the paper's
+// 16,013-broadcast corpus, scaled. It hands each trace to fn with the model
+// and stream its sessions draw from.
+func replayTraces(cfg Config, n, frames int, path delay.EdgePath, burstyShare float64, fn func(*delay.Trace, *netsim.Model, *rng.Source)) {
+	src := rng.New(cfg.Seed)
+	var tr delay.Trace
+	for i := 0; i < n; i++ {
+		dur := min(2*time.Minute+time.Duration(src.Exp(float64(2*time.Minute))), 8*time.Minute)
+		bursty := src.Bool(burstyShare)
+		ts := src.Split(fmt.Sprintf("t%d", i))
+		model := netsim.NewModel(netsim.Params{}, ts)
+		delay.GenTrace(&tr, delay.TraceConfig{
+			Duration:      dur,
+			FramesPerItem: frames,
+			Broadcaster:   delay.LabLocation,
+			Path:          path,
+			Bursty:        bursty,
+		}, model, ts)
+		fn(&tr, model, ts)
+	}
 }
 
-func genTraces(cfg Config, n int, burstyShare float64) *traceBundle {
-	src := rng.New(cfg.Seed)
-	sf := delay.LabLocation
-	origin := geo.Nearest(sf, geo.WowzaSites())
-	tb := &traceBundle{origin: origin}
-	for i := 0; i < n; i++ {
-		model := netsim.NewModel(netsim.Params{}, src.Split(fmt.Sprintf("m%d", i)))
-		dur := 2*time.Minute + time.Duration(src.Exp(float64(2*time.Minute)))
-		if dur > 8*time.Minute {
-			dur = 8 * time.Minute
-		}
-		tr := delay.GenTrace(delay.TraceConfig{
-			Duration:    dur,
-			Broadcaster: sf,
-			Origin:      origin,
-			Upload:      netsim.WiFi,
-			Bursty:      src.Bool(burstyShare),
-		}, model, src.Split(fmt.Sprintf("t%d", i)))
-		tb.traces = append(tb.traces, tr)
-		tb.models = append(tb.models, model)
+// beforeStart is an HLS viewer's join: at a random phase of its poll grid,
+// before the broadcast starts, so it watches from the first chunk.
+func beforeStart(src *rng.Source, poll time.Duration) time.Duration {
+	return -time.Duration(src.Float64() * float64(poll))
+}
+
+// meanW2F is a trace's mean Wowza2Fastly delay (⑪−⑦) in seconds.
+func meanW2F(tr *delay.Trace) float64 {
+	var sum time.Duration
+	for i, at := range tr.EdgeAt {
+		sum += at - tr.ReadyAt[i]
 	}
-	return tb
+	return (sum / time.Duration(tr.Items())).Seconds()
 }
 
 func runFig11(cfg Config) (*Result, error) {
@@ -88,25 +95,22 @@ func runFig11(cfg Config) (*Result, error) {
 // pollingStats computes the per-broadcast mean and std-dev of polling delay
 // for each interval — the underlying data of Figures 12 and 13.
 func pollingStats(cfg Config, intervals []time.Duration) (means, stds map[time.Duration][]float64) {
-	tb := genTraces(cfg, cfg.Broadcasts, 0)
-	src := rng.New(cfg.Seed + 7)
 	means = make(map[time.Duration][]float64)
 	stds = make(map[time.Duration][]float64)
-	for i, tr := range tb.traces {
-		edge := geo.Nearest(tb.origin.Location, geo.FastlySites())
-		edgeAt := delay.EdgeArrivals(tr, tb.origin, delay.EdgePath{Edge: edge}, tb.models[i])
-		for _, interval := range intervals {
-			phase := time.Duration(src.Float64() * float64(interval))
-			seen := delay.PollObservations(edgeAt, interval, phase)
-			ds := delay.PollingDelays(edgeAt, seen)
-			var xs []float64
-			for _, d := range ds {
-				xs = append(xs, d.Seconds())
+	var s delay.Session
+	var ds []float64
+	replayTraces(cfg, cfg.Broadcasts, 0, delay.LabPath(), 0, func(tr *delay.Trace, model *netsim.Model, src *rng.Source) {
+		for _, iv := range intervals {
+			s.Start(tr, model, true, beforeStart(src, iv), iv)
+			ds = ds[:0]
+			for i, done := 0, false; !done; i++ {
+				ds = append(ds, (s.Next() - tr.EdgeAt[i]).Seconds())
+				_, _, done = s.Step()
 			}
-			means[interval] = append(means[interval], stats.Mean(xs))
-			stds[interval] = append(stds[interval], stats.StdDev(xs))
+			means[iv] = append(means[iv], stats.Mean(ds))
+			stds[iv] = append(stds[iv], stats.StdDev(ds))
 		}
-	}
+	})
 	return means, stds
 }
 
@@ -153,6 +157,7 @@ func runFig15(cfg Config) (*Result, error) {
 		perClass = 5
 	}
 	src := rng.New(cfg.Seed + 11)
+	var tr delay.Trace
 	fig := &stats.Figure{Title: "Figure 15: Wowza-to-Fastly delay", XLabel: "seconds", YLabel: "CDF"}
 	values := map[string]float64{}
 	order := []geo.DistanceClass{
@@ -167,27 +172,17 @@ func runFig15(cfg Config) (*Result, error) {
 		var means []float64
 		for b := 0; b < perClass; b++ {
 			pair := pairs[src.Intn(len(pairs))]
-			model := netsim.NewModel(netsim.Params{}, src.Split(fmt.Sprintf("f15-%d-%d", cl, b)))
-			tr := delay.GenTrace(delay.TraceConfig{
+			bs := src.Split(fmt.Sprintf("f15-%d-%d", cl, b))
+			path := delay.EdgePath{Origin: pair[0], Edge: pair[1]}
+			if gw := geo.Gateway(pair[0]); cl != geo.ClassCoLocated && gw != nil && gw.ID != pair[1].ID {
+				path.Gateway = gw
+			}
+			delay.GenTrace(&tr, delay.TraceConfig{
 				Duration:    90 * time.Second,
 				Broadcaster: pair[0].Location,
-				Origin:      pair[0],
-				Upload:      netsim.WiFi,
-			}, model, src.Split(fmt.Sprintf("t15-%d-%d", cl, b)))
-			path := delay.EdgePath{Edge: pair[1]}
-			if cl != geo.ClassCoLocated {
-				gw := geo.Gateway(pair[0])
-				if gw != nil && gw.ID != pair[1].ID {
-					path.Gateway = gw
-					path.GatewayOverhead = delay.DefaultGatewayOverhead
-				}
-			}
-			edgeAt := delay.EdgeArrivals(tr, pair[0], path, model)
-			var sum float64
-			for i := range edgeAt {
-				sum += edgeAt[i].Sub(tr.Chunks[i].ReadyAt).Seconds()
-			}
-			means = append(means, sum/float64(len(edgeAt)))
+				Path:        path,
+			}, netsim.NewModel(netsim.Params{}, bs), bs)
+			means = append(means, meanW2F(&tr))
 		}
 		c := stats.NewCDF(means)
 		fig.Add(cl.String(), c.Points(40))
@@ -213,58 +208,54 @@ func classKey(c geo.DistanceClass) string {
 }
 
 // bufferSweep runs the Figures 16/17 simulation: stall-ratio and buffering
-// delay CDFs for each pre-buffer value.
+// delay CDFs for each pre-buffer value. Each broadcast's session feeds one
+// player per P in one pass. RTMP is traced per frame, HLS per chunk.
 func bufferSweep(cfg Config, hls bool, preBuffers []time.Duration) (*Result, error) {
-	tb := genTraces(cfg, cfg.Broadcasts, 0.10) // 10% bursty uploads (Fig. 16b tail)
-	src := rng.New(cfg.Seed + 13)
-	stallFig := &stats.Figure{XLabel: "stall ratio", YLabel: "CDF"}
-	delayFig := &stats.Figure{XLabel: "buffering delay (s)", YLabel: "CDF"}
-	values := map[string]float64{}
-	sf := delay.LabLocation
+	frames, path := 1, delay.LabPath()
 	proto := "RTMP"
 	if hls {
-		proto = "HLS"
+		// In real viewing (unlike the 0.1s crawler probe) the edge pull
+		// is triggered by some other viewer's own ~2.8s poll,
+		// compounding the polling beat.
+		frames, path.TriggerPollInterval, proto = 0, delay.HLSPollInterval, "HLS"
 	}
-	stallFig.Title = fmt.Sprintf("Figure %s: %s stall ratio vs pre-buffer", figNum(hls, "a"), proto)
-	delayFig.Title = fmt.Sprintf("Figure %s: %s buffering delay vs pre-buffer", figNum(hls, "b"), proto)
-
-	// Precompute per-trace items once per protocol, then sweep P.
-	items := make([][]player.Item, len(tb.traces))
-	for i, tr := range tb.traces {
-		v := delay.ViewerConfig{Location: sf, LastMile: netsim.WiFi,
-			PollInterval: delay.HLSPollInterval,
-			PollPhase:    time.Duration(src.Float64() * float64(delay.HLSPollInterval))}
+	players := make([]*player.Player, len(preBuffers))
+	for i := range players {
+		players[i] = new(player.Player)
+	}
+	stalls := make([][]float64, len(preBuffers))
+	delays := make([][]float64, len(preBuffers))
+	var s delay.Session
+	// 10% bursty uploads (Fig. 16b tail).
+	replayTraces(cfg, cfg.Broadcasts, frames, path, 0.10, func(tr *delay.Trace, model *netsim.Model, src *rng.Source) {
+		for i, p := range players {
+			p.Reset(preBuffers[i])
+		}
+		var join time.Duration
 		if hls {
-			edge := geo.Nearest(sf, geo.FastlySites())
-			// In real viewing (unlike the 0.1s crawler probe) the
-			// edge pull is triggered by some other viewer's own
-			// ~2.8s poll, compounding the polling beat.
-			path := delay.EdgePath{
-				Edge:                edge,
-				TriggerPollInterval: delay.HLSPollInterval,
-				TriggerPollPhase:    time.Duration(src.Float64() * float64(delay.HLSPollInterval)),
-			}
-			edgeAt := delay.EdgeArrivals(tr, tb.origin, path, tb.models[i])
-			its, _, _ := delay.HLSItems(tr, edgeAt, v, tb.models[i])
-			items[i] = its
-		} else {
-			its, _ := delay.RTMPItems(tr, tb.origin, v, tb.models[i])
-			items[i] = its
+			join = beforeStart(src, delay.HLSPollInterval)
 		}
-	}
-	for _, p := range preBuffers {
-		var stalls, delays []float64
-		for i := range items {
-			res := player.Simulate(items[i], player.Config{PreBuffer: p})
-			stalls = append(stalls, res.StallRatio)
-			delays = append(delays, res.MeanBufferingDelay.Seconds())
+		s.Start(tr, model, hls, join, 0)
+		s.Play(players...)
+		for i, p := range players {
+			r := p.Result()
+			stalls[i] = append(stalls[i], r.StallRatio)
+			delays[i] = append(delays[i], r.MeanBufferingDelay.Seconds())
 		}
+	})
+
+	stallFig := &stats.Figure{XLabel: "stall ratio", YLabel: "CDF",
+		Title: fmt.Sprintf("Figure %s: %s stall ratio vs pre-buffer", figNum(hls, "a"), proto)}
+	delayFig := &stats.Figure{XLabel: "buffering delay (s)", YLabel: "CDF",
+		Title: fmt.Sprintf("Figure %s: %s buffering delay vs pre-buffer", figNum(hls, "b"), proto)}
+	values := map[string]float64{}
+	for i, p := range preBuffers {
 		label := fmt.Sprintf("%gs", p.Seconds())
-		stallFig.Add(label, stats.NewCDF(stalls).Points(50))
-		delayFig.Add(label, stats.NewCDF(delays).Points(50))
+		stallFig.Add(label, stats.NewCDF(stalls[i]).Points(50))
+		delayFig.Add(label, stats.NewCDF(delays[i]).Points(50))
 		key := strings.ReplaceAll(label, ".", "_")
-		values["stall_p"+key] = stats.Mean(stalls)
-		values["delay_p"+key] = stats.Mean(delays)
+		values["stall_p"+key] = stats.Mean(stalls[i])
+		values["delay_p"+key] = stats.Mean(delays[i])
 	}
 	return &Result{Text: stallFig.String() + "\n" + delayFig.String(), Values: values}, nil
 }

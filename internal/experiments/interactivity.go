@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/delay"
+	"repro/internal/netsim"
+	"repro/internal/player"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -19,25 +21,41 @@ func init() {
 // real time, attributes that heart to whatever is happening NOW — d seconds
 // of content later. Similarly, a vote cast after the real-time window
 // closed is discounted. This experiment quantifies both failure modes for
-// the measured RTMP and HLS delay distributions.
+// the replayed RTMP and HLS sessions.
 
-// viewerDelay draws one viewer's end-to-end delay for a protocol, composed
-// from the Fig. 11 components: the deterministic parts plus the per-viewer
-// variation (polling phase, chunk phase, buffering jitter).
-func viewerDelay(hls bool, c delay.Components, src *rng.Source) time.Duration {
-	d := c.Total()
+// sessionDelays replays n viewers of the §4.3 controlled broadcast, spread
+// over reps two-minute broadcasts and joining uniformly over each one's
+// first minute, and returns each session's end-to-end delay. A session plays
+// on a fixed schedule, so every frame it plays reaches the screen with the
+// same delay, up to the jitter its buffer absorbs: the session's
+// Components.Total().
+func sessionDelays(seed uint64, hls bool, reps, n int) []time.Duration {
+	frames, pre := 1, delay.RTMPPreBuffer
 	if hls {
-		// Chunk phase: the viewer-relevant event lands uniformly
-		// inside its chunk; polling phase likewise (§5.2).
-		d += time.Duration((src.Float64() - 0.5) * float64(c.Chunking))
-		d += time.Duration((src.Float64() - 0.5) * 2 * float64(c.Polling))
+		frames, pre = 0, delay.HLSPreBuffer
 	}
-	// Residual jitter (last mile, scheduler).
-	d = time.Duration(float64(d) * src.LogNormal(0, 0.08))
-	if d < 0 {
-		d = 0
+	src := rng.New(seed)
+	var tr delay.Trace
+	var s delay.Session
+	var p player.Player
+	out := make([]time.Duration, 0, n)
+	for rep := 0; rep < reps; rep++ {
+		rs := src.Split("rep")
+		model := netsim.NewModel(netsim.Params{}, rs)
+		delay.GenTrace(&tr, delay.TraceConfig{
+			Duration:      2 * time.Minute,
+			FramesPerItem: frames,
+			Broadcaster:   delay.LabLocation,
+			Path:          delay.LabPath(),
+		}, model, rs)
+		for i := 0; i < n/reps; i++ {
+			p.Reset(pre)
+			if s.Start(&tr, model, hls, time.Duration(rs.Float64()*float64(time.Minute)), 0) {
+				out = append(out, s.Play(&p).Total())
+			}
+		}
 	}
-	return d
+	return out
 }
 
 func runInteractivity(cfg Config) (*Result, error) {
@@ -46,13 +64,21 @@ func runInteractivity(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		reps, viewers = 3, 400
 	}
-	rtmpC, hlsC := delay.RunControlled(delay.ControlledConfig{Seed: cfg.Seed, Repetitions: reps})
+	rtmpD := sessionDelays(cfg.Seed, false, reps, viewers)
+	hlsD := sessionDelays(cfg.Seed+1, true, reps, viewers)
 	src := rng.New(cfg.Seed + 31)
 	reaction := func() time.Duration { return time.Duration(src.Exp(float64(2 * time.Second))) }
+	mean := func(ds []time.Duration) float64 {
+		var sum time.Duration
+		for _, d := range ds {
+			sum += d
+		}
+		return (sum / time.Duration(len(ds))).Seconds()
+	}
 
 	values := map[string]float64{
-		"rtmp_delay": rtmpC.Total().Seconds(),
-		"hls_delay":  hlsC.Total().Seconds(),
+		"rtmp_delay": mean(rtmpD),
+		"hls_delay":  mean(hlsD),
 	}
 	var b strings.Builder
 	b.WriteString("§1 interactivity: what end-to-end delay does to feedback\n\n")
@@ -66,19 +92,18 @@ func runInteractivity(cfg Config) (*Result, error) {
 		Headers: []string{"Event cadence", "RTMP viewers", "HLS viewers"},
 	}
 	for _, cadence := range []time.Duration{5 * time.Second, 10 * time.Second, 20 * time.Second, 60 * time.Second} {
-		mis := func(hls bool, c delay.Components) float64 {
+		mis := func(delays []time.Duration) float64 {
 			wrong := 0
-			for i := 0; i < viewers; i++ {
+			for _, d := range delays {
 				eventAt := time.Duration(src.Float64() * float64(cadence)) // position within the event
-				lag := viewerDelay(hls, c, src) + reaction()
-				if eventAt+lag >= cadence {
+				if eventAt+d+reaction() >= cadence {
 					wrong++
 				}
 			}
-			return float64(wrong) / float64(viewers)
+			return float64(wrong) / float64(len(delays))
 		}
-		r := mis(false, rtmpC)
-		h := mis(true, hlsC)
+		r := mis(rtmpD)
+		h := mis(hlsD)
 		t1.AddRow(cadence.String(), fmt.Sprintf("%.1f%%", 100*r), fmt.Sprintf("%.1f%%", 100*h))
 		key := fmt.Sprintf("%ds", int(cadence.Seconds()))
 		values["misattr_rtmp_"+key] = r
@@ -95,17 +120,17 @@ func runInteractivity(cfg Config) (*Result, error) {
 	}
 	const uplink = 150 * time.Millisecond
 	for _, window := range []time.Duration{10 * time.Second, 20 * time.Second, 30 * time.Second} {
-		missed := func(hls bool, c delay.Components) float64 {
+		missed := func(delays []time.Duration) float64 {
 			late := 0
-			for i := 0; i < viewers; i++ {
-				if viewerDelay(hls, c, src)+reaction()+uplink > window {
+			for _, d := range delays {
+				if d+reaction()+uplink > window {
 					late++
 				}
 			}
-			return float64(late) / float64(viewers)
+			return float64(late) / float64(len(delays))
 		}
-		r := missed(false, rtmpC)
-		h := missed(true, hlsC)
+		r := missed(rtmpD)
+		h := missed(hlsD)
 		t2.AddRow(window.String(), fmt.Sprintf("%.1f%%", 100*r), fmt.Sprintf("%.1f%%", 100*h))
 		key := fmt.Sprintf("%ds", int(window.Seconds()))
 		values["missed_rtmp_"+key] = r

@@ -7,27 +7,26 @@ import (
 	"repro/internal/player"
 )
 
-// ExampleSimulate replays the §6 buffering strategy over a jittery chunk
-// stream and shows the smoothness/latency trade-off of the pre-buffer.
-func ExampleSimulate() {
-	start := time.Date(2015, 5, 15, 0, 0, 0, 0, time.UTC)
-	var items []player.Item
-	for i := 0; i < 10; i++ {
-		late := time.Duration(0)
-		if i == 5 {
-			late = 7 * time.Second // one chunk arrives far too late
+// ExamplePlayer replays the §6 buffering strategy over a chunk stream whose
+// sixth chunk is held up for 7 s, delaying every chunk behind it (TCP
+// delivers in order), and shows the smoothness/latency trade-off of the
+// pre-buffer.
+func ExamplePlayer() {
+	var p player.Player
+	for _, pre := range []time.Duration{0, 9 * time.Second} {
+		p.Reset(pre)
+		var arrival time.Duration
+		for i := 0; i < 10; i++ {
+			arrival = max(arrival, time.Duration(i)*3*time.Second)
+			if i == 5 {
+				arrival += 7 * time.Second
+			}
+			p.Add(arrival, 3*time.Second)
 		}
-		items = append(items, player.Item{
-			Seq:      uint64(i),
-			Duration: 3 * time.Second,
-			ArriveAt: start.Add(time.Duration(i)*3*time.Second + late),
-		})
-	}
-	for _, p := range []time.Duration{0, 9 * time.Second} {
-		r := player.Simulate(items, player.Config{PreBuffer: p})
-		fmt.Printf("P=%v: stall=%.2f delay=%v\n", p, r.StallRatio, r.MeanBufferingDelay)
+		r := p.Result()
+		fmt.Printf("P=%v: stall=%.2f delay=%v\n", pre, r.StallRatio, r.MeanBufferingDelay)
 	}
 	// Output:
-	// P=0s: stall=0.10 delay=0s
-	// P=9s: stall=0.00 delay=5.4s
+	// P=0s: stall=0.20 delay=0s
+	// P=9s: stall=0.00 delay=4.9s
 }

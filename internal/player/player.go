@@ -1,35 +1,18 @@
 // Package player reproduces Periscope's client-side buffering strategy as
 // decompiled from its Android app (§6): pre-buffer P seconds of content
 // before playback starts, then play items strictly by sequence number on a
-// fixed schedule; items that arrive after their scheduled play time are
+// fixed schedule; items that arrive after their scheduled slot are
 // discarded. Smoothness is measured as the stalling ratio (missing content
 // duration over broadcast duration) and latency as the mean buffering delay
 // (scheduled play time minus arrival time).
 //
-// This is the simulator behind Figures 16 and 17 and the P=9s→6s
-// optimization claim.
+// This is the player behind Figures 11, 16 and 17, the P=9s→6s optimization
+// claim and every session of the simulated day.
 package player
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
-// Item is one playable unit: a frame (RTMP) or a chunk (HLS).
-type Item struct {
-	Seq      uint64
-	Duration time.Duration
-	ArriveAt time.Time
-}
-
-// Config tunes the simulated client.
-type Config struct {
-	// PreBuffer is P: playback starts once this much contiguous content
-	// has arrived. Periscope ships P≈9s for HLS and ≈1s for RTMP (§6).
-	PreBuffer time.Duration
-}
-
-// Result summarizes one playback simulation.
+// Result summarizes one session's playback.
 type Result struct {
 	// StallRatio is discarded (unplayable-in-time) content duration over
 	// total content duration.
@@ -42,88 +25,101 @@ type Result struct {
 	// Played and Dropped count items.
 	Played  int
 	Dropped int
-	// StartAt is when playback began (pre-buffer satisfied).
-	StartAt time.Time
+	// Start is when playback began (pre-buffer satisfied).
+	Start time.Duration
 }
 
-// Simulate runs the §6 buffering strategy over the items. Items may arrive
-// in any order; they are played in sequence order. An empty input returns a
-// zero Result.
-func Simulate(items []Item, cfg Config) Result {
-	if len(items) == 0 {
-		return Result{}
-	}
-	bySeq := append([]Item(nil), items...)
-	sort.Slice(bySeq, func(i, j int) bool { return bySeq[i].Seq < bySeq[j].Seq })
-
-	start := startTime(bySeq, cfg.PreBuffer)
-
-	// Fixed schedule: item i plays at start + content offset of items
-	// before it. Latecomers are discarded (§6: "Arrivals that come later
-	// than their scheduled play time are discarded").
-	var (
-		res        Result
-		offset     time.Duration
-		totalDelay time.Duration
-		totalDur   time.Duration
-		droppedDur time.Duration
-	)
-	res.StartAt = start
-	for _, it := range bySeq {
-		scheduled := start.Add(offset)
-		offset += it.Duration
-		totalDur += it.Duration
-		// The discard rule operates at slot granularity: an item that
-		// arrives before its scheduled slot ENDS is still shown (the
-		// player is mid-slot and picks it up); only an item that
-		// misses its whole slot is discarded. This matches the
-		// paper's traces, where P=0 RTMP streams stall on bursts, not
-		// on every millisecond of jitter (Fig. 16a's 0–0.1 range).
-		if it.ArriveAt.After(scheduled.Add(it.Duration)) {
-			// Discarded content is exactly the stall time: that
-			// scheduled slot had no video to play.
-			res.Dropped++
-			droppedDur += it.Duration
-			continue
-		}
-		delay := scheduled.Sub(it.ArriveAt)
-		if delay < 0 {
-			// Arrived mid-slot: played immediately, no buffering.
-			delay = 0
-		}
-		totalDelay += delay
-		if delay > res.MaxBufferingDelay {
-			res.MaxBufferingDelay = delay
-		}
-		res.Played++
-	}
-	if res.Played > 0 {
-		res.MeanBufferingDelay = totalDelay / time.Duration(res.Played)
-	}
-	if totalDur > 0 {
-		res.StallRatio = float64(droppedDur) / float64(totalDur)
-	}
-	return res
+// Player runs the §6 strategy over a stream of items fed one at a time, in
+// sequence order, with non-decreasing arrivals — the order TCP delivers
+// them in. Times are offsets on any one timeline. Work per item is O(1) and
+// a Player holds no buffer: every item that arrives before playback starts
+// is there when its slot comes, so it plays, and its buffering delay —
+// start + slot offset − arrival — is summed as (slot offset − arrival) until
+// the start is known. A Player is reusable: Reset starts a new session.
+type Player struct {
+	pre     time.Duration
+	started bool
+	// start is the playback start once started, the latest arrival before.
+	start  time.Duration
+	offset time.Duration // content offset of the next item's slot
+	// delay and max are the summed and the worst buffering delay of the
+	// played items; before the start they leave out the start itself.
+	delay   time.Duration
+	max     time.Duration
+	lost    time.Duration // discarded content
+	played  int
+	dropped int
 }
 
-// startTime computes when playback begins: the earliest instant at which
-// PreBuffer worth of content has arrived (by arrival order), or the first
-// arrival when PreBuffer is zero. If the whole broadcast is shorter than the
-// pre-buffer, playback starts at the last arrival.
-func startTime(bySeq []Item, preBuffer time.Duration) time.Time {
-	byArrival := append([]Item(nil), bySeq...)
-	sort.Slice(byArrival, func(i, j int) bool {
-		return byArrival[i].ArriveAt.Before(byArrival[j].ArriveAt)
-	})
-	if preBuffer <= 0 {
-		return byArrival[0].ArriveAt
-	}
-	var buffered time.Duration
-	for _, it := range byArrival {
-		buffered += it.Duration
-		if buffered >= preBuffer {
-			return it.ArriveAt
+// Reset starts a new session with pre-buffer P = pre.
+func (p *Player) Reset(pre time.Duration) {
+	*p = Player{pre: pre}
+}
+
+// Add feeds the next item: its arrival and its content duration. Playback
+// starts at the arrival that brings the content received to P (the first
+// arrival when P is zero).
+//
+//livesim:hotpath TestPlayerAddAllocatesNothing
+func (p *Player) Add(arrival, dur time.Duration) {
+	if !p.started {
+		d := p.offset - arrival
+		if p.played == 0 || d > p.max {
+			p.max = d
 		}
+		p.delay += d
+		p.played++
+		p.offset += dur
+		p.start = arrival
+		if p.offset >= p.pre {
+			p.begin()
+		}
+		return
 	}
-	return byArrival[len(byArrival)-1].ArriveAt
+	slot := p.start + p.offset
+	p.offset += dur
+	// The fixed schedule's discard rule works at slot granularity: an item
+	// that arrives before its slot ends is still shown (the player is
+	// mid-slot and picks it up); only an item that misses its whole slot
+	// is discarded, and its content is exactly the stall time. This
+	// matches the paper's traces, where P=0 RTMP streams stall on bursts,
+	// not on every millisecond of jitter (Fig. 16a's 0–0.1 range).
+	if arrival > slot+dur {
+		p.dropped++
+		p.lost += dur
+		return
+	}
+	d := max(slot-arrival, 0) // arrived mid-slot: played at once
+	p.delay += d
+	p.max = max(p.max, d)
+	p.played++
+}
+
+// begin starts playback at p.start, completing the delays of the items
+// received so far.
+func (p *Player) begin() {
+	p.started = true
+	p.delay += time.Duration(p.played) * p.start
+	p.max += p.start
+}
+
+// Result ends the session and summarizes it. A session whose content never
+// reached P starts at its last arrival; an empty one returns a zero Result.
+func (p *Player) Result() Result {
+	if !p.started && p.played > 0 {
+		p.begin()
+	}
+	r := Result{
+		MaxBufferingDelay: p.max,
+		Played:            p.played,
+		Dropped:           p.dropped,
+		Start:             p.start,
+	}
+	if p.played > 0 {
+		r.MeanBufferingDelay = p.delay / time.Duration(p.played)
+	}
+	if p.offset > 0 {
+		r.StallRatio = float64(p.lost) / float64(p.offset)
+	}
+	return r
 }

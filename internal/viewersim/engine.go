@@ -102,13 +102,13 @@ func (s *sim) partition() *sim {
 func (s *sim) buildCDN(clk clock.Clock) {
 	s.clk = clk
 	s.origin = cdn.NewOrigin(cdn.OriginConfig{
-		Site:          s.w.origin,
+		Site:          s.w.path.Origin,
 		ChunkDuration: media.FrameDuration,
 		Clock:         clk,
 		Metrics:       s.reg,
 	})
 	s.edge = cdn.NewEdge(cdn.EdgeConfig{
-		Site: s.w.edge,
+		Site: s.w.path.Edge,
 		Resolve: func(string) (cdn.Upstream, error) {
 			return cdn.Upstream{Store: s.origin}, nil
 		},
@@ -128,7 +128,7 @@ type bcastRun struct {
 	// reuse; model draws from it and is built once per pooled broadcast.
 	src       rng.Source
 	model     *netsim.Model
-	tr        btrace
+	tr        delay.Trace
 	joins     []time.Duration
 	nextJoin  int
 	nextChunk int
@@ -156,7 +156,12 @@ func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
 	if b.model == nil {
 		b.model = netsim.NewModel(netsim.Params{}, &b.src)
 	}
-	genTrace(s.w, sp, &b.src, b.model, &b.tr)
+	delay.GenTrace(&b.tr, delay.TraceConfig{
+		Duration:      sp.dur,
+		FramesPerItem: s.w.perChunk,
+		Broadcaster:   delay.LabLocation,
+		Path:          s.w.path,
+	}, b.model, &b.src)
 	b.joins = b.joins[:0]
 	for i := 0; i < sp.views; i++ {
 		// Audiences are front-loaded (Fig. 6: most viewers arrive near
@@ -180,7 +185,7 @@ func (s *sim) ingestChunk(b *bcastRun) {
 	b.nextChunk++
 	s.origin.Ingest(b.id, media.Frame{
 		Seq:        uint64(c),
-		CapturedAt: b.abs(b.tr.capturedOf(c)),
+		CapturedAt: b.abs(b.tr.Captured(c)),
 		Keyframe:   true,
 		Payload:    s.payload,
 	}, s.clk.Now())
@@ -227,18 +232,19 @@ func (s *sim) deliver(v *viewer) (next time.Duration, done bool) {
 		_, _ = s.edge.ChunkList(s.ctx, v.b.id)
 	}
 	s.ctr.deliveries++
-	next, done = v.advance()
+	arrival, dur, done := v.sess.Step()
+	v.play.Add(arrival, dur)
 	if done {
 		s.finishViewer(v)
 		return 0, true
 	}
-	return next, false
+	return v.sess.Next(), false
 }
 
 // finishViewer observes the session's mean component decomposition into the
 // proto-labelled histograms and releases it.
 func (s *sim) finishViewer(v *viewer) {
-	comp := v.components()
+	comp := v.sess.Components(v.play.Result().MeanBufferingDelay)
 	if v.isRTMP {
 		s.rh.Observe(comp)
 	} else {
@@ -251,7 +257,6 @@ func (s *sim) finishViewer(v *viewer) {
 }
 
 func (s *sim) releaseViewer(v *viewer) {
-	v.s = nil
 	v.b = nil
 	s.vfree = append(s.vfree, v)
 }
@@ -344,7 +349,7 @@ func (s *sim) wheelStart(sp bcastSpec) {
 		b.fireIngest = func(time.Time) { s.wheelIngest(b) }
 		b.fireJoin = func(time.Time) { s.wheelJoin(b) }
 	}
-	s.schedule(b.abs(b.tr.readyAt[0]), b.fireIngest)
+	s.schedule(b.abs(b.tr.ReadyAt[0]), b.fireIngest)
 	if len(b.joins) > 0 {
 		s.schedule(b.abs(b.joins[0]), b.fireJoin)
 	}
@@ -353,8 +358,8 @@ func (s *sim) wheelStart(sp bcastSpec) {
 //livesim:hotpath TestWheelIngestAllocBudget
 func (s *sim) wheelIngest(b *bcastRun) {
 	s.ingestChunk(b)
-	if b.nextChunk < b.tr.chunks() {
-		s.schedule(b.abs(b.tr.readyAt[b.nextChunk]), b.fireIngest)
+	if b.nextChunk < b.tr.Items() {
+		s.schedule(b.abs(b.tr.ReadyAt[b.nextChunk]), b.fireIngest)
 		return
 	}
 	s.userDone(b) // broadcaster leaves
@@ -368,7 +373,7 @@ func (s *sim) wheelJoin(b *bcastRun) {
 		s.schedule(b.abs(b.joins[b.nextJoin]), b.fireJoin)
 	}
 	if v := s.newViewer(b, idx); v != nil {
-		s.schedule(b.abs(v.nextAt), v.fireFn)
+		s.schedule(b.abs(v.sess.Next()), v.fireFn)
 	}
 }
 

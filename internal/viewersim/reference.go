@@ -34,8 +34,8 @@ func (s *sim) refBroadcast(co *coord, sp bcastSpec) {
 		idx := i
 		co.spawn(func() { s.refViewer(co, b, idx) })
 	}
-	for b.nextChunk < b.tr.chunks() {
-		co.sleepUntil(b.abs(b.tr.readyAt[b.nextChunk]))
+	for b.nextChunk < b.tr.Items() {
+		co.sleepUntil(b.abs(b.tr.ReadyAt[b.nextChunk]))
 		s.ingestChunk(b)
 	}
 	s.userDone(b)
@@ -48,7 +48,7 @@ func (s *sim) refViewer(co *coord, b *bcastRun, idx int) {
 		return
 	}
 	for {
-		co.sleepUntil(b.abs(v.nextAt))
+		co.sleepUntil(b.abs(v.sess.Next()))
 		if _, done := s.deliver(v); done {
 			return
 		}

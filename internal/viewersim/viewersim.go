@@ -21,14 +21,14 @@
 //     every random variate from per-entity rng streams, so a (seed, config)
 //     pair produces identical delay observations from either engine.
 //
-// Delay accounting mirrors internal/delay's Fig. 10 timestamp methodology at
-// chunk granularity: each broadcast gets a trace of chunk capture, origin
-// arrival (⑥), chunk-ready (⑦), and edge-arrival (⑪) offsets generated with
-// the netsim WAN model in the §4.3 controlled geometry (San Francisco
-// broadcaster and viewers, nearest Wowza origin, nearest Fastly edge,
-// gateway relay when they are not co-located), so the per-component
-// histograms land on the same Fig. 11 shape the controlled experiment
-// reproduces. The simulated majority exercises the real cdn.Origin ingest →
+// Delay accounting is internal/delay's Fig. 10 pipeline, the one the
+// trace-driven experiments run: each broadcast gets a chunk-level
+// delay.Trace of origin arrival (⑥), chunk-ready (⑦) and edge-arrival (⑪)
+// offsets in the §4.3 controlled geometry (delay.LabPath: San Francisco
+// broadcaster and viewers, nearest Wowza origin, nearest Fastly edge, gateway
+// relay when they are not co-located), and each view is a delay.Session
+// feeding a player.Player, so the per-component histograms land on the same
+// Fig. 11 shape the controlled experiment reproduces. The simulated majority exercises the real cdn.Origin ingest →
 // Invalidate → cdn.Edge raw-chunklist fast path in process, while an
 // optional slice of real-socket hls.Client / rtmp.Viewer instances (real.go)
 // runs concurrently against loopback servers and reports into the same
@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/delay"
-	"repro/internal/geo"
 	"repro/internal/media"
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -235,17 +234,13 @@ type bcastSpec struct {
 const simDay = 49
 
 // world is the immutable run setting: the drawn broadcast specs plus the
-// §4.3 controlled geometry every trace and viewer uses.
+// §4.3 controlled path every trace and viewer uses (delay.LabPath).
 type world struct {
 	cfg      Config
 	start    time.Time // absolute day start (the clock epoch)
 	window   time.Duration
 	specs    []bcastSpec
-	bcaster  geo.Location
-	viewer   geo.Location
-	origin   geo.Datacenter
-	edge     geo.Datacenter
-	gateway  *geo.Datacenter
+	path     delay.EdgePath
 	perChunk int
 }
 
@@ -255,17 +250,8 @@ func buildWorld(cfg Config) *world {
 		cfg:      cfg,
 		start:    prof.Start.AddDate(0, 0, simDay),
 		window:   time.Duration(cfg.DayFraction * 24 * float64(time.Hour)),
-		bcaster:  delay.LabLocation,
-		viewer:   delay.LabLocation,
+		path:     delay.LabPath(),
 		perChunk: media.FramesPerChunk(cfg.ChunkDuration),
-	}
-	w.origin = geo.Nearest(w.bcaster, geo.WowzaSites())
-	w.edge = geo.Nearest(w.viewer, geo.FastlySites())
-	// Gateway relay exactly as RunControlled wires it: the Fastly site
-	// co-located with the origin fronts it, and the hop only exists when
-	// that gateway is not the serving edge itself.
-	if gw := geo.Gateway(w.origin); gw != nil && !geo.CoLocated(*gw, w.edge) {
-		w.gateway = gw
 	}
 
 	src := rng.New(cfg.Seed).Split("viewersim")
@@ -328,14 +314,4 @@ func bcastKey(idx int) uint64 { return mix64(uint64(idx) << 1) }
 
 func viewerKey(bidx, vidx int) uint64 {
 	return mix64((uint64(bidx)<<22|uint64(vidx)&(1<<21-1))<<1 | 1)
-}
-
-// nextAfter returns the first grid point phase + k*interval at or after
-// `after` — the offset-space version of the delay package's nextPoll.
-func nextAfter(after, interval, phase time.Duration) time.Duration {
-	if after <= phase {
-		return phase
-	}
-	k := (after - phase + interval - 1) / interval
-	return phase + time.Duration(k)*interval
 }

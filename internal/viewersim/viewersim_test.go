@@ -10,8 +10,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/delay"
 	"repro/internal/metrics"
-	"repro/internal/player"
-	"repro/internal/rng"
 )
 
 // protoHists extracts the proto-labelled delay histograms — the series both
@@ -38,37 +36,6 @@ func comparable(s *Summary) Summary {
 	c.Events = 0
 	c.End = time.Time{}
 	return c
-}
-
-func TestPlayAccMatchesSimulate(t *testing.T) {
-	src := rng.New(41)
-	base := time.Unix(0, 0)
-	for run := 0; run < 300; run++ {
-		n := 1 + src.Intn(40)
-		pre := time.Duration(src.Float64() * 12e9)
-		if run%7 == 0 {
-			pre = 0
-		}
-		var items []player.Item
-		var acc playAcc
-		acc.reset(pre)
-		arr := time.Duration(src.Float64() * 5e9)
-		for i := 0; i < n; i++ {
-			dur := time.Duration(1+src.Intn(4000)) * time.Millisecond
-			items = append(items, player.Item{Seq: uint64(i), Duration: dur, ArriveAt: base.Add(arr)})
-			acc.add(arr, dur)
-			// Monotone arrivals, the clamp invariant both protocols hold.
-			arr += time.Duration(src.Float64() * 6e9)
-		}
-		want := player.Simulate(items, player.Config{PreBuffer: pre})
-		got := acc.mean()
-		if got != want.MeanBufferingDelay {
-			t.Fatalf("run %d: playAcc mean %v, Simulate %v (n=%d pre=%v)", run, got, want.MeanBufferingDelay, n, pre)
-		}
-		if acc.played != want.Played {
-			t.Fatalf("run %d: playAcc played %d, Simulate %d", run, acc.played, want.Played)
-		}
-	}
 }
 
 // equivCfg is small enough for the goroutine reference (one goroutine per
@@ -196,12 +163,12 @@ func budgetSim() *sim {
 // broadcast's whole audience — every join, every HLS poll of the warm edge,
 // every RTMP window, every player item, every session's end — replayed on a
 // warm partition allocates nothing. The broadcast's chunks are all in the CDN
-// already, so only viewer events fire. Warm means each pooled viewer has grown
-// its player's pending slices once.
+// already, so only viewer events fire. Warm means the viewer pool already
+// holds the audience, each viewer with its netsim model built.
 func TestWheelAudienceAllocatesNothing(t *testing.T) {
 	s := budgetSim()
 	b := s.setupBroadcast(s.w.specs[0])
-	for b.nextChunk < b.tr.chunks() {
+	for b.nextChunk < b.tr.Items() {
 		s.ingestChunk(b)
 	}
 	b.fireJoin = func(time.Time) { s.wheelJoin(b) }
@@ -236,10 +203,10 @@ func TestWheelIngestAllocBudget(t *testing.T) {
 	sp.views, sp.rtmp, sp.dur = 0, 0, time.Hour
 	b := s.setupBroadcast(sp)
 	b.fireIngest = func(time.Time) { s.wheelIngest(b) }
-	s.schedule(b.abs(b.tr.readyAt[0]), b.fireIngest)
+	s.schedule(b.abs(b.tr.ReadyAt[0]), b.fireIngest)
 	allocs := testing.AllocsPerRun(100, func() {
 		fired := s.wheel.Fired()
-		s.wheel.RunUntil(b.abs(b.tr.readyAt[b.nextChunk]).Add(s.wheel.Resolution()))
+		s.wheel.RunUntil(b.abs(b.tr.ReadyAt[b.nextChunk]).Add(s.wheel.Resolution()))
 		if s.wheel.Fired() != fired+1 {
 			t.Fatalf("%d events fired, want the one ingest", s.wheel.Fired()-fired)
 		}
