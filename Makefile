@@ -113,8 +113,11 @@ scale-smoke:
 # (arbitrary method/path/query against a small store), and the control
 # plane's two outside inputs: its journal (replay over byte soup, then extend
 # it) and its HTTP handler (arbitrary method/path/query/body/key against the
-# route table). `go test -fuzz` accepts one target per invocation, hence one
-# run per <package>:<target> entry.
+# route table) — plus the edge cache, whose broadcast IDs come from viewers
+# (an op sequence of origin ingest/end/Remove and edge polls/Evict over known
+# and fuzzed IDs: no record for an ID never pulled, not-found for an ID never
+# ingested). `go test -fuzz` accepts one target per invocation, hence one run
+# per <package>:<target> entry.
 FUZZ_TARGETS := \
 	journal:FuzzRecordRoundTrip \
 	journal:FuzzReplay \
@@ -126,7 +129,8 @@ FUZZ_TARGETS := \
 	wire:FuzzUnmarshalSignedFrame \
 	hls:FuzzHLSHandler \
 	control:FuzzControlJournalRecovery \
-	control:FuzzControlHandler
+	control:FuzzControlHandler \
+	cdn:FuzzEdgeRequests
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -23,7 +23,7 @@ func feedFrames(o *Origin, id string, n int) {
 	enc := media.NewEncoder(media.EncoderConfig{}, rng.New(7))
 	base := time.Now()
 	for i := 0; i < n; i++ {
-		o.ingest(id, enc.Next(base.Add(time.Duration(i)*media.FrameDuration)), base.Add(time.Duration(i)*media.FrameDuration))
+		o.Ingest(id, enc.Next(base.Add(time.Duration(i)*media.FrameDuration)), base.Add(time.Duration(i)*media.FrameDuration))
 	}
 }
 
@@ -82,18 +82,22 @@ func TestOriginUnknownBroadcast(t *testing.T) {
 	}
 }
 
-func TestOriginSweep(t *testing.T) {
-	o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: time.Second, Retention: time.Minute})
+// TestOriginRemove: an ended broadcast stays queryable, list and chunks,
+// until Remove forgets it; the origin keeps no clock of its own.
+func TestOriginRemove(t *testing.T) {
+	o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: time.Second})
 	feedFrames(o, "b1", 30)
 	o.endBroadcast("b1")
-	if n := o.Sweep(time.Now()); n != 0 {
-		t.Fatalf("premature sweep removed %d", n)
+	ctx := context.Background()
+	if cl, err := o.ChunkList(ctx, "b1"); err != nil || !cl.Ended {
+		t.Fatalf("ended broadcast before Remove: list %+v, err %v", cl, err)
 	}
-	if n := o.Sweep(time.Now().Add(2 * time.Minute)); n != 1 {
-		t.Fatalf("sweep removed %d, want 1", n)
+	o.Remove("b1")
+	if _, err := o.ChunkList(ctx, "b1"); !errors.Is(err, hls.ErrNotFound) {
+		t.Fatalf("removed broadcast's list: err %v", err)
 	}
-	if _, err := o.ChunkList(context.Background(), "b1"); !errors.Is(err, hls.ErrNotFound) {
-		t.Fatal("swept broadcast still present")
+	if _, err := o.Chunk(ctx, "b1", 0); !errors.Is(err, hls.ErrNotFound) {
+		t.Fatalf("removed broadcast's chunk: err %v", err)
 	}
 }
 

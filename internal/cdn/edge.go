@@ -135,8 +135,8 @@ type Edge struct {
 
 	limit limiter
 
-	// shards partition cache entries and breakers by broadcast ID so polls
-	// for different broadcasts never contend on one mutex.
+	// shards partition cache entries by broadcast ID so polls for different
+	// broadcasts never contend on one mutex.
 	shards [edgeShards]edgeShard
 }
 
@@ -144,12 +144,11 @@ type Edge struct {
 // mask.
 const edgeShards = 16
 
-// edgeShard holds the cache entries and circuit breakers for the broadcast
-// IDs that hash to it, under its own mutex.
+// edgeShard holds the cache entries for the broadcast IDs that hash to it,
+// under its own mutex.
 type edgeShard struct {
-	mu       sync.Mutex
-	cache    map[string]*edgeEntry
-	breakers map[string]*resilience.Breaker
+	mu    sync.Mutex
+	cache map[string]*edgeEntry
 }
 
 // shard maps a broadcast ID to its shard with inline FNV-1a (no allocation
@@ -175,11 +174,16 @@ const (
 // 500, exactly what a viewer of a dying Fastly node would see).
 var ErrEdgeDown = errors.New("cdn: edge down")
 
+// edgeEntry is the edge's one record per broadcast, made by its first pull
+// that succeeds or meets an upstream fault (see guard); Evict drops it whole.
 type edgeEntry struct {
 	// list is the upstream's published list, shared with every poll answered
 	// from it; an update replaces the pointer.
 	list  *media.ChunkList
 	stale bool
+	// br guards the broadcast's upstream; nil until a pull first fails with
+	// an upstream fault.
+	br *resilience.Breaker
 	// chunks holds the cached chunks inside the retention window
 	// (retainedChunks behind newest, the highest sequence cached so far).
 	chunks map[uint64]storedChunk
@@ -286,7 +290,6 @@ func NewEdge(cfg EdgeConfig) *Edge {
 	e := &Edge{cfg: cfg, m: newEdgeMetrics(cfg.Metrics, cfg.Site.ID)}
 	for i := range e.shards {
 		e.shards[i].cache = make(map[string]*edgeEntry)
-		e.shards[i].breakers = make(map[string]*resilience.Breaker)
 	}
 	e.limit.clk = cfg.Clock
 	e.limit.set(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueWait)
@@ -304,9 +307,11 @@ func (e *Edge) openBreakers() int64 {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		brs := make([]*resilience.Breaker, 0, len(sh.breakers))
-		for _, b := range sh.breakers {
-			brs = append(brs, b)
+		var brs []*resilience.Breaker
+		for _, ent := range sh.cache {
+			if ent.br != nil {
+				brs = append(brs, ent.br)
+			}
 		}
 		sh.mu.Unlock()
 		for _, b := range brs {
@@ -347,32 +352,57 @@ func (e *Edge) Killed() bool { return e.state.Load() == edgeKilled }
 // Site returns the edge's datacenter.
 func (e *Edge) Site() geo.Datacenter { return e.cfg.Site }
 
-// breaker returns the circuit breaker guarding a broadcast's upstream.
-func (e *Edge) breaker(id string) *resilience.Breaker {
+// guard runs one upstream attempt under the broadcast's circuit breaker. A
+// NotFound is a valid answer from a healthy upstream, not an upstream failure:
+// it neither trips the breaker nor is retried. The breaker lives on the
+// broadcast's entry and is made by the first other failure, so an ID the
+// upstream does not know costs the edge no record.
+func (e *Edge) guard(id string, attempt func() error) error {
 	sh := e.shard(id)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	b, ok := sh.breakers[id]
-	if !ok {
-		b = resilience.NewBreaker(e.cfg.Breaker)
-		sh.breakers[id] = b
+	var br *resilience.Breaker
+	if ent, ok := sh.cache[id]; ok {
+		br = ent.br
 	}
-	return b
+	sh.mu.Unlock()
+	if br != nil {
+		if err := br.Allow(); err != nil {
+			// Fail fast while the circuit is open; pull's stale fallback
+			// still answers the poll.
+			return resilience.Permanent(err)
+		}
+	}
+	err := attempt()
+	failed := err
+	if errors.Is(err, hls.ErrNotFound) {
+		failed, err = nil, resilience.Permanent(err)
+	}
+	if failed != nil && br == nil {
+		sh.mu.Lock()
+		ent := sh.entryLocked(id)
+		if ent.br == nil {
+			ent.br = resilience.NewBreaker(e.cfg.Breaker)
+		}
+		br = ent.br
+		sh.mu.Unlock()
+	}
+	if br != nil {
+		br.Report(failed)
+	}
+	return err
 }
 
 // Invalidate implements Invalidator: it marks the cached list stale. The
 // fresh copy is NOT fetched here — the paper's architecture defers that to
 // the first subsequent viewer poll. Only invalidations that actually mark a
-// cached, fresh entry stale are counted.
+// cached, fresh list stale are counted: an entry that holds no list (only a
+// breaker, or chunks pulled one by one) has nothing to invalidate.
 func (e *Edge) Invalidate(broadcastID string, version uint64) {
 	sh := e.shard(broadcastID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ent, ok := sh.cache[broadcastID]
-	if !ok {
-		return
-	}
-	if ent.list != nil && version <= ent.list.Version {
+	if !ok || ent.list == nil || version <= ent.list.Version {
 		return
 	}
 	if !ent.stale {
@@ -541,25 +571,15 @@ func (e *Edge) refresh(ctx context.Context, id string) (*media.ChunkList, error)
 // pull refreshes the cached list with retries and the circuit breaker,
 // falling back to the stale cached copy when the upstream stays down.
 func (e *Edge) pull(ctx context.Context, id string) (*media.ChunkList, error) {
-	br := e.breaker(id)
 	var attempts atomic.Int64
-	list, err := resilience.RetryValue(ctx, e.cfg.Retry, func(ctx context.Context) (*media.ChunkList, error) {
+	list, err := resilience.RetryValue(ctx, e.cfg.Retry, func(ctx context.Context) (l *media.ChunkList, err error) {
 		if attempts.Add(1) > 1 {
 			e.m.pullRetries.Inc()
 		}
-		if err := br.Allow(); err != nil {
-			// Fail fast while the circuit is open; the stale fallback
-			// below still answers the poll.
-			return nil, resilience.Permanent(err)
-		}
-		l, err := e.pullUpstream(ctx, id)
-		if errors.Is(err, hls.ErrNotFound) {
-			// A NotFound is a valid answer from a healthy upstream,
-			// not an upstream failure; don't trip the breaker or retry.
-			br.Report(nil)
-			return nil, resilience.Permanent(err)
-		}
-		br.Report(err)
+		err = e.guard(id, func() error {
+			l, err = e.pullUpstream(ctx, id)
+			return err
+		})
 		return l, err
 	})
 	if err == nil {
@@ -678,25 +698,23 @@ func (e *Edge) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, 
 // pullChunk is Chunk's miss path.
 func (e *Edge) pullChunk(ctx context.Context, id string, seq uint64) (*media.Chunk, error) {
 	taps := e.resolveTenant(id)
-	br := e.breaker(id)
-	c, err := resilience.RetryValue(ctx, e.cfg.Retry, func(ctx context.Context) (*media.Chunk, error) {
-		if err := br.Allow(); err != nil {
-			return nil, resilience.Permanent(err)
-		}
-		fetchStart := e.cfg.Clock.Now()
-		c, err := e.fetchChunk(ctx, id, seq)
-		if errors.Is(err, hls.ErrNotFound) {
-			br.Report(nil)
-			return nil, resilience.Permanent(err)
-		}
-		br.Report(err)
-		if err == nil {
+	c, err := resilience.RetryValue(ctx, e.cfg.Retry, func(ctx context.Context) (c *media.Chunk, err error) {
+		err = e.guard(id, func() error {
+			up, err := e.cfg.Resolve(id)
+			if err != nil {
+				return err
+			}
+			fetchStart := e.cfg.Clock.Now()
+			if c, err = up.Store.Chunk(ctx, id, seq); err != nil {
+				return err
+			}
 			d := e.cfg.Clock.Now().Sub(fetchStart)
 			e.m.originEdge.Observe(d)
 			if taps.delay != nil {
 				taps.delay.Observe(d)
 			}
-		}
+			return nil
+		})
 		return c, err
 	})
 	if err != nil {
@@ -728,15 +746,6 @@ func meterChunkServe(chunks, bytes *metrics.Counter, usage ChunkUsage, c *media.
 	}
 }
 
-// fetchChunk performs one upstream chunk fetch attempt.
-func (e *Edge) fetchChunk(ctx context.Context, id string, seq uint64) (*media.Chunk, error) {
-	up, err := e.cfg.Resolve(id)
-	if err != nil {
-		return nil, err
-	}
-	return up.Store.Chunk(ctx, id, seq)
-}
-
 // ChunkArrivedAt returns when chunk seq was copied to this edge (⑪).
 func (e *Edge) ChunkArrivedAt(id string, seq uint64) (time.Time, bool) {
 	sh := e.shard(id)
@@ -750,11 +759,10 @@ func (e *Edge) ChunkArrivedAt(id string, seq uint64) (time.Time, bool) {
 	return c.at, ok
 }
 
-// Evict drops a broadcast from the cache.
+// Evict drops a broadcast's record: cached list, chunks and breaker.
 func (e *Edge) Evict(id string) {
 	sh := e.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	delete(sh.cache, id)
-	delete(sh.breakers, id)
 }

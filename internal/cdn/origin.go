@@ -41,12 +41,11 @@ type OriginConfig struct {
 	Site geo.Datacenter
 	// ChunkDuration for HLS assembly; zero means the 3 s default.
 	ChunkDuration time.Duration
-	// RTMP configures the ingest/fan-out server. Tap and OnEnd are
-	// chained: the origin installs its own and forwards to any set here.
+	// RTMP configures the ingest/fan-out server. Tap, ResumeSeq and
+	// Pending belong to the origin, which installs its own over any set
+	// here; OnEnd is chained: the origin ends the broadcast, then forwards
+	// to any set here.
 	RTMP rtmp.ServerConfig
-	// Retention keeps ended broadcasts queryable for this long before
-	// Sweep removes them; zero means keep until Remove is called.
-	Retention time.Duration
 	// Clock is the time source for chunk-ready and broadcast-end stamps;
 	// nil means the real clock. It is also handed to the embedded RTMP
 	// server (unless RTMP.Clock is set explicitly) so the whole ingest
@@ -93,16 +92,14 @@ type Origin struct {
 	// unwinding during the crash cannot mutate (or journal) anything.
 	crashed atomic.Bool
 
-	mu      sync.Mutex
-	rtmp    *rtmp.Server
-	jw      *journal.Writer
+	mu   sync.Mutex
+	rtmp *rtmp.Server
+	jw   *journal.Writer
+	// streams is the one record per broadcast; Remove is the only way one
+	// is forgotten (Crash drops them all, replay rebuilds them).
 	streams map[string]*originStream
-	edges   []Invalidator
-	endedAt map[string]time.Time
-	// pending holds broadcasts rehydrated from the journal whose publisher
-	// has not reconnected yet; viewers dialing them get the retryable
-	// StatusUnavailable instead of the terminal not-found.
-	pending map[string]bool
+	// edges is process wiring, not state: it survives a crash.
+	edges []Invalidator
 }
 
 type originStream struct {
@@ -118,6 +115,10 @@ type originStream struct {
 	// asked to resume here, and any frame below it is already inside a
 	// sealed chunk, so ingest drops it rather than re-chunk it.
 	resumeFloor uint64
+	// pending marks a broadcast rehydrated from the journal whose publisher
+	// has not reconnected yet; viewers dialing it get the retryable
+	// StatusUnavailable instead of the terminal not-found.
+	pending bool
 }
 
 // storedChunk is one chunk held by an origin or an edge and when it became
@@ -174,11 +175,13 @@ func chunkURI(id string, seq uint64) string {
 	return string(strconv.AppendUint(b, seq, 10))
 }
 
-// endLocked publishes the successor list carrying the end marker.
+// endLocked publishes the successor list carrying the end marker, the one
+// place a broadcast's end is kept. An ended broadcast awaits no publisher.
 func (st *originStream) endLocked() {
 	next := st.successorLocked()
 	next.Ended = true
 	st.list = next
+	st.pending = false
 }
 
 // successorLocked starts the list one version after the published one; the
@@ -221,8 +224,6 @@ func NewOrigin(cfg OriginConfig) *Origin {
 		cfg:     cfg,
 		m:       newOriginMetrics(cfg.Metrics, cfg.Site.ID),
 		streams: make(map[string]*originStream),
-		endedAt: make(map[string]time.Time),
-		pending: make(map[string]bool),
 	}
 	o.mu.Lock()
 	o.openJournalLocked()
@@ -232,11 +233,10 @@ func NewOrigin(cfg OriginConfig) *Origin {
 }
 
 // newRTMPServer builds the embedded ingest server with the origin's tap,
-// end, resume, and pending hooks chained in front of any user-configured
-// ones. Called at construction and again on Recover — an aborted rtmp.Server
-// cannot be restarted, a crashed process's sockets are gone.
+// resume and pending hooks, and its end hook chained in front of any
+// configured one. Called at construction and again on Recover — an aborted
+// rtmp.Server cannot be restarted, a crashed process's sockets are gone.
 func (o *Origin) newRTMPServer() *rtmp.Server {
-	userTap := o.cfg.RTMP.Tap
 	userEnd := o.cfg.RTMP.OnEnd
 	rc := o.cfg.RTMP
 	if rc.Clock == nil {
@@ -247,12 +247,8 @@ func (o *Origin) newRTMPServer() *rtmp.Server {
 		rc.MetricsLabels = []metrics.Label{metrics.L("site", o.cfg.Site.ID)}
 	}
 	rc.Tap = func(id string, f media.Frame, at time.Time) {
-		if o.crashed.Load() {
-			return
-		}
-		o.ingest(id, f, at)
-		if userTap != nil {
-			userTap(id, f, at)
+		if !o.crashed.Load() {
+			o.Ingest(id, f, at)
 		}
 	}
 	rc.OnEnd = func(id string) {
@@ -285,22 +281,20 @@ func (o *Origin) openJournalLocked() {
 	})
 }
 
-// applyRecordLocked rehydrates one journal record into the stream table.
+// applyRecordLocked rehydrates one journal record into its broadcast's
+// record, which a create or seal starts if replay has not met it yet.
 func (o *Origin) applyRecordLocked(r journal.Record) {
 	id := r.BroadcastID
+	st, ok := o.streams[id]
+	if !ok && (r.Type == journal.RecordCreate || r.Type == journal.RecordSeal) {
+		st, ok = o.newStreamLocked(id, true), true
+		o.streams[id] = st
+	}
+	if !ok {
+		return
+	}
 	switch r.Type {
-	case journal.RecordCreate:
-		if _, ok := o.streams[id]; !ok {
-			o.streams[id] = o.newStreamLocked(id)
-			o.pending[id] = true
-		}
 	case journal.RecordSeal:
-		st, ok := o.streams[id]
-		if !ok {
-			st = o.newStreamLocked(id)
-			o.streams[id] = st
-			o.pending[id] = true
-		}
 		// The record's payload is its own copy (journal.DecodeRecord), so
 		// the decoded chunk keeps it as its sealed form.
 		chunk, err := media.SealedChunk(r.Payload)
@@ -315,21 +309,18 @@ func (o *Origin) applyRecordLocked(r journal.Record) {
 			st.resumeFloor = chunk.Frames[n-1].Seq + 1
 		}
 	case journal.RecordEnd:
-		st, ok := o.streams[id]
-		if !ok {
-			return
-		}
 		st.endLocked()
-		o.endedAt[id] = o.cfg.Clock.Now()
-		delete(o.pending, id)
 	}
 }
 
-func (o *Origin) newStreamLocked(id string) *originStream {
+// newStreamLocked starts a broadcast's record. Replay starts it pending: the
+// broadcast waits for its publisher to reconnect.
+func (o *Origin) newStreamLocked(id string, pending bool) *originStream {
 	return &originStream{
 		chunker: media.NewChunker(o.cfg.ChunkDuration),
 		list:    &media.ChunkList{BroadcastID: id},
 		chunks:  make(map[uint64]storedChunk),
+		pending: pending,
 	}
 }
 
@@ -340,11 +331,11 @@ func (o *Origin) newStreamLocked(id string) *originStream {
 func (o *Origin) resumeSeqFor(id string) uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	delete(o.pending, id)
 	st, ok := o.streams[id]
 	if !ok {
 		return 0
 	}
+	st.pending = false
 	return st.resumeFloor
 }
 
@@ -353,7 +344,8 @@ func (o *Origin) resumeSeqFor(id string) uint64 {
 func (o *Origin) pendingBroadcast(id string) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.pending[id]
+	st, ok := o.streams[id]
+	return ok && st.pending
 }
 
 // RTMP exposes the embedded ingest/fan-out server (the current one — a
@@ -367,7 +359,8 @@ func (o *Origin) RTMP() *rtmp.Server {
 // Crash simulates the origin process dying: the RTMP server is aborted (no
 // clean end-of-broadcast reaches anyone), the journal writer is drained and
 // closed (everything acknowledged before the crash is durable — the fsync
-// already happened), and all volatile state is dropped. The Origin object
+// already happened), and every broadcast record is dropped. The edge
+// registrations are process wiring, not state, and survive. The Origin object
 // itself survives, answering ErrOriginDown, until Recover.
 func (o *Origin) Crash() {
 	if !o.crashed.CompareAndSwap(false, true) {
@@ -384,9 +377,6 @@ func (o *Origin) Crash() {
 	}
 	o.mu.Lock()
 	o.streams = make(map[string]*originStream)
-	o.endedAt = make(map[string]time.Time)
-	o.pending = make(map[string]bool)
-	o.edges = nil
 	o.mu.Unlock()
 }
 
@@ -410,7 +400,7 @@ func (o *Origin) Close() error {
 
 // Recover restarts a crashed origin: journal replay rebuilds every live
 // broadcast and its sealed chunks, a fresh RTMP server is constructed (the
-// caller re-listens and re-registers edges), and the origin serves again.
+// caller re-listens), and the origin serves again to the edges it had.
 // No-op on a healthy origin.
 func (o *Origin) Recover() {
 	if !o.crashed.Load() {
@@ -434,25 +424,22 @@ func (o *Origin) RegisterEdge(e Invalidator) {
 	o.edges = append(o.edges, e)
 }
 
-// Ingest feeds one frame into the HLS chunker directly, bypassing the RTMP
-// listener. The benchmark harness uses it to isolate viewer-serving cost;
-// production traffic arrives through the RTMP tap, which calls it too.
-func (o *Origin) Ingest(id string, f media.Frame, at time.Time) { o.ingest(id, f, at) }
-
-// ingest feeds one accepted RTMP frame into the HLS chunker. With a journal,
-// a completed chunk is sealed here — the journal needs its bytes anyway, and
-// that marshal is the only one the chunk ever gets; without one, nothing on
-// this path builds bytes (the first HTTP serve does, if there ever is one).
+// Ingest feeds one frame into the HLS chunker. Production traffic arrives
+// through the RTMP tap; the benchmark harness calls it directly, bypassing
+// the listener, to isolate viewer-serving cost. With a journal, a completed
+// chunk is sealed here — the journal needs its bytes anyway, and that
+// marshal is the only one the chunk ever gets; without one, nothing on this
+// path builds bytes (the first HTTP serve does, if there ever is one).
 // Journal appends happen after the lock is released — they copy the record
 // into the group-commit writer's pending batch, the one copy the sealed bytes
 // get on the way to the backend — and per-broadcast ordering holds because one
 // handler goroutine serves each broadcast.
-func (o *Origin) ingest(id string, f media.Frame, at time.Time) {
+func (o *Origin) Ingest(id string, f media.Frame, at time.Time) {
 	o.mu.Lock()
 	st, ok := o.streams[id]
 	created := false
 	if !ok {
-		st = o.newStreamLocked(id)
+		st = o.newStreamLocked(id, false)
 		o.streams[id] = st
 		created = true
 	}
@@ -512,7 +499,6 @@ func (o *Origin) endBroadcast(id string) {
 	}
 	st.endLocked()
 	version := st.list.Version
-	o.endedAt[id] = o.cfg.Clock.Now()
 	o.mu.Unlock()
 	if jw != nil {
 		if flushedChunk != nil {
@@ -590,32 +576,13 @@ func (o *Origin) ChunkReadyAt(id string, seq uint64) (time.Time, bool) {
 	return c.at, ok
 }
 
-// Remove drops all state for a broadcast.
+// Remove forgets a broadcast: its record is the origin's whole state for it.
+// The platform janitor (core.Platform.SweepEnded) calls it once the
+// broadcast's retention has passed.
 func (o *Origin) Remove(id string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	delete(o.streams, id)
-	delete(o.endedAt, id)
-	delete(o.pending, id)
-}
-
-// Sweep removes broadcasts that ended more than the retention period ago.
-// It is a no-op when retention is unset. Returns the number removed.
-func (o *Origin) Sweep(now time.Time) int {
-	if o.cfg.Retention == 0 {
-		return 0
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	n := 0
-	for id, at := range o.endedAt {
-		if now.Sub(at) > o.cfg.Retention {
-			delete(o.streams, id)
-			delete(o.endedAt, id)
-			n++
-		}
-	}
-	return n
 }
 
 // Live reports the number of active (not yet ended) broadcasts with chunks.
@@ -623,8 +590,8 @@ func (o *Origin) Live() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	n := 0
-	for id := range o.streams {
-		if _, ended := o.endedAt[id]; !ended {
+	for _, st := range o.streams {
+		if !st.list.Ended {
 			n++
 		}
 	}

@@ -224,7 +224,7 @@ func TestRetentionWindow(t *testing.T) {
 }
 
 // Remove forgets a rehydrated broadcast entirely, pending flag included, as
-// Sweep and Crash do.
+// Crash does.
 func TestOriginRemoveClearsPending(t *testing.T) {
 	o, _ := originAndEdge(OriginConfig{Journal: journal.NewMem()})
 	defer o.Close()

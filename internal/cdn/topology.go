@@ -59,9 +59,6 @@ type TopologyConfig struct {
 	// the RTMP fan-out and edge chunk-serve paths meter into.
 	TenantFrameUsage func(broadcastID string) rtmp.FrameUsage
 	TenantChunkUsage func(broadcastID string) ChunkUsage
-	// Retention keeps ended broadcasts queryable at origins for this
-	// long before Sweep removes them; zero keeps them indefinitely.
-	Retention time.Duration
 	// Clock is the time source of every origin (and so of its RTMP server)
 	// and every edge; nil means the real clock.
 	Clock clock.Clock
@@ -108,7 +105,6 @@ func Build(cfg TopologyConfig) *Topology {
 		t.Origins = append(t.Origins, NewOrigin(OriginConfig{
 			Site:          site,
 			ChunkDuration: cfg.ChunkDuration,
-			Retention:     cfg.Retention,
 			Clock:         cfg.Clock,
 			Metrics:       cfg.Metrics,
 			Journal:       backend,
@@ -122,10 +118,8 @@ func Build(cfg TopologyConfig) *Topology {
 		}))
 	}
 	for _, site := range cfg.EdgeSites {
-		site := site
 		edge := NewEdge(EdgeConfig{
 			Site:           site,
-			Resolve:        nil, // set below, needs the edge list
 			Retry:          cfg.EdgeRetry,
 			Breaker:        cfg.EdgeBreaker,
 			ShedRetryAfter: cfg.EdgeShedRetryAfter,
@@ -134,28 +128,17 @@ func Build(cfg TopologyConfig) *Topology {
 			TenantOf:       cfg.TenantOf,
 			TenantUsage:    cfg.TenantChunkUsage,
 		})
-		t.Edges = append(t.Edges, edge)
-	}
-	for _, edge := range t.Edges {
-		edge := edge
+		// Resolve needs the edge itself; it reads the fleet only when called.
 		edge.cfg.Resolve = func(broadcastID string) (Upstream, error) {
 			return t.resolve(edge, broadcastID)
 		}
-	}
-	for _, o := range t.Origins {
-		t.AttachEdges(o)
+		// Registrations are wiring, not state: they survive an origin crash.
+		for _, o := range t.Origins {
+			o.RegisterEdge(edge)
+		}
+		t.Edges = append(t.Edges, edge)
 	}
 	return t
-}
-
-// AttachEdges registers every edge with the origin for chunklist
-// invalidation. Build calls it at assembly; the restart path calls it again
-// after Recover, since a crash drops the origin's edge registrations along
-// with the rest of its volatile state.
-func (t *Topology) AttachEdges(o *Origin) {
-	for _, e := range t.Edges {
-		o.RegisterEdge(e)
-	}
 }
 
 // AssignBroadcast records that a broadcast is ingested at the given origin.

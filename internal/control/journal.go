@@ -296,22 +296,8 @@ type ctrlMetrics struct {
 	recovery *metrics.Histogram
 }
 
-// recoveryBuckets resolve control-plane recovery time: journal replay over
-// in-memory or file backends, expected in the low milliseconds.
-var recoveryBuckets = []time.Duration{
-	time.Millisecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	time.Second,
-	5 * time.Second,
-}
-
 func newCtrlMetrics(reg *metrics.Registry) *ctrlMetrics {
-	return &ctrlMetrics{recovery: reg.Histogram("control_recovery_seconds", recoveryBuckets)}
+	return &ctrlMetrics{recovery: reg.Histogram("control_recovery_seconds", metrics.RecoveryBuckets)}
 }
 
 // closedStart is the pre-closed start gate given to replayed broadcasts:

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/control"
 	"repro/internal/geo"
 	"repro/internal/hls"
+	"repro/internal/journal"
 	"repro/internal/media"
 	"repro/internal/pubsub"
 	"repro/internal/rng"
@@ -91,6 +93,65 @@ func TestSweepEndedCollectsBroadcastState(t *testing.T) {
 	}
 	if g := staleGrants(p); g != 0 {
 		t.Fatalf("control_stale_grants = %d after the sweep, want 0", g)
+	}
+}
+
+// TestSweepEndedCollectsRecoveredOrigin: the platform's end stamp is the one
+// retention clock. An origin that crashes and replays its journal between a
+// broadcast's end and the sweep forgets the broadcast with everyone else; its
+// replay does not restart the clock.
+func TestSweepEndedCollectsRecoveredOrigin(t *testing.T) {
+	wheel := clock.NewWheel(clock.WheelConfig{})
+	p := startPlatform(t, PlatformConfig{
+		ChunkDuration:     time.Second,
+		Retention:         time.Hour,
+		HeartbeatInterval: time.Minute,
+		Clock:             wheel,
+		Journal:           func(string) journal.Backend { return journal.NewMem() },
+	})
+	u := p.Ctrl.Register("b")
+	grant, err := p.Ctrl.StartBroadcast(u.ID, geo.Location{City: "Ashburn", Lat: 39.04, Lon: -77.49})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pub, err := rtmp.Publish(ctx, grant.RTMPAddr, grant.BroadcastID, grant.Token, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := media.NewEncoder(media.EncoderConfig{}, rng.New(1))
+	for i := 0; i < 60; i++ {
+		f := enc.Next(wheel.Now().Add(time.Duration(i) * media.FrameDuration))
+		pub.Send(&f)
+	}
+	pub.End()
+	// The end reaches the janitor through control's OnEnd, after control
+	// itself reports the broadcast over.
+	ended := func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		_, ok := p.endedAt[grant.BroadcastID]
+		return ok
+	}
+	if !eventually(ended) {
+		t.Fatal("the janitor never learned of the broadcast's end")
+	}
+	t0 := wheel.Now()
+
+	advance(t, wheel, 50*time.Minute)
+	if err := p.KillOrigin(grant.OriginID); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RestartOrigin(grant.OriginID); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.SweepEnded(t0.Add(70 * time.Minute)); n != 1 {
+		t.Fatalf("sweep collected %d, want 1", n)
+	}
+	for _, o := range p.Topo.Origins {
+		if _, err := o.ChunkList(ctx, grant.BroadcastID); !errors.Is(err, hls.ErrNotFound) {
+			t.Fatalf("origin %s still answers the swept broadcast: err %v", o.Site().ID, err)
+		}
 	}
 }
 

@@ -201,7 +201,6 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		OriginSites:    cfg.OriginSites,
 		EdgeSites:      cfg.EdgeSites,
 		ChunkDuration:  cfg.ChunkDuration,
-		Retention:      cfg.Retention,
 		ViewerCap:      valueOr(cfg.RTMPViewerLimit, control.DefaultRTMPViewerLimit),
 		Auth:           p.AuthCache,
 		OnBroadcastEnd: p.forceEnd,
@@ -230,7 +229,7 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		Metrics:            p.metrics,
 		Journal:            cfg.Journal,
 	})
-	p.recovery = p.metrics.Histogram("origin_recovery_seconds", recoveryBuckets)
+	p.recovery = p.metrics.Histogram("origin_recovery_seconds", metrics.RecoveryBuckets)
 	for _, o := range p.Topo.Origins {
 		p.originByID[o.Site().ID] = o
 	}
@@ -348,21 +347,6 @@ func (p *Platform) partitionedFromControl(role, siteID string) bool {
 		p.cfg.Partitions.IsCut(healthNodeID(role, siteID), "control")
 }
 
-// recoveryBuckets resolve origin crash-recovery time: journal replay plus
-// re-listen, expected in the milliseconds for in-memory backends and tens of
-// milliseconds for file-backed journals of realistic size.
-var recoveryBuckets = []time.Duration{
-	time.Millisecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	time.Second,
-	5 * time.Second,
-}
-
 // OriginByID returns the origin at the given site, or nil.
 func (p *Platform) OriginByID(siteID string) *cdn.Origin {
 	p.mu.Lock()
@@ -388,9 +372,9 @@ func (p *Platform) KillOrigin(siteID string) error {
 // RestartOrigin recovers a crashed origin: journal replay rehydrates every
 // live broadcast and sealed chunk (damaged tails are discarded), the fresh
 // RTMP server re-listens — on the previous address when the port is still
-// free, an ephemeral one otherwise — edges re-register for invalidation,
-// and heartbeats resume so the health detector walks it back to healthy.
-// The cost, timed on the platform clock, lands in the
+// free, an ephemeral one otherwise — and heartbeats resume so the health
+// detector walks it back to healthy. Its edge registrations survived the
+// crash. The cost, timed on the platform clock, lands in the
 // origin_recovery_seconds histogram.
 func (p *Platform) RestartOrigin(siteID string) error {
 	o := p.OriginByID(siteID)
@@ -434,7 +418,6 @@ func (p *Platform) RestartOrigin(siteID string) error {
 		p.rtmpsAddrs[siteID] = tln.Addr().String()
 		p.mu.Unlock()
 	}
-	p.Topo.AttachEdges(o)
 	p.Health.Heartbeat(healthNodeID(cdn.RoleOrigin, siteID))
 	p.recovery.Observe(p.cfg.Clock.Now().Sub(start))
 	return nil
@@ -477,7 +460,9 @@ func (p *Platform) DrainEdge(siteID string) error {
 }
 
 // SweepEnded removes all state for broadcasts that ended more than the
-// retention period before now. It returns how many broadcasts were
+// retention period before now: the platform's end stamps are the one
+// retention clock, and every origin, edge, the hub, the topology and the
+// auth cache forget what it names. It returns how many broadcasts were
 // collected. Exposed for tests and manual operation.
 func (p *Platform) SweepEnded(now time.Time) int {
 	if p.cfg.Retention == 0 {
@@ -492,10 +477,10 @@ func (p *Platform) SweepEnded(now time.Time) int {
 		}
 	}
 	p.mu.Unlock()
-	for _, o := range p.Topo.Origins {
-		o.Sweep(now)
-	}
 	for _, id := range expired {
+		for _, o := range p.Topo.Origins {
+			o.Remove(id)
+		}
 		for _, e := range p.Topo.Edges {
 			e.Evict(id)
 		}
@@ -607,7 +592,7 @@ func (p *Platform) Start(ctx context.Context) error {
 	p.mu.Unlock()
 	p.Ctrl.SetMessageURL("http://" + ln.Addr().String() + "/channel")
 	// The janitor garbage-collects ended broadcasts: origin chunk stores
-	// (origin.Sweep), edge caches, message channels, topology assignments,
+	// (Origin.Remove), edge caches, message channels, topology assignments,
 	// and the auth cache's grants and keys.
 	if p.cfg.Retention > 0 {
 		go p.every(ctx, max(p.cfg.Retention/2, time.Second), func() { p.SweepEnded(p.cfg.Clock.Now()) })

@@ -45,6 +45,22 @@ var DelayBuckets = []time.Duration{
 	30 * time.Second,
 }
 
+// RecoveryBuckets are the histogram bounds for crash-recovery time (origin
+// and control alike): journal replay plus re-listen, expected in the
+// milliseconds for in-memory backends and tens of milliseconds for
+// file-backed journals of realistic size. Callers must not mutate.
+var RecoveryBuckets = []time.Duration{
+	time.Millisecond,
+	5 * time.Millisecond,
+	10 * time.Millisecond,
+	25 * time.Millisecond,
+	50 * time.Millisecond,
+	100 * time.Millisecond,
+	250 * time.Millisecond,
+	time.Second,
+	5 * time.Second,
+}
+
 // Histogram counts duration observations into fixed buckets. Bucket i holds
 // observations d with d <= bounds[i] (and greater than bounds[i-1]); an
 // observation exactly on a boundary lands in that boundary's bucket. One
