@@ -4,12 +4,14 @@
 # lint job. `race` runs every Go test under -race, so the named slices of it
 # (fanout-race … metrics-smoke) are local replay recipes, not CI steps —
 # except scale-smoke, whose -cpu 1,2,4 runs the simulated day at three
-# partition counts that `race`'s one GOMAXPROCS does not.
+# partition counts that `race`'s one GOMAXPROCS does not. `allocs` is a CI
+# step beside `race` for the opposite reason: it runs the exact allocation
+# budgets without the race detector, where the ones that skip under it bind.
 
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race fanout-race chaos lint vet analyze fmt tidy vuln bench-check metrics metrics-smoke crash partition-soak tenant-soak scale-smoke fuzz ci clean
+.PHONY: all build test race allocs fanout-race chaos lint vet analyze fmt tidy vuln bench-check metrics metrics-smoke crash partition-soak tenant-soak scale-smoke fuzz ci clean
 
 all: build test lint
 
@@ -21,6 +23,13 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./...
+
+# allocs runs every exact allocation budget (tests named *Alloc*, and the
+# by-reference serve tests that pin zero) without -race: some budgets count
+# net/http's allocations, which the race detector changes, so they skip under
+# `race` and are enforced here.
+allocs:
+	$(GO) test -count=1 -run 'Alloc|ByReference' ./internal/...
 
 # fanout-race is the RTMP fan-out concurrency slice of `race`: join/leave
 # churn, acceptFrame and the relay ring (eviction at its boundary, joins
@@ -156,7 +165,7 @@ metrics:
 metrics-smoke:
 	$(GO) test -count=1 -run 'PlatformMetricsEndpoints' ./internal/core/
 
-ci: build bench-check race scale-smoke fuzz metrics lint vuln
+ci: build bench-check race allocs scale-smoke fuzz metrics lint vuln
 
 clean:
 	rm -rf $(BIN)

@@ -560,16 +560,34 @@ func (e *Edge) ChunkList(ctx context.Context, id string) (*media.ChunkList, erro
 }
 
 // refresh is the shared miss path: concurrent polls that all find the list
-// expired share one upstream pull (single-flight) and its outcome.
+// expired share one upstream pull (single-flight) and its outcome. The pull
+// runs under its leader's context, and a leader that hangs up abandons it
+// without an outcome: a caller still listening then joins or leads a fresh
+// pull, and one that hung up too returns its own context's error.
 func (e *Edge) refresh(ctx context.Context, id string) (*media.ChunkList, error) {
-	cl, err, _ := e.flight.Do(id, func() (*media.ChunkList, error) {
-		return e.pull(ctx, id)
-	})
-	return cl, err
+	for {
+		cl, err, _ := e.flight.Do(id, func() (*media.ChunkList, error) {
+			return e.pull(ctx, id)
+		})
+		if !errors.Is(err, errPullAbandoned) {
+			return cl, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
 }
 
+// errPullAbandoned is the outcome of a pull whose leader's context ended
+// before it finished. It is the leader's event, not the upstream's, so it is
+// neither answered from the stale list nor shared with the pull's waiters
+// (refresh turns it into each caller's own answer).
+var errPullAbandoned = errors.New("cdn: pull abandoned by its caller")
+
 // pull refreshes the cached list with retries and the circuit breaker,
-// falling back to the stale cached copy when the upstream stays down.
+// falling back to the stale cached copy when the upstream stays down. A
+// per-attempt timeout is an upstream fault like any other; only the
+// caller's own context ending abandons the pull.
 func (e *Edge) pull(ctx context.Context, id string) (*media.ChunkList, error) {
 	var attempts atomic.Int64
 	list, err := resilience.RetryValue(ctx, e.cfg.Retry, func(ctx context.Context) (l *media.ChunkList, err error) {
@@ -587,6 +605,9 @@ func (e *Edge) pull(ctx context.Context, id string) (*media.ChunkList, error) {
 	}
 	if errors.Is(err, hls.ErrNotFound) {
 		return nil, err
+	}
+	if ctx.Err() != nil {
+		return nil, errPullAbandoned
 	}
 	// Serve-stale-on-error: a viewer poll that finds the origin
 	// unreachable gets the last cached chunklist instead of a 5xx.
@@ -622,7 +643,9 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 	sh.mu.Lock()
 	ent := sh.entryLocked(id)
 	ent.setTapsLocked(taps)
-	var missing []media.ChunkRef
+	// A list names at most a window of chunks; gather them on the stack.
+	var window [media.WindowSize]media.ChunkRef
+	missing := window[:0]
 	for _, ref := range list.Chunks {
 		if _, have := ent.chunks[ref.Seq]; !have {
 			missing = append(missing, ref)

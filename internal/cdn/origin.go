@@ -98,7 +98,9 @@ type Origin struct {
 	// streams is the one record per broadcast; Remove is the only way one
 	// is forgotten (Crash drops them all, replay rebuilds them).
 	streams map[string]*originStream
-	// edges is process wiring, not state: it survives a crash.
+	// edges is process wiring, not state: it survives a crash. It is copied
+	// on write, so a publisher takes the slice under the lock it already
+	// holds and notifies from it after releasing it.
 	edges []Invalidator
 }
 
@@ -154,15 +156,11 @@ func dropExpired(chunks map[uint64]storedChunk, newest uint64) {
 func (st *originStream) addChunkLocked(c *media.Chunk, at time.Time) {
 	st.chunks[c.Seq] = storedChunk{chunk: c, at: at}
 	dropExpired(st.chunks, c.Seq)
-	next := st.successorLocked()
-	// A fresh backing array: readers share the published list's.
-	keep := next.Chunks[max(0, len(next.Chunks)-(media.WindowSize-1)):]
-	next.Chunks = append(append(make([]media.ChunkRef, 0, len(keep)+1), keep...), media.ChunkRef{
+	st.list = st.successorLocked(&media.ChunkRef{
 		Seq:      c.Seq,
 		Duration: c.Duration(),
-		URI:      chunkURI(next.BroadcastID, c.Seq),
+		URI:      chunkURI(st.list.BroadcastID, c.Seq),
 	})
-	st.list = next
 }
 
 // chunkURI is "/hls/{id}/chunk/{seq}", assembled on the stack so the string
@@ -178,22 +176,42 @@ func chunkURI(id string, seq uint64) string {
 // endLocked publishes the successor list carrying the end marker, the one
 // place a broadcast's end is kept. An ended broadcast awaits no publisher.
 func (st *originStream) endLocked() {
-	next := st.successorLocked()
+	next := st.successorLocked(nil)
 	next.Ended = true
 	st.list = next
 	st.pending = false
 }
 
-// successorLocked starts the list one version after the published one; the
-// caller finishes it before assigning it to st.list. The old list's Chunks
-// backing array is shared, never written.
-func (st *originStream) successorLocked() *media.ChunkList {
-	return &media.ChunkList{
-		BroadcastID: st.list.BroadcastID,
-		Version:     st.list.Version + 1,
-		Ended:       st.list.Ended,
-		Chunks:      st.list.Chunks,
+// publishedList is a chunklist and the backing array of its chunk window,
+// allocated together: the list's Chunks slices refs, so the list pointer the
+// origin hands out keeps both alive, and publishing costs one allocation.
+type publishedList struct {
+	list media.ChunkList
+	refs [media.WindowSize]media.ChunkRef
+}
+
+// successorLocked builds the list one version after the published one, its
+// window copied into its own refs and, when add is set, slid to end with add.
+// The caller may still set Ended before assigning it to st.list; the old
+// list is never written.
+func (st *originStream) successorLocked(add *media.ChunkRef) *media.ChunkList {
+	old := st.list
+	p := &publishedList{list: media.ChunkList{
+		BroadcastID: old.BroadcastID,
+		Version:     old.Version + 1,
+		Ended:       old.Ended,
+	}}
+	keep := old.Chunks
+	if add != nil {
+		keep = keep[max(0, len(keep)-(media.WindowSize-1)):]
 	}
+	n := copy(p.refs[:], keep)
+	if add != nil {
+		p.refs[n] = *add
+		n++
+	}
+	p.list.Chunks = p.refs[:n:n]
+	return &p.list
 }
 
 // sealed returns c in byte-backed form: the wire bytes are built (the one
@@ -421,7 +439,7 @@ func (o *Origin) Site() geo.Datacenter { return o.cfg.Site }
 func (o *Origin) RegisterEdge(e Invalidator) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.edges = append(o.edges, e)
+	o.edges = append(o.edges[:len(o.edges):len(o.edges)], e)
 }
 
 // Ingest feeds one frame into the HLS chunker. Production traffic arrives
@@ -450,7 +468,7 @@ func (o *Origin) Ingest(id string, f media.Frame, at time.Time) {
 		return
 	}
 	chunk := st.chunker.Add(f)
-	jw := o.jw
+	jw, edges := o.jw, o.edges
 	var version uint64
 	if chunk != nil {
 		if jw != nil {
@@ -471,7 +489,7 @@ func (o *Origin) Ingest(id string, f media.Frame, at time.Time) {
 	if chunk != nil {
 		o.m.chunks.Inc()
 		o.m.chunking.Observe(chunk.Duration())
-		o.notify(id, version)
+		notify(edges, id, version)
 	}
 }
 
@@ -489,7 +507,7 @@ func (o *Origin) endBroadcast(id string) {
 		o.mu.Unlock()
 		return
 	}
-	jw := o.jw
+	jw, edges := o.jw, o.edges
 	flushedChunk := st.chunker.Flush()
 	if flushedChunk != nil {
 		if jw != nil {
@@ -510,13 +528,12 @@ func (o *Origin) endBroadcast(id string) {
 		o.m.chunks.Inc()
 		o.m.chunking.Observe(flushedChunk.Duration())
 	}
-	o.notify(id, version)
+	notify(edges, id, version)
 }
 
-func (o *Origin) notify(id string, version uint64) {
-	o.mu.Lock()
-	edges := append([]Invalidator(nil), o.edges...)
-	o.mu.Unlock()
+// notify tells every registered edge that id's list is now at version. edges
+// is the origin's copy-on-write slice, taken under its lock.
+func notify(edges []Invalidator, id string, version uint64) {
 	for _, e := range edges {
 		e.Invalidate(id, version)
 	}

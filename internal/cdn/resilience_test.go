@@ -109,9 +109,9 @@ func TestEdgePollStampedeSingleFlight(t *testing.T) {
 	}
 	close(start)
 	// Hold the gate until the first pull is in flight and the remaining
-	// pollers have had ample time to join it.
+	// pollers wait on it.
 	<-g.entered
-	time.Sleep(100 * time.Millisecond)
+	testutil.WaitParked(t, flightFrame, pollers-1)
 	close(g.gate)
 	wg.Wait()
 	close(errs)
@@ -134,6 +134,77 @@ func TestEdgePollStampedeSingleFlight(t *testing.T) {
 	}
 	if n != pollers {
 		t.Fatalf("%d/%d pollers got a list", n, pollers)
+	}
+}
+
+// flightFrame is the single-flight group's Do in a stack dump: a poller
+// parked on it waits for another poller's pull.
+const flightFrame = "repro/internal/resilience.(*Group[...]).Do"
+
+// A viewer that hangs up mid-pull takes only its own poll down. The pull runs
+// under its leader's context; when that ends, the leader gets its own error
+// (not the stale list, which would count a stale serve against a healthy
+// upstream) and a waiter still listening gets a fresh pull, cold cache or
+// warm.
+func TestEdgeLeaderHangupIsNotShared(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		warm bool
+	}{{"cold", false}, {"warm", true}} {
+		warm := tc.warm
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: time.Second})
+			feedFrames(o, "b1", 2*framesPerTestChunk)
+			g := &gatedStore{inner: o, gate: make(chan struct{}), entered: make(chan struct{})}
+			var up hls.Store = o
+			e := NewEdge(EdgeConfig{
+				Site:    site("e1", "Y"),
+				Resolve: func(string) (Upstream, error) { return Upstream{Store: up}, nil },
+			})
+			o.RegisterEdge(e)
+			want := 2
+			if warm {
+				if _, err := e.ChunkList(context.Background(), "b1"); err != nil {
+					t.Fatal(err)
+				}
+				feedFrames(o, "b1", framesPerTestChunk) // invalidates the cached list
+				want = 3
+			}
+			up = g
+
+			type result struct {
+				list *media.ChunkList
+				err  error
+			}
+			poll := func(ctx context.Context) chan result {
+				ch := make(chan result, 1)
+				go func() {
+					list, err := e.ChunkList(ctx, "b1")
+					ch <- result{list, err}
+				}()
+				return ch
+			}
+			ctx, hangUp := context.WithCancel(context.Background())
+			leader := poll(ctx)
+			<-g.entered
+			waiter := poll(context.Background())
+			testutil.WaitParked(t, flightFrame, 1)
+			hangUp()
+			if r := <-leader; !errors.Is(r.err, context.Canceled) || r.list != nil {
+				t.Fatalf("the leader that hung up got list %v, err %v; want its own context.Canceled", r.list, r.err)
+			}
+			close(g.gate)
+			if r := <-waiter; r.err != nil || len(r.list.Chunks) != want {
+				t.Fatalf("the waiter got list %+v, err %v; want a fresh %d-chunk list", r.list, r.err, want)
+			}
+			if n := g.listCalls.Load(); n != 2 {
+				t.Fatalf("upstream list pulls = %d, want 2 (the abandoned one and the waiter's own)", n)
+			}
+			if n := e.m.staleServes.Value(); n != 0 {
+				t.Fatalf("%d stale serves against a healthy upstream", n)
+			}
+		})
 	}
 }
 

@@ -30,6 +30,65 @@ func originAndEdge(cfg OriginConfig) (*Origin, *Edge) {
 	return o, e
 }
 
+// replayStore is an upstream whose every list poll brings the next of a
+// series of lists an origin published, with their chunks by sequence, at no
+// allocation of its own — so what a pull allocates is the edge's.
+type replayStore struct {
+	lists  []*media.ChunkList
+	next   int
+	chunks map[uint64]*media.Chunk
+}
+
+func (r *replayStore) ChunkList(context.Context, string) (*media.ChunkList, error) {
+	l := r.lists[r.next]
+	r.next++
+	return l, nil
+}
+
+func (r *replayStore) Chunk(_ context.Context, _ string, seq uint64) (*media.Chunk, error) {
+	return r.chunks[seq], nil
+}
+
+// An edge refresh that pulls one new list and copies the one new chunk it
+// names allocates nothing at the edge: the flight is the group's spare, the
+// missing refs are gathered on the stack, and list and chunk are the
+// upstream's pointers.
+func TestEdgePullAllocBudget(t *testing.T) {
+	const runs = 100
+	o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: time.Second})
+	ctx := context.Background()
+	up := &replayStore{chunks: make(map[uint64]*media.Chunk)}
+	for seq := uint64(0); seq < runs+3; seq++ {
+		feedFrames(o, "b1", framesPerTestChunk)
+		list, err := o.ChunkList(ctx, "b1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		up.lists = append(up.lists, list)
+		if up.chunks[seq], err = o.Chunk(ctx, "b1", seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEdge(EdgeConfig{
+		Site:    site("e1", "Y"),
+		Resolve: func(string) (Upstream, error) { return Upstream{Store: up}, nil },
+	})
+	refresh := func() {
+		next := up.lists[up.next]
+		e.Invalidate("b1", next.Version)
+		if cl, err := e.ChunkList(ctx, "b1"); err != nil || cl != next {
+			t.Fatalf("refresh served %p (err %v), want the upstream's version %d", cl, err, next.Version)
+		}
+	}
+	refresh() // the broadcast's record is made by its first pull
+	if allocs := testing.AllocsPerRun(runs, refresh); allocs != 0 {
+		t.Fatalf("a one-chunk refresh allocates %.0f times at the edge, want 0", allocs)
+	}
+	if pulls := e.m.chunkPulls.Value(); pulls != runs+2 {
+		t.Fatalf("the edge copied %d chunks in %d refreshes, want one each", pulls, runs+2)
+	}
+}
+
 // A warm edge answers from the upstream's own immutable values: the list and
 // chunk pointers the origin published, no copies, no allocations.
 func TestEdgeWarmHitServesByReference(t *testing.T) {

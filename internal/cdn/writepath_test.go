@@ -196,10 +196,10 @@ func testWritePath(t *testing.T, signer ed25519.PrivateKey, auth rtmp.Auth, pubK
 
 // TestIngestAllocBudget pins what Origin.Ingest allocates for 4 KB frames at
 // 200 ms chunks (five frames a chunk). The only allocations are per chunk:
-// five unjournaled — the chunker's frame slice, the Chunk, the successor
-// chunklist, its refs and its URI — so one per frame; journaling adds exactly
-// the seal (the wire form, and the chunk and frame slice that view it) and
-// nothing per append or per frame, which still rounds to one per frame.
+// four unjournaled — the chunker's frame slice, the Chunk, the published list
+// (one allocation with its chunk window) and its URI; journaling adds exactly
+// the seal's three (the wire form, and the chunk and frame slice that view
+// it) and nothing per append or per frame.
 func TestIngestAllocBudget(t *testing.T) {
 	const framesPerChunk = 5
 	for _, tc := range []struct {
@@ -207,8 +207,8 @@ func TestIngestAllocBudget(t *testing.T) {
 		backend  journal.Backend
 		perChunk float64
 	}{
-		{"journal=off", nil, 5},
-		{"journal=on", journal.NewMem(), 5 + 3},
+		{"journal=off", nil, 4},
+		{"journal=on", journal.NewMem(), 4 + 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: framesPerChunk * media.FrameDuration, Journal: tc.backend})

@@ -7,10 +7,15 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // instant makes a policy that never sleeps on the real clock, recording the
@@ -269,11 +274,9 @@ func TestSingleFlightCollapsesConcurrentCalls(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let every goroutine reach Do before releasing the one execution.
-	for executions.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
+	// Let every goroutine reach Do before releasing the one execution: one
+	// runs fn, the other n-1 wait inside Do.
+	testutil.WaitParked(t, doFrame, n-1)
 	close(gate)
 	wg.Wait()
 	if got := executions.Load(); got != 1 {
@@ -320,6 +323,117 @@ func TestSingleFlightErrorShared(t *testing.T) {
 	v, err, _ := g.Do("k", func() (int, error) { return 1, nil })
 	if err != nil || v != 1 {
 		t.Fatalf("second Do = %d, %v", v, err)
+	}
+}
+
+// doFrame is Group.Do's frame in a stack dump: a goroutine parked on it is a
+// caller waiting for another's flight.
+const doFrame = "repro/internal/resilience.(*Group[...]).Do"
+
+// A flight whose fn panics releases its key and its waiters: the waiter gets
+// an error, the panic goes on in the caller that ran fn, and the next Do for
+// the key runs rather than blocking for good.
+func TestSingleFlightPanicReleasesKey(t *testing.T) {
+	var g Group[int]
+	entered, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		g.Do("k", func() (int, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	waiter := make(chan error, 1)
+	go func() {
+		_, err, _ := g.Do("k", func() (int, error) { return 1, nil })
+		waiter <- err
+	}()
+	testutil.WaitParked(t, doFrame, 1)
+	close(release)
+	if p := <-leader; p != "boom" {
+		t.Fatalf("the leader recovered %v, want its own panic", p)
+	}
+	select {
+	case err := <-waiter:
+		if err == nil {
+			t.Error("the waiter of a panicked flight got no error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter is still blocked on the panicked flight")
+	}
+	next := make(chan int, 1)
+	go func() {
+		v, _, _ := g.Do("k", func() (int, error) { return 2, nil })
+		next <- v
+	}()
+	select {
+	case v := <-next:
+		if v != 2 {
+			t.Errorf("the next Do for the key got %d, want its own 2", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the next Do for the key is blocked by the panicked flight")
+	}
+}
+
+// An uncontended Do allocates nothing: its call record is the spare the last
+// unshared call left, and no channel is made without a waiter.
+func TestSingleFlightUncontendedAllocatesNothing(t *testing.T) {
+	var g Group[int]
+	fn := func() (int, error) { return 7, nil }
+	g.Do("k", fn)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, err, shared := g.Do("k", fn); v != 7 || err != nil || shared {
+			t.Fatalf("Do = %d, %v, shared %v", v, err, shared)
+		}
+	}); allocs != 0 {
+		t.Fatalf("an uncontended Do allocates %.0f times, want 0", allocs)
+	}
+}
+
+// Many callers over many keys, with flights overlapping so calls are shared
+// and recycled: every caller gets its own key's result, from the flight that
+// was in progress when it arrived or a later one. Recycling a call that still
+// has waiters would hand them another key's result.
+func TestSingleFlightStress(t *testing.T) {
+	const keys, callers, rounds = 16, 8, 200
+	var g Group[string]
+	var flights [keys]atomic.Int64
+	var wg sync.WaitGroup
+	for k := 0; k < keys; k++ {
+		key := strconv.Itoa(k)
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				last := int64(-1)
+				for r := 0; r < rounds; r++ {
+					v, err, _ := g.Do(key, func() (string, error) {
+						n := flights[k].Add(1)
+						runtime.Gosched()
+						return key + "#" + strconv.FormatInt(n, 10), nil
+					})
+					got, n, ok := strings.Cut(v, "#")
+					seq, perr := strconv.ParseInt(n, 10, 64)
+					if err != nil || !ok || perr != nil || got != key || seq <= last {
+						t.Errorf("key %s, round %d: Do = %q, %v (last flight %d)", key, r, v, err, last)
+						return
+					}
+					last = seq
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	var total int64
+	for k := range flights {
+		total += flights[k].Load()
+	}
+	if total == keys*callers*rounds {
+		t.Fatal("no flight was shared: the test did not exercise waiters")
 	}
 }
 

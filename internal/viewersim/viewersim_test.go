@@ -195,8 +195,10 @@ func TestWheelAudienceAllocatesNothing(t *testing.T) {
 
 // TestWheelIngestAllocBudget pins one ingest event — the origin seals the
 // chunk, publishes its successor list and invalidates the edge, and the next
-// ingest is scheduled — at six allocations, all of them the CDN's: the
-// engine's share of the event is pooled.
+// ingest is scheduled — at four allocations, all of them the CDN's: the
+// chunker's frame slice, the Chunk, the published list (one allocation with
+// its chunk window) and its URI. Invalidating the edge reads the origin's
+// copy-on-write edge slice, and the engine's share of the event is pooled.
 func TestWheelIngestAllocBudget(t *testing.T) {
 	s := budgetSim()
 	sp := s.w.specs[0]
@@ -211,8 +213,8 @@ func TestWheelIngestAllocBudget(t *testing.T) {
 			t.Fatalf("%d events fired, want the one ingest", s.wheel.Fired()-fired)
 		}
 	})
-	if allocs != 6 {
-		t.Errorf("an ingest event allocates %.0f times, want 6", allocs)
+	if allocs != 4 {
+		t.Errorf("an ingest event allocates %.0f times, want 4", allocs)
 	}
 }
 
