@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"syscall"
 	"time"
 
 	"repro/internal/viewersim"
@@ -39,9 +40,12 @@ func runSimday(seed uint64, chunk time.Duration, rtmpCap int) error {
 	}
 	wall := time.Since(start)
 	fmt.Println(sum)
-	fmt.Printf("simulated %v of platform time in %v wall (%.0f events/sec on %d partitions)\n",
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF with a valid pointer
+	fmt.Printf("simulated %v of platform time in %v wall (%.0f events/sec on %d partitions, peak RSS %.0f MB)\n",
 		sum.End.Sub(sum.Start).Round(time.Second), wall.Round(time.Millisecond),
-		float64(sum.Events)/wall.Seconds(), viewersim.Partitions(sum.Broadcasts))
+		float64(sum.Events)/wall.Seconds(), viewersim.Partitions(sum.Broadcasts),
+		float64(ru.Maxrss)/1024) // Linux reports ru_maxrss in KB
 	if sum.RealHLS > 0 || sum.RealRTMP > 0 {
 		fmt.Printf("real-socket slice: %d hls viewers (%d polls), %d rtmp viewers (%d frames)\n",
 			sum.RealHLS, sum.RealPolls, sum.RealRTMP, sum.RealFrames)

@@ -9,7 +9,6 @@ package cdn
 import (
 	"context"
 	"errors"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,21 +155,7 @@ func dropExpired(chunks map[uint64]storedChunk, newest uint64) {
 func (st *originStream) addChunkLocked(c *media.Chunk, at time.Time) {
 	st.chunks[c.Seq] = storedChunk{chunk: c, at: at}
 	dropExpired(st.chunks, c.Seq)
-	st.list = st.successorLocked(&media.ChunkRef{
-		Seq:      c.Seq,
-		Duration: c.Duration(),
-		URI:      chunkURI(st.list.BroadcastID, c.Seq),
-	})
-}
-
-// chunkURI is "/hls/{id}/chunk/{seq}", assembled on the stack so the string
-// is the only allocation.
-func chunkURI(id string, seq uint64) string {
-	var buf [96]byte
-	b := append(buf[:0], "/hls/"...)
-	b = append(b, id...)
-	b = append(b, "/chunk/"...)
-	return string(strconv.AppendUint(b, seq, 10))
+	st.list = st.successorLocked(&media.ChunkRef{Seq: c.Seq, Duration: c.Duration()})
 }
 
 // endLocked publishes the successor list carrying the end marker, the one

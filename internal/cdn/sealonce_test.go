@@ -277,8 +277,8 @@ func TestRetentionWindow(t *testing.T) {
 	if !cl.Ended || len(cl.Chunks) != media.WindowSize || cl.Chunks[0].Seq != sealed+1-media.WindowSize {
 		t.Fatalf("recovered list: ended=%v chunks=%+v", cl.Ended, cl.Chunks)
 	}
-	if want := "/hls/b1/chunk/" + strconv.Itoa(sealed); cl.Chunks[media.WindowSize-1].URI != want {
-		t.Fatalf("chunk URI = %q, want %q", cl.Chunks[media.WindowSize-1].URI, want)
+	if last := cl.Chunks[media.WindowSize-1].Seq; last != uint64(sealed) {
+		t.Fatalf("last chunk = %d, want %d", last, sealed)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -182,7 +183,7 @@ func testWritePath(t *testing.T, signer ed25519.PrivateKey, auth rtmp.Auth, pubK
 		if !bytes.Equal(chunk.Wire(), want[c]) || !bytes.Equal(media.MarshalChunk(chunk), want[c]) {
 			t.Fatalf("replayed chunk %d decodes to different bytes", c)
 		}
-		resp, err := http.Get(srv.URL + chunkURI(id, uint64(c)))
+		resp, err := http.Get(srv.URL + "/hls/" + id + "/chunk/" + strconv.Itoa(c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,8 +197,8 @@ func testWritePath(t *testing.T, signer ed25519.PrivateKey, auth rtmp.Auth, pubK
 
 // TestIngestAllocBudget pins what Origin.Ingest allocates for 4 KB frames at
 // 200 ms chunks (five frames a chunk). The only allocations are per chunk:
-// four unjournaled — the chunker's frame slice, the Chunk, the published list
-// (one allocation with its chunk window) and its URI; journaling adds exactly
+// three unjournaled — the chunker's frame slice, the Chunk and the published
+// list (one allocation with its chunk window); journaling adds exactly
 // the seal's three (the wire form, and the chunk and frame slice that view
 // it) and nothing per append or per frame.
 func TestIngestAllocBudget(t *testing.T) {
@@ -207,8 +208,8 @@ func TestIngestAllocBudget(t *testing.T) {
 		backend  journal.Backend
 		perChunk float64
 	}{
-		{"journal=off", nil, 4},
-		{"journal=on", journal.NewMem(), 4 + 3},
+		{"journal=off", nil, 3},
+		{"journal=on", journal.NewMem(), 3 + 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: framesPerChunk * media.FrameDuration, Journal: tc.backend})

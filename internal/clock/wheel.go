@@ -32,7 +32,8 @@ type WheelConfig struct {
 //
 //   - Schedule/Stop/Reset are O(1) for near deadlines (a doubly-linked slot
 //     bucket) and O(log overflow) for far ones.
-//   - Timer nodes are pooled; steady-state scheduling allocates nothing.
+//   - Timer nodes are pooled and carved from slabs of nodeSlab; steady-state
+//     scheduling allocates nothing.
 //   - Now is lock-free: a single atomic tick counter, readable from any
 //     callback or foreign goroutine.
 //   - One mutex guards the ring, heap and pool, so Schedule/Stop/Reset/Sleep/
@@ -151,25 +152,36 @@ func (w *Wheel) deadlineLocked(d time.Duration) int64 {
 	return w.nowTick.Load() + int64((d+w.res-1)/w.res)
 }
 
+// nodeSlab is how many timer nodes a free-list miss allocates at once.
+const nodeSlab = 64
+
 // Schedule registers fn to run d after the wheel's current time and returns
 // a cancellable handle. The deadline is rounded up to the next tick boundary.
 // Zero and negative delays fire at the current tick — from a callback, that
 // means on the driver's next pass, before time moves on. The wheel does not
 // interpret owner; the parameter remains only because the frozen benchmark
 // module (bench/) passes one. One mutex, pooled node: no allocation in steady
-// state.
+// state, and one per nodeSlab timers while the pool grows.
 //
 //livesim:hotpath TestWheelNodePoolingReuses
 func (w *Wheel) Schedule(owner uint64, d time.Duration, fn func(now time.Time)) Timer {
 	w.mu.Lock()
 	n := w.free
-	if n != nil {
-		w.free = n.next
-		n.next = nil
-	} else {
+	if n == nil {
+		// An empty free list is refilled with a slab of nodeSlab fresh
+		// nodes, chained as the list: one allocation per nodeSlab misses.
 		//lint:allow hotpathescape free-list miss only; fired and stopped nodes recycle through w.free
-		n = &timerNode{heapIx: -1}
+		slab := make([]timerNode, nodeSlab)
+		for i := range slab {
+			slab[i].heapIx = -1
+			if i+1 < nodeSlab {
+				slab[i].next = &slab[i+1]
+			}
+		}
+		n = &slab[0]
 	}
+	w.free = n.next
+	n.next = nil
 	n.fn = fn
 	w.insertLocked(n, w.deadlineLocked(d))
 	w.pending++

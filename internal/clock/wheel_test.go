@@ -154,6 +154,28 @@ func TestWheelNodePoolingReuses(t *testing.T) {
 	}
 }
 
+// TestWheelScheduleAllocBudget pins what a growing pool costs: N timers
+// pending on a fresh wheel take ⌈N/nodeSlab⌉ allocations, one node slab per
+// nodeSlab free-list misses. (Deadlines stay inside the ring, so the overflow
+// heap's own slice never grows.)
+func TestWheelScheduleAllocBudget(t *testing.T) {
+	fn := func(time.Time) {}
+	fresh := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			w := NewWheel(WheelConfig{})
+			for i := 0; i < n; i++ {
+				w.Schedule(0, time.Duration(i)*time.Millisecond, fn)
+			}
+		})
+	}
+	wheel := fresh(0)
+	for _, n := range []int{1, nodeSlab - 1, nodeSlab, nodeSlab + 1, 5*nodeSlab + 3} {
+		if got, want := fresh(n)-wheel, float64((n+nodeSlab-1)/nodeSlab); got != want {
+			t.Errorf("%d timers on a fresh wheel allocate %.0f times, want %.0f", n, got, want)
+		}
+	}
+}
+
 func TestWheelRescheduleFromCallback(t *testing.T) {
 	w := NewWheel(WheelConfig{Resolution: 10 * time.Millisecond})
 	var ticks []time.Duration

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,6 +189,100 @@ func TestPlatformEndToEnd(t *testing.T) {
 	evs, closed, err := mc.Events(ctx, grant.BroadcastID, 0, false)
 	if err != nil || !closed || len(evs) != 2 {
 		t.Fatalf("events after end: %v closed=%v n=%d", err, closed, len(evs))
+	}
+}
+
+// A standard HLS player follows a playlist's chunk lines, resolving each
+// against the playlist's own URL (RFC 8216 §4.1). Every chunk line of a
+// platform edge's playlist, mounted under /edge/<site>/hls, must so resolve to
+// that chunk's bytes.
+func TestPlatformPlaylistChunkURIsResolve(t *testing.T) {
+	p := startPlatform(t, PlatformConfig{ChunkDuration: time.Second})
+	ctx := context.Background()
+	cc := &control.Client{BaseURL: p.ControlURL()}
+	uid, err := cc.Register(ctx, "player")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := cc.StartBroadcast(ctx, uid, geo.Location{City: "Ashburn", Lat: 39.04, Lon: -77.49})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := rtmp.Publish(ctx, grant.RTMPAddr, grant.BroadcastID, grant.Token, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := media.NewEncoder(media.EncoderConfig{}, rng.New(3))
+	base := time.Now()
+	for i := 0; i < 60; i++ { // two full 1 s chunks, and a third at the end
+		f := enc.Next(base.Add(time.Duration(i) * media.FrameDuration))
+		if err := pub.Send(&f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pub.End(); err != nil {
+		t.Fatal(err)
+	}
+
+	playlist := p.EdgeURL(p.Topo.Edges[0]) + "/" + grant.BroadcastID + "/chunklist.m3u8"
+	var body string
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(playlist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil && resp.StatusCode == http.StatusOK && strings.Contains(string(b), "#EXT-X-ENDLIST") {
+			body = string(b)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("edge never served the ended playlist: status %d, %q", resp.StatusCode, b)
+		}
+	}
+	listURL, err := url.Parse(playlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := p.OriginByID(grant.OriginID)
+	lines := strings.Split(body, "\n")
+	followed := 0
+	for i, line := range lines {
+		title, ok := strings.CutPrefix(line, "#EXTINF:")
+		if !ok {
+			continue
+		}
+		_, seqStr, _ := strings.Cut(title, ",")
+		seq, err := strconv.ParseUint(seqStr, 10, 64)
+		if err != nil || i+1 == len(lines) {
+			t.Fatalf("bad chunk entry %q in\n%s", line, body)
+		}
+		ref, err := url.Parse(lines[i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunkURL := listURL.ResolveReference(ref).String()
+		resp, err := http.Get(chunkURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s (line %q): status %d, %v", chunkURL, lines[i+1], resp.StatusCode, err)
+		}
+		want, err := origin.Chunk(ctx, grant.BroadcastID, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Wire()) {
+			t.Fatalf("GET %s: body is not chunk %d's bytes", chunkURL, seq)
+		}
+		followed++
+	}
+	if followed != 3 {
+		t.Fatalf("followed %d chunk lines, want 3:\n%s", followed, body)
 	}
 }
 

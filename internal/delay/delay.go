@@ -236,11 +236,14 @@ type Session struct {
 	hls   bool
 	join  time.Duration
 	poll  time.Duration
-	cur   int           // the next item
-	next  time.Duration // its event offset: arrival (RTMP) or observing poll (HLS)
-	prev  time.Duration // the last arrival
-	sums  [5]time.Duration
-	n     int
+	// push is the origin→viewer propagation an RTMP item crosses, computed
+	// once by Start and jittered per item.
+	push time.Duration
+	cur  int           // the next item
+	next time.Duration // its event offset: arrival (RTMP) or observing poll (HLS)
+	prev time.Duration // the last arrival
+	sums [5]time.Duration
+	n    int
 }
 
 // Start begins a session that joins tr at offset join; a join before 0
@@ -258,6 +261,8 @@ func (s *Session) Start(tr *Trace, model *netsim.Model, hls bool, join, poll tim
 	at := tr.OriginAt
 	if hls {
 		at = tr.EdgeAt
+	} else {
+		s.push = model.Propagation(tr.origin, LabLocation)
 	}
 	s.cur = sort.Search(len(at), func(i int) bool { return at[i] >= join })
 	if s.cur == len(at) {
@@ -308,7 +313,7 @@ func (s *Session) eventAt(i int) time.Duration {
 		return nextPoll(s.tr.EdgeAt[i], s.poll, s.join)
 	}
 	arr := s.tr.ReadyAt[i] +
-		s.model.OneWay(s.tr.origin, LabLocation) +
+		s.model.Jitter(s.push) +
 		s.model.LastMile(netsim.WiFi, frameBytes)
 	arr = max(arr, s.prev)
 	s.prev = arr

@@ -44,7 +44,7 @@ func TestReadyMadeHeaderKeysAreCanonical(t *testing.T) {
 // strconv interns, through a real net/http server.
 func TestServedVersionIsExact(t *testing.T) {
 	cl := &media.ChunkList{BroadcastID: "b1", Version: 1<<63 + 12345}
-	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second, URI: "/hls/b1/chunk/0"})
+	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second})
 	srv := httptest.NewServer(Handler("/hls", fixedStore{cl: cl}))
 	defer srv.Close()
 	want := strconv.FormatUint(cl.Version, 10)
@@ -71,7 +71,7 @@ func TestServedVersionIsExact(t *testing.T) {
 // appended to after its first serve.
 func TestServedVersionIsNotInherited(t *testing.T) {
 	cl := &media.ChunkList{BroadcastID: "b1", Version: 500}
-	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second, URI: "/hls/b1/chunk/0"})
+	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second})
 	serve := func(cl *media.ChunkList) {
 		t.Helper()
 		w := httptest.NewRecorder()
@@ -86,10 +86,10 @@ func TestServedVersionIsNotInherited(t *testing.T) {
 	}
 	serve(cl)
 	next := cl.Clone()
-	next.Append(media.ChunkRef{Seq: 1, Duration: time.Second, URI: "/hls/b1/chunk/1"})
+	next.Append(media.ChunkRef{Seq: 1, Duration: time.Second})
 	serve(next)
 	serve(cl)
-	cl.Append(media.ChunkRef{Seq: 1, Duration: time.Second, URI: "/hls/b1/chunk/1"})
+	cl.Append(media.ChunkRef{Seq: 1, Duration: time.Second})
 	serve(cl)
 }
 
@@ -121,7 +121,7 @@ func TestServedContentLengthIsSealedPrefix(t *testing.T) {
 // same value: one is built and every racer gets it. Run under -race.
 func TestConcurrentFirstServesShareOneValue(t *testing.T) {
 	cl := &media.ChunkList{BroadcastID: "b1", Version: 777}
-	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second, URI: "/hls/b1/chunk/0"})
+	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second})
 	c := makeChunks(1)[0]
 	h := Handler("/hls", fixedStore{cl: cl, c: c})
 	const racers = 32
@@ -157,7 +157,7 @@ func TestConcurrentFirstServesShareOneValue(t *testing.T) {
 // no edit reaches the object's value or the next response.
 func TestResponseHeaderEditsStayInTheirResponse(t *testing.T) {
 	cl := &media.ChunkList{BroadcastID: "b1", Version: 4321}
-	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second, URI: "/hls/b1/chunk/0"})
+	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second})
 	c := makeChunks(1)[0]
 	h := Handler("/hls", fixedStore{cl: cl, c: c})
 	for _, tc := range []struct {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -42,11 +41,7 @@ func (m *memStore) add(id string, c *media.Chunk) {
 		m.lists[id] = cl
 		m.chunks[id] = make(map[uint64]*media.Chunk)
 	}
-	cl.Append(media.ChunkRef{
-		Seq:      c.Seq,
-		Duration: c.Duration(),
-		URI:      fmt.Sprintf("/hls/%s/chunk/%d", id, c.Seq),
-	})
+	cl.Append(media.ChunkRef{Seq: c.Seq, Duration: c.Duration()})
 	m.chunks[id][c.Seq] = c
 }
 
@@ -368,7 +363,7 @@ func (s fixedStore) Chunk(context.Context, string, uint64) (*media.Chunk, error)
 // interned string.)
 func TestServeChunkListAllocBudget(t *testing.T) {
 	cl := &media.ChunkList{BroadcastID: "b1", Version: 1234, Chunks: []media.ChunkRef{
-		{Seq: 0, Duration: time.Second, URI: "/hls/b1/chunk/0"},
+		{Seq: 0, Duration: time.Second},
 	}}
 	draining := &drainingStore{Store: fixedStore{cl: cl}}
 	draining.draining.Store(true)

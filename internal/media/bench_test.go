@@ -65,7 +65,7 @@ func BenchmarkMarshalChunk(b *testing.B) {
 func BenchmarkParseChunkList(b *testing.B) {
 	cl := &ChunkList{BroadcastID: "bench"}
 	for i := 0; i < WindowSize; i++ {
-		cl.Append(ChunkRef{Seq: uint64(i), Duration: 3 * time.Second, URI: "/hls/bench/chunk/0"})
+		cl.Append(ChunkRef{Seq: uint64(i), Duration: 3 * time.Second})
 	}
 	data := cl.Marshal()
 	b.ReportAllocs()

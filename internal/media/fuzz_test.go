@@ -97,26 +97,50 @@ func within(view, buf []byte) bool {
 
 func FuzzParseChunkList(f *testing.F) {
 	cl := &ChunkList{BroadcastID: "b", Version: 3}
-	cl.Append(ChunkRef{Seq: 1, Duration: 3 * time.Second, URI: "u"})
+	cl.Append(ChunkRef{Seq: 1, Duration: 3 * time.Second})
 	f.Add(cl.Marshal())
 	f.Add([]byte("#EXTM3U\n"))
 	f.Add([]byte("#EXTM3U\n#EXTINF:nope\n"))
+	f.Add([]byte("#EXTM3U\n#EXTINF:-0.0001,1\nchunk/1\n#EXTINF:1e300,2\nchunk/2\n#EXTINF:-9223372036.8547,3\nchunk/3\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := ParseChunkList(data)
 		if err != nil {
 			return
 		}
-		// Parsed playlists must survive a marshal/parse roundtrip.
+		// Marshal keeps everything but sub-millisecond duration digits, so
+		// the first Parse → Marshal → Parse keeps all of the list except
+		// those, and from then on the round trip is the identity: the same
+		// list to the nanosecond, and the same bytes.
 		again, err := ParseChunkList(parsed.Marshal())
 		if err != nil {
 			t.Fatalf("roundtrip rejected: %v", err)
 		}
-		if again.Version != parsed.Version || len(again.Chunks) != len(parsed.Chunks) {
-			t.Fatal("roundtrip structure mismatch")
+		sameList(t, parsed, again, false)
+		third, err := ParseChunkList(again.Marshal())
+		if err != nil {
+			t.Fatalf("second roundtrip rejected: %v", err)
+		}
+		sameList(t, again, third, true)
+		if !bytes.Equal(third.Marshal(), again.Marshal()) {
+			t.Fatalf("Marshal is not a fixed point:\n%s\nthen\n%s", again.Marshal(), third.Marshal())
 		}
 		if !bytes.Equal(parsed.render(), fmtRender(parsed)) {
 			t.Fatal("render differs from the fmt renderer")
 		}
 	})
+}
+
+// sameList fails t unless a and b agree on the broadcast, version, end
+// marker and chunk seqs, and also on every duration when durations is set.
+func sameList(t *testing.T, a, b *ChunkList, durations bool) {
+	t.Helper()
+	if a.BroadcastID != b.BroadcastID || a.Version != b.Version || a.Ended != b.Ended || len(a.Chunks) != len(b.Chunks) {
+		t.Fatalf("roundtrip changed the list: %+v then %+v", a, b)
+	}
+	for i := range a.Chunks {
+		if a.Chunks[i].Seq != b.Chunks[i].Seq || durations && a.Chunks[i].Duration != b.Chunks[i].Duration {
+			t.Fatalf("roundtrip changed chunk %d: %+v then %+v", i, a.Chunks[i], b.Chunks[i])
+		}
+	}
 }

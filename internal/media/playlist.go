@@ -2,6 +2,7 @@ package media
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,11 +11,11 @@ import (
 )
 
 // ChunkRef is one entry in a chunk list: enough for a viewer to decide
-// whether the chunk is new and to fetch it.
+// whether the chunk is new and to fetch it. A chunk's address is its
+// sequence: the list names it by the relative URI chunk/<seq> (see Marshal).
 type ChunkRef struct {
 	Seq      uint64
 	Duration time.Duration
-	URI      string
 }
 
 // ChunkList is the HLS playlist analog: the rolling window of recent chunks
@@ -72,9 +73,13 @@ func (cl *ChunkList) Clone() *ChunkList {
 //	#X-BROADCAST:<id>
 //	#X-VERSION:<n>
 //	#EXTINF:<seconds>,<seq>
-//	<uri>
+//	chunk/<seq>
 //	...
 //	#EXT-X-ENDLIST          (only when ended)
+//
+// Each chunk line is a URI relative to the list's own URL (RFC 8216 §4.1):
+// a list served at <prefix>/<id>/chunklist.m3u8 names its chunks
+// <prefix>/<id>/chunk/<seq>, wherever the prefix mounts the store.
 //
 // The rendering happens once per list and every caller gets the same bytes,
 // which must not be modified — that is what lets an edge answer every poll
@@ -91,9 +96,8 @@ func (cl *ChunkList) render() []byte {
 	size := len("#EXTM3U\n#X-BROADCAST:\n#X-VERSION:\n") + len(cl.BroadcastID) +
 		len(strconv.AppendUint(scratch[:0], cl.Version, 10))
 	for _, c := range cl.Chunks {
-		size += len("#EXTINF:,\n\n") + len(c.URI) +
-			len(appendSeconds(scratch[:0], c.Duration)) +
-			len(strconv.AppendUint(scratch[:0], c.Seq, 10))
+		size += len("#EXTINF:,\n"+chunkPrefix+"\n") + len(appendSeconds(scratch[:0], c.Duration)) +
+			2*len(strconv.AppendUint(scratch[:0], c.Seq, 10))
 	}
 	if cl.Ended {
 		size += len(endList)
@@ -109,8 +113,8 @@ func (cl *ChunkList) render() []byte {
 		b = appendSeconds(b, c.Duration)
 		b = append(b, ',')
 		b = strconv.AppendUint(b, c.Seq, 10)
-		b = append(b, '\n')
-		b = append(b, c.URI...)
+		b = append(b, "\n"+chunkPrefix...)
+		b = strconv.AppendUint(b, c.Seq, 10)
 		b = append(b, '\n')
 	}
 	if cl.Ended {
@@ -121,6 +125,9 @@ func (cl *ChunkList) render() []byte {
 
 // endList closes an ended broadcast's list.
 const endList = "#EXT-X-ENDLIST\n"
+
+// chunkPrefix starts a chunk's line; the chunk's sequence completes it.
+const chunkPrefix = "chunk/"
 
 // appendSeconds appends d in seconds to three decimals (fmt's %.3f).
 func appendSeconds(b []byte, d time.Duration) []byte {
@@ -177,24 +184,24 @@ func ParseChunkList(data []byte) (*ChunkList, error) {
 			if len(parts) != 2 {
 				return nil, fmt.Errorf("media: bad EXTINF %q", line)
 			}
-			secs, err := strconv.ParseFloat(parts[0], 64)
+			d, err := parseSeconds(parts[0])
 			if err != nil {
-				return nil, fmt.Errorf("media: bad EXTINF duration: %w", err)
+				return nil, err
 			}
 			seq, err := strconv.ParseUint(parts[1], 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("media: bad EXTINF seq: %w", err)
 			}
-			pending = &ChunkRef{Seq: seq, Duration: time.Duration(secs * float64(time.Second))}
+			pending = &ChunkRef{Seq: seq, Duration: d}
 		case line == "#EXT-X-ENDLIST":
 			cl.Ended = true
 		case strings.HasPrefix(line, "#"):
 			// Unknown tag: ignore for forward compatibility.
 		default:
+			// The chunk's line; the EXTINF title already named its seq.
 			if pending == nil {
 				return nil, fmt.Errorf("media: URI %q without EXTINF", line)
 			}
-			pending.URI = line
 			cl.Chunks = append(cl.Chunks, *pending)
 			pending = nil
 		}
@@ -203,4 +210,23 @@ func ParseChunkList(data []byte) (*ChunkList, error) {
 		return nil, fmt.Errorf("media: EXTINF without URI")
 	}
 	return cl, nil
+}
+
+// parseSeconds reads an EXTINF duration, rounded to the nearest nanosecond
+// so that every duration Marshal writes to the millisecond reads back
+// exactly (truncating would read 1.001 as 1.000999999s). Durations beyond
+// time.Duration's range saturate, as time.Time.Sub does.
+func parseSeconds(s string) (time.Duration, error) {
+	secs, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsNaN(secs) {
+		return 0, fmt.Errorf("media: bad EXTINF duration %q", s)
+	}
+	switch ns := math.Round(secs * float64(time.Second)); {
+	case ns >= math.MaxInt64: // float64(MaxInt64) is 2⁶³, one past the range
+		return math.MaxInt64, nil
+	case ns <= math.MinInt64:
+		return math.MinInt64, nil
+	default:
+		return time.Duration(ns), nil
+	}
 }

@@ -15,7 +15,7 @@ import (
 func TestChunkListAppendWindow(t *testing.T) {
 	cl := &ChunkList{BroadcastID: "b1"}
 	for i := 0; i < 10; i++ {
-		cl.Append(ChunkRef{Seq: uint64(i), Duration: 3 * time.Second, URI: "chunk"})
+		cl.Append(ChunkRef{Seq: uint64(i), Duration: 3 * time.Second})
 	}
 	if len(cl.Chunks) != WindowSize {
 		t.Fatalf("window = %d, want %d", len(cl.Chunks), WindowSize)
@@ -43,7 +43,7 @@ func TestChunkListCloneIsDeep(t *testing.T) {
 // neither.
 func TestChunkListMarshalRendersOnce(t *testing.T) {
 	cl := &ChunkList{BroadcastID: "b"}
-	cl.Append(ChunkRef{Seq: 1, URI: "/hls/b/chunk/1"})
+	cl.Append(ChunkRef{Seq: 1})
 	first := cl.Marshal()
 	if again := cl.Marshal(); &again[0] != &first[0] {
 		t.Fatal("second Marshal rendered again")
@@ -52,7 +52,7 @@ func TestChunkListMarshalRendersOnce(t *testing.T) {
 		t.Fatalf("Marshal of a rendered list allocates %v times", allocs)
 	}
 	cp := cl.Clone()
-	cl.Append(ChunkRef{Seq: 2, URI: "/hls/b/chunk/2"})
+	cl.Append(ChunkRef{Seq: 2})
 	if got, err := ParseChunkList(cl.Marshal()); err != nil || got.Version != 2 || len(got.Chunks) != 2 {
 		t.Fatalf("Marshal after Append served stale bytes: %+v, %v", got, err)
 	}
@@ -64,8 +64,8 @@ func TestChunkListMarshalRendersOnce(t *testing.T) {
 func TestChunkListMarshalRoundtrip(t *testing.T) {
 	cl := &ChunkList{BroadcastID: "bcast-123", Version: 42, Ended: true}
 	cl.Chunks = []ChunkRef{
-		{Seq: 10, Duration: 3 * time.Second, URI: "/hls/bcast-123/chunk/10"},
-		{Seq: 11, Duration: 2800 * time.Millisecond, URI: "/hls/bcast-123/chunk/11"},
+		{Seq: 10, Duration: 3 * time.Second},
+		{Seq: 11, Duration: 2800 * time.Millisecond},
 	}
 	got, err := ParseChunkList(cl.Marshal())
 	if err != nil {
@@ -78,11 +78,31 @@ func TestChunkListMarshalRoundtrip(t *testing.T) {
 		t.Fatalf("chunks = %d", len(got.Chunks))
 	}
 	for i := range got.Chunks {
-		if got.Chunks[i].Seq != cl.Chunks[i].Seq ||
-			got.Chunks[i].URI != cl.Chunks[i].URI ||
-			got.Chunks[i].Duration != cl.Chunks[i].Duration {
+		if got.Chunks[i] != cl.Chunks[i] {
 			t.Fatalf("chunk %d mismatch: %+v vs %+v", i, got.Chunks[i], cl.Chunks[i])
 		}
+	}
+}
+
+// Every millisecond-exact duration Marshal can write, 1 ms to 10 s, parses
+// back to the nanosecond: the parser rounds where truncation would read 271
+// of them 1 ns short.
+func TestParseChunkListMillisecondsExact(t *testing.T) {
+	var short []time.Duration
+	for ms := 1; ms <= 10_000; ms++ {
+		d := time.Duration(ms) * time.Millisecond
+		cl := &ChunkList{BroadcastID: "b"}
+		cl.Append(ChunkRef{Seq: uint64(ms), Duration: d})
+		got, err := ParseChunkList(cl.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Chunks[0].Duration != d {
+			short = append(short, got.Chunks[0].Duration)
+		}
+	}
+	if len(short) > 0 {
+		t.Fatalf("%d of 10000 durations do not round-trip, first %v", len(short), short[0])
 	}
 }
 
@@ -119,11 +139,7 @@ func TestChunkListRoundtripProperty(t *testing.T) {
 	f := func(seqs []uint16, ended bool) bool {
 		cl := &ChunkList{BroadcastID: "prop", Ended: ended}
 		for i, s := range seqs {
-			cl.Append(ChunkRef{
-				Seq:      uint64(s),
-				Duration: time.Duration(i%5+1) * time.Second,
-				URI:      "chunk-" + strings.Repeat("x", i%3+1),
-			})
+			cl.Append(ChunkRef{Seq: uint64(s), Duration: time.Duration(i%5+1) * time.Second})
 		}
 		got, err := ParseChunkList(cl.Marshal())
 		if err != nil {
@@ -152,7 +168,7 @@ func fmtRender(cl *ChunkList) []byte {
 	fmt.Fprintf(&b, "#X-BROADCAST:%s\n", cl.BroadcastID)
 	fmt.Fprintf(&b, "#X-VERSION:%d\n", cl.Version)
 	for _, c := range cl.Chunks {
-		fmt.Fprintf(&b, "#EXTINF:%.3f,%d\n%s\n", c.Duration.Seconds(), c.Seq, c.URI)
+		fmt.Fprintf(&b, "#EXTINF:%.3f,%d\nchunk/%d\n", c.Duration.Seconds(), c.Seq, c.Seq)
 	}
 	if cl.Ended {
 		b.WriteString("#EXT-X-ENDLIST\n")
@@ -162,7 +178,7 @@ func fmtRender(cl *ChunkList) []byte {
 
 // render writes what the fmt renderer wrote, over seeded random lists —
 // rounding boundaries (2.9995 s), zero and negative durations, the longest
-// durations, long IDs and URIs, versions and sequences past 2⁶³ — into one
+// durations, long IDs, versions and sequences past 2⁶³ — into one
 // buffer of exactly its length.
 func TestRenderMatchesFmt(t *testing.T) {
 	durations := []time.Duration{
@@ -182,11 +198,7 @@ func TestRenderMatchesFmt(t *testing.T) {
 			if src.Bool(0.5) {
 				d = time.Duration(src.Uint64() >> (1 + src.Intn(40)))
 			}
-			cl.Chunks = append(cl.Chunks, ChunkRef{
-				Seq:      src.Uint64() >> (src.Intn(4) * 21),
-				Duration: d,
-				URI:      "/hls/" + cl.BroadcastID + "/chunk/" + strings.Repeat("9", src.Intn(100)),
-			})
+			cl.Chunks = append(cl.Chunks, ChunkRef{Seq: src.Uint64() >> (src.Intn(4) * 21), Duration: d})
 		}
 		got, want := cl.render(), fmtRender(cl)
 		if !bytes.Equal(got, want) {
@@ -202,7 +214,7 @@ func TestRenderMatchesFmt(t *testing.T) {
 func TestRenderAllocBudget(t *testing.T) {
 	cl := &ChunkList{BroadcastID: "b1", Version: 1 << 63, Ended: true}
 	for seq := uint64(0); seq < WindowSize; seq++ {
-		cl.Append(ChunkRef{Seq: seq, Duration: 3 * time.Second, URI: "/hls/b1/chunk/" + fmt.Sprint(seq)})
+		cl.Append(ChunkRef{Seq: seq, Duration: 3 * time.Second})
 	}
 	if allocs := testing.AllocsPerRun(100, func() { cl.render() }); allocs != 1 {
 		t.Fatalf("render of a %d-chunk list allocates %v times, want 1", len(cl.Chunks), allocs)

@@ -179,7 +179,19 @@ type Counter struct {
 // escapes and the observation stays allocation-free.
 func stripeIndex() uintptr {
 	var marker byte
-	return (uintptr(unsafe.Pointer(&marker)) >> 9) & (counterStripes - 1)
+	return stripeOf(uintptr(unsafe.Pointer(&marker)))
+}
+
+// stripeOf maps a stack address to a stripe. Goroutine stacks are at least
+// 2 KB and aligned to their size, so the address's low 11 bits are an offset
+// inside the stack, the same for every goroutine at one call depth, and are
+// dropped; the bits above tell stacks apart, and the splitmix64 finalizer
+// spreads them over the stripes whatever the spacing between stacks.
+func stripeOf(addr uintptr) uintptr {
+	x := uint64(addr >> 11)
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return uintptr(x^x>>31) & (counterStripes - 1)
 }
 
 // Add adds n to the counter.

@@ -69,6 +69,74 @@ func TestCounterConcurrentAddsSum(t *testing.T) {
 	}
 }
 
+// Stacks a fixed spacing apart — 2 KB to 64 KB, the sizes goroutine stacks
+// come in, at any offset inside them — spread over every stripe: the offset
+// bits, shared by all goroutines at one call depth, do not pick the stripe.
+func TestCounterStripesSpreadStackFamilies(t *testing.T) {
+	for spacing := uintptr(2 << 10); spacing <= 64<<10; spacing <<= 1 {
+		for _, b := range []uint64{0xc000000000, 0xc000a3f000, 0x7f3a12340000} {
+			base := uintptr(b) &^ (spacing - 1)
+			for _, off := range []uintptr{8, 0x7a0, spacing - 8} {
+				var seen [counterStripes]bool
+				covered := 0
+				for k := uintptr(0); k < 64; k++ {
+					if i := stripeOf(base + k*spacing + off); !seen[i] {
+						seen[i] = true
+						covered++
+					}
+				}
+				if covered != counterStripes {
+					t.Errorf("64 stacks %d B apart from %#x, offset %#x: %d of %d stripes", spacing, base, off, covered, counterStripes)
+				}
+			}
+		}
+	}
+}
+
+// Live goroutines at one call depth spread over every stripe, on the initial
+// stacks (depth 0 and 10) and on grown ones (100, 1000 frames). Every
+// goroutine stays parked until all have sampled: a goroutine that exited
+// would hand its stack to the next one, and the test would count reuse.
+func TestCounterStripesSpreadLiveGoroutines(t *testing.T) {
+	const goroutines = 256
+	for _, depth := range []int{0, 10, 100, 1000} {
+		sampled := make(chan uintptr, goroutines)
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < goroutines; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sampleStripeAt(depth, sampled, release)
+			}()
+		}
+		var seen [counterStripes]bool
+		covered := 0
+		for i := 0; i < goroutines; i++ {
+			if s := <-sampled; !seen[s] {
+				seen[s] = true
+				covered++
+			}
+		}
+		close(release)
+		wg.Wait()
+		if covered != counterStripes {
+			t.Errorf("%d live goroutines at depth %d use %d of %d stripes", goroutines, depth, covered, counterStripes)
+		}
+	}
+}
+
+// sampleStripeAt recurses depth frames, sends the stripe an Add there would
+// use, and parks, its stack alive, until release is closed.
+func sampleStripeAt(depth int, sampled chan<- uintptr, release <-chan struct{}) {
+	if depth > 0 {
+		sampleStripeAt(depth-1, sampled, release)
+		return
+	}
+	sampled <- stripeIndex()
+	<-release
+}
+
 func TestGauge(t *testing.T) {
 	var g Gauge
 	g.Set(7)

@@ -82,7 +82,13 @@ func (m *Model) Propagation(a, b geo.Location) time.Duration {
 
 // OneWay returns a jittered one-way delay between two locations.
 func (m *Model) OneWay(a, b geo.Location) time.Duration {
-	base := m.Propagation(a, b)
+	return m.Jitter(m.Propagation(a, b))
+}
+
+// Jitter returns one jittered draw of a one-way delay whose propagation is
+// base: OneWay(a, b) is Jitter(Propagation(a, b)), so a caller that crosses
+// one path many times computes the distance once.
+func (m *Model) Jitter(base time.Duration) time.Duration {
 	mult := m.src.LogNormal(0, m.p.JitterSigma)
 	return time.Duration(float64(base) * mult)
 }

@@ -39,6 +39,10 @@ type sim struct {
 	// Free lists of finished broadcasts and sessions, reused for later ones.
 	bfree []*bcastRun
 	vfree []*viewer
+	// vslab is what is left of the last viewer slab: a free-list miss takes
+	// the next viewer from it, and an empty one is replaced by viewerSlab
+	// fresh viewers in one allocation.
+	vslab []viewer
 
 	payload []byte
 
@@ -124,10 +128,10 @@ type bcastRun struct {
 	sp    bcastSpec
 	id    string
 	start time.Time
-	// src is the broadcast's keyed stream, re-seeded in place on every
-	// reuse; model draws from it and is built once per pooled broadcast.
+	// src is the broadcast's keyed stream and model draws from it; every
+	// reuse re-seeds one and rebuilds the other in place.
 	src       rng.Source
-	model     *netsim.Model
+	model     netsim.Model
 	tr        delay.Trace
 	joins     []time.Duration
 	nextJoin  int
@@ -153,15 +157,13 @@ func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
 	b.id = "b" + strconv.Itoa(sp.idx)
 	b.start = s.w.start.Add(sp.start)
 	b.src.Reset(s.cfg.Seed, bcastKey(sp.idx))
-	if b.model == nil {
-		b.model = netsim.NewModel(netsim.Params{}, &b.src)
-	}
+	b.model = *netsim.NewModel(netsim.Params{}, &b.src)
 	delay.GenTrace(&b.tr, delay.TraceConfig{
 		Duration:      sp.dur,
 		FramesPerItem: s.w.perChunk,
 		Broadcaster:   delay.LabLocation,
 		Path:          s.w.path,
-	}, b.model, &b.src)
+	}, &b.model, &b.src)
 	b.joins = b.joins[:0]
 	for i := 0; i < sp.views; i++ {
 		// Audiences are front-loaded (Fig. 6: most viewers arrive near
@@ -192,6 +194,10 @@ func (s *sim) ingestChunk(b *bcastRun) {
 	s.ctr.chunks++
 }
 
+// viewerSlab is how many viewers one allocation makes when the free list is
+// empty: a slab's share of a pool-miss viewer is 1/64 of an allocation.
+const viewerSlab = 64
+
 // newViewer builds the session for join index idx, or counts an empty view
 // and returns nil when the viewer joined too late to see any content.
 func (s *sim) newViewer(b *bcastRun, idx int) *viewer {
@@ -199,7 +205,11 @@ func (s *sim) newViewer(b *bcastRun, idx int) *viewer {
 	if n := len(s.vfree); n > 0 {
 		v, s.vfree = s.vfree[n-1], s.vfree[:n-1]
 	} else {
-		v = &viewer{}
+		if len(s.vslab) == 0 {
+			s.vslab = make([]viewer, viewerSlab)
+		}
+		v, s.vslab = &s.vslab[0], s.vslab[1:]
+		// The wheel callback is the one allocation a viewer makes alone.
 		v.fireFn = func(time.Time) { s.wheelViewer(v) }
 	}
 	v.reset(s, b, idx)

@@ -20,10 +20,10 @@ import (
 // than chunks, for no extra accounting fidelity.
 type viewer struct {
 	b *bcastRun
-	// src is the session's keyed stream, re-seeded in place on every reuse;
-	// model draws from it and is built once per pooled viewer.
+	// src is the session's keyed stream and model draws from it; reset
+	// re-seeds one and rebuilds the other in place.
 	src    rng.Source
-	model  *netsim.Model
+	model  netsim.Model
 	isRTMP bool
 	join   time.Duration
 	sess   delay.Session
@@ -34,14 +34,12 @@ type viewer struct {
 
 // reset binds a pooled viewer to one (broadcast, join index) session and
 // re-seeds its private rng stream in place; everything the session draws
-// afterwards is independent of scheduling order. Only a viewer's first reset
-// allocates (its netsim model).
+// afterwards is independent of scheduling order. It allocates nothing: the
+// model is a value inside the viewer.
 func (v *viewer) reset(s *sim, b *bcastRun, idx int) {
 	v.b = b
 	v.src.Reset(s.cfg.Seed, viewerKey(b.sp.idx, idx))
-	if v.model == nil {
-		v.model = netsim.NewModel(netsim.Params{}, &v.src)
-	}
+	v.model = *netsim.NewModel(netsim.Params{}, &v.src)
 	v.isRTMP = idx < b.sp.rtmp
 	if v.isRTMP {
 		v.play.Reset(delay.RTMPPreBuffer)
@@ -54,5 +52,5 @@ func (v *viewer) reset(s *sim, b *bcastRun, idx int) {
 // init starts the session at the join; false means it joined too late to
 // ever see content (an empty view).
 func (v *viewer) init() bool {
-	return v.sess.Start(&v.b.tr, v.model, !v.isRTMP, v.join, delay.HLSPollInterval)
+	return v.sess.Start(&v.b.tr, &v.model, !v.isRTMP, v.join, delay.HLSPollInterval)
 }
