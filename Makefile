@@ -94,13 +94,16 @@ crash:
 partition-soak:
 	$(GO) test -race -count=1 -run 'TestPlatformControlCrashRecoverySoak|TestPlatformControlEdgePartitionSoak' -v ./internal/core/
 
-# tenant-soak is the noisy-neighbor soak (DESIGN.md §11): one over-quota
-# tenant hammers joins while two compliant tenants stream through a control
-# crash/recover. Asserts the loud tenant throttles at exactly its plan
-# limits, compliant viewers see every chunk exactly once, and the journaled
-# usage rollups match the per-tenant delivery metrics. Always under -race.
+# tenant-soak is the tenancy soak pair (DESIGN.md §11). The noisy-neighbor
+# soak: one over-quota tenant hammers joins while two compliant tenants
+# stream through a control crash/recover; the loud tenant throttles at
+# exactly its plan limits, compliant viewers see every chunk exactly once,
+# and the journaled usage rollups equal what each tenant's delivery meter
+# counted. The outage test: a publisher that reconnects to a restarted origin
+# while control is down stays metered, so the rollup covers every frame its
+# viewer received. Always under -race.
 tenant-soak:
-	$(GO) test -race -count=1 -run 'TestPlatformNoisyNeighborSoak' -v ./internal/core/
+	$(GO) test -race -count=1 -run 'TestPlatformNoisyNeighborSoak|TestPlatformOutageReconnectStaysMetered' -v ./internal/core/
 
 # scale-smoke runs a 1:200-scale simulated day through the million-viewer
 # event engine (DESIGN.md §10) under -race, with the real-socket fidelity

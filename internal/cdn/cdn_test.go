@@ -210,7 +210,7 @@ func TestTopologyGatewayRelay(t *testing.T) {
 
 	// Wire a broadcast on the Ashburn origin and read it from Tokyo:
 	// the pull must route via the gateway, populating its cache too.
-	topo.AssignBroadcast("b1", ashburn)
+	topo.AssignBroadcast("b1", ashburn, nil)
 	feedFrames(ashburn, "b1", 30)
 	var tokyoEdge *Edge
 	for _, e := range topo.Edges {

@@ -20,14 +20,10 @@ import (
 // (§5.3).
 type Upstream struct {
 	Store hls.Store
-}
-
-// ChunkUsage sinks delivered-chunk counts for usage metering. The edge
-// resolves one per cached broadcast at entry creation (cold path) and calls
-// MeterChunks when a chunk is served — implementations must be
-// allocation-free atomic accumulators (control.TenantMeter is the real one).
-type ChunkUsage interface {
-	MeterChunks(chunks, bytes int64)
+	// Usage is the delivery meter of the broadcast's tenant, carried by its
+	// assignment; nil for an untenanted broadcast. The edge meters every
+	// chunk it serves of the broadcast into it.
+	Usage *metrics.Usage
 }
 
 // EdgeConfig configures an Edge.
@@ -36,13 +32,6 @@ type EdgeConfig struct {
 	Site geo.Datacenter
 	// Resolve maps a broadcast to its upstream. Required.
 	Resolve func(broadcastID string) (Upstream, error)
-	// TenantOf maps a broadcast to its owning tenant ("" for untenanted).
-	// Resolved on pull paths, never under a shard lock (it reaches into the
-	// control plane, which takes its own mutex). Nil disables attribution.
-	TenantOf func(broadcastID string) string
-	// TenantUsage resolves the usage accumulator for a broadcast's tenant
-	// (nil for untenanted). Same calling discipline as TenantOf.
-	TenantUsage func(broadcastID string) ChunkUsage
 	// Retry bounds upstream pull attempts on transient errors. The zero
 	// value uses 3 attempts with a 5 ms base delay capped at 100 ms —
 	// short enough that a viewer poll absorbs the retries.
@@ -188,14 +177,10 @@ type edgeEntry struct {
 	// (retainedChunks behind newest, the highest sequence cached so far).
 	chunks map[uint64]storedChunk
 	newest uint64
-	// Tenant attribution handles, resolved outside the shard lock on pull
-	// paths and cached here so the chunk-serve path is atomic adds on cached
-	// pointers — zero allocations per serve. All nil for untenanted
-	// broadcasts (and until the control plane knows the broadcast; pulls
-	// re-resolve, so attribution self-heals after a control recovery).
-	tChunks *metrics.Counter
-	tBytes  *metrics.Counter
-	usage   ChunkUsage
+	// usage is the upstream's delivery meter as of the last pull, so a
+	// chunk hit only adds to it — zero allocations per serve. Nil for an
+	// untenanted broadcast.
+	usage *metrics.Usage
 }
 
 // entryLocked returns the broadcast's cache entry, creating it on first use.
@@ -214,48 +199,6 @@ func (ent *edgeEntry) storeChunkLocked(seq uint64, c *media.Chunk, at time.Time)
 	ent.chunks[seq] = storedChunk{chunk: c, at: at}
 	ent.newest = max(ent.newest, seq)
 	dropExpired(ent.chunks, ent.newest)
-}
-
-// tenantTaps carries one broadcast's resolved attribution handles between
-// the (lock-free) resolution and the shard-locked cache entry.
-type tenantTaps struct {
-	chunks *metrics.Counter
-	bytes  *metrics.Counter
-	delay  *metrics.Histogram
-	usage  ChunkUsage
-}
-
-// resolveTenant resolves per-tenant attribution for a broadcast. MUST be
-// called outside any shard lock: TenantOf/TenantUsage reach into the control
-// plane, which takes its own mutex, and nesting that under a shard lock
-// would order locks across layers.
-func (e *Edge) resolveTenant(id string) tenantTaps {
-	var t tenantTaps
-	if e.cfg.TenantOf == nil {
-		return t
-	}
-	tenant := e.cfg.TenantOf(id)
-	if tenant == "" {
-		return t
-	}
-	ls := []metrics.Label{metrics.L("site", e.cfg.Site.ID), metrics.L("tenant", tenant)}
-	t.chunks = e.cfg.Metrics.Counter("cdn_tenant_chunks_out_total", ls...)
-	t.bytes = e.cfg.Metrics.Counter("cdn_tenant_bytes_out_total", ls...)
-	t.delay = e.cfg.Metrics.Histogram("cdn_tenant_origin_edge_seconds", metrics.DelayBuckets, ls...)
-	if e.cfg.TenantUsage != nil {
-		t.usage = e.cfg.TenantUsage(id)
-	}
-	return t
-}
-
-// setTapsLocked caches resolved attribution on the entry. Called with the
-// shard lock held; no-op when the resolution came back empty, so an entry
-// attributed once keeps its handles.
-func (ent *edgeEntry) setTapsLocked(t tenantTaps) {
-	if t.chunks == nil {
-		return
-	}
-	ent.tChunks, ent.tBytes, ent.usage = t.chunks, t.bytes, t.usage
 }
 
 // NewEdge builds an Edge.
@@ -638,11 +581,10 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 	e.m.listPulls.Inc()
 
 	// Copy chunks we do not have yet (the ⑪ transfer).
-	taps := e.resolveTenant(id)
 	sh := e.shard(id)
 	sh.mu.Lock()
 	ent := sh.entryLocked(id)
-	ent.setTapsLocked(taps)
+	ent.usage = up.Usage
 	// A list names at most a window of chunks; gather them on the stack.
 	var window [media.WindowSize]media.ChunkRef
 	missing := window[:0]
@@ -677,9 +619,6 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 		ent.storeChunkLocked(ref.Seq, c, arrived)
 		sh.mu.Unlock()
 		e.m.originEdge.Observe(arrived.Sub(copyStart))
-		if taps.delay != nil {
-			taps.delay.Observe(arrived.Sub(copyStart))
-		}
 	}
 
 	sh.mu.Lock()
@@ -705,12 +644,12 @@ func (e *Edge) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, 
 	sh.mu.Lock()
 	if ent, ok := sh.cache[id]; ok {
 		if c, ok := ent.chunks[seq]; ok {
-			// Copy the attribution handles out before unlocking; the
-			// metering itself (atomic adds) runs outside the shard lock.
-			tChunks, tBytes, usage := ent.tChunks, ent.tBytes, ent.usage
+			// Copy the meter out before unlocking; the metering itself
+			// (atomic adds) runs outside the shard lock.
+			usage := ent.usage
 			sh.mu.Unlock()
 			e.m.chunkHits.Inc()
-			meterChunkServe(tChunks, tBytes, usage, c.chunk)
+			usage.MeterChunks(1, int64(c.chunk.Size()))
 			return c.chunk, nil
 		}
 	}
@@ -720,22 +659,19 @@ func (e *Edge) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, 
 
 // pullChunk is Chunk's miss path.
 func (e *Edge) pullChunk(ctx context.Context, id string, seq uint64) (*media.Chunk, error) {
-	taps := e.resolveTenant(id)
+	var usage *metrics.Usage
 	c, err := resilience.RetryValue(ctx, e.cfg.Retry, func(ctx context.Context) (c *media.Chunk, err error) {
 		err = e.guard(id, func() error {
 			up, err := e.cfg.Resolve(id)
 			if err != nil {
 				return err
 			}
+			usage = up.Usage
 			fetchStart := e.cfg.Clock.Now()
 			if c, err = up.Store.Chunk(ctx, id, seq); err != nil {
 				return err
 			}
-			d := e.cfg.Clock.Now().Sub(fetchStart)
-			e.m.originEdge.Observe(d)
-			if taps.delay != nil {
-				taps.delay.Observe(d)
-			}
+			e.m.originEdge.Observe(e.cfg.Clock.Now().Sub(fetchStart))
 			return nil
 		})
 		return c, err
@@ -748,25 +684,11 @@ func (e *Edge) pullChunk(ctx context.Context, id string, seq uint64) (*media.Chu
 	sh := e.shard(id)
 	sh.mu.Lock()
 	ent := sh.entryLocked(id)
-	ent.setTapsLocked(taps)
+	ent.usage = usage
 	ent.storeChunkLocked(seq, c, arrived)
 	sh.mu.Unlock()
-	meterChunkServe(taps.chunks, taps.bytes, taps.usage, c)
+	usage.MeterChunks(1, int64(c.Size()))
 	return c, nil
-}
-
-// meterChunkServe attributes one served chunk to its tenant: cached handles
-// and atomic adds only, no allocations. No-op for untenanted broadcasts.
-func meterChunkServe(chunks, bytes *metrics.Counter, usage ChunkUsage, c *media.Chunk) {
-	if chunks == nil {
-		return
-	}
-	n := int64(c.Size())
-	chunks.Add(1)
-	bytes.Add(n)
-	if usage != nil {
-		usage.MeterChunks(1, n)
-	}
 }
 
 // ChunkArrivedAt returns when chunk seq was copied to this edge (⑪).

@@ -23,7 +23,7 @@ type Topology struct {
 	Edges   []*Edge
 
 	mu       sync.Mutex
-	originOf map[string]*Origin // broadcastID → origin
+	assigned map[string]assignment // broadcastID → where it is ingested
 	wrapUp   func(hls.Store) hls.Store
 	eligible func(role, siteID string) bool
 }
@@ -50,15 +50,6 @@ type TopologyConfig struct {
 	// OnBroadcastEnd is invoked when any origin's broadcaster session
 	// ends (the platform uses it to close the control-plane record).
 	OnBroadcastEnd func(broadcastID string)
-	// TenantOf maps a broadcast to its owning tenant ("" for untenanted);
-	// threaded to every origin's RTMP server and every edge so delivery is
-	// attributed per tenant (control.Service.TenantOf in the assembled
-	// platform). Nil disables attribution.
-	TenantOf func(broadcastID string) string
-	// TenantFrameUsage and TenantChunkUsage resolve the usage accumulators
-	// the RTMP fan-out and edge chunk-serve paths meter into.
-	TenantFrameUsage func(broadcastID string) rtmp.FrameUsage
-	TenantChunkUsage func(broadcastID string) ChunkUsage
 	// Clock is the time source of every origin (and so of its RTMP server)
 	// and every edge; nil means the real clock.
 	Clock clock.Clock
@@ -94,7 +85,7 @@ func Build(cfg TopologyConfig) *Topology {
 		cfg.EdgeSites = geo.FastlySites()
 	}
 	t := &Topology{
-		originOf: make(map[string]*Origin),
+		assigned: make(map[string]assignment),
 		wrapUp:   cfg.WrapUpstream,
 	}
 	for _, site := range cfg.OriginSites {
@@ -109,11 +100,10 @@ func Build(cfg TopologyConfig) *Topology {
 			Metrics:       cfg.Metrics,
 			Journal:       backend,
 			RTMP: rtmp.ServerConfig{
-				ViewerCap:   cfg.ViewerCap,
-				Auth:        cfg.Auth,
-				OnEnd:       cfg.OnBroadcastEnd,
-				TenantOf:    cfg.TenantOf,
-				TenantUsage: cfg.TenantFrameUsage,
+				ViewerCap: cfg.ViewerCap,
+				Auth:      cfg.Auth,
+				OnEnd:     cfg.OnBroadcastEnd,
+				Usage:     t.Usage,
 			},
 		}))
 	}
@@ -125,8 +115,6 @@ func Build(cfg TopologyConfig) *Topology {
 			ShedRetryAfter: cfg.EdgeShedRetryAfter,
 			Clock:          cfg.Clock,
 			Metrics:        cfg.Metrics,
-			TenantOf:       cfg.TenantOf,
-			TenantUsage:    cfg.TenantChunkUsage,
 		})
 		// Resolve needs the edge itself; it reads the fleet only when called.
 		edge.cfg.Resolve = func(broadcastID string) (Upstream, error) {
@@ -141,27 +129,49 @@ func Build(cfg TopologyConfig) *Topology {
 	return t
 }
 
-// AssignBroadcast records that a broadcast is ingested at the given origin.
-// The control plane calls this when it routes a broadcaster.
-func (t *Topology) AssignBroadcast(broadcastID string, o *Origin) {
+// assignment is where a broadcast is ingested and whose meter its delivery
+// counts into.
+type assignment struct {
+	origin *Origin
+	usage  *metrics.Usage
+}
+
+// AssignBroadcast records that a broadcast is ingested at the given origin
+// and that its delivery is metered into usage (nil for an untenanted
+// broadcast). The control plane calls this when it routes a broadcaster, and
+// again when it recovers.
+func (t *Topology) AssignBroadcast(broadcastID string, o *Origin, usage *metrics.Usage) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.originOf[broadcastID] = o
+	t.assigned[broadcastID] = assignment{origin: o, usage: usage}
 }
 
 // ReleaseBroadcast forgets an assignment.
 func (t *Topology) ReleaseBroadcast(broadcastID string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.originOf, broadcastID)
+	delete(t.assigned, broadcastID)
 }
 
 // OriginFor returns the ingest origin for a broadcast.
 func (t *Topology) OriginFor(broadcastID string) (*Origin, bool) {
+	a, ok := t.assignment(broadcastID)
+	return a.origin, ok
+}
+
+// Usage returns the delivery meter a broadcast's assignment carries: nil for
+// an untenanted or unassigned broadcast. Every origin's RTMP server resolves
+// a publisher's meter through it.
+func (t *Topology) Usage(broadcastID string) *metrics.Usage {
+	a, _ := t.assignment(broadcastID)
+	return a.usage
+}
+
+func (t *Topology) assignment(broadcastID string) (assignment, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	o, ok := t.originOf[broadcastID]
-	return o, ok
+	a, ok := t.assigned[broadcastID]
+	return a, ok
 }
 
 // SetEligibility installs the fleet-health predicate consulted by
@@ -242,17 +252,18 @@ func (t *Topology) GatewayFor(o *Origin) *Edge {
 // origin when the edge is co-located (or is itself the gateway), otherwise
 // through the origin's gateway edge.
 func (t *Topology) resolve(e *Edge, broadcastID string) (Upstream, error) {
-	o, ok := t.OriginFor(broadcastID)
+	a, ok := t.assignment(broadcastID)
 	if !ok {
 		return Upstream{}, hls.ErrNotFound
 	}
+	o := a.origin
 	gw := t.GatewayFor(o)
 	// A killed or unhealthy gateway would take the whole relay path down
 	// with it; fall back to pulling the origin direct instead.
 	if gw != nil && gw != e && (gw.Killed() || !t.isEligible(RoleEdge, gw.Site().ID)) {
 		gw = nil
 	}
-	up := Upstream{Store: o}
+	up := Upstream{Store: o, Usage: a.usage}
 	if gw != nil && gw != e && !geo.CoLocated(e.Site(), o.Site()) {
 		// Relay: this edge pulls from the gateway edge, which in turn
 		// pulls from the origin over its own (co-located, near-zero) hop.

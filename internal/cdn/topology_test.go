@@ -38,7 +38,7 @@ func TestOriginForForgottenAfterRelease(t *testing.T) {
 		OriginSites: []geo.Datacenter{siteAt("o1", 0, 0)},
 		EdgeSites:   []geo.Datacenter{siteAt("e1", 0, 0)},
 	})
-	topo.AssignBroadcast("b1", topo.Origins[0])
+	topo.AssignBroadcast("b1", topo.Origins[0], nil)
 	if o, ok := topo.OriginFor("b1"); !ok || o != topo.Origins[0] {
 		t.Fatalf("OriginFor(b1) = %v, %v", o, ok)
 	}
@@ -276,7 +276,7 @@ func TestRelayFallsBackToOriginWhenGatewayKilled(t *testing.T) {
 		EdgeSites:   []geo.Datacenter{gwSite, siteAt("e-far", 0, 40)},
 	})
 	o := topo.Origins[0]
-	topo.AssignBroadcast("b1", o)
+	topo.AssignBroadcast("b1", o, nil)
 	feedFrames(o, "b1", 60)
 
 	far := topo.Edges[1]

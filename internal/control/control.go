@@ -213,13 +213,13 @@ type Service struct {
 	nextTenant uint64
 	tenants    map[string]*tenantState
 	keys       map[string]*APIKey
-	// meters accumulate data-plane delivery between usage flushes. They
-	// deliberately survive Crash — see TenantMeter.
-	meters map[string]*TenantMeter
+	// meters are the tenants' delivery meters with their flushed offsets.
+	// They deliberately survive Crash — see tenantMeter.
+	meters map[string]*tenantMeter
 
 	// listeners are notified on start/end, used by the platform to open
 	// and close pubsub channels and topology assignments.
-	onStart []func(id string, origin string)
+	onStart []func(id, origin string, usage *metrics.Usage)
 	onEnd   []func(id string)
 }
 
@@ -248,7 +248,7 @@ func NewService(cfg Config) *Service {
 		livePos:    make(map[string]int),
 		tenants:    make(map[string]*tenantState),
 		keys:       make(map[string]*APIKey),
-		meters:     make(map[string]*TenantMeter),
+		meters:     make(map[string]*tenantMeter),
 	}
 	s.joins = NewKeyedLimiter(s.clock)
 	s.mu.Lock()
@@ -257,8 +257,12 @@ func NewService(cfg Config) *Service {
 	return s
 }
 
-// OnStart registers a callback fired when a broadcast starts.
-func (s *Service) OnStart(fn func(broadcastID, originID string)) {
+// OnStart registers a callback fired when a broadcast starts, and again for
+// each live broadcast when Recover brings the control plane back. usage is
+// the owning tenant's delivery meter, nil for an untenanted broadcast: the
+// data plane meters what it delivers into it and never asks the control
+// plane who owns a broadcast.
+func (s *Service) OnStart(fn func(broadcastID, originID string, usage *metrics.Usage)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onStart = append(s.onStart, fn)
@@ -394,11 +398,12 @@ func (s *Service) startBroadcast(userID uint64, loc geo.Location, private bool, 
 	// until its OnStart callbacks have run.
 	started := make(chan struct{})
 	s.broadcasts[id].started = started
-	callbacks := make([]func(broadcastID, originID string), len(s.onStart))
+	usage := s.usageLocked(tenantID)
+	callbacks := make([]func(broadcastID, originID string, usage *metrics.Usage), len(s.onStart))
 	copy(callbacks, s.onStart)
 	s.mu.Unlock()
 	for _, fn := range callbacks {
-		fn(id, rec.OriginID)
+		fn(id, rec.OriginID, usage)
 	}
 	// End paths block on this: OnEnd never runs before OnStart finished.
 	close(started)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/metrics"
 	"repro/internal/rtmp"
 	"repro/internal/testutil"
 	"repro/internal/wire"
@@ -162,7 +163,7 @@ func TestGlobalListSampling(t *testing.T) {
 func TestCallbacks(t *testing.T) {
 	s := newTestService()
 	var started, ended []string
-	s.OnStart(func(id, origin string) {
+	s.OnStart(func(id, origin string, _ *metrics.Usage) {
 		started = append(started, id)
 		if origin != "origin-1" {
 			t.Errorf("origin = %s", origin)

@@ -395,8 +395,8 @@ func (s *Service) Crash() {
 	s.nextBcast = 0
 	// Tenancy state is journaled and wiped like everything else — auth fails
 	// closed (ErrUnavailable) until Recover replays tenants and keys. The
-	// meters map deliberately survives: those are data-plane accumulators
-	// (like the origins' own counters), and delivery metered during the
+	// meters map deliberately survives: the data plane keeps adding to those
+	// counters (like the origins' own), and delivery metered during the
 	// outage must land in the post-Recover rollups, not vanish.
 	s.tenants = make(map[string]*tenantState)
 	s.keys = make(map[string]*APIKey)
@@ -434,21 +434,24 @@ func (s *Service) Recover() {
 	start := s.clock.Now()
 	s.mu.Lock()
 	s.openJournalLocked()
-	type liveRef struct{ id, origin string }
+	type liveRef struct {
+		id, origin string
+		usage      *metrics.Usage
+	}
 	var live []liveRef
 	for id, st := range s.broadcasts {
 		if !st.ended {
-			live = append(live, liveRef{id: id, origin: st.originID})
+			live = append(live, liveRef{id: id, origin: st.originID, usage: s.usageLocked(st.tenantID)})
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-	callbacks := make([]func(broadcastID, originID string), len(s.onStart))
+	callbacks := make([]func(broadcastID, originID string, usage *metrics.Usage), len(s.onStart))
 	copy(callbacks, s.onStart)
 	s.mu.Unlock()
 	s.crashed.Store(false)
 	for _, b := range live {
 		for _, fn := range callbacks {
-			fn(b.id, b.origin)
+			fn(b.id, b.origin, b.usage)
 		}
 	}
 	s.m.recovery.Observe(s.clock.Now().Sub(start))

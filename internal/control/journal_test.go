@@ -47,7 +47,7 @@ func TestControlCrashRecover(t *testing.T) {
 
 	var mu sync.Mutex
 	var started []string
-	s.OnStart(func(id, origin string) {
+	s.OnStart(func(id, origin string, _ *metrics.Usage) {
 		mu.Lock()
 		started = append(started, id)
 		mu.Unlock()

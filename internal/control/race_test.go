@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/journal"
+	"repro/internal/metrics"
 	"repro/internal/testutil"
 )
 
@@ -30,7 +31,7 @@ func TestJoinVsEndHammer(t *testing.T) {
 	var cbMu sync.Mutex
 	opened := make(map[string]int)
 	closedBefore := make(map[string]bool)
-	s.OnStart(func(id, origin string) {
+	s.OnStart(func(id, origin string, _ *metrics.Usage) {
 		cbMu.Lock()
 		opened[id]++
 		cbMu.Unlock()

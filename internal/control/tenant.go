@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/journal"
+	"repro/internal/metrics"
 )
 
 // Tenancy layer (DESIGN.md §11): the control plane's answer to "who owns
@@ -121,35 +121,21 @@ type tenantState struct {
 	usage map[string]UsageDay
 }
 
-// TenantMeter accumulates a tenant's delivered frames/chunks/bytes between
-// usage flushes. The data plane resolves one per broadcast at session setup
-// (cold path) and calls the Meter methods from fan-out and chunk-serve paths
-// — atomic adds only, zero allocations. Meters deliberately survive Crash():
-// they are data-plane accumulators, like the origins' own counters, so
-// delivery metered during a control outage lands in the rollups after
-// Recover instead of vanishing.
-type TenantMeter struct {
-	tenantID string
-	frames   atomic.Int64
-	chunks   atomic.Int64
-	bytes    atomic.Int64
-}
-
-// MeterFrames records frames delivered over RTMP fan-out (rtmp.FrameUsage).
-func (m *TenantMeter) MeterFrames(frames, bytes int64) {
-	m.frames.Add(frames)
-	m.bytes.Add(bytes)
-}
-
-// MeterChunks records chunks delivered from an HLS edge (cdn.ChunkUsage).
-func (m *TenantMeter) MeterChunks(chunks, bytes int64) {
-	m.chunks.Add(chunks)
-	m.bytes.Add(bytes)
+// tenantMeter is a tenant's delivery meter and how much of it FlushUsage has
+// journaled. The counters only grow; a flush journals the growth since the
+// offsets and moves them up, and quota admission reads the same difference as
+// pending usage. Meters and their offsets deliberately survive Crash(): the
+// data plane holds the counters and keeps adding through an outage, so the
+// delivery of the outage lands in the first flush after Recover.
+type tenantMeter struct {
+	usage *metrics.Usage
+	// frames, chunks and bytes are the counter values the last flush read.
+	frames, chunks, bytes int64
 }
 
 // pendingBytes reads the unflushed byte count (quota admission folds it in
 // so a tenant cannot stream past its quota between flushes).
-func (m *TenantMeter) pendingBytes() int64 { return m.bytes.Load() }
+func (m *tenantMeter) pendingBytes() int64 { return m.usage.Bytes.Value() - m.bytes }
 
 // CreateTenant registers a tenant with sequential "tnt-N" IDs and journals
 // the row.
@@ -364,8 +350,7 @@ func untilNextDay(now time.Time) time.Duration {
 }
 
 // TenantOf returns the tenant owning a broadcast, or "" for untenanted
-// (legacy anonymous) broadcasts. The data plane calls it at session setup to
-// label per-tenant instruments.
+// (legacy anonymous) broadcasts.
 func (s *Service) TenantOf(broadcastID string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -375,37 +360,47 @@ func (s *Service) TenantOf(broadcastID string) string {
 	return ""
 }
 
-// Meter returns the usage accumulator for a broadcast's owning tenant, or
-// nil for untenanted broadcasts. Called by the data plane at session setup
-// (cold path); the returned meter's methods are the hot-path sinks.
-func (s *Service) Meter(broadcastID string) *TenantMeter {
+// Meter returns the delivery meter of a broadcast's owning tenant, or nil
+// for an untenanted broadcast. The data plane never calls it: the meter
+// reaches the origins and edges through OnStart and the assignment.
+func (s *Service) Meter(broadcastID string) *metrics.Usage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.broadcasts[broadcastID]
-	if !ok || st.tenantID == "" {
+	if !ok {
 		return nil
 	}
-	return s.meterLocked(st.tenantID)
+	return s.usageLocked(st.tenantID)
 }
 
-// meterLocked returns (creating if needed) the tenant's meter. Meters live
-// outside the journaled state: Crash keeps them, so data-plane accounting
-// during an outage survives into the post-Recover flush.
-func (s *Service) meterLocked(tenantID string) *TenantMeter {
+// usageLocked returns (creating if needed) a tenant's delivery meter, nil for
+// the untenanted "". A new meter starts its offsets at the counters' current
+// values: a registry shared with an earlier service may hold the series
+// already, and what that service counted is not this one's to journal.
+func (s *Service) usageLocked(tenantID string) *metrics.Usage {
+	if tenantID == "" {
+		return nil
+	}
 	m, ok := s.meters[tenantID]
 	if !ok {
-		m = &TenantMeter{tenantID: tenantID}
+		l := metrics.L("tenant", tenantID)
+		u := &metrics.Usage{
+			Frames: s.reg.Counter("tenant_frames_out_total", l),
+			Chunks: s.reg.Counter("tenant_chunks_out_total", l),
+			Bytes:  s.reg.Counter("tenant_bytes_out_total", l),
+		}
+		m = &tenantMeter{usage: u, frames: u.Frames.Value(), chunks: u.Chunks.Value(), bytes: u.Bytes.Value()}
 		s.meters[tenantID] = m
 	}
-	return m
+	return m.usage
 }
 
-// FlushUsage drains every meter's pending counts into the current UTC day's
-// rollup and journals the new ABSOLUTE day totals (RecordCtrlUsage). Replay
-// assigns those totals, so a torn tail mid-rollup loses at most the newest
-// flush — it can never double-count. Returns how many tenants had activity.
-// A crashed control plane skips the flush entirely; the atomics keep
-// accumulating and the next flush after Recover picks them up.
+// FlushUsage journals each meter's growth since the last flush into the
+// current UTC day's rollup as the new ABSOLUTE day totals (RecordCtrlUsage).
+// Replay assigns those totals, so a torn tail mid-rollup loses at most the
+// newest flush — it can never double-count. Returns how many tenants had
+// activity. A crashed control plane skips the flush entirely; the counters
+// keep growing and the next flush after Recover picks the growth up.
 func (s *Service) FlushUsage() int {
 	if s.lockLive() != nil {
 		return 0
@@ -414,10 +409,12 @@ func (s *Service) FlushUsage() int {
 	day := s.clock.Now().UTC().Format(usageDayLayout)
 	flushed := 0
 	for tenantID, m := range s.meters {
-		frames, chunks, bytes := m.frames.Swap(0), m.chunks.Swap(0), m.bytes.Swap(0)
-		if frames == 0 && chunks == 0 && bytes == 0 {
+		frames, chunks, bytes := m.usage.Frames.Value(), m.usage.Chunks.Value(), m.usage.Bytes.Value()
+		df, dc, db := frames-m.frames, chunks-m.chunks, bytes-m.bytes
+		if df == 0 && dc == 0 && db == 0 {
 			continue
 		}
+		m.frames, m.chunks, m.bytes = frames, chunks, bytes
 		ts, ok := s.tenants[tenantID]
 		if !ok {
 			// Tenant deleted underneath a live meter: drop the counts, a
@@ -426,9 +423,9 @@ func (s *Service) FlushUsage() int {
 		}
 		u := ts.usage[day]
 		u.Day = day
-		u.Frames += frames
-		u.Chunks += chunks
-		u.Bytes += bytes
+		u.Frames += df
+		u.Chunks += dc
+		u.Bytes += db
 		s.commitLocked(journal.RecordCtrlUsage, tenantID, &u)
 		flushed++
 	}

@@ -1,7 +1,9 @@
 package control
 
 import (
+	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -295,7 +297,7 @@ func TestTenantCrashRecover(t *testing.T) {
 	if outageMeter == nil {
 		t.Fatal("meter wiped by Crash")
 	}
-	outageMeter.MeterChunks(3, 300)
+	outageMeter.usage.MeterChunks(3, 300)
 
 	s.Recover()
 	got, err := s.TenantInfo(tn.ID)
@@ -386,5 +388,131 @@ func TestKeyedLimiterPlanChange(t *testing.T) {
 	}
 	if l.Allow("t", 1, 1) {
 		t.Fatal("downgraded burst did not clamp: second request admitted")
+	}
+}
+
+// meteredTenant starts a key-authenticated broadcast for a new tenant and
+// returns the tenant and its delivery meter.
+func meteredTenant(t *testing.T, s *Service, plan Plan) (Tenant, *metrics.Usage) {
+	t.Helper()
+	tn, err := s.CreateTenant("acme", plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _ := s.IssueAPIKey(tn.ID)
+	grant, err := s.StartBroadcastKey(k.Key, s.Register("alice").ID, geo.Location{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.Meter(grant.BroadcastID)
+	if m == nil {
+		t.Fatal("Meter returned nil for a tenanted broadcast")
+	}
+	return tn, m
+}
+
+// journaledUsage decodes every usage record in the journal, oldest first.
+func journaledUsage(t *testing.T, backend *journal.Mem) []UsageDay {
+	t.Helper()
+	data, err := backend.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []UsageDay
+	if _, err := journal.Replay(data, func(r journal.Record) error {
+		if r.Type == journal.RecordCtrlUsage {
+			var u UsageDay
+			if err := json.Unmarshal(r.Payload, &u); err != nil {
+				return err
+			}
+			out = append(out, u)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// A flush journals the meter's growth since the last flush as the day's new
+// absolute total, and the meter's counters are never reset.
+func TestFlushUsageJournalsAbsoluteTotalsByOffset(t *testing.T) {
+	backend := journal.NewMem()
+	clk := clock.NewWheel(clock.WheelConfig{Epoch: time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)})
+	s := newTenantService(backend, clk)
+	tn, m := meteredTenant(t, s, Plan{})
+
+	m.MeterFrames(10, 100)
+	if n := s.FlushUsage(); n != 1 {
+		t.Fatalf("first FlushUsage = %d, want 1", n)
+	}
+	m.MeterChunks(2, 50)
+	if n := s.FlushUsage(); n != 1 {
+		t.Fatalf("second FlushUsage = %d, want 1", n)
+	}
+	if n := s.FlushUsage(); n != 0 {
+		t.Fatalf("FlushUsage with nothing new = %d, want 0", n)
+	}
+	if f, k, b := m.Frames.Value(), m.Chunks.Value(), m.Bytes.Value(); f != 10 || k != 2 || b != 150 {
+		t.Fatalf("counters after flushes = (%d, %d, %d), want the cumulative (10, 2, 150)", f, k, b)
+	}
+	s.Close()
+	want := []UsageDay{
+		{Day: "2026-03-01", Frames: 10, Bytes: 100},
+		{Day: "2026-03-01", Frames: 10, Chunks: 2, Bytes: 150},
+	}
+	if got := journaledUsage(t, backend); !slices.Equal(got, want) {
+		t.Fatalf("journaled usage = %+v, want %+v", got, want)
+	}
+	if days, _ := s.Usage(tn.ID); !slices.Equal(days, want[1:]) {
+		t.Fatalf("rollups = %+v, want %+v", days, want[1:])
+	}
+}
+
+// Quota admission counts a meter's unflushed usage as its cumulative count
+// minus what the last flush journaled.
+func TestQuotaPendingIsCumulativeMinusFlushed(t *testing.T) {
+	s := newTenantService(journal.NewMem(), nil)
+	tn, m := meteredTenant(t, s, Plan{DailyBytesQuota: 1000})
+	m.MeterFrames(4, 400)
+	s.FlushUsage()
+	m.MeterChunks(1, 300)
+	if got := s.meters[tn.ID].pendingBytes(); got != 300 {
+		t.Fatalf("pending bytes = %d, want 700 cumulative - 400 flushed = 300", got)
+	}
+	k, _ := s.IssueAPIKey(tn.ID)
+	if _, err := s.JoinKey(k.Key, 2, s.liveIDs[0], geo.Location{}); err != nil {
+		t.Fatalf("join at 400 flushed + 300 pending of 1000: %v", err)
+	}
+	m.MeterChunks(1, 300)
+	if _, err := s.JoinKey(k.Key, 3, s.liveIDs[0], geo.Location{}); !errors.Is(err, ErrQuotaExceeded) {
+		t.Fatalf("join at 400 flushed + 600 pending of 1000 = %v, want ErrQuotaExceeded", err)
+	}
+}
+
+// Crash keeps both the counters and the flushed offsets: the outage's
+// delivery lands in the first flush after Recover, and nothing flushed before
+// the crash is journaled twice.
+func TestCrashRecoverKeepsMeterAndOffsets(t *testing.T) {
+	s := newTenantService(journal.NewMem(), nil)
+	tn, m := meteredTenant(t, s, Plan{})
+	m.MeterFrames(5, 500)
+	s.FlushUsage()
+	m.MeterFrames(2, 200)
+	s.Crash()
+	m.MeterChunks(1, 100)
+	s.Recover()
+	if got := s.meters[tn.ID].pendingBytes(); got != 300 {
+		t.Fatalf("pending bytes after recovery = %d, want 800 - 500 = 300", got)
+	}
+	if n := s.FlushUsage(); n != 1 {
+		t.Fatalf("post-recovery FlushUsage = %d, want 1", n)
+	}
+	days, _ := s.Usage(tn.ID)
+	if len(days) != 1 || days[0].Frames != 7 || days[0].Chunks != 1 || days[0].Bytes != 800 {
+		t.Fatalf("rollup after recovery = %+v, want frames 7, chunks 1, bytes 800", days)
+	}
+	if n := s.FlushUsage(); n != 0 {
+		t.Fatalf("second post-recovery FlushUsage = %d, want 0", n)
 	}
 }

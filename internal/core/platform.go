@@ -204,25 +204,9 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		ViewerCap:      valueOr(cfg.RTMPViewerLimit, control.DefaultRTMPViewerLimit),
 		Auth:           p.AuthCache,
 		OnBroadcastEnd: p.forceEnd,
-		TenantOf:       p.Ctrl.TenantOf,
-		// The adapters return untyped nil for untenanted broadcasts so the
-		// data plane's interface nil-checks actually skip the metering (a
-		// typed-nil *TenantMeter inside the interface would not).
-		TenantFrameUsage: func(id string) rtmp.FrameUsage {
-			if m := p.Ctrl.Meter(id); m != nil {
-				return m
-			}
-			return nil
-		},
-		TenantChunkUsage: func(id string) cdn.ChunkUsage {
-			if m := p.Ctrl.Meter(id); m != nil {
-				return m
-			}
-			return nil
-		},
-		WrapUpstream: cfg.WrapUpstream,
-		EdgeRetry:    cfg.EdgeRetry,
-		EdgeBreaker:  cfg.EdgeBreaker,
+		WrapUpstream:   cfg.WrapUpstream,
+		EdgeRetry:      cfg.EdgeRetry,
+		EdgeBreaker:    cfg.EdgeBreaker,
 
 		EdgeShedRetryAfter: cfg.EdgeShedRetryAfter,
 		Clock:              cfg.Clock,
@@ -250,9 +234,9 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 	p.Topo.SetEligibility(func(role, siteID string) bool {
 		return p.Health.Eligible(healthNodeID(role, siteID))
 	})
-	p.Ctrl.OnStart(func(id, originID string) {
+	p.Ctrl.OnStart(func(id, originID string, usage *metrics.Usage) {
 		if o, ok := p.originByID[originID]; ok {
-			p.Topo.AssignBroadcast(id, o)
+			p.Topo.AssignBroadcast(id, o, usage)
 		}
 		p.Hub.Open(id)
 	})

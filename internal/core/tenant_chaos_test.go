@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,21 +13,23 @@ import (
 	"repro/internal/hls"
 	"repro/internal/journal"
 	"repro/internal/media"
+	"repro/internal/metrics"
 	"repro/internal/resilience"
 	"repro/internal/rng"
 	"repro/internal/rtmp"
 	"repro/internal/testutil"
 )
 
-// tenantCounterSum totals a per-tenant-labelled counter across every site.
-func tenantCounterSum(p *Platform, name, tenant string) int64 {
-	var n int64
-	for _, c := range p.Metrics().Snapshot().Counters {
-		if c.Name == name && c.Labels["tenant"] == tenant {
-			n += c.Value
-		}
-	}
-	return n
+// tenantCounter reads a tenant's delivery meter series.
+func tenantCounter(p *Platform, name, tenant string) int64 {
+	return p.Metrics().Counter(name, metrics.L("tenant", tenant)).Value()
+}
+
+// meteredAs reports whether a broadcast's assignment carries the tenant's
+// delivery meter — the one the origins and edges meter its delivery into.
+func meteredAs(p *Platform, broadcastID, tenant string) bool {
+	u := p.Topo.Usage(broadcastID)
+	return u != nil && u.Frames == p.Metrics().Counter("tenant_frames_out_total", metrics.L("tenant", tenant))
 }
 
 // usageTotals sums a tenant's flushed rollups across days.
@@ -50,8 +53,8 @@ func usageTotals(t *testing.T, s *control.Service, tenantID string) (frames, chu
 // must be throttled at exactly its token-bucket plan limit (and, once its
 // daily bytes are spent, by the quota check); the compliant tenants' viewers
 // must see every chunk exactly once; and after a mid-soak control crash and
-// recovery the per-tenant usage rollups must equal the delivered counts the
-// data-plane instruments observed — byte for byte, for all three tenants.
+// recovery the per-tenant usage rollups must equal what the tenants' delivery
+// meters counted — byte for byte, for all three tenants.
 func TestPlatformNoisyNeighborSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("noisy-neighbor tenancy soak under -short")
@@ -138,8 +141,8 @@ func TestPlatformNoisyNeighborSoak(t *testing.T) {
 	for _, want := range []struct{ bcast, tenant string }{
 		{grantA.BroadcastID, tA.ID}, {grantB.BroadcastID, tB.ID}, {grantL.BroadcastID, loud.ID},
 	} {
-		if got := p.Ctrl.TenantOf(want.bcast); got != want.tenant {
-			t.Fatalf("TenantOf(%s) = %q, want %q", want.bcast, got, want.tenant)
+		if !meteredAs(p, want.bcast, want.tenant) {
+			t.Fatalf("%s is not assigned %s's delivery meter", want.bcast, want.tenant)
 		}
 	}
 
@@ -300,8 +303,8 @@ func TestPlatformNoisyNeighborSoak(t *testing.T) {
 	if err != nil || recovered.Plan.MaxJoinRPS != loudRPS || recovered.Plan.DailyBytesQuota != 4000 {
 		t.Fatalf("recovered loud tenant = %+v, err %v", recovered, err)
 	}
-	if got := p.Ctrl.TenantOf(grantA.BroadcastID); got != tA.ID {
-		t.Fatalf("TenantOf after recovery = %q, want %q", got, tA.ID)
+	if !meteredAs(p, grantA.BroadcastID, tA.ID) {
+		t.Fatalf("after recovery %s is not assigned %s's delivery meter", grantA.BroadcastID, tA.ID)
 	}
 
 	// ---- Noisy neighbor, phase 2: the daily byte quota. ----
@@ -372,18 +375,17 @@ func TestPlatformNoisyNeighborSoak(t *testing.T) {
 	}
 
 	// ---- Usage rollups equal delivered counts, across the crash. ----
-	// Meters survive Crash (data-plane accumulators) and flushes journal
-	// absolute day totals, so after a final flush every tenant's rollups must
-	// match the per-tenant delivery instruments exactly.
+	// Meters survive Crash (the data plane holds their counters) and flushes
+	// journal absolute day totals, so after a final flush every tenant's
+	// rollups must match its delivery meter's series exactly.
 	p.Ctrl.FlushUsage()
 	for _, tn := range []control.Tenant{tA, tB, loud} {
 		frames, chunks, bytes := usageTotals(t, p.Ctrl, tn.ID)
-		wantFrames := tenantCounterSum(p, "rtmp_tenant_frames_out_total", tn.ID)
-		wantChunks := tenantCounterSum(p, "cdn_tenant_chunks_out_total", tn.ID)
-		wantBytes := tenantCounterSum(p, "rtmp_tenant_bytes_out_total", tn.ID) +
-			tenantCounterSum(p, "cdn_tenant_bytes_out_total", tn.ID)
+		wantFrames := tenantCounter(p, "tenant_frames_out_total", tn.ID)
+		wantChunks := tenantCounter(p, "tenant_chunks_out_total", tn.ID)
+		wantBytes := tenantCounter(p, "tenant_bytes_out_total", tn.ID)
 		if frames != wantFrames || chunks != wantChunks || bytes != wantBytes {
-			t.Errorf("tenant %s rollups = (frames %d, chunks %d, bytes %d), delivered instruments say (%d, %d, %d)",
+			t.Errorf("tenant %s rollups = (frames %d, chunks %d, bytes %d), delivery meter says (%d, %d, %d)",
 				tn.ID, frames, chunks, bytes, wantFrames, wantChunks, wantBytes)
 		}
 	}
@@ -415,4 +417,129 @@ func TestPlatformNoisyNeighborSoak(t *testing.T) {
 	}
 
 	waitFor(t, 5*time.Second, "live count drains", func() bool { return p.Ctrl.LiveCount() == 0 })
+}
+
+// TestPlatformOutageReconnectStaysMetered: a publisher that reconnects to a
+// restarted origin while the control plane is down is admitted from the
+// origin's grant cache, and what its broadcast delivers from then on is still
+// metered to its tenant. The meter travels with the broadcast's assignment,
+// which the control outage does not touch; a meter looked up from the control
+// plane at the reconnect would find the broadcast unknown and leave it
+// unmetered for good, and the rollup would fall short of what the viewer got.
+func TestPlatformOutageReconnectStaysMetered(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	p := startPlatform(t, PlatformConfig{
+		ChunkDuration: 200 * time.Millisecond,
+		Journal:       func(string) journal.Backend { return journal.NewMem() },
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	admin := &control.Client{BaseURL: p.ControlURL()}
+	ashburn := geo.Location{City: "Ashburn", Lat: 39.04, Lon: -77.49}
+	tn, err := admin.CreateTenant(ctx, "acme", control.Plan{Name: "pro"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := admin.IssueAPIKey(ctx, tn.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &control.Client{BaseURL: admin.BaseURL, APIKey: key}
+	alice, err := admin.Register(ctx, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := c.StartBroadcast(ctx, alice, ashburn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	originID := grant.OriginID
+	pub, err := rtmp.PublishResilient(ctx, grant.RTMPAddr, grant.BroadcastID, grant.Token, rtmp.PublishResilientConfig{
+		Resolve:       func() string { return p.RTMPAddr(originID) },
+		Backoff:       resilience.Policy{BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+		MaxReconnects: -1,
+		BufferFrames:  1024,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	vg, err := c.Join(ctx, alice, grant.BroadcastID, ashburn)
+	if err != nil || vg.Protocol != control.ProtoRTMP {
+		t.Fatalf("join = %+v, %v; want an RTMP grant", vg, err)
+	}
+
+	// The viewer counts frames across its sessions: one before the crash,
+	// one at the restarted origin.
+	var received atomic.Int64
+	watch := func(addr string) *rtmp.Viewer {
+		t.Helper()
+		v, err := rtmp.Subscribe(ctx, addr, grant.BroadcastID, "", rtmp.ViewerOptions{})
+		if err != nil {
+			t.Fatalf("subscribe at %s: %v", addr, err)
+		}
+		go func() {
+			for range v.Frames() {
+				received.Add(1)
+			}
+		}()
+		return v
+	}
+	enc := media.NewEncoder(media.EncoderConfig{}, rng.New(7))
+	base := time.Now()
+	sent := 0
+	send := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			f := enc.Next(base.Add(time.Duration(sent) * media.FrameDuration))
+			if err := pub.Send(ctx, &f); err != nil {
+				t.Fatalf("send frame %d: %v", sent, err)
+			}
+			sent++
+			time.Sleep(soakFramePace)
+		}
+	}
+
+	// Before the outage: the viewer's handshake also caches its grant at the
+	// origin, as the publisher's did.
+	v1 := watch(grant.RTMPAddr)
+	defer v1.Close()
+	const before, after = 10, 20
+	send(before)
+	waitFor(t, 10*time.Second, "frames before the outage", func() bool { return received.Load() >= before })
+
+	p.KillControl()
+	if err := p.KillOrigin(originID); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RestartOrigin(originID); err != nil {
+		t.Fatal(err)
+	}
+	// A send that finds the transport dead redials the restarted origin;
+	// only the grant cache can admit it while control is down.
+	waitFor(t, 10*time.Second, "publisher reconnects to the restarted origin", func() bool {
+		send(1)
+		return pub.Reconnects() > 0
+	})
+	if v := counterSum(p, "control_stale_served_total"); v <= 0 {
+		t.Fatalf("control_stale_served_total = %d, want > 0 (the reconnect must be admitted from the cache)", v)
+	}
+	v2 := watch(p.RTMPAddr(originID))
+	defer v2.Close()
+	got := received.Load()
+	send(after)
+	waitFor(t, 10*time.Second, "frames after the reconnect", func() bool { return received.Load() >= got+after })
+
+	p.RestartControl()
+	p.Ctrl.FlushUsage()
+	frames, _, bytes := usageTotals(t, p.Ctrl, tn.ID)
+	if delivered := received.Load(); frames < delivered {
+		t.Fatalf("rollup has %d frames, the viewer received %d: delivery after the reconnect went unmetered", frames, delivered)
+	}
+	if bytes <= 0 {
+		t.Fatalf("rollup bytes = %d, want > 0", bytes)
+	}
+	if err := pub.End(ctx); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -169,6 +169,14 @@ func TestObservationsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { h.Observe(3 * time.Second) }); n != 0 {
 		t.Errorf("Histogram.Observe allocates %.1f/op, want 0", n)
 	}
+	u := &Usage{Frames: r.Counter("f"), Chunks: r.Counter("k"), Bytes: r.Counter("b")}
+	var none *Usage
+	if n := testing.AllocsPerRun(100, func() { u.MeterFrames(2, 20); u.MeterChunks(1, 10); none.MeterChunks(1, 10) }); n != 0 {
+		t.Errorf("Usage.Meter* allocates %.1f/op, want 0", n)
+	}
+	if f, k, b := u.Frames.Value(), u.Chunks.Value(), u.Bytes.Value(); f != 202 || k != 101 || b != 3030 {
+		t.Errorf("Usage after 101 runs = (%d, %d, %d), want (202, 101, 3030)", f, k, b)
+	}
 }
 
 func TestGaugeFuncEvaluatedAtSnapshot(t *testing.T) {

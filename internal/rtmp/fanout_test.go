@@ -6,11 +6,11 @@ import (
 	"context"
 	"crypto/ed25519"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/media"
+	"repro/internal/metrics"
 	"repro/internal/testutil"
 	"repro/internal/wire"
 )
@@ -153,20 +153,11 @@ func TestAcceptFrameEvictsSlowViewer(t *testing.T) {
 	b.remove(slow)
 }
 
-// usageSink is a FrameUsage that only counts, as control.TenantMeter does.
-type usageSink struct{ frames, bytes atomic.Int64 }
-
-func (u *usageSink) MeterFrames(frames, bytes int64) {
-	u.frames.Add(frames)
-	u.bytes.Add(bytes)
-}
-
-// meterTenant adds tenant attribution to cfg — per-tenant instruments plus a
-// usage sink — and returns the sink.
-func meterTenant(cfg *ServerConfig) *usageSink {
-	sink := &usageSink{}
-	cfg.TenantOf = func(string) string { return "tnt-fixture" }
-	cfg.TenantUsage = func(string) FrameUsage { return sink }
+// meterTenant gives every broadcast of cfg one delivery meter and returns it.
+func meterTenant(cfg *ServerConfig) *metrics.Usage {
+	reg := metrics.NewRegistry()
+	sink := &metrics.Usage{Frames: reg.Counter("f"), Chunks: reg.Counter("c"), Bytes: reg.Counter("b")}
+	cfg.Usage = func(string) *metrics.Usage { return sink }
 	return sink
 }
 
@@ -193,7 +184,7 @@ func TestAcceptFrameAllocBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := ServerConfig{Tap: tc.tap}
-			var sink *usageSink
+			var sink *metrics.Usage
 			if tc.metered {
 				sink = meterTenant(&cfg)
 			}
@@ -208,8 +199,8 @@ func TestAcceptFrameAllocBudget(t *testing.T) {
 			if tc.tap != nil && len(kept) == 0 {
 				t.Fatal("tap never fired")
 			}
-			if sink != nil && sink.frames.Load() < runs*viewers {
-				t.Fatalf("usage sink saw %d delivered frames, want >= %d", sink.frames.Load(), runs*viewers)
+			if sink != nil && sink.Frames.Value() < runs*viewers {
+				t.Fatalf("usage sink saw %d delivered frames, want >= %d", sink.Frames.Value(), runs*viewers)
 			}
 			if allocs > 0 {
 				t.Fatalf("fan-out allocs/frame = %.1f, want 0", allocs)
@@ -273,7 +264,7 @@ func TestArrivalAllocBudget(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			kept := make([]media.Frame, 0, (runs+1)*k)
 			cfg := ServerConfig{Tap: func(_ string, f media.Frame, _ time.Time) { kept = append(kept, f) }}
-			var sink *usageSink
+			var sink *metrics.Usage
 			if metered {
 				sink = meterTenant(&cfg)
 			}
@@ -297,8 +288,8 @@ func TestArrivalAllocBudget(t *testing.T) {
 			if len(kept) != (runs+1)*k {
 				t.Fatalf("tap saw %d frames, want %d", len(kept), (runs+1)*k)
 			}
-			if sink != nil && sink.frames.Load() != int64((runs+1)*k*viewers) {
-				t.Fatalf("usage sink saw %d delivered frames, want %d", sink.frames.Load(), (runs+1)*k*viewers)
+			if sink != nil && sink.Frames.Value() != int64((runs+1)*k*viewers) {
+				t.Fatalf("usage sink saw %d delivered frames, want %d", sink.Frames.Value(), (runs+1)*k*viewers)
 			}
 		})
 	}

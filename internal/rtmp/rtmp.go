@@ -59,25 +59,14 @@ var AllowAll = AuthFunc(func(string, string, string) bool { return true })
 // written again, so a tap may keep the frame but must not modify those bytes.
 type FrameTap func(broadcastID string, f media.Frame, arrivedAt time.Time)
 
-// FrameUsage sinks delivered-frame counts for usage metering. The server
-// resolves one per broadcast at session setup (cold path) and calls
-// MeterFrames from the fan-out hot path — implementations must be
-// allocation-free atomic accumulators (control.TenantMeter is the real one).
-type FrameUsage interface {
-	MeterFrames(frames, bytes int64)
-}
-
 // ServerConfig configures a Server.
 type ServerConfig struct {
 	// Auth validates handshakes; nil means AllowAll.
 	Auth Auth
-	// TenantOf maps a broadcast to its owning tenant ("" for untenanted);
-	// resolved once per publisher session to label the per-tenant
-	// instruments. Nil disables tenant attribution.
-	TenantOf func(broadcastID string) string
-	// TenantUsage resolves the usage accumulator for a broadcast's tenant
-	// (nil for untenanted). Called once per publisher session.
-	TenantUsage func(broadcastID string) FrameUsage
+	// Usage returns the delivery meter of a broadcast's tenant, nil for an
+	// untenanted one; it is called once per publisher session. Nil meters
+	// nothing.
+	Usage func(broadcastID string) *metrics.Usage
 	// ViewerCap is the per-broadcast RTMP viewer limit; beyond it
 	// handshakes are refused with StatusFull so clients fall back to HLS
 	// (§4.1: ≈100). Zero means unlimited.
@@ -195,14 +184,11 @@ type broadcast struct {
 	id     string
 	pubKey ed25519.PublicKey
 
-	// Per-tenant attribution, resolved once at publisher handshake (cold
-	// path) so the fan-out hot path is nil-checks and atomic adds — zero
-	// allocations per frame (DESIGN.md §5a budget, TestArrivalAllocBudget).
-	// All nil for untenanted broadcasts.
-	tFramesOut *metrics.Counter
-	tBytesOut  *metrics.Counter
-	tDelay     *metrics.Histogram
-	usage      FrameUsage
+	// usage is the tenant's delivery meter, resolved once at publisher
+	// handshake so the fan-out hot path only adds to it — zero allocations
+	// per frame (DESIGN.md §5a budget, TestArrivalAllocBudget). Nil for an
+	// untenanted broadcast.
+	usage *metrics.Usage
 
 	// mu guards the viewer set and the relay ring: join, leave, eviction
 	// and end, the relay's write of each frame and every viewer's take of
@@ -576,22 +562,12 @@ func (s *Server) ackResume(conn net.Conn, status, message string, resumeSeq uint
 	_ = wire.WriteMessage(conn, m)
 }
 
-// newBroadcast builds a broadcast's server-side state, resolving its tenant
-// attribution once so the per-frame path only adds to cached handles.
+// newBroadcast builds a broadcast's server-side state, resolving its
+// delivery meter once so the per-frame path only adds to it.
 func (s *Server) newBroadcast(id string) *broadcast {
 	b := &broadcast{id: id, pubKey: s.cfg.Auth.PublicKey(id)}
-	if s.cfg.TenantOf != nil {
-		if tenant := s.cfg.TenantOf(id); tenant != "" {
-			labels := make([]metrics.Label, 0, len(s.cfg.MetricsLabels)+1)
-			labels = append(labels, s.cfg.MetricsLabels...)
-			labels = append(labels, metrics.L("tenant", tenant))
-			b.tFramesOut = s.cfg.Metrics.Counter("rtmp_tenant_frames_out_total", labels...)
-			b.tBytesOut = s.cfg.Metrics.Counter("rtmp_tenant_bytes_out_total", labels...)
-			b.tDelay = s.cfg.Metrics.Histogram("rtmp_tenant_push_latency_seconds", pushLatencyBuckets, labels...)
-			if s.cfg.TenantUsage != nil {
-				b.usage = s.cfg.TenantUsage(id)
-			}
-		}
+	if s.cfg.Usage != nil {
+		b.usage = s.cfg.Usage(id)
 	}
 	return b
 }
@@ -700,19 +676,9 @@ func (s *Server) acceptFrame(b *broadcast, enc wire.Encoded) bool {
 		default:
 		}
 	}
-	pushDur := s.cfg.Clock.Now().Sub(pushStart)
-	s.m.pushLatency.Observe(pushDur)
-	// Tenant attribution: cached handles resolved at handshake, so this is
-	// nil-checks and atomic adds — no per-frame allocations.
-	if b.tFramesOut != nil {
-		if delivered := int64(queued); delivered > 0 {
-			b.tFramesOut.Add(delivered)
-			b.tBytesOut.Add(delivered * int64(len(body)))
-			if b.usage != nil {
-				b.usage.MeterFrames(delivered, delivered*int64(len(body)))
-			}
-		}
-		b.tDelay.Observe(pushDur)
+	s.m.pushLatency.Observe(s.cfg.Clock.Now().Sub(pushStart))
+	if delivered := int64(queued); delivered > 0 {
+		b.usage.MeterFrames(delivered, delivered*int64(len(body)))
 	}
 	if evicted != nil {
 		// Viewers too slow: disconnect them (production clients would
