@@ -81,9 +81,12 @@ chaos:
 
 # crash is the recovery soak (DESIGN.md §6.2): kill the ingest origin
 # mid-broadcast, corrupt the journal tail, restart, and assert every viewer
-# still sees every chunk exactly once. Always under -race.
+# still sees every chunk exactly once; beside it, the origin test that a
+# broadcast the janitor removed stays removed across a crash. Always under
+# -race.
 crash:
 	$(GO) test -race -count=1 -run 'TestPlatformOriginCrashRecoverySoak' -v ./internal/core/
+	$(GO) test -race -count=1 -run 'TestOriginRemoveSurvivesRecovery' -v ./internal/cdn/
 
 # partition-soak is the control-plane failure soak (DESIGN.md §6.3): crash
 # the control plane mid-broadcast with a torn journal tail, and separately

@@ -313,6 +313,8 @@ func (o *Origin) applyRecordLocked(r journal.Record) {
 		}
 	case journal.RecordEnd:
 		st.endLocked()
+	case journal.RecordRemove:
+		delete(o.streams, id)
 	}
 }
 
@@ -580,11 +582,18 @@ func (o *Origin) ChunkReadyAt(id string, seq uint64) (time.Time, bool) {
 
 // Remove forgets a broadcast: its record is the origin's whole state for it.
 // The platform janitor (core.Platform.SweepEnded) calls it once the
-// broadcast's retention has passed.
+// broadcast's retention has passed. The removal is journaled, so a recovered
+// origin does not bring back a broadcast whose end the janitor has already
+// forgotten, to serve and hold it for good.
 func (o *Origin) Remove(id string) {
 	o.mu.Lock()
-	defer o.mu.Unlock()
+	_, ok := o.streams[id]
 	delete(o.streams, id)
+	jw := o.jw
+	o.mu.Unlock()
+	if ok && jw != nil {
+		journalAppend(jw, journal.Record{Type: journal.RecordRemove, BroadcastID: id})
+	}
 }
 
 // Live reports the number of active (not yet ended) broadcasts with chunks.

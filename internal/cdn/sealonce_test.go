@@ -298,3 +298,38 @@ func TestOriginRemoveClearsPending(t *testing.T) {
 		t.Fatal("Remove left the broadcast pending")
 	}
 }
+
+// TestOriginRemoveSurvivesRecovery: a broadcast the janitor removed stays
+// removed across a crash. Its end stamp is gone with it, so a replay that
+// brought it back would serve and hold it for good. A broadcast that was only
+// ended, whose log holds no remove record, replays to the list it had.
+func TestOriginRemoveSurvivesRecovery(t *testing.T) {
+	o, _ := originAndEdge(OriginConfig{Journal: journal.NewMem()})
+	defer o.Close()
+	ctx := context.Background()
+	for _, id := range []string{"gone", "kept"} {
+		feedFrames(o, id, 3*framesPerTestChunk+1)
+		o.endBroadcast(id)
+	}
+	kept, err := o.ChunkList(ctx, "kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Remove("gone")
+	o.Remove("never-ingested")
+	o.Crash()
+	o.Recover()
+	if _, err := o.ChunkList(ctx, "gone"); !errors.Is(err, hls.ErrNotFound) {
+		t.Fatalf("removed broadcast's list after recovery: err %v, want hls.ErrNotFound", err)
+	}
+	if _, err := o.Chunk(ctx, "gone", 0); !errors.Is(err, hls.ErrNotFound) {
+		t.Fatalf("removed broadcast's chunk after recovery: err %v, want hls.ErrNotFound", err)
+	}
+	cl, err := o.ChunkList(ctx, "kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cl.Marshal(), kept.Marshal()) || cl.Version != kept.Version {
+		t.Fatalf("ended broadcast replayed to version %d:\n%s\nwant version %d:\n%s", cl.Version, cl.Marshal(), kept.Version, kept.Marshal())
+	}
+}

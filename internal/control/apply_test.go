@@ -83,7 +83,7 @@ func fixtureScript(t *testing.T) []journalRec {
 	must(err)
 	g2, err := s.StartBroadcastKey(k.Key, a.ID, geo.Location{City: "SF"})
 	must(err)
-	s.Meter(g2.BroadcastID).MeterFrames(3, 333)
+	meterOf(s, g2.BroadcastID).MeterFrames(3, 333)
 	s.FlushUsage()
 	must(s.RevokeAPIKey(k.Key))
 	must(s.EndBroadcast(g.BroadcastID, g.Token))
@@ -177,8 +177,8 @@ func TestOldFormatFixtureReplays(t *testing.T) {
 	if got := s.Tenants(); len(got) != 1 || got[0] != wantTenant {
 		t.Errorf("Tenants = %+v, want %+v", got, wantTenant)
 	}
-	if s.TenantOf("bcast-3") != "tnt-1" || s.tenants["tnt-1"].live != 1 {
-		t.Errorf("tenant live = %d, TenantOf = %q", s.tenants["tnt-1"].live, s.TenantOf("bcast-3"))
+	if tenantOf(s, "bcast-3") != "tnt-1" || s.tenants["tnt-1"].live != 1 {
+		t.Errorf("tenant live = %d, tenant of bcast-3 = %q", s.tenants["tnt-1"].live, tenantOf(s, "bcast-3"))
 	}
 	if days, _ := s.Usage("tnt-1"); len(days) != 1 || days[0] != (UsageDay{Day: "2026-03-01", Frames: 3, Bytes: 333}) {
 		t.Errorf("Usage = %+v", days)
@@ -335,7 +335,7 @@ func (m *mutator) step() {
 		}
 	case 13:
 		for _, g := range m.broadcasts {
-			if meter := s.Meter(g.BroadcastID); meter != nil && rnd.Intn(3) == 0 {
+			if meter := meterOf(s, g.BroadcastID); meter != nil && rnd.Intn(3) == 0 {
 				meter.MeterFrames(int64(rnd.Intn(9)), int64(rnd.Intn(900)))
 				meter.MeterChunks(int64(rnd.Intn(3)), int64(rnd.Intn(3000)))
 			}
@@ -379,7 +379,7 @@ func (m *mutator) observe(t *testing.T, s *Service) observed {
 			t.Fatalf("PublicKey(%s): %v", id, err)
 		}
 		o.PubKeys[id] = hex.EncodeToString(key)
-		o.TenantOf[id] = s.TenantOf(id)
+		o.TenantOf[id] = tenantOf(s, id)
 		o.Tokens[id+"/broadcaster/"+g.Token] = s.Authorize(id, g.Token, "broadcaster") == nil
 		o.Tokens[id+"/viewer/forged"] = s.Authorize(id, "forged", "viewer") == nil
 		for _, vt := range m.viewerToks[id] {

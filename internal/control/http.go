@@ -1,7 +1,6 @@
 package control
 
 import (
-	"bytes"
 	"context"
 	"crypto/ed25519"
 	"encoding/hex"
@@ -10,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -130,10 +130,11 @@ func (b summaryJSON) summary() Summary {
 }
 
 // routes is the whole HTTP surface, one row per endpoint; paths are relative
-// to the Handler prefix and {id} is the broadcast or tenant ID.
+// to the Handler prefix and {id} is the broadcast or tenant ID, which the
+// row's handler is passed.
 var routes = []struct {
 	method, path string
-	handle       func(*Service, http.ResponseWriter, *http.Request)
+	handle       func(s *Service, w http.ResponseWriter, r *http.Request, id string)
 }{
 	{"POST", "/users", handleRegister},
 	{"GET", "/global", handleGlobal},
@@ -155,17 +156,71 @@ var routes = []struct {
 	{"GET", "/usage", handleUsage},
 }
 
-// Handler exposes the service over HTTP under prefix (e.g. "/api"). The mux
-// answers 404 for a path no row matches and 405 for a known path's other
-// methods.
+// Handler exposes the service over HTTP under prefix (e.g. "/api"). It
+// answers as an http.ServeMux with the same table would: a row serves its
+// method and a GET row HEAD too, a path some row matches answers another
+// method with 405 and an Allow header, and every other path is a 404.
+// Matching is by segment on the escaped path, each segment unescaped, so an
+// escaped slash stays inside its ID. The path is taken as it comes: the
+// platform's dispatch redirects one that is not canonical before it gets
+// here.
 func Handler(prefix string, s *Service) http.Handler {
-	mux := http.NewServeMux()
-	for _, rt := range routes {
-		mux.HandleFunc(rt.method+" "+prefix+rt.path, func(w http.ResponseWriter, r *http.Request) {
-			rt.handle(s, w, r)
-		})
+	patterns := make([]string, len(routes))
+	for i, rt := range routes {
+		patterns[i] = prefix + rt.path
 	}
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		path, method := r.URL.EscapedPath(), r.Method
+		if method == http.MethodHead {
+			method = http.MethodGet
+		}
+		var allow []string
+		for i, rt := range routes {
+			id, ok := matchRoute(patterns[i], path)
+			switch {
+			case !ok:
+			case rt.method == method:
+				rt.handle(s, w, r, id)
+				return
+			default:
+				allow = append(allow, rt.method)
+			}
+		}
+		if len(allow) == 0 {
+			http.NotFound(w, r)
+			return
+		}
+		if slices.Contains(allow, http.MethodGet) {
+			allow = append(allow, http.MethodHead)
+		}
+		slices.Sort(allow)
+		w.Header().Set("Allow", strings.Join(allow, ", "))
+		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+	})
+}
+
+// matchRoute matches an escaped request path against a route pattern segment
+// by segment, each path segment unescaped (resilience.CutSegment), and
+// returns the {id} segment. An empty {id} matches nothing, and neither does
+// a trailing slash.
+//
+//livesim:hotpath TestJSONHandlerAllocBudgets
+func matchRoute(pattern, path string) (id string, ok bool) {
+	for pattern != "" {
+		if path == "" || path[0] != '/' {
+			return "", false
+		}
+		var want, seg string
+		want, pattern = resilience.CutSegment(pattern)
+		seg, path = resilience.CutSegment(path)
+		switch {
+		case want == "{id}" && seg != "":
+			id = seg
+		case want != seg:
+			return "", false
+		}
+	}
+	return id, path == ""
 }
 
 // refuseDown answers 503 for the lists whose Service methods have no error
@@ -176,7 +231,7 @@ func refuseDown(s *Service, w http.ResponseWriter) bool {
 	return s.Down() && respondErr(w, ErrUnavailable)
 }
 
-func handleRegister(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleRegister(s *Service, w http.ResponseWriter, r *http.Request, _ string) {
 	var req registerReq
 	if !decodeJSON(w, r, &req) {
 		return
@@ -185,7 +240,7 @@ func handleRegister(s *Service, w http.ResponseWriter, r *http.Request) {
 	reply(w, registerResp{ID: u.ID}, err)
 }
 
-func handleGlobal(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleGlobal(s *Service, w http.ResponseWriter, r *http.Request, _ string) {
 	if refuseDown(s, w) {
 		return
 	}
@@ -194,12 +249,12 @@ func handleGlobal(s *Service, w http.ResponseWriter, r *http.Request) {
 	for _, b := range list {
 		out = append(out, toSummaryJSON(b))
 	}
-	writeJSON(w, struct {
+	resilience.WriteJSON(w, struct {
 		Broadcasts []summaryJSON `json:"broadcasts"`
 	}{out})
 }
 
-func handleStart(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleStart(s *Service, w http.ResponseWriter, r *http.Request, _ string) {
 	var req startReq
 	if !decodeJSON(w, r, &req) {
 		return
@@ -223,20 +278,20 @@ func handleStart(s *Service, w http.ResponseWriter, r *http.Request) {
 	reply(w, grant, err)
 }
 
-func handleInfo(s *Service, w http.ResponseWriter, r *http.Request) {
-	info, err := s.Info(r.PathValue("id"))
+func handleInfo(s *Service, w http.ResponseWriter, r *http.Request, id string) {
+	info, err := s.Info(id)
 	reply(w, toSummaryJSON(info), err)
 }
 
-func handleEnd(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleEnd(s *Service, w http.ResponseWriter, r *http.Request, id string) {
 	var req endReq
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	reply(w, struct{}{}, s.EndBroadcast(r.PathValue("id"), req.Token))
+	reply(w, struct{}{}, s.EndBroadcast(id, req.Token))
 }
 
-func handleJoin(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleJoin(s *Service, w http.ResponseWriter, r *http.Request, id string) {
 	var req joinReq
 	if !decodeJSON(w, r, &req) {
 		return
@@ -245,14 +300,14 @@ func handleJoin(s *Service, w http.ResponseWriter, r *http.Request) {
 	var grant ViewerGrant
 	var err error
 	if key := r.Header.Get(apiKeyHeader); key != "" {
-		grant, err = s.JoinKey(key, req.UserID, r.PathValue("id"), loc)
+		grant, err = s.JoinKey(key, req.UserID, id, loc)
 	} else {
-		grant, err = s.Join(req.UserID, r.PathValue("id"), loc)
+		grant, err = s.Join(req.UserID, id, loc)
 	}
 	reply(w, grant, err)
 }
 
-func handleRegisterKey(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleRegisterKey(s *Service, w http.ResponseWriter, r *http.Request, id string) {
 	var req pubKeyReq
 	if !decodeJSON(w, r, &req) {
 		return
@@ -262,15 +317,15 @@ func handleRegisterKey(s *Service, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad public key", http.StatusBadRequest)
 		return
 	}
-	reply(w, struct{}{}, s.RegisterPublicKey(r.PathValue("id"), req.Token, key))
+	reply(w, struct{}{}, s.RegisterPublicKey(id, req.Token, key))
 }
 
-func handlePublicKey(s *Service, w http.ResponseWriter, r *http.Request) {
-	k, err := s.PublicKey(r.PathValue("id"))
+func handlePublicKey(s *Service, w http.ResponseWriter, r *http.Request, id string) {
+	k, err := s.PublicKey(id)
 	reply(w, pubKeyResp{PubKeyHex: hex.EncodeToString(k)}, err)
 }
 
-func handleResolveEdge(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleResolveEdge(s *Service, w http.ResponseWriter, r *http.Request, id string) {
 	city, errCity := queryValue(r.URL.RawQuery, "city")
 	lat, errLat := queryFloat(r.URL.RawQuery, "lat")
 	lon, errLon := queryFloat(r.URL.RawQuery, "lon")
@@ -278,7 +333,7 @@ func handleResolveEdge(s *Service, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad city/lat/lon parameter", http.StatusBadRequest)
 		return
 	}
-	edge, err := s.ResolveEdge(r.PathValue("id"), geo.Location{City: city, Lat: lat, Lon: lon})
+	edge, err := s.ResolveEdge(id, geo.Location{City: city, Lat: lat, Lon: lon})
 	reply(w, resolveEdgeResp{HLSBaseURL: edge}, err)
 }
 
@@ -308,7 +363,7 @@ func queryFloat(rawQuery, name string) (float64, error) {
 	return strconv.ParseFloat(v, 64)
 }
 
-func handleCreateTenant(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleCreateTenant(s *Service, w http.ResponseWriter, r *http.Request, _ string) {
 	var req tenantCreateReq
 	if !decodeJSON(w, r, &req) {
 		return
@@ -317,42 +372,42 @@ func handleCreateTenant(s *Service, w http.ResponseWriter, r *http.Request) {
 	reply(w, t, err)
 }
 
-func handleTenants(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleTenants(s *Service, w http.ResponseWriter, r *http.Request, _ string) {
 	if refuseDown(s, w) {
 		return
 	}
-	writeJSON(w, struct {
+	resilience.WriteJSON(w, struct {
 		Tenants []Tenant `json:"tenants"`
 	}{s.Tenants()})
 }
 
-func handleTenantInfo(s *Service, w http.ResponseWriter, r *http.Request) {
-	t, err := s.TenantInfo(r.PathValue("id"))
+func handleTenantInfo(s *Service, w http.ResponseWriter, r *http.Request, id string) {
+	t, err := s.TenantInfo(id)
 	reply(w, t, err)
 }
 
-func handleSetPlan(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleSetPlan(s *Service, w http.ResponseWriter, r *http.Request, id string) {
 	var plan Plan
 	if !decodeJSON(w, r, &plan) {
 		return
 	}
-	reply(w, struct{}{}, s.SetTenantPlan(r.PathValue("id"), plan))
+	reply(w, struct{}{}, s.SetTenantPlan(id, plan))
 }
 
-func handleIssueKey(s *Service, w http.ResponseWriter, r *http.Request) {
-	k, err := s.IssueAPIKey(r.PathValue("id"))
+func handleIssueKey(s *Service, w http.ResponseWriter, r *http.Request, id string) {
+	k, err := s.IssueAPIKey(id)
 	reply(w, keyIssueResp{Key: k.Key}, err)
 }
 
-func handleSuspend(s *Service, w http.ResponseWriter, r *http.Request) {
-	reply(w, struct{}{}, s.SuspendTenant(r.PathValue("id")))
+func handleSuspend(s *Service, w http.ResponseWriter, r *http.Request, id string) {
+	reply(w, struct{}{}, s.SuspendTenant(id))
 }
 
-func handleResume(s *Service, w http.ResponseWriter, r *http.Request) {
-	reply(w, struct{}{}, s.ResumeTenant(r.PathValue("id")))
+func handleResume(s *Service, w http.ResponseWriter, r *http.Request, id string) {
+	reply(w, struct{}{}, s.ResumeTenant(id))
 }
 
-func handleRevokeKey(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleRevokeKey(s *Service, w http.ResponseWriter, r *http.Request, _ string) {
 	var req keyRevokeReq
 	if !decodeJSON(w, r, &req) {
 		return
@@ -360,7 +415,7 @@ func handleRevokeKey(s *Service, w http.ResponseWriter, r *http.Request) {
 	reply(w, struct{}{}, s.RevokeAPIKey(req.Key))
 }
 
-func handleUsage(s *Service, w http.ResponseWriter, r *http.Request) {
+func handleUsage(s *Service, w http.ResponseWriter, r *http.Request, _ string) {
 	tenantID, err := queryValue(r.URL.RawQuery, "tenant")
 	if err != nil || tenantID == "" {
 		http.Error(w, "missing tenant parameter", http.StatusBadRequest)
@@ -373,9 +428,9 @@ func handleUsage(s *Service, w http.ResponseWriter, r *http.Request) {
 // maxRequestBody caps a request's JSON.
 const maxRequestBody = 64 << 10
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	body, err := resilience.ReadBody(r.Body, r.ContentLength, maxRequestBody)
-	if err != nil || json.Unmarshal(body, v) != nil {
+// decodeJSON reads a request's JSON body into v, or answers 400.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if resilience.DecodeJSON(r.Body, r.ContentLength, maxRequestBody, v) != nil {
 		http.Error(w, "bad request body", http.StatusBadRequest)
 		return false
 	}
@@ -383,9 +438,9 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 }
 
 // reply answers a service call: err's row of errTable, or v as the 200 body.
-func reply(w http.ResponseWriter, v interface{}, err error) {
+func reply(w http.ResponseWriter, v any, err error) {
 	if !respondErr(w, err) {
-		writeJSON(w, v)
+		resilience.WriteJSON(w, v)
 	}
 }
 
@@ -442,22 +497,6 @@ func respondErr(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// Ready-made header values: assigning one directly (the key is already
-// canonical) spares each request and response the []string http.Header.Set
-// builds. Nothing here compresses, and a request that names no encoding
-// makes Transport build a header map per request to ask for gzip.
-var (
-	contentTypeJSON = []string{"application/json"}
-	acceptIdentity  = []string{"identity"}
-)
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header()["Content-Type"] = contentTypeJSON
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		_ = err // response already started
-	}
-}
-
 // Client is the app/crawler side of the control API.
 type Client struct {
 	// BaseURL includes the prefix, e.g. "http://ctrl:8080/api".
@@ -475,21 +514,20 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) post(ctx context.Context, path string, in, out interface{}) error {
+func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
+	req, err := resilience.NewJSONRequest(ctx, c.BaseURL+path, body)
 	if err != nil {
 		return err
 	}
-	req.Header["Content-Type"] = contentTypeJSON
 	return c.do(req, out)
 }
 
-func (c *Client) get(ctx context.Context, path string, out interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+func (c *Client) get(ctx context.Context, path string, out any) error {
+	req, err := resilience.NewRequest(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return err
 	}
@@ -499,9 +537,10 @@ func (c *Client) get(ctx context.Context, path string, out interface{}) error {
 // maxResponseBody caps a reply the client reads.
 const maxResponseBody = 16 << 20
 
-func (c *Client) do(req *http.Request, out interface{}) error {
-	req.Header["Accept-Encoding"] = acceptIdentity
+func (c *Client) do(req *http.Request, out any) error {
 	if c.APIKey != "" {
+		// The request's header is the shared one; the key goes on a copy.
+		req.Header = req.Header.Clone()
 		req.Header.Set(apiKeyHeader, c.APIKey)
 	}
 	resp, err := c.http().Do(req)
@@ -518,11 +557,10 @@ func (c *Client) do(req *http.Request, out interface{}) error {
 	if out == nil {
 		return nil
 	}
-	body, err := resilience.ReadBody(resp.Body, resp.ContentLength, maxResponseBody)
-	if err != nil {
+	if err := resilience.DecodeJSON(resp.Body, resp.ContentLength, maxResponseBody, out); err != nil {
 		return fmt.Errorf("control: %s %s: body: %w", req.Method, req.URL.Path, err)
 	}
-	return json.Unmarshal(body, out)
+	return nil
 }
 
 // errFromResponse reconstructs the service error from a non-200 response's

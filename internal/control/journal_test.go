@@ -404,7 +404,7 @@ func TestTenantUsageTornTailNoDoubleCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.Meter(grant.BroadcastID)
+	m := meterOf(s, grant.BroadcastID)
 
 	m.MeterFrames(10, 100)
 	if s.FlushUsage() != 1 { // journals {frames: 10, bytes: 100}
@@ -432,7 +432,7 @@ func TestTenantUsageTornTailNoDoubleCount(t *testing.T) {
 	// The delivery the torn flush covered is gone from the rollup (meters
 	// were drained), but new metering folds in cleanly and the re-journaled
 	// absolute total reaches the next incarnation intact.
-	m2 := s.Meter(grant.BroadcastID)
+	m2 := meterOf(s, grant.BroadcastID)
 	m2.MeterChunks(4, 40)
 	if s.FlushUsage() != 1 {
 		t.Fatal("post-recovery flush")
@@ -493,7 +493,7 @@ func FuzzControlJournalRecovery(f *testing.F) {
 		s.SetTenantPlan(tn.ID, Plan{Name: "pro2", MaxConcurrentBroadcasts: 2})
 		key, _ := s.IssueAPIKey(tn.ID)
 		g2, _ := s.StartBroadcastKey(key.Key, u.ID, geo.Location{})
-		if m := s.Meter(g2.BroadcastID); m != nil {
+		if m := meterOf(s, g2.BroadcastID); m != nil {
 			m.MeterFrames(5, 500)
 		}
 		s.FlushUsage()

@@ -349,30 +349,6 @@ func untilNextDay(now time.Time) time.Duration {
 	return d
 }
 
-// TenantOf returns the tenant owning a broadcast, or "" for untenanted
-// (legacy anonymous) broadcasts.
-func (s *Service) TenantOf(broadcastID string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.broadcasts[broadcastID]; ok {
-		return st.tenantID
-	}
-	return ""
-}
-
-// Meter returns the delivery meter of a broadcast's owning tenant, or nil
-// for an untenanted broadcast. The data plane never calls it: the meter
-// reaches the origins and edges through OnStart and the assignment.
-func (s *Service) Meter(broadcastID string) *metrics.Usage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.broadcasts[broadcastID]
-	if !ok {
-		return nil
-	}
-	return s.usageLocked(st.tenantID)
-}
-
 // usageLocked returns (creating if needed) a tenant's delivery meter, nil for
 // the untenanted "". A new meter starts its offsets at the counters' current
 // values: a registry shared with an earlier service may hold the series

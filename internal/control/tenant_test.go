@@ -13,6 +13,29 @@ import (
 	"repro/internal/metrics"
 )
 
+// tenantOf reads the tenant owning a broadcast from the service's state, ""
+// for an untenanted or unknown one.
+func tenantOf(s *Service, id string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st, ok := s.broadcasts[id]; ok {
+		return st.tenantID
+	}
+	return ""
+}
+
+// meterOf returns the meter OnStart hands the data plane for a broadcast:
+// its tenant's, nil for an untenanted or unknown one.
+func meterOf(s *Service, id string) *metrics.Usage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.broadcasts[id]
+	if !ok {
+		return nil
+	}
+	return s.usageLocked(st.tenantID)
+}
+
 // newTenantService builds a journaled service on a virtual clock so the
 // rate-limiter refills, quota windows, and usage-day keys are all driven by
 // the test.
@@ -78,8 +101,8 @@ func TestTenantCRUDAndKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TenantOf(grant.BroadcastID); got != a.ID {
-		t.Fatalf("TenantOf = %q, want %q", got, a.ID)
+	if got := tenantOf(s, grant.BroadcastID); got != a.ID {
+		t.Fatalf("tenant = %q, want %q", got, a.ID)
 	}
 
 	// Revocation turns the key off for every later call.
@@ -195,7 +218,7 @@ func TestTenantQuotaAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := s.Meter(grant.BroadcastID)
+	m := meterOf(s, grant.BroadcastID)
 	if m == nil {
 		t.Fatal("Meter returned nil for tenanted broadcast")
 	}
@@ -264,7 +287,7 @@ func TestTenantCrashRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Meter(grant.BroadcastID).MeterFrames(7, 700)
+	meterOf(s, grant.BroadcastID).MeterFrames(7, 700)
 	if s.FlushUsage() != 1 {
 		t.Fatal("flush before crash")
 	}
@@ -329,8 +352,8 @@ func TestTenantCrashRecover(t *testing.T) {
 		t.Fatalf("post-recover usage = %+v", days)
 	}
 	// Broadcast→tenant attribution recovered too.
-	if got := s.TenantOf(grant.BroadcastID); got != tn.ID {
-		t.Fatalf("TenantOf after recovery = %q", got)
+	if got := tenantOf(s, grant.BroadcastID); got != tn.ID {
+		t.Fatalf("tenant after recovery = %q", got)
 	}
 
 	// The harder restart: a fresh Service over the same backend sees it all,
@@ -404,7 +427,7 @@ func meteredTenant(t *testing.T, s *Service, plan Plan) (Tenant, *metrics.Usage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.Meter(grant.BroadcastID)
+	m := meterOf(s, grant.BroadcastID)
 	if m == nil {
 		t.Fatal("Meter returned nil for a tenanted broadcast")
 	}

@@ -546,19 +546,19 @@ func (p *Platform) Start(ctx context.Context) error {
 		}
 	}
 
-	mux := http.NewServeMux()
-	var apiHandler http.Handler = control.Handler("/api", p.Ctrl)
-	if p.limiter != nil {
-		apiHandler = p.limiter.Wrap(apiHandler)
+	mux := &surface{
+		api:     control.Handler("/api", p.Ctrl),
+		channel: pubsub.Handler("/channel", p.Hub),
+		fleet:   health.Handler(p.Health),
+		metrics: metrics.Handler(p.metrics),
+		vars:    metrics.VarsHandler(p.metrics),
+		edges:   make(map[string]http.Handler, len(p.Topo.Edges)),
 	}
-	mux.Handle("/api/", apiHandler)
-	mux.Handle("/channel/", pubsub.Handler("/channel", p.Hub))
-	mux.Handle("/fleet", health.Handler(p.Health))
-	mux.Handle("/metrics", metrics.Handler(p.metrics))
-	mux.Handle("/debug/vars", metrics.VarsHandler(p.metrics))
+	if p.limiter != nil {
+		mux.api = p.limiter.Wrap(mux.api)
+	}
 	for _, e := range p.Topo.Edges {
-		prefix := "/edge/" + e.Site().ID + "/hls"
-		mux.Handle(prefix+"/", hls.Handler(prefix, e))
+		mux.edges[e.Site().ID] = hls.Handler("/edge/"+e.Site().ID+"/hls", e)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -303,19 +303,13 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// acceptIdentity is the Accept-Encoding every fetch sends, ready-made like
-// the Content-Type values above. Nothing here compresses, and a request that
-// names no encoding makes Transport build a header map per request to ask
-// for gzip.
-var acceptIdentity = []string{"identity"}
-
-// get issues one GET; a URL that does not parse is a permanent failure.
+// get issues one GET with the clients' shared header; a URL that does not
+// parse is a permanent failure.
 func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req, err := resilience.NewRequest(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, resilience.Permanent(err)
 	}
-	req.Header["Accept-Encoding"] = acceptIdentity
 	return c.http().Do(req)
 }
 

@@ -59,6 +59,9 @@ func FuzzReplay(f *testing.F) {
 	corrupt := append([]byte(nil), clean...)
 	corrupt[len(corrupt)-1] ^= 1
 	f.Add(corrupt)
+	// A broadcast the origin forgot: create, seal, end, remove.
+	removed := AppendRecord(append([]byte(nil), clean...), Record{Type: RecordEnd, BroadcastID: "b"})
+	f.Add(AppendRecord(removed, Record{Type: RecordRemove, BroadcastID: "b"}))
 	// A control-plane journal stream, clean and with a torn tail: the
 	// same truncate-and-continue contract covers both record spaces.
 	ctrl := AppendRecord(nil, Record{Type: RecordCtrlRegister, Payload: []byte(`{"id":1}`)})

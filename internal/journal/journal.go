@@ -31,7 +31,7 @@ import (
 // RecordType identifies one journaled state transition.
 type RecordType uint8
 
-// The three origin state transitions worth making durable. Frame arrivals are
+// The four origin state transitions worth making durable. Frame arrivals are
 // deliberately NOT journaled: the ingest budget (one allocation per arrival,
 // DESIGN.md §5a) leaves no room for per-frame durability, and
 // sealing is the moment frames become externally visible anyway — a crash
@@ -44,6 +44,9 @@ const (
 	RecordSeal
 	// RecordEnd marks a clean broadcast end.
 	RecordEnd
+	// RecordRemove marks the origin forgetting a broadcast (Origin.Remove):
+	// replay drops what the records before it built.
+	RecordRemove
 )
 
 // Control-plane state transitions (DESIGN.md §6.3). The control journal
@@ -96,7 +99,7 @@ type Record struct {
 	Type        RecordType
 	BroadcastID string
 	// Payload is type-specific: the marshalled chunk for RecordSeal, empty
-	// for RecordCreate and RecordEnd.
+	// for RecordCreate, RecordEnd and RecordRemove.
 	Payload []byte
 }
 

@@ -304,8 +304,7 @@ func Handler(prefix string, hub *Hub) http.Handler {
 		switch {
 		case op == "publish" && r.Method == http.MethodPost:
 			var ev Event
-			body, err := resilience.ReadBody(r.Body, r.ContentLength, maxEventBody)
-			if err != nil || json.Unmarshal(body, &ev) != nil {
+			if resilience.DecodeJSON(r.Body, r.ContentLength, maxEventBody, &ev) != nil {
 				http.Error(w, "bad event", http.StatusBadRequest)
 				return
 			}
@@ -318,7 +317,7 @@ func Handler(prefix string, hub *Hub) http.Handler {
 			case err != nil:
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			default:
-				writeJSON(w, stored)
+				resilience.WriteJSON(w, stored)
 			}
 		case op == "events" && r.Method == http.MethodGet:
 			var since uint64
@@ -351,7 +350,7 @@ func Handler(prefix string, hub *Hub) http.Handler {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			writeJSON(w, eventsPage{Events: evs, Closed: closed})
+			resilience.WriteJSON(w, eventsPage{Events: evs, Closed: closed})
 		default:
 			http.NotFound(w, r)
 		}
@@ -380,23 +379,6 @@ func queryValue(rawQuery, name string) string {
 		}
 	}
 	return ""
-}
-
-// Ready-made header values: assigning one directly (the key is already
-// canonical) spares each request and response the []string http.Header.Set
-// builds. Nothing here compresses, and a request that names no encoding
-// makes Transport build a header map per request to ask for gzip.
-var (
-	contentTypeJSON = []string{"application/json"}
-	acceptIdentity  = []string{"identity"}
-)
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header()["Content-Type"] = contentTypeJSON
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Response already started; nothing more to do.
-		_ = err
-	}
 }
 
 // Client talks to a remote hub.
@@ -439,21 +421,11 @@ func (c *Client) timeout(wait bool) time.Duration {
 
 // do issues one request; a URL that does not parse is a permanent failure.
 func (c *Client) do(ctx context.Context, method, url string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	req, err := resilience.NewRequest(ctx, method, url, body)
 	if err != nil {
 		return nil, resilience.Permanent(err)
 	}
-	req.Header["Accept-Encoding"] = acceptIdentity
 	return c.http().Do(req)
-}
-
-// decodeBody reads a response body (at most maxResponseBody) and decodes it.
-func decodeBody(resp *http.Response, v interface{}) error {
-	data, err := resilience.ReadBody(resp.Body, resp.ContentLength, maxResponseBody)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, v)
 }
 
 // maxResponseBody caps a response the client reads: a page of some 400,000
@@ -485,7 +457,7 @@ func (c *Client) Publish(ctx context.Context, broadcastID string, ev Event) (Eve
 			return Event{}, fmt.Errorf("pubsub: publish status %d", resp.StatusCode)
 		}
 		var stored Event
-		if err := decodeBody(resp, &stored); err != nil {
+		if err := resilience.DecodeJSON(resp.Body, resp.ContentLength, maxResponseBody, &stored); err != nil {
 			return Event{}, fmt.Errorf("pubsub: publish body: %w", err)
 		}
 		return stored, nil
@@ -515,7 +487,7 @@ func (c *Client) Events(ctx context.Context, broadcastID string, since uint64, w
 			return eventsPage{}, fmt.Errorf("pubsub: events status %d", resp.StatusCode)
 		}
 		var page eventsPage
-		if err := decodeBody(resp, &page); err != nil {
+		if err := resilience.DecodeJSON(resp.Body, resp.ContentLength, maxResponseBody, &page); err != nil {
 			return eventsPage{}, fmt.Errorf("pubsub: events body: %w", err)
 		}
 		return page, nil

@@ -9,13 +9,17 @@
 package resilience
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -111,6 +115,133 @@ func ReadBody(body io.Reader, n, limit int64) ([]byte, error) {
 		return data, err
 	}
 	return io.ReadAll(io.LimitReader(body, limit))
+}
+
+// errBodyTooLarge reports a body longer than its reader's limit.
+var errBodyTooLarge = errors.New("resilience: body over limit")
+
+// jsonBuf is one pooled JSON body: the buffer a body is read into or
+// encoded into, and the encoder bound to it for the latter.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	b := new(jsonBuf)
+	b.enc = json.NewEncoder(&b.buf)
+	return b
+}}
+
+// maxPooledJSON is the largest buffer that goes back to the pool: one
+// outsized body must not keep its memory for good.
+const maxPooledJSON = 64 << 10
+
+func putJSONBuf(b *jsonBuf) {
+	if b.buf.Cap() > maxPooledJSON {
+		return
+	}
+	b.buf.Reset()
+	jsonBufs.Put(b)
+}
+
+// DecodeJSON reads a JSON body that declared n bytes (n ≤ 0: undeclared or
+// unknown) into v through a pooled buffer. A body over limit is an error,
+// whether its declared length says so or its bytes do; a declared length is
+// read with io.ReadFull, so a body shorter than it declared is one too.
+// json.Unmarshal copies everything it keeps, so the buffer goes back to the
+// pool. Bytes after the value are an error, as json.Unmarshal has them.
+func DecodeJSON(body io.Reader, n, limit int64, v any) error {
+	if n > limit {
+		return errBodyTooLarge
+	}
+	b := jsonBufs.Get().(*jsonBuf)
+	defer putJSONBuf(b)
+	var data []byte
+	if n > 0 {
+		b.buf.Grow(int(n))
+		data = b.buf.AvailableBuffer()[:n]
+		if _, err := io.ReadFull(body, data); err != nil {
+			return err
+		}
+	} else {
+		if _, err := b.buf.ReadFrom(io.LimitReader(body, limit+1)); err != nil {
+			return err
+		}
+		if data = b.buf.Bytes(); int64(len(data)) > limit {
+			return errBodyTooLarge
+		}
+	}
+	return json.Unmarshal(data, v)
+}
+
+// contentTypeJSON is the Content-Type of every JSON body, ready-made:
+// assigning it directly (the key is already canonical) spares each request
+// and response the []string http.Header.Set builds.
+var contentTypeJSON = []string{"application/json"}
+
+// WriteJSON answers v as a 200 JSON body, encoded through a pooled buffer
+// and written in one call. A value that does not encode is a 500, sent
+// before anything of the body.
+func WriteJSON(w http.ResponseWriter, v any) {
+	b := jsonBufs.Get().(*jsonBuf)
+	defer putJSONBuf(b)
+	if err := b.enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header()["Content-Type"] = contentTypeJSON
+	_, _ = w.Write(b.buf.Bytes()) // a failed write is the client gone; nothing to tell it
+}
+
+// Request headers of the platform's clients, shared read-only by every
+// request they send: http.Client and Transport only read a request's
+// header, and Client.Do clones it before following a redirect. Nothing here
+// compresses, and a request that names no encoding makes Transport build a
+// header map per request to ask for gzip.
+var (
+	plainHeader = http.Header{"Accept-Encoding": {"identity"}}
+	jsonHeader  = http.Header{"Accept-Encoding": {"identity"}, "Content-Type": contentTypeJSON}
+)
+
+// NewRequest is http.NewRequestWithContext for the platform's clients, with
+// the shared header that asks for an identity encoding. The caller must not
+// write to req.Header: one that needs a header of its own sets req.Header to
+// a clone first.
+func NewRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err == nil {
+		req.Header = plainHeader
+	}
+	return req, err
+}
+
+// NewJSONRequest is NewRequest for a POST of a JSON body: the shared header
+// also declares its Content-Type.
+func NewJSONRequest(ctx context.Context, url string, body []byte) (*http.Request, error) {
+	req, err := NewRequest(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err == nil {
+		req.Header = jsonHeader
+	}
+	return req, err
+}
+
+// CutSegment splits an escaped URL path that starts with "/" into its first
+// segment, unescaped, and the rest, still escaped, which starts with "/" or
+// is empty. It reads a path as http.ServeMux does: an escaped slash stays
+// inside its segment, and an escape that does not decode is left as it is.
+// Only a segment with an escape in it allocates.
+func CutSegment(path string) (seg, rest string) {
+	seg, rest = path[1:], ""
+	if i := strings.IndexByte(seg, '/'); i >= 0 {
+		seg, rest = seg[:i], seg[i:]
+	}
+	if strings.IndexByte(seg, '%') >= 0 {
+		if u, err := url.PathUnescape(seg); err == nil {
+			seg = u
+		}
+	}
+	return seg, rest
 }
 
 // ParseRetryAfter reads a Retry-After header value: delta-seconds, or an
