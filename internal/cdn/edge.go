@@ -174,9 +174,8 @@ type edgeEntry struct {
 	// an upstream fault.
 	br *resilience.Breaker
 	// chunks holds the cached chunks inside the retention window
-	// (retainedChunks behind newest, the highest sequence cached so far).
-	chunks map[uint64]storedChunk
-	newest uint64
+	// (retainedChunks behind the highest sequence cached so far).
+	chunks chunkWindow
 	// usage is the upstream's delivery meter as of the last pull, so a
 	// chunk hit only adds to it — zero allocations per serve. Nil for an
 	// untenanted broadcast.
@@ -187,18 +186,10 @@ type edgeEntry struct {
 func (sh *edgeShard) entryLocked(id string) *edgeEntry {
 	ent, ok := sh.cache[id]
 	if !ok {
-		ent = &edgeEntry{chunks: make(map[uint64]storedChunk)}
+		ent = &edgeEntry{}
 		sh.cache[id] = ent
 	}
 	return ent
-}
-
-// storeChunkLocked caches a pulled chunk and expires what left the retention
-// window.
-func (ent *edgeEntry) storeChunkLocked(seq uint64, c *media.Chunk, at time.Time) {
-	ent.chunks[seq] = storedChunk{chunk: c, at: at}
-	ent.newest = max(ent.newest, seq)
-	dropExpired(ent.chunks, ent.newest)
 }
 
 // NewEdge builds an Edge.
@@ -589,7 +580,7 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 	var window [media.WindowSize]media.ChunkRef
 	missing := window[:0]
 	for _, ref := range list.Chunks {
-		if _, have := ent.chunks[ref.Seq]; !have {
+		if _, have := ent.chunks.get(ref.Seq); !have {
 			missing = append(missing, ref)
 		}
 	}
@@ -616,7 +607,7 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 		e.m.chunkPulls.Inc()
 		arrived := e.cfg.Clock.Now()
 		sh.mu.Lock()
-		ent.storeChunkLocked(ref.Seq, c, arrived)
+		ent.chunks.put(ref.Seq, c, arrived)
 		sh.mu.Unlock()
 		e.m.originEdge.Observe(arrived.Sub(copyStart))
 	}
@@ -643,7 +634,7 @@ func (e *Edge) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, 
 	sh := e.shard(id)
 	sh.mu.Lock()
 	if ent, ok := sh.cache[id]; ok {
-		if c, ok := ent.chunks[seq]; ok {
+		if c, ok := ent.chunks.get(seq); ok {
 			// Copy the meter out before unlocking; the metering itself
 			// (atomic adds) runs outside the shard lock.
 			usage := ent.usage
@@ -685,7 +676,7 @@ func (e *Edge) pullChunk(ctx context.Context, id string, seq uint64) (*media.Chu
 	sh.mu.Lock()
 	ent := sh.entryLocked(id)
 	ent.usage = usage
-	ent.storeChunkLocked(seq, c, arrived)
+	ent.chunks.put(seq, c, arrived)
 	sh.mu.Unlock()
 	usage.MeterChunks(1, int64(c.Size()))
 	return c, nil
@@ -700,7 +691,7 @@ func (e *Edge) ChunkArrivedAt(id string, seq uint64) (time.Time, bool) {
 	if !ok {
 		return time.Time{}, false
 	}
-	c, ok := ent.chunks[seq]
+	c, ok := ent.chunks.get(seq)
 	return c.at, ok
 }
 

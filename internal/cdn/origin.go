@@ -101,16 +101,29 @@ type Origin struct {
 	// on write, so a publisher takes the slice under the lock it already
 	// holds and notifies from it after releasing it.
 	edges []Invalidator
+
+	// perChunk is how many frames make a chunk (OriginConfig.ChunkDuration).
+	perChunk int
+	// chunkSlab, frameSlab and listSlab are the uncarved rest of the slabs
+	// (slabSize, listsPerSlab) the origin takes chunks, their frames and
+	// published lists from.
+	chunkSlab []media.Chunk
+	frameSlab []media.Frame
+	listSlab  []publishedList
 }
 
 type originStream struct {
-	chunker *media.Chunker
 	// list is the current published chunklist. Published lists are
 	// immutable (readers hold the pointer without the lock), so an update
 	// replaces it with a successor instead of editing it.
 	list *media.ChunkList
-	// chunks holds the chunks inside the retention window (retainedChunks).
-	chunks map[uint64]storedChunk
+	// chunks holds the chunks inside the retention window.
+	chunks chunkWindow
+	// frames is the chunk being assembled, carved whole from the origin's
+	// frame slab on its first frame; nil between chunks. nextSeq is the
+	// sequence it will be sealed under.
+	frames  []media.Frame
+	nextSeq uint64
 	// resumeFloor is the first frame sequence not covered by replayed
 	// chunks — set only by journal recovery. A reconnecting publisher is
 	// asked to resume here, and any frame below it is already inside a
@@ -122,54 +135,165 @@ type originStream struct {
 	pending bool
 }
 
-// storedChunk is one chunk held by an origin or an edge and when it became
-// available there — timestamp ⑦ at the origin, ⑪ at an edge — which
-// measurement taps consume.
-type storedChunk struct {
-	chunk *media.Chunk
-	at    time.Time
-}
-
 // retainedChunks is how many trailing chunks of a broadcast the origin and
 // every edge keep: the ones a playlist can still name plus one more window of
 // grace for a viewer acting on a list it fetched a moment ago. Older chunks
 // answer hls.ErrNotFound, as a rolled-out segment does on a real CDN (§4.3).
 const retainedChunks = 2 * media.WindowSize
 
-// dropExpired deletes the chunks that fell out of the retention window now
-// that newest is the broadcast's latest chunk.
-func dropExpired(chunks map[uint64]storedChunk, newest uint64) {
-	if newest < retainedChunks {
-		return
-	}
-	for seq := range chunks {
-		if seq <= newest-retainedChunks {
-			delete(chunks, seq)
-		}
+// storedChunk is one chunk held by an origin or an edge, its sequence, and
+// when it became available there — timestamp ⑦ at the origin, ⑪ at an edge —
+// which measurement taps consume.
+type storedChunk struct {
+	seq   uint64
+	chunk *media.Chunk
+	at    time.Time
+}
+
+// chunkWindow is one broadcast's retained chunks: a fixed ring of
+// retainedChunks slots, sequence seq in slot seq mod retainedChunks, held by
+// value in the origin's and the edge's record of the broadcast. newest is the
+// highest sequence stored; a sequence at or below newest − retainedChunks is
+// out of the window. A lookup finds a chunk only in the window and only under
+// its own sequence, so a slot still holding an older chunk answers nothing
+// for it.
+type chunkWindow struct {
+	slots  [retainedChunks]storedChunk
+	newest uint64
+}
+
+// expired reports whether seq has left the window.
+func (w *chunkWindow) expired(seq uint64) bool {
+	return w.newest >= retainedChunks && seq <= w.newest-retainedChunks
+}
+
+// put stores c under seq with its stamp. A seq already out of the window is
+// not stored: its slot belongs to a chunk of seq + k·retainedChunks, which may
+// be live.
+func (w *chunkWindow) put(seq uint64, c *media.Chunk, at time.Time) {
+	w.newest = max(w.newest, seq)
+	if !w.expired(seq) {
+		w.slots[seq%retainedChunks] = storedChunk{seq: seq, chunk: c, at: at}
 	}
 }
 
-// addChunkLocked makes a chunk servable: store it with its ready stamp, expire
-// what left the retention window, and publish the successor list naming it.
-// Ingest, end-of-broadcast flush and journal replay all go through here.
-func (st *originStream) addChunkLocked(c *media.Chunk, at time.Time) {
-	st.chunks[c.Seq] = storedChunk{chunk: c, at: at}
-	dropExpired(st.chunks, c.Seq)
-	st.list = st.successorLocked(&media.ChunkRef{Seq: c.Seq, Duration: c.Duration()})
+// get returns the chunk stored under seq, if it is in the window.
+func (w *chunkWindow) get(seq uint64) (storedChunk, bool) {
+	s := w.slots[seq%retainedChunks]
+	if s.chunk == nil || s.seq != seq || w.expired(seq) {
+		return storedChunk{}, false
+	}
+	return s, true
+}
+
+// slabSize is the fewest frames a frame slab holds. A frame slab holds whole
+// chunks' frames, max(slabSize, perChunk) of them, and a chunk slab as many
+// chunks (chunksPerSlab): a one-frame chunk is 1/64 of each, a 75-frame chunk
+// gets a frame array and a Chunk of its own. Chunk slabs follow the frame
+// slabs because a chunk holds its frames and they hold what they view: with
+// 64 three-second chunks to a slab, one live chunk would keep up to 63
+// expired ones' frames and payloads alive. A slab is garbage once everything
+// carved from it is: its chunks have left every origin window and edge
+// cache, its lists every reader.
+const slabSize = 64
+
+// listsPerSlab is how many published lists a list slab holds. Lists have
+// slabs of their own, since a list is superseded one chunk later and a chunk
+// stays for retainedChunks, and small ones: slabs of 8 to 64 lists raised the
+// 1:10 simulated day's peak RSS by 1.5 MB (DESIGN.md §5a).
+const listsPerSlab = 4
+
+func (o *Origin) chunksPerSlab() int { return max(slabSize, o.perChunk) / o.perChunk }
+
+// carveChunkLocked takes the next Chunk from the origin's chunk slab.
+//
+//livesim:hotpath TestIngestAllocBudget
+func (o *Origin) carveChunkLocked() *media.Chunk {
+	if len(o.chunkSlab) == 0 {
+		//lint:allow hotpathescape slab refill only: one allocation per chunksPerSlab chunks
+		o.chunkSlab = make([]media.Chunk, o.chunksPerSlab())
+	}
+	c := &o.chunkSlab[0]
+	o.chunkSlab = o.chunkSlab[1:]
+	return c
+}
+
+// carveFramesLocked takes a whole chunk's frames from the origin's frame
+// slab, returned empty with that capacity.
+//
+//livesim:hotpath TestIngestAllocBudget
+func (o *Origin) carveFramesLocked() []media.Frame {
+	if len(o.frameSlab) == 0 {
+		//lint:allow hotpathescape slab refill only: one allocation per chunksPerSlab chunks
+		o.frameSlab = make([]media.Frame, o.chunksPerSlab()*o.perChunk)
+	}
+	f := o.frameSlab[:0:o.perChunk]
+	o.frameSlab = o.frameSlab[o.perChunk:]
+	return f
+}
+
+// carveListLocked takes the next publishedList from the origin's list slab.
+//
+//livesim:hotpath TestIngestAllocBudget
+func (o *Origin) carveListLocked() *publishedList {
+	if len(o.listSlab) == 0 {
+		//lint:allow hotpathescape slab refill only: one allocation per listsPerSlab lists
+		o.listSlab = make([]publishedList, listsPerSlab)
+	}
+	p := &o.listSlab[0]
+	o.listSlab = o.listSlab[1:]
+	return p
+}
+
+// addFrameLocked appends f to the stream's chunk in assembly — the
+// Wowza-side step that creates HLS chunking delay (⑦−⑥ in Fig. 10) — and
+// returns the chunk when f fills it, else nil.
+func (o *Origin) addFrameLocked(st *originStream, f media.Frame) *media.Chunk {
+	if st.frames == nil {
+		st.frames = o.carveFramesLocked()
+	}
+	st.frames = append(st.frames, f)
+	if len(st.frames) < o.perChunk {
+		return nil
+	}
+	return o.closeChunkLocked(st)
+}
+
+// closeChunkLocked returns the stream's chunk in assembly, however many
+// frames it has, and starts the next. Nil when it has none (an end of
+// broadcast right after a seal).
+func (o *Origin) closeChunkLocked(st *originStream) *media.Chunk {
+	if len(st.frames) == 0 {
+		return nil
+	}
+	c := o.carveChunkLocked()
+	c.Seq, c.Frames = st.nextSeq, st.frames
+	st.nextSeq++
+	st.frames = nil
+	return c
+}
+
+// addChunkLocked makes a chunk servable: store it with its ready stamp in the
+// retention window and publish the successor list naming it. Ingest,
+// end-of-broadcast flush and journal replay all go through here.
+func (o *Origin) addChunkLocked(st *originStream, c *media.Chunk, at time.Time) {
+	st.chunks.put(c.Seq, c, at)
+	st.list = o.successorLocked(st, &media.ChunkRef{Seq: c.Seq, Duration: c.Duration()})
 }
 
 // endLocked publishes the successor list carrying the end marker, the one
 // place a broadcast's end is kept. An ended broadcast awaits no publisher.
-func (st *originStream) endLocked() {
-	next := st.successorLocked(nil)
+func (o *Origin) endLocked(st *originStream) {
+	next := o.successorLocked(st, nil)
 	next.Ended = true
 	st.list = next
 	st.pending = false
 }
 
 // publishedList is a chunklist and the backing array of its chunk window,
-// allocated together: the list's Chunks slices refs, so the list pointer the
-// origin hands out keeps both alive, and publishing costs one allocation.
+// carved together: the list's Chunks slices refs, so the list pointer the
+// origin hands out keeps both alive, and publishing allocates nothing but, per
+// listsPerSlab lists, the slab.
 type publishedList struct {
 	list media.ChunkList
 	refs [media.WindowSize]media.ChunkRef
@@ -179,13 +303,12 @@ type publishedList struct {
 // window copied into its own refs and, when add is set, slid to end with add.
 // The caller may still set Ended before assigning it to st.list; the old
 // list is never written.
-func (st *originStream) successorLocked(add *media.ChunkRef) *media.ChunkList {
+func (o *Origin) successorLocked(st *originStream, add *media.ChunkRef) *media.ChunkList {
 	old := st.list
-	p := &publishedList{list: media.ChunkList{
-		BroadcastID: old.BroadcastID,
-		Version:     old.Version + 1,
-		Ended:       old.Ended,
-	}}
+	p := o.carveListLocked()
+	p.list.BroadcastID = old.BroadcastID
+	p.list.Version = old.Version + 1
+	p.list.Ended = old.Ended
 	keep := old.Chunks
 	if add != nil {
 		keep = keep[max(0, len(keep)-(media.WindowSize-1)):]
@@ -199,20 +322,6 @@ func (st *originStream) successorLocked(add *media.ChunkRef) *media.ChunkList {
 	return &p.list
 }
 
-// sealed returns c in byte-backed form: the wire bytes are built (the one
-// marshal the journal record and every later HTTP serve share) and the frames
-// become views into them, so the frame-owning original can be collected.
-// Called before c is published, while the ingest goroutine still owns it.
-func sealed(c *media.Chunk) *media.Chunk {
-	s, err := media.SealedChunk(c.Wire())
-	if err != nil {
-		// Only a frame above media.MaxFramePayload fails to decode; c is
-		// sealed all the same and merely keeps its own frames.
-		return c
-	}
-	return s
-}
-
 // NewOrigin builds an Origin and its embedded RTMP server. When the config
 // carries a journal backend, whatever it already holds is replayed first —
 // so pointing a fresh Origin at a crashed one's journal is the restart path.
@@ -223,10 +332,14 @@ func NewOrigin(cfg OriginConfig) *Origin {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
+	if cfg.ChunkDuration == 0 {
+		cfg.ChunkDuration = media.DefaultChunkDuration
+	}
 	o := &Origin{
-		cfg:     cfg,
-		m:       newOriginMetrics(cfg.Metrics, cfg.Site.ID),
-		streams: make(map[string]*originStream),
+		cfg:      cfg,
+		m:        newOriginMetrics(cfg.Metrics, cfg.Site.ID),
+		streams:  make(map[string]*originStream),
+		perChunk: media.FramesPerChunk(cfg.ChunkDuration),
 	}
 	o.mu.Lock()
 	o.openJournalLocked()
@@ -306,13 +419,13 @@ func (o *Origin) applyRecordLocked(r journal.Record) {
 			// bug, not tail damage; skip it rather than abort recovery.
 			return
 		}
-		st.addChunkLocked(chunk, o.cfg.Clock.Now())
-		st.chunker.SkipTo(chunk.Seq + 1)
+		o.addChunkLocked(st, chunk, o.cfg.Clock.Now())
+		st.nextSeq = max(st.nextSeq, chunk.Seq+1)
 		if n := len(chunk.Frames); n > 0 {
 			st.resumeFloor = chunk.Frames[n-1].Seq + 1
 		}
 	case journal.RecordEnd:
-		st.endLocked()
+		o.endLocked(st)
 	case journal.RecordRemove:
 		delete(o.streams, id)
 	}
@@ -322,9 +435,7 @@ func (o *Origin) applyRecordLocked(r journal.Record) {
 // broadcast waits for its publisher to reconnect.
 func (o *Origin) newStreamLocked(id string, pending bool) *originStream {
 	return &originStream{
-		chunker: media.NewChunker(o.cfg.ChunkDuration),
 		list:    &media.ChunkList{BroadcastID: id},
-		chunks:  make(map[uint64]storedChunk),
 		pending: pending,
 	}
 }
@@ -429,12 +540,13 @@ func (o *Origin) RegisterEdge(e Invalidator) {
 	o.edges = append(o.edges[:len(o.edges):len(o.edges)], e)
 }
 
-// Ingest feeds one frame into the HLS chunker. Production traffic arrives
-// through the RTMP tap; the benchmark harness calls it directly, bypassing
-// the listener, to isolate viewer-serving cost. With a journal, a completed
-// chunk is sealed here — the journal needs its bytes anyway, and that
-// marshal is the only one the chunk ever gets; without one, nothing on this
-// path builds bytes (the first HTTP serve does, if there ever is one).
+// Ingest adds one frame to its broadcast's chunk in assembly. Production
+// traffic arrives through the RTMP tap; the benchmark harness calls it
+// directly, bypassing the listener, to isolate viewer-serving cost. With a
+// journal, a completed chunk is sealed here (Chunk.Seal) — the journal needs
+// its bytes anyway, and that marshal is the only one the chunk ever gets;
+// without one, nothing on this path builds bytes (the first HTTP serve does,
+// if there ever is one).
 // Journal appends happen after the lock is released — they copy the record
 // into the group-commit writer's pending batch, the one copy the sealed bytes
 // get on the way to the backend — and per-broadcast ordering holds because one
@@ -454,14 +566,14 @@ func (o *Origin) Ingest(id string, f media.Frame, at time.Time) {
 		o.mu.Unlock()
 		return
 	}
-	chunk := st.chunker.Add(f)
+	chunk := o.addFrameLocked(st, f)
 	jw, edges := o.jw, o.edges
 	var version uint64
 	if chunk != nil {
 		if jw != nil {
-			chunk = sealed(chunk)
+			chunk.Seal()
 		}
-		st.addChunkLocked(chunk, at)
+		o.addChunkLocked(st, chunk, at)
 		version = st.list.Version
 	}
 	o.mu.Unlock()
@@ -495,14 +607,14 @@ func (o *Origin) endBroadcast(id string) {
 		return
 	}
 	jw, edges := o.jw, o.edges
-	flushedChunk := st.chunker.Flush()
+	flushedChunk := o.closeChunkLocked(st)
 	if flushedChunk != nil {
 		if jw != nil {
-			flushedChunk = sealed(flushedChunk)
+			flushedChunk.Seal()
 		}
-		st.addChunkLocked(flushedChunk, o.cfg.Clock.Now())
+		o.addChunkLocked(st, flushedChunk, o.cfg.Clock.Now())
 	}
-	st.endLocked()
+	o.endLocked(st)
 	version := st.list.Version
 	o.mu.Unlock()
 	if jw != nil {
@@ -560,7 +672,7 @@ func (o *Origin) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk
 	if !ok {
 		return nil, hls.ErrNotFound
 	}
-	c, ok := st.chunks[seq]
+	c, ok := st.chunks.get(seq)
 	if !ok {
 		return nil, hls.ErrNotFound
 	}
@@ -576,7 +688,7 @@ func (o *Origin) ChunkReadyAt(id string, seq uint64) (time.Time, bool) {
 	if !ok {
 		return time.Time{}, false
 	}
-	c, ok := st.chunks[seq]
+	c, ok := st.chunks.get(seq)
 	return c.at, ok
 }
 

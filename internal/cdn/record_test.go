@@ -1,8 +1,10 @@
 package cdn
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strconv"
 	"testing"
 	"time"
@@ -44,10 +46,17 @@ func newFeeder(o *Origin, id string) *feeder {
 
 func (f *feeder) feed(frames int) {
 	for range frames {
-		at := f.base.Add(time.Duration(f.n) * media.FrameDuration)
-		f.o.Ingest(f.id, f.enc.Next(at), at)
-		f.n++
+		f.next()
 	}
+}
+
+// next ingests the next frame and returns it.
+func (f *feeder) next() media.Frame {
+	at := f.base.Add(time.Duration(f.n) * media.FrameDuration)
+	fr := f.enc.Next(at)
+	f.o.Ingest(f.id, fr, at)
+	f.n++
+	return fr
 }
 
 // TestEdgeKeepsNoRecordForUnknownIDs: polling made-up broadcast IDs costs an
@@ -130,10 +139,44 @@ func TestOriginEdgeRegistrationsSurviveCrash(t *testing.T) {
 	}
 }
 
+// sealModel is what an origin must have sealed for one broadcast: its chunk
+// in assembly, and the wire form of every chunk it sealed, by sequence.
+type sealModel struct {
+	feeder  *feeder
+	frames  []media.Frame
+	next    uint64
+	sealed  map[uint64][]byte
+	removed bool
+}
+
+func (m *sealModel) add(f media.Frame) {
+	if m.frames = append(m.frames, f); len(m.frames) == framesPerTestChunk {
+		m.seal()
+	}
+}
+
+// seal records the chunk in assembly as the origin must seal it, if it has
+// frames.
+func (m *sealModel) seal() {
+	if len(m.frames) == 0 {
+		return
+	}
+	m.sealed[m.next] = media.MarshalChunk(&media.Chunk{Seq: m.next, Frames: m.frames})
+	m.next++
+	m.frames = nil
+}
+
 // FuzzEdgeRequests drives one origin and one edge with an op sequence over
 // three known broadcast IDs and one fuzzed ID. After every op the edge holds
 // records only for broadcasts it has pulled successfully since their last
-// Evict, and an ID the origin never knew answers hls.ErrNotFound.
+// Evict, and an ID the origin never knew answers hls.ErrNotFound. Every
+// chunk the edge serves has the bytes the origin sealed under that sequence
+// for that broadcast, a chunk the origin still retains is served, and a
+// sequence below the window of what the edge has served answers
+// hls.ErrNotFound: an edge never serves stale bytes. Sequences are drawn
+// around the broadcast's newest chunk and its window's floor, and from its
+// start. A removed
+// broadcast is not ingested again: the platform never reuses an ID.
 func FuzzEdgeRequests(f *testing.F) {
 	const (
 		opIngest = iota
@@ -144,43 +187,98 @@ func FuzzEdgeRequests(f *testing.F) {
 		opEvict
 		numOps
 	)
+	// opIngest feeds 1 + arg chunks' worth of frames; opChunk asks for the
+	// sequence back[arg] behind the one after the newest sealed, or for
+	// chunk 0.
+	back := [8]uint64{0, 1, 2, media.WindowSize, retainedChunks - 1, retainedChunks, retainedChunks + 1, math.MaxUint64}
 	// The unknown-ID case: list and chunk polls for an ID nobody ingested.
 	f.Add([]byte{opChunkList | 3<<3, opChunk | 3<<3, opChunk | 3<<3 | 1<<5}, "nope")
 	f.Add([]byte{
 		opIngest, opIngest | 1<<3, opChunkList, opChunk, opChunkList | 3<<3,
 		opEnd, opChunkList, opRemove, opChunkList, opEvict, opChunk | 1<<3 | 2<<5,
 	}, "b0")
+	// Past the retention window: fourteen chunks, then chunks at and
+	// around its floor, before and after the edge has caught up.
+	f.Add([]byte{
+		opIngest | 7<<5, opIngest | 5<<5, opChunk | 5<<5, opChunk | 6<<5, opChunk | 4<<5,
+		opChunkList, opChunk | 5<<5, opChunk | 6<<5, opChunk | 7<<5, opIngest | 7<<5, opChunk | 6<<5,
+		opEnd, opChunkList, opChunk,
+	}, "b3")
 	f.Fuzz(func(t *testing.T, ops []byte, fuzzed string) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
 		o, e := originAndEdge(OriginConfig{})
 		ids := [4]string{"b0", "b1", "b2", fuzzed}
-		feeders := map[string]*feeder{}
-		knew := map[string]bool{}
+		models := map[string]*sealModel{}
 		pulled := map[string]bool{}
+		// edgeNewest is the highest sequence the edge has served or listed
+		// since its last Evict of the broadcast, plus one (0: none).
+		edgeNewest := map[string]uint64{}
 		ctx := context.Background()
 		for i, b := range ops {
-			op, id, seq := int(b&7)%numOps, ids[b>>3&3], uint64(b>>5)
+			op, id, arg := int(b&7)%numOps, ids[b>>3&3], int(b>>5)
+			m := models[id]
 			var err error
 			switch op {
 			case opIngest:
-				if feeders[id] == nil {
-					feeders[id] = newFeeder(o, id)
+				if m == nil {
+					m = &sealModel{feeder: newFeeder(o, id), sealed: map[uint64][]byte{}}
+					models[id] = m
 				}
-				feeders[id].feed(framesPerTestChunk + 1)
-				knew[id] = true
+				if !m.removed {
+					for range (framesPerTestChunk + 1) * (1 + arg) {
+						m.add(m.feeder.next())
+					}
+				}
 			case opEnd:
 				o.endBroadcast(id)
+				if m != nil && !m.removed {
+					m.seal()
+				}
 			case opRemove:
 				o.Remove(id)
+				if m != nil {
+					m.removed = true
+				}
 			case opChunkList:
-				_, err = e.ChunkList(ctx, id)
+				var cl *media.ChunkList
+				if cl, err = e.ChunkList(ctx, id); err == nil {
+					for _, ref := range cl.Chunks {
+						if m == nil || m.sealed[ref.Seq] == nil {
+							t.Fatalf("op %d: the edge's list of %q names chunk %d, which the origin never sealed", i, id, ref.Seq)
+						}
+						edgeNewest[id] = max(edgeNewest[id], ref.Seq+1)
+					}
+				}
 			case opChunk:
-				_, err = e.Chunk(ctx, id, seq)
+				var seq uint64
+				if m != nil {
+					seq = m.next - min(m.next, back[arg])
+				}
+				var c *media.Chunk
+				c, err = e.Chunk(ctx, id, seq)
+				var want []byte
+				if m != nil {
+					want = m.sealed[seq]
+				}
+				switch {
+				case err == nil && !bytes.Equal(c.Wire(), want):
+					t.Fatalf("op %d: the edge served chunk %d of %q with bytes the origin never sealed under it", i, seq, id)
+				case err == nil:
+					edgeNewest[id] = max(edgeNewest[id], seq+1)
+					if edgeNewest[id] > retainedChunks && seq < edgeNewest[id]-retainedChunks {
+						t.Fatalf("op %d: the edge served chunk %d of %q, below the window of chunk %d it served", i, seq, id, edgeNewest[id]-1)
+					}
+				case want != nil && !m.removed && seq+retainedChunks >= m.next:
+					t.Fatalf("op %d: chunk %d of %q, inside the origin's window: %v", i, seq, id, err)
+				case edgeNewest[id] > retainedChunks && seq < edgeNewest[id]-retainedChunks && !errors.Is(err, hls.ErrNotFound):
+					t.Fatalf("op %d: chunk %d of %q, below the edge's window: %v, want not found", i, seq, id, err)
+				}
 			case opEvict:
 				e.Evict(id)
 				delete(pulled, id)
+				delete(edgeNewest, id)
 			}
 			if op == opChunkList || op == opChunk {
 				if err == nil {
@@ -188,7 +286,7 @@ func FuzzEdgeRequests(f *testing.F) {
 				} else if !errors.Is(err, hls.ErrNotFound) {
 					t.Fatalf("op %d on %q: %v, want success or not found", i, id, err)
 				}
-				if !knew[id] && !errors.Is(err, hls.ErrNotFound) {
+				if m == nil && !errors.Is(err, hls.ErrNotFound) {
 					t.Fatalf("op %d: %q, never ingested, answered %v, want not found", i, id, err)
 				}
 			}

@@ -238,13 +238,13 @@ func TestRetentionWindow(t *testing.T) {
 	originHeld := func() int {
 		o.mu.Lock()
 		defer o.mu.Unlock()
-		return len(o.streams["b1"].chunks)
+		return o.streams["b1"].chunks.held()
 	}
 	edgeHeld := func() int {
 		sh := e.shard("b1")
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return len(sh.cache["b1"].chunks)
+		return sh.cache["b1"].chunks.held()
 	}
 	check("origin", o, originHeld(), sealed-1)
 	check("edge", e, edgeHeld(), sealed-1)

@@ -194,42 +194,3 @@ func testWritePath(t *testing.T, signer ed25519.PrivateKey, auth rtmp.Auth, pubK
 		}
 	}
 }
-
-// TestIngestAllocBudget pins what Origin.Ingest allocates for 4 KB frames at
-// 200 ms chunks (five frames a chunk). The only allocations are per chunk:
-// three unjournaled — the chunker's frame slice, the Chunk and the published
-// list (one allocation with its chunk window); journaling adds exactly
-// the seal's three (the wire form, and the chunk and frame slice that view
-// it) and nothing per append or per frame.
-func TestIngestAllocBudget(t *testing.T) {
-	const framesPerChunk = 5
-	for _, tc := range []struct {
-		name     string
-		backend  journal.Backend
-		perChunk float64
-	}{
-		{"journal=off", nil, 3},
-		{"journal=on", journal.NewMem(), 3 + 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: framesPerChunk * media.FrameDuration, Journal: tc.backend})
-			defer o.Close()
-			payload := make([]byte, 4096)
-			base := time.Unix(1_700_000_000, 0)
-			seq := 0
-			got := testing.AllocsPerRun(200, func() {
-				for i := 0; i < framesPerChunk; i++ {
-					f := media.Frame{Seq: uint64(seq), CapturedAt: base.Add(time.Duration(seq) * media.FrameDuration), Keyframe: seq%25 == 0, Payload: payload}
-					o.Ingest("b1", f, base)
-					seq++
-				}
-			})
-			if got != tc.perChunk {
-				t.Fatalf("Ingest allocates %.0f times per %d-frame chunk, want %.0f", got, framesPerChunk, tc.perChunk)
-			}
-			if list, err := o.ChunkList(context.Background(), "b1"); err != nil || list.Version < 200 {
-				t.Fatalf("chunks were not sealed: list %+v, err %v", list, err)
-			}
-		})
-	}
-}

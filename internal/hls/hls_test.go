@@ -76,15 +76,15 @@ func (m *memStore) Chunk(_ context.Context, id string, seq uint64) (*media.Chunk
 
 func makeChunks(n int) []*media.Chunk {
 	enc := media.NewEncoder(media.EncoderConfig{}, rng.New(5))
-	ck := media.NewChunker(time.Second)
+	perChunk := media.FramesPerChunk(time.Second)
 	base := time.Now()
-	var out []*media.Chunk
-	i := 0
-	for len(out) < n {
-		if c := ck.Add(enc.Next(base.Add(time.Duration(i) * media.FrameDuration))); c != nil {
-			out = append(out, c)
+	out := make([]*media.Chunk, n)
+	for seq := range out {
+		c := &media.Chunk{Seq: uint64(seq), Frames: make([]media.Frame, perChunk)}
+		for i := range c.Frames {
+			c.Frames[i] = enc.Next(base.Add(time.Duration(seq*perChunk+i) * media.FrameDuration))
 		}
-		i++
+		out[seq] = c
 	}
 	return out
 }

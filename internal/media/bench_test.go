@@ -34,25 +34,11 @@ func BenchmarkUnmarshalFrame(b *testing.B) {
 	}
 }
 
-func BenchmarkChunkerAdd(b *testing.B) {
-	enc := NewEncoder(EncoderConfig{}, rng.New(2))
-	frames := make([]Frame, 75)
-	for i := range frames {
-		frames[i] = enc.Next(time.Unix(0, int64(i)*int64(FrameDuration)))
-	}
-	b.ResetTimer()
-	ck := NewChunker(0)
-	for i := 0; i < b.N; i++ {
-		ck.Add(frames[i%75])
-	}
-}
-
 func BenchmarkMarshalChunk(b *testing.B) {
 	enc := NewEncoder(EncoderConfig{}, rng.New(3))
-	ck := NewChunker(0)
-	var chunk *Chunk
-	for i := 0; chunk == nil; i++ {
-		chunk = ck.Add(enc.Next(time.Unix(0, int64(i))))
+	chunk := &Chunk{Frames: make([]Frame, FramesPerChunk(DefaultChunkDuration))}
+	for i := range chunk.Frames {
+		chunk.Frames[i] = enc.Next(time.Unix(0, int64(i)))
 	}
 	b.SetBytes(int64(chunk.Size()))
 	b.ReportAllocs()

@@ -69,8 +69,8 @@ func (f *Frame) UnsignedBytes() []byte {
 type Chunk struct {
 	// Seq is the chunk sequence number within its broadcast, from 0.
 	Seq uint64
-	// Frames are the member frames in order. In a decoded chunk their
-	// payloads and signatures are views into wire.
+	// Frames are the member frames in order. In a decoded or Sealed chunk
+	// their payloads and signatures are views into wire.
 	Frames []Frame
 
 	seal sync.Once
@@ -90,6 +90,36 @@ type Chunk struct {
 //livesim:hotpath TestWireSealsOnce
 func (c *Chunk) Wire() []byte {
 	c.seal.Do(func() { c.wire = MarshalChunk(c) })
+	return c.wire
+}
+
+// Seal is Wire for the chunk's owner, at the seal: under the same once it
+// builds the wire form and re-points every frame into it, so the frames are
+// what SealedChunk would decode from those bytes — Payload and Sig become
+// views of the wire (a Sig that is not FrameSigSize bytes is not on the wire
+// and becomes nil) and CapturedAt is the instant the wire carries, in UTC —
+// and whatever the frames viewed before is no longer held. It writes Frames,
+// so only the owner may call it, before the chunk can reach anyone else; on a
+// chunk already sealed it changes nothing and returns Wire().
+func (c *Chunk) Seal() []byte {
+	c.seal.Do(func() {
+		c.wire = MarshalChunk(c)
+		off := chunkHeaderSize
+		for i := range c.Frames {
+			f := &c.Frames[i]
+			start := off + frameHeaderSize
+			end := start + len(f.Payload)
+			f.CapturedAt = time.Unix(0, f.CapturedAt.UnixNano()).UTC()
+			f.Payload = c.wire[start:end:end]
+			off = end
+			if len(f.Sig) == FrameSigSize {
+				off += FrameSigSize
+				f.Sig = c.wire[end:off:off]
+			} else {
+				f.Sig = nil
+			}
+		}
+	})
 	return c.wire
 }
 
@@ -138,61 +168,6 @@ func (c *Chunk) FirstCapturedAt() time.Time {
 		return time.Time{}
 	}
 	return c.Frames[0].CapturedAt
-}
-
-// Chunker assembles frames into fixed-duration chunks, the Wowza-side
-// process that creates HLS chunking delay (⑦−⑥ in Fig. 10).
-type Chunker struct {
-	perChunk int
-	next     uint64
-	pending  []Frame
-}
-
-// NewChunker returns a Chunker producing chunks of the given duration.
-// Zero means DefaultChunkDuration.
-func NewChunker(chunkDur time.Duration) *Chunker {
-	if chunkDur == 0 {
-		chunkDur = DefaultChunkDuration
-	}
-	return &Chunker{perChunk: FramesPerChunk(chunkDur)}
-}
-
-// Add appends a frame and returns a completed chunk when one fills, else
-// nil. The returned chunk owns its frame slice, which is sized for a whole
-// chunk on the chunk's first frame — allocated once, never regrown.
-func (ck *Chunker) Add(f Frame) *Chunk {
-	if ck.pending == nil {
-		ck.pending = make([]Frame, 0, ck.perChunk)
-	}
-	ck.pending = append(ck.pending, f)
-	if len(ck.pending) < ck.perChunk {
-		return nil
-	}
-	return ck.flush()
-}
-
-// Flush returns any partial chunk (e.g. at broadcast end), or nil.
-func (ck *Chunker) Flush() *Chunk {
-	if len(ck.pending) == 0 {
-		return nil
-	}
-	return ck.flush()
-}
-
-func (ck *Chunker) flush() *Chunk {
-	c := &Chunk{Seq: ck.next, Frames: ck.pending}
-	ck.next++
-	ck.pending = nil
-	return c
-}
-
-// SkipTo advances the next chunk sequence to at least seq. A recovering
-// origin calls it after journal replay so chunks sealed post-restart continue
-// the pre-crash numbering instead of restarting from 0.
-func (ck *Chunker) SkipTo(seq uint64) {
-	if seq > ck.next {
-		ck.next = seq
-	}
 }
 
 // Encoder synthesizes a frame stream with a realistic size profile: a

@@ -2,6 +2,7 @@ package media
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -17,75 +18,6 @@ func TestFramesPerChunk(t *testing.T) {
 	}
 	if n := FramesPerChunk(0); n != 1 {
 		t.Fatalf("zero duration should clamp to 1, got %d", n)
-	}
-}
-
-func TestChunkerFillsAt75(t *testing.T) {
-	ck := NewChunker(0)
-	base := time.Unix(1000, 0)
-	var chunks []*Chunk
-	for i := 0; i < 200; i++ {
-		f := Frame{Seq: uint64(i), CapturedAt: base.Add(time.Duration(i) * FrameDuration)}
-		if c := ck.Add(f); c != nil {
-			chunks = append(chunks, c)
-		}
-	}
-	if len(chunks) != 2 {
-		t.Fatalf("got %d chunks from 200 frames, want 2", len(chunks))
-	}
-	if chunks[0].Seq != 0 || chunks[1].Seq != 1 {
-		t.Fatalf("chunk seqs = %d, %d", chunks[0].Seq, chunks[1].Seq)
-	}
-	if len(chunks[0].Frames) != 75 {
-		t.Fatalf("chunk has %d frames", len(chunks[0].Frames))
-	}
-	if d := chunks[0].Duration(); d != 3*time.Second {
-		t.Fatalf("chunk duration = %v", d)
-	}
-	if got := chunks[0].FirstCapturedAt(); !got.Equal(base) {
-		t.Fatalf("first capture = %v", got)
-	}
-	rem := ck.Flush()
-	if rem == nil || len(rem.Frames) != 50 || rem.Seq != 2 {
-		t.Fatalf("flush = %+v", rem)
-	}
-	if ck.Flush() != nil {
-		t.Fatal("double flush returned a chunk")
-	}
-}
-
-func TestChunkerCustomDuration(t *testing.T) {
-	ck := NewChunker(1 * time.Second)
-	for i := 1; i < 25; i++ {
-		if ck.Add(Frame{Seq: uint64(i)}) != nil {
-			t.Fatalf("1s chunker sealed after %d frames, want 25", i)
-		}
-	}
-	if c := ck.Add(Frame{}); c == nil || len(c.Frames) != 25 {
-		t.Fatalf("1s chunker's 25th frame sealed %+v, want a 25-frame chunk", c)
-	}
-}
-
-// TestChunkerAllocsPerChunk pins what assembling one chunk costs: the frame
-// slice, sized once on the chunk's first frame, and the Chunk that takes it
-// over — however many frames the chunk has (viewersim chunks at one).
-func TestChunkerAllocsPerChunk(t *testing.T) {
-	for _, perChunk := range []int{1, 75} {
-		ck := NewChunker(time.Duration(perChunk) * FrameDuration)
-		f := Frame{Payload: []byte("p")}
-		allocs := testing.AllocsPerRun(50, func() {
-			for i := 0; i < perChunk-1; i++ {
-				if ck.Add(f) != nil {
-					t.Fatal("chunk sealed early")
-				}
-			}
-			if c := ck.Add(f); c == nil || cap(c.Frames) != perChunk {
-				t.Fatalf("chunk of %d frames: %+v", perChunk, c)
-			}
-		})
-		if allocs != 2 {
-			t.Fatalf("%d-frame chunk: %.0f allocs, want 2", perChunk, allocs)
-		}
 	}
 }
 
@@ -200,11 +132,10 @@ func TestUnmarshalFrameErrors(t *testing.T) {
 
 func TestChunkRoundtrip(t *testing.T) {
 	e := NewEncoder(EncoderConfig{}, rng.New(4))
-	ck := NewChunker(1 * time.Second)
 	now := time.Unix(0, 0).UTC()
-	var chunk *Chunk
-	for i := 0; chunk == nil; i++ {
-		chunk = ck.Add(e.Next(now.Add(time.Duration(i) * FrameDuration)))
+	chunk := &Chunk{Frames: make([]Frame, FramesPerChunk(time.Second))}
+	for i := range chunk.Frames {
+		chunk.Frames[i] = e.Next(now.Add(time.Duration(i) * FrameDuration))
 	}
 	data := MarshalChunk(chunk)
 	got, err := UnmarshalChunk(data)
@@ -328,6 +259,60 @@ func TestSealedChunkSharesUnmarshalChunkCopies(t *testing.T) {
 				t.Fatal("MarshalChunk returned sealed bytes instead of re-encoding the edited frames")
 			}
 		})
+	}
+}
+
+// Seal re-points a chunk's own frames into its wire form: over seeded random
+// frames — empty and nil payloads, 64-byte signatures and signatures of other
+// lengths, capture times with a monotonic reading or another location — the
+// sealed chunk's Frames and Wire() deep-equal those of
+// SealedChunk(MarshalChunk(c)), and its payloads and signatures are views of
+// its own wire, so nothing the frames viewed before is still held.
+func TestSealMatchesSealedChunk(t *testing.T) {
+	src := rng.New(42)
+	east := time.FixedZone("east", 5*3600)
+	for trial := 0; trial < 500; trial++ {
+		c := &Chunk{Seq: src.Uint64(), Frames: make([]Frame, src.Intn(6))}
+		for i := range c.Frames {
+			f := &c.Frames[i]
+			f.Seq, f.Keyframe = src.Uint64(), src.Intn(2) == 0
+			switch src.Intn(3) {
+			case 0:
+				f.CapturedAt = time.Now()
+			case 1:
+				f.CapturedAt = time.Unix(int64(src.Intn(1<<31)), int64(src.Intn(1e9))).In(east)
+			}
+			if n := src.Intn(40); n > 0 || src.Intn(2) == 0 {
+				f.Payload = make([]byte, n)
+				for j := range f.Payload {
+					f.Payload[j] = byte(src.Intn(256))
+				}
+			}
+			switch src.Intn(3) {
+			case 0:
+				f.Sig = bytes.Repeat([]byte{byte(i)}, FrameSigSize)
+			case 1:
+				f.Sig = make([]byte, 1+src.Intn(2*FrameSigSize))
+			}
+		}
+		want, err := SealedChunk(MarshalChunk(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := c.Seal()
+		if !reflect.DeepEqual(c.Frames, want.Frames) || !bytes.Equal(wire, want.Wire()) || !bytes.Equal(c.Wire(), wire) {
+			t.Fatalf("trial %d: sealed in place\n%+v\nwant\n%+v", trial, c.Frames, want.Frames)
+		}
+		for i, f := range c.Frames {
+			for _, view := range [][]byte{f.Payload, f.Sig} {
+				if len(view) > 0 && !within(view, wire) {
+					t.Fatalf("trial %d frame %d: a payload or signature is not a view of the wire", trial, i)
+				}
+			}
+		}
+		if again := c.Seal(); &again[0] != &wire[0] {
+			t.Fatalf("trial %d: a second Seal built another wire", trial)
+		}
 	}
 }
 

@@ -224,28 +224,32 @@ func TestWheelAudienceAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestWheelIngestAllocBudget pins one ingest event — the origin seals the
+// TestWheelIngestAllocBudget pins the ingest events — the origin seals a
 // chunk, publishes its successor list and invalidates the edge, and the next
-// ingest is scheduled — at three allocations, all of them the CDN's: the
-// chunker's frame slice, the Chunk and the published list (one allocation
-// with its chunk window). Invalidating the edge reads the origin's
-// copy-on-write edge slice, and the engine's share of the event is pooled.
+// ingest is scheduled — at 18 allocations per 64 events, counted exactly,
+// all of them the CDN's: one slab each of Chunks and frames (a chunk is one
+// frame here, 64 to a slab) and 16 slabs of published lists, four to a slab.
+// Invalidating the edge reads the origin's copy-on-write edge slice, and the
+// engine's share of an event is pooled.
 func TestWheelIngestAllocBudget(t *testing.T) {
+	const events = 64
 	s := budgetSim()
 	sp := s.w.specs[0]
 	sp.views, sp.rtmp, sp.dur = 0, 0, time.Hour
 	b := s.setupBroadcast(sp)
 	b.fireIngest = func(time.Time) { s.wheelIngest(b) }
 	s.schedule(b.abs(b.tr.ReadyAt[0]), b.fireIngest)
-	allocs := testing.AllocsPerRun(100, func() {
-		fired := s.wheel.Fired()
-		s.wheel.RunUntil(b.abs(b.tr.ReadyAt[b.nextChunk]).Add(s.wheel.Resolution()))
-		if s.wheel.Fired() != fired+1 {
-			t.Fatalf("%d events fired, want the one ingest", s.wheel.Fired()-fired)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range events {
+			fired := s.wheel.Fired()
+			s.wheel.RunUntil(b.abs(b.tr.ReadyAt[b.nextChunk]).Add(s.wheel.Resolution()))
+			if s.wheel.Fired() != fired+1 {
+				t.Fatalf("%d events fired, want the one ingest", s.wheel.Fired()-fired)
+			}
 		}
 	})
-	if allocs != 3 {
-		t.Errorf("an ingest event allocates %.0f times, want 3", allocs)
+	if allocs != 18 {
+		t.Errorf("%d ingest events allocate %.0f times, want 18", events, allocs)
 	}
 }
 
