@@ -3,12 +3,14 @@ package cdn
 import (
 	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/hls"
 	"repro/internal/media"
+	"repro/internal/resilience"
 	"repro/internal/rng"
 	"repro/internal/rtmp"
 	"repro/internal/testutil"
@@ -279,5 +281,116 @@ func TestOriginEndToEndThroughRTMP(t *testing.T) {
 			t.Fatalf("origin never assembled chunks: %v", err)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// connListener hands every connection it accepts to conns, so a test can
+// drop the server's side of a session.
+type connListener struct {
+	net.Listener
+	conns chan net.Conn
+}
+
+func (l connListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.conns <- c
+	}
+	return c, err
+}
+
+// TestOriginPublisherDropEndsBroadcast pins what a dropped publisher does to
+// its broadcast today. The transport drops with no crash: the RTMP server's
+// end hook ends the origin stream, end marker and all. The resilient
+// publisher redials and is accepted, but the origin drops every frame it
+// resends, and its second end changes nothing: the list stays the one the
+// drop published. (Whether a dropped publisher should end its broadcast at
+// all is an open question of the origin model.)
+func TestOriginPublisherDropEndsBroadcast(t *testing.T) {
+	ends := make(chan string, 4)
+	o := NewOrigin(OriginConfig{
+		Site: site("o1", "X"), ChunkDuration: time.Second,
+		RTMP: rtmp.ServerConfig{OnEnd: func(id string) { ends <- id }},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := connListener{Listener: raw, conns: make(chan net.Conn, 4)}
+	go o.RTMP().Serve(ctx, ln)
+	defer o.RTMP().Close()
+
+	pub, err := rtmp.PublishResilient(ctx, raw.Addr().String(), "b1", "tok", rtmp.PublishResilientConfig{
+		Backoff: resilience.Policy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	enc := media.NewEncoder(media.EncoderConfig{}, rng.New(12))
+	base := time.Now()
+	sent := 0
+	send := func() {
+		t.Helper()
+		f := enc.Next(base.Add(time.Duration(sent) * media.FrameDuration))
+		sent++
+		if err := pub.Send(ctx, &f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitList := func(what string, ok func(*media.ChunkList) bool) *media.ChunkList {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if cl, err := o.ChunkList(ctx, "b1"); err == nil && ok(cl) {
+				return cl
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("origin never published %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitEnd := func(n int) {
+		t.Helper()
+		select {
+		case <-ends:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the RTMP server never ended session %d", n)
+		}
+	}
+
+	for range framesPerTestChunk {
+		send()
+	}
+	waitList("the first chunk", func(cl *media.ChunkList) bool { return len(cl.Chunks) == 1 })
+	(<-ln.conns).Close() // the transport drops; the process does not
+	waitEnd(1)
+	dropped := waitList("the end marker", func(cl *media.ChunkList) bool { return cl.Ended })
+	if dropped.Version != 2 || len(dropped.Chunks) != 1 {
+		t.Fatalf("the drop published v%d with %d chunks, want v2 with the 1 chunk sealed before it", dropped.Version, len(dropped.Chunks))
+	}
+
+	// Keep publishing until the write error surfaces and the publisher
+	// redials; then a few frames more, and a clean end.
+	for pub.Reconnects() == 0 && sent < 400 {
+		send()
+		time.Sleep(time.Millisecond)
+	}
+	if pub.Reconnects() != 1 {
+		t.Fatalf("publisher redialed %d times after the drop, want 1", pub.Reconnects())
+	}
+	for range 2 * framesPerTestChunk {
+		send()
+	}
+	if err := pub.End(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitEnd(2) // the second session's frames have all reached the origin
+	if cl, _ := o.ChunkList(ctx, "b1"); cl != dropped {
+		t.Fatalf("after the redial the list is v%d with %d chunks, want the drop's v%d with %d",
+			cl.Version, len(cl.Chunks), dropped.Version, len(dropped.Chunks))
 	}
 }

@@ -550,7 +550,8 @@ func (o *Origin) RegisterEdge(e Invalidator) {
 // Journal appends happen after the lock is released — they copy the record
 // into the group-commit writer's pending batch, the one copy the sealed bytes
 // get on the way to the backend — and per-broadcast ordering holds because one
-// handler goroutine serves each broadcast.
+// handler goroutine serves each broadcast. Frames for an ended broadcast are
+// dropped: its list, end marker included, never changes again.
 func (o *Origin) Ingest(id string, f media.Frame, at time.Time) {
 	o.mu.Lock()
 	st, ok := o.streams[id]
@@ -560,9 +561,10 @@ func (o *Origin) Ingest(id string, f media.Frame, at time.Time) {
 		o.streams[id] = st
 		created = true
 	}
-	if f.Seq < st.resumeFloor {
+	if f.Seq < st.resumeFloor || st.list.Ended {
 		// A resuming publisher replays from the journal floor; anything
-		// below it is already inside a sealed, durable chunk.
+		// below it is already inside a sealed, durable chunk. An ended
+		// broadcast takes no more chunks, so no seal follows its end.
 		o.mu.Unlock()
 		return
 	}
@@ -599,10 +601,12 @@ func journalAppend(jw *journal.Writer, r journal.Record) {
 	_ = jw.Append(r)
 }
 
+// endBroadcast flushes the chunk in assembly and publishes the end marker.
+// A broadcast already ended is left as it is.
 func (o *Origin) endBroadcast(id string) {
 	o.mu.Lock()
 	st, ok := o.streams[id]
-	if !ok {
+	if !ok || st.list.Ended {
 		o.mu.Unlock()
 		return
 	}

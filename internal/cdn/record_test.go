@@ -140,12 +140,14 @@ func TestOriginEdgeRegistrationsSurviveCrash(t *testing.T) {
 }
 
 // sealModel is what an origin must have sealed for one broadcast: its chunk
-// in assembly, and the wire form of every chunk it sealed, by sequence.
+// in assembly, and the wire form of every chunk it sealed, by sequence. Once
+// ended, it seals nothing more.
 type sealModel struct {
 	feeder  *feeder
 	frames  []media.Frame
 	next    uint64
 	sealed  map[uint64][]byte
+	ended   bool
 	removed bool
 }
 
@@ -175,7 +177,7 @@ func (m *sealModel) seal() {
 // sequence below the window of what the edge has served answers
 // hls.ErrNotFound: an edge never serves stale bytes. Sequences are drawn
 // around the broadcast's newest chunk and its window's floor, and from its
-// start. A removed
+// start. Frames fed after a broadcast's end seal nothing. A removed
 // broadcast is not ingested again: the platform never reuses an ID.
 func FuzzEdgeRequests(f *testing.F) {
 	const (
@@ -228,13 +230,17 @@ func FuzzEdgeRequests(f *testing.F) {
 				}
 				if !m.removed {
 					for range (framesPerTestChunk + 1) * (1 + arg) {
-						m.add(m.feeder.next())
+						// The origin drops frames after the end.
+						if fr := m.feeder.next(); !m.ended {
+							m.add(fr)
+						}
 					}
 				}
 			case opEnd:
 				o.endBroadcast(id)
-				if m != nil && !m.removed {
+				if m != nil && !m.removed && !m.ended {
 					m.seal()
+					m.ended = true
 				}
 			case opRemove:
 				o.Remove(id)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -159,6 +160,40 @@ func TestOriginJournalAppendIsTheSeal(t *testing.T) {
 	})
 	if string(sealedPayload) != string(wire) {
 		t.Fatal("the journaled payload differs from the served bytes")
+	}
+}
+
+// TestOriginIngestAfterEndChangesNothing: an ended broadcast's list is final.
+// Frames that reach the origin after the end, and a second end, publish no
+// new version and seal no chunk, and the journal holds no record after the
+// end's.
+func TestOriginIngestAfterEndChangesNothing(t *testing.T) {
+	backend := journal.NewMem()
+	o, _ := originAndEdge(OriginConfig{Journal: backend})
+	ctx := context.Background()
+	f := newFeeder(o, "b1")
+	f.feed(framesPerTestChunk + 5)
+	o.endBroadcast("b1")
+	ended, err := o.ChunkList(ctx, "b1")
+	if err != nil || ended.Version != 3 || len(ended.Chunks) != 2 || !ended.Ended {
+		t.Fatalf("after the end: %+v, %v; want v3 with 2 chunks, ended", ended, err)
+	}
+	f.feed(2 * framesPerTestChunk)
+	o.endBroadcast("b1")
+	if cl, _ := o.ChunkList(ctx, "b1"); cl != ended {
+		t.Fatalf("frames after the end moved the list from v%d with %d chunks to v%d with %d",
+			ended.Version, len(ended.Chunks), cl.Version, len(cl.Chunks))
+	}
+	o.Close() // drains the group-commit writer
+	data, _ := backend.Load()
+	var types []journal.RecordType
+	journal.Replay(data, func(r journal.Record) error {
+		types = append(types, r.Type)
+		return nil
+	})
+	want := []journal.RecordType{journal.RecordCreate, journal.RecordSeal, journal.RecordSeal, journal.RecordEnd}
+	if !slices.Equal(types, want) {
+		t.Fatalf("journal holds %v, want %v", types, want)
 	}
 }
 

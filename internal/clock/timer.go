@@ -13,22 +13,23 @@ type timerNode struct {
 	tick       int64      // deadline in resolution ticks
 	seq        uint64     // schedule order, tie-break for equal deadlines
 	gen        uint64     // generation; bumped whenever the node is detached
-	fn         func(now time.Time)
+	ev         Event
 }
 
-// Timer is a cancellable handle to one scheduled callback, returned by
-// Wheel.Schedule/ScheduleAt. The zero Timer is valid and inert. Handles are
-// single-shot: once the callback has been dispatched (or the timer stopped),
-// Stop and Reset return false and the underlying node may be reused for an
-// unrelated timer — a generation counter makes stale handles safe, so Timer
-// values can be kept, copied and dropped freely without coordination.
+// Timer is a cancellable handle to one scheduled event, returned by
+// Wheel.ScheduleEventAt and its Schedule/ScheduleAt adapters. The zero Timer
+// is valid and inert. Handles are single-shot: once the event has fired (or
+// the timer stopped), Stop and Reset return false and the underlying node
+// may be reused for an unrelated timer — a generation counter makes stale
+// handles safe, so Timer values can be kept, copied and dropped freely
+// without coordination.
 type Timer struct {
 	n   *timerNode
 	gen uint64
 	w   *Wheel
 }
 
-// Stop cancels the timer. It reports true if the callback was still pending
+// Stop cancels the timer. It reports true if the event was still pending
 // and will now never run, false if it already ran, was already stopped, or
 // the handle is zero.
 func (t Timer) Stop() bool {
@@ -39,7 +40,7 @@ func (t Timer) Stop() bool {
 }
 
 // Reset reschedules a still-pending timer to fire d from the wheel's
-// current time, keeping its callback, and reports whether it succeeded.
+// current time, keeping its event, and reports whether it succeeded.
 // A false return means the timer already fired or was stopped; re-arm it
 // with a fresh Schedule call in that case.
 func (t Timer) Reset(d time.Duration) bool {

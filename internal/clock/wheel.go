@@ -35,24 +35,26 @@ type WheelConfig struct {
 //   - Timer nodes are pooled and carved from slabs of nodeSlab; steady-state
 //     scheduling allocates nothing.
 //   - Now is lock-free: a single atomic tick counter, readable from any
-//     callback or foreign goroutine.
+//     event or foreign goroutine.
 //   - One mutex guards the ring, heap and pool, so Schedule/Stop/Reset/Sleep/
 //     After stay safe from foreign goroutines; the driver takes it once per
 //     tick, not once per timer.
 //
-// Callbacks fire one at a time on the goroutine driving the wheel, in one
-// total, reproducible order: by tick; within a tick, overflow-heap arrivals
-// in schedule order, then the slot bucket in FIFO order. A timer reaches the
-// heap only when scheduled at an earlier clock time than any bucket entry of
-// the same tick, so that is plain schedule order: the wheel fires by (tick,
-// seq). At a 1 ns resolution every deadline is on a tick, so the order is
-// exact (time, schedule order). A tick's timers are detached together before
-// the first of them runs, so a callback cannot Stop or Reset a timer due in
+// A timer fires an Event. ScheduleEventAt is the one way in; Schedule and
+// ScheduleAt adapt a bare callback to an Event and take the same path, so
+// every timer shares one node pool and one order. Events fire one at a time
+// on the goroutine driving the wheel, in one total, reproducible order: by
+// tick; within a tick, overflow-heap arrivals in schedule order, then the
+// slot bucket in FIFO order. A timer reaches the heap only when scheduled at
+// an earlier clock time than any bucket entry of the same tick, so that is
+// plain schedule order: the wheel fires by (tick, seq). At a 1 ns resolution
+// every deadline is on a tick, so the order is exact (time, schedule order). A tick's timers are detached together before
+// the first of them runs, so an event cannot Stop or Reset a timer due in
 // its own tick — that timer is already committed. Multi-core engines run one
 // wheel per worker rather than sharing one.
 //
-// Callbacks must not block on the wheel's own time: Sleep/After inside a
-// callback deadlocks the driving goroutine.
+// Events must not block on the wheel's own time: Sleep/After inside an
+// event deadlocks the driving goroutine.
 type Wheel struct {
 	epoch   time.Time
 	res     time.Duration
@@ -68,10 +70,25 @@ type Wheel struct {
 	occ      []uint64 // occupancy bitmap over buckets
 	overflow nodeHeap
 	free     *timerNode
-	batch    []func(now time.Time) // the driver's reusable per-tick callback buffer
+	batch    []Event // the driver's reusable per-tick buffer
 	seq      uint64
 	pending  int
 }
+
+// Event is what a timer fires: Fire runs on the driving goroutine at the
+// timer's tick. An event that is a pointer — a record that schedules itself,
+// or a field inside one — is stored in the timer as it is, so scheduling it
+// allocates nothing.
+type Event interface {
+	Fire(now time.Time)
+}
+
+// eventFunc adapts a bare callback to Event for Schedule and ScheduleAt. A
+// func value is pointer-shaped, so converting one to an Event allocates
+// nothing.
+type eventFunc func(now time.Time)
+
+func (f eventFunc) Fire(now time.Time) { f(now) }
 
 type wheelBucket struct {
 	head, tail *timerNode
@@ -111,14 +128,14 @@ func NewWheel(cfg WheelConfig) *Wheel {
 func (w *Wheel) Close() {}
 
 // Now implements Clock. It is lock-free — one atomic load — so the hottest
-// callbacks and foreign goroutines (the real-socket fidelity slice's
+// events and foreign goroutines (the real-socket fidelity slice's
 // metrics, cdn stamps) can read time without contending with scheduling.
 func (w *Wheel) Now() time.Time { return w.timeOf(w.nowTick.Load()) }
 
 // Resolution returns the tick width.
 func (w *Wheel) Resolution() time.Duration { return w.res }
 
-// Fired returns the total number of callbacks dispatched so far.
+// Fired returns the total number of events dispatched so far.
 func (w *Wheel) Fired() int64 { return w.fired.Load() }
 
 // Pending returns the number of scheduled, unfired timers.
@@ -155,16 +172,38 @@ func (w *Wheel) deadlineLocked(d time.Duration) int64 {
 // nodeSlab is how many timer nodes a free-list miss allocates at once.
 const nodeSlab = 64
 
-// Schedule registers fn to run d after the wheel's current time and returns
-// a cancellable handle. The deadline is rounded up to the next tick boundary.
-// Zero and negative delays fire at the current tick — from a callback, that
-// means on the driver's next pass, before time moves on. The wheel does not
-// interpret owner; the parameter remains only because the frozen benchmark
-// module (bench/) passes one. One mutex, pooled node: no allocation in steady
-// state, and one per nodeSlab timers while the pool grows.
+// ScheduleEventAt registers ev to fire at an absolute time and returns a
+// cancellable handle. The deadline is rounded up to the next tick boundary.
+// A time at or before now fires at the current tick — from an event, that
+// means on the driver's next pass, before time moves on.
+//
+//livesim:hotpath TestWheelEventAllocBudget
+func (w *Wheel) ScheduleEventAt(at time.Time, ev Event) Timer {
+	return w.schedule(at.Sub(w.Now()), ev)
+}
+
+// Schedule registers fn to run d after the wheel's current time: an adapter
+// over the event path, rounding and ordering as ScheduleEventAt does. The
+// wheel does not interpret owner; the parameter remains only because the
+// frozen benchmark module (bench/) passes one.
+//
+//livesim:hotpath TestWheelEventAllocBudget
+func (w *Wheel) Schedule(owner uint64, d time.Duration, fn func(now time.Time)) Timer {
+	return w.schedule(d, eventFunc(fn))
+}
+
+// ScheduleAt registers fn at an absolute time, rounded up to a tick. As with
+// Schedule, owner is not interpreted.
+func (w *Wheel) ScheduleAt(owner uint64, at time.Time, fn func(now time.Time)) Timer {
+	return w.ScheduleEventAt(at, eventFunc(fn))
+}
+
+// schedule is the one insert path: it links ev d from now. One mutex, pooled
+// node: no allocation in steady state, and one per nodeSlab timers while the
+// pool grows.
 //
 //livesim:hotpath TestWheelNodePoolingReuses
-func (w *Wheel) Schedule(owner uint64, d time.Duration, fn func(now time.Time)) Timer {
+func (w *Wheel) schedule(d time.Duration, ev Event) Timer {
 	w.mu.Lock()
 	n := w.free
 	if n == nil {
@@ -182,18 +221,12 @@ func (w *Wheel) Schedule(owner uint64, d time.Duration, fn func(now time.Time)) 
 	}
 	w.free = n.next
 	n.next = nil
-	n.fn = fn
+	n.ev = ev
 	w.insertLocked(n, w.deadlineLocked(d))
 	w.pending++
 	t := Timer{n: n, gen: n.gen, w: w}
 	w.mu.Unlock()
 	return t
-}
-
-// ScheduleAt registers fn at an absolute time, rounded up to a tick. As with
-// Schedule, owner is not interpreted.
-func (w *Wheel) ScheduleAt(owner uint64, at time.Time, fn func(now time.Time)) Timer {
-	return w.Schedule(owner, at.Sub(w.Now()), fn)
 }
 
 // insertLocked stamps n with its deadline and schedule order and links it
@@ -252,7 +285,7 @@ func (w *Wheel) unlinkLocked(n *timerNode) {
 //livesim:hotpath TestWheelNodePoolingReuses
 func (w *Wheel) releaseLocked(n *timerNode) {
 	n.gen++
-	n.fn = nil
+	n.ev = nil
 	n.prev = nil
 	n.next = w.free
 	w.free = n
@@ -325,24 +358,24 @@ func (w *Wheel) nextBucketTickLocked(now int64) int64 {
 	return math.MaxInt64
 }
 
-// detachLocked moves the callback of every timer due at tick into the
-// reusable batch — overflow arrivals first (schedule order), then the slot
-// bucket FIFO — and releases the nodes at once, so timers the callbacks
-// schedule reuse them.
+// detachLocked moves the event of every timer due at tick into the reusable
+// batch — overflow arrivals first (schedule order), then the slot bucket
+// FIFO — and releases the nodes at once, so timers the events schedule reuse
+// them.
 //
 //livesim:hotpath TestWheelNodePoolingReuses
-func (w *Wheel) detachLocked(tick int64) []func(now time.Time) {
+func (w *Wheel) detachLocked(tick int64) []Event {
 	batch := w.batch[:0]
 	for len(w.overflow) > 0 && w.overflow[0].tick <= tick {
 		n := w.overflow.pop()
-		batch = append(batch, n.fn)
+		batch = append(batch, n.ev)
 		w.releaseLocked(n)
 	}
 	slot := tick & w.mask
 	b := &w.buckets[slot]
 	for n := b.head; n != nil; {
 		next := n.next
-		batch = append(batch, n.fn)
+		batch = append(batch, n.ev)
 		w.releaseLocked(n)
 		n = next
 	}
@@ -355,7 +388,7 @@ func (w *Wheel) detachLocked(tick int64) []func(now time.Time) {
 // runLocked fires every timer due at or before the limit tick, on the calling
 // goroutine, then (unless limit is noLimit) moves the clock up to limit. It
 // takes mu once per tick: find the next due tick, move the clock there and
-// detach its timers, then run the callbacks with mu released so they can
+// detach its timers, then fire the events with mu released so they can
 // schedule. The caller holds runMu, which also makes w.batch its own.
 //
 //livesim:hotpath TestWheelNodePoolingReuses
@@ -371,11 +404,11 @@ func (w *Wheel) runLocked(limit int64) {
 		w.mu.Unlock()
 
 		now := w.timeOf(tick)
-		for _, fn := range batch {
-			fn(now)
+		for _, ev := range batch {
+			ev.Fire(now)
 		}
 		w.fired.Add(int64(len(batch)))
-		clear(batch) // drop the closures; the buffer outlives the tick
+		clear(batch) // drop the events; the buffer outlives the tick
 
 		w.mu.Lock()
 	}

@@ -154,24 +154,68 @@ func TestWheelNodePoolingReuses(t *testing.T) {
 	}
 }
 
+// entryPoints schedules through each way into the wheel, d from now: a func
+// through Schedule, and a pointer event through ScheduleEventAt. Both take
+// the one insert path, so every budget and order holds for either.
+var entryPoints = []struct {
+	name     string
+	schedule func(w *Wheel, d time.Duration, fn func(time.Time), ev Event) Timer
+}{
+	{"Schedule", func(w *Wheel, d time.Duration, fn func(time.Time), _ Event) Timer { return w.Schedule(0, d, fn) }},
+	{"ScheduleEventAt", func(w *Wheel, d time.Duration, _ func(time.Time), ev Event) Timer {
+		return w.ScheduleEventAt(w.Now().Add(d), ev)
+	}},
+}
+
 // TestWheelScheduleAllocBudget pins what a growing pool costs: N timers
 // pending on a fresh wheel take ⌈N/nodeSlab⌉ allocations, one node slab per
-// nodeSlab free-list misses. (Deadlines stay inside the ring, so the overflow
-// heap's own slice never grows.)
+// nodeSlab free-list misses, through either entry point. (Deadlines stay
+// inside the ring, so the overflow heap's own slice never grows.)
 func TestWheelScheduleAllocBudget(t *testing.T) {
 	fn := func(time.Time) {}
-	fresh := func(n int) float64 {
-		return testing.AllocsPerRun(20, func() {
-			w := NewWheel(WheelConfig{})
-			for i := 0; i < n; i++ {
-				w.Schedule(0, time.Duration(i)*time.Millisecond, fn)
+	ev := &funcEvent{fn}
+	for _, ep := range entryPoints {
+		fresh := func(n int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				w := NewWheel(WheelConfig{})
+				for i := 0; i < n; i++ {
+					ep.schedule(w, time.Duration(i)*time.Millisecond, fn, ev)
+				}
+			})
+		}
+		wheel := fresh(0)
+		for _, n := range []int{1, nodeSlab - 1, nodeSlab, nodeSlab + 1, 5*nodeSlab + 3} {
+			if got, want := fresh(n)-wheel, float64((n+nodeSlab-1)/nodeSlab); got != want {
+				t.Errorf("%s: %d timers on a fresh wheel allocate %.0f times, want %.0f", ep.name, n, got, want)
 			}
-		})
+		}
 	}
-	wheel := fresh(0)
-	for _, n := range []int{1, nodeSlab - 1, nodeSlab, nodeSlab + 1, 5*nodeSlab + 3} {
-		if got, want := fresh(n)-wheel, float64((n+nodeSlab-1)/nodeSlab); got != want {
-			t.Errorf("%d timers on a fresh wheel allocate %.0f times, want %.0f", n, got, want)
+}
+
+// TestWheelEventAllocBudget pins the conversions into the wheel's Event: on a
+// warm node pool, scheduling a pointer event through ScheduleEventAt and a
+// func that captures state through Schedule each allocate nothing. Both are
+// pointer-shaped, so the interface holds them as they are.
+func TestWheelEventAllocBudget(t *testing.T) {
+	const timers = 2 * nodeSlab
+	fired := 0
+	fn := func(time.Time) { fired++ } // a closure, not a static func
+	ev := &funcEvent{fn}
+	for _, ep := range entryPoints {
+		w := NewWheel(WheelConfig{Resolution: time.Millisecond})
+		cycle := func() {
+			for i := 0; i < timers; i++ {
+				ep.schedule(w, time.Duration(i%7)*time.Millisecond, fn, ev)
+			}
+			w.Run()
+		}
+		cycle() // grow the node pool and the batch buffer
+		before := fired
+		if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+			t.Errorf("%s: %d timers on a warm pool allocate %.2f times per cycle, want 0", ep.name, timers, allocs)
+		}
+		if got, want := fired-before, 21*timers; got != want {
+			t.Errorf("%s: %d events fired, want %d", ep.name, got, want)
 		}
 	}
 }
@@ -391,6 +435,12 @@ func (m *model) runUntil(limit int64) {
 	}
 }
 
+// funcEvent is a pointer event around a callback, the form the
+// ScheduleEventAt entry point takes in these tests.
+type funcEvent struct{ fn func(time.Time) }
+
+func (e *funcEvent) Fire(now time.Time) { e.fn(now) }
+
 // handle is a timer handle either scheduler hands out.
 type handle struct {
 	stop  func() bool
@@ -465,7 +515,9 @@ func modelWorkload(seed uint64, res time.Duration, h harness) []traced {
 // matchModel runs the seeded workload through a wheel of the given tick
 // width and ring size and through the model, and requires the two traces to
 // be identical: the same timers fire at the same times in the same order,
-// and every Stop and Reset gets the same answer.
+// and every Stop and Reset gets the same answer. On the wheel, each timer
+// goes in through Schedule (a func) or ScheduleEventAt (a pointer event),
+// drawn per timer from the seed, so the one order holds across both.
 func matchModel(t *testing.T, seed uint64, res time.Duration, slots int) {
 	t.Helper()
 	m := &model{res: res}
@@ -480,9 +532,14 @@ func matchModel(t *testing.T, seed uint64, res time.Duration, slots int) {
 		run: func() { m.runUntil(math.MaxInt64) },
 	})
 	w := NewWheel(WheelConfig{Resolution: res, Slots: slots})
+	// Each timer takes one of the two entry points, drawn from its own
+	// stream of the seed so the workload's draws are the model's.
+	pick := seed
 	got := modelWorkload(seed, res, harness{
 		schedule: func(d time.Duration, fn func(time.Time)) handle {
-			tm := w.Schedule(0, d, fn)
+			pick = pick*6364136223846793005 + 1442695040888963407
+			ep := entryPoints[pick>>63]
+			tm := ep.schedule(w, d, fn, &funcEvent{fn})
 			return handle{stop: tm.Stop, reset: tm.Reset}
 		},
 		advance: w.Advance,

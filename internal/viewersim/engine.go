@@ -2,7 +2,7 @@ package viewersim
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -138,8 +138,36 @@ type bcastRun struct {
 	nextChunk int
 	remaining int // live participants: viewers yet to finish + the broadcaster
 
-	fireIngest func(time.Time)
-	fireJoin   func(time.Time)
+	// ingest and join are the broadcast's two event chains, carried in the
+	// record so that scheduling either allocates nothing.
+	ingest ingestEvent
+	join   joinEvent
+}
+
+// ingestEvent feeds its broadcast's next chunk to the origin.
+type ingestEvent struct{ b *bcastRun }
+
+func (e *ingestEvent) Fire(time.Time) { e.b.s.wheelIngest(e.b) }
+
+// joinEvent admits its broadcast's next viewer.
+type joinEvent struct{ b *bcastRun }
+
+func (e *joinEvent) Fire(time.Time) { e.b.s.wheelJoin(e.b) }
+
+// startEvent is a partition's start chain: it sets up the broadcast at index
+// i of the start-sorted specs, then schedules itself for the partition's
+// next one, stride positions on.
+type startEvent struct {
+	s         *sim
+	i, stride int
+}
+
+func (e *startEvent) Fire(time.Time) {
+	s := e.s
+	s.wheelStart(s.w.specs[e.i])
+	if e.i += e.stride; e.i < len(s.w.specs) {
+		s.schedule(s.w.start.Add(s.w.specs[e.i].start), e)
+	}
 }
 
 func (b *bcastRun) abs(off time.Duration) time.Time { return b.start.Add(off) }
@@ -152,6 +180,7 @@ func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
 		b, s.bfree = s.bfree[n-1], s.bfree[:n-1]
 	} else {
 		b = &bcastRun{s: s}
+		b.ingest.b, b.join.b = b, b
 	}
 	b.sp = sp
 	b.id = "b" + strconv.Itoa(sp.idx)
@@ -171,7 +200,7 @@ func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
 		u := b.src.Float64()
 		b.joins = append(b.joins, time.Duration(float64(sp.dur)*u*u))
 	}
-	sort.Slice(b.joins, func(i, j int) bool { return b.joins[i] < b.joins[j] })
+	slices.Sort(b.joins)
 	b.nextJoin = 0
 	b.nextChunk = 0
 	b.remaining = sp.views + 1
@@ -209,8 +238,6 @@ func (s *sim) newViewer(b *bcastRun, idx int) *viewer {
 			s.vslab = make([]viewer, viewerSlab)
 		}
 		v, s.vslab = &s.vslab[0], s.vslab[1:]
-		// The wheel callback is the one allocation a viewer makes alone.
-		v.fireFn = func(time.Time) { s.wheelViewer(v) }
 	}
 	v.reset(s, b, idx)
 	if v.init() {
@@ -328,40 +355,34 @@ func (s *sim) runWheel(n int) {
 }
 
 // runPartition replays every stride-th broadcast from first on one timer
-// wheel: each broadcast start is scheduled up front, and all subsequent
-// events (ingest chain, join chain, per-viewer delivery chains) are
-// rescheduled from callbacks.
+// wheel. Every event is a chain that reschedules itself as it fires: the
+// partition's broadcast starts, in start order, and each broadcast's ingest,
+// join and per-viewer delivery chains. Only the next start is ever pending,
+// not the whole day's.
 func (s *sim) runPartition(first, stride int) {
 	s.wheel = clock.NewWheel(clock.WheelConfig{Epoch: s.w.start})
 	s.buildCDN(s.wheel)
-	for i := first; i < len(s.w.specs); i += stride {
-		sp := s.w.specs[i]
-		s.schedule(s.w.start.Add(sp.start), func(time.Time) { s.wheelStart(sp) })
+	if first < len(s.w.specs) {
+		start := &startEvent{s: s, i: first, stride: stride}
+		s.schedule(s.w.start.Add(s.w.specs[first].start), start)
 	}
 	s.end = s.wheel.Run()
 	s.events = s.wheel.Fired()
 	_ = s.origin.Close()
 }
 
-// schedule arms fn on the wheel at an absolute time. The wheel ignores its
-// owner argument, so every timer passes zero.
+// schedule arms ev on the wheel at an absolute time.
 //
 //livesim:hotpath TestWheelAudienceAllocatesNothing
-func (s *sim) schedule(at time.Time, fn func(time.Time)) {
-	s.wheel.ScheduleAt(0, at, fn)
+func (s *sim) schedule(at time.Time, ev clock.Event) {
+	s.wheel.ScheduleEventAt(at, ev)
 }
 
 func (s *sim) wheelStart(sp bcastSpec) {
 	b := s.setupBroadcast(sp)
-	if b.fireIngest == nil {
-		// Bound to the pooled object once; reuses survive recycling
-		// because the closures indirect through b.
-		b.fireIngest = func(time.Time) { s.wheelIngest(b) }
-		b.fireJoin = func(time.Time) { s.wheelJoin(b) }
-	}
-	s.schedule(b.abs(b.tr.ReadyAt[0]), b.fireIngest)
+	s.schedule(b.abs(b.tr.ReadyAt[0]), &b.ingest)
 	if len(b.joins) > 0 {
-		s.schedule(b.abs(b.joins[0]), b.fireJoin)
+		s.schedule(b.abs(b.joins[0]), &b.join)
 	}
 }
 
@@ -369,7 +390,7 @@ func (s *sim) wheelStart(sp bcastSpec) {
 func (s *sim) wheelIngest(b *bcastRun) {
 	s.ingestChunk(b)
 	if b.nextChunk < b.tr.Items() {
-		s.schedule(b.abs(b.tr.ReadyAt[b.nextChunk]), b.fireIngest)
+		s.schedule(b.abs(b.tr.ReadyAt[b.nextChunk]), &b.ingest)
 		return
 	}
 	s.userDone(b) // broadcaster leaves
@@ -380,10 +401,10 @@ func (s *sim) wheelJoin(b *bcastRun) {
 	idx := b.nextJoin
 	b.nextJoin++
 	if b.nextJoin < len(b.joins) {
-		s.schedule(b.abs(b.joins[b.nextJoin]), b.fireJoin)
+		s.schedule(b.abs(b.joins[b.nextJoin]), &b.join)
 	}
 	if v := s.newViewer(b, idx); v != nil {
-		s.schedule(b.abs(v.sess.Next()), v.fireFn)
+		s.schedule(b.abs(v.sess.Next()), v)
 	}
 }
 
@@ -393,5 +414,5 @@ func (s *sim) wheelViewer(v *viewer) {
 	if done {
 		return
 	}
-	s.schedule(v.b.abs(next), v.fireFn)
+	s.schedule(v.b.abs(next), v)
 }

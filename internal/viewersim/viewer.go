@@ -11,9 +11,9 @@ import (
 
 // viewer is one watching session, shared verbatim by both engines: a
 // delay.Session over its broadcast's trace feeding a player.Player, plus the
-// pooling and scheduling glue. The wheel steps it from timer callbacks, the
-// goroutine reference from a loop around coordinator sleeps, each at the
-// session's Next offset from the broadcast's start.
+// pooling glue. The wheel steps it as its own event (Fire), the goroutine
+// reference from a loop around coordinator sleeps, each at the session's
+// Next offset from the broadcast's start.
 //
 // RTMP sessions are simulated at chunk-duration windows rather than per
 // frame: a 1:1 day has ~10^10 frames, two orders of magnitude more events
@@ -28,9 +28,10 @@ type viewer struct {
 	join   time.Duration
 	sess   delay.Session
 	play   player.Player
-	// fireFn is the wheel callback, built once per pooled viewer.
-	fireFn func(time.Time)
 }
+
+// Fire is the viewer's next wheel event: one delivery step.
+func (v *viewer) Fire(time.Time) { v.b.s.wheelViewer(v) }
 
 // reset binds a pooled viewer to one (broadcast, join index) session and
 // re-seeds its private rng stream in place; everything the session draws

@@ -149,10 +149,10 @@ func TestPooledViewerResetAllocatesNothing(t *testing.T) {
 }
 
 // TestPoolMissViewerAllocBudget is what the audience costs while the pool
-// grows: a viewer the free list cannot supply costs its wheel closure and
-// 1/viewerSlab of a slab, and its netsim model, a value in the viewer, costs
-// nothing. The viewer itself stays inside the 288-byte size class its model
-// and session fill.
+// grows: a viewer the free list cannot supply costs 1/viewerSlab of a slab
+// and nothing else. It is its own wheel event, and its netsim model, a value
+// in the viewer, costs nothing. The viewer itself stays inside the 288-byte
+// size class its model and session fill.
 func TestPoolMissViewerAllocBudget(t *testing.T) {
 	if size := unsafe.Sizeof(viewer{}); size > 288 {
 		t.Errorf("viewer is %d bytes, over the 288-byte size class", size)
@@ -173,8 +173,8 @@ func TestPoolMissViewerAllocBudget(t *testing.T) {
 			t.Fatalf("%d viewers came from the free list, %d are left in the slab", len(s.vfree), len(s.vslab))
 		}
 	})
-	if want := float64(viewerSlab + 1); allocs != want {
-		t.Errorf("%d pool-miss viewers allocate %.0f times, want %.0f: one closure each and one slab", viewerSlab, allocs, want)
+	if allocs != 1 {
+		t.Errorf("%d pool-miss viewers allocate %.0f times, want 1: the slab", viewerSlab, allocs)
 	}
 }
 
@@ -202,14 +202,13 @@ func TestWheelAudienceAllocatesNothing(t *testing.T) {
 	for b.nextChunk < b.tr.Items() {
 		s.ingestChunk(b)
 	}
-	b.fireJoin = func(time.Time) { s.wheelJoin(b) }
 	var events int64
 	audience := func() {
 		fired, polls := s.wheel.Fired(), s.ctr.polls
 		b.start = s.wheel.Now()
 		b.nextJoin = 0
 		b.remaining = len(b.joins) + 1 // the broadcaster never leaves
-		s.schedule(b.abs(b.joins[0]), b.fireJoin)
+		s.schedule(b.abs(b.joins[0]), &b.join)
 		s.wheel.Run()
 		events = s.wheel.Fired() - fired
 		if b.remaining != 1 || s.ctr.polls == polls {
@@ -237,8 +236,7 @@ func TestWheelIngestAllocBudget(t *testing.T) {
 	sp := s.w.specs[0]
 	sp.views, sp.rtmp, sp.dur = 0, 0, time.Hour
 	b := s.setupBroadcast(sp)
-	b.fireIngest = func(time.Time) { s.wheelIngest(b) }
-	s.schedule(b.abs(b.tr.ReadyAt[0]), b.fireIngest)
+	s.schedule(b.abs(b.tr.ReadyAt[0]), &b.ingest)
 	allocs := testing.AllocsPerRun(1, func() {
 		for range events {
 			fired := s.wheel.Fired()
@@ -335,13 +333,16 @@ func TestScaleSmoke(t *testing.T) {
 }
 
 // TestAllocsPerEventFlatAcrossAudience pins the pooled-viewer invariant: a
-// viewer costs its fixed per-view set-up and nothing per event, so the mallocs
-// per event that an audience adds to a 100-viewer day are the same at 1k and
-// at 10k viewers. Counting from the 100-viewer day leaves out the day's own
-// set-up (world, CDN, registry: a few hundred mallocs that do not grow with
-// the audience), which is a quarter of a 1k-viewer day's mallocs now that a
-// viewer costs about one. (The absolute level is gated end to end by bench's
-// simday allocs_per_op.)
+// viewer costs a share of a slab while the pool grows and nothing per event,
+// so the mallocs per event that an audience adds to a 100-viewer day stay
+// under maxMarginal at 1k and at 10k viewers alike. Counting from the
+// 100-viewer day leaves out the day's own set-up (world, CDN, registry: a few
+// hundred mallocs that do not grow with the audience). The bound is absolute
+// rather than a ratio between the two audiences: what is left, about 0.01 per
+// event, is the granularity of slab refills (viewers, timer nodes, lists),
+// whose ratio between audiences moves by tens of percent and means nothing,
+// while one allocation of its own per viewer adds about 0.25. (The level of a
+// whole day is gated end to end by bench's simday allocs_per_op.)
 func TestAllocsPerEventFlatAcrossAudience(t *testing.T) {
 	day := func(viewers int) (mallocs uint64, events int64) {
 		var before, after runtime.MemStats
@@ -367,8 +368,10 @@ func TestAllocsPerEventFlatAcrossAudience(t *testing.T) {
 		mallocs, events := day(viewers)
 		return float64(mallocs-baseMallocs) / float64(events-baseEvents)
 	}
-	small, large := perEvent(1_000), perEvent(10_000)
-	if math.Abs(large-small) > 0.10*small {
-		t.Fatalf("mallocs/event over a 100-viewer day = %.3f at 1k viewers, %.3f at 10k: not flat within 10%%", small, large)
+	const maxMarginal = 0.02
+	for _, viewers := range []int{1_000, 10_000} {
+		if got := perEvent(viewers); got > maxMarginal {
+			t.Errorf("mallocs/event over a 100-viewer day = %.4f at %d viewers, want ≤ %.2f", got, viewers, maxMarginal)
+		}
 	}
 }
