@@ -131,8 +131,10 @@ scale-smoke:
 # route table) — plus the edge cache, whose broadcast IDs come from viewers
 # (an op sequence of origin ingest/end/Remove and edge polls/Evict over known
 # and fuzzed IDs: no record for an ID never pulled, not-found for an ID never
-# ingested). `go test -fuzz` accepts one target per invocation, hence one run
-# per <package>:<target> entry.
+# ingested) — and the pooled JSON decoder every HTTP body of the platform goes
+# through (arbitrary pairs of bodies through one decoder, against
+# json.Unmarshal). `go test -fuzz` accepts one target per invocation, hence
+# one run per <package>:<target> entry.
 FUZZ_TARGETS := \
 	journal:FuzzRecordRoundTrip \
 	journal:FuzzReplay \
@@ -145,7 +147,8 @@ FUZZ_TARGETS := \
 	hls:FuzzHLSHandler \
 	control:FuzzControlJournalRecovery \
 	control:FuzzControlHandler \
-	cdn:FuzzEdgeRequests
+	cdn:FuzzEdgeRequests \
+	resilience:FuzzDecodeJSON
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -137,6 +137,22 @@ type ViewerGrant struct {
 // ProtoRTMPS is the private-broadcast delivery path.
 const ProtoRTMPS Protocol = "rtmps"
 
+// UnmarshalText decodes a known protocol to its constant, so it keeps
+// nothing of the body it came from; any other protocol decodes as its text.
+func (p *Protocol) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case string(ProtoRTMP):
+		*p = ProtoRTMP
+	case string(ProtoHLS):
+		*p = ProtoHLS
+	case string(ProtoRTMPS):
+		*p = ProtoRTMPS
+	default:
+		*p = Protocol(text)
+	}
+	return nil
+}
+
 // ViewerJoin is one recorded join.
 type ViewerJoin struct {
 	UserID uint64

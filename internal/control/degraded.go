@@ -165,15 +165,26 @@ func (ac *AuthCache) PublicKey(broadcastID string) ed25519.PublicKey {
 	return k
 }
 
-// Evict drops every cached grant and key for one broadcast. The platform
-// janitor calls it when a broadcast is garbage-collected.
-func (ac *AuthCache) Evict(broadcastID string) {
+// Evict drops every cached grant and key of the given broadcasts. The
+// platform janitor calls it once per sweep with every broadcast the sweep
+// collects, so the grants are scanned once per sweep, not once per
+// broadcast, under the lock every RTMP handshake's Authorize takes.
+func (ac *AuthCache) Evict(broadcastIDs []string) {
+	if len(broadcastIDs) == 0 {
+		return
+	}
+	gone := make(map[string]struct{}, len(broadcastIDs))
+	for _, id := range broadcastIDs {
+		gone[id] = struct{}{}
+	}
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
 	for k := range ac.grants {
-		if k.broadcastID == broadcastID {
+		if _, ok := gone[k.broadcastID]; ok {
 			delete(ac.grants, k)
 		}
 	}
-	delete(ac.keys, broadcastID)
+	for _, id := range broadcastIDs {
+		delete(ac.keys, id)
+	}
 }

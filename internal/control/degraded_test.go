@@ -3,6 +3,7 @@ package control
 import (
 	"crypto/ed25519"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -204,5 +205,109 @@ func TestAuthCacheLiveHitAllocs(t *testing.T) {
 	hits()
 	if allocs := testing.AllocsPerRun(200, hits); allocs != 0 {
 		t.Fatalf("two live hits allocate %.0f times, want 0", allocs)
+	}
+}
+
+// TestAuthCacheMatchesModel runs random sequences of live grants, live
+// refusals, registered keys, clock steps and Evicts of random sets of
+// broadcasts against a map model of the cache, and after every step reads
+// the whole cache through a partition: a grant serves exactly when the model
+// holds it unexpired, and a key is the one the model holds.
+func TestAuthCacheMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		s := newTestService()
+		vc := clock.NewWheel(clock.WheelConfig{Epoch: time.Unix(0, 0)})
+		partitioned := false
+		ac := NewAuthCache(AuthCacheConfig{
+			Service: s,
+			TTL:     time.Minute,
+			Clock:   vc,
+			Gate: func() error {
+				if partitioned {
+					return errors.New("link cut")
+				}
+				return nil
+			},
+		})
+		u := s.Register("alice")
+		var ids []string
+		var keys []authGrantKey
+		for range 6 {
+			g, err := s.StartBroadcast(u.ID, geo.Location{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, g.BroadcastID)
+			keys = append(keys,
+				authGrantKey{g.BroadcastID, g.Token, wire.RoleBroadcaster},
+				authGrantKey{g.BroadcastID, "", wire.RoleViewer},
+				authGrantKey{g.BroadcastID, "forged", wire.RoleBroadcaster})
+		}
+		grants := map[authGrantKey]time.Time{}
+		liveKeys, cachedKeys := map[string]ed25519.PublicKey{}, map[string]ed25519.PublicKey{}
+		for step := range 200 {
+			switch op := rnd.Intn(10); {
+			case op < 5: // a live lookup: a grant, or a refusal that revokes
+				k := keys[rnd.Intn(len(keys))]
+				if ac.Authorize(k.broadcastID, k.token, k.role) {
+					grants[k] = vc.Now().Add(time.Minute)
+				} else {
+					delete(grants, k)
+				}
+			case op == 5: // the broadcast ends, so its live lookups refuse
+				s.ForceEnd(ids[rnd.Intn(len(ids))])
+			case op == 6: // a key registered, then read live, which caches it
+				i := rnd.Intn(len(ids))
+				id := ids[i]
+				if rnd.Intn(2) == 0 {
+					pub, _, err := ed25519.GenerateKey(rnd)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.RegisterPublicKey(id, keys[3*i].token, pub); err != nil {
+						t.Fatal(err)
+					}
+					liveKeys[id] = pub
+				}
+				if k := ac.PublicKey(id); !k.Equal(liveKeys[id]) {
+					t.Fatalf("seed %d step %d: live key %x, want %x", seed, step, k, liveKeys[id])
+				}
+				if k := liveKeys[id]; k != nil {
+					cachedKeys[id] = k
+				}
+			case op == 7:
+				vc.Advance(time.Duration(rnd.Intn(40)) * time.Second)
+			default: // a sweep evicts a random set of broadcasts
+				var set []string
+				for _, id := range ids {
+					if rnd.Intn(3) == 0 {
+						set = append(set, id)
+					}
+				}
+				ac.Evict(set)
+				for _, id := range set {
+					for k := range grants {
+						if k.broadcastID == id {
+							delete(grants, k)
+						}
+					}
+					delete(cachedKeys, id)
+				}
+			}
+			partitioned = true
+			for _, k := range keys {
+				exp, ok := grants[k]
+				if want := ok && exp.After(vc.Now()); ac.Authorize(k.broadcastID, k.token, k.role) != want {
+					t.Fatalf("seed %d step %d: %+v served %v through the partition, want %v", seed, step, k, !want, want)
+				}
+			}
+			for _, id := range ids {
+				if k := ac.PublicKey(id); !k.Equal(cachedKeys[id]) {
+					t.Fatalf("seed %d step %d: %s's cached key %x, want %x", seed, step, id, k, cachedKeys[id])
+				}
+			}
+			partitioned = false
+		}
 	}
 }

@@ -623,9 +623,10 @@ func TestClientKeepsConnectionAlive(t *testing.T) {
 // TestJSONHandlerAllocBudgets pins what the two control endpoints a viewer's
 // lifecycle calls allocate per request, routing, handler and recorder
 // together, through httptest.NewRecorder and no socket so the count is
-// exact: the route match, the pooled body read and response encode, the
-// ready-made Content-Type and the in-place query read each show in it. Both
-// routes answer through the same Service calls the platform makes.
+// exact: the route match, the pooled body read, decoder and response
+// encode, the ready-made Content-Type and the in-place query read each show
+// in it. Both routes answer through the same Service calls the platform
+// makes.
 func TestJSONHandlerAllocBudgets(t *testing.T) {
 	if testutil.Race {
 		t.Skip("sync.Pool drops puts under the race detector, so the count is not exact")
@@ -654,7 +655,7 @@ func TestJSONHandlerAllocBudgets(t *testing.T) {
 		want   float64
 	}{
 		{"join", "POST", "/api/broadcasts/" + g.BroadcastID + "/join",
-			`{"user_id":1,"city":"New York","lat":40.71,"lon":-74.01}`, 17},
+			`{"user_id":1,"city":"New York","lat":40.71,"lon":-74.01}`, 13},
 		{"resolve-edge", "GET", "/api/broadcasts/" + g.BroadcastID + "/edge?city=New+York&lat=40.71&lon=-74.01", "", 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

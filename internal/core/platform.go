@@ -470,8 +470,8 @@ func (p *Platform) SweepEnded(now time.Time) int {
 		}
 		p.Hub.Remove(id)
 		p.Topo.ReleaseBroadcast(id)
-		p.AuthCache.Evict(id)
 	}
+	p.AuthCache.Evict(expired)
 	if p.limiter != nil {
 		p.limiter.Sweep(10 * p.cfg.Retention)
 	}

@@ -1,10 +1,10 @@
 package media
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,68 +158,81 @@ func (cl *ChunkList) buildVersionValue() []string {
 	return p[:]
 }
 
-// ParseChunkList parses the Marshal format.
+// ParseChunkList parses the Marshal format. It walks the lines in place, so
+// a list costs three allocations whatever its length: the list, its
+// broadcast ID and its chunks, sized once to the EXTINF tags in data.
 func ParseChunkList(data []byte) (*ChunkList, error) {
-	lines := strings.Split(string(data), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != "#EXTM3U" {
+	header, rest, more := bytes.Cut(data, newline)
+	if string(bytes.TrimSpace(header)) != "#EXTM3U" {
 		return nil, fmt.Errorf("media: missing #EXTM3U header")
 	}
 	cl := &ChunkList{}
-	var pending *ChunkRef
-	for _, raw := range lines[1:] {
-		line := strings.TrimSpace(raw)
-		switch {
-		case line == "":
-		case strings.HasPrefix(line, "#X-BROADCAST:"):
-			cl.BroadcastID = strings.TrimPrefix(line, "#X-BROADCAST:")
-		case strings.HasPrefix(line, "#X-VERSION:"):
-			v, err := strconv.ParseUint(strings.TrimPrefix(line, "#X-VERSION:"), 10, 64)
+	if n := bytes.Count(rest, extinf); n > 0 {
+		cl.Chunks = make([]ChunkRef, 0, n)
+	}
+	var pending ChunkRef
+	hasPending := false
+	for more {
+		var line []byte
+		line, rest, more = bytes.Cut(rest, newline)
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			continue
+		}
+		if id, ok := bytes.CutPrefix(line, []byte("#X-BROADCAST:")); ok {
+			cl.BroadcastID = string(id)
+		} else if v, ok := bytes.CutPrefix(line, []byte("#X-VERSION:")); ok {
+			version, err := strconv.ParseUint(string(v), 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("media: bad version: %w", err)
 			}
-			cl.Version = v
-		case strings.HasPrefix(line, "#EXTINF:"):
-			body := strings.TrimPrefix(line, "#EXTINF:")
-			parts := strings.SplitN(body, ",", 2)
-			if len(parts) != 2 {
+			cl.Version = version
+		} else if body, ok := bytes.CutPrefix(line, extinf); ok {
+			secs, seqText, ok := bytes.Cut(body, []byte(","))
+			if !ok {
 				return nil, fmt.Errorf("media: bad EXTINF %q", line)
 			}
-			d, err := parseSeconds(parts[0])
+			d, err := parseSeconds(secs)
 			if err != nil {
 				return nil, err
 			}
-			seq, err := strconv.ParseUint(parts[1], 10, 64)
+			seq, err := strconv.ParseUint(string(seqText), 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("media: bad EXTINF seq: %w", err)
 			}
-			pending = &ChunkRef{Seq: seq, Duration: d}
-		case line == "#EXT-X-ENDLIST":
+			pending, hasPending = ChunkRef{Seq: seq, Duration: d}, true
+		} else if string(line) == "#EXT-X-ENDLIST" {
 			cl.Ended = true
-		case strings.HasPrefix(line, "#"):
+		} else if line[0] == '#' {
 			// Unknown tag: ignore for forward compatibility.
-		default:
+		} else {
 			// The chunk's line; the EXTINF title already named its seq.
-			if pending == nil {
+			if !hasPending {
 				return nil, fmt.Errorf("media: URI %q without EXTINF", line)
 			}
-			cl.Chunks = append(cl.Chunks, *pending)
-			pending = nil
+			cl.Chunks = append(cl.Chunks, pending)
+			hasPending = false
 		}
 	}
-	if pending != nil {
+	if hasPending {
 		return nil, fmt.Errorf("media: EXTINF without URI")
 	}
 	return cl, nil
 }
 
+var (
+	newline = []byte("\n")
+	extinf  = []byte("#EXTINF:")
+)
+
 // parseSeconds reads an EXTINF duration, rounded to the nearest nanosecond
 // so that every duration Marshal writes to the millisecond reads back
 // exactly (truncating would read 1.001 as 1.000999999s). Durations beyond
 // time.Duration's range saturate, as time.Time.Sub does.
-func parseSeconds(s string) (time.Duration, error) {
-	secs, err := strconv.ParseFloat(s, 64)
+func parseSeconds(b []byte) (time.Duration, error) {
+	secs, err := strconv.ParseFloat(string(b), 64)
 	if err != nil || math.IsNaN(secs) {
-		return 0, fmt.Errorf("media: bad EXTINF duration %q", s)
+		return 0, fmt.Errorf("media: bad EXTINF duration %q", b)
 	}
 	switch ns := math.Round(secs * float64(time.Second)); {
 	case ns >= math.MaxInt64: // float64(MaxInt64) is 2⁶³, one past the range

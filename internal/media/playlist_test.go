@@ -220,3 +220,23 @@ func TestRenderAllocBudget(t *testing.T) {
 		t.Fatalf("render of a %d-chunk list allocates %v times, want 1", len(cl.Chunks), allocs)
 	}
 }
+
+// A parse is three allocations whatever the list's length: the list, its
+// broadcast ID and its chunks.
+func TestParseChunkListAllocBudget(t *testing.T) {
+	for _, n := range []uint64{1, WindowSize} {
+		cl := &ChunkList{BroadcastID: "b1", Version: 7, Ended: true}
+		for seq := range n {
+			cl.Append(ChunkRef{Seq: seq, Duration: 3 * time.Second})
+		}
+		data := cl.Marshal()
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ParseChunkList(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 3 {
+			t.Fatalf("parse of a %d-chunk list allocates %v times, want 3", n, allocs)
+		}
+	}
+}

@@ -33,6 +33,20 @@ const (
 	KindHeart   Kind = "heart"
 )
 
+// UnmarshalText decodes a known kind to its constant, so it keeps nothing of
+// the body it came from; any other kind decodes as its text.
+func (k *Kind) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case string(KindComment):
+		*k = KindComment
+	case string(KindHeart):
+		*k = KindHeart
+	default:
+		*k = Kind(text)
+	}
+	return nil
+}
+
 // Event is one published interaction.
 type Event struct {
 	Seq         uint64    `json:"seq"`

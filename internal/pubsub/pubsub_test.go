@@ -435,8 +435,9 @@ func TestClientKeepsConnectionAcrossRefusals(t *testing.T) {
 // TestHandlerAllocBudgets pins what the two message-channel endpoints a
 // lifecycle calls allocate per request, routing, handler and recorder
 // together, through httptest.NewRecorder and no socket so the count is
-// exact: the routing cut, the in-place query read, the pooled body read and
-// response encode, and the ready-made Content-Type each show in it.
+// exact: the routing cut, the in-place query read, the pooled body read,
+// decoder and response encode, the kind decoded to its constant, and the
+// ready-made Content-Type each show in it.
 func TestHandlerAllocBudgets(t *testing.T) {
 	if testutil.Race {
 		t.Skip("sync.Pool drops puts under the race detector, so the count is not exact")
@@ -458,7 +459,7 @@ func TestHandlerAllocBudgets(t *testing.T) {
 		want   float64
 	}{
 		// Hearts: a comment would also grow the commenter set.
-		{"publish", "POST", "/channel/b1/publish", `{"user_id":"viewer-7","kind":"heart"}`, 17},
+		{"publish", "POST", "/channel/b1/publish", `{"user_id":"viewer-7","kind":"heart"}`, 12},
 		{"events", "GET", "/channel/b2/events?since=0", "", 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

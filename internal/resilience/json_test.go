@@ -16,7 +16,7 @@ import (
 
 // DecodeJSON keeps every limit ReadBody had and refuses what json.Unmarshal
 // refuses: a body over the limit, declared or not, a body shorter than it
-// declared, and trailing data.
+// declared, and trailing data, whether the decoder buffered it or not.
 func TestDecodeJSON(t *testing.T) {
 	type msg struct {
 		N int    `json:"n"`
@@ -40,6 +40,10 @@ func TestDecodeJSON(t *testing.T) {
 		{"undeclared over the limit", body, -1, n - 1, false},
 		{"shorter than declared", body, n + 5, 64, false},
 		{"trailing data", body + `{}`, -1, 64, false},
+		{"trailing space", body + " \t\r\n", -1, 64, true},
+		// The decoder reads ahead in blocks, so these end past its first.
+		{"trailing data past the decoder's read", body + strings.Repeat(" ", 8<<10) + "x", -1, 16 << 10, false},
+		{"trailing space past the decoder's read", body + strings.Repeat(" ", 8<<10), -1, 16 << 10, true},
 		{"not JSON", "nope", -1, 64, false},
 	} {
 		var got msg
@@ -74,8 +78,10 @@ func TestDecodeJSONKeepsNothingPooled(t *testing.T) {
 	}
 }
 
-// TestDecodeJSONAllocBudget: a declared body is read through the pooled
-// buffer, so decoding it costs what json.Unmarshal of the same bytes does.
+// TestDecodeJSONAllocBudget: a warm pooled decoder keeps its decode state,
+// error context and scanner, so a decode allocates only the strings its value
+// keeps: the city, where json.Unmarshal of the same bytes makes its state
+// again on every call.
 func TestDecodeJSONAllocBudget(t *testing.T) {
 	if testutil.Race {
 		t.Skip("sync.Pool drops puts under the race detector, so the count is not exact")
@@ -99,19 +105,59 @@ func TestDecodeJSONAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if decode != unmarshal {
-		t.Fatalf("DecodeJSON allocates %.0f times per body, json.Unmarshal %.0f", decode, unmarshal)
+	if decode != 1 {
+		t.Fatalf("DecodeJSON allocates %.0f times per body, want 1 (json.Unmarshal: %.0f)", decode, unmarshal)
 	}
 }
 
-// An outsized body's buffer does not go back to the pool.
+// A buffer goes back to the pool after a decode that succeeded within
+// maxPooledJSON, and not after one that failed, whose decoder keeps its
+// error or the bytes it stopped before, nor once it outgrew maxPooledJSON,
+// by a body read into it, one decoded from it or one encoded into it.
 func TestOutsizedJSONBufferNotPooled(t *testing.T) {
-	b := jsonBufs.Get().(*jsonBuf)
-	b.buf.Grow(maxPooledJSON + 1)
-	putJSONBuf(b)
-	for range 4 {
-		if got := jsonBufs.Get().(*jsonBuf); got == b {
-			t.Fatal("a buffer over maxPooledJSON came back from the pool")
+	big := `{"s":"` + strings.Repeat("x", maxPooledJSON) + `"}`
+	decode := func(body string, declared int64) func() error {
+		return func() error {
+			var v struct {
+				S string `json:"s"`
+			}
+			return DecodeJSON(strings.NewReader(body), declared, 1<<20, &v)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		use    func() error
+		ok     bool
+		pooled bool
+	}{
+		{"decoded", decode(`{"s":"x"}`, -1), true, true},
+		{"over the limit", func() error { return DecodeJSON(strings.NewReader(big), -1, 8, new(any)) }, false, true},
+		{"decoded outsized", decode(big, -1), true, false},
+		{"decoded outsized, declared", decode(big, int64(len(big))), true, false},
+		{"not JSON", decode(`{"s":`, -1), false, false},
+		{"wrong type", decode(`{"s":7}`, -1), false, false},
+		{"empty", decode("", -1), false, false},
+		{"trailing data", decode(`{"s":"x"} {}`, -1), false, false},
+		{"encoded outsized", func() error {
+			WriteJSON(httptest.NewRecorder(), big)
+			return nil
+		}, true, false},
+	} {
+		b := jsonBufs.Get().(*jsonBuf)
+		jsonBufs.Put(b)
+		if err := tc.use(); (err == nil) != tc.ok {
+			t.Errorf("%s: error %v", tc.name, err)
+		}
+		back := false
+		for range 4 {
+			if jsonBufs.Get().(*jsonBuf) == b {
+				back = true
+			}
+		}
+		// sync.Pool drops puts at random under the race detector, so there
+		// only a buffer that must not come back is checked.
+		if back != tc.pooled && !(tc.pooled && testutil.Race) {
+			t.Errorf("%s: buffer came back from the pool: %v, want %v", tc.name, back, tc.pooled)
 		}
 	}
 }

@@ -121,20 +121,26 @@ func ReadBody(body io.Reader, n, limit int64) ([]byte, error) {
 var errBodyTooLarge = errors.New("resilience: body over limit")
 
 // jsonBuf is one pooled JSON body: the buffer a body is read into or
-// encoded into, and the encoder bound to it for the latter.
+// encoded into, the encoder bound to it for the latter, and a decoder that
+// reads the former through rd. A warm decoder keeps its decode state, error
+// context and scanner, so a decode allocates only what the value keeps.
 type jsonBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
+	rd  bytes.Reader
+	dec *json.Decoder
 }
 
 var jsonBufs = sync.Pool{New: func() any {
 	b := new(jsonBuf)
 	b.enc = json.NewEncoder(&b.buf)
+	b.dec = json.NewDecoder(&b.rd)
 	return b
 }}
 
 // maxPooledJSON is the largest buffer that goes back to the pool: one
-// outsized body must not keep its memory for good.
+// outsized body must not keep its memory for good, in the buffer or in the
+// decoder's own, which grows to the body it read.
 const maxPooledJSON = 64 << 10
 
 func putJSONBuf(b *jsonBuf) {
@@ -142,37 +148,80 @@ func putJSONBuf(b *jsonBuf) {
 		return
 	}
 	b.buf.Reset()
+	b.rd.Reset(nil)
 	jsonBufs.Put(b)
 }
 
 // DecodeJSON reads a JSON body that declared n bytes (n ≤ 0: undeclared or
-// unknown) into v through a pooled buffer. A body over limit is an error,
-// whether its declared length says so or its bytes do; a declared length is
-// read with io.ReadFull, so a body shorter than it declared is one too.
-// json.Unmarshal copies everything it keeps, so the buffer goes back to the
-// pool. Bytes after the value are an error, as json.Unmarshal has them.
+// unknown) into v through a pooled buffer and decoder. A body over limit is
+// an error, whether its declared length says so or its bytes do; a declared
+// length is read with io.ReadFull, so a body shorter than it declared is one
+// too. It accepts what json.Unmarshal accepts: an empty body and anything but
+// space after the value are errors. The decoder copies everything a value
+// keeps, so the buffer goes back to the pool, unless its decode failed.
 func DecodeJSON(body io.Reader, n, limit int64, v any) error {
-	if n > limit {
-		return errBodyTooLarge
-	}
 	b := jsonBufs.Get().(*jsonBuf)
-	defer putJSONBuf(b)
+	reusable, err := b.decode(body, n, limit, v)
+	if reusable {
+		putJSONBuf(b)
+	}
+	return err
+}
+
+// decode is DecodeJSON through b. It reports whether b may decode another
+// body: a decoder that failed keeps its error, and one that stopped before
+// trailing bytes keeps them buffered, so after a failed decode it may not.
+func (b *jsonBuf) decode(body io.Reader, n, limit int64, v any) (reusable bool, err error) {
+	if n > limit {
+		return true, errBodyTooLarge
+	}
 	var data []byte
 	if n > 0 {
 		b.buf.Grow(int(n))
 		data = b.buf.AvailableBuffer()[:n]
 		if _, err := io.ReadFull(body, data); err != nil {
-			return err
+			return true, err
 		}
 	} else {
 		if _, err := b.buf.ReadFrom(io.LimitReader(body, limit+1)); err != nil {
-			return err
+			return true, err
 		}
 		if data = b.buf.Bytes(); int64(len(data)) > limit {
-			return errBodyTooLarge
+			return true, errBodyTooLarge
 		}
 	}
-	return json.Unmarshal(data, v)
+	b.rd.Reset(data)
+	if err := b.dec.Decode(v); err != nil {
+		return false, err
+	}
+	if !b.restIsSpace() {
+		return false, errTrailingData
+	}
+	return true, nil
+}
+
+// errTrailingData reports bytes other than space after a body's value.
+var errTrailingData = errors.New("resilience: data after the JSON value")
+
+// restIsSpace reports whether everything after the decoded value is JSON
+// space: what the decoder buffered past the value and what it has not read.
+// The value's end is not found from the decoder's InputOffset: that counts
+// from the first body the decoder read, not from this one.
+func (b *jsonBuf) restIsSpace() bool {
+	return onlySpace(b.dec.Buffered().(*bytes.Reader)) && onlySpace(&b.rd)
+}
+
+// onlySpace reads r to its end and reports whether all of it is JSON space.
+func onlySpace(r *bytes.Reader) bool {
+	for {
+		c, err := r.ReadByte()
+		if err != nil {
+			return true
+		}
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return false
+		}
+	}
 }
 
 // contentTypeJSON is the Content-Type of every JSON body, ready-made:
