@@ -104,19 +104,20 @@ type Origin struct {
 
 	// perChunk is how many frames make a chunk (OriginConfig.ChunkDuration).
 	perChunk int
-	// chunkSlab, frameSlab and listSlab are the uncarved rest of the slabs
-	// (slabSize, listsPerSlab) the origin takes chunks, their frames and
-	// published lists from.
-	chunkSlab []media.Chunk
+	// chunkSlab and frameSlab are the uncarved rest of the slabs (slabSize)
+	// the origin takes sealed chunks, with their lists, and their frames
+	// from.
+	chunkSlab []sealedChunk
 	frameSlab []media.Frame
-	listSlab  []publishedList
 }
 
 type originStream struct {
 	// list is the current published chunklist. Published lists are
 	// immutable (readers hold the pointer without the lock), so an update
-	// replaces it with a successor instead of editing it.
-	list *media.ChunkList
+	// replaces it with a successor instead of editing it. The first is
+	// list0, version 0 with no chunks, carved with the record.
+	list  *media.ChunkList
+	list0 media.ChunkList
 	// chunks holds the chunks inside the retention window.
 	chunks chunkWindow
 	// frames is the chunk being assembled, carved whole from the origin's
@@ -194,24 +195,27 @@ func (w *chunkWindow) get(seq uint64) (storedChunk, bool) {
 // 64 three-second chunks to a slab, one live chunk would keep up to 63
 // expired ones' frames and payloads alive. A slab is garbage once everything
 // carved from it is: its chunks have left every origin window and edge
-// cache, its lists every reader.
+// cache, and the lists sealed with them every reader.
 const slabSize = 64
-
-// listsPerSlab is how many published lists a list slab holds. Lists have
-// slabs of their own, since a list is superseded one chunk later and a chunk
-// stays for retainedChunks, and small ones: slabs of 8 to 64 lists raised the
-// 1:10 simulated day's peak RSS by 1.5 MB (DESIGN.md §5a).
-const listsPerSlab = 4
 
 func (o *Origin) chunksPerSlab() int { return max(slabSize, o.perChunk) / o.perChunk }
 
-// carveChunkLocked takes the next Chunk from the origin's chunk slab.
+// sealedChunk is one element of a chunk slab: a sealed chunk and the list
+// its seal publishes, the first to name it, carved together. The list is
+// superseded one chunk later and kept, never written again, as long as the
+// chunk is (DESIGN.md §5a).
+type sealedChunk struct {
+	chunk media.Chunk
+	list  publishedList
+}
+
+// carveChunkLocked takes the next sealedChunk from the origin's chunk slab.
 //
 //livesim:hotpath TestIngestAllocBudget
-func (o *Origin) carveChunkLocked() *media.Chunk {
+func (o *Origin) carveChunkLocked() *sealedChunk {
 	if len(o.chunkSlab) == 0 {
 		//lint:allow hotpathescape slab refill only: one allocation per chunksPerSlab chunks
-		o.chunkSlab = make([]media.Chunk, o.chunksPerSlab())
+		o.chunkSlab = make([]sealedChunk, o.chunksPerSlab())
 	}
 	c := &o.chunkSlab[0]
 	o.chunkSlab = o.chunkSlab[1:]
@@ -232,23 +236,10 @@ func (o *Origin) carveFramesLocked() []media.Frame {
 	return f
 }
 
-// carveListLocked takes the next publishedList from the origin's list slab.
-//
-//livesim:hotpath TestIngestAllocBudget
-func (o *Origin) carveListLocked() *publishedList {
-	if len(o.listSlab) == 0 {
-		//lint:allow hotpathescape slab refill only: one allocation per listsPerSlab lists
-		o.listSlab = make([]publishedList, listsPerSlab)
-	}
-	p := &o.listSlab[0]
-	o.listSlab = o.listSlab[1:]
-	return p
-}
-
 // addFrameLocked appends f to the stream's chunk in assembly — the
 // Wowza-side step that creates HLS chunking delay (⑦−⑥ in Fig. 10) — and
-// returns the chunk when f fills it, else nil.
-func (o *Origin) addFrameLocked(st *originStream, f media.Frame) *media.Chunk {
+// returns the chunk's record when f fills it, else nil.
+func (o *Origin) addFrameLocked(st *originStream, f media.Frame) *sealedChunk {
 	if st.frames == nil {
 		st.frames = o.carveFramesLocked()
 	}
@@ -259,32 +250,34 @@ func (o *Origin) addFrameLocked(st *originStream, f media.Frame) *media.Chunk {
 	return o.closeChunkLocked(st)
 }
 
-// closeChunkLocked returns the stream's chunk in assembly, however many
-// frames it has, and starts the next. Nil when it has none (an end of
-// broadcast right after a seal).
-func (o *Origin) closeChunkLocked(st *originStream) *media.Chunk {
+// closeChunkLocked returns the record of the stream's chunk in assembly,
+// however many frames it has, and starts the next. Nil when it has none (an
+// end of broadcast right after a seal).
+func (o *Origin) closeChunkLocked(st *originStream) *sealedChunk {
 	if len(st.frames) == 0 {
 		return nil
 	}
-	c := o.carveChunkLocked()
-	c.Seq, c.Frames = st.nextSeq, st.frames
+	r := o.carveChunkLocked()
+	r.chunk.Seq, r.chunk.Frames = st.nextSeq, st.frames
 	st.nextSeq++
 	st.frames = nil
-	return c
+	return r
 }
 
 // addChunkLocked makes a chunk servable: store it with its ready stamp in the
-// retention window and publish the successor list naming it. Ingest,
-// end-of-broadcast flush and journal replay all go through here.
-func (o *Origin) addChunkLocked(st *originStream, c *media.Chunk, at time.Time) {
+// retention window and publish the successor list naming it, built in next.
+// Ingest and end-of-broadcast flush pass the chunk's own record's list;
+// journal replay, whose chunk has no record, passes nil. All three go through
+// here.
+func (o *Origin) addChunkLocked(st *originStream, c *media.Chunk, next *publishedList, at time.Time) {
 	st.chunks.put(c.Seq, c, at)
-	st.list = o.successorLocked(st, &media.ChunkRef{Seq: c.Seq, Duration: c.Duration()})
+	st.list = o.successorLocked(st, next, &media.ChunkRef{Seq: c.Seq, Duration: c.Duration()})
 }
 
 // endLocked publishes the successor list carrying the end marker, the one
 // place a broadcast's end is kept. An ended broadcast awaits no publisher.
 func (o *Origin) endLocked(st *originStream) {
-	next := o.successorLocked(st, nil)
+	next := o.successorLocked(st, nil, nil)
 	next.Ended = true
 	st.list = next
 	st.pending = false
@@ -292,20 +285,26 @@ func (o *Origin) endLocked(st *originStream) {
 
 // publishedList is a chunklist and the backing array of its chunk window,
 // carved together: the list's Chunks slices refs, so the list pointer the
-// origin hands out keeps both alive, and publishing allocates nothing but, per
-// listsPerSlab lists, the slab.
+// origin hands out keeps both alive. A seal's list is carved with its chunk
+// (sealedChunk), so publishing it allocates nothing of its own.
 type publishedList struct {
 	list media.ChunkList
 	refs [media.WindowSize]media.ChunkRef
 }
 
-// successorLocked builds the list one version after the published one, its
-// window copied into its own refs and, when add is set, slid to end with add.
-// The caller may still set Ended before assigning it to st.list; the old
-// list is never written.
-func (o *Origin) successorLocked(st *originStream, add *media.ChunkRef) *media.ChunkList {
+// successorLocked builds, in p, the list one version after the published
+// one, its window copied into p's own refs and, when add is set, slid to end
+// with add. A nil p is a list with no chunk record to ride with: the end
+// marker's, or a replayed seal's. The caller may still set Ended before
+// assigning it to st.list; the old list is never written.
+//
+//livesim:hotpath TestIngestAllocBudget
+func (o *Origin) successorLocked(st *originStream, p *publishedList, add *media.ChunkRef) *media.ChunkList {
+	if p == nil {
+		//lint:allow hotpathescape end marker and journal replay only: a seal's list comes carved with its chunk
+		p = new(publishedList)
+	}
 	old := st.list
-	p := o.carveListLocked()
 	p.list.BroadcastID = old.BroadcastID
 	p.list.Version = old.Version + 1
 	p.list.Ended = old.Ended
@@ -419,7 +418,7 @@ func (o *Origin) applyRecordLocked(r journal.Record) {
 			// bug, not tail damage; skip it rather than abort recovery.
 			return
 		}
-		o.addChunkLocked(st, chunk, o.cfg.Clock.Now())
+		o.addChunkLocked(st, chunk, nil, o.cfg.Clock.Now())
 		st.nextSeq = max(st.nextSeq, chunk.Seq+1)
 		if n := len(chunk.Frames); n > 0 {
 			st.resumeFloor = chunk.Frames[n-1].Seq + 1
@@ -431,13 +430,15 @@ func (o *Origin) applyRecordLocked(r journal.Record) {
 	}
 }
 
-// newStreamLocked starts a broadcast's record. Replay starts it pending: the
-// broadcast waits for its publisher to reconnect.
+// newStreamLocked starts a broadcast's record, one allocation with its
+// version-0 list. Replay starts it pending: the broadcast waits for its
+// publisher to reconnect. Records are not recycled: a reader may still hold
+// a removed broadcast's version-0 list, which must never be rewritten.
 func (o *Origin) newStreamLocked(id string, pending bool) *originStream {
-	return &originStream{
-		list:    &media.ChunkList{BroadcastID: id},
-		pending: pending,
-	}
+	st := &originStream{pending: pending}
+	st.list0.BroadcastID = id
+	st.list = &st.list0
+	return st
 }
 
 // resumeSeqFor answers the embedded RTMP server's resume query for a
@@ -568,14 +569,16 @@ func (o *Origin) Ingest(id string, f media.Frame, at time.Time) {
 		o.mu.Unlock()
 		return
 	}
-	chunk := o.addFrameLocked(st, f)
+	var chunk *media.Chunk
+	rec := o.addFrameLocked(st, f)
 	jw, edges := o.jw, o.edges
 	var version uint64
-	if chunk != nil {
+	if rec != nil {
+		chunk = &rec.chunk
 		if jw != nil {
 			chunk.Seal()
 		}
-		o.addChunkLocked(st, chunk, at)
+		o.addChunkLocked(st, chunk, &rec.list, at)
 		version = st.list.Version
 	}
 	o.mu.Unlock()
@@ -611,12 +614,13 @@ func (o *Origin) endBroadcast(id string) {
 		return
 	}
 	jw, edges := o.jw, o.edges
-	flushedChunk := o.closeChunkLocked(st)
-	if flushedChunk != nil {
+	var flushedChunk *media.Chunk
+	if rec := o.closeChunkLocked(st); rec != nil {
+		flushedChunk = &rec.chunk
 		if jw != nil {
 			flushedChunk.Seal()
 		}
-		o.addChunkLocked(st, flushedChunk, o.cfg.Clock.Now())
+		o.addChunkLocked(st, flushedChunk, &rec.list, o.cfg.Clock.Now())
 	}
 	o.endLocked(st)
 	version := st.list.Version

@@ -3,6 +3,7 @@ package cdn
 import (
 	"context"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -144,11 +145,12 @@ func TestOriginCustomChunkDuration(t *testing.T) {
 }
 
 // TestOriginAllocsPerChunk pins what assembling and publishing chunks costs
-// an unjournaled origin, counted exactly over 64 chunks: 16 slabs of lists,
-// and at viewersim's one-frame chunks one slab of Chunks and one of frames,
-// at 75 frames a Chunk and a frame array of its own per chunk.
+// an unjournaled origin, counted exactly over 64 chunks: at viewersim's
+// one-frame chunks one slab of sealed chunks and one of frames, at 75 frames
+// a sealed chunk and a frame array of its own per chunk. Each seal's list is
+// carved with its chunk.
 func TestOriginAllocsPerChunk(t *testing.T) {
-	for _, tc := range []struct{ perChunk, want int }{{1, 2 + 16}, {75, 2*64 + 16}} {
+	for _, tc := range []struct{ perChunk, want int }{{1, 2}, {75, 2 * 64}} {
 		o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: time.Duration(tc.perChunk) * media.FrameDuration})
 		f := media.Frame{Payload: []byte("p")}
 		ctx := context.Background()
@@ -170,6 +172,69 @@ func TestOriginAllocsPerChunk(t *testing.T) {
 	}
 }
 
+// TestPublishedListsNeverRewritten holds every list a journaled origin hands
+// out — a broadcast's version-0 list, its 2×retainedChunks seals' lists, its
+// end flush's and its end marker's — across its Remove, a new broadcast beside
+// it and one under the same ID, a crash, the journal replay and the seals
+// after it. Every held list must keep the version, end flag and refs it was
+// handed out with: a seal's list lives, never written again, as long as the
+// chunk it was carved with, and stream records, each holding its version-0
+// list, are not recycled.
+func TestPublishedListsNeverRewritten(t *testing.T) {
+	o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: 2 * media.FrameDuration, Journal: journal.NewMem()})
+	defer o.Close()
+	ctx := context.Background()
+	type held struct {
+		list    *media.ChunkList
+		id      string
+		version uint64
+		ended   bool
+		refs    []media.ChunkRef
+	}
+	var lists []held
+	hold := func(id string) {
+		cl, err := o.ChunkList(ctx, id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if n := len(lists); n > 0 && lists[n-1].list == cl {
+			return
+		}
+		lists = append(lists, held{cl, cl.BroadcastID, cl.Version, cl.Ended, slices.Clone(cl.Chunks)})
+	}
+	next := map[string]uint64{}
+	feed := func(id string, frames int) {
+		for range frames {
+			o.Ingest(id, media.Frame{Seq: next[id], Payload: []byte("p")}, time.Time{})
+			next[id]++
+			hold(id)
+		}
+	}
+	feed("b1", 2*2*retainedChunks+1) // version 0, 2×retainedChunks seals, a frame in assembly
+	o.endBroadcast("b1")             // the flush's seal and the end marker
+	hold("b1")
+	o.Remove("b1")
+	feed("b2", 2*retainedChunks)
+	next["b1"] = 0
+	feed("b1", 2*3)
+	o.Crash()
+	o.Recover()
+	hold("b1") // replayed: the seals' lists and the version-0 list are new
+	hold("b2")
+	feed("b2", 2*retainedChunks)
+	o.endBroadcast("b2")
+	hold("b2")
+	if len(lists) < 2*retainedChunks+4 {
+		t.Fatalf("held %d lists", len(lists))
+	}
+	for i, h := range lists {
+		if h.list.BroadcastID != h.id || h.list.Version != h.version || h.list.Ended != h.ended || !slices.Equal(h.list.Chunks, h.refs) {
+			t.Fatalf("list %d, handed out as %s version %d (ended %v) with %v, now reads %s version %d (ended %v) with %v",
+				i, h.id, h.version, h.ended, h.refs, h.list.BroadcastID, h.list.Version, h.list.Ended, h.list.Chunks)
+		}
+	}
+}
+
 // discardBackend accepts and forgets, so a budget counts the origin alone.
 type discardBackend struct{}
 
@@ -178,9 +243,9 @@ func (discardBackend) Load() ([]byte, error) { return nil, nil }
 func (discardBackend) Truncate(int64) error  { return nil }
 
 // TestIngestAllocBudget pins what Origin.Ingest allocates for 4 KB frames at
-// 160 ms chunks (four frames a chunk), counted exactly over 64 chunks: 16
-// slabs of lists, four of Chunks and four of frames (16 chunks each), and
-// nothing per frame. Journaling adds exactly the seal's wire form per chunk:
+// 160 ms chunks (four frames a chunk), counted exactly over 64 chunks: four
+// slabs of sealed chunks, each chunk with its list, and four of frames (16
+// chunks each), and nothing per frame or per list. Journaling adds exactly the seal's wire form per chunk:
 // the frames are re-pointed into it in place, and an append copies it into
 // the writer's batch, whose two buffers are grown to the batch bound first so
 // that no lag of the writer's goroutine can make one grow inside the count.
@@ -191,8 +256,8 @@ func TestIngestAllocBudget(t *testing.T) {
 		backend journal.Backend
 		want    float64
 	}{
-		{"journal=off", nil, 16 + 8},
-		{"journal=on", discardBackend{}, 64 + 16 + 8},
+		{"journal=off", nil, 8},
+		{"journal=on", discardBackend{}, 64 + 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := NewOrigin(OriginConfig{Site: site("o1", "X"), ChunkDuration: framesPerChunk * media.FrameDuration, Journal: tc.backend})

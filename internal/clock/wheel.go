@@ -159,14 +159,20 @@ func (w *Wheel) tickOf(t time.Time) int64 {
 	return int64(d / w.res)
 }
 
-// deadlineLocked returns the tick d from now, rounded up to a tick boundary.
-// nowTick only moves under mu, so the result cannot fall behind the clock
-// before the caller links the node.
-func (w *Wheel) deadlineLocked(d time.Duration) int64 {
-	if d < 0 {
-		d = 0
+// deadlineLocked returns the tick d after now (fromNow) or after the epoch,
+// rounded up to a tick boundary and never before now. nowTick only moves
+// under mu, so the result cannot fall behind the clock before the caller
+// links the node.
+func (w *Wheel) deadlineLocked(d time.Duration, fromNow bool) int64 {
+	now := w.nowTick.Load()
+	tick := int64(d / w.res) // truncated toward zero: a negative d is rounded up
+	if d%w.res > 0 {
+		tick++
 	}
-	return w.nowTick.Load() + int64((d+w.res-1)/w.res)
+	if fromNow {
+		tick = now + min(tick, math.MaxInt64-now)
+	}
+	return max(now, tick)
 }
 
 // nodeSlab is how many timer nodes a free-list miss allocates at once.
@@ -175,11 +181,14 @@ const nodeSlab = 64
 // ScheduleEventAt registers ev to fire at an absolute time and returns a
 // cancellable handle. The deadline is rounded up to the next tick boundary.
 // A time at or before now fires at the current tick — from an event, that
-// means on the driver's next pass, before time moves on.
+// means on the driver's next pass, before time moves on. The tick is taken
+// from at itself, under the lock that orders it against the driver, so a
+// foreign goroutine's timer never fires late by a tick the driver moved
+// while it was scheduling.
 //
 //livesim:hotpath TestWheelEventAllocBudget
 func (w *Wheel) ScheduleEventAt(at time.Time, ev Event) Timer {
-	return w.schedule(at.Sub(w.Now()), ev)
+	return w.schedule(at.Sub(w.epoch), false, ev)
 }
 
 // Schedule registers fn to run d after the wheel's current time: an adapter
@@ -189,7 +198,7 @@ func (w *Wheel) ScheduleEventAt(at time.Time, ev Event) Timer {
 //
 //livesim:hotpath TestWheelEventAllocBudget
 func (w *Wheel) Schedule(owner uint64, d time.Duration, fn func(now time.Time)) Timer {
-	return w.schedule(d, eventFunc(fn))
+	return w.schedule(d, true, eventFunc(fn))
 }
 
 // ScheduleAt registers fn at an absolute time, rounded up to a tick. As with
@@ -198,12 +207,13 @@ func (w *Wheel) ScheduleAt(owner uint64, at time.Time, fn func(now time.Time)) T
 	return w.ScheduleEventAt(at, eventFunc(fn))
 }
 
-// schedule is the one insert path: it links ev d from now. One mutex, pooled
+// schedule is the one insert path: it links ev at the tick d from now
+// (fromNow) or from the epoch, as deadlineLocked rounds it. One mutex, pooled
 // node: no allocation in steady state, and one per nodeSlab timers while the
 // pool grows.
 //
 //livesim:hotpath TestWheelNodePoolingReuses
-func (w *Wheel) schedule(d time.Duration, ev Event) Timer {
+func (w *Wheel) schedule(d time.Duration, fromNow bool, ev Event) Timer {
 	w.mu.Lock()
 	n := w.free
 	if n == nil {
@@ -222,7 +232,7 @@ func (w *Wheel) schedule(d time.Duration, ev Event) Timer {
 	w.free = n.next
 	n.next = nil
 	n.ev = ev
-	w.insertLocked(n, w.deadlineLocked(d))
+	w.insertLocked(n, w.deadlineLocked(d, fromNow))
 	w.pending++
 	t := Timer{n: n, gen: n.gen, w: w}
 	w.mu.Unlock()
@@ -312,7 +322,7 @@ func (w *Wheel) resetTimer(n *timerNode, gen uint64, d time.Duration) bool {
 		return false
 	}
 	w.unlinkLocked(n)
-	w.insertLocked(n, w.deadlineLocked(d))
+	w.insertLocked(n, w.deadlineLocked(d, true))
 	return true
 }
 

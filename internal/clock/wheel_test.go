@@ -47,6 +47,58 @@ func TestWheelRoundsUpToResolution(t *testing.T) {
 	}
 }
 
+// TestWheelDeadlineTicks pins the tick each entry point takes a deadline to
+// on a 10 ms, 64-slot wheel standing at 100 ms: an absolute time through
+// ScheduleEventAt, counted from the epoch, and a delay through Schedule,
+// counted from now. A deadline between ticks rounds up to the next one; one
+// at or before now, before the epoch included, fires at the current tick;
+// one past the ring's 640 ms waits in the overflow heap; and the farthest
+// representable delay saturates instead of wrapping round to now.
+func TestWheelDeadlineTicks(t *testing.T) {
+	const ms = time.Millisecond
+	never := time.Duration(-1)
+	for _, tc := range []struct {
+		name     string
+		absolute bool
+		d        time.Duration // after the epoch (absolute) or after now
+		want     time.Duration // fire time after the epoch; never: still pending
+	}{
+		{"at now", true, 100 * ms, 100 * ms},
+		{"1 ns past now", true, 100*ms + 1, 110 * ms},
+		{"mid-tick", true, 105 * ms, 110 * ms},
+		{"on the next tick", true, 110 * ms, 110 * ms},
+		{"1 ns before a tick", true, 120*ms - 1, 120 * ms},
+		{"before now", true, 55 * ms, 100 * ms},
+		{"at the epoch", true, 0, 100 * ms},
+		{"before the epoch", true, -time.Second, 100 * ms},
+		{"past the ring", true, 10*time.Second + 1, 10*time.Second + 10*ms},
+		{"far future", true, math.MaxInt64, never},
+		{"zero delay", false, 0, 100 * ms},
+		{"negative delay", false, -5 * ms, 100 * ms},
+		{"1 ns delay", false, 1, 110 * ms},
+		{"mid-tick delay", false, 14 * ms, 120 * ms},
+		{"delay past the ring", false, 10 * time.Second, 10*time.Second + 100*ms},
+		{"longest delay", false, math.MaxInt64, never},
+	} {
+		w := NewWheel(WheelConfig{Resolution: 10 * ms, Slots: 64})
+		w.Advance(100 * ms)
+		fired := never
+		fn := func(now time.Time) { fired = now.Sub(Epoch) }
+		if tc.absolute {
+			w.ScheduleEventAt(Epoch.Add(tc.d), &funcEvent{fn})
+		} else {
+			w.Schedule(0, tc.d, fn)
+		}
+		w.RunUntil(Epoch.Add(24 * time.Hour))
+		if fired != tc.want {
+			t.Errorf("%s: fired at %v after the epoch, want %v (-1ns: never)", tc.name, fired, tc.want)
+		}
+		if pending := w.Pending(); (tc.want == never) != (pending == 1) {
+			t.Errorf("%s: %d timers pending after a day", tc.name, pending)
+		}
+	}
+}
+
 func TestWheelOverflowBeyondWindow(t *testing.T) {
 	// 64 slots × 10 ms = 640 ms window: far timers must take the
 	// overflow heap and still fire at the right time.

@@ -122,7 +122,8 @@ func (t *Trace) frames(i int) int {
 	return min(t.perItem, t.nFrames-i*t.perItem)
 }
 
-// GenTrace fills tr with one broadcast's trace, reusing its slices. It
+// GenTrace fills tr with one broadcast's trace, reusing its slices when
+// they hold the trace's items and sizing them exactly when not. It
 // draws the trigger poller's grid phase from src, then, per item and in this
 // order from model: the first frame's uplink (last mile and one-way), the
 // last frame's when distinct, the invalidation's one-way, the trigger RTT and
@@ -143,9 +144,10 @@ func GenTrace(tr *Trace, cfg TraceConfig, model *netsim.Model, src *rng.Source) 
 	}
 	tr.nFrames = max(1, int(cfg.Duration/media.FrameDuration))
 	tr.origin = path.Origin.Location
-	tr.OriginAt = tr.OriginAt[:0]
-	tr.ReadyAt = tr.ReadyAt[:0]
-	tr.EdgeAt = tr.EdgeAt[:0]
+	items := (tr.nFrames + tr.perItem - 1) / tr.perItem
+	tr.OriginAt = sized(tr.OriginAt, items)
+	tr.ReadyAt = sized(tr.ReadyAt, items)
+	tr.EdgeAt = sized(tr.EdgeAt, items)
 
 	// Bursty uploaders accumulate frames and flush at irregular
 	// (exponential) intervals — the §6 pathology behind Fig. 16(b)'s
@@ -203,6 +205,16 @@ func GenTrace(tr *Trace, cfg TraceConfig, model *netsim.Model, src *rng.Source) 
 		tr.ReadyAt = append(tr.ReadyAt, r)
 		tr.EdgeAt = append(tr.EdgeAt, e)
 	}
+}
+
+// sized returns s emptied, with room for n items: its own array when that
+// is big enough, else one of exactly n. Not slices.Grow, which sizes from
+// the old capacity and so holds more than the trace needs.
+func sized(s []time.Duration, n int) []time.Duration {
+	if cap(s) < n {
+		return make([]time.Duration, 0, n)
+	}
+	return s[:0]
 }
 
 // nextPoll returns the first grid point phase + k·interval (k ≥ 0)

@@ -286,6 +286,32 @@ func TestSessionAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestGenTraceAllocBudget pins what generating a trace allocates: into an
+// empty Trace, its three arrays, each of exactly the trace's item count; into
+// one whose arrays hold the new trace's items, as a reused broadcast record's
+// do in viewersim, nothing.
+func TestGenTraceAllocBudget(t *testing.T) {
+	src := rng.New(5)
+	model := netsim.NewModel(netsim.Params{}, src)
+	var tr Trace
+	cfg := TraceConfig{FramesPerItem: chunk, Broadcaster: LabLocation, Path: LabPath()}
+	gen := func(dur time.Duration) {
+		cfg.Duration = dur
+		GenTrace(&tr, cfg, model, src)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { tr = Trace{}; gen(time.Minute) }); allocs != 3 {
+		t.Errorf("a trace into an empty Trace allocates %.0f times, want 3", allocs)
+	}
+	if n := tr.Items(); n != 20 || cap(tr.OriginAt) != n || cap(tr.ReadyAt) != n || cap(tr.EdgeAt) != n {
+		t.Errorf("a 20-item trace has %d items in arrays of %d, %d and %d", n, cap(tr.OriginAt), cap(tr.ReadyAt), cap(tr.EdgeAt))
+	}
+	for _, dur := range []time.Duration{time.Minute, 10 * time.Second, time.Minute - time.Second} {
+		if allocs := testing.AllocsPerRun(10, func() { gen(dur) }); allocs != 0 {
+			t.Errorf("a %v trace into a 20-item Trace allocates %.0f times, want 0", dur, allocs)
+		}
+	}
+}
+
 func TestRunControlledMatchesFig11(t *testing.T) {
 	r, h := RunControlled(ControlledConfig{Seed: 9, Repetitions: 5, BroadcastDuration: 90 * time.Second})
 	if r.Total() >= h.Total() {

@@ -173,7 +173,9 @@ func (e *startEvent) Fire(time.Time) {
 func (b *bcastRun) abs(off time.Duration) time.Time { return b.start.Add(off) }
 
 // setupBroadcast materializes a spec at its start time: trace, join
-// schedule, liveness count (viewers + the broadcaster's ingest chain).
+// schedule, liveness count (viewers + the broadcaster's ingest chain). A
+// reused record allocates its ID string and nothing else while its arrays
+// hold the new broadcast's trace and audience.
 func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
 	var b *bcastRun
 	if n := len(s.bfree); n > 0 {
@@ -183,7 +185,8 @@ func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
 		b.ingest.b, b.join.b = b, b
 	}
 	b.sp = sp
-	b.id = "b" + strconv.Itoa(sp.idx)
+	var id [24]byte // "b" and the index, converted to a string once
+	b.id = string(strconv.AppendInt(append(id[:0], 'b'), int64(sp.idx), 10))
 	b.start = s.w.start.Add(sp.start)
 	b.src.Reset(s.cfg.Seed, bcastKey(sp.idx))
 	b.model = *netsim.NewModel(netsim.Params{}, &b.src)
@@ -193,6 +196,11 @@ func (s *sim) setupBroadcast(sp bcastSpec) *bcastRun {
 		Broadcaster:   delay.LabLocation,
 		Path:          s.w.path,
 	}, &b.model, &b.src)
+	if cap(b.joins) < sp.views {
+		// Sized to the audience, not grown from the last one (slices.Grow
+		// would round up from the old capacity).
+		b.joins = make([]time.Duration, 0, sp.views)
+	}
 	b.joins = b.joins[:0]
 	for i := 0; i < sp.views; i++ {
 		// Audiences are front-loaded (Fig. 6: most viewers arrive near

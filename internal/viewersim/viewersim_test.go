@@ -223,13 +223,56 @@ func TestWheelAudienceAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestBroadcastSetupAllocBudget pins a reused broadcast record's set-up at
+// one allocation, its ID string (an index past strconv's small-number cache
+// included): the trace arrays and the join schedule are the record's own,
+// sized once to the audience and the trace.
+func TestBroadcastSetupAllocBudget(t *testing.T) {
+	s := budgetSim()
+	sp := s.w.specs[0]
+	sp.idx = 123_456
+	s.bfree = append(s.bfree, s.setupBroadcast(sp))
+	allocs := testing.AllocsPerRun(20, func() {
+		s.bfree = append(s.bfree, s.setupBroadcast(sp))
+	})
+	if allocs != 1 {
+		t.Errorf("a reused broadcast's set-up allocates %.0f times, want 1", allocs)
+	}
+	if b := s.bfree[0]; b.id != "b123456" || len(b.joins) != sp.views || cap(b.joins) != sp.views || cap(b.tr.ReadyAt) != b.tr.Items() {
+		t.Errorf("set up %q with %d joins in %d, %d items in %d", b.id, len(b.joins), cap(b.joins), b.tr.Items(), cap(b.tr.ReadyAt))
+	}
+}
+
+// TestConcurrencyChangesOnlyConcurrency runs a day and the same broadcasts
+// at ten times the rate over a tenth of the time: scale S over a fraction F
+// of the day against S/10 over F/10. Each broadcast's streams are keyed by
+// its index and its start only moves, so the two must print the same
+// summary, byte for byte; any coupling between broadcasts — through the
+// shared origin, edge, wheel or pools — would show as a difference. It is
+// the controlled pair EXPERIMENTS.md profiles the 1:1 day with, at a test's
+// size.
+func TestConcurrencyChangesOnlyConcurrency(t *testing.T) {
+	base := Config{Seed: 3, ViewerCap: 100, RTMPCap: 20, Engine: "wheel"}
+	sparse, dense := base, base
+	sparse.Scale, sparse.DayFraction = 500, 0.5
+	dense.Scale, dense.DayFraction = 50, 0.05
+	a, _ := runOn(t, sparse, 2)
+	b, _ := runOn(t, dense, 2)
+	if a.Broadcasts < 20 || a.Polls == 0 || a.RTMPViews == 0 || a.HLSViews == 0 {
+		t.Fatalf("degenerate day: %s", a)
+	}
+	if a.String() != b.String() {
+		t.Errorf("1:%g over %g of the day:\n%s\n1:%g over %g:\n%s", sparse.Scale, sparse.DayFraction, a, dense.Scale, dense.DayFraction, b)
+	}
+}
+
 // TestWheelIngestAllocBudget pins the ingest events — the origin seals a
 // chunk, publishes its successor list and invalidates the edge, and the next
-// ingest is scheduled — at 18 allocations per 64 events, counted exactly,
-// all of them the CDN's: one slab each of Chunks and frames (a chunk is one
-// frame here, 64 to a slab) and 16 slabs of published lists, four to a slab.
-// Invalidating the edge reads the origin's copy-on-write edge slice, and the
-// engine's share of an event is pooled.
+// ingest is scheduled — at 2 allocations per 64 events, counted exactly,
+// both of them the CDN's: one slab each of sealed chunks, each with the list
+// its seal publishes, and of frames (a chunk is one frame here, 64 to a
+// slab). Invalidating the edge reads the origin's copy-on-write edge slice,
+// and the engine's share of an event is pooled.
 func TestWheelIngestAllocBudget(t *testing.T) {
 	const events = 64
 	s := budgetSim()
@@ -246,8 +289,8 @@ func TestWheelIngestAllocBudget(t *testing.T) {
 			}
 		}
 	})
-	if allocs != 18 {
-		t.Errorf("%d ingest events allocate %.0f times, want 18", events, allocs)
+	if allocs != 2 {
+		t.Errorf("%d ingest events allocate %.0f times, want 2", events, allocs)
 	}
 }
 
@@ -339,7 +382,7 @@ func TestScaleSmoke(t *testing.T) {
 // 100-viewer day leaves out the day's own set-up (world, CDN, registry: a few
 // hundred mallocs that do not grow with the audience). The bound is absolute
 // rather than a ratio between the two audiences: what is left, about 0.01 per
-// event, is the granularity of slab refills (viewers, timer nodes, lists),
+// event, is the granularity of slab refills (viewers, timer nodes, chunks),
 // whose ratio between audiences moves by tens of percent and means nothing,
 // while one allocation of its own per viewer adds about 0.25. (The level of a
 // whole day is gated end to end by bench's simday allocs_per_op.)
