@@ -52,6 +52,12 @@ func main() {
 		tenantQuota  = flag.Int64("tenant-quota", 1<<30, "per-tenant daily delivered-bytes quota for -tenants plans (0 = unlimited)")
 	)
 	flag.Parse()
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "livesim: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
 
 	if *snapshot {
 		if err := runSnapshot(); err != nil {

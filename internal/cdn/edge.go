@@ -621,7 +621,8 @@ func (e *Edge) pullUpstream(ctx context.Context, id string) (*media.ChunkList, e
 
 // Chunk implements hls.Store for viewers: a cached chunk is returned by
 // reference (the one *media.Chunk every viewer of it shares), a miss pulls
-// through with retries under the broadcast's circuit breaker.
+// through with retries under the broadcast's circuit breaker. Either way the
+// chunk comes back sealed: the meter reads its frames after its Wire.
 //
 //livesim:hotpath TestEdgeWarmHitServesByReference
 func (e *Edge) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, error) {
@@ -636,10 +637,12 @@ func (e *Edge) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, 
 	if ent, ok := sh.cache[id]; ok {
 		if c, ok := ent.chunks.get(seq); ok {
 			// Copy the meter out before unlocking; the metering itself
-			// (atomic adds) runs outside the shard lock.
+			// (atomic adds) runs outside the shard lock, after the seal
+			// (Wire), which is what may rewrite the frames Size reads.
 			usage := ent.usage
 			sh.mu.Unlock()
 			e.m.chunkHits.Inc()
+			c.chunk.Wire()
 			usage.MeterChunks(1, int64(c.chunk.Size()))
 			return c.chunk, nil
 		}
@@ -678,6 +681,7 @@ func (e *Edge) pullChunk(ctx context.Context, id string, seq uint64) (*media.Chu
 	ent.usage = usage
 	ent.chunks.put(seq, c, arrived)
 	sh.mu.Unlock()
+	c.Wire()
 	usage.MeterChunks(1, int64(c.Size()))
 	return c, nil
 }

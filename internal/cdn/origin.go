@@ -544,10 +544,11 @@ func (o *Origin) RegisterEdge(e Invalidator) {
 // Ingest adds one frame to its broadcast's chunk in assembly. Production
 // traffic arrives through the RTMP tap; the benchmark harness calls it
 // directly, bypassing the listener, to isolate viewer-serving cost. With a
-// journal, a completed chunk is sealed here (Chunk.Seal) — the journal needs
-// its bytes anyway, and that marshal is the only one the chunk ever gets;
-// without one, nothing on this path builds bytes (the first HTTP serve does,
-// if there ever is one).
+// journal, a completed chunk is sealed here, before it is published (its
+// first Chunk.Wire) — the journal needs its bytes anyway, and that marshal is
+// the only one the chunk ever gets; without one, nothing on this path builds
+// bytes (the first serve does, if there ever is one, and the seal drops the
+// frames' views of the ingest buffers then).
 // Journal appends happen after the lock is released — they copy the record
 // into the group-commit writer's pending batch, the one copy the sealed bytes
 // get on the way to the backend — and per-broadcast ordering holds because one
@@ -576,7 +577,7 @@ func (o *Origin) Ingest(id string, f media.Frame, at time.Time) {
 	if rec != nil {
 		chunk = &rec.chunk
 		if jw != nil {
-			chunk.Seal()
+			chunk.Wire()
 		}
 		o.addChunkLocked(st, chunk, &rec.list, at)
 		version = st.list.Version
@@ -618,7 +619,7 @@ func (o *Origin) endBroadcast(id string) {
 	if rec := o.closeChunkLocked(st); rec != nil {
 		flushedChunk = &rec.chunk
 		if jw != nil {
-			flushedChunk.Seal()
+			flushedChunk.Wire()
 		}
 		o.addChunkLocked(st, flushedChunk, &rec.list, o.cfg.Clock.Now())
 	}

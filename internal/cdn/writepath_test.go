@@ -34,31 +34,39 @@ func (a signedAuth) PublicKey(string) ed25519.PublicKey  { return a.pub }
 // a shared buffer is a report — and then every copy is compared with what the
 // publisher sent: each viewer's frames, the journal records, the chunks a
 // fresh origin replays from that journal, and the HTTP bodies it serves.
+// Unjournaled, the seal is the first HTTP serve: the live origin's bodies are
+// compared, and its served chunks' frames must view their wire form.
 func TestWritePathSharesOneBufferIntact(t *testing.T) {
 	pubKey, privKey, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name   string
-		signer ed25519.PrivateKey
-		auth   rtmp.Auth
+		name      string
+		signer    ed25519.PrivateKey
+		auth      rtmp.Auth
+		journaled bool
 	}{
-		{"plain", nil, nil},
-		{"signed", privKey, signedAuth{pubKey}},
+		{"plain", nil, nil, true},
+		{"signed", privKey, signedAuth{pubKey}, true},
+		{"unjournaled_plain", nil, nil, false},
+		{"unjournaled_signed", privKey, signedAuth{pubKey}, false},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testWritePath(t, tc.signer, tc.auth, pubKey) })
+		t.Run(tc.name, func(t *testing.T) { testWritePath(t, tc.signer, tc.auth, pubKey, tc.journaled) })
 	}
 }
 
-func testWritePath(t *testing.T, signer ed25519.PrivateKey, auth rtmp.Auth, pubKey ed25519.PublicKey) {
+func testWritePath(t *testing.T, signer ed25519.PrivateKey, auth rtmp.Auth, pubKey ed25519.PublicKey, journaled bool) {
 	const viewers, chunks = 16, 3
 	const id = "b1"
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	backend := journal.NewMem()
-	cfg := OriginConfig{Site: site("o1", "X"), ChunkDuration: time.Second, Journal: backend, RTMP: rtmp.ServerConfig{Auth: auth}}
+	cfg := OriginConfig{Site: site("o1", "X"), ChunkDuration: time.Second, RTMP: rtmp.ServerConfig{Auth: auth}}
+	if journaled {
+		cfg.Journal = backend
+	}
 	o := NewOrigin(cfg)
 	ln, err := o.RTMP().Listen(ctx, "127.0.0.1:0")
 	if err != nil {
@@ -133,6 +141,26 @@ func testWritePath(t *testing.T, signer ed25519.PrivateKey, auth rtmp.Auth, pubK
 		}
 	}
 
+	if !journaled {
+		// Unjournaled, the live origin serves over HTTP, and that first serve
+		// is the seal: the stored chunk's frames move off the relay batches
+		// onto the bytes every viewer is sent.
+		defer o.Close()
+		serveMatches(t, ctx, o, id, want)
+		for c := range want {
+			stored, err := o.Chunk(ctx, id, uint64(c))
+			if err != nil {
+				t.Fatalf("live origin chunk %d: %v", c, err)
+			}
+			for i, f := range stored.Frames {
+				if !inside(f.Payload, stored.Wire()) || (signer != nil && !inside(f.Sig, stored.Wire())) {
+					t.Fatalf("served chunk %d frame %d still views a relay batch", c, i)
+				}
+			}
+		}
+		return
+	}
+
 	// The live origin's stored chunks, then — after Close drains the writer —
 	// the journal's records.
 	for c := range want {
@@ -172,16 +200,23 @@ func testWritePath(t *testing.T, signer ed25519.PrivateKey, auth rtmp.Auth, pubK
 	// A fresh origin over the same journal serves the same bytes over HTTP.
 	recovered := NewOrigin(cfg)
 	defer recovered.Close()
-	srv := httptest.NewServer(hls.Handler("/hls", recovered))
+	serveMatches(t, ctx, recovered, id, want)
+}
+
+// serveMatches checks that store serves each chunk of id over HTTP as want
+// holds it, both as the body and as what the body decodes to.
+func serveMatches(t *testing.T, ctx context.Context, store hls.Store, id string, want [][]byte) {
+	t.Helper()
+	srv := httptest.NewServer(hls.Handler("/hls", store))
 	defer srv.Close()
 	client := &hls.Client{BaseURL: srv.URL + "/hls"}
 	for c := range want {
 		chunk, err := client.FetchChunk(ctx, id, uint64(c))
 		if err != nil {
-			t.Fatalf("fetch replayed chunk %d: %v", c, err)
+			t.Fatalf("fetch chunk %d: %v", c, err)
 		}
 		if !bytes.Equal(chunk.Wire(), want[c]) || !bytes.Equal(media.MarshalChunk(chunk), want[c]) {
-			t.Fatalf("replayed chunk %d decodes to different bytes", c)
+			t.Fatalf("served chunk %d decodes to different bytes", c)
 		}
 		resp, err := http.Get(srv.URL + "/hls/" + id + "/chunk/" + strconv.Itoa(c))
 		if err != nil {

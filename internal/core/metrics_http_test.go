@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,5 +100,31 @@ func TestPlatformMetricsEndpoints(t *testing.T) {
 	}
 	if !found {
 		t.Error("/debug/vars missing pubsub_publishes_total")
+	}
+}
+
+// TestPlatformServesProfiles: the runtime profiles are one request away on
+// the platform's own surface — the index, a live-heap profile in text, the
+// symbol table — and a name that is no profile is a 404.
+func TestPlatformServesProfiles(t *testing.T) {
+	p := startPlatform(t, PlatformConfig{ChunkDuration: time.Second})
+	for _, tc := range []struct {
+		target, want string
+		status       int
+	}{
+		{"/debug/pprof/", "heap", http.StatusOK},
+		{"/debug/pprof/heap?debug=1", "heap profile:", http.StatusOK},
+		{"/debug/pprof/symbol", "num_symbols:", http.StatusOK},
+		{"/debug/pprof/nosuch", "Unknown profile", http.StatusNotFound},
+	} {
+		resp, err := http.Get(p.BaseURL() + tc.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != tc.status || !strings.Contains(string(body), tc.want) {
+			t.Errorf("GET %s = %d (%v), want %d with %q in the body", tc.target, resp.StatusCode, err, tc.status, tc.want)
+		}
 	}
 }

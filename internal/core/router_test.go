@@ -54,6 +54,9 @@ func TestPlatformRouteAnswers(t *testing.T) {
 		{"GET", "/debug/vars", http.StatusOK, "", ""},
 		{"GET", "/debug", http.StatusNotFound, "", ""},
 		{"GET", "/debug/vars/", http.StatusNotFound, "", ""},
+		{"GET", "/debug/pprof", http.StatusMovedPermanently, "", "/debug/pprof/"},
+		{"GET", "/debug/pprof/", http.StatusOK, "", ""},
+		{"GET", "/debug/pprof/goroutine?debug=1", http.StatusOK, "", ""},
 		{"GET", "/", http.StatusNotFound, "", ""},
 		{"GET", "/apix/global", http.StatusNotFound, "", ""},
 	} {

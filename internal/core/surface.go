@@ -2,15 +2,18 @@ package core
 
 import (
 	"net/http"
+	"net/http/pprof"
 	"net/url"
 	"path"
+	"strings"
 
 	"repro/internal/resilience"
 )
 
 // surface is the platform's HTTP handler: the control API under /api/, the
 // message channel under /channel/, each edge's HLS under /edge/<site>/hls/,
-// and /fleet, /metrics and /debug/vars. It answers as an http.ServeMux with
+// /fleet, /metrics and /debug/vars, and the runtime profiles under
+// /debug/pprof/. It answers as an http.ServeMux with
 // those patterns would — a path that is not canonical is redirected to its
 // cleaned form, a prefix named without its trailing slash is redirected to
 // it, and anything else off the surface is a 404 — without the mux's
@@ -66,8 +69,11 @@ func (s *surface) route(p string) (h http.Handler, bare bool) {
 		return only(s.metrics, rest)
 	case "debug":
 		if rest != "" {
-			if seg, rest := resilience.CutSegment(rest); seg == "vars" {
+			switch seg, rest := resilience.CutSegment(rest); seg {
+			case "vars":
 				return only(s.vars, rest)
+			case "pprof":
+				return under(profiles, rest)
 			}
 		}
 	case "edge":
@@ -83,6 +89,23 @@ func (s *surface) route(p string) (h http.Handler, bare bool) {
 	}
 	return nil, false
 }
+
+// profiles serves /debug/pprof/ as net/http/pprof's own registration does,
+// without going through http.DefaultServeMux: the profiles that take a
+// duration or read the symbol table by name, every other name through the
+// index (which answers /debug/pprof/ itself with the list of profiles).
+var profiles = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	switch strings.TrimPrefix(r.URL.Path, "/debug/pprof/") {
+	case "profile":
+		pprof.Profile(w, r)
+	case "symbol":
+		pprof.Symbol(w, r)
+	case "trace":
+		pprof.Trace(w, r)
+	default:
+		pprof.Index(w, r)
+	}
+})
 
 // under serves a prefix pattern's subtree: rest is what follows the prefix's
 // last segment, so "" is the prefix without its trailing slash.

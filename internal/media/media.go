@@ -64,13 +64,16 @@ func (f *Frame) UnsignedBytes() []byte {
 }
 
 // Chunk is a group of consecutive frames — the HLS data unit. Once a chunk
-// is reachable from a store it is immutable: stores, caches and handlers
-// share the one *Chunk, and its wire form (Wire) is built at most once.
+// is reachable from a store it is immutable but for its own seal: stores,
+// caches and handlers share the one *Chunk, and the first Wire call seals it.
 type Chunk struct {
 	// Seq is the chunk sequence number within its broadcast, from 0.
 	Seq uint64
-	// Frames are the member frames in order. In a decoded or Sealed chunk
-	// their payloads and signatures are views into wire.
+	// Frames are the member frames in order; the chunk owns their array.
+	// Once the chunk is sealed (Wire) their payloads and signatures are
+	// views into its wire form. The seal rewrites the elements, so on a
+	// chunk others can reach they are read only after a Wire call (Size and
+	// FirstCapturedAt read them; len(Frames) and Duration do not).
 	Frames []Frame
 
 	seal sync.Once
@@ -80,28 +83,19 @@ type Chunk struct {
 	length atomic.Pointer[[1]string]
 }
 
-// Wire returns the chunk's sealed wire form — MarshalChunk's bytes, produced
-// by the first caller that needs them (the origin's journal append, else the
-// first HTTP serve) and shared by every later one. A decoded chunk
-// (SealedChunk, UnmarshalChunk) is born sealed over the bytes it came from. The
-// bytes are shared and must not be modified; neither may Seq or Frames be,
-// once Wire can have been called.
+// Wire returns the chunk's wire form — MarshalChunk's bytes — and seals the
+// chunk. The first caller (the origin's journal append, else the first serve)
+// marshals it and re-points every frame into the bytes, so the frames are what
+// SealedChunk would decode from them: Payload and Sig become views of the wire
+// (a Sig that is not FrameSigSize bytes is not on the wire and becomes nil),
+// CapturedAt is the instant the wire carries, in UTC, and whatever the frames
+// viewed before is no longer held. Every later caller gets the same bytes. A
+// decoded chunk (SealedChunk, UnmarshalChunk) is born sealed over the bytes it
+// came from. The bytes are shared and must not be modified; neither may Seq
+// or Frames be.
 //
 //livesim:hotpath TestWireSealsOnce
 func (c *Chunk) Wire() []byte {
-	c.seal.Do(func() { c.wire = MarshalChunk(c) })
-	return c.wire
-}
-
-// Seal is Wire for the chunk's owner, at the seal: under the same once it
-// builds the wire form and re-points every frame into it, so the frames are
-// what SealedChunk would decode from those bytes — Payload and Sig become
-// views of the wire (a Sig that is not FrameSigSize bytes is not on the wire
-// and becomes nil) and CapturedAt is the instant the wire carries, in UTC —
-// and whatever the frames viewed before is no longer held. It writes Frames,
-// so only the owner may call it, before the chunk can reach anyone else; on a
-// chunk already sealed it changes nothing and returns Wire().
-func (c *Chunk) Seal() []byte {
 	c.seal.Do(func() {
 		c.wire = MarshalChunk(c)
 		off := chunkHeaderSize
@@ -152,7 +146,8 @@ func (c *Chunk) Duration() time.Duration {
 	return time.Duration(len(c.Frames)) * FrameDuration
 }
 
-// Size returns the total payload bytes in the chunk.
+// Size returns the total payload bytes in the chunk. It reads the frames, so
+// on a chunk others can reach it follows a Wire call.
 func (c *Chunk) Size() int {
 	n := 0
 	for i := range c.Frames {
@@ -162,7 +157,8 @@ func (c *Chunk) Size() int {
 }
 
 // FirstCapturedAt returns the capture time of the chunk's first frame, the
-// timestamp the paper uses for chunk-level delay (⑤).
+// timestamp the paper uses for chunk-level delay (⑤). It reads the frames, so
+// on a chunk others can reach it follows a Wire call.
 func (c *Chunk) FirstCapturedAt() time.Time {
 	if len(c.Frames) == 0 {
 		return time.Time{}
