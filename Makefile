@@ -35,10 +35,11 @@ allocs:
 # churn, acceptFrame and the relay ring (eviction at its boundary, joins
 # while frames are written, an evicted viewer's broken transport and
 # redial, what a viewer costs), the batched relay at both sockets
-# (wire.Reader's read batches, the viewer push batches) and the
-# relay-buffer aliasing they share.
+# (wire.Reader's read batches, the viewer push batches and their byte
+# bound) and the relay-buffer aliasing they share, and the handshake
+# deadline every session starts under.
 fanout-race:
-	$(GO) test -race -count=1 -run 'ConcurrentJoinLeaveFanout|AcceptFrame|SlowViewer|Ring|Evict|JoinBytes|MemoryFlat|Batch|Arrival|TapFrame|Reader|ReadEncoded' ./internal/rtmp/ ./internal/wire/
+	$(GO) test -race -count=1 -run 'ConcurrentJoinLeaveFanout|AcceptFrame|SlowViewer|Ring|Evict|JoinBytes|MemoryFlat|Batch|Arrival|TapFrame|Reader|ReadEncoded|HandshakeReadHasDeadline' ./internal/rtmp/ ./internal/wire/
 
 # vet is the toolchain's own analyzers and nothing else.
 vet:

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -126,5 +127,25 @@ func TestPlatformServesProfiles(t *testing.T) {
 		if err != nil || resp.StatusCode != tc.status || !strings.Contains(string(body), tc.want) {
 			t.Errorf("GET %s = %d (%v), want %d with %q in the body", tc.target, resp.StatusCode, err, tc.status, tc.want)
 		}
+	}
+}
+
+// TestPlatformClosesStalledRequest: a client that sends a partial request
+// line and then nothing has its connection closed once the header timeout
+// passes, rather than holding it for as long as it likes.
+func TestPlatformClosesStalledRequest(t *testing.T) {
+	p := startPlatform(t, PlatformConfig{ChunkDuration: time.Second})
+	conn, err := net.Dial("tcp", strings.TrimPrefix(p.BaseURL(), "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(headerReadTimeout + 5*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("a stalled request's connection after %v: %v, want it closed by the server", time.Since(start).Round(time.Millisecond), err)
 	}
 }

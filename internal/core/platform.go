@@ -571,7 +571,7 @@ func (p *Platform) Start(ctx context.Context) error {
 	}
 	p.mu.Lock()
 	p.httpLn = ln
-	p.httpSrv = &http.Server{Handler: mux}
+	p.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: headerReadTimeout}
 	p.edgeURLs = edgeURLs
 	p.mu.Unlock()
 	p.Ctrl.SetMessageURL("http://" + ln.Addr().String() + "/channel")
@@ -596,6 +596,13 @@ func (p *Platform) Start(ctx context.Context) error {
 	}()
 	return nil
 }
+
+// headerReadTimeout bounds how long the platform's HTTP server waits for a
+// request's headers once its first bytes arrive (or, on a new connection,
+// from the accept): a client that sends a partial request line and stops is
+// cut off instead of keeping its connection forever. There is deliberately no
+// write timeout, which would cut the pubsub long polls held for up to 25 s.
+const headerReadTimeout = 5 * time.Second
 
 // Stop tears the platform down.
 func (p *Platform) Stop() {

@@ -131,8 +131,8 @@ func TestAcceptFrameEvictsSlowViewer(t *testing.T) {
 		if !s.acceptFrame(b, enc) {
 			t.Fatalf("frame %d rejected", i+1)
 		}
-		if n, err := b.take(fast, pushBatch); n != 1 || err != nil {
-			t.Fatalf("frame %d: fast viewer took %d (%v), want 1", i+1, n, err)
+		if got, err := takeUpTo(b, fast, pushMsgs); len(got) != 1 || err != nil {
+			t.Fatalf("frame %d: fast viewer took %d (%v), want 1", i+1, len(got), err)
 		}
 	}
 	select {
@@ -140,7 +140,7 @@ func TestAcceptFrameEvictsSlowViewer(t *testing.T) {
 	default:
 		t.Fatal("slow viewer's done channel not closed after eviction")
 	}
-	if _, err := b.take(slow, pushBatch); err != errLapped {
+	if _, err := takeUpTo(b, slow, pushMsgs); err != errLapped {
 		t.Fatalf("slow viewer's take after eviction = %v, want errLapped", err)
 	}
 	if cur := b.snapshot(); len(cur) != 1 || cur[0] != fast {
@@ -227,13 +227,25 @@ func (b *broadcast) snapshot() []*viewerConn {
 	return b.viewers
 }
 
-// drain has every viewer of b take what the ring holds for it, as its push
-// loop would before writing.
+// takeUpTo has v take at most limit messages from b's ring, as a push with
+// an iovec array that long would, and returns them.
+func takeUpTo(b *broadcast, v *viewerConn, limit int) ([][]byte, error) {
+	iov := make([][]byte, limit)
+	n, _, err := b.take(v, iov)
+	return iov[:n], err
+}
+
+// drain has every viewer of b take everything the ring holds for it, as its
+// push loop would before writing, without allocating.
 func drain(t testing.TB, b *broadcast) {
 	t.Helper()
+	var iov [pushMsgs][]byte
 	for _, v := range b.snapshot() {
-		if _, err := b.take(v, pushBatch); err != nil {
-			t.Fatal(err)
+		for more := true; more; {
+			var err error
+			if _, more, err = b.take(v, iov[:]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -241,10 +253,11 @@ func drain(t testing.TB, b *broadcast) {
 // relayed returns the one message v has waiting in the ring.
 func relayed(t testing.TB, b *broadcast, v *viewerConn) wire.Encoded {
 	t.Helper()
-	if n, err := b.take(v, pushBatch); n != 1 || err != nil {
-		t.Fatalf("viewer took %d messages (%v), want 1", n, err)
+	got, err := takeUpTo(b, v, pushMsgs)
+	if len(got) != 1 || err != nil {
+		t.Fatalf("viewer took %d messages (%v), want 1", len(got), err)
 	}
-	return v.iov[0]
+	return got[0]
 }
 
 // TestArrivalAllocBudget pins what the broadcaster loop pays for a socket
@@ -254,9 +267,10 @@ func relayed(t testing.TB, b *broadcast, v *viewerConn) wire.Encoded {
 func TestArrivalAllocBudget(t *testing.T) {
 	const runs = 200
 	const viewers = 10
-	// Each refill of the 4 KB bufio buffer reads exactly one batch of k frames.
+	// Each refill of a buffer the pooled readers' size reads exactly one
+	// batch of k frames.
 	var batch []byte
-	k := 4096 / len(encodeFrameMsg(t, 0, 512))
+	k := readSize / len(encodeFrameMsg(t, 0, 512))
 	for i := 0; i < k; i++ {
 		batch = append(batch, encodeFrameMsg(t, uint64(i), 512)...)
 	}
@@ -269,7 +283,7 @@ func TestArrivalAllocBudget(t *testing.T) {
 				sink = meterTenant(&cfg)
 			}
 			s, b := fanoutFixture(cfg, viewers)
-			rd := wire.NewReader(bufio.NewReader(testutil.Replay(batch)))
+			rd := wire.NewReader(bufio.NewReaderSize(testutil.Replay(batch), readSize))
 			allocs := testing.AllocsPerRun(runs, func() {
 				for i := 0; i < k; i++ {
 					enc, err := rd.Next()

@@ -83,8 +83,8 @@ func TestRingEvictionBoundary(t *testing.T) {
 	for seq := uint64(0); seq < queue; seq++ {
 		frame(seq)
 	}
-	if n, err := b.take(lessBehind, 1); n != 1 || err != nil {
-		t.Fatalf("take = %d, %v", n, err)
+	if got, err := takeUpTo(b, lessBehind, 1); len(got) != 1 || err != nil {
+		t.Fatalf("take = %d, %v", len(got), err)
 	}
 	if got := s.Stats().SlowEvictions; got != 0 {
 		t.Fatalf("%d evictions with viewers %d and %d frames behind, want 0", got, queue, queue-1)
@@ -96,15 +96,15 @@ func TestRingEvictionBoundary(t *testing.T) {
 	if cur := b.snapshot(); len(cur) != 1 || cur[0] != lessBehind {
 		t.Fatal("the wrong viewer was evicted")
 	}
-	if _, err := b.take(behind, 1); err != errLapped {
+	if _, err := takeUpTo(b, behind, 1); err != errLapped {
 		t.Fatalf("the evicted viewer's take = %v, want errLapped", err)
 	}
 	// The survivor is now exactly a ring behind: all of it is still there.
-	n, err := b.take(lessBehind, queue)
-	if n != queue || err != nil {
-		t.Fatalf("survivor took %d (%v), want %d", n, err, queue)
+	got, err := takeUpTo(b, lessBehind, queue)
+	if len(got) != queue || err != nil {
+		t.Fatalf("survivor took %d (%v), want %d", len(got), err, queue)
 	}
-	for i, m := range lessBehind.iov[:n] {
+	for i, m := range got {
 		f, _, err := media.ViewFrame(wire.Encoded(m).Body())
 		if err != nil || f.Seq != uint64(i+1) {
 			t.Fatalf("ring message %d: seq %d (%v), want %d", i, f.Seq, err, i+1)
@@ -167,7 +167,7 @@ func TestRingModel(t *testing.T) {
 				if head-owed[v] < queue {
 					continue // takes on, checked when it does
 				}
-				if _, err := b.take(v, 1); err != errLapped {
+				if _, err := takeUpTo(b, v, 1); err != errLapped {
 					t.Fatalf("step %d: viewer evicted %d frames behind took with %v, want errLapped", step, head-owed[v], err)
 				}
 			}
@@ -181,14 +181,18 @@ func TestRingModel(t *testing.T) {
 			seq++
 		case len(live) > 0:
 			v := live[r.Intn(len(live))]
-			n, err := b.take(v, 1+r.Intn(queue))
+			iov := make([][]byte, 1+r.Intn(queue))
+			n, more, err := b.take(v, iov)
 			if err != nil {
 				t.Fatalf("step %d: take: %v", step, err)
 			}
 			if n == 0 && owed[v] != head {
 				t.Fatalf("step %d: took nothing while owed positions %d to %d", step, owed[v], head-1)
 			}
-			for _, m := range v.iov[:n] {
+			if more != (owed[v]+uint64(n) != head) {
+				t.Fatalf("step %d: took %d of positions %d to %d, reported more = %v", step, n, owed[v], head-1, more)
+			}
+			for _, m := range iov[:n] {
 				if m == nil {
 					t.Fatalf("step %d: took a cleared slot where position %d was owed", step, owed[v])
 				}
@@ -358,10 +362,11 @@ func TestJoinBytesFlatInQueue(t *testing.T) {
 	}
 }
 
-// joinBytes is a join's allocation, averaged over 64: the viewerConn with
-// its 32-entry iovec array, its wake and done channels, and its share of the
-// snapshot copies.
-const joinBytes = 1396
+// joinBytes is a join's allocation, averaged over 64: the viewerConn, its
+// wake and done channels, and its share of the snapshot copies. A push's
+// iovec array comes from a pool for the length of its write, not with the
+// viewer.
+const joinBytes = 548
 
 // TestViewerMemoryFlatInQueue is the end-to-end form of the test above: the
 // live heap a viewer joined over a socket costs — connection state on both

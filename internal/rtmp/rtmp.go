@@ -268,20 +268,37 @@ type viewerConn struct {
 	// gone flips exactly once — on eviction, leave, or broadcast end; the
 	// winner of the flip closes done.
 	gone atomic.Bool
-	// iov and bufs are the push loop's batch — the iovec array and the
-	// net.Buffers header one vectored write consumes — kept here so a batch
-	// allocates nothing. Only the viewer's own goroutine touches them.
-	iov  [pushBatch][]byte
+}
+
+// pushBytes bounds one viewer write by size: a push takes ring messages until
+// its batch reaches this many bytes, so a viewer behind by B bytes catches up
+// in about B/pushBytes vectored writes whatever its frames weigh.
+const pushBytes = 64 << 10
+
+// pushMsgs is the most ring messages one push takes however small they are;
+// it sizes a batch's iovec array, which keeps one MsgEnd more.
+const pushMsgs = 128
+
+// pushBatch is one push's iovec array and the net.Buffers header its
+// vectored write consumes. A push holds one from pushBatches only for the
+// length of its write, so a viewer between writes pins none, and a batch
+// allocates nothing once the pool is warm.
+type pushBatch struct {
+	iov  [pushMsgs + 1][]byte
 	bufs net.Buffers
 }
 
-// pushBatch is the most ring messages one viewer write takes at once.
-const pushBatch = 32
+var pushBatches = sync.Pool{New: func() any { return new(pushBatch) }}
 
 // viewerWriteTimeout bounds each push to a viewer connection; a viewer whose
 // socket stays unwritable this long is dropped (a dead or wedged client must
 // never pin a server goroutine).
 const viewerWriteTimeout = 30 * time.Second
+
+// handshakeTimeout bounds a new connection's handshake, from the server's
+// first read to its ack: a peer that connects and sends nothing, or half a
+// handshake, must not hold a goroutine and a socket until it hangs up.
+const handshakeTimeout = 10 * time.Second
 
 // close closes done exactly once, reporting whether this call won the flip.
 func (v *viewerConn) close() bool {
@@ -302,12 +319,19 @@ var encodedEnd = func() wire.Encoded {
 	return e
 }()
 
-// readers pools the 4 KiB bufio.Readers that the two stream-reading loops —
-// the origin's broadcaster loop and the viewer client's receive loop — read
+// readSize is the buffer of the pooled readers. One read takes every
+// complete message it finds there into one relay buffer, so a publisher the
+// server has fallen behind costs one allocation per ~120 of rtmp_fanout's
+// 538-byte messages rather than per 7, as a 4 KiB buffer did; a paced
+// publisher's read still carries one frame.
+const readSize = 64 << 10
+
+// readers pools the bufio.Readers that the two stream-reading loops — the
+// origin's broadcaster loop and the viewer client's receive loop — read
 // through with a wire.Reader. wire.Reader copies each batch out of the
 // buffer, so nothing a loop hands on aliases a pooled reader, and a finished
 // session's buffer serves the next session instead of becoming garbage.
-var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readSize) }}
 
 // getReader returns a pooled reader over conn.
 func getReader(conn net.Conn) *bufio.Reader {
@@ -511,6 +535,9 @@ func (s *Server) Abort() error {
 
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
+	// The deadline covers the handshake and its ack, which clears it.
+	//lint:allow walltime socket deadlines are interpreted by the kernel, which only speaks wall time
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	hs, err := wire.ReadHandshake(conn)
 	if err != nil {
 		return
@@ -560,6 +587,9 @@ func (s *Server) ackResume(conn net.Conn, status, message string, resumeSeq uint
 	// A failed ack needs no handling of its own: a refused peer is hung up
 	// on next, and an accepted one's next read or write fails the same way.
 	_ = wire.WriteMessage(conn, m)
+	// The handshake is over: an accepted session's reads wait for frames or
+	// a hang-up as long as they take, and each push sets its own deadline.
+	conn.SetDeadline(time.Time{})
 }
 
 // newBroadcast builds a broadcast's server-side state, resolving its
@@ -730,25 +760,26 @@ func (b *broadcast) relay(enc wire.Encoded) (vs []*viewerConn, queued int, evict
 	return vs, queued, evicted
 }
 
-// take moves up to limit messages past v's cursor in b's ring into v.iov and
-// advances the cursor past them, or reports errLapped once the ring evicted
-// v.
+// take moves the messages past v's cursor in b's ring into iov — as many as
+// fit, until they reach pushBytes — and advances the cursor past them. It
+// reports whether v has more waiting, or errLapped once the ring evicted v.
 //
 //livesim:hotpath TestPushBatchAllocFree
-func (b *broadcast) take(v *viewerConn, limit int) (int, error) {
+func (b *broadcast) take(v *viewerConn, iov [][]byte) (n int, more bool, err error) {
 	r := &b.ring
 	b.mu.Lock()
 	if v.lapped {
 		b.mu.Unlock()
-		return 0, errLapped
+		return 0, false, errLapped
 	}
-	n := 0
-	for ; v.cursor < r.head && n < limit; v.cursor++ {
-		v.iov[n] = r.slots[v.cursor%uint64(len(r.slots))]
+	for size := 0; v.cursor < r.head && n < len(iov) && size < pushBytes; v.cursor++ {
+		iov[n] = r.slots[v.cursor%uint64(len(r.slots))]
+		size += len(iov[n])
 		n++
 	}
+	more = v.cursor < r.head
 	b.mu.Unlock()
-	return n, nil
+	return n, more, nil
 }
 
 // endBroadcast marks b ended and releases its viewers. Each viewer loop then
@@ -822,18 +853,17 @@ func (s *Server) handleViewer(conn net.Conn, hs wire.Handshake) {
 			return
 		case <-v.wake:
 			// Take the token first, then the ring: a frame written
-			// after the last take leaves a token of its own. A batch
-			// short of pushBatch means the viewer caught up.
+			// after the last take leaves a token of its own.
 			for {
 				// A lapped viewer's push fails: it leaves without
 				// the flush and without MsgEnd, so its client sees
 				// a broken transport and redials, never a broadcast
 				// that ended while it is still live.
-				n, _, err := s.push(conn, b, v, false)
+				_, more, err := s.push(conn, b, v, false)
 				if err != nil {
 					return
 				}
-				if n < pushBatch {
+				if !more {
 					break
 				}
 			}
@@ -845,8 +875,8 @@ func (s *Server) handleViewer(conn net.Conn, hs wire.Handshake) {
 			}
 			// Flush what is left of the ring; MsgEnd rides the last batch.
 			for {
-				_, ended, err := s.push(conn, b, v, true)
-				if ended || err != nil {
+				_, more, err := s.push(conn, b, v, true)
+				if !more || err != nil {
 					return
 				}
 			}
@@ -881,28 +911,27 @@ func (b *broadcast) join(viewerCap, queue int) (*viewerConn, string) {
 }
 
 // push writes one batch to a viewer: the messages past its cursor in the
-// ring, up to pushBatch, in one net.Buffers.WriteTo — a single writev on
-// TCP, one Write per message on TLS and on wrapped connections. Nothing
-// waits for the ring to fill, so a viewer that keeps up gets each frame in a
-// batch of its own. With end set, MsgEnd is appended once the viewer has
-// caught up, and push reports that it was written. It returns how many ring
-// messages it took; with none to take and no MsgEnd due it writes nothing.
+// ring, up to pushBytes of them, in one net.Buffers.WriteTo — a single
+// writev on TCP, one Write per message on TLS and on wrapped connections.
+// Nothing waits for the ring to fill, so a viewer that keeps up gets each
+// frame in a batch of its own. With end set, MsgEnd is appended to the batch
+// that catches the viewer up. It returns how many ring messages it took and
+// whether more are waiting, so with end set a push that reports none left
+// wrote MsgEnd; with nothing to take and no MsgEnd due it writes nothing.
 //
 //livesim:hotpath TestPushBatchAllocFree
-func (s *Server) push(conn net.Conn, b *broadcast, v *viewerConn, end bool) (n int, ended bool, err error) {
-	limit := pushBatch
-	if end {
-		limit-- // room for MsgEnd
-	}
-	if n, err = b.take(v, limit); err != nil {
+func (s *Server) push(conn net.Conn, b *broadcast, v *viewerConn, end bool) (n int, more bool, err error) {
+	pb := pushBatches.Get().(*pushBatch)
+	defer pushBatches.Put(pb)
+	if n, more, err = b.take(v, pb.iov[:pushMsgs]); err != nil {
 		return 0, false, err
 	}
-	ended = end && n < limit
+	ended := end && !more
 	if n == 0 && !ended {
 		return 0, false, nil
 	}
 	var frames, bytes int64
-	for _, e := range v.iov[:n] {
+	for _, e := range pb.iov[:n] {
 		if t := wire.Encoded(e).Type(); t == wire.MsgFrame || t == wire.MsgSignedFrame {
 			frames++
 			bytes += int64(len(wire.Encoded(e).Body()))
@@ -910,18 +939,21 @@ func (s *Server) push(conn net.Conn, b *broadcast, v *viewerConn, end bool) (n i
 	}
 	msgs := n
 	if ended {
-		v.iov[msgs] = encodedEnd
+		pb.iov[msgs] = encodedEnd
 		msgs++
 	}
 	//lint:allow walltime socket deadlines are interpreted by the kernel, which only speaks wall time
 	conn.SetWriteDeadline(time.Now().Add(viewerWriteTimeout))
-	// WriteTo consumes bufs, clearing each iov entry it writes, so a batch
-	// pins no relay buffer once it is on the wire.
-	v.bufs = v.iov[:msgs]
-	if _, err := v.bufs.WriteTo(conn); err != nil {
-		return n, false, err
+	// WriteTo consumes bufs, clearing each iov entry it writes; a failed
+	// write leaves the rest, cleared here, so a pooled batch pins no relay
+	// buffer once its write returns.
+	pb.bufs = pb.iov[:msgs]
+	_, err = pb.bufs.WriteTo(conn)
+	clear(pb.iov[:msgs])
+	if err != nil {
+		return n, more, err
 	}
 	s.m.framesOut.Add(frames)
 	s.m.bytesOut.Add(bytes)
-	return n, ended, nil
+	return n, more, nil
 }

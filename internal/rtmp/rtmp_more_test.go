@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/testutil"
 	"repro/internal/wire"
 )
 
@@ -271,4 +274,137 @@ func TestHandshakeEndsOnCancel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHandshakeReadHasDeadline: the server sets a deadline before it reads a
+// new connection's handshake, so a peer that connects and sends nothing, or
+// half a handshake, is cut off instead of holding a goroutine and a socket;
+// and it clears the deadline once it has acked, so an accepted session — a
+// publisher or a viewer — then waits on its socket as long as it must.
+func TestHandshakeReadHasDeadline(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &deadlineListener{Listener: inner, accepted: make(chan *deadlineConn, 3)}
+	s := NewServer(ServerConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	go s.Serve(ctx, ln)
+	t.Cleanup(func() {
+		cancel()
+		s.Close()
+	})
+	addr := inner.Addr().String()
+
+	// A silent peer: the server's first act is the deadline, then the read
+	// it bounds.
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	silentConn := <-ln.accepted
+	for start := time.Now(); len(silentConn.events()) < 2 && time.Since(start) < time.Second; {
+		time.Sleep(time.Millisecond)
+	}
+	if got := silentConn.events(); !slices.Equal(got, []string{"deadline", "read"}) {
+		t.Fatalf("a silent peer's connection saw %v, want [deadline read]", got)
+	}
+
+	pub, err := Publish(ctx, addr, "b1", "tok", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.End()
+	pubConn := <-ln.accepted
+	viewer, err := Subscribe(ctx, addr, "b1", "", ViewerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viewer.Close()
+	viewerConn := <-ln.accepted
+	frames := testFrames(1)
+	if err := pub.Send(&frames[0]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-viewer.Frames():
+	case <-time.After(5 * time.Second):
+		t.Fatal("no frame reached the viewer")
+	}
+	// The frame was read on the publisher's connection and pushed on the
+	// viewer's, so both acks, and the clears after them, are done.
+	for name, c := range map[string]*deadlineConn{"publisher": pubConn, "viewer": viewerConn} {
+		got := c.events()
+		clearAt := slices.Index(got, "clear")
+		if len(got) == 0 || got[0] != "deadline" || clearAt < 2 || slices.Contains(got[1:clearAt], "deadline") || slices.Contains(got[clearAt+1:], "deadline") {
+			t.Errorf("%s connection saw %v; want a deadline, the handshake's reads, one clear, then no deadline", name, got)
+		}
+	}
+}
+
+// deadlineListener hands out its connections wrapped in a deadlineConn, and
+// each one on accepted as well.
+type deadlineListener struct {
+	net.Listener
+	accepted chan *deadlineConn
+}
+
+func (l *deadlineListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	dc := &deadlineConn{Conn: c}
+	l.accepted <- dc
+	return dc, nil
+}
+
+// deadlineConn logs, in order, the read deadlines set on a connection —
+// "deadline" for a time, "clear" for none — and the reads made on it.
+// Write deadlines, which every push sets, are not logged.
+type deadlineConn struct {
+	net.Conn
+	mu  sync.Mutex
+	log []string
+}
+
+func (c *deadlineConn) note(event string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if event != "read" || len(c.log) == 0 || c.log[len(c.log)-1] != "read" {
+		c.log = append(c.log, event) // runs of reads are logged as one
+	}
+}
+
+func (c *deadlineConn) events() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.log)
+}
+
+func (c *deadlineConn) noteDeadline(at time.Time) {
+	if at.IsZero() {
+		c.note("clear")
+	} else if d := time.Until(at); d > 0 && d <= handshakeTimeout {
+		c.note("deadline")
+	} else {
+		c.note("deadline out of range")
+	}
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	c.note("read")
+	return c.Conn.Read(p)
+}
+
+func (c *deadlineConn) SetDeadline(at time.Time) error {
+	c.noteDeadline(at)
+	return c.Conn.SetDeadline(at)
+}
+
+func (c *deadlineConn) SetReadDeadline(at time.Time) error {
+	c.noteDeadline(at)
+	return c.Conn.SetReadDeadline(at)
 }
