@@ -2,8 +2,8 @@
 # in CI" never involves a command mismatch: every step of ci.yml is a target
 # here. `make lint` is the lint job; `make ci` is the test job followed by the
 # lint job. `race` runs every Go test under -race, so the named slices of it
-# (fanout-race … metrics-smoke) are local replay recipes, not CI steps —
-# except scale-smoke, whose -cpu 1,2,4 runs the simulated day at three
+# (fanout-race … metrics-smoke, surface) are local replay recipes, not CI
+# steps — except scale-smoke, whose -cpu 1,2,4 runs the simulated day at three
 # partition counts that `race`'s one GOMAXPROCS does not. `allocs` is a CI
 # step beside `race` for the opposite reason: it runs the exact allocation
 # budgets without the race detector, where the ones that skip under it bind.
@@ -11,7 +11,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race allocs fanout-race chaos lint vet analyze fmt tidy vuln bench-check metrics metrics-smoke crash partition-soak tenant-soak scale-smoke fuzz ci clean
+.PHONY: all build test race allocs fanout-race chaos lint vet analyze fmt tidy vuln bench-check metrics metrics-smoke crash partition-soak tenant-soak scale-smoke surface fuzz ci clean
 
 all: build test lint
 
@@ -119,6 +119,14 @@ tenant-soak:
 # so a failure replays deterministically.
 scale-smoke:
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestScaleSmoke|TestWheelRepeatedRunsByteIdentical|TestWheelMatchesGoroutineReference' -v ./internal/viewersim/
+
+# surface prints the two counts ROADMAP's SURFACE item cuts, each against
+# its pin: the exported options of every *Config and *Options struct
+# (TestExportedOptionCount) and every exported func or method under
+# internal/ that no other package's program code calls
+# (TestUnusedExportCount). -v lists both without a failure.
+surface:
+	$(GO) test -count=1 -run 'TestExportedOptionCount|TestUnusedExportCount' -v ./internal/lint/
 
 # fuzz smoke: a short bounded run of every decoder and handler that reads
 # bytes from outside the process — the journal (round-trip encode/decode and

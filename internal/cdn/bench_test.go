@@ -63,7 +63,7 @@ func BenchmarkEdgePull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Invalidate("bench", uint64(i+10))
+		e.invalidate("bench", uint64(i+10))
 		if _, err := e.ChunkList(ctx, "bench"); err != nil {
 			b.Fatal(err)
 		}

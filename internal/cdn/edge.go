@@ -39,19 +39,6 @@ type EdgeConfig struct {
 	// Breaker tunes the per-broadcast upstream circuit breaker; the zero
 	// value opens after 5 consecutive failures for 1 s.
 	Breaker resilience.BreakerConfig
-	// MaxInflight caps concurrently served store calls (chunklist and
-	// chunk fetches combined). Zero or negative disables shedding — the
-	// pre-fleet-health behaviour.
-	MaxInflight int
-	// QueueDepth bounds how many over-limit requests may wait for a slot
-	// before new arrivals are shed immediately.
-	QueueDepth int
-	// QueueWait bounds how long a queued request waits for a slot before
-	// being shed (default 100 ms).
-	QueueWait time.Duration
-	// ShedRetryAfter is the Retry-After hint attached to sheds (default
-	// 1 s).
-	ShedRetryAfter time.Duration
 	// Clock is the time source for arrival stamps and every wait (queue,
 	// retry back-off, breaker cool-down); nil means the real clock.
 	// Simulations inject theirs so arrival times are seed-determined.
@@ -203,12 +190,6 @@ func NewEdge(cfg EdgeConfig) *Edge {
 	if cfg.Retry.MaxDelay == 0 {
 		cfg.Retry.MaxDelay = 100 * time.Millisecond
 	}
-	if cfg.QueueWait <= 0 {
-		cfg.QueueWait = 100 * time.Millisecond
-	}
-	if cfg.ShedRetryAfter <= 0 {
-		cfg.ShedRetryAfter = time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
@@ -226,7 +207,7 @@ func NewEdge(cfg EdgeConfig) *Edge {
 		e.shards[i].cache = make(map[string]*edgeEntry)
 	}
 	e.limit.clk = cfg.Clock
-	e.limit.set(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueWait)
+	e.limit.releaseFn = e.limit.release
 	// Breaker state is derived at scrape time: the count of broadcasts whose
 	// upstream circuit is not closed on this edge.
 	cfg.Metrics.GaugeFunc("cdn_breakers_open", e.openBreakers, metrics.L("site", cfg.Site.ID))
@@ -257,12 +238,22 @@ func (e *Edge) openBreakers() int64 {
 	return n
 }
 
-// SetLimits retunes the concurrency cap at runtime (the chaos soak uses it
-// to provoke an overload phase without rebuilding the platform). maxInflight
-// ≤ 0 disables shedding; queued requests wait at most queueWait for a slot.
+// Admission defaults: how long a queued request waits for a slot when
+// SetLimits names no wait, and the Retry-After hint every shed carries.
+const (
+	defaultQueueWait = 100 * time.Millisecond
+	shedRetryAfter   = time.Second
+)
+
+// SetLimits is the edge's admission gate, off until first set: at most
+// maxInflight store calls (chunklist and chunk fetches combined) run at
+// once, up to queueDepth more wait at most queueWait (≤ 0: 100 ms) for a
+// slot, and the rest are shed as 503 + Retry-After 1 s. maxInflight ≤ 0
+// turns shedding off. The chaos soaks use it to provoke an overload phase
+// without rebuilding the platform.
 func (e *Edge) SetLimits(maxInflight, queueDepth int, queueWait time.Duration) {
 	if queueWait <= 0 {
-		queueWait = e.cfg.QueueWait
+		queueWait = defaultQueueWait
 	}
 	e.limit.set(maxInflight, queueDepth, queueWait)
 }
@@ -326,12 +317,13 @@ func (e *Edge) guard(id string, attempt func() error) error {
 	return err
 }
 
-// Invalidate implements Invalidator: it marks the cached list stale. The
+// invalidate marks the cached list stale, the "Wowza notifies Fastly to
+// expire its old chunklist" step (⑧ in Fig. 10). The
 // fresh copy is NOT fetched here — the paper's architecture defers that to
 // the first subsequent viewer poll. Only invalidations that actually mark a
 // cached, fresh list stale are counted: an entry that holds no list (only a
 // breaker, or chunks pulled one by one) has nothing to invalidate.
-func (e *Edge) Invalidate(broadcastID string, version uint64) {
+func (e *Edge) invalidate(broadcastID string, version uint64) {
 	sh := e.shard(broadcastID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -349,11 +341,14 @@ func (e *Edge) Invalidate(broadcastID string, version uint64) {
 // concurrently, up to queueDepth more wait (bounded by queueWait) for a
 // slot, and everything beyond that is shed on arrival. Limits are mutable at
 // runtime; a release races safely with SetLimits because slots are handed
-// directly to the oldest waiter.
+// directly to the oldest waiter, and a set that lifts or raises the cap
+// hands the freed slots to the waiters it admits.
 type limiter struct {
-	// clk times the queue wait; set once at construction, before any
-	// acquire.
-	clk clock.Clock
+	// clk times the queue wait and releaseFn is the l.release method value,
+	// bound once so admitting a request does not allocate a closure per
+	// call; both are set at construction, before any acquire.
+	clk       clock.Clock
+	releaseFn func()
 
 	mu          sync.Mutex
 	maxInflight int
@@ -361,22 +356,21 @@ type limiter struct {
 	queueWait   time.Duration
 	inflight    int
 	waiters     []chan struct{}
-	// releaseFn is the l.release method value, bound once so admitting a
-	// request does not allocate a closure per call. It is written only on
-	// the first set() (always before any acquire), so later lock-free reads
-	// are ordered by the mutex.
-	releaseFn func()
 }
 
+// set installs new limits and grants a slot to each queued waiter, oldest
+// first, that they admit: all of them when shedding is now off.
 func (l *limiter) set(maxInflight, queueDepth int, queueWait time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.releaseFn == nil {
-		l.releaseFn = l.release
-	}
 	l.maxInflight = maxInflight
 	l.queueDepth = queueDepth
 	l.queueWait = queueWait
+	for len(l.waiters) > 0 && (maxInflight <= 0 || l.inflight < maxInflight) {
+		l.inflight++
+		close(l.waiters[0])
+		l.waiters = l.waiters[1:]
+	}
 }
 
 // errShed distinguishes an admission refusal from upstream errors.
@@ -458,7 +452,7 @@ func (e *Edge) admit(ctx context.Context) (func(), error) {
 	rel, err := e.limit.acquire(ctx)
 	if errors.Is(err, errShed) {
 		e.m.sheds.Inc()
-		return nil, &hls.OverloadedError{RetryAfter: e.cfg.ShedRetryAfter}
+		return nil, &hls.OverloadedError{RetryAfter: shedRetryAfter}
 	}
 	if err != nil {
 		return nil, err

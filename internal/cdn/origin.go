@@ -28,12 +28,6 @@ import (
 // failover pollers keep polling until the origin recovers.
 var ErrOriginDown = errors.New("cdn: origin down")
 
-// Invalidator is notified when a broadcast's chunklist changes, the
-// "Wowza notifies Fastly to expire its old chunklist" step (⑧ in Fig. 10).
-type Invalidator interface {
-	Invalidate(broadcastID string, version uint64)
-}
-
 // OriginConfig configures an Origin.
 type OriginConfig struct {
 	// Site is the datacenter this origin runs in.
@@ -100,7 +94,7 @@ type Origin struct {
 	// edges is process wiring, not state: it survives a crash. It is copied
 	// on write, so a publisher takes the slice under the lock it already
 	// holds and notifies from it after releasing it.
-	edges []Invalidator
+	edges []*Edge
 
 	// perChunk is how many frames make a chunk (OriginConfig.ChunkDuration).
 	perChunk int
@@ -533,9 +527,8 @@ func (o *Origin) Recover() {
 // Site returns the origin's datacenter.
 func (o *Origin) Site() geo.Datacenter { return o.cfg.Site }
 
-// RegisterEdge subscribes an edge (or any Invalidator) to chunklist expiry
-// notifications.
-func (o *Origin) RegisterEdge(e Invalidator) {
+// RegisterEdge subscribes an edge to chunklist expiry notifications.
+func (o *Origin) RegisterEdge(e *Edge) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.edges = append(o.edges[:len(o.edges):len(o.edges)], e)
@@ -641,9 +634,9 @@ func (o *Origin) endBroadcast(id string) {
 
 // notify tells every registered edge that id's list is now at version. edges
 // is the origin's copy-on-write slice, taken under its lock.
-func notify(edges []Invalidator, id string, version uint64) {
+func notify(edges []*Edge, id string, version uint64) {
 	for _, e := range edges {
-		e.Invalidate(id, version)
+		e.invalidate(id, version)
 	}
 }
 

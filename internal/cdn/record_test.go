@@ -99,7 +99,7 @@ func TestEdgeFailedPullHoldsNothingToInvalidate(t *testing.T) {
 	if ids := edgeRecords(e); len(ids) != 1 {
 		t.Fatalf("edge holds %d records after an upstream fault, want the breaker's 1", len(ids))
 	}
-	e.Invalidate("b1", 1)
+	e.invalidate("b1", 1)
 	if n := e.m.invalidates.Value(); n != 0 {
 		t.Fatalf("Invalidates = %d for a broadcast the edge holds no list of, want 0", n)
 	}

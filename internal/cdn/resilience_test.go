@@ -232,7 +232,7 @@ func TestEdgeServesStaleWhenUpstreamDown(t *testing.T) {
 
 	// New content arrives, the edge is invalidated, then the origin dies.
 	feedFrames(o, "b1", 60)
-	e.Invalidate("b1", first.Version+1)
+	e.invalidate("b1", first.Version+1)
 	f.failLists.Store(true)
 
 	for i := 0; i < 5; i++ {
@@ -351,8 +351,8 @@ func TestEdgeInvalidateCountsOnlyWhenMarkingStale(t *testing.T) {
 
 	// Not cached here: an invalidation for a broadcast this edge never
 	// served must not count.
-	e.Invalidate("b1", 1)
-	e.Invalidate("nope", 1)
+	e.invalidate("b1", 1)
+	e.invalidate("nope", 1)
 	if n := e.m.invalidates.Value(); n != 0 {
 		t.Fatalf("Invalidates = %d before anything was cached, want 0", n)
 	}
@@ -362,16 +362,16 @@ func TestEdgeInvalidateCountsOnlyWhenMarkingStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stale version replays (re-delivered invalidations) must not count.
-	e.Invalidate("b1", cl.Version)
-	e.Invalidate("b1", cl.Version-1)
+	e.invalidate("b1", cl.Version)
+	e.invalidate("b1", cl.Version-1)
 	if n := e.m.invalidates.Value(); n != 0 {
 		t.Fatalf("Invalidates = %d after old-version replays, want 0", n)
 	}
 
 	// A genuinely newer version marks the entry stale and counts once,
 	// even when re-delivered.
-	e.Invalidate("b1", cl.Version+1)
-	e.Invalidate("b1", cl.Version+2)
+	e.invalidate("b1", cl.Version+1)
+	e.invalidate("b1", cl.Version+2)
 	if n := e.m.invalidates.Value(); n != 1 {
 		t.Fatalf("Invalidates = %d, want 1 (only the marking invalidation counts)", n)
 	}

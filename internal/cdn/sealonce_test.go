@@ -76,7 +76,7 @@ func TestEdgePullAllocBudget(t *testing.T) {
 	})
 	refresh := func() {
 		next := up.lists[up.next]
-		e.Invalidate("b1", next.Version)
+		e.invalidate("b1", next.Version)
 		if cl, err := e.ChunkList(ctx, "b1"); err != nil || cl != next {
 			t.Fatalf("refresh served %p (err %v), want the upstream's version %d", cl, err, next.Version)
 		}

@@ -63,8 +63,6 @@ type TopologyConfig struct {
 	// EdgeBreaker tunes every edge's per-broadcast circuit breaker (zero
 	// value → resilience defaults).
 	EdgeBreaker resilience.BreakerConfig
-	// EdgeShedRetryAfter is the Retry-After hint edges attach to sheds.
-	EdgeShedRetryAfter time.Duration
 	// Metrics is the shared registry every origin and edge registers its
 	// instruments in (per-site labels keep the series apart); nil gives
 	// each component a private registry.
@@ -109,12 +107,11 @@ func Build(cfg TopologyConfig) *Topology {
 	}
 	for _, site := range cfg.EdgeSites {
 		edge := NewEdge(EdgeConfig{
-			Site:           site,
-			Retry:          cfg.EdgeRetry,
-			Breaker:        cfg.EdgeBreaker,
-			ShedRetryAfter: cfg.EdgeShedRetryAfter,
-			Clock:          cfg.Clock,
-			Metrics:        cfg.Metrics,
+			Site:    site,
+			Retry:   cfg.EdgeRetry,
+			Breaker: cfg.EdgeBreaker,
+			Clock:   cfg.Clock,
+			Metrics: cfg.Metrics,
 		})
 		// Resolve needs the edge itself; it reads the fleet only when called.
 		edge.cfg.Resolve = func(broadcastID string) (Upstream, error) {

@@ -3,11 +3,13 @@ package cdn
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/geo"
 	"repro/internal/hls"
 	"repro/internal/media"
@@ -138,7 +140,7 @@ func (s *blockingStore) ChunkList(ctx context.Context, id string) (*media.ChunkL
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return s.list.Clone(), nil
+	return s.list, nil
 }
 
 func (s *blockingStore) Chunk(ctx context.Context, id string, seq uint64) (*media.Chunk, error) {
@@ -153,13 +155,10 @@ func (s *blockingStore) Chunk(ctx context.Context, id string, seq uint64) (*medi
 func TestEdgeShedsWhenOverCapacity(t *testing.T) {
 	up := &blockingStore{unblock: make(chan struct{}), list: &media.ChunkList{BroadcastID: "b1"}}
 	e := NewEdge(EdgeConfig{
-		Site:           site("e1", "X"),
-		Resolve:        func(string) (Upstream, error) { return Upstream{Store: up}, nil },
-		MaxInflight:    1,
-		QueueDepth:     1,
-		QueueWait:      10 * time.Millisecond,
-		ShedRetryAfter: 2 * time.Second,
+		Site:    site("e1", "X"),
+		Resolve: func(string) (Upstream, error) { return Upstream{Store: up}, nil },
 	})
+	e.SetLimits(1, 1, 10*time.Millisecond)
 
 	ctx := context.Background()
 	const callers = 8
@@ -178,8 +177,8 @@ func TestEdgeShedsWhenOverCapacity(t *testing.T) {
 			switch {
 			case errors.Is(err, hls.ErrOverloaded):
 				var oe *hls.OverloadedError
-				if !errors.As(err, &oe) || oe.RetryAfter != 2*time.Second {
-					t.Errorf("shed err = %#v, want the configured Retry-After", err)
+				if !errors.As(err, &oe) || oe.RetryAfter != time.Second {
+					t.Errorf("shed err = %#v, want Retry-After 1s", err)
 				}
 				sheds.Add(1)
 			case err != nil:
@@ -207,12 +206,10 @@ func TestEdgeSetLimitsReenablesService(t *testing.T) {
 	up := &blockingStore{unblock: make(chan struct{}), list: &media.ChunkList{BroadcastID: "b1"}}
 	close(up.unblock) // never block
 	e := NewEdge(EdgeConfig{
-		Site:        site("e1", "X"),
-		Resolve:     func(string) (Upstream, error) { return Upstream{Store: up}, nil },
-		MaxInflight: 1,
-		QueueDepth:  0,
-		QueueWait:   time.Millisecond,
+		Site:    site("e1", "X"),
+		Resolve: func(string) (Upstream, error) { return Upstream{Store: up}, nil },
 	})
+	e.SetLimits(1, 0, time.Millisecond)
 	// Sequential calls fit within the cap.
 	if _, err := e.ChunkList(context.Background(), "b1"); err != nil {
 		t.Fatalf("under-limit call failed: %v", err)
@@ -223,6 +220,78 @@ func TestEdgeSetLimitsReenablesService(t *testing.T) {
 		if _, err := e.ChunkList(context.Background(), "b1"); err != nil {
 			t.Fatalf("call %d after SetLimits(0,...) failed: %v", i, err)
 		}
+	}
+}
+
+// TestEdgeSetLimitsAdmitsQueued: lifting or raising the cap admits the
+// requests queued behind the old one at once, oldest first, instead of
+// leaving them to be shed at their queue deadline. The edge runs on a
+// clock.Wheel that never advances, so a waiter the new limits forget stays
+// parked and the test fails on its real-time bound.
+func TestEdgeSetLimitsAdmitsQueued(t *testing.T) {
+	wh := clock.NewWheel(clock.WheelConfig{})
+	e := NewEdge(EdgeConfig{Site: site("e1", "X"), Clock: wh})
+	e.SetLimits(1, 2, time.Second)
+	ctx := context.Background()
+	hold, err := e.admit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// queue starts one request and returns once it waits on the wheel; the
+	// channel yields its slot's release, which the test holds to the end.
+	type admission struct {
+		release func()
+		err     error
+	}
+	queue := func() chan admission {
+		done := make(chan admission, 1)
+		pending := wh.Pending()
+		go func() {
+			rel, err := e.admit(ctx)
+			done <- admission{rel, err}
+		}()
+		for wh.Pending() == pending {
+			runtime.Gosched()
+		}
+		return done
+	}
+	admitted := func(name string, done chan admission) func() {
+		t.Helper()
+		select {
+		case a := <-done:
+			if a.err != nil {
+				t.Fatalf("%s: %v, want admitted", name, a.err)
+			}
+			return a.release
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still queued after SetLimits", name)
+		}
+		return nil
+	}
+	first, second := queue(), queue()
+	start := wh.Now()
+
+	e.SetLimits(2, 2, time.Second) // one more slot: the oldest waiter gets it
+	releaseFirst := admitted("oldest waiter", first)
+	e.limit.mu.Lock()
+	queued := len(e.limit.waiters)
+	e.limit.mu.Unlock()
+	if queued != 1 {
+		t.Fatalf("%d waiters queued after raising the cap by one, want 1", queued)
+	}
+	e.SetLimits(0, 0, 0) // shedding off: every waiter is admitted
+	releaseSecond := admitted("second waiter", second)
+	hold()
+	releaseFirst()
+	releaseSecond()
+	e.limit.mu.Lock()
+	inflight := e.limit.inflight
+	e.limit.mu.Unlock()
+	if inflight != 0 {
+		t.Fatalf("%d slots still counted after every release", inflight)
+	}
+	if !wh.Now().Equal(start) || e.m.sheds.Value() != 0 {
+		t.Fatalf("wheel moved %v, %d sheds; want admission with no wait and no shed", wh.Now().Sub(start), e.m.sheds.Value())
 	}
 }
 
@@ -295,7 +364,7 @@ func TestRelayFallsBackToOriginWhenGatewayKilled(t *testing.T) {
 	// Kill the gateway: the far edge must survive by pulling the origin
 	// direct instead of dying with the relay.
 	topo.Edges[0].Kill()
-	far.Invalidate("b1", 99) // force a fresh pull
+	far.invalidate("b1", 99) // force a fresh pull
 	if _, err := far.ChunkList(context.Background(), "b1"); err != nil {
 		t.Fatalf("pull with killed gateway: %v, want direct-origin fallback", err)
 	}

@@ -83,7 +83,7 @@ func TestEdgeMetersEachServedChunkOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		feedFrames(o, "b1", 30)
-		e.Invalidate("b1", first.Version+1)
+		e.invalidate("b1", first.Version+1)
 		f.failLists.Store(true)
 		stale, err := e.ChunkList(ctx, "b1")
 		if err != nil || stale != first || e.m.staleServes.Value() != 1 {

@@ -199,14 +199,12 @@ func TestPlatformChaosSoak(t *testing.T) {
 	}
 
 	var chunksSeen atomic.Int64
-	hlsEnded := make(chan struct{})
-	hlsPollErr := make(chan error, 1)
+	hlsPollErr := make(chan error, 1) // nil once the poller saw the end marker
 	go func() {
 		err := hc.Poll(ctx, grant.BroadcastID, hls.PollerConfig{
 			Interval:  25 * time.Millisecond,
 			PreBuffer: 400 * time.Millisecond,
 			OnChunk:   func(ev hls.ChunkEvent) { chunksSeen.Add(1) },
-			OnEnd:     func() { close(hlsEnded) },
 		})
 		hlsPollErr <- err
 	}()
@@ -291,12 +289,12 @@ func TestPlatformChaosSoak(t *testing.T) {
 		t.Fatal("publisher never finished")
 	}
 	select {
-	case <-hlsEnded:
+	case err := <-hlsPollErr:
+		if err != nil {
+			t.Fatalf("HLS poll: %v", err)
+		}
 	case <-time.After(15 * time.Second):
 		t.Fatalf("HLS poller never saw the end marker (chunks seen: %d/%d)", chunksSeen.Load(), totalChunks)
-	}
-	if err := <-hlsPollErr; err != nil {
-		t.Fatalf("HLS poll: %v", err)
 	}
 	select {
 	case <-rtmpDone:

@@ -60,9 +60,6 @@ func TestPlatformFleetChaosSoak(t *testing.T) {
 		// Fast detector so kill → down fits the soak: 25 ms beats, suspect
 		// after 2 silent intervals, down after 4 (~100 ms).
 		HeartbeatInterval: 25 * time.Millisecond,
-		// Shed hint kept tiny; viewer clients cap their Retry-After honor
-		// anyway.
-		EdgeShedRetryAfter: 10 * time.Millisecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -180,14 +177,17 @@ func TestPlatformFleetChaosSoak(t *testing.T) {
 					vr.seqs = append(vr.seqs, ev.Ref.Seq)
 					vr.mu.Unlock()
 				},
-				OnEnd: func() { vr.ended.Store(true) },
 			},
 			FailureThreshold: 2,
 			MaxFailovers:     -1, // the re-resolve may hand back a dying edge for a few beats
 			Backoff:          resilience.Policy{BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
 		}
 		vr.fp = hls.NewFailoverPoller(grant.BroadcastID, cfg)
-		go func(vr *viewerRun) { viewerErrs <- vr.fp.Run(ctx) }(vr)
+		go func(vr *viewerRun) {
+			err := vr.fp.Run(ctx)
+			vr.ended.Store(err == nil) // Run returns nil only at the end marker
+			viewerErrs <- err
+		}(vr)
 	}
 
 	// Phase 1 — kill the serving edge mid-broadcast. Its heartbeats stop,

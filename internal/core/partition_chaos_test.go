@@ -56,14 +56,17 @@ func launchSoakViewers(ctx context.Context, n int, broadcastID string, resolve f
 					vr.seqs = append(vr.seqs, ev.Ref.Seq)
 					vr.mu.Unlock()
 				},
-				OnEnd: func() { vr.ended.Store(true) },
 			},
 			FailureThreshold: 2,
 			MaxFailovers:     -1,
 			Backoff:          resilience.Policy{BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
 		}
 		vr.fp = hls.NewFailoverPoller(broadcastID, cfg)
-		go func(vr *soakViewer) { errs <- vr.fp.Run(ctx) }(vr)
+		go func(vr *soakViewer) {
+			err := vr.fp.Run(ctx)
+			vr.ended.Store(err == nil) // Run returns nil only at the end marker
+			errs <- err
+		}(vr)
 	}
 	return runs, errs
 }

@@ -72,8 +72,6 @@ type PlatformConfig struct {
 	// health registry, origins with their RTMP servers, edges) reads it.
 	// Nil means the real clock.
 	Clock clock.Clock
-	// EdgeShedRetryAfter is the Retry-After hint shed responses carry.
-	EdgeShedRetryAfter time.Duration
 	// Seed drives global-list sampling.
 	Seed uint64
 	// Metrics is the shared registry every subsystem registers its
@@ -207,11 +205,9 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 		WrapUpstream:   cfg.WrapUpstream,
 		EdgeRetry:      cfg.EdgeRetry,
 		EdgeBreaker:    cfg.EdgeBreaker,
-
-		EdgeShedRetryAfter: cfg.EdgeShedRetryAfter,
-		Clock:              cfg.Clock,
-		Metrics:            p.metrics,
-		Journal:            cfg.Journal,
+		Clock:          cfg.Clock,
+		Metrics:        p.metrics,
+		Journal:        cfg.Journal,
 	})
 	p.recovery = p.metrics.Histogram("origin_recovery_seconds", metrics.RecoveryBuckets)
 	for _, o := range p.Topo.Origins {

@@ -165,14 +165,17 @@ func TestPlatformOriginCrashRecoverySoak(t *testing.T) {
 					vr.seqs = append(vr.seqs, ev.Ref.Seq)
 					vr.mu.Unlock()
 				},
-				OnEnd: func() { vr.ended.Store(true) },
 			},
 			FailureThreshold: 2,
 			MaxFailovers:     -1,
 			Backoff:          resilience.Policy{BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
 		}
 		vr.fp = hls.NewFailoverPoller(grant.BroadcastID, cfg)
-		go func(vr *viewerRun) { viewerErrs <- vr.fp.Run(ctx) }(vr)
+		go func(vr *viewerRun) {
+			err := vr.fp.Run(ctx)
+			vr.ended.Store(err == nil) // Run returns nil only at the end marker
+			viewerErrs <- err
+		}(vr)
 	}
 
 	// The crash, orchestrated by the seeded scheduler: wait until viewers are
@@ -187,9 +190,9 @@ func TestPlatformOriginCrashRecoverySoak(t *testing.T) {
 		if id == originID {
 			targetIdx = i
 		}
-		targets[i] = faults.TargetFuncs{
-			KillFn:    func() error { return p.KillOrigin(id) },
-			RestartFn: func() error { return p.RestartOrigin(id) },
+		targets[i] = faults.CrashTarget{
+			Kill:    func() error { return p.KillOrigin(id) },
+			Restart: func() error { return p.RestartOrigin(id) },
 		}
 	}
 	if targetIdx < 0 {

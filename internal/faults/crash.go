@@ -8,15 +8,15 @@ import (
 	"repro/internal/rng"
 )
 
-// CrashTarget is one process the scheduler can kill and restart. The core
-// platform adapts its origins to this interface; anything with a
-// kill/restart pair fits.
-type CrashTarget interface {
+// CrashTarget is one process the scheduler can kill and restart, as a pair
+// of funcs: the recovery soak binds them to a platform origin's kill and
+// restart.
+type CrashTarget struct {
 	// Kill crashes the process immediately.
-	Kill() error
+	Kill func() error
 	// Restart brings the process back, recovering whatever its durable
 	// state preserves.
-	Restart() error
+	Restart func() error
 }
 
 // CrashPlan schedules one crash/restart cycle against a fleet of targets.
@@ -112,15 +112,3 @@ func (cs *CrashScheduler) Run(ctx context.Context) error {
 	cs.restarts.Add(1)
 	return nil
 }
-
-// TargetFuncs adapts a kill/restart function pair to CrashTarget.
-type TargetFuncs struct {
-	KillFn    func() error
-	RestartFn func() error
-}
-
-// Kill implements CrashTarget.
-func (t TargetFuncs) Kill() error { return t.KillFn() }
-
-// Restart implements CrashTarget.
-func (t TargetFuncs) Restart() error { return t.RestartFn() }

@@ -15,10 +15,10 @@ import (
 func TestCrashSchedulerRunsPlan(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	var order []string
-	mk := func(name string) faults.TargetFuncs {
-		return faults.TargetFuncs{
-			KillFn:    func() error { order = append(order, name+":kill"); return nil },
-			RestartFn: func() error { order = append(order, name+":restart"); return nil },
+	mk := func(name string) faults.CrashTarget {
+		return faults.CrashTarget{
+			Kill:    func() error { order = append(order, name+":kill"); return nil },
+			Restart: func() error { order = append(order, name+":restart"); return nil },
 		}
 	}
 	cs := faults.NewCrashScheduler(faults.CrashPlan{
@@ -53,9 +53,9 @@ func TestCrashSchedulerRunsPlan(t *testing.T) {
 func TestCrashSchedulerSeededTarget(t *testing.T) {
 	targets := make([]faults.CrashTarget, 8)
 	for i := range targets {
-		targets[i] = faults.TargetFuncs{
-			KillFn:    func() error { return nil },
-			RestartFn: func() error { return nil },
+		targets[i] = faults.CrashTarget{
+			Kill:    func() error { return nil },
+			Restart: func() error { return nil },
 		}
 	}
 	a := faults.NewCrashScheduler(faults.CrashPlan{Seed: 7, Target: -1}, targets)
@@ -78,9 +78,9 @@ func TestCrashSchedulerCtxCancel(t *testing.T) {
 	cs := faults.NewCrashScheduler(faults.CrashPlan{
 		Target: 0,
 		After:  time.Hour,
-	}, []faults.CrashTarget{faults.TargetFuncs{
-		KillFn:    func() error { killed = true; return nil },
-		RestartFn: func() error { return nil },
+	}, []faults.CrashTarget{{
+		Kill:    func() error { killed = true; return nil },
+		Restart: func() error { return nil },
 	}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -22,7 +22,7 @@ type FailoverConfig struct {
 	// NewClient builds the per-edge client; nil uses a plain Client. Tests
 	// inject fault-carrying transports here.
 	NewClient func(baseURL string) *Client
-	// Poller is the inner polling configuration (Interval, OnChunk, OnEnd,
+	// Poller is the inner polling configuration (Interval, OnChunk,
 	// PreBuffer).
 	Poller PollerConfig
 	// FailureThreshold is how many consecutive failed polls against one
@@ -265,8 +265,9 @@ func (fp *FailoverPoller) resolveEdge(ctx context.Context) (string, error) {
 }
 
 // RetryAfterHinter is implemented by resolve errors that carry a
-// server-provided wait (control.QuotaError over the wire or in-process); the
-// resolve loop honors the hint in place of a shorter backoff delay.
+// server-provided wait: control.QuotaError over the wire or in-process and,
+// in this package's tests, quotaHintErr. The resolve loop honors the hint in
+// place of a shorter backoff delay.
 type RetryAfterHinter interface {
 	RetryAfterHint() time.Duration
 }

@@ -43,8 +43,7 @@ func TestReadyMadeHeaderKeysAreCanonical(t *testing.T) {
 // A 200 and a 304 both carry the list's decimal version, past the versions
 // strconv interns, through a real net/http server.
 func TestServedVersionIsExact(t *testing.T) {
-	cl := &media.ChunkList{BroadcastID: "b1", Version: 1<<63 + 12345}
-	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second})
+	cl := &media.ChunkList{BroadcastID: "b1", Version: 1<<63 + 12345, Chunks: []media.ChunkRef{{Seq: 0, Duration: time.Second}}}
 	srv := httptest.NewServer(Handler("/hls", fixedStore{cl: cl}))
 	defer srv.Close()
 	want := strconv.FormatUint(cl.Version, 10)
@@ -66,12 +65,11 @@ func TestServedVersionIsExact(t *testing.T) {
 	}
 }
 
-// No list answers a version it does not carry: a successor cloned from a
-// served list and appended to answers its own version, and so does a list
-// appended to after its first serve.
+// No list answers a version it does not carry: a successor of a served list
+// answers its own version, and the served list still answers its own after
+// the successor's first serve.
 func TestServedVersionIsNotInherited(t *testing.T) {
-	cl := &media.ChunkList{BroadcastID: "b1", Version: 500}
-	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second})
+	cl := &media.ChunkList{BroadcastID: "b1", Version: 500, Chunks: []media.ChunkRef{{Seq: 0, Duration: time.Second}}}
 	serve := func(cl *media.ChunkList) {
 		t.Helper()
 		w := httptest.NewRecorder()
@@ -85,11 +83,8 @@ func TestServedVersionIsNotInherited(t *testing.T) {
 		}
 	}
 	serve(cl)
-	next := cl.Clone()
-	next.Append(media.ChunkRef{Seq: 1, Duration: time.Second})
+	next := &media.ChunkList{BroadcastID: "b1", Version: cl.Version + 1, Chunks: []media.ChunkRef{{Seq: 0, Duration: time.Second}, {Seq: 1, Duration: time.Second}}}
 	serve(next)
-	serve(cl)
-	cl.Append(media.ChunkRef{Seq: 1, Duration: time.Second})
 	serve(cl)
 }
 
@@ -120,8 +115,7 @@ func TestServedContentLengthIsSealedPrefix(t *testing.T) {
 // The first serves of a fresh list and a fresh chunk, racing, all assign the
 // same value: one is built and every racer gets it. Run under -race.
 func TestConcurrentFirstServesShareOneValue(t *testing.T) {
-	cl := &media.ChunkList{BroadcastID: "b1", Version: 777}
-	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second})
+	cl := &media.ChunkList{BroadcastID: "b1", Version: 777, Chunks: []media.ChunkRef{{Seq: 0, Duration: time.Second}}}
 	c := makeChunks(1)[0]
 	h := Handler("/hls", fixedStore{cl: cl, c: c})
 	const racers = 32
@@ -156,8 +150,7 @@ func TestConcurrentFirstServesShareOneValue(t *testing.T) {
 // A response's header map may be edited after the handler is done with it;
 // no edit reaches the object's value or the next response.
 func TestResponseHeaderEditsStayInTheirResponse(t *testing.T) {
-	cl := &media.ChunkList{BroadcastID: "b1", Version: 4321}
-	cl.Append(media.ChunkRef{Seq: 0, Duration: time.Second})
+	cl := &media.ChunkList{BroadcastID: "b1", Version: 4321, Chunks: []media.ChunkRef{{Seq: 0, Duration: time.Second}}}
 	c := makeChunks(1)[0]
 	h := Handler("/hls", fixedStore{cl: cl, c: c})
 	for _, tc := range []struct {

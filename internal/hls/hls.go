@@ -48,9 +48,10 @@ func (e *OverloadedError) Error() string {
 // Is matches ErrOverloaded.
 func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
 
-// Drainer is implemented by stores that can be gracefully drained. While
-// draining, the Handler stamps every response with DrainingHeader so
-// attached viewers migrate to a sibling edge before shutdown.
+// Drainer is implemented by stores that can be gracefully drained: the
+// cdn.Edge and, in this package's tests, drainingStore. While draining, the
+// Handler stamps every response with DrainingHeader so attached viewers
+// migrate to a sibling edge before shutdown.
 type Drainer interface {
 	Draining() bool
 }
@@ -450,10 +451,10 @@ type PollerConfig struct {
 	// Interval between chunklist polls. Periscope clients use 2–2.8 s
 	// (§5.2); the paper's measurement crawler uses 100 ms.
 	Interval time.Duration
-	// OnChunk receives every newly observed chunk in order.
+	// OnChunk receives every newly observed chunk in order. The end marker
+	// has no callback: Client.Poll and FailoverPoller.Run return nil when
+	// they see it.
 	OnChunk func(ev ChunkEvent)
-	// OnEnd fires once when the playlist carries the end marker.
-	OnEnd func()
 	// PreBuffer models the player's startup buffer (§6: Periscope's HLS
 	// player waits for ~9 s of content, and playback stalls trace back to
 	// this fill time). When the cumulative content delivered first reaches
@@ -536,13 +537,7 @@ func (c *Client) pollOnce(ctx context.Context, broadcastID string, cfg *PollerCo
 			cfg.OnChunk(ev)
 		}
 	}
-	if cl.Ended {
-		if cfg.OnEnd != nil {
-			cfg.OnEnd()
-		}
-		return true, nil
-	}
-	return false, nil
+	return cl.Ended, nil
 }
 
 // Poll runs the periodic polling loop until the broadcast ends or ctx is

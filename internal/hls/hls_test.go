@@ -32,25 +32,31 @@ func newMemStore() *memStore {
 	}
 }
 
+// add publishes a successor list naming c, trimmed to the window, as the
+// origin does: a served list is never edited.
 func (m *memStore) add(id string, c *media.Chunk) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cl, ok := m.lists[id]
 	if !ok {
 		cl = &media.ChunkList{BroadcastID: id}
-		m.lists[id] = cl
 		m.chunks[id] = make(map[uint64]*media.Chunk)
 	}
-	cl.Append(media.ChunkRef{Seq: c.Seq, Duration: c.Duration()})
+	keep := cl.Chunks[max(0, len(cl.Chunks)-(media.WindowSize-1)):]
+	m.lists[id] = &media.ChunkList{
+		BroadcastID: id,
+		Version:     cl.Version + 1,
+		Chunks:      append(keep[:len(keep):len(keep)], media.ChunkRef{Seq: c.Seq, Duration: c.Duration()}),
+	}
 	m.chunks[id][c.Seq] = c
 }
 
+// end publishes the ended successor of id's list.
 func (m *memStore) end(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if cl, ok := m.lists[id]; ok {
-		cl.Ended = true
-		cl.Version++
+		m.lists[id] = &media.ChunkList{BroadcastID: id, Version: cl.Version + 1, Chunks: cl.Chunks, Ended: true}
 	}
 }
 
@@ -61,7 +67,7 @@ func (m *memStore) ChunkList(_ context.Context, id string) (*media.ChunkList, er
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return cl.Clone(), nil
+	return cl, nil
 }
 
 func (m *memStore) Chunk(_ context.Context, id string, seq uint64) (*media.Chunk, error) {
@@ -226,21 +232,20 @@ func TestPollReceivesChunksInOrder(t *testing.T) {
 	}
 }
 
-func TestPollEndCallback(t *testing.T) {
+// Poll returns nil once the list carries the end marker, after delivering
+// the chunks it names.
+func TestPollReturnsNilAtEnd(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	store, client := startHLS(t)
 	store.add("b1", makeChunks(1)[0])
 	store.end("b1")
-	ended := false
+	chunks := 0
 	err := client.Poll(context.Background(), "b1", PollerConfig{
 		Interval: 5 * time.Millisecond,
-		OnEnd:    func() { ended = true },
+		OnChunk:  func(ChunkEvent) { chunks++ },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ended {
-		t.Fatal("OnEnd not called")
+	if err != nil || chunks != 1 {
+		t.Fatalf("Poll of an ended broadcast = %v after %d chunks, want nil after 1", err, chunks)
 	}
 }
 

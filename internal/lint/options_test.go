@@ -16,10 +16,11 @@ import (
 // exported *Config and *Options structs (non-test files outside bench/ and
 // testdata/). It is the option surface ROADMAP's SURFACE item cuts: a cut
 // lowers it, a new option raises it, and either is a one-line diff here.
-const exportedOptions = 167
+const exportedOptions = 159
 
 // TestExportedOptionCount pins the option surface to exportedOptions and, on
-// a mismatch, prints every struct's count so the diff names what moved.
+// a mismatch or under -v, prints every struct's count so the diff names what
+// moved.
 func TestExportedOptionCount(t *testing.T) {
 	root := filepath.Join("..", "..")
 	counts := make(map[string]int)
@@ -69,7 +70,7 @@ func TestExportedOptionCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != exportedOptions {
+	if testing.Verbose() || total != exportedOptions {
 		names := make([]string, 0, len(counts))
 		for name := range counts {
 			names = append(names, name)
@@ -79,7 +80,10 @@ func TestExportedOptionCount(t *testing.T) {
 		for _, name := range names {
 			fmt.Fprintf(&b, "\n  %s: %d", name, counts[name])
 		}
-		t.Errorf("exported options = %d, pinned %d; per struct:%s", total, exportedOptions, b.String())
+		t.Logf("exported options (%d) per struct:%s", total, b.String())
+	}
+	if total != exportedOptions {
+		t.Errorf("exported options = %d, pinned %d", total, exportedOptions)
 	}
 }
 

@@ -49,10 +49,7 @@ func BenchmarkMarshalChunk(b *testing.B) {
 }
 
 func BenchmarkParseChunkList(b *testing.B) {
-	cl := &ChunkList{BroadcastID: "bench"}
-	for i := 0; i < WindowSize; i++ {
-		cl.Append(ChunkRef{Seq: uint64(i), Duration: 3 * time.Second})
-	}
+	cl := &ChunkList{BroadcastID: "bench", Version: WindowSize, Chunks: threeSecondRefs(WindowSize)}
 	data := cl.Marshal()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -96,8 +96,7 @@ func within(view, buf []byte) bool {
 }
 
 func FuzzParseChunkList(f *testing.F) {
-	cl := &ChunkList{BroadcastID: "b", Version: 3}
-	cl.Append(ChunkRef{Seq: 1, Duration: 3 * time.Second})
+	cl := &ChunkList{BroadcastID: "b", Version: 4, Chunks: []ChunkRef{{Seq: 1, Duration: 3 * time.Second}}}
 	f.Add(cl.Marshal())
 	f.Add([]byte("#EXTM3U\n"))
 	f.Add([]byte("#EXTM3U\n#EXTINF:nope\n"))

@@ -24,7 +24,8 @@ type ChunkRef struct {
 //
 // A list handed out by a store is immutable: the origin publishes a fresh
 // *ChunkList per update, and edges, handlers and pollers share that pointer.
-// Only the goroutine still building a list may set its fields or Append.
+// Only the goroutine still building a list may set its fields, and only
+// before its first Marshal or VersionValue.
 type ChunkList struct {
 	BroadcastID string
 	Version     uint64
@@ -42,30 +43,6 @@ type ChunkList struct {
 // WindowSize is how many trailing chunks a list advertises, as live HLS
 // playlists do.
 const WindowSize = 6
-
-// Append adds a chunk reference, trimming to WindowSize, and bumps Version.
-// It is a builder's method (see the immutability note on ChunkList) and
-// drops the bytes an earlier Marshal and the value an earlier VersionValue
-// cached.
-func (cl *ChunkList) Append(ref ChunkRef) {
-	cl.Chunks = append(cl.Chunks, ref)
-	if len(cl.Chunks) > WindowSize {
-		cl.Chunks = cl.Chunks[len(cl.Chunks)-WindowSize:]
-	}
-	cl.Version++
-	cl.marshal, cl.raw = sync.Once{}, nil
-	cl.version.Store(nil)
-}
-
-// Clone returns a deep copy the caller may keep building on.
-func (cl *ChunkList) Clone() *ChunkList {
-	return &ChunkList{
-		BroadcastID: cl.BroadcastID,
-		Version:     cl.Version,
-		Ended:       cl.Ended,
-		Chunks:      append([]ChunkRef(nil), cl.Chunks...),
-	}
-}
 
 // Marshal renders the list in an m3u8-like text format:
 //

@@ -12,38 +12,10 @@ import (
 	"repro/internal/rng"
 )
 
-func TestChunkListAppendWindow(t *testing.T) {
-	cl := &ChunkList{BroadcastID: "b1"}
-	for i := 0; i < 10; i++ {
-		cl.Append(ChunkRef{Seq: uint64(i), Duration: 3 * time.Second})
-	}
-	if len(cl.Chunks) != WindowSize {
-		t.Fatalf("window = %d, want %d", len(cl.Chunks), WindowSize)
-	}
-	if cl.Chunks[0].Seq != 4 || cl.Chunks[len(cl.Chunks)-1].Seq != 9 {
-		t.Fatalf("window contents wrong: %+v", cl.Chunks)
-	}
-	if cl.Version != 10 {
-		t.Fatalf("version = %d, want 10", cl.Version)
-	}
-}
-
-func TestChunkListCloneIsDeep(t *testing.T) {
-	cl := &ChunkList{BroadcastID: "b"}
-	cl.Append(ChunkRef{Seq: 1})
-	cp := cl.Clone()
-	cl.Append(ChunkRef{Seq: 2})
-	if len(cp.Chunks) != 1 {
-		t.Fatal("clone shares backing storage with original")
-	}
-}
-
 // Marshal renders a list once: every poll of one version is answered from the
-// same bytes, a builder's Append starts a new rendering, and a Clone shares
-// neither.
+// same bytes, and a successor list renders its own.
 func TestChunkListMarshalRendersOnce(t *testing.T) {
-	cl := &ChunkList{BroadcastID: "b"}
-	cl.Append(ChunkRef{Seq: 1})
+	cl := &ChunkList{BroadcastID: "b", Version: 1, Chunks: []ChunkRef{{Seq: 1}}}
 	first := cl.Marshal()
 	if again := cl.Marshal(); &again[0] != &first[0] {
 		t.Fatal("second Marshal rendered again")
@@ -51,13 +23,12 @@ func TestChunkListMarshalRendersOnce(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { cl.Marshal() }); allocs != 0 {
 		t.Fatalf("Marshal of a rendered list allocates %v times", allocs)
 	}
-	cp := cl.Clone()
-	cl.Append(ChunkRef{Seq: 2})
-	if got, err := ParseChunkList(cl.Marshal()); err != nil || got.Version != 2 || len(got.Chunks) != 2 {
-		t.Fatalf("Marshal after Append served stale bytes: %+v, %v", got, err)
+	next := &ChunkList{BroadcastID: "b", Version: 2, Chunks: []ChunkRef{{Seq: 1}, {Seq: 2}}}
+	if got, err := ParseChunkList(next.Marshal()); err != nil || got.Version != 2 || len(got.Chunks) != 2 {
+		t.Fatalf("successor's Marshal: %+v, %v", got, err)
 	}
-	if got, err := ParseChunkList(cp.Marshal()); err != nil || got.Version != 1 || len(got.Chunks) != 1 {
-		t.Fatalf("clone's Marshal: %+v, %v", got, err)
+	if got, err := ParseChunkList(cl.Marshal()); err != nil || got.Version != 1 || len(got.Chunks) != 1 {
+		t.Fatalf("Marshal after a successor rendered: %+v, %v", got, err)
 	}
 }
 
@@ -91,8 +62,7 @@ func TestParseChunkListMillisecondsExact(t *testing.T) {
 	var short []time.Duration
 	for ms := 1; ms <= 10_000; ms++ {
 		d := time.Duration(ms) * time.Millisecond
-		cl := &ChunkList{BroadcastID: "b"}
-		cl.Append(ChunkRef{Seq: uint64(ms), Duration: d})
+		cl := &ChunkList{BroadcastID: "b", Chunks: []ChunkRef{{Seq: uint64(ms), Duration: d}}}
 		got, err := ParseChunkList(cl.Marshal())
 		if err != nil {
 			t.Fatal(err)
@@ -134,12 +104,12 @@ func TestParseChunkListIgnoresUnknownTags(t *testing.T) {
 	}
 }
 
-// Property: any list built through Append survives a marshal/parse roundtrip.
+// Property: any list survives a marshal/parse roundtrip.
 func TestChunkListRoundtripProperty(t *testing.T) {
 	f := func(seqs []uint16, ended bool) bool {
-		cl := &ChunkList{BroadcastID: "prop", Ended: ended}
+		cl := &ChunkList{BroadcastID: "prop", Version: uint64(len(seqs)), Ended: ended}
 		for i, s := range seqs {
-			cl.Append(ChunkRef{Seq: uint64(s), Duration: time.Duration(i%5+1) * time.Second})
+			cl.Chunks = append(cl.Chunks, ChunkRef{Seq: uint64(s), Duration: time.Duration(i%5+1) * time.Second})
 		}
 		got, err := ParseChunkList(cl.Marshal())
 		if err != nil {
@@ -212,10 +182,7 @@ func TestRenderMatchesFmt(t *testing.T) {
 
 // A render is one allocation: the exact-size buffer.
 func TestRenderAllocBudget(t *testing.T) {
-	cl := &ChunkList{BroadcastID: "b1", Version: 1 << 63, Ended: true}
-	for seq := uint64(0); seq < WindowSize; seq++ {
-		cl.Append(ChunkRef{Seq: seq, Duration: 3 * time.Second})
-	}
+	cl := &ChunkList{BroadcastID: "b1", Version: 1 << 63, Ended: true, Chunks: threeSecondRefs(WindowSize)}
 	if allocs := testing.AllocsPerRun(100, func() { cl.render() }); allocs != 1 {
 		t.Fatalf("render of a %d-chunk list allocates %v times, want 1", len(cl.Chunks), allocs)
 	}
@@ -225,10 +192,7 @@ func TestRenderAllocBudget(t *testing.T) {
 // broadcast ID and its chunks.
 func TestParseChunkListAllocBudget(t *testing.T) {
 	for _, n := range []uint64{1, WindowSize} {
-		cl := &ChunkList{BroadcastID: "b1", Version: 7, Ended: true}
-		for seq := range n {
-			cl.Append(ChunkRef{Seq: seq, Duration: 3 * time.Second})
-		}
+		cl := &ChunkList{BroadcastID: "b1", Version: 7, Ended: true, Chunks: threeSecondRefs(n)}
 		data := cl.Marshal()
 		allocs := testing.AllocsPerRun(100, func() {
 			if _, err := ParseChunkList(data); err != nil {
@@ -239,4 +203,13 @@ func TestParseChunkListAllocBudget(t *testing.T) {
 			t.Fatalf("parse of a %d-chunk list allocates %v times, want 3", n, allocs)
 		}
 	}
+}
+
+// threeSecondRefs is n references to 3-s chunks, sequences 0 to n-1.
+func threeSecondRefs(n uint64) []ChunkRef {
+	refs := make([]ChunkRef, n)
+	for seq := range refs {
+		refs[seq] = ChunkRef{Seq: uint64(seq), Duration: 3 * time.Second}
+	}
+	return refs
 }

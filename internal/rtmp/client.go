@@ -203,9 +203,6 @@ type ViewerOptions struct {
 	// (before the handshake) — the seam fault-injection harnesses use to
 	// model resets and loss on the viewer's last-mile link (§5.2).
 	WrapConn func(net.Conn) net.Conn
-	// DialTimeout bounds the dial plus handshake round-trip; zero means
-	// no bound beyond ctx (SubscribeResilient applies its own default).
-	DialTimeout time.Duration
 	// Clock stamps frame receipt (timestamp ② of the delay
 	// decomposition); nil means the real clock.
 	Clock clock.Clock
@@ -215,14 +212,20 @@ type ViewerOptions struct {
 // closed when the broadcast ends or the connection drops; Err reports the
 // terminal error, if any.
 func Subscribe(ctx context.Context, addr, broadcastID, token string, opts ViewerOptions) (*Viewer, error) {
-	return SubscribeTLS(ctx, addr, broadcastID, token, opts, nil)
+	return subscribe(ctx, addr, broadcastID, token, opts, nil, 0)
 }
 
 // SubscribeTLS opens a viewer session over RTMPS when tlsCfg is non-nil.
 func SubscribeTLS(ctx context.Context, addr, broadcastID, token string, opts ViewerOptions, tlsCfg *tls.Config) (*Viewer, error) {
+	return subscribe(ctx, addr, broadcastID, token, opts, tlsCfg, 0)
+}
+
+// subscribe opens a viewer session; dialTimeout, when positive, bounds the
+// dial plus handshake round-trip beyond ctx.
+func subscribe(ctx context.Context, addr, broadcastID, token string, opts ViewerOptions, tlsCfg *tls.Config, dialTimeout time.Duration) (*Viewer, error) {
 	conn, _, err := dialAndHandshakeTLS(ctx, addr, wire.Handshake{
 		Role: wire.RoleViewer, BroadcastID: broadcastID, Token: token, BufferMs: opts.BufferMs,
-	}, tlsCfg, opts.WrapConn, opts.DialTimeout)
+	}, tlsCfg, opts.WrapConn, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

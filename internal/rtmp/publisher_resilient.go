@@ -101,11 +101,12 @@ func (rp *ResilientPublisher) dial(ctx context.Context) (*Publisher, error) {
 }
 
 // buffer retains a deep copy of f in the resume ring, evicting the oldest
-// frame when full.
+// frame when full. A caller's signature is kept: a redialed session has no
+// signer, so the replay carries the frame exactly as it first went out.
 func (rp *ResilientPublisher) buffer(f *media.Frame) {
 	cp := *f
 	cp.Payload = append([]byte(nil), f.Payload...)
-	cp.Sig = nil // re-signed on resend
+	cp.Sig = append([]byte(nil), f.Sig...)
 	if rp.n < len(rp.buf) {
 		rp.buf[(rp.start+rp.n)%len(rp.buf)] = cp
 		rp.n++

@@ -56,16 +56,13 @@ func SubscribeResilient(ctx context.Context, addr, broadcastID, token string, cf
 	if cfg.MaxReconnects == 0 {
 		cfg.MaxReconnects = 8
 	}
-	if cfg.Options.DialTimeout == 0 {
-		cfg.Options.DialTimeout = redialTimeout
-	}
 	if cfg.Options.Clock == nil {
 		cfg.Options.Clock = clock.Real{}
 	}
 	if cfg.Backoff.Sleep == nil {
 		cfg.Backoff.Sleep = cfg.Options.Clock.Sleep
 	}
-	v, err := Subscribe(ctx, addr, broadcastID, token, cfg.Options)
+	v, err := subscribe(ctx, addr, broadcastID, token, cfg.Options, nil, redialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +108,7 @@ func (rv *ResilientViewer) run(ctx context.Context, v *Viewer, addr, broadcastID
 				return
 			}
 			redials++
-			nv, serr := Subscribe(ctx, addr, broadcastID, token, cfg.Options)
+			nv, serr := subscribe(ctx, addr, broadcastID, token, cfg.Options, nil, redialTimeout)
 			if serr == nil {
 				v = nv
 				rv.reconnects.Add(1)

@@ -2,6 +2,7 @@ package rtmp
 
 import (
 	"context"
+	"crypto/ed25519"
 	"net"
 	"sync"
 	"testing"
@@ -463,6 +464,100 @@ func TestResilientPublisherRedialsThroughBackoffSleep(t *testing.T) {
 	for i, d := range delays {
 		if want := backoff.Delay(i); d != want {
 			t.Fatalf("delay %d = %v, want the backoff schedule's %v", i, d, want)
+		}
+	}
+}
+
+// TestResilientPublisherReplaysSignature: a frame the caller signed goes out
+// signed on replay too. The publisher has no signer of its own, so the
+// resume ring must keep the caller's signature; the restarted server, which
+// resumes from the top, sees every frame signed, the replayed first one
+// included.
+func TestResilientPublisherReplaysSignature(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := NewServer(ServerConfig{})
+	ln, err := s.Listen(ctx, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+
+	var (
+		mu   sync.Mutex
+		seen []media.Frame
+	)
+	restarted := NewServer(ServerConfig{Tap: func(_ string, f media.Frame, _ time.Time) {
+		mu.Lock()
+		seen = append(seen, f)
+		mu.Unlock()
+	}})
+	defer restarted.Close()
+	backoff := resilience.Policy{BaseDelay: time.Millisecond, Jitter: -1}
+	backoff.Sleep = func(ctx context.Context, _ time.Duration) error {
+		if addr != ln.Addr().String() {
+			return nil
+		}
+		rln, err := restarted.Listen(ctx, "127.0.0.1:0")
+		if err != nil {
+			return err
+		}
+		addr = rln.Addr().String()
+		return nil
+	}
+	rp, err := PublishResilient(ctx, addr, "b1", "tok", PublishResilientConfig{
+		Resolve:       func() string { return addr },
+		Backoff:       backoff,
+		MaxReconnects: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := media.NewEncoder(media.EncoderConfig{}, rng.New(21))
+	send := func() {
+		t.Helper()
+		f := enc.Next(time.Now())
+		f.Sig = ed25519.Sign(priv, f.UnsignedBytes())
+		if err := rp.Send(ctx, &f); err != nil {
+			t.Fatalf("send %d: %v", f.Seq, err)
+		}
+	}
+	send()
+	s.Abort()
+	for i := 0; rp.Reconnects() == 0; i++ {
+		if i == 1000 {
+			t.Fatal("publisher never noticed the crash")
+		}
+		send()
+		time.Sleep(time.Millisecond)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := len(seen)
+		mu.Unlock()
+		if n > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the restarted server saw no frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if seen[0].Seq != 0 {
+		t.Fatalf("restarted server's first frame is seq %d, want the replayed 0", seen[0].Seq)
+	}
+	for _, f := range seen {
+		if !ed25519.Verify(pub, f.UnsignedBytes(), f.Sig) {
+			t.Fatalf("frame %d reached the restarted server with signature %x, want the caller's", f.Seq, f.Sig)
 		}
 	}
 }

@@ -29,7 +29,7 @@
 // relay when they are not co-located), and each view is a delay.Session
 // feeding a player.Player, so the per-component histograms land on the same
 // Fig. 11 shape the controlled experiment reproduces. The simulated majority exercises the real cdn.Origin ingest →
-// Invalidate → cdn.Edge raw-chunklist fast path in process, while an
+// invalidation → cdn.Edge raw-chunklist fast path in process, while an
 // optional slice of real-socket hls.Client / rtmp.Viewer instances (real.go)
 // runs concurrently against loopback servers and reports into the same
 // metrics registry.
